@@ -5,6 +5,11 @@ length b. Multipliers are drawn once per block and expanded to a
 piecewise-constant weight per time point. The two statistics of interest are
 the largest absolute column mean of a panel and its block-multiplier
 counterpart max_i |(1/n) sum_l eps_l S[l, i]|.
+
+Every estimator, the Gaussian comparison and the exact oracle compute these
+through the ``batch_*`` kernels, which act on stacks of panels along any
+leading axes. The single-panel functions validate their input and make one
+kernel call, so single and batched results agree bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .processes import PanelSample
-from .seeding import STREAM_MULTIPLIER, substream
+from .seeding import STREAM_MULTIPLIER, substream, substream_iter
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
 
@@ -75,13 +80,36 @@ def make_blocks(n: int, b: int) -> BlockScheme:
     return BlockScheme(n=n, b=b, count=count, blocks=blocks)
 
 
-def block_sums(sample: PanelSample, scheme: BlockScheme) -> np.ndarray:
-    """Matrix of within-block column sums, shape (count, p)."""
-    if scheme.n != sample.n:
-        raise BlockSchemeError(
-            f"scheme is for n={scheme.n} but panel has n={sample.n}"
-        )
-    return sample.data.reshape(scheme.count, scheme.b, sample.p).sum(axis=1)
+def batch_block_sums(panels: np.ndarray, scheme: BlockScheme) -> np.ndarray:
+    """Within-block column sums over leading axes: (..., n, p) -> (..., count, p)."""
+    lead, p = panels.shape[:-2], panels.shape[-1]
+    return panels.reshape(*lead, scheme.count, scheme.b, p).sum(axis=-2)
+
+
+def batch_max_abs_mean(panels: np.ndarray) -> np.ndarray:
+    """Largest absolute column mean over leading axes: (..., n, p) -> (...)."""
+    return np.abs(panels.mean(axis=-2)).max(axis=-1)
+
+
+def batch_multiplier_max(sums: np.ndarray, eps: np.ndarray, n: int) -> np.ndarray:
+    """max_i |(1/n) sum_l eps_l S[l, i]| over leading axes.
+
+    ``sums`` has shape (..., count, p) and ``eps`` shape (..., count); their
+    leading axes broadcast, so eps of shape (E, 1, count) against sums of
+    shape (C, count, p) gives every multiplier vector on every panel, (E, C).
+    """
+    return np.abs(np.einsum("...l,...lp->...p", eps, sums) / n).max(axis=-1)
+
+
+def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
+                      start: int, stop: int) -> np.ndarray:
+    """Multipliers of replications start..stop-1, shape (stop - start, count).
+
+    Replication r draws from the substream (seed, multiplier stream, purpose,
+    r), so a replication's multipliers do not depend on the batch it is in.
+    """
+    rngs = substream_iter(seed, STREAM_MULTIPLIER, purpose, start, stop)
+    return np.stack([draw_multipliers_with(mult, count, rng) for rng in rngs])
 
 
 def draw_multipliers(spec: MultiplierSpec, count: int, seed: int) -> np.ndarray:
@@ -99,19 +127,32 @@ def draw_multipliers_with(spec: MultiplierSpec, count: int, rng) -> np.ndarray:
     return rng.uniform(-half, half, size=count)
 
 
-def expand_multipliers(eps: np.ndarray, scheme: BlockScheme) -> np.ndarray:
-    """Per-time weights, constant on blocks: eta[t] = eps[l] for t in block l."""
+def _checked_eps(eps, scheme: BlockScheme) -> np.ndarray:
     eps = np.asarray(eps, dtype=float)
     if eps.shape != (scheme.count,):
         raise BlockSchemeError(
             f"expected {scheme.count} multipliers, got shape {eps.shape}"
         )
-    return np.repeat(eps, scheme.b)
+    return eps
+
+
+def expand_multipliers(eps: np.ndarray, scheme: BlockScheme) -> np.ndarray:
+    """Per-time weights, constant on blocks: eta[t] = eps[l] for t in block l."""
+    return np.repeat(_checked_eps(eps, scheme), scheme.b)
+
+
+def block_sums(sample: PanelSample, scheme: BlockScheme) -> np.ndarray:
+    """Matrix of within-block column sums, shape (count, p)."""
+    if scheme.n != sample.n:
+        raise BlockSchemeError(
+            f"scheme is for n={scheme.n} but panel has n={sample.n}"
+        )
+    return batch_block_sums(sample.data, scheme)
 
 
 def max_abs_mean(sample: PanelSample) -> float:
     """Largest absolute column mean of the panel."""
-    return float(np.abs(sample.data.mean(axis=0)).max())
+    return float(batch_max_abs_mean(sample.data))
 
 
 def multiplier_max_abs_mean(
@@ -123,10 +164,4 @@ def multiplier_max_abs_mean(
     its expanded multiplier.
     """
     sums = block_sums(sample, scheme)
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (scheme.count,):
-        raise BlockSchemeError(
-            f"expected {scheme.count} multipliers, got shape {eps.shape}"
-        )
-    weighted = eps @ sums / scheme.n
-    return float(np.abs(weighted).max())
+    return float(batch_multiplier_max(sums, _checked_eps(eps, scheme), scheme.n))

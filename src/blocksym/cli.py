@@ -10,9 +10,7 @@ One JSON config file fully determines a run. Subcommands:
 - ``plot <kind> <reports...>``: emit tidy plot-ready CSV (series, x, y).
 
 Report JSON is byte-deterministic for a fixed config and seed; timestamps
-and environment notes go to a separate run_meta.json. The environment
-variable BLOCKSYM_WORKERS is accepted and recorded but execution is
-sequential, so it can never change results.
+and environment notes go to a separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import csv
 import datetime
 import json
 import math
-import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -35,13 +32,11 @@ from .gaussian import (
     GaussianModel,
     RhoEstimate,
     estimate_gaussian_model,
-    kolmogorov_distance,
-    rho_uncertainty,
     sample_gaussian_max,
     simulate_max_statistics,
 )
-from .processes import DgpSpec, DgpValidationError, LongRunCovError
-from .psi import PsiSpec, PsiValidationError, psi_moment_norm
+from .processes import DgpSpec, LongRunCovError
+from .psi import PsiSpec, psi_moment_norm
 from .remainders import (
     TailParams,
     VacuousBoundError,
@@ -62,8 +57,6 @@ from .verify import (
     verify_prop1,
     verify_prop2,
 )
-
-KNOWN_CHECKS = ("prop1", "prop2", "theorem1", "independence-reduction", "rho-only")
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -118,16 +111,43 @@ class ExperimentConfig:
         }
 
 
+_SECTIONS = ("dgp", "scheme", "multiplier", "psi", "truncation", "tail",
+             "gaussian_model", "debug")
+_INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "reps", "rho_reps", "seed",
+                   "gaussian_model.reps")
+
+
+def _shape_problems(node, path: str = "") -> list:
+    """A root or section that is not an object, integer fields that are not
+    JSON integers and numbers that are not finite, each with its field path."""
+    if (not path or path in _SECTIONS) and not isinstance(node, dict):
+        return [(path or "<root>", f"expected an object, got {type(node).__name__}")]
+    if path in _INTEGER_FIELDS and (isinstance(node, bool) or not isinstance(node, int)):
+        return [(path, f"expected an integer, got {node!r}")]
+    if isinstance(node, float) and not math.isfinite(node):
+        return [(path, f"expected a finite number, got {node!r}")]
+    if isinstance(node, dict):
+        children = [(f"{path}.{key}" if path else key, value) for key, value in node.items()]
+    elif isinstance(node, list):
+        children = [(f"{path}[{i}]", value) for i, value in enumerate(node)]
+    else:
+        return []
+    return [found for child, value in children for found in _shape_problems(value, child)]
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     """Build a validated config, collecting every problem before raising."""
-    problems = []
+    # The checks below read inside the sections, so shape problems come alone.
+    problems = _shape_problems(obj)
+    if problems:
+        raise ConfigError(problems)
 
     def grab(path, ctor, default=None, required=True):
         node = obj
         for part in path.split(".")[:-1]:
-            node = node.get(part, {}) if isinstance(node, dict) else {}
+            node = node.get(part, {})
         leaf = path.split(".")[-1]
-        if not isinstance(node, dict) or leaf not in node:
+        if leaf not in node:
             if required:
                 problems.append((path, "missing"))
             return default
@@ -137,41 +157,21 @@ def parse_config(obj: dict) -> ExperimentConfig:
             problems.append((path, str(exc)))
             return default
 
-    dgp = None
-    if "dgp" in obj:
-        try:
-            dgp = DgpSpec.from_json_dict(obj["dgp"])
-        except (DgpValidationError, TypeError) as exc:
-            problems.append(("dgp", str(exc)))
-    else:
-        problems.append(("dgp", "missing"))
-
+    dgp = grab("dgp", DgpSpec.from_json_dict)
     b = grab("scheme.b", int)
-    mult = None
-    try:
-        mult = MultiplierSpec.from_json_dict(obj.get("multiplier", {"kind": "rademacher"}))
-    except (TypeError, ValueError) as exc:
-        problems.append(("multiplier", str(exc)))
-    psi = None
-    if "psi" in obj:
-        try:
-            psi = PsiSpec.from_json_dict(obj["psi"])
-        except (PsiValidationError, TypeError) as exc:
-            problems.append(("psi", str(exc)))
-    else:
-        problems.append(("psi", "missing"))
+    mult = grab("multiplier", MultiplierSpec.from_json_dict,
+                default=MultiplierSpec("rademacher"), required=False)
+    psi = grab("psi", PsiSpec.from_json_dict)
 
     truncation = obj.get("truncation", {"mode": "fixed", "U": 1.0})
     mode = truncation.get("mode")
     if mode not in ("fixed", "optimal"):
         problems.append(("truncation.mode", f"expected fixed or optimal, got {mode!r}"))
-    elif mode == "fixed":
-        if not isinstance(truncation.get("U"), (int, float)) or truncation["U"] <= 0:
-            problems.append(("truncation.U", "fixed mode needs U > 0"))
     else:
-        phi = truncation.get("phi")
-        if not isinstance(phi, (int, float)) or phi <= 0:
-            problems.append(("truncation.phi", "optimal mode needs phi > 0"))
+        key = "U" if mode == "fixed" else "phi"
+        level = truncation.get(key)
+        if not isinstance(level, (int, float)) or level <= 0:
+            problems.append((f"truncation.{key}", f"{mode} mode needs {key} > 0"))
 
     r = grab("r", float, default=2.0, required=False)
     if r is not None and r <= 1:
@@ -179,7 +179,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     reps = grab("reps", int)
     rho_reps = grab("rho_reps", int, default=reps, required=False)
     seed = grab("seed", int)
-    for name, value in (("reps", reps), ("rho_reps", rho_reps)):
+    model_reps = grab("gaussian_model.reps", int, required=False)
+    for name, value in (("reps", reps), ("rho_reps", rho_reps),
+                        ("gaussian_model.reps", model_reps)):
         if value is not None and value < 1000:
             problems.append((name, f"need at least 1000, got {value}"))
 
@@ -201,6 +203,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
         problems.append(("tail.mode", "expected lq or subexp"))
 
     debug = obj.get("debug", {})
+    output_dir = obj.get("output_dir", "out")
+    if not isinstance(output_dir, str):
+        problems.append(("output_dir", f"expected a string, got {output_dir!r}"))
 
     # Cross-field invariants.
     if dgp is not None and b is not None:
@@ -226,7 +231,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         dgp=dgp, b=b, multiplier=mult, psi=psi, truncation=truncation, r=r,
         reps=reps, rho_reps=rho_reps, seed=seed, checks=checks,
         gaussian_model=gaussian_model, tail=tail,
-        output_dir=obj.get("output_dir", "out"), debug=debug,
+        output_dir=output_dir, debug=debug,
     )
 
 
@@ -234,7 +239,7 @@ def load_config(path) -> ExperimentConfig:
     with open(path) as fh:
         try:
             obj = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise ConfigError([("<file>", f"not valid JSON: {exc}")])
     return parse_config(obj)
 
@@ -315,97 +320,116 @@ def _quantile_grid(samples: dict, points: int = 257) -> dict:
     return grid
 
 
+@dataclass
+class _RunInputs:
+    """What the checks of one run share: the distances and the truncation."""
+
+    remainder_override: Optional[float]
+    rho: Optional[RhoEstimate] = None
+    rho_samples: Optional[dict] = None
+    model_source: Optional[str] = None
+    U: Optional[float] = None
+
+
+def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float,
+                      tail: dict) -> dict:
+    """What the remainder-vs-U plot needs to recompute R1 and R2 at any U."""
+    return {"psi": config.psi.to_json_dict(), "n": config.dgp.n, "p": config.dgp.p,
+            "rho_sum": run.rho.rho + run.rho.rho_star, "r": config.r,
+            "psi_norm": psi_norm, "tail": tail, "U": run.U}
+
+
+def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
+    return verify_prop1(
+        config.dgp, config.scheme(), config.multiplier, config.psi, run.U,
+        config.reps, run.rho, config.seed, remainder_override=run.remainder_override,
+    )
+
+
+def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
+    report = verify_prop2(
+        config.dgp, config.scheme(), config.multiplier, config.psi, run.U,
+        config.r, config.reps, run.rho, config.seed,
+        remainder_override=run.remainder_override,
+    )
+    moment = mc_coordinate_mean_moment(config.dgp, 2.0, config.reps, config.seed)
+    report.diagnostics["remainder_inputs"] = _remainder_inputs(
+        config, run, report.remainders["psi_norm"],
+        {"mode": "lq", "q": 2.0, "max_mean_moment": moment["value"]},
+    )
+    return report
+
+
+def _run_theorem1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
+    tail_mode = config.tail.get("mode", "lq")
+    tparams = _fit_tail_params(config, run.U) if tail_mode == "subexp" else None
+    report = theorem1_bound(
+        config.dgp, config.scheme(), config.multiplier, config.psi.q,
+        config.r, run.U, config.reps, run.rho, tail_mode, config.seed,
+        tail_params=tparams,
+    )
+    report.diagnostics["remainder_inputs"] = _remainder_inputs(
+        config, run, 2.0**config.psi.q * report.remainders["M_hat_q"],
+        dict(report.diagnostics["tail"], U=run.U),
+    )
+    return report
+
+
+def _run_independence(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
+    return verify_independence_reduction(config.dgp, config.psi, config.reps, config.seed)
+
+
+def _run_rho_only(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
+    return VerificationReport(
+        check="rho-only", lhs=None, mid=None, rhs=None,
+        remainders={}, rho=run.rho, margins=[],
+        params={"n": config.dgp.n, "p": config.dgp.p, "b": config.b,
+                "seed": config.seed, "reps": config.rho_reps},
+        diagnostics={"cdf_grid": _quantile_grid(run.rho_samples),
+                     "model_source": run.model_source},
+    )
+
+
+# Check name -> runner, in the order checks run and reports are written.
+_CHECK_RUNNERS = {
+    "prop1": _run_prop1,
+    "prop2": _run_prop2,
+    "theorem1": _run_theorem1,
+    "independence-reduction": _run_independence,
+    "rho-only": _run_rho_only,
+}
+KNOWN_CHECKS = tuple(_CHECK_RUNNERS)
+
+
 def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -> int:
     """Execute every requested check; write reports; return the exit code."""
     out = Path(output_dir or config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     started = datetime.datetime.now(datetime.timezone.utc)
-    workers_env = os.environ.get("BLOCKSYM_WORKERS", "1")
-    try:
-        workers = max(1, int(workers_env))
-    except ValueError:
-        workers = 1
 
-    scheme = config.scheme()
     reports: dict[str, VerificationReport] = {}
     partial_error = None
-    rho = None
-    rho_samples = None
-    override = 0.0 if config.debug.get("zero_remainder") else None
+    run = _RunInputs(remainder_override=0.0 if config.debug.get("zero_remainder") else None)
 
     try:
         needs_rho = any(c in config.checks for c in ("prop1", "prop2", "theorem1", "rho-only"))
         if needs_rho:
             model = _resolve_model(config)
             plain, starred = simulate_max_statistics(
-                config.dgp, scheme, config.multiplier, config.rho_reps, config.seed
+                config.dgp, config.scheme(), config.multiplier, config.rho_reps, config.seed
             )
             gauss = sample_gaussian_max(model, config.rho_reps, config.seed)
-            rho = RhoEstimate(
-                rho=kolmogorov_distance(plain, gauss),
-                rho_star=kolmogorov_distance(starred, gauss),
-                rho_direct=kolmogorov_distance(plain, starred),
-                reps=config.rho_reps,
-                se=rho_uncertainty(config.rho_reps),
-            )
-            rho_samples = {"plain": plain, "multiplier": starred, "gaussian": gauss}
+            run.rho = RhoEstimate.from_samples(plain, starred, gauss)
+            run.rho_samples = {"plain": plain, "multiplier": starred, "gaussian": gauss}
+            run.model_source = model.source
         needs_trunc = any(c in config.checks for c in ("prop1", "prop2", "theorem1"))
-        trunc = _resolve_truncation(config, rho) if needs_trunc else {"U": None}
-        U = trunc.get("U")
+        trunc = _resolve_truncation(config, run.rho) if needs_trunc else {"U": None}
+        run.U = trunc.get("U")
 
-        for check in KNOWN_CHECKS:
+        for check, runner in _CHECK_RUNNERS.items():
             if check not in config.checks:
                 continue
-            if check == "rho-only":
-                report = VerificationReport(
-                    check="rho-only", lhs=None, mid=None, rhs=None,
-                    remainders={}, rho=rho, margins=[],
-                    params={"n": config.dgp.n, "p": config.dgp.p, "b": config.b,
-                            "seed": config.seed, "reps": config.rho_reps},
-                    diagnostics={"cdf_grid": _quantile_grid(rho_samples),
-                                 "model_source": model.source},
-                )
-            elif check == "prop1":
-                report = verify_prop1(
-                    config.dgp, scheme, config.multiplier, config.psi, U,
-                    config.reps, rho, config.seed, remainder_override=override,
-                )
-            elif check == "prop2":
-                report = verify_prop2(
-                    config.dgp, scheme, config.multiplier, config.psi, U,
-                    config.r, config.reps, rho, config.seed,
-                    remainder_override=override,
-                )
-                moment = mc_coordinate_mean_moment(config.dgp, 2.0, config.reps, config.seed)
-                report.diagnostics["remainder_inputs"] = {
-                    "psi": config.psi.to_json_dict(), "n": config.dgp.n,
-                    "p": config.dgp.p, "rho_sum": rho.rho + rho.rho_star,
-                    "r": config.r, "psi_norm": report.remainders["psi_norm"],
-                    "tail": {"mode": "lq", "q": 2.0, "max_mean_moment": moment["value"]},
-                    "U": U,
-                }
-            elif check == "independence-reduction":
-                report = verify_independence_reduction(
-                    config.dgp, config.psi, config.reps, config.seed
-                )
-            elif check == "theorem1":
-                tail_mode = config.tail.get("mode", "lq")
-                tparams = _fit_tail_params(config, U) if tail_mode == "subexp" else None
-                report = theorem1_bound(
-                    config.dgp, scheme, config.multiplier, config.psi.q,
-                    config.r, U, config.reps, rho, tail_mode, config.seed,
-                    tail_params=tparams,
-                )
-                tail_block = dict(report.diagnostics["tail"])
-                tail_block["U"] = U
-                report.diagnostics["remainder_inputs"] = {
-                    "psi": config.psi.to_json_dict(), "n": config.dgp.n,
-                    "p": config.dgp.p, "rho_sum": rho.rho + rho.rho_star,
-                    "r": config.r,
-                    "psi_norm": 2.0**config.psi.q * report.remainders["M_hat_q"],
-                    "tail": tail_block, "U": U,
-                }
-            reports[check] = report
+            reports[check] = report = runner(config, run)
             if trunc.get("mode") == "optimal":
                 report.diagnostics["truncation"] = trunc
     except Exception as exc:  # noqa: BLE001 - abort with a partial report
@@ -432,7 +456,6 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     _dump_json(
         {"started": started.isoformat(), "finished": finished.isoformat(),
          "duration_seconds": (finished - started).total_seconds(),
-         "workers_env": workers,
          "versions": {"python": sys.version.split()[0], "numpy": np.__version__}},
         out / "run_meta.json",
     )
@@ -554,20 +577,7 @@ def main(argv: Optional[list] = None) -> int:
 
     args = parser.parse_args(argv)
 
-    if args.command == "validate":
-        try:
-            load_config(args.config)
-        except ConfigError as exc:
-            for path, msg in exc.problems:
-                print(f"{path}: {msg}", file=sys.stderr)
-            return EXIT_ERROR
-        except OSError as exc:
-            print(f"cannot read config: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        print("config OK")
-        return EXIT_OK
-
-    if args.command == "run":
+    if args.command in ("validate", "run"):
         try:
             config = load_config(args.config)
         except ConfigError as exc:
@@ -577,6 +587,9 @@ def main(argv: Optional[list] = None) -> int:
         except OSError as exc:
             print(f"cannot read config: {exc}", file=sys.stderr)
             return EXIT_ERROR
+        if args.command == "validate":
+            print("config OK")
+            return EXIT_OK
         return run_experiment(config, output_dir=args.output_dir)
 
     if args.command == "plot":

@@ -13,16 +13,21 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .blocking import BlockScheme, MultiplierSpec, draw_multipliers_with
+from .blocking import (
+    BlockScheme,
+    MultiplierSpec,
+    batch_block_sums,
+    batch_max_abs_mean,
+    batch_multiplier_max,
+    batch_multipliers,
+)
 from .processes import DgpSpec, generate_panels, theoretical_longrun_cov
 from .seeding import (
     PURPOSE_DEFAULT,
     PURPOSE_MODEL,
     STREAM_GAUSSIAN,
-    STREAM_MULTIPLIER,
     STREAM_PANEL,
     substream,
-    substream_iter,
 )
 
 _SYM_TOL = 1e-10
@@ -94,6 +99,18 @@ class RhoEstimate:
         # for externally constructed estimates.
         if self.rho_direct > self.rho + self.rho_star + 2.0 * self.se + 1e-12:
             raise ValueError("rho_direct exceeds rho + rho_star + 2 se")
+
+    @classmethod
+    def from_samples(cls, plain, starred, gauss) -> "RhoEstimate":
+        """The three distances between paired max-statistic samples."""
+        reps = len(plain)
+        return cls(
+            rho=kolmogorov_distance(plain, gauss),
+            rho_star=kolmogorov_distance(starred, gauss),
+            rho_direct=kolmogorov_distance(plain, starred),
+            reps=reps,
+            se=rho_uncertainty(reps),
+        )
 
     def to_json_dict(self) -> dict:
         return {
@@ -197,14 +214,11 @@ def simulate_max_statistics(
     plain = np.empty(reps)
     starred = np.empty(reps)
     for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, purpose):
-        c = len(panels)
-        means = panels.mean(axis=1)
-        plain[start : start + c] = root_n * np.abs(means).max(axis=1)
-        sums = panels.reshape(c, scheme.count, scheme.b, spec.p).sum(axis=2)
-        rngs = substream_iter(seed, STREAM_MULTIPLIER, purpose, start, start + c)
-        eps = np.stack([draw_multipliers_with(mult, scheme.count, rng) for rng in rngs])
-        weighted = np.einsum("cl,clp->cp", eps, sums) / spec.n
-        starred[start : start + c] = root_n * np.abs(weighted).max(axis=1)
+        stop = start + len(panels)
+        plain[start:stop] = root_n * batch_max_abs_mean(panels)
+        eps = batch_multipliers(mult, scheme.count, seed, purpose, start, stop)
+        sums = batch_block_sums(panels, scheme)
+        starred[start:stop] = root_n * batch_multiplier_max(sums, eps, spec.n)
     return plain, starred
 
 
@@ -218,11 +232,4 @@ def estimate_rhos(
 ) -> RhoEstimate:
     """Kolmogorov distance estimates against the Gaussian comparison law."""
     plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed)
-    gauss = sample_gaussian_max(model, reps, seed)
-    return RhoEstimate(
-        rho=kolmogorov_distance(plain, gauss),
-        rho_star=kolmogorov_distance(starred, gauss),
-        rho_direct=kolmogorov_distance(plain, starred),
-        reps=reps,
-        se=rho_uncertainty(reps),
-    )
+    return RhoEstimate.from_samples(plain, starred, sample_gaussian_max(model, reps, seed))

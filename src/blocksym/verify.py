@@ -25,7 +25,10 @@ from scipy.stats import beta
 from .blocking import (
     BlockScheme,
     MultiplierSpec,
-    draw_multipliers_with,
+    batch_block_sums,
+    batch_max_abs_mean,
+    batch_multiplier_max,
+    batch_multipliers,
     make_blocks,
 )
 from .gaussian import RhoEstimate
@@ -51,9 +54,7 @@ from .seeding import (
     PURPOSE_SPLIT,
     PURPOSE_TAIL,
     STREAM_COPY,
-    STREAM_MULTIPLIER,
     STREAM_PANEL,
-    substream_iter,
 )
 
 STATISTIC_MODES = ("plain", "multiplier", "multiplier-indep-copy", "truncated-indicator")
@@ -123,9 +124,16 @@ def _inequality(
     rhs: ExpectationEstimate,
     remainder: float,
     two_sided: bool = False,
+    paired: Optional[np.ndarray] = None,
 ) -> InequalityCheck:
-    margin = lhs.mean - rhs.mean - remainder
-    se = math.hypot(lhs.se, rhs.se)
+    """lhs <= rhs + remainder. With ``paired``, the per-replication lhs - rhs
+    on shared panels, the margin and its se come from those differences."""
+    if paired is None:
+        margin = lhs.mean - rhs.mean - remainder
+        se = math.hypot(lhs.se, rhs.se)
+    else:
+        diff = _estimate_from_values(paired)
+        margin, se = diff.mean - remainder, diff.se
     return InequalityCheck(
         name=name, lhs=lhs.mean, lhs_se=lhs.se, rhs=rhs.mean, rhs_se=rhs.se,
         remainder=remainder, margin=margin, se=se,
@@ -205,25 +213,6 @@ def _check_finite(values: np.ndarray, start: int, mode: str) -> None:
         )
 
 
-def _multiplier_chunk(mult, scheme, seed, purpose, start, count) -> np.ndarray:
-    rngs = substream_iter(seed, STREAM_MULTIPLIER, purpose, start, start + count)
-    return np.stack([draw_multipliers_with(mult, scheme.count, rng) for rng in rngs])
-
-
-def multiplier_stats_for_chunk(panels: np.ndarray, scheme: BlockScheme,
-                               eps: np.ndarray) -> np.ndarray:
-    """Block-multiplier max statistics for a chunk of panels, on the 1/n scale."""
-    c, n, p = panels.shape
-    sums = panels.reshape(c, scheme.count, scheme.b, p).sum(axis=2)
-    weighted = np.einsum("cl,clp->cp", eps, sums) / n
-    return np.abs(weighted).max(axis=1)
-
-
-def plain_stats_for_chunk(panels: np.ndarray) -> np.ndarray:
-    """Max-abs column means for a chunk of panels."""
-    return np.abs(panels.mean(axis=1)).max(axis=1)
-
-
 def mc_expect_psi_max(
     mode: str,
     spec: DgpSpec,
@@ -265,14 +254,14 @@ def mc_expect_psi_max(
             _, copies = next(copy_iter)
             panels = panels - copies
         if mode in ("multiplier", "multiplier-indep-copy"):
-            eps = _multiplier_chunk(mult, scheme, seed, purpose, start, c)
-            stats = multiplier_stats_for_chunk(panels, scheme, eps)
+            eps = batch_multipliers(mult, scheme.count, seed, purpose, start, start + c)
+            stats = batch_multiplier_max(batch_block_sums(panels, scheme), eps, scheme.n)
             vals = np.asarray(psi_eval(psi, scale * stats))
         elif mode == "plain":
-            stats = plain_stats_for_chunk(panels)
+            stats = batch_max_abs_mean(panels)
             vals = np.asarray(psi_eval(psi, scale * stats))
         else:
-            stats = plain_stats_for_chunk(panels)
+            stats = batch_max_abs_mean(panels)
             vals = np.asarray(psi_eval(psi, 2.0 * stats)) * (stats > trunc_level)
         _check_finite(vals, start, mode)
         values[start : start + c] = vals
@@ -286,7 +275,7 @@ def mc_tail_probability(
     97.5% Clopper-Pearson upper confidence bound."""
     hits = 0
     for _, panels in generate_panels(spec, reps, seed, STREAM_PANEL, purpose):
-        hits += int((plain_stats_for_chunk(panels) >= U).sum())
+        hits += int((batch_max_abs_mean(panels) >= U).sum())
     if hits == reps:
         upper = 1.0
     else:
@@ -378,8 +367,8 @@ def exact_enumeration(
             f"outcome count 2**{cells} * 2**{scheme.count} exceeds the "
             f"2**24 enumeration budget"
         )
-    eps_bits = (np.arange(n_eps)[:, None] >> np.arange(scheme.count)) & 1
-    eps_all = 2.0 * eps_bits - 1.0
+    eps_bits = (np.arange(n_eps)[:, None, None] >> np.arange(scheme.count)) & 1
+    eps_all = 2.0 * eps_bits - 1.0  # (n_eps, 1, count): broadcasts over panels
     chunk = max(1, 2**18 // max(1, n_eps * spec.p))
     lhs_acc = 0.0
     mid_acc = 0.0
@@ -387,11 +376,9 @@ def exact_enumeration(
         idx = np.arange(startfrom, min(startfrom + chunk, n_panels))
         bits = (idx[:, None] >> np.arange(cells)) & 1
         panels = (2.0 * bits - 1.0).reshape(-1, spec.n, spec.p) * spec.scale
-        stats = plain_stats_for_chunk(panels)
-        lhs_acc += float(np.sum(psi_eval(psi, scale * stats)))
-        sums = panels.reshape(-1, scheme.count, scheme.b, spec.p).sum(axis=2)
-        weighted = np.einsum("el,clp->ecp", eps_all, sums) / spec.n
-        mid_acc += float(np.sum(psi_eval(psi, scale * np.abs(weighted).max(axis=2))))
+        lhs_acc += float(np.sum(psi_eval(psi, scale * batch_max_abs_mean(panels))))
+        mstats = batch_multiplier_max(batch_block_sums(panels, scheme), eps_all, spec.n)
+        mid_acc += float(np.sum(psi_eval(psi, scale * mstats)))
     lhs = lhs_acc / n_panels
     mid = mid_acc / (n_panels * n_eps)
     return ExactChain(lhs=lhs, mid=mid, rhs=lhs)
@@ -530,29 +517,20 @@ def verify_independence_reduction(
     for (start, panels), (_, copies) in zip(panel_iter, copy_iter):
         c = len(panels)
         diff = panels - copies
-        eps = _multiplier_chunk(mult, scheme, seed, PURPOSE_LHS, start, c)
-        mult_vals[start : start + c] = np.asarray(
-            psi_eval(psi, multiplier_stats_for_chunk(diff, scheme, eps))
-        )
-        plain_vals[start : start + c] = np.asarray(
-            psi_eval(psi, plain_stats_for_chunk(diff))
-        )
+        eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_LHS, start, start + c)
+        mstats = batch_multiplier_max(batch_block_sums(diff, scheme), eps, scheme.n)
+        mult_vals[start : start + c] = np.asarray(psi_eval(psi, mstats))
+        plain_vals[start : start + c] = np.asarray(psi_eval(psi, batch_max_abs_mean(diff)))
     lhs = _estimate_from_values(mult_vals)
     rhs = _estimate_from_values(plain_vals)
-    paired = mult_vals - plain_vals
-    margin = float(paired.mean())
-    se = float(paired.std(ddof=1) / math.sqrt(reps))
-    check = InequalityCheck(
-        name="two-sided-equality", lhs=lhs.mean, lhs_se=lhs.se,
-        rhs=rhs.mean, rhs_se=rhs.se, remainder=0.0, margin=margin, se=se,
-        verdict=verdict_for(margin, se, two_sided=True), two_sided=True,
-    )
+    check = _inequality("two-sided-equality", lhs, rhs, 0.0, two_sided=True,
+                        paired=mult_vals - plain_vals)
     return VerificationReport(
         check="independence-reduction", lhs=lhs, mid=None, rhs=rhs,
         remainders={"R_breve": 0.0}, rho=None, margins=[check],
         params={"n": spec.n, "p": spec.p, "b": 1, "seed": seed, "reps": reps,
                 **_psi_params(psi)},
-        diagnostics={"paired_se": se},
+        diagnostics={"paired_se": check.se},
     )
 
 
@@ -595,11 +573,11 @@ def theorem1_bound(
     hoeff_diff = np.empty(reps)
     for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_QUAD):
         c = len(panels)
-        sums = panels.reshape(c, scheme.count, scheme.b, spec.p).sum(axis=2)
+        sums = batch_block_sums(panels, scheme)
         quad = np.abs((sums**2).sum(axis=1) / spec.n).max(axis=1)
         quad_vals[start : start + c] = quad ** (q / 2.0)
-        eps = _multiplier_chunk(mult, scheme, seed, PURPOSE_HOEFFDING, start, c)
-        mstat = multiplier_stats_for_chunk(panels, scheme, eps)
+        eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_HOEFFDING, start, start + c)
+        mstat = batch_multiplier_max(sums, eps, spec.n)
         hoeff_diff[start : start + c] = mstat**q - factor * quad ** (q / 2.0)
     quad_est = _estimate_from_values(quad_vals)
 
@@ -629,14 +607,8 @@ def theorem1_bound(
                               reps=reps, mode="mc")
     main = _inequality("moment-bound", lhs, rhs, 0.0)
     mult_moment = _estimate_from_values(hoeff_diff + factor * quad_vals)
-    hoeff_margin = float(hoeff_diff.mean())
-    hoeff_se = float(hoeff_diff.std(ddof=1) / math.sqrt(reps))
-    hoeff = InequalityCheck(
-        name="hoeffding-step", lhs=mult_moment.mean, lhs_se=mult_moment.se,
-        rhs=float(factor * quad_est.mean), rhs_se=factor * quad_est.se,
-        remainder=0.0, margin=hoeff_margin, se=hoeff_se,
-        verdict=verdict_for(hoeff_margin, hoeff_se),
-    )
+    hoeff = _inequality("hoeffding-step", mult_moment, quad_est.scaled(factor), 0.0,
+                        paired=hoeff_diff)
     return VerificationReport(
         check="theorem1", lhs=lhs, mid=None, rhs=rhs,
         remainders={"R1_quadrature": r1_quadrature, "R1_nscaled": r1_nscaled,
@@ -671,7 +643,7 @@ def cdf_integral_check(
         raise ValueError("the identity requires panel support inside [-U, U]^p")
     stats = np.empty(reps)
     for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_LHS):
-        stats[start : start + len(panels)] = plain_stats_for_chunk(panels)
+        stats[start : start + len(panels)] = batch_max_abs_mean(panels)
     direct = float(np.mean(np.asarray(psi_eval(psi, stats))))
     grid = np.linspace(0.0, U, grid_points)
     stats_sorted = np.sort(stats)

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from blocksym.blocking import MultiplierSpec, make_blocks
+from blocksym.blocking import MultiplierSpec, batch_max_abs_mean, make_blocks
 from blocksym.cli import parse_config, run_experiment
 from blocksym.gaussian import estimate_gaussian_model, estimate_rhos
 from blocksym.processes import DgpSpec, generate_panels
@@ -36,7 +36,6 @@ from blocksym.verify import (
     mc_coordinate_mean_moment,
     mc_expect_psi_max,
     mc_per_coordinate_tails,
-    plain_stats_for_chunk,
     theorem1_bound,
     verify_independence_reduction,
     verify_prop1,
@@ -151,7 +150,7 @@ def test_criterion_5_concentration_domination():
     grid = np.linspace(0.6, 1.5, 10)
     stats = np.empty(reps)
     for start, panels in generate_panels(spec, reps, 505, 1, 0):
-        stats[start : start + len(panels)] = plain_stats_for_chunk(panels)
+        stats[start : start + len(panels)] = batch_max_abs_mean(panels)
     pbar_grid = mc_per_coordinate_tails(spec, grid, reps, seed=505)
     moment = mc_coordinate_mean_moment(spec, 2.0, reps, seed=505)["value"]
     envelope = fit_subexp_envelope(grid, pbar_grid, spec.n, gamma=1.0, phi=0.5)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,10 @@ from hypothesis.extra.numpy import arrays
 from blocksym.blocking import (
     BlockSchemeError,
     MultiplierSpec,
+    batch_block_sums,
+    batch_max_abs_mean,
+    batch_multiplier_max,
+    batch_multipliers,
     block_sums,
     draw_multipliers,
     expand_multipliers,
@@ -14,7 +20,9 @@ from blocksym.blocking import (
     max_abs_mean,
     multiplier_max_abs_mean,
 )
-from blocksym.processes import PanelSample
+from blocksym.gaussian import simulate_max_statistics
+from blocksym.processes import DgpSpec, PanelSample, generate_panels
+from blocksym.seeding import STREAM_PANEL
 
 
 def panel(data):
@@ -201,3 +209,56 @@ def test_coordinate_permutation_invariance(data, seed):
     assert multiplier_max_abs_mean(permuted, scheme, eps) == pytest.approx(
         multiplier_max_abs_mean(pan, scheme, eps)
     )
+
+
+@st.composite
+def panel_stacks(draw):
+    """(k, n, p) panels, a block length that is 1, n or any divisor, and (k, count) eps."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.sampled_from([1, 2, 4, 6, 12]))
+    p = draw(st.integers(1, 4))
+    divisors = [x for x in range(1, n + 1) if n % x == 0]
+    b = draw(st.one_of(st.just(1), st.just(n), st.sampled_from(divisors)))
+    panels = draw(arrays(float, (k, n, p), elements=st.floats(-100, 100)))
+    eps = draw(arrays(float, (k, n // b), elements=st.floats(-2, 2)))
+    return panels, make_blocks(n, b), eps
+
+
+class TestKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(stack=panel_stacks())
+    def test_single_panel_functions_are_batch_rows(self, stack):
+        panels, scheme, eps = stack
+        sums = batch_block_sums(panels, scheme)
+        plain = batch_max_abs_mean(panels)
+        starred = batch_multiplier_max(sums, eps, scheme.n)
+        # Every multiplier vector on every panel, the exact oracle's layout.
+        grid = batch_multiplier_max(sums, eps[:, None, :], scheme.n)
+        for j, data in enumerate(panels):
+            pan = panel(data)
+            assert np.array_equal(block_sums(pan, scheme), sums[j])
+            assert max_abs_mean(pan) == plain[j]
+            assert multiplier_max_abs_mean(pan, scheme, eps[j]) == starred[j]
+            for i in range(len(eps)):
+                assert multiplier_max_abs_mean(pan, scheme, eps[i]) == grid[i, j]
+
+    @settings(max_examples=20, deadline=None)
+    @given(kind=st.sampled_from(["iid_gaussian", "bounded_rademacher"]),
+           mult=st.sampled_from(["rademacher", "uniform_sym"]),
+           n=st.sampled_from([1, 4, 6]), p=st.integers(1, 3), full_block=st.booleans(),
+           reps=st.integers(1, 40), seed=st.integers(0, 2**32), purpose=st.integers(0, 10))
+    def test_simulated_statistics_are_the_kernels(self, kind, mult, n, p, full_block,
+                                                  reps, seed, purpose):
+        spec = DgpSpec(kind, n=n, p=p)
+        scheme = make_blocks(n, n if full_block else 1)
+        mult = MultiplierSpec(mult)
+        plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed, purpose)
+        panels = np.concatenate(
+            [chunk for _, chunk in generate_panels(spec, reps, seed, STREAM_PANEL, purpose)]
+        )
+        eps = batch_multipliers(mult, scheme.count, seed, purpose, 0, reps)
+        root_n = math.sqrt(n)
+        assert np.array_equal(plain, root_n * batch_max_abs_mean(panels))
+        assert np.array_equal(
+            starred, root_n * batch_multiplier_max(batch_block_sums(panels, scheme), eps, n)
+        )

@@ -2,6 +2,8 @@ import csv
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksym.cli import (
     EXIT_ERROR,
@@ -89,6 +91,89 @@ class TestConfigValidation:
         path.write_text("{nope")
         with pytest.raises(ConfigError):
             load_config(path)
+
+
+def with_fields(**fields):
+    """BASE with dotted-path fields replaced, e.g. with_fields(**{"dgp.n": 1})."""
+    obj = json.loads(json.dumps(BASE))
+    for path, value in fields.items():
+        *parents, leaf = path.split(".")
+        node = obj
+        for key in parents:
+            if not isinstance(node.get(key), dict):
+                node[key] = {}
+            node = node[key]
+        node[leaf] = value
+    return obj
+
+
+NAN = float("nan")
+
+# Configs that once crashed with a traceback, passed validation with a
+# non-finite value, or were reported under the wrong field.
+PROBES = {
+    "top-level-array": ([BASE], "<root>"),
+    "truncation-not-object": (with_fields(truncation=3), "truncation"),
+    "tail-not-object": (with_fields(tail="lq"), "tail"),
+    "dgp-not-object": (with_fields(dgp=[16, 3]), "dgp"),
+    "psi-not-object": (with_fields(psi="power"), "psi"),
+    "multiplier-not-object": (with_fields(multiplier="rademacher"), "multiplier"),
+    "gaussian-model-not-object": (with_fields(gaussian_model="mc"), "gaussian_model"),
+    "r-nan": (with_fields(r=NAN), "r"),
+    "n-fractional": (with_fields(**{"dgp.n": 32.5}), "dgp.n"),
+    "reps-fractional": (with_fields(reps=1000.7), "reps"),
+    "scale-nan": (with_fields(dgp={"kind": "bounded_rademacher", "n": 16, "p": 3,
+                                   "scale": NAN}), "dgp.scale"),
+    "U-nan": (with_fields(**{"truncation.U": NAN}), "truncation.U"),
+    "q-infinite": (with_fields(**{"psi.q": float("inf")}), "psi.q"),
+    "model-reps-small": (with_fields(gaussian_model={"method": "mc", "reps": 10}),
+                         "gaussian_model.reps"),
+    "coeff-nan": (with_fields(dgp={"kind": "linear_process", "n": 16, "p": 3,
+                                   "coeffs": [1.0, NAN]}), "dgp.coeffs[1]"),
+    "output-dir-number": (with_fields(output_dir=5), "output_dir"),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+@pytest.mark.parametrize("probe", sorted(PROBES))
+def test_rejected_config_names_field(tmp_path, capsys, command, probe):
+    obj, path = PROBES[probe]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(obj))
+    argv = [command, str(config)]
+    if command == "run":
+        argv += ["--output-dir", str(tmp_path / "out")]
+    assert main(argv) == EXIT_ERROR
+    lines = capsys.readouterr().err.splitlines()
+    assert any(line.startswith(f"{path}: ") for line in lines), lines
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**4) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+FUZZ_PATHS = [
+    "dgp", "dgp.kind", "dgp.n", "dgp.p", "dgp.phi", "dgp.coeffs", "dgp.cross_corr",
+    "scheme", "scheme.b", "multiplier", "multiplier.kind", "psi", "psi.kind", "psi.q",
+    "truncation", "truncation.mode", "truncation.U", "truncation.phi", "r", "reps",
+    "rho_reps", "seed", "checks", "gaussian_model", "gaussian_model.method",
+    "gaussian_model.reps", "tail", "tail.mode", "tail.gamma", "debug", "output_dir",
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=st.dictionaries(st.sampled_from(FUZZ_PATHS), json_values,
+                              min_size=1, max_size=3))
+def test_parse_config_raises_only_config_error(fields):
+    try:
+        cfg = parse_config(with_fields(**fields))
+    except ConfigError:
+        return
+    # An accepted config builds its block scheme and serializes to strict JSON.
+    cfg.scheme()
+    json.dumps(cfg.to_json_dict(), allow_nan=False)
 
 
 class TestRun:

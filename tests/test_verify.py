@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from blocksym.blocking import MultiplierSpec, make_blocks
+from blocksym.blocking import (
+    MultiplierSpec,
+    batch_block_sums,
+    batch_max_abs_mean,
+    batch_multiplier_max,
+    make_blocks,
+)
 from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
 from blocksym.processes import DgpSpec
 from blocksym.psi import PsiSpec
@@ -18,8 +24,6 @@ from blocksym.verify import (
     mc_coordinate_mean_moment,
     mc_expect_psi_max,
     mc_tail_probability,
-    multiplier_stats_for_chunk,
-    plain_stats_for_chunk,
     theorem1_bound,
     verdict_for,
     verify_independence_reduction,
@@ -75,8 +79,8 @@ class TestMcExpect:
         scheme = make_blocks(12, 4)
         ones = np.ones((100, scheme.count))
         assert np.allclose(
-            multiplier_stats_for_chunk(panels, scheme, ones),
-            plain_stats_for_chunk(panels),
+            batch_multiplier_max(batch_block_sums(panels, scheme), ones, scheme.n),
+            batch_max_abs_mean(panels),
         )
 
     def test_overflow_names_replication(self):
@@ -232,7 +236,7 @@ class TestTailAndMoments:
         reps = 4000
         stats = np.empty(reps)
         for start, panels in generate_panels(spec, reps, 99, 1, 0):
-            stats[start : start + len(panels)] = plain_stats_for_chunk(panels)
+            stats[start : start + len(panels)] = batch_max_abs_mean(panels)
         scale = np.quantile(stats, 0.9)
         grid = scale * np.array([1.0, 1.5, 2.5, 4.0])
         pbars = mc_per_coordinate_tails(spec, grid, reps, seed=99)
