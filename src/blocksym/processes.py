@@ -8,14 +8,14 @@ p-dimensional process. Five generator kinds are shipped:
   from its exact stationary law
 - ``linear_process``: finite-lag moving-average filter over iid innovations
 - ``bounded_rademacher``: iid random signs times a scale, support {-s, +s}
-- ``truncated_var1``: the var1 path clipped to [-U, U] and recentered
+- ``truncated_var1``: the var1 path clipped to [-U, U]
 
 All generators are pure functions of (spec, seed): identical inputs give
 bit-identical panels. Every kind is mean zero by construction (innovations
-are centered before filtering; the clipped kind subtracts a calibrated
-truncated mean). Cross-sectional dependence is described by a single
-equicorrelation coefficient, which keeps specs serializable while still
-covering the correlated-coordinate regime.
+are centered before filtering, and clipping a stationary law that is
+symmetric about zero keeps its mean exactly zero). Cross-sectional
+dependence is described by a single equicorrelation coefficient, which keeps
+specs serializable while still covering the correlated-coordinate regime.
 """
 
 from __future__ import annotations
@@ -23,11 +23,9 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .seeding import STREAM_COPY, STREAM_PANEL, substream, substream_iter
 
@@ -43,11 +41,6 @@ _INNOVATIONS = ("gaussian", "rademacher")
 
 # Presample steps beyond the filter length for linear processes.
 _LINEAR_BURN_IN = 100
-
-# Calibration of the truncated-mean recentering: one long stationary run
-# under a fixed internal seed, so the correction is a deterministic constant.
-_CALIBRATION_SEED = 0x5EEDCA11B
-_CALIBRATION_DRAWS = 1_000_000
 
 DEFAULT_CHUNK = 2048
 
@@ -213,23 +206,6 @@ def cross_sectional_cov(spec: DgpSpec) -> np.ndarray:
     return sigma
 
 
-@lru_cache(maxsize=None)
-def _truncated_center(phi: float, level: float) -> float:
-    """Empirical mean of the clipped stationary autoregression.
-
-    One long calibration run under a fixed internal seed; the result is a
-    deterministic constant per (phi, level). The true clipped mean is zero
-    by symmetry, so this constant is small and subtracting it keeps the
-    generated panels mean zero to within roughly its own Monte Carlo error.
-    """
-    rng = substream(_CALIBRATION_SEED, 0)
-    sd = 1.0 / math.sqrt(1.0 - phi * phi)
-    x0 = rng.standard_normal() * sd
-    e = rng.standard_normal(_CALIBRATION_DRAWS)
-    path = lfilter([1.0], [1.0, -phi], e, zi=[phi * x0])[0]
-    return float(np.mean(np.clip(path, -level, level)))
-
-
 def _var1_paths(spec: DgpSpec, rngs) -> np.ndarray:
     """Stationary var1 paths, one per generator, shape (reps, n, p)."""
     n, p, phi = spec.n, spec.p, spec.phi
@@ -267,12 +243,7 @@ def _draw_batch(spec: DgpSpec, rngs) -> np.ndarray:
         return _var1_paths(spec, rngs)
     if kind == "truncated_var1":
         level = spec.truncation
-        x = np.clip(_var1_paths(spec, rngs), -level, level)
-        x -= _truncated_center(spec.phi, level)
-        # The recentering constant is tiny; re-clip so the declared support
-        # [-level, level] holds exactly.
-        np.clip(x, -level, level, out=x)
-        return x
+        return np.clip(_var1_paths(spec, rngs), -level, level)
     if kind == "linear_process":
         lags = len(spec.coeffs) - 1
         rows = n + lags + _LINEAR_BURN_IN

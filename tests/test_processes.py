@@ -10,7 +10,6 @@ from blocksym.processes import (
     DgpValidationError,
     LongRunCovError,
     PanelSample,
-    _truncated_center,
     generate,
     generate_panels,
     independent_copy,
@@ -109,11 +108,6 @@ class TestSupport:
         spec = DgpSpec("bounded_rademacher", n=16, p=2, scale=0.5)
         pan = generate(spec, seed=0)
         assert set(np.unique(np.abs(pan.data))) == {0.5}
-
-    def test_calibrated_center_is_small(self):
-        # Clipping a symmetric law has exactly zero mean, so the calibrated
-        # correction is pure Monte Carlo noise and must stay tiny.
-        assert abs(_truncated_center(0.5, 3.0)) < 1e-3
 
 
 class TestMoments:
