@@ -10,17 +10,24 @@ Every estimator, the Gaussian comparison and the exact oracle compute these
 through the ``batch_*`` kernels, which act on stacks of panels along any
 leading axes. The single-panel functions validate their input and make one
 kernel call, so single and batched results agree bit for bit.
+
+Monte Carlo estimators read their panels only through ``stream_statistics``,
+which draws a panel stream and reduces it to per-replication column means and
+block-multiplier maxima. Inside a ``shared_passes()`` block each distinct
+request is drawn once and served from the block's ledger afterwards.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .processes import PanelSample
-from .seeding import STREAM_MULTIPLIER, substream, substream_iter
+from .processes import DgpSpec, PanelSample, generate_panels
+from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream, substream_iter
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
 
@@ -165,3 +172,74 @@ def multiplier_max_abs_mean(
     """
     sums = block_sums(sample, scheme)
     return float(batch_multiplier_max(sums, _checked_eps(eps, scheme), scheme.n))
+
+
+class StreamStatistics(NamedTuple):
+    """Read-only column means (reps, p) of one panel stream and, when a
+    block scheme was named, its block-multiplier maxima (reps,)."""
+
+    means: np.ndarray
+    mult_max: Optional[np.ndarray]
+
+    @property
+    def max_abs_mean(self) -> np.ndarray:
+        """The plain statistic per replication, as ``batch_max_abs_mean``."""
+        return np.abs(self.means).max(axis=-1)
+
+
+# Request -> statistics, while a shared_passes() block is open.
+_ledger: Optional[dict] = None
+
+
+@contextlib.contextmanager
+def shared_passes():
+    """Draw each distinct ``stream_statistics`` request once inside the block.
+
+    Every block starts a fresh ledger and drops it on exit, so no block
+    sees another's statistics; outside a block every request draws.
+    """
+    global _ledger
+    outer, _ledger = _ledger, {}
+    try:
+        yield
+    finally:
+        _ledger.clear()
+        _ledger = outer
+
+
+def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
+                      scheme: Optional[BlockScheme] = None,
+                      mult: Optional[MultiplierSpec] = None,
+                      copies: bool = False) -> StreamStatistics:
+    """Statistics of replications 0..reps-1 of the panel stream ``purpose``.
+
+    Replication r reads the panel substream (seed, panel stream, purpose, r)
+    and the multipliers of ``batch_multipliers`` for the same purpose. With
+    ``copies`` both statistics are taken on the panel minus its independent
+    copy from the copy stream.
+    """
+    if (scheme is None) != (mult is None):
+        raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
+    key = (spec, reps, seed, purpose, scheme, mult, copies)
+    if _ledger is not None and key in _ledger:
+        return _ledger[key]
+    means = np.empty((reps, spec.p))
+    mult_max = None if scheme is None else np.empty(reps)
+    copy_iter = generate_panels(spec, reps, seed, STREAM_COPY, purpose) if copies else None
+    for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, purpose):
+        if copies:
+            panels = panels - next(copy_iter)[1]
+        stop = start + len(panels)
+        means[start:stop] = panels.mean(axis=-2)
+        if scheme is not None:
+            eps = batch_multipliers(mult, scheme.count, seed, purpose, start, stop)
+            sums = batch_block_sums(panels, scheme)
+            mult_max[start:stop] = batch_multiplier_max(sums, eps, scheme.n)
+        del panels  # release this chunk before the next one is drawn
+    for array in (means, mult_max):
+        if array is not None:
+            array.setflags(write=False)
+    stats = StreamStatistics(means, mult_max)
+    if _ledger is not None:
+        _ledger[key] = stats
+    return stats

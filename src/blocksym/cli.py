@@ -27,7 +27,7 @@ from typing import Optional
 
 import numpy as np
 
-from .blocking import BlockScheme, MultiplierSpec, make_blocks
+from .blocking import BlockScheme, MultiplierSpec, make_blocks, shared_passes
 from .gaussian import (
     GaussianModel,
     RhoEstimate,
@@ -411,29 +411,30 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     partial_error = None
     run = _RunInputs(remainder_override=0.0 if config.debug.get("zero_remainder") else None)
 
-    try:
-        needs_rho = any(c in config.checks for c in ("prop1", "prop2", "theorem1", "rho-only"))
-        if needs_rho:
-            model = _resolve_model(config)
-            plain, starred = simulate_max_statistics(
-                config.dgp, config.scheme(), config.multiplier, config.rho_reps, config.seed
-            )
-            gauss = sample_gaussian_max(model, config.rho_reps, config.seed)
-            run.rho = RhoEstimate.from_samples(plain, starred, gauss)
-            run.rho_samples = {"plain": plain, "multiplier": starred, "gaussian": gauss}
-            run.model_source = model.source
-        needs_trunc = any(c in config.checks for c in ("prop1", "prop2", "theorem1"))
-        trunc = _resolve_truncation(config, run.rho) if needs_trunc else {"U": None}
-        run.U = trunc.get("U")
+    with shared_passes():
+        try:
+            needs_rho = any(c in config.checks for c in ("prop1", "prop2", "theorem1", "rho-only"))
+            if needs_rho:
+                model = _resolve_model(config)
+                plain, starred = simulate_max_statistics(
+                    config.dgp, config.scheme(), config.multiplier, config.rho_reps, config.seed
+                )
+                gauss = sample_gaussian_max(model, config.rho_reps, config.seed)
+                run.rho = RhoEstimate.from_samples(plain, starred, gauss)
+                run.rho_samples = {"plain": plain, "multiplier": starred, "gaussian": gauss}
+                run.model_source = model.source
+            needs_trunc = any(c in config.checks for c in ("prop1", "prop2", "theorem1"))
+            trunc = _resolve_truncation(config, run.rho) if needs_trunc else {"U": None}
+            run.U = trunc.get("U")
 
-        for check, runner in _CHECK_RUNNERS.items():
-            if check not in config.checks:
-                continue
-            reports[check] = report = runner(config, run)
-            if trunc.get("mode") == "optimal":
-                report.diagnostics["truncation"] = trunc
-    except Exception as exc:  # noqa: BLE001 - abort with a partial report
-        partial_error = f"{type(exc).__name__}: {exc}"
+            for check, runner in _CHECK_RUNNERS.items():
+                if check not in config.checks:
+                    continue
+                reports[check] = report = runner(config, run)
+                if trunc.get("mode") == "optimal":
+                    report.diagnostics["truncation"] = trunc
+        except Exception as exc:  # noqa: BLE001 - abort with a partial report
+            partial_error = f"{type(exc).__name__}: {exc}"
 
     for check, report in reports.items():
         payload = report.to_json_dict()

@@ -13,22 +13,9 @@ import math
 from dataclasses import dataclass
 import numpy as np
 
-from .blocking import (
-    BlockScheme,
-    MultiplierSpec,
-    batch_block_sums,
-    batch_max_abs_mean,
-    batch_multiplier_max,
-    batch_multipliers,
-)
-from .processes import DgpSpec, generate_panels, theoretical_longrun_cov
-from .seeding import (
-    PURPOSE_DEFAULT,
-    PURPOSE_MODEL,
-    STREAM_GAUSSIAN,
-    STREAM_PANEL,
-    substream,
-)
+from .blocking import BlockScheme, MultiplierSpec, stream_statistics
+from .processes import DEFAULT_CHUNK, DgpSpec, theoretical_longrun_cov
+from .seeding import PURPOSE_DEFAULT, PURPOSE_MODEL, STREAM_GAUSSIAN, substream
 
 _SYM_TOL = 1e-10
 _EIG_TOL = 1e-8
@@ -153,10 +140,13 @@ def estimate_gaussian_model(
         raise ValueError(f"unknown model method {method!r}")
     if reps < 1000:
         raise ValueError(f"mc covariance needs reps >= 1000, got {reps}")
+    means = stream_statistics(spec, reps, seed, PURPOSE_MODEL).means
     acc = np.zeros((spec.p, spec.p))
-    for _, panels in generate_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_MODEL):
-        means = panels.mean(axis=1) * math.sqrt(spec.n)
-        acc += means.T @ means
+    # Summed chunk by chunk, as the panels are drawn: one product over all
+    # replications would round differently.
+    for start in range(0, reps, DEFAULT_CHUNK):
+        scaled = means[start : start + DEFAULT_CHUNK] * math.sqrt(spec.n)
+        acc += scaled.T @ scaled
     return GaussianModel(cov=acc / reps, source=f"mc({reps})")
 
 
@@ -210,16 +200,9 @@ def simulate_max_statistics(
     """
     if scheme.n != spec.n:
         raise ValueError(f"scheme n={scheme.n} does not match spec n={spec.n}")
+    stats = stream_statistics(spec, reps, seed, purpose, scheme, mult)
     root_n = math.sqrt(spec.n)
-    plain = np.empty(reps)
-    starred = np.empty(reps)
-    for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, purpose):
-        stop = start + len(panels)
-        plain[start:stop] = root_n * batch_max_abs_mean(panels)
-        eps = batch_multipliers(mult, scheme.count, seed, purpose, start, stop)
-        sums = batch_block_sums(panels, scheme)
-        starred[start:stop] = root_n * batch_multiplier_max(sums, eps, spec.n)
-    return plain, starred
+    return root_n * stats.max_abs_mean, root_n * stats.mult_max
 
 
 def estimate_rhos(

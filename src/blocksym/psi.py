@@ -16,8 +16,9 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .processes import DgpSpec, generate_panels, marginal_spec
-from .seeding import PURPOSE_NORM, STREAM_PANEL
+from .blocking import stream_statistics
+from .processes import DgpSpec, marginal_spec
+from .seeding import PURPOSE_NORM
 
 
 class PsiDomainError(ValueError):
@@ -181,13 +182,11 @@ def psi_moment_norm(
         raise ValueError(f"Hoelder exponent r must be > 1, got {r}")
     if reps < 1000:
         raise ValueError(f"need reps >= 1000 for a stable norm estimate, got {reps}")
-    law = marginal_spec(sample_law)
-    powered = np.empty(reps)
-    for start, panels in generate_panels(law, reps, seed, STREAM_PANEL, PURPOSE_NORM):
-        rows = panels[:, 0, :]
-        values = psi_eval(spec, 2.0 * np.abs(rows).max(axis=1))
-        with np.errstate(over="ignore"):
-            powered[start : start + len(rows)] = np.asarray(values) ** r
+    # The column means of one-row panels are the rows themselves.
+    rows = stream_statistics(marginal_spec(sample_law), reps, seed, PURPOSE_NORM)
+    values = psi_eval(spec, 2.0 * rows.max_abs_mean)
+    with np.errstate(over="ignore"):
+        powered = np.asarray(values) ** r
     if not np.all(np.isfinite(powered)):
         raise MomentExplosionError(
             f"moment average of psi(2 max|x|)^r is not finite for dgp kind "

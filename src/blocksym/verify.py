@@ -30,9 +30,10 @@ from .blocking import (
     batch_multiplier_max,
     batch_multipliers,
     make_blocks,
+    stream_statistics,
 )
 from .gaussian import RhoEstimate
-from .processes import DgpSpec, generate_panels
+from .processes import DEFAULT_CHUNK, DgpSpec, generate_panels
 from .psi import PsiLike, PsiSpec, psi_deriv, psi_eval, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -53,7 +54,6 @@ from .seeding import (
     PURPOSE_RHS,
     PURPOSE_SPLIT,
     PURPOSE_TAIL,
-    STREAM_COPY,
     STREAM_PANEL,
 )
 
@@ -205,14 +205,6 @@ def _estimate_from_values(values: np.ndarray) -> ExpectationEstimate:
     return ExpectationEstimate(mean=mean, se=se, reps=reps, mode="mc")
 
 
-def _check_finite(values: np.ndarray, start: int, mode: str) -> None:
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        raise NonFiniteGaugeError(
-            f"gauge value overflowed in {mode!r} mode at replication {start + bad[0]}"
-        )
-
-
 def mc_expect_psi_max(
     mode: str,
     spec: DgpSpec,
@@ -242,29 +234,20 @@ def mc_expect_psi_max(
         raise ValueError(f"scale must be > 0, got {scale}")
     if mode == "truncated-indicator" and trunc_level is None:
         raise ValueError("truncated-indicator mode needs trunc_level")
-    values = np.empty(reps)
-    panel_iter = generate_panels(spec, reps, seed, STREAM_PANEL, purpose)
-    copy_iter = (
-        generate_panels(spec, reps, seed, STREAM_COPY, purpose)
-        if mode == "multiplier-indep-copy" else None
-    )
-    for start, panels in panel_iter:
-        c = len(panels)
-        if mode == "multiplier-indep-copy":
-            _, copies = next(copy_iter)
-            panels = panels - copies
-        if mode in ("multiplier", "multiplier-indep-copy"):
-            eps = batch_multipliers(mult, scheme.count, seed, purpose, start, start + c)
-            stats = batch_multiplier_max(batch_block_sums(panels, scheme), eps, scheme.n)
-            vals = np.asarray(psi_eval(psi, scale * stats))
-        elif mode == "plain":
-            stats = batch_max_abs_mean(panels)
-            vals = np.asarray(psi_eval(psi, scale * stats))
-        else:
-            stats = batch_max_abs_mean(panels)
-            vals = np.asarray(psi_eval(psi, 2.0 * stats)) * (stats > trunc_level)
-        _check_finite(vals, start, mode)
-        values[start : start + c] = vals
+    if mode in ("multiplier", "multiplier-indep-copy"):
+        stats = stream_statistics(spec, reps, seed, purpose, scheme, mult,
+                                  copies=mode == "multiplier-indep-copy").mult_max
+    else:
+        stats = stream_statistics(spec, reps, seed, purpose).max_abs_mean
+    if mode == "truncated-indicator":
+        values = np.asarray(psi_eval(psi, 2.0 * stats)) * (stats > trunc_level)
+    else:
+        values = np.asarray(psi_eval(psi, scale * stats))
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise NonFiniteGaugeError(
+            f"gauge value overflowed in {mode!r} mode at replication {bad[0]}"
+        )
     return _estimate_from_values(values)
 
 
@@ -273,9 +256,7 @@ def mc_tail_probability(
 ) -> dict:
     """MC exceedance probability of the max-abs mean with a one-sided
     97.5% Clopper-Pearson upper confidence bound."""
-    hits = 0
-    for _, panels in generate_panels(spec, reps, seed, STREAM_PANEL, purpose):
-        hits += int((batch_max_abs_mean(panels) >= U).sum())
+    hits = int((stream_statistics(spec, reps, seed, purpose).max_abs_mean >= U).sum())
     if hits == reps:
         upper = 1.0
     else:
@@ -290,10 +271,13 @@ def mc_coordinate_mean_moment(
 ) -> dict:
     """MC estimate of max_i E |column mean_i|^q with the argmax coordinate's
     standard error attached."""
+    means = stream_statistics(spec, reps, seed, purpose).means
     acc = np.zeros(spec.p)
     acc2 = np.zeros(spec.p)
-    for _, panels in generate_panels(spec, reps, seed, STREAM_PANEL, purpose):
-        powered = np.abs(panels.mean(axis=1)) ** q
+    # Summed chunk by chunk, as the panels are drawn: one sum over all
+    # replications would round differently.
+    for start in range(0, reps, DEFAULT_CHUNK):
+        powered = np.abs(means[start : start + DEFAULT_CHUNK]) ** q
         acc += powered.sum(axis=0)
         acc2 += (powered**2).sum(axis=0)
     means = acc / reps
@@ -313,11 +297,8 @@ def mc_per_coordinate_tails(
 ) -> np.ndarray:
     """Worst per-coordinate exceedance probability at each level."""
     levels = np.asarray(levels, dtype=float)
-    counts = np.zeros((len(levels), spec.p))
-    for _, panels in generate_panels(spec, reps, seed, STREAM_PANEL, purpose):
-        absmeans = np.abs(panels.mean(axis=1))
-        for j, u in enumerate(levels):
-            counts[j] += (absmeans >= u).sum(axis=0)
+    absmeans = np.abs(stream_statistics(spec, reps, seed, purpose).means)
+    counts = (absmeans >= levels[:, None, None]).sum(axis=1)
     return counts.max(axis=1) / reps
 
 
@@ -461,17 +442,11 @@ def verify_prop2(
                             PURPOSE_MID).scaled(0.5)
     rhs = mc_expect_psi_max("plain", spec, scheme, mult, psi, 2.0, reps, seed,
                             PURPOSE_RHS).scaled(0.5)
-    e1_vals = np.empty(reps)
-    e2_vals = np.empty(reps)
-    for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_SPLIT):
-        absmeans = np.abs(panels.mean(axis=1))
-        m = absmeans.max(axis=1)
-        below = np.where(absmeans <= U, absmeans, 0.0).max(axis=1)
-        c = len(panels)
-        e1_vals[start : start + c] = 0.5 * np.asarray(psi_eval(psi, 2.0 * below))
-        e2_vals[start : start + c] = 0.5 * np.asarray(psi_eval(psi, 2.0 * m)) * (m > U)
-    e1 = _estimate_from_values(e1_vals)
-    e2 = _estimate_from_values(e2_vals)
+    split = stream_statistics(spec, reps, seed, PURPOSE_SPLIT)
+    absmeans, m = np.abs(split.means), split.max_abs_mean
+    below = np.where(absmeans <= U, absmeans, 0.0).max(axis=1)
+    e1 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * below)))
+    e2 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * m)) * (m > U))
     margins = [
         _inequality("symmetrization", lhs, mid, total),
         _inequality("desymmetrization", mid, rhs, 2.0 * total),
@@ -508,19 +483,10 @@ def verify_independence_reduction(
         )
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
-    scheme = make_blocks(spec.n, 1)
-    mult = MultiplierSpec("rademacher")
-    mult_vals = np.empty(reps)
-    plain_vals = np.empty(reps)
-    panel_iter = generate_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_LHS)
-    copy_iter = generate_panels(spec, reps, seed, STREAM_COPY, PURPOSE_LHS)
-    for (start, panels), (_, copies) in zip(panel_iter, copy_iter):
-        c = len(panels)
-        diff = panels - copies
-        eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_LHS, start, start + c)
-        mstats = batch_multiplier_max(batch_block_sums(diff, scheme), eps, scheme.n)
-        mult_vals[start : start + c] = np.asarray(psi_eval(psi, mstats))
-        plain_vals[start : start + c] = np.asarray(psi_eval(psi, batch_max_abs_mean(diff)))
+    stats = stream_statistics(spec, reps, seed, PURPOSE_LHS, make_blocks(spec.n, 1),
+                              MultiplierSpec("rademacher"), copies=True)
+    mult_vals = np.asarray(psi_eval(psi, stats.mult_max))
+    plain_vals = np.asarray(psi_eval(psi, stats.max_abs_mean))
     lhs = _estimate_from_values(mult_vals)
     rhs = _estimate_from_values(plain_vals)
     check = _inequality("two-sided-equality", lhs, rhs, 0.0, two_sided=True,
@@ -579,6 +545,7 @@ def theorem1_bound(
         eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_HOEFFDING, start, start + c)
         mstat = batch_multiplier_max(sums, eps, spec.n)
         hoeff_diff[start : start + c] = mstat**q - factor * quad ** (q / 2.0)
+        del panels, sums  # release this chunk before the next one is drawn
     quad_est = _estimate_from_values(quad_vals)
 
     norm = psi_moment_norm(psi_q, spec, r, max(reps, 1000), seed)
@@ -641,9 +608,7 @@ def cdf_integral_check(
     bound = spec.support_bound
     if bound is None or bound > U + 1e-12:
         raise ValueError("the identity requires panel support inside [-U, U]^p")
-    stats = np.empty(reps)
-    for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_LHS):
-        stats[start : start + len(panels)] = batch_max_abs_mean(panels)
+    stats = stream_statistics(spec, reps, seed, PURPOSE_LHS).max_abs_mean
     direct = float(np.mean(np.asarray(psi_eval(psi, stats))))
     grid = np.linspace(0.0, U, grid_points)
     stats_sorted = np.sort(stats)
