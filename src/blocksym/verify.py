@@ -432,7 +432,7 @@ def verify_prop2(
     diagnostic).
     """
     rho_sum = rho.rho + rho.rho_star
-    norm = psi_moment_norm(psi, spec, r, max(reps, 1000), seed)
+    norm = psi_moment_norm(psi, spec, r, reps, seed)
     tail = mc_tail_probability(spec, U, reps, seed)
     r1 = remainder_R1(psi, spec.n, U, rho_sum)
     r2 = remainder_R2(r, tail["upper"], norm.value)
@@ -548,7 +548,7 @@ def theorem1_bound(
         del panels, sums  # release this chunk before the next one is drawn
     quad_est = _estimate_from_values(quad_vals)
 
-    norm = psi_moment_norm(psi_q, spec, r, max(reps, 1000), seed)
+    norm = psi_moment_norm(psi_q, spec, r, reps, seed)
     m_hat_q = norm.value / 2.0**q  # estimate of max_t || max_i |x[t,i]| ||_qr ** q
     subexp_warning = False
     if tail_mode == "lq":
