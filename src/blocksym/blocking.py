@@ -187,21 +187,27 @@ class StreamStatistics(NamedTuple):
         return np.abs(self.means).max(axis=-1)
 
 
-# Request -> statistics, while a shared_passes() block is open.
-_ledger: Optional[dict] = None
+class PassLedger(dict):
+    """Statistics drawn in one ``shared_passes()`` block, keyed by request;
+    ``drawn`` and ``reused`` count the requests that drew and that did not."""
+
+    drawn = reused = 0
+
+
+_ledger: Optional[PassLedger] = None
 
 
 @contextlib.contextmanager
 def shared_passes():
     """Draw each distinct ``stream_statistics`` request once inside the block.
 
-    Every block starts a fresh ledger and drops it on exit, so no block
-    sees another's statistics; outside a block every request draws.
+    Every block yields a fresh ledger and drops its entries on exit, so no
+    block sees another's statistics; outside a block every request draws.
     """
     global _ledger
-    outer, _ledger = _ledger, {}
+    outer, _ledger = _ledger, PassLedger()
     try:
-        yield
+        yield _ledger
     finally:
         _ledger.clear()
         _ledger = outer
@@ -222,6 +228,7 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
     key = (spec, reps, seed, purpose, scheme, mult, copies)
     if _ledger is not None and key in _ledger:
+        _ledger.reused += 1
         return _ledger[key]
     means = np.empty((reps, spec.p))
     mult_max = None if scheme is None else np.empty(reps)
@@ -242,4 +249,5 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     stats = StreamStatistics(means, mult_max)
     if _ledger is not None:
         _ledger[key] = stats
+        _ledger.drawn += 1
     return stats

@@ -411,7 +411,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     partial_error = None
     run = _RunInputs(remainder_override=0.0 if config.debug.get("zero_remainder") else None)
 
-    with shared_passes():
+    with shared_passes() as ledger:
         try:
             needs_rho = any(c in config.checks for c in ("prop1", "prop2", "theorem1", "rho-only"))
             if needs_rho:
@@ -457,6 +457,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     _dump_json(
         {"started": started.isoformat(), "finished": finished.isoformat(),
          "duration_seconds": (finished - started).total_seconds(),
+         "panel_streams": {"drawn": ledger.drawn, "reused": ledger.reused},
          "versions": {"python": sys.version.split()[0], "numpy": np.__version__}},
         out / "run_meta.json",
     )
