@@ -81,6 +81,16 @@ class DgpSpec:
     def validate(self):
         if self.kind not in KINDS:
             raise DgpValidationError(f"kind: unknown generator kind {self.kind!r}")
+        for name in ("n", "p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise DgpValidationError(f"{name}: expected an integer, got {value!r}")
+        numbers = [(name, getattr(self, name))
+                   for name in ("phi", "scale", "truncation", "cross_corr")]
+        numbers += [(f"coeffs[{i}]", c) for i, c in enumerate(self.coeffs)]
+        for name, value in numbers:
+            if not math.isfinite(value):
+                raise DgpValidationError(f"{name}: expected a finite number, got {value!r}")
         if self.n < 1:
             raise DgpValidationError(f"n: sample size must be >= 1, got {self.n}")
         if self.p < 1:

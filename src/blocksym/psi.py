@@ -45,6 +45,10 @@ class PsiSpec:
     def __post_init__(self):
         if self.kind not in ("power", "exponential"):
             raise PsiValidationError(f"kind: unknown gauge kind {self.kind!r}")
+        for name in ("q", "a", "b"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise PsiValidationError(f"{name}: expected a finite number, got {value!r}")
         if self.kind == "power" and self.q < 1:
             raise PsiValidationError(f"q: power exponent must be >= 1, got {self.q}")
         if self.kind == "exponential":

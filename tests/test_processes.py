@@ -50,6 +50,20 @@ class TestValidation:
         with pytest.raises(DgpValidationError, match="cross_corr"):
             DgpSpec("iid_gaussian", n=4, p=3, cross_corr=-0.9)
 
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(kind="bounded_rademacher", n=4, p=1, scale=math.nan), "scale"),
+        (dict(kind="iid_gaussian", n=4.5, p=1), "n"),
+        (dict(kind="iid_gaussian", n=True, p=1), "n"),
+        (dict(kind="iid_gaussian", n=4, p=2.0), "p"),
+        (dict(kind="truncated_var1", n=4, p=2, truncation=math.inf), "truncation"),
+        (dict(kind="var1", n=4, p=1, phi=math.nan), "phi"),
+        (dict(kind="iid_gaussian", n=4, p=3, cross_corr=math.nan), "cross_corr"),
+        (dict(kind="linear_process", n=4, p=1, coeffs=(1.0, math.inf)), r"coeffs\[1\]"),
+    ])
+    def test_non_finite_or_non_integer_field_named(self, kwargs, field):
+        with pytest.raises(DgpValidationError, match=f"^{field}: "):
+            DgpSpec(**kwargs)
+
     def test_panel_shape_mismatch(self):
         with pytest.raises(ValueError, match="shape"):
             PanelSample(data=np.zeros((3, 2)), n=2, p=2)

@@ -58,6 +58,17 @@ class TestEval:
             PsiSpec("exponential", a=1.0, b=0.5)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(kind="power", q=math.inf), "q"),
+    (dict(kind="power", q=math.nan), "q"),
+    (dict(kind="exponential", a=math.nan), "a"),
+    (dict(kind="exponential", a=1.0, b=math.inf), "b"),
+])
+def test_non_finite_parameter_named(kwargs, field):
+    with pytest.raises(PsiValidationError, match=f"^{field}: "):
+        PsiSpec(**kwargs)
+
+
 class TestDeriv:
     def test_power_values(self):
         assert psi_deriv(POWER2, 3.0) == 6.0
