@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -194,7 +195,9 @@ class PassLedger(dict):
     drawn = reused = 0
 
 
-_ledger: Optional[PassLedger] = None
+# The ledger of the innermost open block; a context variable, so threads
+# and tasks running blocks of their own never share one.
+_ledger: ContextVar[Optional[PassLedger]] = ContextVar("_ledger", default=None)
 
 
 @contextlib.contextmanager
@@ -204,13 +207,13 @@ def shared_passes():
     Every block yields a fresh ledger and drops its entries on exit, so no
     block sees another's statistics; outside a block every request draws.
     """
-    global _ledger
-    outer, _ledger = _ledger, PassLedger()
+    ledger = PassLedger()
+    token = _ledger.set(ledger)
     try:
-        yield _ledger
+        yield ledger
     finally:
-        _ledger.clear()
-        _ledger = outer
+        _ledger.reset(token)
+        ledger.clear()
 
 
 def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
@@ -227,9 +230,10 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     if (scheme is None) != (mult is None):
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
     key = (spec, reps, seed, purpose, scheme, mult, copies)
-    if _ledger is not None and key in _ledger:
-        _ledger.reused += 1
-        return _ledger[key]
+    ledger = _ledger.get()
+    if ledger is not None and key in ledger:
+        ledger.reused += 1
+        return ledger[key]
     means = np.empty((reps, spec.p))
     mult_max = None if scheme is None else np.empty(reps)
     copy_iter = generate_panels(spec, reps, seed, STREAM_COPY, purpose) if copies else None
@@ -247,7 +251,7 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         if array is not None:
             array.setflags(write=False)
     stats = StreamStatistics(means, mult_max)
-    if _ledger is not None:
-        _ledger[key] = stats
-        _ledger.drawn += 1
+    if ledger is not None:
+        ledger[key] = stats
+        ledger.drawn += 1
     return stats
