@@ -8,7 +8,10 @@ Hoeffding-factor bound on the quadratic block term plus remainders.
 
 Every Monte Carlo estimator draws a fresh panel per replication (fresh
 multipliers and fresh independent copies where the mode needs them), and all
-expectations are unconditional. Inequality verdicts use a three-band rule:
+expectations are unconditional. Estimators read the per-replication column
+means and multiplier maxima of ``blocking.stream_statistics``, so inside one
+run (``blocking.shared_passes``) checks that need the same stream share one
+panel pass. Inequality verdicts use a three-band rule:
 ``holds`` when the margin is nonpositive, ``holds-within-noise`` within three
 propagated standard errors, ``violated`` beyond that.
 """

@@ -1,4 +1,7 @@
+import json
 import math
+import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,10 +22,14 @@ from blocksym.blocking import (
     make_blocks,
     max_abs_mean,
     multiplier_max_abs_mean,
+    shared_passes,
+    stream_statistics,
 )
-from blocksym.gaussian import simulate_max_statistics
+from blocksym.cli import load_config, run_experiment
+from blocksym.gaussian import RhoEstimate, simulate_max_statistics
 from blocksym.processes import DgpSpec, PanelSample, generate_panels
-from blocksym.seeding import STREAM_PANEL
+from blocksym.seeding import STREAM_COPY, STREAM_PANEL
+from blocksym.verify import verify_prop2
 
 
 def panel(data):
@@ -262,3 +269,120 @@ class TestKernels:
         assert np.array_equal(
             starred, root_n * batch_multiplier_max(batch_block_sums(panels, scheme), eps, n)
         )
+
+
+@pytest.fixture
+def panel_calls(monkeypatch):
+    """Counts generate_panels calls by (spec, seed, stream, purpose, reps)."""
+    from blocksym import blocking, verify
+
+    calls = Counter()
+
+    def counting(spec, reps, seed, stream=STREAM_PANEL, purpose=0, **kw):
+        calls[(spec, seed, stream, purpose, reps)] += 1
+        return generate_panels(spec, reps, seed, stream, purpose, **kw)
+
+    monkeypatch.setattr(blocking, "generate_panels", counting)
+    monkeypatch.setattr(verify, "generate_panels", counting)
+    return calls
+
+
+class TestStreamLedger:
+    SPEC = DgpSpec("var1", n=8, p=3, phi=0.4)
+    SCHEME = make_blocks(8, 2)
+    MULT = MultiplierSpec("rademacher")
+
+    def test_repeated_request_is_served_once_per_block(self, panel_calls):
+        args = (self.SPEC, 50, 3, 2, self.SCHEME, self.MULT)
+        with shared_passes() as ledger:
+            first = stream_statistics(*args)
+            again = stream_statistics(*args)
+            assert sum(panel_calls.values()) == 1
+            assert again.means is first.means and again.mult_max is first.mult_max
+            assert (ledger.drawn, ledger.reused) == (1, 1)
+        for array in (first.means, first.mult_max):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        outside = [stream_statistics(*args) for _ in range(2)]
+        assert sum(panel_calls.values()) == 3
+        assert outside[0].means is not outside[1].means
+        assert np.array_equal(outside[0].means, first.means)
+        assert np.array_equal(outside[1].mult_max, first.mult_max)
+        # A new block starts empty.
+        with shared_passes() as ledger:
+            stream_statistics(*args)
+            assert (ledger.drawn, ledger.reused) == (1, 0)
+        assert sum(panel_calls.values()) == 4
+
+    def test_other_threads_keep_their_own_ledger(self, panel_calls):
+        args = (self.SPEC, 50, 3, 2)
+        with shared_passes() as ledger:
+            stream_statistics(*args)
+            worker = threading.Thread(target=stream_statistics, args=args)
+            worker.start()
+            worker.join(timeout=60)
+            assert not worker.is_alive()
+            assert (ledger.drawn, ledger.reused) == (1, 0)
+        assert sum(panel_calls.values()) == 2
+
+    def test_plain_request_has_no_multiplier_statistic(self):
+        stats = stream_statistics(self.SPEC, 20, 3, 2)
+        assert stats.mult_max is None
+        with pytest.raises(ValueError, match="scheme"):
+            stream_statistics(self.SPEC, 20, 3, 2, scheme=self.SCHEME)
+
+    @settings(max_examples=15, deadline=None)
+    @given(reps=st.integers(1, 30), seed=st.integers(0, 2**32), purpose=st.integers(0, 10),
+           b=st.sampled_from([1, 2, 8]))
+    def test_copies_are_the_kernels_on_differences(self, reps, seed, purpose, b):
+        scheme = make_blocks(8, b)
+        stats = stream_statistics(self.SPEC, reps, seed, purpose, scheme, self.MULT, copies=True)
+        panels, copies = (
+            np.concatenate([c for _, c in generate_panels(self.SPEC, reps, seed, stream, purpose)])
+            for stream in (STREAM_PANEL, STREAM_COPY)
+        )
+        diff = panels - copies
+        eps = batch_multipliers(self.MULT, scheme.count, seed, purpose, 0, reps)
+        assert np.array_equal(stats.means, diff.mean(axis=1))
+        assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(diff))
+        assert np.array_equal(stats.mult_max,
+                              batch_multiplier_max(batch_block_sums(diff, scheme), eps, 8))
+
+
+FULL_RUN = {
+    "dgp": {"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "truncation": 3.0},
+    "scheme": {"b": 4},
+    "multiplier": {"kind": "rademacher"},
+    "psi": {"kind": "power", "q": 2.0},
+    "truncation": {"mode": "fixed", "U": 3.0},
+    "r": 2.0,
+    "reps": 1000,
+    "rho_reps": 1000,
+    "seed": 5,
+    "checks": ["rho-only", "prop1", "prop2", "theorem1"],
+    "tail": {"mode": "subexp", "gamma": 1.0, "phi": 0.5},
+}
+
+
+class TestSharedRun:
+    def test_one_pass_per_stream(self, tmp_path, panel_calls):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FULL_RUN))
+        config = load_config(path)
+        out = tmp_path / "out"
+        assert run_experiment(config, output_dir=str(out)) == 0
+        assert len(panel_calls) == 10
+        assert set(panel_calls.values()) == {1}
+        meta = json.loads((out / "run_meta.json").read_text())
+        # Every stream but the quadratic-term one goes through the ledger.
+        assert meta["panel_streams"] == {"drawn": 9, "reused": 6}
+
+        # The same check built outside a run draws its own panels and
+        # reports the same numbers.
+        report = json.loads((out / "prop2.json").read_text())
+        del report["config"], report["diagnostics"]["remainder_inputs"]
+        rho = RhoEstimate(**report["rho"])
+        alone = verify_prop2(config.dgp, config.scheme(), config.multiplier, config.psi,
+                             3.0, config.r, config.reps, rho, config.seed)
+        assert json.loads(json.dumps(alone.to_json_dict())) == report
