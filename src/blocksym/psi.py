@@ -187,8 +187,8 @@ def psi_moment_norm(
     if reps < 1000:
         raise ValueError(f"need reps >= 1000 for a stable norm estimate, got {reps}")
     # The column means of one-row panels are the rows themselves.
-    rows = stream_statistics(marginal_spec(sample_law), reps, seed, PURPOSE_NORM)
-    values = psi_eval(spec, 2.0 * rows.max_abs_mean)
+    marginal = stream_statistics(marginal_spec(sample_law), reps, seed, PURPOSE_NORM)
+    values = psi_eval(spec, 2.0 * marginal.max_abs_mean)
     with np.errstate(over="ignore"):
         powered = np.asarray(values) ** r
     if not np.all(np.isfinite(powered)):
