@@ -10,12 +10,7 @@ Monte Carlo and exact enumeration.
 from .blocking import (
     BlockScheme,
     MultiplierSpec,
-    block_sums,
-    draw_multipliers,
-    expand_multipliers,
     make_blocks,
-    max_abs_mean,
-    multiplier_max_abs_mean,
 )
 from .gaussian import (
     GaussianModel,
@@ -27,11 +22,7 @@ from .gaussian import (
 )
 from .processes import (
     DgpSpec,
-    PanelSample,
-    generate,
-    independent_copy,
     theoretical_longrun_cov,
-    write_panel_csv,
 )
 from .psi import (
     CustomPsi,

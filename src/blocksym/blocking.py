@@ -8,8 +8,7 @@ counterpart max_i |(1/n) sum_l eps_l S[l, i]|.
 
 Every estimator, the Gaussian comparison and the exact oracle compute these
 through the ``batch_*`` kernels, which act on stacks of panels along any
-leading axes. The single-panel functions validate their input and make one
-kernel call, so single and batched results agree bit for bit.
+leading axes.
 
 Monte Carlo estimators read their panels only through ``stream_statistics``,
 which draws a panel stream and reduces it to per-replication column means and
@@ -27,8 +26,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .processes import DgpSpec, PanelSample, generate_panels
-from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream, substream_iter
+from .processes import DgpSpec, generate_panels
+from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream_iter
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
 
@@ -120,59 +119,11 @@ def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
     return np.stack([draw_multipliers_with(mult, count, rng) for rng in rngs])
 
 
-def draw_multipliers(spec: MultiplierSpec, count: int, seed: int) -> np.ndarray:
-    """iid multiplier draws, deterministic in the seed."""
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    rng = substream(seed, STREAM_MULTIPLIER)
-    return draw_multipliers_with(spec, count, rng)
-
-
 def draw_multipliers_with(spec: MultiplierSpec, count: int, rng) -> np.ndarray:
     if spec.kind == "rademacher":
         return 2.0 * rng.integers(0, 2, size=count) - 1.0
     half = math.sqrt(3.0)
     return rng.uniform(-half, half, size=count)
-
-
-def _checked_eps(eps, scheme: BlockScheme) -> np.ndarray:
-    eps = np.asarray(eps, dtype=float)
-    if eps.shape != (scheme.count,):
-        raise BlockSchemeError(
-            f"expected {scheme.count} multipliers, got shape {eps.shape}"
-        )
-    return eps
-
-
-def expand_multipliers(eps: np.ndarray, scheme: BlockScheme) -> np.ndarray:
-    """Per-time weights, constant on blocks: eta[t] = eps[l] for t in block l."""
-    return np.repeat(_checked_eps(eps, scheme), scheme.b)
-
-
-def block_sums(sample: PanelSample, scheme: BlockScheme) -> np.ndarray:
-    """Matrix of within-block column sums, shape (count, p)."""
-    if scheme.n != sample.n:
-        raise BlockSchemeError(
-            f"scheme is for n={scheme.n} but panel has n={sample.n}"
-        )
-    return batch_block_sums(sample.data, scheme)
-
-
-def max_abs_mean(sample: PanelSample) -> float:
-    """Largest absolute column mean of the panel."""
-    return float(batch_max_abs_mean(sample.data))
-
-
-def multiplier_max_abs_mean(
-    sample: PanelSample, scheme: BlockScheme, eps: np.ndarray
-) -> float:
-    """max_i |(1/n) sum_l eps_l S[l, i]|, the block-multiplier mean statistic.
-
-    Identical to max_abs_mean applied to the panel with each row scaled by
-    its expanded multiplier.
-    """
-    sums = block_sums(sample, scheme)
-    return float(batch_multiplier_max(sums, _checked_eps(eps, scheme), scheme.n))
 
 
 class StreamStatistics(NamedTuple):

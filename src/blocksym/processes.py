@@ -10,7 +10,8 @@ p-dimensional process. Five generator kinds are shipped:
 - ``bounded_rademacher``: iid random signs times a scale, support {-s, +s}
 - ``truncated_var1``: the var1 path clipped to [-U, U]
 
-All generators are pure functions of (spec, seed): identical inputs give
+Panels come in batches from ``generate_panels``; replication r is a pure
+function of (spec, seed, stream, purpose, r), so identical inputs give
 bit-identical panels. Every kind is mean zero by construction (innovations
 are centered before filtering, and clipping a stationary law that is
 symmetric about zero keeps its mean exactly zero). Cross-sectional
@@ -20,14 +21,13 @@ specs serializable while still covering the correlated-coordinate regime.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .seeding import STREAM_COPY, STREAM_PANEL, substream, substream_iter
+from .seeding import STREAM_PANEL, substream_iter
 
 KINDS = (
     "iid_gaussian",
@@ -176,25 +176,6 @@ class DgpSpec:
         return cls(**kwargs)
 
 
-@dataclass
-class PanelSample:
-    """An (n, p) matrix of observations with a mean-zero annotation."""
-
-    data: np.ndarray
-    n: int
-    p: int
-    centered: bool = True
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=float)
-        if self.data.shape != (self.n, self.p):
-            raise ValueError(
-                f"panel shape {self.data.shape} does not match (n={self.n}, p={self.p})"
-            )
-        if self.n < 1 or self.p < 1:
-            raise ValueError("panel dimensions must be at least 1x1")
-
-
 # ---------------------------------------------------------------------------
 # Drawing machinery
 # ---------------------------------------------------------------------------
@@ -274,24 +255,6 @@ def _draw_batch(spec: DgpSpec, rngs) -> np.ndarray:
     raise DgpValidationError(f"kind: unknown generator kind {kind!r}")
 
 
-def generate(spec: DgpSpec, seed: int) -> PanelSample:
-    """Draw one panel. Bit-identical output for identical (spec, seed)."""
-    rng = substream(seed, STREAM_PANEL)
-    data = _draw_batch(spec, [rng])[0]
-    return PanelSample(data=data, n=spec.n, p=spec.p)
-
-
-def independent_copy(spec: DgpSpec, seed: int) -> PanelSample:
-    """Draw a panel with the same law as ``generate`` from a disjoint stream.
-
-    The copy stream never overlaps any sample stream, including for equal
-    seeds, so aligned entries of copy and original are independent.
-    """
-    rng = substream(seed, STREAM_COPY)
-    data = _draw_batch(spec, [rng])[0]
-    return PanelSample(data=data, n=spec.n, p=spec.p)
-
-
 def generate_panels(
     spec: DgpSpec,
     reps: int,
@@ -346,12 +309,3 @@ def theoretical_longrun_cov(spec: DgpSpec) -> np.ndarray:
         return sigma * weight
     raise LongRunCovError(f"unsupported kind {spec.kind!r}")
 
-
-def write_panel_csv(sample: PanelSample, path) -> None:
-    """Export a panel in long format with header ``t,i,value`` (1-based)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "value"])
-        for t in range(sample.n):
-            for i in range(sample.p):
-                writer.writerow([t + 1, i + 1, repr(float(sample.data[t, i]))])

@@ -16,25 +16,27 @@ from blocksym.blocking import (
     batch_max_abs_mean,
     batch_multiplier_max,
     batch_multipliers,
-    block_sums,
-    draw_multipliers,
-    expand_multipliers,
     make_blocks,
-    max_abs_mean,
-    multiplier_max_abs_mean,
     shared_passes,
     stream_statistics,
 )
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
-from blocksym.processes import DgpSpec, PanelSample, generate_panels
+from blocksym.processes import DgpSpec, generate_panels
 from blocksym.seeding import STREAM_COPY, STREAM_PANEL
 from blocksym.verify import verify_prop2
 
+RADEMACHER = MultiplierSpec("rademacher")
 
-def panel(data):
-    data = np.asarray(data, dtype=float)
-    return PanelSample(data=data, n=data.shape[0], p=data.shape[1])
+
+def mult_stat(data, scheme, eps):
+    """The block-multiplier statistic of one panel through the kernels."""
+    return batch_multiplier_max(batch_block_sums(data, scheme), eps, scheme.n)
+
+
+def multipliers(mult, count, seed):
+    """The multipliers of replication 0 of the default purpose."""
+    return batch_multipliers(mult, count, seed, 0, 0, 1)[0]
 
 
 finite_panels = arrays(
@@ -74,35 +76,30 @@ class TestMakeBlocks:
 
 class TestBlockSums:
     def test_constant_panel(self):
-        pan = panel(np.ones((6, 2)))
-        sums = block_sums(pan, make_blocks(6, 2))
+        sums = batch_block_sums(np.ones((6, 2)), make_blocks(6, 2))
         assert np.all(sums == 2.0)
 
     def test_single_block_is_total(self):
-        pan = panel(np.arange(8.0).reshape(4, 2))
-        sums = block_sums(pan, make_blocks(4, 4))
-        assert np.allclose(sums[0], pan.data.sum(axis=0))
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(BlockSchemeError):
-            block_sums(panel(np.ones((4, 1))), make_blocks(8, 2))
+        data = np.arange(8.0).reshape(4, 2)
+        sums = batch_block_sums(data, make_blocks(4, 4))
+        assert np.allclose(sums[0], data.sum(axis=0))
 
     @settings(max_examples=50, deadline=None)
     @given(data=finite_panels)
     def test_telescoping(self, data):
-        pan = panel(data)
-        for b in [x for x in range(1, pan.n + 1) if pan.n % x == 0]:
-            sums = block_sums(pan, make_blocks(pan.n, b))
-            assert np.allclose(sums.sum(axis=0), pan.data.sum(axis=0), atol=1e-9)
+        n = data.shape[0]
+        for b in [x for x in range(1, n + 1) if n % x == 0]:
+            sums = batch_block_sums(data, make_blocks(n, b))
+            assert np.allclose(sums.sum(axis=0), data.sum(axis=0), atol=1e-9)
 
 
 class TestMultipliers:
     def test_rademacher_support(self):
-        eps = draw_multipliers(MultiplierSpec("rademacher"), 200, seed=1)
+        eps = multipliers(RADEMACHER, 200, seed=1)
         assert set(np.unique(eps)) <= {-1.0, 1.0}
 
     def test_uniform_sym_support_and_variance(self):
-        eps = draw_multipliers(MultiplierSpec("uniform_sym"), 100_000, seed=2)
+        eps = multipliers(MultiplierSpec("uniform_sym"), 100_000, seed=2)
         half = np.sqrt(3.0)
         assert np.all(np.abs(eps) <= half)
         # Uniform on [-sqrt(3), sqrt(3)] has unit variance; the variance of
@@ -111,11 +108,7 @@ class TestMultipliers:
         assert abs((eps**2).mean() - 1.0) < 4 * se
 
     def test_single_draw(self):
-        assert draw_multipliers(MultiplierSpec("rademacher"), 1, seed=3).shape == (1,)
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            draw_multipliers(MultiplierSpec("rademacher"), 0, seed=0)
+        assert batch_multipliers(RADEMACHER, 1, 3, 0, 0, 1).shape == (1, 1)
 
     def test_bounds(self):
         assert MultiplierSpec("rademacher").bound == 1.0
@@ -126,96 +119,68 @@ class TestMultipliers:
             MultiplierSpec("gaussian")
 
 
-class TestExpand:
-    def test_pairs(self):
-        eta = expand_multipliers(np.array([2.0, -3.0]), make_blocks(4, 2))
-        assert np.array_equal(eta, [2.0, 2.0, -3.0, -3.0])
-
-    def test_singleton_identity(self):
-        eps = np.array([1.0, -1.0, 1.0])
-        assert np.array_equal(expand_multipliers(eps, make_blocks(3, 1)), eps)
-
-    def test_all_ones(self):
-        eta = expand_multipliers(np.ones(3), make_blocks(6, 2))
-        assert np.all(eta == 1.0)
-
-    def test_length_mismatch(self):
-        with pytest.raises(BlockSchemeError):
-            expand_multipliers(np.ones(3), make_blocks(4, 2))
-
-
 class TestMaxStatistics:
     def test_zero_panel(self):
-        assert max_abs_mean(panel(np.zeros((3, 2)))) == 0.0
+        assert batch_max_abs_mean(np.zeros((3, 2))) == 0.0
 
     def test_hand_value(self):
-        pan = panel([[1.0, -3.0], [1.0, 3.0]])
-        assert max_abs_mean(pan) == 1.0
+        assert batch_max_abs_mean(np.array([[1.0, -3.0], [1.0, 3.0]])) == 1.0
 
     def test_scalar_column(self):
-        pan = panel([[1.0], [2.0], [6.0]])
-        assert max_abs_mean(pan) == pytest.approx(3.0)
+        assert batch_max_abs_mean(np.array([[1.0], [2.0], [6.0]])) == pytest.approx(3.0)
 
     def test_unit_multipliers_reduce_to_plain(self):
         rng = np.random.default_rng(0)
-        pan = panel(rng.standard_normal((12, 3)))
+        data = rng.standard_normal((12, 3))
         scheme = make_blocks(12, 3)
-        stat = multiplier_max_abs_mean(pan, scheme, np.ones(scheme.count))
-        assert stat == pytest.approx(max_abs_mean(pan))
+        stat = mult_stat(data, scheme, np.ones(scheme.count))
+        assert stat == pytest.approx(batch_max_abs_mean(data))
 
     def test_sign_flip_invariant(self):
         rng = np.random.default_rng(1)
-        pan = panel(rng.standard_normal((12, 3)))
+        data = rng.standard_normal((12, 3))
         scheme = make_blocks(12, 3)
-        stat = multiplier_max_abs_mean(pan, scheme, -np.ones(scheme.count))
-        assert stat == pytest.approx(max_abs_mean(pan))
+        stat = mult_stat(data, scheme, -np.ones(scheme.count))
+        assert stat == pytest.approx(batch_max_abs_mean(data))
 
     def test_cancellation(self):
-        pan = panel([[1.0], [1.0]])
-        scheme = make_blocks(2, 1)
-        assert multiplier_max_abs_mean(pan, scheme, np.array([1.0, -1.0])) == 0.0
+        assert mult_stat(np.ones((2, 1)), make_blocks(2, 1), np.array([1.0, -1.0])) == 0.0
 
     def test_matches_row_weighted_panel(self):
         # The block statistic equals the plain statistic of the panel whose
-        # rows are scaled by the expanded multipliers.
+        # rows are scaled by the multipliers, each repeated over its block.
         rng = np.random.default_rng(2)
-        pan = panel(rng.standard_normal((12, 3)))
+        data = rng.standard_normal((12, 3))
         scheme = make_blocks(12, 4)
-        eps = draw_multipliers(MultiplierSpec("uniform_sym"), scheme.count, seed=9)
-        eta = expand_multipliers(eps, scheme)
-        weighted = panel(pan.data * eta[:, None])
-        assert multiplier_max_abs_mean(pan, scheme, eps) == pytest.approx(
-            max_abs_mean(weighted)
-        )
+        eps = multipliers(MultiplierSpec("uniform_sym"), scheme.count, seed=9)
+        weighted = data * np.repeat(eps, scheme.b)[:, None]
+        assert mult_stat(data, scheme, eps) == pytest.approx(batch_max_abs_mean(weighted))
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=finite_panels, lam=st.floats(min_value=0.01, max_value=50.0),
        seed=st.integers(0, 1000))
 def test_scale_equivariance(data, lam, seed):
-    pan = panel(data)
-    scaled = panel(lam * data)
-    scheme = make_blocks(pan.n, pan.n // 2 if pan.n % 2 == 0 else 1)
-    eps = draw_multipliers(MultiplierSpec("rademacher"), scheme.count, seed=seed)
-    assert max_abs_mean(scaled) == pytest.approx(lam * max_abs_mean(pan), rel=1e-9)
-    assert multiplier_max_abs_mean(scaled, scheme, eps) == pytest.approx(
-        lam * multiplier_max_abs_mean(pan, scheme, eps), rel=1e-9, abs=1e-12
+    n = data.shape[0]
+    scheme = make_blocks(n, n // 2 if n % 2 == 0 else 1)
+    eps = multipliers(RADEMACHER, scheme.count, seed)
+    assert batch_max_abs_mean(lam * data) == pytest.approx(
+        lam * batch_max_abs_mean(data), rel=1e-9)
+    assert mult_stat(lam * data, scheme, eps) == pytest.approx(
+        lam * mult_stat(data, scheme, eps), rel=1e-9, abs=1e-12
     )
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=finite_panels, seed=st.integers(0, 1000))
 def test_coordinate_permutation_invariance(data, seed):
-    pan = panel(data)
+    n, p = data.shape
     rng = np.random.default_rng(seed)
-    perm = rng.permutation(pan.p)
-    permuted = panel(data[:, perm])
-    scheme = make_blocks(pan.n, 2 if pan.n % 2 == 0 else 1)
-    eps = draw_multipliers(MultiplierSpec("rademacher"), scheme.count, seed=seed)
-    assert max_abs_mean(permuted) == pytest.approx(max_abs_mean(pan))
-    assert multiplier_max_abs_mean(permuted, scheme, eps) == pytest.approx(
-        multiplier_max_abs_mean(pan, scheme, eps)
-    )
+    permuted = data[:, rng.permutation(p)]
+    scheme = make_blocks(n, 2 if n % 2 == 0 else 1)
+    eps = multipliers(RADEMACHER, scheme.count, seed)
+    assert batch_max_abs_mean(permuted) == pytest.approx(batch_max_abs_mean(data))
+    assert mult_stat(permuted, scheme, eps) == pytest.approx(mult_stat(data, scheme, eps))
 
 
 @st.composite
@@ -234,7 +199,7 @@ def panel_stacks(draw):
 class TestKernels:
     @settings(max_examples=60, deadline=None)
     @given(stack=panel_stacks())
-    def test_single_panel_functions_are_batch_rows(self, stack):
+    def test_per_panel_calls_are_batch_rows(self, stack):
         panels, scheme, eps = stack
         sums = batch_block_sums(panels, scheme)
         plain = batch_max_abs_mean(panels)
@@ -242,12 +207,11 @@ class TestKernels:
         # Every multiplier vector on every panel, the exact oracle's layout.
         grid = batch_multiplier_max(sums, eps[:, None, :], scheme.n)
         for j, data in enumerate(panels):
-            pan = panel(data)
-            assert np.array_equal(block_sums(pan, scheme), sums[j])
-            assert max_abs_mean(pan) == plain[j]
-            assert multiplier_max_abs_mean(pan, scheme, eps[j]) == starred[j]
+            assert np.array_equal(batch_block_sums(data, scheme), sums[j])
+            assert batch_max_abs_mean(data) == plain[j]
+            assert mult_stat(data, scheme, eps[j]) == starred[j]
             for i in range(len(eps)):
-                assert multiplier_max_abs_mean(pan, scheme, eps[i]) == grid[i, j]
+                assert mult_stat(data, scheme, eps[i]) == grid[i, j]
 
     @settings(max_examples=20, deadline=None)
     @given(kind=st.sampled_from(["iid_gaussian", "bounded_rademacher"]),

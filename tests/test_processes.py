@@ -9,13 +9,10 @@ from blocksym.processes import (
     DgpSpec,
     DgpValidationError,
     LongRunCovError,
-    PanelSample,
-    generate,
     generate_panels,
-    independent_copy,
     theoretical_longrun_cov,
-    write_panel_csv,
 )
+from blocksym.seeding import STREAM_COPY
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
@@ -64,10 +61,6 @@ class TestValidation:
         with pytest.raises(DgpValidationError, match=f"^{field}: "):
             DgpSpec(**kwargs)
 
-    def test_panel_shape_mismatch(self):
-        with pytest.raises(ValueError, match="shape"):
-            PanelSample(data=np.zeros((3, 2)), n=2, p=2)
-
 
 class TestDeterminism:
     @pytest.mark.parametrize(
@@ -81,23 +74,18 @@ class TestDeterminism:
         ],
     )
     def test_bit_identical(self, spec):
-        a = generate(spec, seed=11)
-        b = generate(spec, seed=11)
-        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(stack_panels(spec, 3, 11), stack_panels(spec, 3, 11))
 
     def test_seeds_differ(self):
-        a = generate(VAR1, seed=1)
-        b = generate(VAR1, seed=2)
-        assert not np.array_equal(a.data, b.data)
+        assert not np.array_equal(stack_panels(VAR1, 1, 1), stack_panels(VAR1, 1, 2))
 
     def test_copy_stream_disjoint(self):
-        a = generate(VAR1, seed=1)
-        b = independent_copy(VAR1, seed=1)
-        assert not np.array_equal(a.data, b.data)
+        copies = stack_panels(VAR1, 1, 1, stream=STREAM_COPY)
+        assert not np.array_equal(stack_panels(VAR1, 1, 1), copies)
 
     def test_single_scalar_copy(self):
-        pan = independent_copy(DgpSpec("iid_gaussian", n=1, p=1), seed=2)
-        assert pan.data.shape == (1, 1)
+        spec = DgpSpec("iid_gaussian", n=1, p=1)
+        assert stack_panels(spec, 1, 2, stream=STREAM_COPY).shape == (1, 1, 1)
 
     def test_batch_matches_per_rep_streams(self):
         # Chunking must not change which substream feeds which replication.
@@ -109,19 +97,16 @@ class TestDeterminism:
 class TestSupport:
     def test_rademacher_support(self):
         spec = DgpSpec("bounded_rademacher", n=4, p=1)
-        pan = generate(spec, seed=5)
-        assert set(np.unique(pan.data)) <= {-1.0, 1.0}
+        assert set(np.unique(stack_panels(spec, 3, 5))) <= {-1.0, 1.0}
 
     @pytest.mark.parametrize("seed", range(5))
     def test_truncated_support_exhaustive(self, seed):
         spec = DgpSpec("truncated_var1", n=64, p=4, phi=0.5, truncation=2.0)
-        pan = generate(spec, seed=seed)
-        assert np.abs(pan.data).max() <= 2.0
+        assert np.abs(stack_panels(spec, 3, seed)).max() <= 2.0
 
     def test_scaled_rademacher(self):
         spec = DgpSpec("bounded_rademacher", n=16, p=2, scale=0.5)
-        pan = generate(spec, seed=0)
-        assert set(np.unique(np.abs(pan.data))) == {0.5}
+        assert set(np.unique(np.abs(stack_panels(spec, 3, 0)))) == {0.5}
 
 
 class TestMoments:
@@ -226,19 +211,6 @@ class TestLongRunCov:
         assert np.all(np.abs(mc - cov) < 4 * se)
 
 
-class TestCsvExport:
-    def test_round_trip(self, tmp_path):
-        pan = generate(DgpSpec("iid_gaussian", n=3, p=2), seed=1)
-        path = tmp_path / "panel.csv"
-        write_panel_csv(pan, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "t,i,value"
-        assert len(lines) == 1 + 3 * 2
-        t, i, value = lines[1].split(",")
-        assert (t, i) == ("1", "1")
-        assert float(value) == pan.data[0, 0]
-
-
 @settings(max_examples=20, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=16),
@@ -247,4 +219,4 @@ class TestCsvExport:
 )
 def test_generate_is_pure(n, p, seed):
     spec = DgpSpec("var1", n=n, p=p, phi=0.25)
-    assert np.array_equal(generate(spec, seed).data, generate(spec, seed).data)
+    assert np.array_equal(stack_panels(spec, 2, seed), stack_panels(spec, 2, seed))
