@@ -60,7 +60,7 @@ from .seeding import (
     STREAM_PANEL,
 )
 
-STATISTIC_MODES = ("plain", "multiplier", "multiplier-indep-copy", "truncated-indicator")
+STATISTIC_MODES = ("plain", "multiplier", "multiplier-indep-copy")
 
 _ENUMERATION_BUDGET = 2**24
 
@@ -218,16 +218,13 @@ def mc_expect_psi_max(
     reps: int,
     seed: int,
     purpose: int = PURPOSE_DEFAULT,
-    trunc_level: Optional[float] = None,
 ) -> ExpectationEstimate:
     """Unconditional Monte Carlo estimate of E psi(scale * statistic).
 
     Modes: ``plain`` uses the max-abs column mean; ``multiplier`` the
     block-multiplier statistic with fresh multipliers per replication;
     ``multiplier-indep-copy`` applies the multiplier statistic to the panel
-    minus a fresh independent copy; ``truncated-indicator`` computes
-    E[psi(2 max-abs-mean) 1{max-abs-mean > trunc_level}] (scale is unused)
-    for the tail-split diagnostic.
+    minus a fresh independent copy.
     """
     if mode not in STATISTIC_MODES:
         raise ValueError(f"unknown statistic mode {mode!r}")
@@ -235,17 +232,12 @@ def mc_expect_psi_max(
         raise ValueError(f"need reps >= 1000, got {reps}")
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    if mode == "truncated-indicator" and trunc_level is None:
-        raise ValueError("truncated-indicator mode needs trunc_level")
     if mode in ("multiplier", "multiplier-indep-copy"):
         stats = stream_statistics(spec, reps, seed, purpose, scheme, mult,
                                   copies=mode == "multiplier-indep-copy").mult_max
     else:
         stats = stream_statistics(spec, reps, seed, purpose).max_abs_mean
-    if mode == "truncated-indicator":
-        values = np.asarray(psi_eval(psi, 2.0 * stats)) * (stats > trunc_level)
-    else:
-        values = np.asarray(psi_eval(psi, scale * stats))
+    values = np.asarray(psi_eval(psi, scale * stats))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise NonFiniteGaugeError(

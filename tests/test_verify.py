@@ -96,9 +96,6 @@ class TestMcExpect:
         with pytest.raises(ValueError, match="mode"):
             mc_expect_psi_max("median", ZERO_LAW, scheme, RADEMACHER, POWER1,
                               1.0, 2000, seed=0)
-        with pytest.raises(ValueError, match="trunc_level"):
-            mc_expect_psi_max("truncated-indicator", ZERO_LAW, scheme,
-                              RADEMACHER, POWER1, 1.0, 2000, seed=0)
 
 
 class TestExactEnumeration:
@@ -193,21 +190,18 @@ class TestTailAndMoments:
         out = mc_coordinate_mean_moment(spec, 2.0, 20_000, seed=1)
         assert abs(out["value"] - 1.0 / 16.0) < 3 * out["se"]
 
-    def test_truncated_indicator_mode_enumerates(self):
+    def test_split_tail_term_enumerates(self):
         # n=2, p=1 signs with level 0.4: |mean| is 1 w.p. 1/2 and 0 w.p.
-        # 1/2, so E[psi(2 |mean|) 1{|mean| > 0.4}] = psi(2) / 2 = 2.
-        sch = make_blocks(2, 1)
-        est = mc_expect_psi_max("truncated-indicator", SIGNS_2x1, sch,
-                                RADEMACHER, POWER2, 1.0, 20_000, seed=3,
-                                trunc_level=0.4)
-        assert abs(est.mean - 2.0) < 3 * est.se
+        # 1/2, so E_n2 = E[(1/2) psi(2 |mean|) 1{|mean| > 0.4}] = psi(2) / 4 = 1.
+        rep = verify_prop2(SIGNS_2x1, make_blocks(2, 1), RADEMACHER, POWER2,
+                           0.4, 2.0, 20_000, zero_rho(), seed=3)
+        e2 = rep.diagnostics["E_n2"]
+        assert abs(e2["mean"] - 1.0) < 3 * e2["se"]
 
-    def test_truncated_indicator_vanishes_above_support(self):
-        sch = make_blocks(2, 1)
-        est = mc_expect_psi_max("truncated-indicator", SIGNS_2x1, sch,
-                                RADEMACHER, POWER2, 1.0, 2000, seed=4,
-                                trunc_level=1.5)
-        assert est.mean == 0.0
+    def test_split_tail_term_vanishes_above_support(self):
+        rep = verify_prop2(SIGNS_2x1, make_blocks(2, 1), RADEMACHER, POWER2,
+                           1.5, 2.0, 2000, zero_rho(), seed=4)
+        assert rep.diagnostics["E_n2"]["mean"] == 0.0
 
     @pytest.mark.parametrize(
         "spec",
