@@ -34,7 +34,6 @@ from .psi import (
 )
 from .remainders import (
     TailParams,
-    combined_remainder,
     concentration_general,
     concentration_lq,
     concentration_subexp,

@@ -289,61 +289,3 @@ def subexp_total_bound(
     tail_factor = (log_p / (n**phi * math.log(log_p))) ** ((r - 1.0) / r)
     return 2.0 ** (q - 1.0) * (rho_sum * U**q + tail_factor * M_n**q / U**s)
 
-
-@dataclass(frozen=True)
-class CombinedRemainder:
-    r1: float
-    r2: float
-    total: float
-    tail_prob: float
-    tail_mode: str
-    subexp_warning: bool = False
-
-
-def combined_remainder(
-    psi: PsiLike,
-    n: int,
-    U: float,
-    rho_sum: float,
-    r: float,
-    psi_norm: float,
-    tail_mode: str,
-    *,
-    tail_prob: Optional[float] = None,
-    p: Optional[int] = None,
-    pbar: Optional[float] = None,
-    q: Optional[float] = None,
-    max_mean_moment: Optional[float] = None,
-    tail_params: Optional[TailParams] = None,
-) -> CombinedRemainder:
-    """Blocking plus truncation remainder with the chosen tail treatment.
-
-    ``empirical`` takes the exceedance probability directly; the other modes
-    bound it by the matching concentration inequality.
-    """
-    warning = False
-    if tail_mode == "empirical":
-        if tail_prob is None:
-            raise ValueError("empirical mode needs tail_prob")
-        bound = tail_prob
-    elif tail_mode == "general":
-        if p is None or pbar is None:
-            raise ValueError("general mode needs p and pbar")
-        bound = concentration_general(p, pbar)
-    elif tail_mode == "lq":
-        if p is None or q is None or max_mean_moment is None:
-            raise ValueError("lq mode needs p, q, and max_mean_moment")
-        bound = concentration_lq(p, U, q, max_mean_moment)
-    elif tail_mode == "subexp":
-        if p is None or tail_params is None:
-            raise ValueError("subexp mode needs p and tail_params")
-        sub = concentration_subexp(p, n, U, tail_params)
-        bound, warning = sub.value, sub.warning
-    else:
-        raise ValueError(f"unknown tail mode {tail_mode!r}")
-    r1 = remainder_R1(psi, n, U, rho_sum)
-    r2 = remainder_R2(r, bound, psi_norm)
-    return CombinedRemainder(
-        r1=r1, r2=r2, total=r1 + r2, tail_prob=bound,
-        tail_mode=tail_mode, subexp_warning=warning,
-    )

@@ -11,7 +11,6 @@ from blocksym.remainders import (
     SubexpBound,
     TailParams,
     VacuousBoundError,
-    combined_remainder,
     concentration_general,
     concentration_lq,
     concentration_subexp,
@@ -246,10 +245,12 @@ class TestOptimalTruncation:
 
 
 class TestCombinedRemainder:
-    def test_all_zero(self):
-        psi = PsiSpec("power", q=2.0)
-        out = combined_remainder(psi, 16, 1.0, 0.0, 2.0, 0.0, "empirical", tail_prob=0.0)
-        assert (out.r1, out.r2, out.total) == (0.0, 0.0, 0.0)
+    """R1 + R2 with the sub-exponential bound on the exceedance probability."""
+
+    @staticmethod
+    def parts(psi, n, U, rho_sum, r, psi_norm, p, params):
+        tail = concentration_subexp(p, n, U, params).value
+        return remainder_R1(psi, n, U, rho_sum), remainder_R2(r, tail, psi_norm)
 
     def test_monotone_in_level(self):
         # Blocking part grows with the level; sub-exponential tail part
@@ -257,13 +258,8 @@ class TestCombinedRemainder:
         psi = PsiSpec("power", q=2.0)
         params = TailParams(a=2.0, b=0.5, gamma=1.0, phi=0.5)
         grid = np.linspace(0.5, 4.0, 12)
-        outs = [
-            combined_remainder(psi, 128, float(U), 0.1, 2.0, 8.0, "subexp",
-                               p=20, tail_params=params)
-            for U in grid
-        ]
-        r1s = [o.r1 for o in outs]
-        r2s = [o.r2 for o in outs]
+        r1s, r2s = zip(*(self.parts(psi, 128, float(U), 0.1, 2.0, 8.0, 20, params)
+                         for U in grid))
         assert all(x <= y + 1e-12 for x, y in zip(r1s, r1s[1:]))
         assert all(x >= y - 1e-12 for x, y in zip(r2s, r2s[1:]))
 
@@ -277,23 +273,11 @@ class TestCombinedRemainder:
         psi_norm = 2.0**q * m**q
 
         def total(U):
-            return combined_remainder(psi, n, U, rho_sum, r, psi_norm, "subexp",
-                                      p=p, tail_params=params).total
+            return sum(self.parts(psi, n, U, rho_sum, r, psi_norm, p, params))
 
         u_star = optimal_truncation(q, r, phi, rho_sum, p, n, m)
         assert total(u_star) <= total(0.5 * u_star)
         assert total(u_star) <= total(2.0 * u_star)
-
-    def test_lq_mode_wiring(self):
-        psi = PsiSpec("power", q=1.0)
-        out = combined_remainder(psi, 64, 2.0, 0.05, 2.0, 4.0, "lq",
-                                 p=40, q=2.0, max_mean_moment=0.03)
-        assert out.tail_prob == pytest.approx(concentration_lq(40, 2.0, 2.0, 0.03))
-        assert out.total == pytest.approx(out.r1 + out.r2)
-
-    def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            combined_remainder(PsiSpec("power", q=1.0), 16, 1.0, 0.1, 2.0, 1.0, "bayes")
 
 
 class TestEnvelopeFit:
