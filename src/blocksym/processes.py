@@ -181,20 +181,18 @@ class DgpSpec:
 # ---------------------------------------------------------------------------
 
 
-def _cross_chol(p: int, cross_corr: float) -> Optional[np.ndarray]:
-    """Cholesky factor of the equicorrelation matrix, or None when identity."""
-    if p == 1 or cross_corr == 0.0:
-        return None
-    sigma = np.full((p, p), cross_corr)
-    np.fill_diagonal(sigma, 1.0)
-    return np.linalg.cholesky(sigma)
-
-
 def cross_sectional_cov(spec: DgpSpec) -> np.ndarray:
     """Innovation cross-sectional covariance implied by the spec."""
     sigma = np.full((spec.p, spec.p), spec.cross_corr)
     np.fill_diagonal(sigma, 1.0)
     return sigma
+
+
+def _cross_chol(spec: DgpSpec) -> Optional[np.ndarray]:
+    """Cholesky factor of ``cross_sectional_cov``, or None when identity."""
+    if spec.p == 1 or spec.cross_corr == 0.0:
+        return None
+    return np.linalg.cholesky(cross_sectional_cov(spec))
 
 
 def _var1_paths(spec: DgpSpec, rngs) -> np.ndarray:
@@ -203,16 +201,17 @@ def _var1_paths(spec: DgpSpec, rngs) -> np.ndarray:
     raws = [(rng.standard_normal(p), rng.standard_normal((n, p))) for rng in rngs]
     z0 = np.stack([r[0] for r in raws])
     e = np.stack([r[1] for r in raws])
-    chol = _cross_chol(p, spec.cross_corr)
+    del raws
+    chol = _cross_chol(spec)
     if chol is not None:
         z0 = z0 @ chol.T
         e = e @ chol.T
-    x = np.empty_like(e)
+    # Each innovation is read once, so the path overwrites it in place.
     prev = z0 / math.sqrt(1.0 - phi * phi)
     for t in range(n):
         prev = phi * prev + e[:, t]
-        x[:, t] = prev
-    return x
+        e[:, t] = prev
+    return e
 
 
 def _draw_batch(spec: DgpSpec, rngs) -> np.ndarray:
@@ -225,7 +224,7 @@ def _draw_batch(spec: DgpSpec, rngs) -> np.ndarray:
     kind = spec.kind
     if kind == "iid_gaussian":
         e = np.stack([rng.standard_normal((n, p)) for rng in rngs])
-        chol = _cross_chol(p, spec.cross_corr)
+        chol = _cross_chol(spec)
         return e if chol is None else e @ chol.T
     if kind == "bounded_rademacher":
         signs = np.stack([rng.integers(0, 2, size=(n, p)) for rng in rngs])
@@ -234,13 +233,14 @@ def _draw_batch(spec: DgpSpec, rngs) -> np.ndarray:
         return _var1_paths(spec, rngs)
     if kind == "truncated_var1":
         level = spec.truncation
-        return np.clip(_var1_paths(spec, rngs), -level, level)
+        x = _var1_paths(spec, rngs)
+        return np.clip(x, -level, level, out=x)
     if kind == "linear_process":
         lags = len(spec.coeffs) - 1
         rows = n + lags + _LINEAR_BURN_IN
         if spec.innovation == "gaussian":
             e = np.stack([rng.standard_normal((rows, p)) for rng in rngs])
-            chol = _cross_chol(p, spec.cross_corr)
+            chol = _cross_chol(spec)
             if chol is not None:
                 e = e @ chol.T
         else:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from blocksym.processes import (
     DgpSpec,
     DgpValidationError,
     LongRunCovError,
+    _draw_batch,
     generate_panels,
     theoretical_longrun_cov,
 )
-from blocksym.seeding import STREAM_COPY
+from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream_iter
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
@@ -92,6 +94,21 @@ class TestDeterminism:
         big = stack_panels(VAR1, 10, 3, chunk=10)
         small = stack_panels(VAR1, 10, 3, chunk=3)
         assert np.array_equal(big, small)
+
+    @pytest.mark.parametrize("kind", ["var1", "truncated_var1"])
+    def test_autoregression_chunk_peak_memory(self, kind):
+        # The per-replication draws are dropped once stacked, and the
+        # recurrence and the clip run in place, so a chunk peaks at its
+        # draws plus one stacked copy, not three times the chunk.
+        spec = DgpSpec(kind, n=64, p=8, phi=0.5)
+        rngs = substream_iter(1, STREAM_PANEL, 0, 0, 256)
+        tracemalloc.start()
+        try:
+            panels = _draw_batch(spec, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * panels.nbytes
 
 
 class TestSupport:
