@@ -99,7 +99,7 @@ class TestDeterminism:
     def test_autoregression_chunk_peak_memory(self, kind):
         # The per-replication draws are dropped once stacked, and the
         # recurrence and the clip run in place, so a chunk peaks at its
-        # draws plus one stacked copy, not three times the chunk.
+        # per-replication draws plus their stacked copy.
         spec = DgpSpec(kind, n=64, p=8, phi=0.5)
         rngs = substream_iter(1, STREAM_PANEL, 0, 0, 256)
         tracemalloc.start()
