@@ -308,4 +308,3 @@ def theoretical_longrun_cov(spec: DgpSpec) -> np.ndarray:
             weight += 2.0 * (1.0 - h / n) * ch
         return sigma * weight
     raise LongRunCovError(f"unsupported kind {spec.kind!r}")
-

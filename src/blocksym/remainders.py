@@ -288,4 +288,3 @@ def subexp_total_bound(
     s = phi * (r - 1.0) / r
     tail_factor = (log_p / (n**phi * math.log(log_p))) ** ((r - 1.0) / r)
     return 2.0 ** (q - 1.0) * (rho_sum * U**q + tail_factor * M_n**q / U**s)
-
