@@ -89,6 +89,8 @@ def make_blocks(n: int, b: int) -> BlockScheme:
 
 def batch_block_sums(panels: np.ndarray, scheme: BlockScheme) -> np.ndarray:
     """Within-block column sums over leading axes: (..., n, p) -> (..., count, p)."""
+    if panels.shape[-2] != scheme.n:
+        raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={panels.shape[-2]}")
     lead, p = panels.shape[:-2], panels.shape[-1]
     return panels.reshape(*lead, scheme.count, scheme.b, p).sum(axis=-2)
 
@@ -105,6 +107,9 @@ def batch_multiplier_max(sums: np.ndarray, eps: np.ndarray, n: int) -> np.ndarra
     leading axes broadcast, so eps of shape (E, 1, count) against sums of
     shape (C, count, p) gives every multiplier vector on every panel, (E, C).
     """
+    if eps.shape[-1] != sums.shape[-2]:
+        raise BlockSchemeError(
+            f"expected {sums.shape[-2]} multipliers, got shape {eps.shape}")
     return np.abs(np.einsum("...l,...lp->...p", eps, sums) / n).max(axis=-1)
 
 
@@ -115,6 +120,8 @@ def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
     Replication r draws from the substream (seed, multiplier stream, purpose,
     r), so a replication's multipliers do not depend on the batch it is in.
     """
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rngs = substream_iter(seed, STREAM_MULTIPLIER, purpose, start, stop)
     return np.stack([draw_multipliers_with(mult, count, rng) for rng in rngs])
 

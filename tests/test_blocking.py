@@ -84,6 +84,10 @@ class TestBlockSums:
         sums = batch_block_sums(data, make_blocks(4, 4))
         assert np.allclose(sums[0], data.sum(axis=0))
 
+    def test_dimension_mismatch(self):
+        with pytest.raises(BlockSchemeError):
+            batch_block_sums(np.ones((4, 1)), make_blocks(8, 2))
+
     @settings(max_examples=50, deadline=None)
     @given(data=finite_panels)
     def test_telescoping(self, data):
@@ -110,6 +114,15 @@ class TestMultipliers:
     def test_single_draw(self):
         assert batch_multipliers(RADEMACHER, 1, 3, 0, 0, 1).shape == (1, 1)
 
+    def test_count_validation(self):
+        with pytest.raises(ValueError):
+            batch_multipliers(RADEMACHER, 0, 0, 0, 0, 1)
+
+    def test_replication_independent_of_batch(self):
+        whole = batch_multipliers(RADEMACHER, 5, 7, 2, 0, 10)
+        assert np.array_equal(batch_multipliers(RADEMACHER, 5, 7, 2, 3, 7), whole[3:7])
+        assert not np.array_equal(batch_multipliers(RADEMACHER, 5, 7, 3, 0, 10), whole)
+
     def test_bounds(self):
         assert MultiplierSpec("rademacher").bound == 1.0
         assert MultiplierSpec("uniform_sym").bound == pytest.approx(np.sqrt(3.0))
@@ -117,6 +130,33 @@ class TestMultipliers:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             MultiplierSpec("gaussian")
+
+
+class TestExpand:
+    """Each time point carries the multiplier of its block."""
+
+    def test_pairs(self):
+        scheme = make_blocks(4, 2)
+        eps = np.array([2.0, -3.0])
+        # A panel with one nonzero row reads the weight of that time point.
+        weights = [4 * mult_stat(np.eye(4)[:, [t]], scheme, eps) for t in range(4)]
+        assert weights == [2.0, 2.0, 3.0, 3.0]
+        data = np.array([[1.0, 2.0], [3.0, -1.0], [-2.0, 5.0], [4.0, 1.0]])
+        weighted = data * np.array([2.0, 2.0, -3.0, -3.0])[:, None]
+        assert mult_stat(data, scheme, eps) == batch_max_abs_mean(weighted)
+
+    def test_singleton_identity(self):
+        eps = np.array([1.0, -1.0, 1.0])
+        data = np.array([[1.0, -2.0], [4.0, 3.0], [2.0, 1.0]])
+        assert mult_stat(data, make_blocks(3, 1), eps) == batch_max_abs_mean(data * eps[:, None])
+
+    def test_all_ones(self):
+        data = np.array([[1.0, -2.0], [4.0, 3.0], [2.0, 1.0], [0.0, 5.0], [-3.0, 2.0], [1.0, 1.0]])
+        assert mult_stat(data, make_blocks(6, 2), np.ones(3)) == batch_max_abs_mean(data)
+
+    def test_length_mismatch(self):
+        with pytest.raises(BlockSchemeError):
+            mult_stat(np.ones((4, 1)), make_blocks(4, 2), np.ones(3))
 
 
 class TestMaxStatistics:

@@ -252,6 +252,12 @@ class TestCombinedRemainder:
         tail = concentration_subexp(p, n, U, params).value
         return remainder_R1(psi, n, U, rho_sum), remainder_R2(r, tail, psi_norm)
 
+    def test_all_zero(self):
+        # No dependence, no exceedance and a zero gauge norm leave nothing.
+        r1 = remainder_R1(PsiSpec("power", q=2.0), 16, 1.0, 0.0)
+        r2 = remainder_R2(2.0, 0.0, 0.0)
+        assert (r1, r2, r1 + r2) == (0.0, 0.0, 0.0)
+
     def test_monotone_in_level(self):
         # Blocking part grows with the level; sub-exponential tail part
         # shrinks.

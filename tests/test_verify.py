@@ -14,7 +14,7 @@ from blocksym.blocking import (
 from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
 from blocksym.processes import DgpSpec
 from blocksym.psi import PsiSpec
-from blocksym.remainders import TailParams
+from blocksym.remainders import TailParams, concentration_lq, remainder_R2
 from blocksym.verify import (
     hoeffding_factor,
     EnumerationBudgetError,
@@ -404,6 +404,31 @@ class TestTheorem1:
                                 2000, rho, "lq", seed=3)
         rem = report.remainders
         assert rem["R1_used"] == max(rem["R1_quadrature"], rem["R1_nscaled"])
+
+    def test_lq_mode_wiring(self):
+        spec = DgpSpec("iid_gaussian", n=16, p=4)
+        sch = make_blocks(16, 4)
+        report = theorem1_bound(spec, sch, RADEMACHER, 1.0, 2.0, 2.0,
+                                2000, zero_rho(), "lq", seed=6)
+        tail = report.diagnostics["tail"]
+        rem = report.remainders
+        assert tail["mode"] == "lq"
+        assert tail["max_mean_moment"] == mc_coordinate_mean_moment(spec, 1.0, 2000, 6)["value"]
+        assert rem["tail_bound"] == concentration_lq(4, 2.0, 1.0, tail["max_mean_moment"])
+        assert rem["R2"] == remainder_R2(2.0, rem["tail_bound"], 2.0 * rem["M_hat_q"])
+        assert report.rhs.mean == pytest.approx(
+            rem["hoeffding_factor"] * rem["quad_term"] + 0.5 * (rem["R1_used"] + rem["R2"])
+        )
+
+    def test_unknown_tail_mode(self):
+        with pytest.raises(ValueError, match="tail mode"):
+            theorem1_bound(ZERO_LAW, make_blocks(8, 2), RADEMACHER, 2.0, 2.0, 1.0,
+                           2000, zero_rho(), "bayes", seed=0)
+
+    def test_subexp_needs_tail_params(self):
+        with pytest.raises(ValueError, match="tail_params"):
+            theorem1_bound(ZERO_LAW, make_blocks(8, 2), RADEMACHER, 2.0, 2.0, 1.0,
+                           2000, zero_rho(), "subexp", seed=0)
 
     def test_subexp_mode_and_verdicts(self):
         spec = DgpSpec("var1", n=64, p=4, phi=0.5)
