@@ -27,7 +27,14 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .processes import DgpSpec, generate_panels
-from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream_iter
+from .seeding import (
+    STREAM_COPY,
+    STREAM_MULTIPLIER,
+    STREAM_PANEL,
+    philox_signs,
+    philox_words,
+    substream_keys,
+)
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
 
@@ -117,20 +124,20 @@ def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
                       start: int, stop: int) -> np.ndarray:
     """Multipliers of replications start..stop-1, shape (stop - start, count).
 
-    Replication r draws from the substream (seed, multiplier stream, purpose,
-    r), so a replication's multipliers do not depend on the batch it is in.
+    Replication r reads the substream (seed, multiplier stream, purpose, r),
+    so its multipliers do not depend on the batch it is in. The raw Philox
+    words of all replications are computed at once and mapped as numpy's
+    ``integers(0, 2)`` (Rademacher) and ``uniform(-sqrt(3), sqrt(3))`` would
+    map them, bit for bit.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rngs = substream_iter(seed, STREAM_MULTIPLIER, purpose, start, stop)
-    return np.stack([draw_multipliers_with(mult, count, rng) for rng in rngs])
-
-
-def draw_multipliers_with(spec: MultiplierSpec, count: int, rng) -> np.ndarray:
-    if spec.kind == "rademacher":
-        return 2.0 * rng.integers(0, 2, size=count) - 1.0
+    keys = substream_keys(seed, STREAM_MULTIPLIER, purpose, start, stop)
+    if mult.kind == "rademacher":
+        return philox_signs(keys, count)
     half = math.sqrt(3.0)
-    return rng.uniform(-half, half, size=count)
+    unit = (philox_words(keys, count) >> np.uint64(11)) * 2.0**-53
+    return -half + (2.0 * half) * unit
 
 
 class StreamStatistics(NamedTuple):

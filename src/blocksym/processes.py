@@ -27,7 +27,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .seeding import STREAM_PANEL, substream_iter
+from .seeding import STREAM_PANEL, philox_signs, substream_iter, substream_keys
 
 KINDS = (
     "iid_gaussian",
@@ -195,13 +195,15 @@ def _cross_chol(spec: DgpSpec) -> Optional[np.ndarray]:
     return np.linalg.cholesky(cross_sectional_cov(spec))
 
 
-def _var1_paths(spec: DgpSpec, rngs) -> np.ndarray:
-    """Stationary var1 paths, one per generator, shape (reps, n, p)."""
+def _var1_paths(spec: DgpSpec, rngs, count: int) -> np.ndarray:
+    """Stationary var1 paths, one per generator, shape (count, n, p)."""
     n, p, phi = spec.n, spec.p, spec.phi
-    raws = [(rng.standard_normal(p), rng.standard_normal((n, p))) for rng in rngs]
-    z0 = np.stack([r[0] for r in raws])
-    e = np.stack([r[1] for r in raws])
-    del raws
+    z0 = np.empty((count, p))
+    e = np.empty((count, n, p))
+    # Each generator gives its initial state first, then its innovations.
+    for rng, z, row in zip(rngs, z0, e):
+        rng.standard_normal(out=z)
+        rng.standard_normal(out=row)
     chol = _cross_chol(spec)
     if chol is not None:
         z0 = z0 @ chol.T
@@ -214,43 +216,58 @@ def _var1_paths(spec: DgpSpec, rngs) -> np.ndarray:
     return e
 
 
-def _draw_batch(spec: DgpSpec, rngs) -> np.ndarray:
-    """Panels for a batch of per-replication generators, shape (C, n, p).
+def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
+    """Add the filtered innovations ``e`` (..., rows, p) into ``out`` (..., n, p)."""
+    offset = len(spec.coeffs) - 1 + _LINEAR_BURN_IN
+    for j, a in enumerate(spec.coeffs):
+        if a != 0.0:
+            out += a * e[..., offset - j : offset - j + spec.n, :]
+    return out
 
-    ``rngs`` may be a lazy iterator; each generator is fully consumed before
-    the next is requested.
+
+def _draw_batch(spec: DgpSpec, seed: int, stream: int, purpose: int,
+                start: int, stop: int) -> np.ndarray:
+    """Panels of replications start..stop-1, shape (stop - start, n, p).
+
+    Replication r reads the substream (seed, stream, purpose, r). Sign
+    panels map raw Philox words of all replications at once; Gaussian kinds
+    fill each replication's rows in place from its own generator, because
+    the ziggurat consumes a data-dependent number of words.
     """
     n, p = spec.n, spec.p
     kind = spec.kind
+    count = stop - start
+    if kind == "bounded_rademacher":
+        signs = philox_signs(substream_keys(seed, stream, purpose, start, stop), n * p)
+        signs *= spec.scale
+        return signs.reshape(count, n, p)
+    rows = n + len(spec.coeffs) - 1 + _LINEAR_BURN_IN
+    if kind == "linear_process" and spec.innovation == "rademacher":
+        keys = substream_keys(seed, stream, purpose, start, stop)
+        e = philox_signs(keys, rows * p).reshape(count, rows, p)
+        return _linear_filter(e, spec, np.zeros((count, n, p)))
+    rngs = substream_iter(seed, stream, purpose, start, stop)
     if kind == "iid_gaussian":
-        e = np.stack([rng.standard_normal((n, p)) for rng in rngs])
+        e = np.empty((count, n, p))
+        for rng, row in zip(rngs, e):
+            rng.standard_normal(out=row)
         chol = _cross_chol(spec)
         return e if chol is None else e @ chol.T
-    if kind == "bounded_rademacher":
-        signs = np.stack([rng.integers(0, 2, size=(n, p)) for rng in rngs])
-        return (2.0 * signs - 1.0) * spec.scale
     if kind == "var1":
-        return _var1_paths(spec, rngs)
+        return _var1_paths(spec, rngs, count)
     if kind == "truncated_var1":
         level = spec.truncation
-        x = _var1_paths(spec, rngs)
+        x = _var1_paths(spec, rngs, count)
         return np.clip(x, -level, level, out=x)
     if kind == "linear_process":
-        lags = len(spec.coeffs) - 1
-        rows = n + lags + _LINEAR_BURN_IN
-        if spec.innovation == "gaussian":
-            e = np.stack([rng.standard_normal((rows, p)) for rng in rngs])
-            chol = _cross_chol(spec)
-            if chol is not None:
-                e = e @ chol.T
-        else:
-            signs = np.stack([rng.integers(0, 2, size=(rows, p)) for rng in rngs])
-            e = 2.0 * signs - 1.0
-        offset = lags + _LINEAR_BURN_IN
-        x = np.zeros((len(e), n, p))
-        for j, a in enumerate(spec.coeffs):
-            if a != 0.0:
-                x += a * e[:, offset - j : offset - j + n]
+        # The burn-in makes the innovations longer than the panel, so each
+        # replication's are drawn into one reused buffer and filtered.
+        chol = _cross_chol(spec)
+        x = np.zeros((count, n, p))
+        e = np.empty((rows, p))
+        for rng, out in zip(rngs, x):
+            rng.standard_normal(out=e)
+            _linear_filter(e if chol is None else e @ chol.T, spec, out)
         return x
     raise DgpValidationError(f"kind: unknown generator kind {kind!r}")
 
@@ -270,8 +287,7 @@ def generate_panels(
     batch is independent of chunking or scheduling.
     """
     for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        yield start, _draw_batch(spec, substream_iter(seed, stream, purpose, start, stop))
+        yield start, _draw_batch(spec, seed, stream, purpose, start, min(start + chunk, reps))
 
 
 def marginal_spec(spec: DgpSpec) -> DgpSpec:

@@ -14,7 +14,7 @@ from blocksym.processes import (
     generate_panels,
     theoretical_longrun_cov,
 )
-from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream_iter
+from blocksym.seeding import STREAM_COPY, STREAM_PANEL
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
@@ -95,19 +95,21 @@ class TestDeterminism:
         small = stack_panels(VAR1, 10, 3, chunk=3)
         assert np.array_equal(big, small)
 
-    @pytest.mark.parametrize("kind", ["var1", "truncated_var1"])
+    @pytest.mark.parametrize("kind", ["iid_gaussian", "var1", "linear_process",
+                                      "bounded_rademacher", "truncated_var1"])
     def test_autoregression_chunk_peak_memory(self, kind):
-        # The per-replication draws are dropped once stacked, and the
-        # recurrence and the clip run in place, so a chunk peaks at its
-        # per-replication draws plus their stacked copy.
+        # Gaussian kinds fill a preallocated chunk replication by replication
+        # (linear processes filter each replication's longer innovations in
+        # one reused buffer), the recurrence and the clip run in place, and
+        # sign panels hold the chunk's raw Philox words beside the chunk.
         spec = DgpSpec(kind, n=64, p=8, phi=0.5)
-        rngs = substream_iter(1, STREAM_PANEL, 0, 0, 256)
         tracemalloc.start()
         try:
-            panels = _draw_batch(spec, rngs)
+            panels = _draw_batch(spec, 1, STREAM_PANEL, 0, 0, 256)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert panels.shape == (256, 64, 8)
         assert peak <= 2.5 * panels.nbytes
 
 
