@@ -109,14 +109,6 @@ class RhoEstimate:
         }
 
 
-def dkw_two_sample_bound(reps: int, alpha: float = 0.05) -> float:
-    """Distribution-free level-alpha critical value for equal-size samples.
-
-    From 2 exp(-2 eps^2 m n / (m + n)) <= alpha with m = n = reps.
-    """
-    return math.sqrt(math.log(2.0 / alpha) / reps)
-
-
 def rho_uncertainty(reps: int) -> float:
     """The reported DKW-style uncertainty 2 * sqrt(ln(2/0.05) / (2 reps))."""
     return 2.0 * math.sqrt(math.log(2.0 / 0.05) / (2.0 * reps))

@@ -37,7 +37,7 @@ from .blocking import (
 )
 from .gaussian import RhoEstimate
 from .processes import DEFAULT_CHUNK, DgpSpec, generate_panels
-from .psi import PsiLike, PsiSpec, psi_deriv, psi_eval, psi_moment_norm
+from .psi import PsiLike, PsiSpec, psi_eval, psi_moment_norm
 from .remainders import (
     TailParams,
     concentration_lq,
@@ -583,35 +583,6 @@ def theorem1_bound(
         diagnostics={"tail": tail_info, "subexp_warning": subexp_warning,
                      "quad_term_se": quad_est.se, "psi_norm_se": norm.se},
     )
-
-
-def cdf_integral_check(
-    spec: DgpSpec,
-    psi: PsiLike,
-    U: float,
-    reps: int,
-    seed: int,
-    grid_points: int = 401,
-) -> dict:
-    """Direct expectation versus the tail-integral route, shared sample.
-
-    For panels supported inside [-U, U]^p the gauge expectation equals the
-    integral of psi' times the exceedance probability of the max statistic
-    over [0, U]; both sides are computed from the same replications so the
-    residual is pure grid discretization.
-    """
-    bound = spec.support_bound
-    if bound is None or bound > U + 1e-12:
-        raise ValueError("the identity requires panel support inside [-U, U]^p")
-    stats = stream_statistics(spec, reps, seed, PURPOSE_LHS).max_abs_mean
-    direct = float(np.mean(np.asarray(psi_eval(psi, stats))))
-    grid = np.linspace(0.0, U, grid_points)
-    stats_sorted = np.sort(stats)
-    exceed = 1.0 - np.searchsorted(stats_sorted, grid, side="right") / reps
-    integrand = np.asarray(psi_deriv(psi, grid)) * exceed
-    integral = float(np.trapezoid(integrand, grid))
-    return {"direct": direct, "integral": integral,
-            "relative_gap": abs(direct - integral) / max(abs(direct), 1e-300)}
 
 
 def _psi_params(psi: PsiLike) -> dict:

@@ -10,7 +10,6 @@ from blocksym.gaussian import (
     CovarianceError,
     GaussianModel,
     RhoEstimate,
-    dkw_two_sample_bound,
     estimate_gaussian_model,
     estimate_rhos,
     kolmogorov_distance,
@@ -20,6 +19,14 @@ from blocksym.gaussian import (
 )
 from blocksym.processes import DgpSpec
 from blocksym.seeding import substream
+
+
+def dkw_two_sample_bound(reps: int, alpha: float = 0.05) -> float:
+    """Distribution-free level-alpha critical value for equal-size samples.
+
+    From 2 exp(-2 eps^2 m n / (m + n)) <= alpha with m = n = reps.
+    """
+    return math.sqrt(math.log(2.0 / alpha) / reps)
 
 RADEMACHER = MultiplierSpec("rademacher")
 
