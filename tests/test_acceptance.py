@@ -10,6 +10,8 @@ import os
 import time
 
 import numpy as np
+from scipy.special import gammaln
+from scipy.stats import binom
 
 from blocksym.blocking import MultiplierSpec, batch_max_abs_mean, make_blocks
 from blocksym.cli import parse_config, run_experiment
@@ -245,6 +247,42 @@ def test_criterion_8_gaussian_exactness_calibration():
         passes += rho.rho < crit and rho.rho_star < crit
     ok = passes >= 38
     report_line(8, ok, f"{passes}/40 trials below {crit:.5f} (need >= 38)")
+
+
+def ks_equal_size_tail(m, k):
+    """P(D >= k/m) for the two-sample KS statistic of two samples of size m
+    from one continuous law (Gnedenko-Korolyuk):
+    2 sum_{j>=1} (-1)^{j+1} C(2m, m - jk) / C(2m, m)."""
+    j = np.arange(1, m // k + 1)
+    log_ratio = 2.0 * gammaln(m + 1) - gammaln(m - j * k + 1) - gammaln(m + j * k + 1)
+    return float(2.0 * np.sum((-1.0) ** (j + 1) * np.exp(log_ratio)))
+
+
+def test_criterion_8_calibrated_rejection_counts():
+    # Companion to criterion 8 with an exact false-alarm level. On iid
+    # Gaussian panels rho and rho_star are each a two-sample KS statistic
+    # between independent samples of one law, so across independent trials
+    # the count of each at or above crit is Bin(trials, alpha), with alpha
+    # the exact null tail. The distances are multiples of 1/reps, compared
+    # as integers so that rounding cannot move a trial across crit.
+    spec = DgpSpec("iid_gaussian", n=16, p=2)
+    model = estimate_gaussian_model(spec)
+    scheme = make_blocks(16, 4)
+    trials, reps = 400, 5000
+    crit = 1.36 * math.sqrt(2.0 / reps)
+    k = math.ceil(crit * reps)
+    alpha = ks_equal_size_tail(reps, k)
+    half = 0.5e-6  # false-alarm probability of the two-sided band, per count
+    low, high = binom.ppf(half, trials, alpha), binom.isf(half, trials, alpha)
+    counts = {"rho": 0, "rho_star": 0}
+    for trial in range(trials):
+        est = estimate_rhos(spec, scheme, RADEMACHER, model, reps, seed=808_000 + trial)
+        for name in counts:
+            counts[name] += round(getattr(est, name) * reps) >= k
+    ok = all(low <= c <= high for c in counts.values())
+    report_line(8, ok, f"rejections at D >= {k}/{reps}: rho {counts['rho']}, "
+                       f"rho_star {counts['rho_star']} of {trials}; exact "
+                       f"Bin({trials}, {alpha:.4f}) band [{low:.0f}, {high:.0f}]")
 
 
 def test_criterion_9_determinism_across_workers(tmp_path):
