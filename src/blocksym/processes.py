@@ -287,7 +287,8 @@ def generate_panels(
     batch is independent of chunking or scheduling.
     """
     for start in range(0, reps, chunk):
-        yield start, _draw_batch(spec, seed, stream, purpose, start, min(start + chunk, reps))
+        stop = min(start + chunk, reps)
+        yield start, _draw_batch(spec, seed, stream, purpose, start, stop)
 
 
 def marginal_spec(spec: DgpSpec) -> DgpSpec:

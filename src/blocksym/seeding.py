@@ -156,11 +156,13 @@ def philox_words(keys: np.ndarray, words: int) -> np.ndarray:
 
 
 def philox_signs(keys: np.ndarray, count: int) -> np.ndarray:
-    """Draws of ``2 * integers(0, 2, size=count) - 1.0`` per key, shape (len(keys), count).
+    """Random signs under each key, shape (len(keys), count).
 
-    numpy's bounded integers on {0, 1} take Lemire's method on 32-bit
-    words, which never rejects for this range and returns the top bit of
-    each word; each raw 64-bit word gives two, low half first.
+    Row i equals ``2.0 * Generator(Philox(key=keys[i])).integers(0, 2,
+    size=count) - 1.0``: numpy's bounded integers on {0, 1} take Lemire's
+    method on 32-bit words, which never rejects for this range and returns
+    the top bit of each word, and each raw 64-bit word gives two, low half
+    first.
     """
     halves = philox_words(keys, -(-count // 2)).astype("<u8", copy=False).view("<u4")
     return np.where(halves[:, :count] >= _SIGN_BIT32, 1.0, -1.0)

@@ -28,6 +28,7 @@ def dkw_two_sample_bound(reps: int, alpha: float = 0.05) -> float:
     """
     return math.sqrt(math.log(2.0 / alpha) / reps)
 
+
 RADEMACHER = MultiplierSpec("rademacher")
 
 

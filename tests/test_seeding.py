@@ -42,8 +42,8 @@ seeds = st.one_of(
     st.integers(min_value=0, max_value=2**64 - 1),
     st.integers(min_value=2**64, max_value=2**70),
 )
-keys = arrays(np.uint64, st.tuples(st.integers(1, 6), st.just(2)),
-              elements=st.integers(0, MASK64))
+key_arrays = arrays(np.uint64, st.tuples(st.integers(1, 6), st.just(2)),
+                    elements=st.integers(0, MASK64))
 COUNTS = (1, 7, 8, 9, 17)
 
 
@@ -82,7 +82,7 @@ class TestKeys:
 
 class TestPhiloxWords:
     @settings(max_examples=40, deadline=None)
-    @given(keys=keys, words=st.sampled_from([1, 3, 4, 5, 8, 9]))
+    @given(keys=key_arrays, words=st.sampled_from([1, 3, 4, 5, 8, 9]))
     def test_matches_numpy_random_raw(self, keys, words):
         expected = [np.random.Philox(key=k).random_raw(words) for k in keys]
         assert np.array_equal(philox_words(keys, words), expected)
