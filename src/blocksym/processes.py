@@ -39,9 +39,6 @@ KINDS = (
 
 _INNOVATIONS = ("gaussian", "rademacher")
 
-# Presample steps beyond the filter length for linear processes.
-_LINEAR_BURN_IN = 100
-
 DEFAULT_CHUNK = 2048
 
 
@@ -218,7 +215,7 @@ def _var1_paths(spec: DgpSpec, rngs, count: int) -> np.ndarray:
 
 def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
     """Add the filtered innovations ``e`` (..., rows, p) into ``out`` (..., n, p)."""
-    offset = len(spec.coeffs) - 1 + _LINEAR_BURN_IN
+    offset = len(spec.coeffs) - 1
     for j, a in enumerate(spec.coeffs):
         if a != 0.0:
             out += a * e[..., offset - j : offset - j + spec.n, :]
@@ -241,7 +238,7 @@ def _draw_batch(spec: DgpSpec, seed: int, stream: int, purpose: int,
         signs = philox_signs(substream_keys(seed, stream, purpose, start, stop), n * p)
         signs *= spec.scale
         return signs.reshape(count, n, p)
-    rows = n + len(spec.coeffs) - 1 + _LINEAR_BURN_IN
+    rows = n + len(spec.coeffs) - 1
     if kind == "linear_process" and spec.innovation == "rademacher":
         keys = substream_keys(seed, stream, purpose, start, stop)
         e = philox_signs(keys, rows * p).reshape(count, rows, p)
@@ -260,7 +257,7 @@ def _draw_batch(spec: DgpSpec, seed: int, stream: int, purpose: int,
         x = _var1_paths(spec, rngs, count)
         return np.clip(x, -level, level, out=x)
     if kind == "linear_process":
-        # The burn-in makes the innovations longer than the panel, so each
+        # The lags make the innovations longer than the panel, so each
         # replication's are drawn into one reused buffer and filtered.
         chol = _cross_chol(spec)
         x = np.zeros((count, n, p))

@@ -36,7 +36,7 @@ from .blocking import (
     stream_statistics,
 )
 from .gaussian import RhoEstimate
-from .processes import DEFAULT_CHUNK, DgpSpec, generate_panels
+from .processes import DEFAULT_CHUNK, DgpSpec, _linear_filter, generate_panels
 from .psi import PsiLike, PsiSpec, psi_eval, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -63,6 +63,7 @@ from .seeding import (
 STATISTIC_MODES = ("plain", "multiplier", "multiplier-indep-copy")
 
 _ENUMERATION_BUDGET = 2**24
+_ENUMERATION_CHUNK = 2**18  # array elements per enumeration step
 
 
 class EnumerationBudgetError(ValueError):
@@ -316,6 +317,17 @@ class ExactChain:
     rhs: float
 
 
+def _expect_psi_max(psi: PsiLike, gain: float, stats: np.ndarray,
+                    weights: np.ndarray) -> np.ndarray:
+    """E psi(gain * max of p iid column draws), one per row of ``stats``.
+
+    Each row holds one column's C equiprobable outcomes, and ``weights[j-1]``
+    is (j/C)**p - ((j-1)/C)**p, the chance that the max is the j-th smallest
+    of them. The weights of tied values sum to the jump of F**p at the tie.
+    """
+    return psi_eval(psi, gain * np.sort(stats, axis=-1)) @ weights
+
+
 def exact_enumeration(
     spec: DgpSpec,
     scheme: BlockScheme,
@@ -323,41 +335,60 @@ def exact_enumeration(
     psi: PsiLike,
     scale: float = 1.0,
 ) -> ExactChain:
-    """Brute-force expectations over every sign panel and multiplier vector.
+    """Exact expectations from one column's law raised to the power p.
 
-    Requires the coordinate-wise random-sign generator and sign multipliers
-    so outcomes are equiprobable; the full outcome count
-    2**(n p) * 2**count must not exceed 2**24.
+    Supports the random-sign kind and ``linear_process`` with Rademacher
+    innovations, both with sign multipliers. Their columns are iid, and so
+    are the per-column multiplier statistics for a fixed multiplier vector,
+    so the max over p columns has law F**p for the law F of one column. One
+    column has 2**n equiprobable outcomes (2**(n + lags) for the linear
+    process), and the per-column outcome count times the 2**count
+    multiplier vectors must not exceed 2**24; p does not enter it.
     """
-    if spec.kind != "bounded_rademacher":
-        raise ValueError("exact enumeration supports only the random-sign panel kind")
+    linear_signs = spec.kind == "linear_process" and spec.innovation == "rademacher"
+    if spec.kind != "bounded_rademacher" and not linear_signs:
+        raise ValueError("exact enumeration supports only the random-sign panel kind "
+                         "and linear_process with rademacher innovations")
     if mult.kind != "rademacher":
         raise ValueError("exact enumeration supports only sign multipliers")
     if scheme.n != spec.n:
         raise ValueError("scheme and spec disagree on n")
-    cells = spec.n * spec.p
-    n_panels = 2**cells
-    n_eps = 2**scheme.count
-    if n_panels * n_eps > _ENUMERATION_BUDGET:
+    bits = spec.n + len(spec.coeffs) - 1 if linear_signs else spec.n
+    if 2**bits * 2**scheme.count > _ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
-            f"outcome count 2**{cells} * 2**{scheme.count} exceeds the "
-            f"2**24 enumeration budget"
+            f"per-column outcome count 2**{bits} * 2**{scheme.count} multiplier "
+            f"vectors exceeds the 2**24 enumeration budget (p does not enter it)"
         )
+    outcomes = 2**bits
+    plain = np.empty(outcomes)
+    sums = np.empty((outcomes, scheme.count, 1))
+    step = max(1, _ENUMERATION_CHUNK // bits)
+    for start in range(0, outcomes, step):
+        # Outcome k reads its signs from the bits of k: the panel signs, or
+        # the innovations that the linear filter turns into the column.
+        stop = min(start + step, outcomes)
+        idx = np.arange(start, stop)[:, None]
+        column = (2.0 * ((idx >> np.arange(bits)) & 1) - 1.0)[..., None]
+        if linear_signs:
+            column = _linear_filter(column, spec, np.zeros((stop - start, spec.n, 1)))
+        plain[start:stop] = batch_max_abs_mean(column)
+        sums[start:stop] = batch_block_sums(column, scheme)
+    # weights[j-1] = (j/C)**p - ((j-1)/C)**p, written as
+    # (j/C)**p * (1 - (1 - 1/j)**p) to keep full relative precision at large p.
+    j = np.arange(1, outcomes + 1)
+    with np.errstate(divide="ignore"):
+        weights = (j / outcomes) ** spec.p * -np.expm1(spec.p * np.log1p(-1.0 / j))
+    gain = scale * (spec.scale if spec.kind == "bounded_rademacher" else 1.0)
+    lhs = float(_expect_psi_max(psi, gain, plain, weights))
+    n_eps = 2**scheme.count
     eps_bits = (np.arange(n_eps)[:, None, None] >> np.arange(scheme.count)) & 1
-    eps_all = 2.0 * eps_bits - 1.0  # (n_eps, 1, count): broadcasts over panels
-    chunk = max(1, 2**18 // max(1, n_eps * spec.p))
-    lhs_acc = 0.0
+    eps_all = 2.0 * eps_bits - 1.0  # (n_eps, 1, count): broadcasts over outcomes
+    chunk = max(1, _ENUMERATION_CHUNK // outcomes)
     mid_acc = 0.0
-    for startfrom in range(0, n_panels, chunk):
-        idx = np.arange(startfrom, min(startfrom + chunk, n_panels))
-        bits = (idx[:, None] >> np.arange(cells)) & 1
-        panels = (2.0 * bits - 1.0).reshape(-1, spec.n, spec.p) * spec.scale
-        lhs_acc += float(np.sum(psi_eval(psi, scale * batch_max_abs_mean(panels))))
-        mstats = batch_multiplier_max(batch_block_sums(panels, scheme), eps_all, spec.n)
-        mid_acc += float(np.sum(psi_eval(psi, scale * mstats)))
-    lhs = lhs_acc / n_panels
-    mid = mid_acc / (n_panels * n_eps)
-    return ExactChain(lhs=lhs, mid=mid, rhs=lhs)
+    for start in range(0, n_eps, chunk):
+        mstats = batch_multiplier_max(sums, eps_all[start : start + chunk], spec.n)
+        mid_acc += float(_expect_psi_max(psi, gain, mstats, weights).sum())
+    return ExactChain(lhs=lhs, mid=mid_acc / n_eps, rhs=lhs)
 
 
 # ---------------------------------------------------------------------------

@@ -132,7 +132,7 @@ class TestRawBitDraws:
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
         (_, panels), = generate_panels(spec, 3, 8, STREAM_PANEL, 1)
-        rows = spec.n + 1 + 100  # lags plus the burn-in
+        rows = spec.n + 1  # the panel plus one lag
         for panel, rng in zip(panels, per_replication(8, STREAM_PANEL, 1, 0, 3)):
             e = 2.0 * rng.integers(0, 2, size=(rows, 2)) - 1.0
             assert np.array_equal(panel, e[-spec.n:] - 0.5 * e[-spec.n - 1:-1])

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blocksym.blocking import (
     MultiplierSpec,
@@ -20,6 +22,7 @@ from blocksym.seeding import PURPOSE_LHS
 from blocksym.verify import (
     hoeffding_factor,
     EnumerationBudgetError,
+    ExactChain,
     NonFiniteGaugeError,
     exact_enumeration,
     mc_coordinate_mean_moment,
@@ -38,6 +41,8 @@ POWER2 = PsiSpec("power", q=2.0)
 ZERO_LAW = DgpSpec("linear_process", n=8, p=2, coeffs=(0.0,))
 SIGNS_2x1 = DgpSpec("bounded_rademacher", n=2, p=1)
 SIGNS_4x2 = DgpSpec("bounded_rademacher", n=4, p=2)
+MA1_SIGNS_4x2 = DgpSpec("linear_process", n=4, p=2, coeffs=(1.0, 0.5),
+                        innovation="rademacher")
 
 
 def zero_rho(reps=1000):
@@ -99,6 +104,60 @@ class TestMcExpect:
                               1.0, 2000, seed=0)
 
 
+def brute_force_enumeration(spec, scheme, psi, scale=1.0):
+    """Expectations over every whole panel and sign multiplier vector.
+
+    The oracle for ``exact_enumeration``: it enumerates all n p panel signs
+    of the random-sign kind, or all (n + lags) p innovations of the
+    Rademacher linear process, filtered here by explicit lag sums. The
+    outcome count 2**cells * 2**count must not exceed 2**24.
+    """
+    lags = len(spec.coeffs) - 1 if spec.kind == "linear_process" else 0
+    rows = spec.n + lags
+    cells = rows * spec.p
+    n_panels = 2**cells
+    n_eps = 2**scheme.count
+    assert n_panels * n_eps <= 2**24
+    eps_bits = (np.arange(n_eps)[:, None, None] >> np.arange(scheme.count)) & 1
+    eps_all = 2.0 * eps_bits - 1.0  # (n_eps, 1, count): broadcasts over panels
+    chunk = max(1, 2**18 // max(1, n_eps * spec.p))
+    lhs_acc = 0.0
+    mid_acc = 0.0
+    for startfrom in range(0, n_panels, chunk):
+        idx = np.arange(startfrom, min(startfrom + chunk, n_panels))
+        bits = (idx[:, None] >> np.arange(cells)) & 1
+        signs = (2.0 * bits - 1.0).reshape(-1, rows, spec.p)
+        if spec.kind == "linear_process":
+            panels = sum(a * signs[:, lags - j : lags - j + spec.n]
+                         for j, a in enumerate(spec.coeffs))
+        else:
+            panels = signs * spec.scale
+        lhs_acc += float(np.sum(psi_eval(psi, scale * batch_max_abs_mean(panels))))
+        mstats = batch_multiplier_max(batch_block_sums(panels, scheme), eps_all, spec.n)
+        mid_acc += float(np.sum(psi_eval(psi, scale * mstats)))
+    lhs = lhs_acc / n_panels
+    return ExactChain(lhs=lhs, mid=mid_acc / (n_panels * n_eps), rhs=lhs)
+
+
+@st.composite
+def small_enumerable(draw):
+    """A sign-panel or Rademacher linear-process spec, scheme and scale whose
+    brute-force outcome count is at most 2**16."""
+    kind = draw(st.sampled_from(["bounded_rademacher", "linear_process"]))
+    lags = draw(st.integers(0, 2)) if kind == "linear_process" else 0
+    count = draw(st.integers(1, 4))
+    b = draw(st.integers(1, (16 - count - lags) // count))
+    n = b * count
+    p = draw(st.integers(1, (16 - count) // (n + lags)))
+    if kind == "linear_process":
+        coeffs = draw(st.lists(st.floats(-1.0, 1.0), min_size=lags + 1,
+                               max_size=lags + 1))
+        spec = DgpSpec(kind, n=n, p=p, coeffs=coeffs, innovation="rademacher")
+    else:
+        spec = DgpSpec(kind, n=n, p=p, scale=draw(st.floats(0.5, 2.0)))
+    return spec, make_blocks(n, b), draw(st.floats(0.5, 2.0))
+
+
 class TestExactEnumeration:
     def test_hand_checked_two_point_panel(self):
         # n=2, p=1 signs: |mean| is 1 on (+,+)/(-,-) and 0 otherwise, so
@@ -136,14 +195,73 @@ class TestExactEnumeration:
         assert chain.lhs == pytest.approx(np.mean(np.square(lhs_vals)))
         assert chain.mid == pytest.approx(np.mean(np.square(mid_vals)))
 
+    @settings(max_examples=40, deadline=None)
+    @given(case=small_enumerable(),
+           psi=st.sampled_from([POWER1, POWER2, PsiSpec("exponential", a=1.0, b=1.0)]))
+    def test_matches_brute_force(self, case, psi):
+        spec, sch, scale = case
+        chain = exact_enumeration(spec, sch, RADEMACHER, psi, scale)
+        ref = brute_force_enumeration(spec, sch, psi, scale)
+        assert chain.lhs == pytest.approx(ref.lhs, rel=1e-12)
+        assert chain.mid == pytest.approx(ref.mid, rel=1e-12)
+        assert chain.rhs == chain.lhs
+
     def test_budget_enforced(self):
-        big = DgpSpec("bounded_rademacher", n=8, p=4)
-        with pytest.raises(EnumerationBudgetError):
-            exact_enumeration(big, make_blocks(8, 2), RADEMACHER, POWER1)
+        # The budget counts one column's outcomes times the multiplier
+        # vectors: 2**20 * 2**5 exceeds 2**24 for any p, and the linear
+        # process's lag makes 2**21 * 2**4 exceed it too.
+        big = DgpSpec("bounded_rademacher", n=20, p=1)
+        with pytest.raises(EnumerationBudgetError, match="p does not enter"):
+            exact_enumeration(big, make_blocks(20, 4), RADEMACHER, POWER1)
+        lagged = DgpSpec("linear_process", n=20, p=1, coeffs=(1.0, 0.5),
+                         innovation="rademacher")
+        with pytest.raises(EnumerationBudgetError, match="per-column"):
+            exact_enumeration(lagged, make_blocks(20, 5), RADEMACHER, POWER1)
+
+    @pytest.mark.parametrize("psi", [POWER2, PsiSpec("exponential", a=1.0, b=1.0)],
+                             ids=["power", "exponential"])
+    def test_p_much_larger_than_n_matches_binomial_closed_form(self, psi):
+        # Column i has |mean| = scale |2 K_i - n| / n with K_i ~ Bin(n, 1/2)
+        # iid, so P(max <= scale m / n) = C_m**p with
+        # C_m = P(|2K - n| <= m); a sign panel times sign multipliers is
+        # again a sign panel, so mid = lhs.
+        n, p, scale = 16, 10**5, 0.75
+        spec = DgpSpec("bounded_rademacher", n=n, p=p, scale=scale)
+        cdf = [sum(math.comb(n, k) for k in range(n + 1) if abs(2 * k - n) <= m) / 2**n
+               for m in range(n + 1)]
+        ref = 0.0
+        for m in range(n + 1):
+            x = scale * m / n
+            gauge = x**2 if psi.kind == "power" else math.expm1(x)
+            ref += (cdf[m] ** p - (cdf[m - 1] ** p if m else 0.0)) * gauge
+        chain = exact_enumeration(spec, make_blocks(n, 4), RADEMACHER, psi)
+        assert chain.lhs == pytest.approx(ref, rel=1e-12)
+        assert chain.mid == pytest.approx(chain.lhs, rel=1e-15)
+
+    def test_dependent_panel_matches_brute_force(self):
+        # The first exact case with mid != lhs: MA(1) columns of signs.
+        sch = make_blocks(4, 2)
+        chain = exact_enumeration(MA1_SIGNS_4x2, sch, RADEMACHER, POWER2)
+        ref = brute_force_enumeration(MA1_SIGNS_4x2, sch, POWER2)
+        assert chain.lhs == pytest.approx(ref.lhs, rel=1e-12)
+        assert chain.mid == pytest.approx(ref.mid, rel=1e-12)
+        assert (chain.lhs, chain.mid) == pytest.approx((0.798828125, 0.69677734375))
+
+    @pytest.mark.parametrize("mode", ["plain", "multiplier"])
+    def test_mc_matches_enumeration_on_dependent_panel(self, mode):
+        sch = make_blocks(4, 2)
+        exact = exact_enumeration(MA1_SIGNS_4x2, sch, RADEMACHER, POWER2)
+        target = exact.lhs if mode == "plain" else exact.mid
+        est = mc_expect_psi_max(mode, MA1_SIGNS_4x2, sch, RADEMACHER, POWER2,
+                                1.0, 20_000, seed=12)
+        assert abs(est.mean - target) < 4 * est.se
 
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="random-sign"):
             exact_enumeration(DgpSpec("iid_gaussian", n=2, p=1),
+                              make_blocks(2, 1), RADEMACHER, POWER1)
+        with pytest.raises(ValueError, match="rademacher innovations"):
+            exact_enumeration(DgpSpec("linear_process", n=2, p=1),
                               make_blocks(2, 1), RADEMACHER, POWER1)
         with pytest.raises(ValueError, match="sign multipliers"):
             exact_enumeration(SIGNS_2x1, make_blocks(2, 1),
