@@ -17,9 +17,11 @@ import sys
 import tempfile
 from pathlib import Path
 
-from blocksym.cli import load_config, run_experiment
-
 HERE = Path(__file__).resolve().parent
+# Run the package this script sits beside, installed or not.
+sys.path.insert(0, str(HERE.parent / "src"))
+
+from blocksym.cli import load_config, run_experiment  # noqa: E402
 CONFIGS = ("full_suite", "independence")
 
 

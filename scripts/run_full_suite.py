@@ -9,9 +9,11 @@ reduction, then derives the three plot datasets from the reports.
 import sys
 from pathlib import Path
 
-from blocksym.cli import emit_plot_data, load_config, run_experiment
+HERE = Path(__file__).resolve().parent
+# Run the package this script sits beside, installed or not.
+sys.path.insert(0, str(HERE.parent / "src"))
 
-HERE = Path(__file__).parent
+from blocksym.cli import emit_plot_data, load_config, run_experiment  # noqa: E402
 
 
 def main() -> int:

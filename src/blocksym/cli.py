@@ -35,7 +35,7 @@ from .gaussian import (
     sample_gaussian_max,
     simulate_max_statistics,
 )
-from .processes import DgpSpec, LongRunCovError
+from .processes import DgpSpec, LongRunCovError, draw_workers
 from .psi import PsiSpec, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -458,7 +458,8 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
         {"started": started.isoformat(), "finished": finished.isoformat(),
          "duration_seconds": (finished - started).total_seconds(),
          "panel_streams": {"drawn": ledger.drawn, "reused": ledger.reused},
-         "versions": {"python": sys.version.split()[0], "numpy": np.__version__}},
+         "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
+         "draw_workers": draw_workers()},
         out / "run_meta.json",
     )
 

@@ -17,17 +17,27 @@ are centered before filtering, and clipping a stationary law that is
 symmetric about zero keeps its mean exactly zero). Cross-sectional
 dependence is described by a single equicorrelation coefficient, which keeps
 specs serializable while still covering the correlated-coordinate regime.
+
+A Gaussian-kind chunk of more than ``_BLOCK_BYTES`` of panel is split into
+blocks of replications that a thread pool, sized by the CPUs this process
+may run on (``draw_workers``), fills in place. numpy's normal fills and
+ufunc loops release the GIL, so the blocks overlap. Each block rekeys its
+own generator from its replications' keys, so the output is bit-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Iterator, Optional
 
 import numpy as np
 
-from .seeding import STREAM_PANEL, philox_signs, substream_iter, substream_keys
+from .seeding import STREAM_PANEL, _rekeyed, philox_signs, substream_keys
 
 KINDS = (
     "iid_gaussian",
@@ -40,6 +50,13 @@ KINDS = (
 _INNOVATIONS = ("gaussian", "rademacher")
 
 DEFAULT_CHUNK = 2048
+
+# Panel bytes per block of replications when a Gaussian chunk is split
+# across the draw pool (at least one replication per block).
+_BLOCK_BYTES = 4 << 20
+
+# Replications whose Rademacher innovations are drawn and filtered at once.
+_SIGN_SLICE = 64
 
 
 class DgpValidationError(ValueError):
@@ -192,25 +209,24 @@ def _cross_chol(spec: DgpSpec) -> Optional[np.ndarray]:
     return np.linalg.cholesky(cross_sectional_cov(spec))
 
 
-def _var1_paths(spec: DgpSpec, rngs, count: int) -> np.ndarray:
-    """Stationary var1 paths, one per generator, shape (count, n, p)."""
-    n, p, phi = spec.n, spec.p, spec.phi
-    z0 = np.empty((count, p))
-    e = np.empty((count, n, p))
+def _var1_paths(spec: DgpSpec, gens, chol, e: np.ndarray) -> None:
+    """Fill ``e`` (count, n, p) with stationary var1 paths, one per generator."""
+    phi = spec.phi
+    z0 = np.empty((len(e), spec.p))
     # Each generator gives its initial state first, then its innovations.
-    for rng, z, row in zip(rngs, z0, e):
+    # The factor is applied per replication, so no product's shape, and so
+    # no rounding, depends on the chunk or block a replication falls in.
+    for rng, z, row in zip(gens, z0, e):
         rng.standard_normal(out=z)
         rng.standard_normal(out=row)
-    chol = _cross_chol(spec)
-    if chol is not None:
-        z0 = z0 @ chol.T
-        e = e @ chol.T
+        if chol is not None:
+            z[...] = z @ chol.T
+            row[...] = row @ chol.T
     # Each innovation is read once, so the path overwrites it in place.
     prev = z0 / math.sqrt(1.0 - phi * phi)
-    for t in range(n):
+    for t in range(spec.n):
         prev = phi * prev + e[:, t]
         e[:, t] = prev
-    return e
 
 
 def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
@@ -222,6 +238,45 @@ def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fill_gaussian(spec: DgpSpec, chol, keys: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` with the Gaussian-kind panels of the ``keys`` replications.
+
+    Runs on draw-pool threads, so it calls no public function: the tracer
+    keeps one span stack.
+    """
+    gens = _rekeyed(keys)
+    if spec.kind == "iid_gaussian":
+        for rng, row in zip(gens, out):
+            rng.standard_normal(out=row)
+            if chol is not None:
+                row[...] = row @ chol.T
+    elif spec.kind == "linear_process":
+        # The lags make the innovations longer than the panel, so each
+        # replication's are drawn into one reused buffer and filtered.
+        e = np.empty((spec.n + len(spec.coeffs) - 1, spec.p))
+        for rng, row in zip(gens, out):
+            rng.standard_normal(out=e)
+            _linear_filter(e if chol is None else e @ chol.T, spec, row)
+    else:
+        _var1_paths(spec, gens, chol, out)
+        if spec.kind == "truncated_var1":
+            np.clip(out, -spec.truncation, spec.truncation, out=out)
+
+
+def draw_workers() -> int:
+    """Threads that fill Gaussian chunks: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _draw_pool(workers: int) -> ThreadPoolExecutor:
+    """The draw pool, created on first use (and again if the count changes)."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
+
+
 def _draw_batch(spec: DgpSpec, seed: int, stream: int, purpose: int,
                 start: int, stop: int) -> np.ndarray:
     """Panels of replications start..stop-1, shape (stop - start, n, p).
@@ -229,44 +284,41 @@ def _draw_batch(spec: DgpSpec, seed: int, stream: int, purpose: int,
     Replication r reads the substream (seed, stream, purpose, r). Sign
     panels map raw Philox words of all replications at once; Gaussian kinds
     fill each replication's rows in place from its own generator, because
-    the ziggurat consumes a data-dependent number of words.
+    the ziggurat consumes a data-dependent number of words. A Gaussian chunk
+    larger than ``_BLOCK_BYTES`` is split into blocks of replications that
+    the draw pool fills concurrently; each block writes only its own slice,
+    so the output does not depend on the worker count.
     """
     n, p = spec.n, spec.p
     kind = spec.kind
     count = stop - start
+    keys = substream_keys(seed, stream, purpose, start, stop)
     if kind == "bounded_rademacher":
-        signs = philox_signs(substream_keys(seed, stream, purpose, start, stop), n * p)
+        signs = philox_signs(keys, n * p)
         signs *= spec.scale
         return signs.reshape(count, n, p)
-    rows = n + len(spec.coeffs) - 1
     if kind == "linear_process" and spec.innovation == "rademacher":
-        keys = substream_keys(seed, stream, purpose, start, stop)
-        e = philox_signs(keys, rows * p).reshape(count, rows, p)
-        return _linear_filter(e, spec, np.zeros((count, n, p)))
-    rngs = substream_iter(seed, stream, purpose, start, stop)
-    if kind == "iid_gaussian":
-        e = np.empty((count, n, p))
-        for rng, row in zip(rngs, e):
-            rng.standard_normal(out=row)
-        chol = _cross_chol(spec)
-        return e if chol is None else e @ chol.T
-    if kind == "var1":
-        return _var1_paths(spec, rngs, count)
-    if kind == "truncated_var1":
-        level = spec.truncation
-        x = _var1_paths(spec, rngs, count)
-        return np.clip(x, -level, level, out=x)
-    if kind == "linear_process":
-        # The lags make the innovations longer than the panel, so each
-        # replication's are drawn into one reused buffer and filtered.
-        chol = _cross_chol(spec)
+        # Slices of replications keep the raw signs and the filter's
+        # temporaries small beside the chunk.
+        rows = n + len(spec.coeffs) - 1
         x = np.zeros((count, n, p))
-        e = np.empty((rows, p))
-        for rng, out in zip(rngs, x):
-            rng.standard_normal(out=e)
-            _linear_filter(e if chol is None else e @ chol.T, spec, out)
+        for lo in range(0, count, _SIGN_SLICE):
+            e = philox_signs(keys[lo : lo + _SIGN_SLICE], rows * p)
+            _linear_filter(e.reshape(-1, rows, p), spec, x[lo : lo + _SIGN_SLICE])
         return x
-    raise DgpValidationError(f"kind: unknown generator kind {kind!r}")
+    if kind not in KINDS:
+        raise DgpValidationError(f"kind: unknown generator kind {kind!r}")
+    chol = _cross_chol(spec)
+    x = (np.zeros if kind == "linear_process" else np.empty)((count, n, p))
+    block = max(1, _BLOCK_BYTES // (n * p * x.itemsize))
+    workers = draw_workers()
+    if count <= block or workers == 1:
+        _fill_gaussian(spec, chol, keys, x)
+        return x
+    spans = [slice(lo, lo + block) for lo in range(0, count, block)]
+    list(_draw_pool(workers).map(
+        lambda span: _fill_gaussian(spec, chol, keys[span], x[span]), spans))
+    return x
 
 
 def generate_panels(

@@ -107,13 +107,23 @@ def substream_iter(master_seed: int, stream: int, purpose: int, start: int, stop
     generators in hot Monte Carlo loops. Each yielded generator must be
     fully consumed before the next one is requested.
     """
+    yield from _rekeyed(substream_keys(master_seed, stream, purpose, start, stop))
+
+
+def _rekeyed(keys: np.ndarray):
+    """Yield one generator per Philox key row, rekeying a single pooled one.
+
+    Each yielded generator must be fully consumed before the next one is
+    requested. Every call owns its generator, so separate threads may each
+    run their own.
+    """
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
     fresh = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
     state = {"bit_generator": "Philox", "state": fresh,
              "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for key in substream_keys(master_seed, stream, purpose, start, stop):
+    for key in keys:
         fresh["key"] = key
         bitgen.state = state
         yield gen

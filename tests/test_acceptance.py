@@ -13,6 +13,7 @@ import numpy as np
 from scipy.special import gammaln
 from scipy.stats import binom
 
+from blocksym import processes
 from blocksym.blocking import MultiplierSpec, batch_max_abs_mean, make_blocks
 from blocksym.cli import parse_config, run_experiment
 from blocksym.gaussian import estimate_gaussian_model, estimate_rhos
@@ -285,9 +286,9 @@ def test_criterion_8_calibrated_rejection_counts():
                        f"Bin({trials}, {alpha:.4f}) band [{low:.0f}, {high:.0f}]")
 
 
-def test_criterion_9_determinism_across_workers(tmp_path):
-    # Byte-identical reports for the same config and seed under different
-    # worker-count environment values.
+def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
+    # Byte-identical reports for the same config and seed whether the panel
+    # chunks are drawn inline or in blocks of 50 replications on 16 threads.
     config = parse_config({
         "dgp": {"kind": "var1", "n": 32, "p": 4, "phi": 0.5},
         "scheme": {"b": 4},
@@ -300,21 +301,17 @@ def test_criterion_9_determinism_across_workers(tmp_path):
         "seed": 909,
         "checks": ["rho-only", "prop2"],
     })
+    monkeypatch.setattr(processes, "_BLOCK_BYTES", 50 * 32 * 4 * 8)
     outputs = {}
-    saved = os.environ.get("BLOCKSYM_WORKERS")
-    try:
-        for workers in ("1", "16"):
-            os.environ["BLOCKSYM_WORKERS"] = workers
-            out = tmp_path / f"w{workers}"
-            assert run_experiment(config, output_dir=out) == 0
-            outputs[workers] = {
-                name: (out / name).read_bytes()
-                for name in ("rho-only.json", "prop2.json", "summary.csv")
-            }
-    finally:
-        if saved is None:
-            os.environ.pop("BLOCKSYM_WORKERS", None)
-        else:
-            os.environ["BLOCKSYM_WORKERS"] = saved
-    ok = outputs["1"] == outputs["16"]
+    for workers in (1, 16):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid, workers=workers: set(range(workers)),
+                            raising=False)
+        out = tmp_path / f"w{workers}"
+        assert run_experiment(config, output_dir=out) == 0
+        outputs[workers] = {
+            name: (out / name).read_bytes()
+            for name in ("rho-only.json", "prop2.json", "summary.csv")
+        }
+    ok = outputs[1] == outputs[16]
     report_line(9, ok, "reports byte-identical for worker counts 1 and 16")

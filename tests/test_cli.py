@@ -1,10 +1,12 @@
 import csv
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksym import processes
 from blocksym.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -190,17 +192,23 @@ class TestRun:
         assert (out / "run_meta.json").exists()
 
     def test_reports_byte_identical_across_worker_env(self, tmp_path, monkeypatch):
+        # Blocks of 100 replications, so with two CPUs every chunk is drawn
+        # on the pool; run_meta records the count and the reports ignore it.
         path, _ = write_config(
             tmp_path, checks=["rho-only", "prop2", "independence-reduction"]
         )
-        monkeypatch.setenv("BLOCKSYM_WORKERS", "1")
-        main(["run", str(path), "--output-dir", str(tmp_path / "w1")])
-        monkeypatch.setenv("BLOCKSYM_WORKERS", "8")
-        main(["run", str(path), "--output-dir", str(tmp_path / "w8")])
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 100 * 16 * 3 * 8)
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            out = tmp_path / f"w{len(cpus)}"
+            main(["run", str(path), "--output-dir", str(out)])
+            assert json.loads((out / "run_meta.json").read_text())["draw_workers"] \
+                == len(cpus)
         for name in ("rho-only.json", "prop2.json", "independence-reduction.json",
                      "summary.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == \
-                (tmp_path / "w8" / name).read_bytes()
+                (tmp_path / "w2" / name).read_bytes()
 
     def test_exit_code_flags_violation(self, tmp_path):
         # Zeroed remainder on strongly dependent data with singleton blocks:

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -6,15 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksym import processes
 from blocksym.processes import (
+    KINDS,
     DgpSpec,
     DgpValidationError,
     LongRunCovError,
+    _cross_chol,
     _draw_batch,
     generate_panels,
     theoretical_longrun_cov,
 )
-from blocksym.seeding import STREAM_COPY, STREAM_PANEL
+from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
@@ -95,22 +100,137 @@ class TestDeterminism:
         small = stack_panels(VAR1, 10, 3, chunk=3)
         assert np.array_equal(big, small)
 
-    @pytest.mark.parametrize("kind", ["iid_gaussian", "var1", "linear_process",
-                                      "bounded_rademacher", "truncated_var1"])
-    def test_autoregression_chunk_peak_memory(self, kind):
+    def test_correlated_var1_independent_of_chunking(self):
+        # The cross-sectional factor is applied per replication, so no
+        # product's shape depends on how many replications share a chunk.
+        spec = DgpSpec("var1", n=8, p=50, phi=0.5, cross_corr=0.05)
+        assert np.array_equal(stack_panels(spec, 300, 5),
+                              stack_panels(spec, 300, 5, chunk=7))
+
+    @pytest.mark.parametrize("spec, reps, bound", [
+        *[(DgpSpec(kind, n=64, p=8, phi=0.5), 256, 2.5) for kind in KINDS],
+        (DgpSpec("linear_process", n=64, p=8, coeffs=(1.0, 0.5),
+                 innovation="rademacher"), 256, 2.5),
+        (DgpSpec("iid_gaussian", n=16, p=4, cross_corr=0.3), 2048, 1.5),
+        (DgpSpec("var1", n=32, p=3, phi=0.5, cross_corr=0.2), 2048, 1.5),
+        (DgpSpec("truncated_var1", n=16, p=4, phi=0.5, cross_corr=0.3), 2048, 1.5),
+    ], ids=[*KINDS, "linear_process-rademacher", "iid_gaussian-correlated",
+            "var1-correlated", "truncated_var1-correlated"])
+    def test_autoregression_chunk_peak_memory(self, spec, reps, bound):
         # Gaussian kinds fill a preallocated chunk replication by replication
-        # (linear processes filter each replication's longer innovations in
-        # one reused buffer), the recurrence and the clip run in place, and
-        # sign panels hold the chunk's raw Philox words beside the chunk.
-        spec = DgpSpec(kind, n=64, p=8, phi=0.5)
+        # (applying the cross-sectional factor to each replication in place;
+        # linear processes filter each replication's longer innovations in
+        # one reused buffer), the recurrence and the clip run in place, sign
+        # panels hold the chunk's raw Philox words beside the chunk, and
+        # Rademacher innovations are drawn and filtered in slices.
         tracemalloc.start()
         try:
-            panels = _draw_batch(spec, 1, STREAM_PANEL, 0, 0, 256)
+            panels = _draw_batch(spec, 1, STREAM_PANEL, 0, 0, reps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert panels.shape == (256, 64, 8)
-        assert peak <= 2.5 * panels.nbytes
+        assert panels.shape == (reps, spec.n, spec.p)
+        assert peak <= bound * panels.nbytes
+
+
+def reference_panel(spec, rng):
+    """One panel drawn straight from its replication's generator.
+
+    Covers the Gaussian kinds and linear processes with Rademacher
+    innovations (numpy's integers on {0, 1}).
+    """
+    chol = _cross_chol(spec)
+
+    def mix(draws):
+        return draws if chol is None else draws @ chol.T
+
+    n, lags = spec.n, len(spec.coeffs) - 1
+    if spec.kind == "iid_gaussian":
+        return mix(rng.standard_normal((n, spec.p)))
+    if spec.kind == "linear_process":
+        if spec.innovation == "rademacher":
+            e = 2.0 * rng.integers(0, 2, size=(n + lags, spec.p)) - 1.0
+        else:
+            e = mix(rng.standard_normal((n + lags, spec.p)))
+        return sum(a * e[lags - j : lags - j + n] for j, a in enumerate(spec.coeffs))
+    prev = mix(rng.standard_normal(spec.p)) / math.sqrt(1.0 - spec.phi**2)
+    e = mix(rng.standard_normal((n, spec.p)))
+    x = np.empty_like(e)
+    for t in range(n):
+        prev = spec.phi * prev + e[t]
+        x[t] = prev
+    if spec.kind == "truncated_var1":
+        np.clip(x, -spec.truncation, spec.truncation, out=x)
+    return x
+
+
+GAUSSIAN_SPECS = [
+    DgpSpec(kind, n=8, p=3, phi=0.5, coeffs=(1.0, 0.5, -0.25), truncation=1.5,
+            cross_corr=corr)
+    for kind in ("iid_gaussian", "var1", "truncated_var1", "linear_process")
+    for corr in (0.0, 0.3)
+]
+
+
+def spec_id(spec):
+    return f"{spec.kind}-corr{spec.cross_corr}"
+
+
+class TestReplicationBlocks:
+    """Gaussian chunks split into blocks of replications give the same bits."""
+
+    START, STOP = 5, 25
+
+    def draw(self, spec):
+        return _draw_batch(spec, 3, STREAM_PANEL, 2, self.START, self.STOP)
+
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
+    def test_blocks_match_single_block_and_substreams(self, spec, monkeypatch):
+        whole = self.draw(spec)
+        # Three replications per block: seven blocks, the last one short.
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 3 * spec.n * spec.p * 8 + 7)
+        blocked = self.draw(spec)
+        reference = np.stack([
+            reference_panel(spec, substream(3, STREAM_PANEL, 2, r))
+            for r in range(self.START, self.STOP)
+        ])
+        assert np.array_equal(blocked, whole)
+        assert np.array_equal(blocked, reference)
+
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS[1::2], ids=spec_id)
+    def test_worker_count_does_not_change_bytes(self, spec, monkeypatch):
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 2 * spec.n * spec.p * 8)
+        threads = set()
+        fill = processes._fill_gaussian
+
+        def spy(*args):
+            threads.add(threading.current_thread().name)
+            fill(*args)
+
+        monkeypatch.setattr(processes, "_fill_gaussian", spy)
+        drawn = {}
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                                raising=False)
+            threads.clear()
+            drawn[len(cpus)] = self.draw(spec).tobytes()
+            inline = threads == {threading.current_thread().name}
+            assert inline == (len(cpus) == 1)
+        assert drawn[1] == drawn[2]
+
+    def test_rademacher_innovation_slices_match_substreams(self):
+        # 140 replications from an offset cross two slice boundaries.
+        spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
+                       innovation="rademacher")
+        panels = _draw_batch(spec, 8, STREAM_PANEL, 1, 10, 150)
+        reference = np.stack([reference_panel(spec, substream(8, STREAM_PANEL, 1, r))
+                              for r in range(10, 150)])
+        assert np.array_equal(panels, reference)
+
+    def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert processes.draw_workers() == 3
 
 
 class TestSupport:
