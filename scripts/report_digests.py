@@ -2,9 +2,10 @@
 
 Usage: python scripts/report_digests.py
 
-Runs scripts/full_suite.json and scripts/independence.json from a temporary
-working directory, so each writes under its own ``output_dir`` there, and
-prints one line per report: ``<config> <file> <sha256>``. ``run_meta.json``
+Runs scripts/full_suite.json, scripts/independence.json and
+scripts/high_dim.json (p = 1000 >> n = 32) from a temporary working
+directory, so each writes under its own ``output_dir`` there, and prints one
+line per report: ``<config> <file> <sha256>``. ``run_meta.json``
 records timings and versions, so it is left out; every other report is a
 pure function of its config. Exits with the worst exit code of the runs.
 """
@@ -22,7 +23,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from blocksym.cli import load_config, run_experiment  # noqa: E402
-CONFIGS = ("full_suite", "independence")
+CONFIGS = ("full_suite", "independence", "high_dim")
 
 
 def main() -> int:

@@ -11,9 +11,12 @@ through the ``batch_*`` kernels, which act on stacks of panels along any
 leading axes.
 
 Monte Carlo estimators read their panels only through ``stream_statistics``,
-which draws a panel stream and reduces it to per-replication column means and
-block-multiplier maxima. Inside a ``shared_passes()`` block each distinct
-request is drawn once and served from the block's ledger afterwards.
+which reduces a panel stream to per-replication column means and
+block-multiplier maxima. The panels themselves never reach this module:
+``processes.reduce_panels`` hands over each chunk's column means and block
+sums, and the multipliers are applied to those sums here. Inside a
+``shared_passes()`` block each distinct request is drawn once and served from
+the block's ledger afterwards.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .processes import DgpSpec, generate_panels
+from .processes import DgpSpec, _block_sums, reduce_panels
 from .seeding import (
     STREAM_COPY,
     STREAM_MULTIPLIER,
@@ -98,8 +101,7 @@ def batch_block_sums(panels: np.ndarray, scheme: BlockScheme) -> np.ndarray:
     """Within-block column sums over leading axes: (..., n, p) -> (..., count, p)."""
     if panels.shape[-2] != scheme.n:
         raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={panels.shape[-2]}")
-    lead, p = panels.shape[:-2], panels.shape[-1]
-    return panels.reshape(*lead, scheme.count, scheme.b, p).sum(axis=-2)
+    return _block_sums(panels, scheme.b)
 
 
 def batch_max_abs_mean(panels: np.ndarray) -> np.ndarray:
@@ -194,6 +196,8 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     """
     if (scheme is None) != (mult is None):
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
+    if scheme is not None and scheme.n != spec.n:
+        raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={spec.n}")
     key = (spec, reps, seed, purpose, scheme, mult, copies)
     ledger = _ledger.get()
     if ledger is not None and key in ledger:
@@ -201,17 +205,16 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         return ledger[key]
     means = np.empty((reps, spec.p))
     mult_max = None if scheme is None else np.empty(reps)
-    copy_iter = generate_panels(spec, reps, seed, STREAM_COPY, purpose) if copies else None
-    for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, purpose):
-        if copies:
-            panels = panels - next(copy_iter)[1]
-        stop = start + len(panels)
-        means[start:stop] = panels.mean(axis=-2)
+    chunks = reduce_panels(spec, reps, seed, STREAM_PANEL, purpose,
+                           None if scheme is None else scheme.b,
+                           STREAM_COPY if copies else None)
+    for start, chunk_means, sums in chunks:
+        stop = start + len(chunk_means)
+        means[start:stop] = chunk_means
         if scheme is not None:
             eps = batch_multipliers(mult, scheme.count, seed, purpose, start, stop)
-            sums = batch_block_sums(panels, scheme)
             mult_max[start:stop] = batch_multiplier_max(sums, eps, scheme.n)
-        del panels  # release this chunk before the next one is drawn
+        del chunk_means, sums  # release this chunk before the next one is reduced
     for array in (means, mult_max):
         if array is not None:
             array.setflags(write=False)

@@ -18,12 +18,16 @@ symmetric about zero keeps its mean exactly zero). Cross-sectional
 dependence is described by a single equicorrelation coefficient, which keeps
 specs serializable while still covering the correlated-coordinate regime.
 
-A Gaussian-kind chunk of more than ``_BLOCK_BYTES`` of panel is split into
-blocks of replications that a thread pool, sized by the CPUs this process
-may run on (``draw_workers``), fills in place. numpy's normal fills and
-ufunc loops release the GIL, so the blocks overlap. Each block rekeys its
-own generator from its replications' keys, so the output is bit-identical
-for any worker count.
+Estimators need only each panel's column means and within-block column
+sums, which ``reduce_panels`` yields per chunk. Both functions split a chunk
+into blocks of ``_BLOCK_BYTES`` of panel and draw each block with the one
+filler per kind (``_fill``); ``reduce_panels`` reduces each block as soon as
+it is drawn, so it never holds a chunk of panels. Gaussian kinds run their
+blocks on a thread pool sized by the CPUs this process may run on
+(``draw_workers``); numpy's normal fills and ufunc loops release the GIL, so
+the blocks overlap. Each block rekeys its own generator from its
+replications' keys, so the output is bit-identical for any worker count.
+Sign kinds call the public ``philox_signs`` and keep to the calling thread.
 """
 
 from __future__ import annotations
@@ -51,11 +55,11 @@ _INNOVATIONS = ("gaussian", "rademacher")
 
 DEFAULT_CHUNK = 2048
 
-# Panel bytes per block of replications when a Gaussian chunk is split
-# across the draw pool (at least one replication per block).
+# Panel bytes per block of replications (at least one replication): the
+# unit that is drawn, reduced and handed to the draw pool at once.
 _BLOCK_BYTES = 4 << 20
 
-# Replications whose Rademacher innovations are drawn and filtered at once.
+# Replications whose signs (panels, or innovations to filter) are drawn at once.
 _SIGN_SLICE = 64
 
 
@@ -152,6 +156,10 @@ class DgpSpec:
             return self.scale
         if self.kind == "truncated_var1":
             return self.truncation
+        if self.kind == "linear_process" and self.innovation == "rademacher":
+            # Summed in filter order, so the aligned-sign value is this bound
+            # exactly and rounding, monotone in each term, never exceeds it.
+            return sum(abs(a) for a in self.coeffs)
         return None
 
     @property
@@ -254,6 +262,7 @@ def _fill_gaussian(spec: DgpSpec, chol, keys: np.ndarray, out: np.ndarray) -> No
         # The lags make the innovations longer than the panel, so each
         # replication's are drawn into one reused buffer and filtered.
         e = np.empty((spec.n + len(spec.coeffs) - 1, spec.p))
+        out.fill(0.0)
         for rng, row in zip(gens, out):
             rng.standard_normal(out=e)
             _linear_filter(e if chol is None else e @ chol.T, spec, row)
@@ -261,6 +270,48 @@ def _fill_gaussian(spec: DgpSpec, chol, keys: np.ndarray, out: np.ndarray) -> No
         _var1_paths(spec, gens, chol, out)
         if spec.kind == "truncated_var1":
             np.clip(out, -spec.truncation, spec.truncation, out=out)
+
+
+def _signs(spec: DgpSpec) -> bool:
+    """Whether the kind maps raw Philox words to signs (``philox_signs``)."""
+    return spec.kind == "bounded_rademacher" or (
+        spec.kind == "linear_process" and spec.innovation == "rademacher")
+
+
+def _fill(spec: DgpSpec, chol, keys: np.ndarray, out: np.ndarray) -> None:
+    """Fill ``out`` (len(keys), n, p) with the panels of the ``keys`` replications.
+
+    The one filler of every kind. Sign panels map the raw Philox words of
+    all their replications at once; Gaussian kinds fill each replication's
+    rows in place from its own generator, because the ziggurat consumes a
+    data-dependent number of words. Sign kinds call the public
+    ``philox_signs``, so only the calling thread may fill them.
+    """
+    if _signs(spec):
+        # Slices of replications keep the raw signs and the filter's
+        # temporaries small beside the panels.
+        filtered = spec.kind == "linear_process"
+        rows = spec.n + len(spec.coeffs) - 1 if filtered else spec.n
+        if filtered:
+            out.fill(0.0)
+        for lo in range(0, len(keys), _SIGN_SLICE):
+            part = out[lo : lo + _SIGN_SLICE]
+            e = philox_signs(keys[lo : lo + _SIGN_SLICE], rows * spec.p)
+            e = e.reshape(-1, rows, spec.p)
+            if filtered:
+                _linear_filter(e, spec, part)
+            else:
+                np.multiply(e, spec.scale, out=part)
+    elif spec.kind in KINDS:
+        _fill_gaussian(spec, chol, keys, out)
+    else:
+        raise DgpValidationError(f"kind: unknown generator kind {spec.kind!r}")
+
+
+def _block_sums(panels: np.ndarray, b: int) -> np.ndarray:
+    """Within-block column sums over leading axes: (..., n, p) -> (..., n/b, p)."""
+    lead, (n, p) = panels.shape[:-2], panels.shape[-2:]
+    return panels.reshape(*lead, n // b, b, p).sum(axis=-2)
 
 
 def draw_workers() -> int:
@@ -277,47 +328,35 @@ def _draw_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
 
 
+def _run_blocks(spec: DgpSpec, count: int, task) -> None:
+    """Run ``task(span)`` on blocks of replications covering 0..count-1.
+
+    A block holds ``_BLOCK_BYTES`` of panel (at least one replication). The
+    draw pool runs the blocks of a Gaussian kind when there are several and
+    more than one worker; otherwise they run in order on the calling thread.
+    Each task writes only its own span, so the output does not depend on
+    the worker count.
+    """
+    block = max(1, _BLOCK_BYTES // (spec.n * spec.p * 8))
+    spans = [slice(lo, lo + block) for lo in range(0, count, block)]
+    workers = draw_workers()
+    if len(spans) == 1 or workers == 1 or _signs(spec):
+        for span in spans:
+            task(span)
+    else:
+        list(_draw_pool(workers).map(task, spans))
+
+
 def _draw_batch(spec: DgpSpec, seed: int, stream: int, purpose: int,
                 start: int, stop: int) -> np.ndarray:
     """Panels of replications start..stop-1, shape (stop - start, n, p).
 
-    Replication r reads the substream (seed, stream, purpose, r). Sign
-    panels map raw Philox words of all replications at once; Gaussian kinds
-    fill each replication's rows in place from its own generator, because
-    the ziggurat consumes a data-dependent number of words. A Gaussian chunk
-    larger than ``_BLOCK_BYTES`` is split into blocks of replications that
-    the draw pool fills concurrently; each block writes only its own slice,
-    so the output does not depend on the worker count.
+    Replication r reads the substream (seed, stream, purpose, r).
     """
-    n, p = spec.n, spec.p
-    kind = spec.kind
-    count = stop - start
     keys = substream_keys(seed, stream, purpose, start, stop)
-    if kind == "bounded_rademacher":
-        signs = philox_signs(keys, n * p)
-        signs *= spec.scale
-        return signs.reshape(count, n, p)
-    if kind == "linear_process" and spec.innovation == "rademacher":
-        # Slices of replications keep the raw signs and the filter's
-        # temporaries small beside the chunk.
-        rows = n + len(spec.coeffs) - 1
-        x = np.zeros((count, n, p))
-        for lo in range(0, count, _SIGN_SLICE):
-            e = philox_signs(keys[lo : lo + _SIGN_SLICE], rows * p)
-            _linear_filter(e.reshape(-1, rows, p), spec, x[lo : lo + _SIGN_SLICE])
-        return x
-    if kind not in KINDS:
-        raise DgpValidationError(f"kind: unknown generator kind {kind!r}")
     chol = _cross_chol(spec)
-    x = (np.zeros if kind == "linear_process" else np.empty)((count, n, p))
-    block = max(1, _BLOCK_BYTES // (n * p * x.itemsize))
-    workers = draw_workers()
-    if count <= block or workers == 1:
-        _fill_gaussian(spec, chol, keys, x)
-        return x
-    spans = [slice(lo, lo + block) for lo in range(0, count, block)]
-    list(_draw_pool(workers).map(
-        lambda span: _fill_gaussian(spec, chol, keys[span], x[span]), spans))
+    x = np.empty((stop - start, spec.n, spec.p))
+    _run_blocks(spec, stop - start, lambda span: _fill(spec, chol, keys[span], x[span]))
     return x
 
 
@@ -338,6 +377,55 @@ def generate_panels(
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
         yield start, _draw_batch(spec, seed, stream, purpose, start, stop)
+
+
+def reduce_panels(
+    spec: DgpSpec,
+    reps: int,
+    seed: int,
+    stream: int,
+    purpose: int,
+    b: Optional[int] = None,
+    copy_stream: Optional[int] = None,
+) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray]]]:
+    """Yield (offset, means, sums) per chunk of ``DEFAULT_CHUNK`` replications.
+
+    ``means`` (c, p) holds the column means of the panels of
+    ``generate_panels`` and ``sums`` (c, n/b, p) their within-block column
+    sums over blocks of length ``b`` (None without ``b``). With
+    ``copy_stream`` each panel minus its copy, the same replication of that
+    stream, is reduced instead. Each block of replications is drawn into a
+    block-sized buffer and reduced by the thread that drew it, so no
+    chunk-sized panel is ever held. numpy sums each replication over t in
+    order, so the results equal those of the whole chunk bit for bit.
+    """
+    n, p = spec.n, spec.p
+    if b is not None and not (1 <= b <= n and n % b == 0):
+        raise ValueError(f"block length must divide n (n={n}, b={b})")
+    chol = _cross_chol(spec)
+    for start in range(0, reps, DEFAULT_CHUNK):
+        stop = min(start + DEFAULT_CHUNK, reps)
+        keys = substream_keys(seed, stream, purpose, start, stop)
+        copy_keys = (None if copy_stream is None
+                     else substream_keys(seed, copy_stream, purpose, start, stop))
+        means = np.empty((stop - start, p))
+        sums = None if b is None else np.empty((stop - start, n // b, p))
+
+        def reduce(span):
+            x = np.empty((len(keys[span]), n, p))
+            _fill(spec, chol, keys[span], x)
+            if copy_keys is not None:
+                copy = np.empty_like(x)
+                _fill(spec, chol, copy_keys[span], copy)
+                x -= copy
+                del copy
+            means[span] = x.mean(axis=-2)
+            if sums is not None:
+                sums[span] = _block_sums(x, b)
+
+        _run_blocks(spec, stop - start, reduce)
+        yield start, means, sums
+        del means, sums  # the caller is done with this chunk
 
 
 def marginal_spec(spec: DgpSpec) -> DgpSpec:

@@ -98,18 +98,6 @@ def substream_keys(master_seed: int, stream: int, purpose: int,
     return _key_words(master_seed, _word(stream), _word(purpose), index)
 
 
-def substream_iter(master_seed: int, stream: int, purpose: int, start: int, stop: int):
-    """Yield the per-replication generators for indices start..stop-1.
-
-    Output is identical to substream(master_seed, stream, purpose, r) for
-    each r, but all replications share one pooled bit generator whose state
-    is rekeyed per index, which is much cheaper than constructing fresh
-    generators in hot Monte Carlo loops. Each yielded generator must be
-    fully consumed before the next one is requested.
-    """
-    yield from _rekeyed(substream_keys(master_seed, stream, purpose, start, stop))
-
-
 def _rekeyed(keys: np.ndarray):
     """Yield one generator per Philox key row, rekeying a single pooled one.
 
@@ -119,11 +107,13 @@ def _rekeyed(keys: np.ndarray):
     """
     bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
     gen = np.random.Generator(bitgen)
-    fresh = {"counter": np.zeros(4, dtype=np.uint64), "key": None}
+    # Python ints throughout: the state setter indexes these lists word by
+    # word, which is cheaper than indexing numpy arrays.
+    fresh = {"counter": [0, 0, 0, 0], "key": None}
     state = {"bit_generator": "Philox", "state": fresh,
-             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
              "has_uint32": 0, "uinteger": 0}
-    for key in keys:
+    for key in keys.tolist():
         fresh["key"] = key
         bitgen.state = state
         yield gen

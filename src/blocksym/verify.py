@@ -11,7 +11,8 @@ multipliers and fresh independent copies where the mode needs them), and all
 expectations are unconditional. Estimators read the per-replication column
 means and multiplier maxima of ``blocking.stream_statistics``, so inside one
 run (``blocking.shared_passes``) checks that need the same stream share one
-panel pass. Inequality verdicts use a three-band rule:
+panel pass; the quadratic term of the moment bound reads the block sums of
+``processes.reduce_panels``. Inequality verdicts use a three-band rule:
 ``holds`` when the margin is nonpositive, ``holds-within-noise`` within three
 propagated standard errors, ``violated`` beyond that.
 """
@@ -36,7 +37,7 @@ from .blocking import (
     stream_statistics,
 )
 from .gaussian import RhoEstimate
-from .processes import DEFAULT_CHUNK, DgpSpec, _linear_filter, generate_panels
+from .processes import DEFAULT_CHUNK, DgpSpec, _linear_filter, reduce_panels
 from .psi import PsiLike, PsiSpec, psi_eval, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -555,6 +556,8 @@ def theorem1_bound(
         raise ValueError(f"unknown tail mode {tail_mode!r}")
     if tail_mode == "subexp" and tail_params is None:
         raise ValueError("subexp mode needs tail_params")
+    if scheme.n != spec.n:
+        raise ValueError("scheme and spec disagree on n")
     psi_q = PsiSpec("power", q=q)
     rho_sum = rho.rho + rho.rho_star
     factor = hoeffding_factor(q, mult.bound, spec.p, spec.n)
@@ -563,15 +566,15 @@ def theorem1_bound(
 
     quad_vals = np.empty(reps)
     hoeff_diff = np.empty(reps)
-    for start, panels in generate_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_QUAD):
-        c = len(panels)
-        sums = batch_block_sums(panels, scheme)
+    for start, _, sums in reduce_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_QUAD,
+                                        scheme.b):
+        c = len(sums)
         quad = np.abs((sums**2).sum(axis=1) / spec.n).max(axis=1)
         quad_vals[start : start + c] = quad ** (q / 2.0)
         eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_HOEFFDING, start, start + c)
         mstat = batch_multiplier_max(sums, eps, spec.n)
         hoeff_diff[start : start + c] = mstat**q - factor * quad ** (q / 2.0)
-        del panels, sums  # release this chunk before the next one is drawn
+        del sums  # release this chunk before the next one is reduced
     quad_est = _estimate_from_values(quad_vals)
 
     norm = psi_moment_norm(psi_q, spec, r, reps, seed)

@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,7 +24,7 @@ from blocksym.blocking import (
 )
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
-from blocksym.processes import DgpSpec, generate_panels
+from blocksym.processes import DEFAULT_CHUNK, DgpSpec, generate_panels, reduce_panels
 from blocksym.seeding import STREAM_COPY, STREAM_PANEL
 from blocksym.verify import verify_prop2
 
@@ -277,17 +279,17 @@ class TestKernels:
 
 @pytest.fixture
 def panel_calls(monkeypatch):
-    """Counts generate_panels calls by (spec, seed, stream, purpose, reps)."""
+    """Counts reduce_panels calls by (spec, seed, stream, purpose, reps)."""
     from blocksym import blocking, verify
 
     calls = Counter()
 
-    def counting(spec, reps, seed, stream=STREAM_PANEL, purpose=0, **kw):
+    def counting(spec, reps, seed, stream, purpose, *args, **kw):
         calls[(spec, seed, stream, purpose, reps)] += 1
-        return generate_panels(spec, reps, seed, stream, purpose, **kw)
+        return reduce_panels(spec, reps, seed, stream, purpose, *args, **kw)
 
-    monkeypatch.setattr(blocking, "generate_panels", counting)
-    monkeypatch.setattr(verify, "generate_panels", counting)
+    monkeypatch.setattr(blocking, "reduce_panels", counting)
+    monkeypatch.setattr(verify, "reduce_panels", counting)
     return calls
 
 
@@ -335,6 +337,8 @@ class TestStreamLedger:
         assert stats.mult_max is None
         with pytest.raises(ValueError, match="scheme"):
             stream_statistics(self.SPEC, 20, 3, 2, scheme=self.SCHEME)
+        with pytest.raises(BlockSchemeError, match="n=4"):
+            stream_statistics(self.SPEC, 20, 3, 2, make_blocks(4, 2), self.MULT)
 
     @settings(max_examples=15, deadline=None)
     @given(reps=st.integers(1, 30), seed=st.integers(0, 2**32), purpose=st.integers(0, 10),
@@ -352,6 +356,22 @@ class TestStreamLedger:
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(diff))
         assert np.array_equal(stats.mult_max,
                               batch_multiplier_max(batch_block_sums(diff, scheme), eps, 8))
+
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
+    def test_no_chunk_sized_panel(self, cpus, monkeypatch):
+        # The draw pool reduces each block of replications where it drew it,
+        # so one chunk's statistics never hold a chunk of panels at once.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        spec = DgpSpec("truncated_var1", n=128, p=20, phi=0.5, truncation=3.0)
+        tracemalloc.start()
+        try:
+            stream_statistics(spec, DEFAULT_CHUNK, 3, 2, make_blocks(128, 8), self.MULT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * DEFAULT_CHUNK * spec.n * spec.p * 8
 
 
 FULL_RUN = {

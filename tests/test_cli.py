@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,8 @@ from blocksym.cli import (
     main,
     parse_config,
 )
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 BASE = {
     "dgp": {"kind": "iid_gaussian", "n": 16, "p": 3},
@@ -87,6 +90,23 @@ class TestConfigValidation:
         bad, _ = write_config(tmp_path, scheme={"b": 3})
         assert main(["validate", str(bad)]) == EXIT_ERROR
         assert "scheme.b" in capsys.readouterr().err
+
+    def test_prop1_accepts_bounded_dependent_panels(self):
+        # Rademacher innovations bound the filtered panel by sum |a_j|;
+        # Gaussian innovations leave it unbounded.
+        dgp = {"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1.0, -0.5],
+               "innovation": "rademacher"}
+        cfg = parse_config(dict(BASE, dgp=dgp, checks=["prop1"]))
+        assert cfg.dgp.support_bound == 1.5
+        with pytest.raises(ConfigError) as err:
+            parse_config(dict(BASE, dgp=dict(dgp, innovation="gaussian"), checks=["prop1"]))
+        assert any("bounded" in msg for _, msg in err.value.problems)
+
+    @pytest.mark.parametrize("name", ["full_suite", "independence", "high_dim"])
+    def test_bundled_configs_validate(self, name, capsys):
+        path = SCRIPTS / f"{name}.json"
+        assert main(["validate", str(path)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -209,6 +229,16 @@ class TestRun:
                      "summary.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == \
                 (tmp_path / "w2" / name).read_bytes()
+
+    def test_prop1_runs_on_dependent_sign_panels(self, tmp_path):
+        dgp = {"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1.0, 0.5],
+               "innovation": "rademacher"}
+        out = tmp_path / "out"
+        path, _ = write_config(tmp_path, dgp=dgp, checks=["rho-only", "prop1"],
+                               output_dir=str(out))
+        assert main(["run", str(path)]) == EXIT_OK
+        report = json.loads((out / "prop1.json").read_text())
+        assert [m["verdict"] for m in report["margins"]] == ["holds", "holds"]
 
     def test_exit_code_flags_violation(self, tmp_path):
         # Zeroed remainder on strongly dependent data with singleton blocks:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import ks_2samp
 
 from blocksym.blocking import MultiplierSpec, make_blocks
 from blocksym.gaussian import (
@@ -71,6 +72,27 @@ class TestKolmogorovDistance:
         d = kolmogorov_distance(a, b)
         assert d == pytest.approx(ks_oracle(a, b), abs=1e-9)
         assert d == kolmogorov_distance(b, a)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        # A small integer set makes ties within and across samples common.
+        a=st.lists(st.integers(0, 4), min_size=1, max_size=30),
+        b=st.lists(st.integers(0, 4), min_size=1, max_size=30),
+    )
+    def test_matches_scipy_on_ties(self, a, b):
+        a, b = np.sort(np.asarray(a, dtype=float)), np.sort(np.asarray(b, dtype=float))
+        d = kolmogorov_distance(a, b)
+        with np.errstate(divide="ignore"):  # the p-value of one-point samples
+            statistic = ks_2samp(a, b, method="asymp").statistic
+        assert d == pytest.approx(statistic, abs=1e-12)
+        # The gaps just below the pooled points add nothing, bit for bit.
+        pooled = np.concatenate([a, b])
+        both_sides = max(
+            np.abs(np.searchsorted(a, pooled, side=side) / a.size
+                   - np.searchsorted(b, pooled, side=side) / b.size).max()
+            for side in ("left", "right")
+        )
+        assert d == both_sides
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -1,5 +1,6 @@
 import math
 import os
+import sys
 import threading
 import tracemalloc
 
@@ -9,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksym import processes
+from blocksym.blocking import batch_block_sums, make_blocks
 from blocksym.processes import (
+    DEFAULT_CHUNK,
     KINDS,
     DgpSpec,
     DgpValidationError,
@@ -17,6 +20,7 @@ from blocksym.processes import (
     _cross_chol,
     _draw_batch,
     generate_panels,
+    reduce_panels,
     theoretical_longrun_cov,
 )
 from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream
@@ -233,6 +237,96 @@ class TestReplicationBlocks:
         assert processes.draw_workers() == 3
 
 
+REDUCE_SPECS = [
+    *[DgpSpec(kind, n=8, p=3, phi=0.5, coeffs=(1.0, 0.5, -0.25), truncation=1.5)
+      for kind in KINDS],
+    *[spec for spec in GAUSSIAN_SPECS if spec.cross_corr],
+    DgpSpec("linear_process", n=8, p=3, coeffs=(1.0, -0.5), innovation="rademacher"),
+]
+
+
+def reduce_id(spec):
+    return f"{spec_id(spec)}-{spec.innovation}" if spec.kind == "linear_process" \
+        else spec_id(spec)
+
+
+def patch_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
+
+
+class TestReducePanels:
+    """Chunks reduced block by block equal the reductions of whole chunks."""
+
+    REPS = DEFAULT_CHUNK + 30  # two chunks, the second one short
+
+    def expected(self, spec, b, copies):
+        panels = generate_panels(spec, self.REPS, 4, STREAM_PANEL, 6)
+        copy = generate_panels(spec, self.REPS, 4, STREAM_COPY, 6) if copies else None
+        for start, x in panels:
+            if copies:
+                x = x - next(copy)[1]
+            yield start, x.mean(axis=-2), batch_block_sums(x, make_blocks(spec.n, b))
+
+    @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])
+    @pytest.mark.parametrize("spec", REDUCE_SPECS, ids=reduce_id)
+    def test_matches_reduced_generate_panels(self, spec, copies, monkeypatch):
+        expected = list(self.expected(spec, 2, copies))
+        # Five replications per block: each chunk spans many blocks, the last short.
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 5 * spec.n * spec.p * 8)
+        threads = set()
+        fill = processes._fill
+
+        def spy(*args):
+            threads.add(threading.current_thread().name)
+            fill(*args)
+
+        monkeypatch.setattr(processes, "_fill", spy)
+        for cpus in ({0}, {0, 1}):
+            patch_cpus(monkeypatch, cpus)
+            threads.clear()
+            got = list(reduce_panels(spec, self.REPS, 4, STREAM_PANEL, 6, 2,
+                                     STREAM_COPY if copies else None))
+            assert [start for start, _, _ in got] == [start for start, _, _ in expected]
+            for (_, means, sums), (_, want_means, want_sums) in zip(got, expected):
+                assert np.array_equal(means, want_means)
+                assert np.array_equal(sums, want_sums)
+            # Sign kinds call a public function, so they stay on this thread.
+            inline = threads == {threading.current_thread().name}
+            assert inline == (len(cpus) == 1 or processes._signs(spec))
+
+    def test_more_workers_than_cores_write_disjoint_spans(self, monkeypatch):
+        # One replication per block on eight workers, switching threads as
+        # often as the interpreter allows: a lost or misplaced write shows.
+        spec = REDUCE_SPECS[1]
+        expected = list(self.expected(spec, 2, True))
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", spec.n * spec.p * 8)
+        patch_cpus(monkeypatch, set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = list(reduce_panels(spec, self.REPS, 4, STREAM_PANEL, 6, 2, STREAM_COPY))
+        finally:
+            sys.setswitchinterval(interval)
+        for (_, means, sums), (_, want_means, want_sums) in zip(got, expected):
+            assert np.array_equal(means, want_means) and np.array_equal(sums, want_sums)
+
+    @pytest.mark.parametrize("b", [1, 8])
+    def test_block_lengths_and_plain_means(self, b):
+        spec = REDUCE_SPECS[2]
+        expected = list(self.expected(spec, b, False))
+        got = list(reduce_panels(spec, self.REPS, 4, STREAM_PANEL, 6, b))
+        plain = list(reduce_panels(spec, self.REPS, 4, STREAM_PANEL, 6))
+        for (_, means, sums), (_, plain_means, none), (_, want_means, want_sums) in \
+                zip(got, plain, expected):
+            assert np.array_equal(sums, want_sums) and sums.shape[1] == spec.n // b
+            assert np.array_equal(means, want_means) and np.array_equal(plain_means, means)
+            assert none is None
+
+    def test_block_length_must_divide_n(self):
+        with pytest.raises(ValueError, match="divide"):
+            next(reduce_panels(REDUCE_SPECS[0], 10, 4, STREAM_PANEL, 6, 3))
+
+
 class TestSupport:
     def test_rademacher_support(self):
         spec = DgpSpec("bounded_rademacher", n=4, p=1)
@@ -246,6 +340,17 @@ class TestSupport:
     def test_scaled_rademacher(self):
         spec = DgpSpec("bounded_rademacher", n=16, p=2, scale=0.5)
         assert set(np.unique(np.abs(stack_panels(spec, 3, 0)))) == {0.5}
+
+    @pytest.mark.parametrize("coeffs", [(1.0,), (1.0, 0.5), (0.7, -0.2, 0.1)])
+    def test_rademacher_linear_process_support(self, coeffs):
+        spec = DgpSpec("linear_process", n=16, p=8, coeffs=coeffs, innovation="rademacher")
+        bound = spec.support_bound
+        assert bound == sum(abs(a) for a in coeffs)
+        # Aligned innovation signs reach the bound exactly.
+        assert np.abs(stack_panels(spec, 200, 2)).max() == bound
+
+    def test_gaussian_linear_process_is_unbounded(self):
+        assert DgpSpec("linear_process", n=4, p=2, coeffs=(1.0, 0.5)).support_bound is None
 
 
 class TestMoments:

@@ -13,9 +13,9 @@ from blocksym.seeding import (
     STREAM_COPY,
     STREAM_MULTIPLIER,
     STREAM_PANEL,
+    _rekeyed,
     philox_words,
     substream,
-    substream_iter,
     substream_keys,
 )
 
@@ -75,9 +75,20 @@ class TestKeys:
                               substream_keys(5, 1, 0, 0, 3))
 
     def test_iter_matches_fresh_generators(self):
-        pooled = [rng.standard_normal(5) for rng in substream_iter(3, 1, 2, 4, 9)]
+        pooled = [rng.standard_normal(5) for rng in _rekeyed(substream_keys(3, 1, 2, 4, 9))]
         fresh = [rng.standard_normal(5) for rng in per_replication(3, 1, 2, 4, 9)]
         assert np.array_equal(pooled, fresh)
+
+    def test_rekeyed_takes_keys_with_the_top_bit_set(self):
+        # Python ints above 2**63 must reach the Philox state unchanged.
+        keys = np.array([[2**64 - 1, 2**63], [2**63 + 5, 1], [0, 2**64 - 2]],
+                        dtype=np.uint64)
+        pooled = [(rng.bit_generator.state["state"]["key"].tolist(), rng.random(3))
+                  for rng in _rekeyed(keys)]
+        for key, (state_key, draws) in zip(keys, pooled):
+            fresh = np.random.Generator(np.random.Philox(key=key))
+            assert state_key == key.tolist()
+            assert np.array_equal(draws, fresh.random(3))
 
 
 class TestPhiloxWords:
