@@ -11,10 +11,11 @@ through the ``batch_*`` kernels, which act on stacks of panels along any
 leading axes.
 
 Monte Carlo estimators read their panels only through ``stream_statistics``,
-which reduces a panel stream to per-replication column means and
-block-multiplier maxima. The panels themselves never reach this module:
-``processes.reduce_panels`` hands over each chunk's column means and block
-sums, and the multipliers are applied to those sums here. Inside a
+which reduces a panel stream to per-replication vectors: the largest absolute
+column mean and the block-multiplier maximum. The (reps, p) column means are
+kept only for requests that ask for them. The panels themselves never reach
+this module: ``processes.reduce_panels`` hands over each chunk's column means
+and block sums, and the multipliers are applied to those sums here. Inside a
 ``shared_passes()`` block each distinct request is drawn once and served from
 the block's ledger afterwards.
 """
@@ -143,23 +144,22 @@ def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
 
 
 class StreamStatistics(NamedTuple):
-    """Read-only column means (reps, p) of one panel stream and, when a
-    block scheme was named, its block-multiplier maxima (reps,)."""
+    """Read-only statistics of one panel stream, one entry per replication:
+    the largest absolute column mean, as ``batch_max_abs_mean`` (reps,); the
+    block-multiplier maximum when a block scheme was named (reps,); and the
+    column means when they were asked for (reps, p)."""
 
-    means: np.ndarray
+    max_abs_mean: np.ndarray
     mult_max: Optional[np.ndarray]
-
-    @property
-    def max_abs_mean(self) -> np.ndarray:
-        """The plain statistic per replication, as ``batch_max_abs_mean``."""
-        return np.abs(self.means).max(axis=-1)
+    means: Optional[np.ndarray]
 
 
 class PassLedger(dict):
     """Statistics drawn in one ``shared_passes()`` block, keyed by request;
-    ``drawn`` and ``reused`` count the requests that drew and that did not."""
+    ``drawn`` and ``reused`` count the requests that drew and that did not,
+    and ``kept_bytes`` is set on exit to the array bytes the block held."""
 
-    drawn = reused = 0
+    drawn = reused = kept_bytes = 0
 
 
 # The ledger of the innermost open block; a context variable, so threads
@@ -180,19 +180,24 @@ def shared_passes():
         yield ledger
     finally:
         _ledger.reset(token)
+        ledger.kept_bytes = sum(array.nbytes for stats in ledger.values()
+                                for array in stats if array is not None)
         ledger.clear()
 
 
 def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                       scheme: Optional[BlockScheme] = None,
                       mult: Optional[MultiplierSpec] = None,
-                      copies: bool = False) -> StreamStatistics:
+                      copies: bool = False, means: bool = False) -> StreamStatistics:
     """Statistics of replications 0..reps-1 of the panel stream ``purpose``.
 
     Replication r reads the panel substream (seed, panel stream, purpose, r)
     and the multipliers of ``batch_multipliers`` for the same purpose. With
-    ``copies`` both statistics are taken on the panel minus its independent
-    copy from the copy stream.
+    ``copies`` the statistics are taken on the panel minus its independent
+    copy from the copy stream. The (reps, p) column means are kept only with
+    ``means``. A ledger entry kept without them is drawn again for a request
+    with ``means``, so every consumer of a stream whose means are read should
+    ask for them.
     """
     if (scheme is None) != (mult is None):
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
@@ -200,25 +205,29 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={spec.n}")
     key = (spec, reps, seed, purpose, scheme, mult, copies)
     ledger = _ledger.get()
-    if ledger is not None and key in ledger:
+    kept = None if ledger is None else ledger.get(key)
+    if kept is not None and (kept.means is not None or not means):
         ledger.reused += 1
-        return ledger[key]
-    means = np.empty((reps, spec.p))
+        return kept
+    max_abs_mean = np.empty(reps)
     mult_max = None if scheme is None else np.empty(reps)
+    all_means = np.empty((reps, spec.p)) if means else None
     chunks = reduce_panels(spec, reps, seed, STREAM_PANEL, purpose,
                            None if scheme is None else scheme.b,
                            STREAM_COPY if copies else None)
     for start, chunk_means, sums in chunks:
         stop = start + len(chunk_means)
-        means[start:stop] = chunk_means
+        max_abs_mean[start:stop] = np.abs(chunk_means).max(axis=-1)
+        if means:
+            all_means[start:stop] = chunk_means
         if scheme is not None:
             eps = batch_multipliers(mult, scheme.count, seed, purpose, start, stop)
             mult_max[start:stop] = batch_multiplier_max(sums, eps, scheme.n)
         del chunk_means, sums  # release this chunk before the next one is reduced
-    for array in (means, mult_max):
+    stats = StreamStatistics(max_abs_mean, mult_max, all_means)
+    for array in stats:
         if array is not None:
             array.setflags(write=False)
-    stats = StreamStatistics(means, mult_max)
     if ledger is not None:
         ledger[key] = stats
         ledger.drawn += 1

@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
+import scipy
 
 from .blocking import BlockScheme, MultiplierSpec, make_blocks, shared_passes
 from .gaussian import (
@@ -213,8 +214,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
             problems.append(("scheme.b", f"need 1 <= b <= n, got b={b}, n={dgp.n}"))
         elif dgp.n % b != 0:
             problems.append(("scheme.b", f"block size must divide n (n={dgp.n}, b={b})"))
-    if dgp is not None and "prop1" in checks and dgp.support_bound is None:
-        problems.append(("checks", "prop1 requires a bounded generator kind"))
+    if dgp is not None and "prop1" in checks:
+        bound = dgp.support_bound
+        U = truncation.get("U") if mode == "fixed" else None
+        if bound is None:
+            problems.append(("checks", "prop1 requires a bounded generator kind"))
+        elif isinstance(U, (int, float)) and bound > U + 1e-12:
+            problems.append(("truncation.U", f"prop1 needs U at least the panel "
+                                             f"support bound {bound}, got {U}"))
     if dgp is not None and "independence-reduction" in checks and not dgp.is_iid:
         problems.append(("checks", "independence-reduction requires an iid generator kind"))
     if psi is not None and "theorem1" in checks and psi.kind != "power":
@@ -457,8 +464,10 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     _dump_json(
         {"started": started.isoformat(), "finished": finished.isoformat(),
          "duration_seconds": (finished - started).total_seconds(),
-         "panel_streams": {"drawn": ledger.drawn, "reused": ledger.reused},
-         "versions": {"python": sys.version.split()[0], "numpy": np.__version__},
+         "panel_streams": {"drawn": ledger.drawn, "reused": ledger.reused,
+                           "kept_bytes": ledger.kept_bytes},
+         "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
+                      "scipy": scipy.__version__},
          "draw_workers": draw_workers()},
         out / "run_meta.json",
     )

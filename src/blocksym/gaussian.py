@@ -132,7 +132,7 @@ def estimate_gaussian_model(
         raise ValueError(f"unknown model method {method!r}")
     if reps < 1000:
         raise ValueError(f"mc covariance needs reps >= 1000, got {reps}")
-    means = stream_statistics(spec, reps, seed, PURPOSE_MODEL).means
+    means = stream_statistics(spec, reps, seed, PURPOSE_MODEL, means=True).means
     acc = np.zeros((spec.p, spec.p))
     # Summed chunk by chunk, as the panels are drawn: one product over all
     # replications would round differently.

@@ -104,16 +104,8 @@ def remainder_R2(r: float, tail_prob: float, psi_norm: float) -> float:
 # only, never used as the authority.
 
 
-def power_Rn_closed_form(q: float, U: float, rho_sum: float) -> float:
-    return rho_sum * U**q
-
-
 def power_R1_closed_form(q: float, U: float, rho_sum: float) -> float:
     return 2.0 ** (q - 2.0) * rho_sum * U**q
-
-
-def power_Rn_nscaled(q: float, n: int, U: float, rho_sum: float) -> float:
-    return rho_sum * U**q * n ** (-q / 2.0)
 
 
 def power_R1_nscaled(q: float, n: int, U: float, rho_sum: float) -> float:

@@ -8,8 +8,9 @@ Hoeffding-factor bound on the quadratic block term plus remainders.
 
 Every Monte Carlo estimator draws a fresh panel per replication (fresh
 multipliers and fresh independent copies where the mode needs them), and all
-expectations are unconditional. Estimators read the per-replication column
-means and multiplier maxima of ``blocking.stream_statistics``, so inside one
+expectations are unconditional. Estimators read the per-replication maxima
+of ``blocking.stream_statistics``, and the column means only where they need
+them (the split diagnostic, the moment and the tails), so inside one
 run (``blocking.shared_passes``) checks that need the same stream share one
 panel pass; the quadratic term of the moment bound reads the block sums of
 ``processes.reduce_panels``. Inequality verdicts use a three-band rule:
@@ -253,7 +254,10 @@ def mc_tail_probability(
 ) -> dict:
     """MC exceedance probability of the max-abs mean with a one-sided
     97.5% Clopper-Pearson upper confidence bound."""
-    hits = int((stream_statistics(spec, reps, seed, purpose).max_abs_mean >= U).sum())
+    # The sub-exponential tail fit reads this stream's means afterwards, so
+    # ask for them here and the stream is drawn once.
+    stats = stream_statistics(spec, reps, seed, purpose, means=True)
+    hits = int((stats.max_abs_mean >= U).sum())
     if hits == reps:
         upper = 1.0
     else:
@@ -268,7 +272,7 @@ def mc_coordinate_mean_moment(
 ) -> dict:
     """MC estimate of max_i E |column mean_i|^q with the argmax coordinate's
     standard error attached."""
-    means = stream_statistics(spec, reps, seed, purpose).means
+    means = stream_statistics(spec, reps, seed, purpose, means=True).means
     acc = np.zeros(spec.p)
     acc2 = np.zeros(spec.p)
     # Summed chunk by chunk, as the panels are drawn: one sum over all
@@ -294,7 +298,7 @@ def mc_per_coordinate_tails(
 ) -> np.ndarray:
     """Worst per-coordinate exceedance probability at each level."""
     levels = np.asarray(levels, dtype=float)
-    absmeans = np.abs(stream_statistics(spec, reps, seed, purpose).means)
+    absmeans = np.abs(stream_statistics(spec, reps, seed, purpose, means=True).means)
     counts = (absmeans >= levels[:, None, None]).sum(axis=1)
     return counts.max(axis=1) / reps
 
@@ -469,7 +473,7 @@ def verify_prop2(
                             PURPOSE_MID).scaled(0.5)
     rhs = mc_expect_psi_max("plain", spec, scheme, mult, psi, 2.0, reps, seed,
                             PURPOSE_RHS).scaled(0.5)
-    split = stream_statistics(spec, reps, seed, PURPOSE_SPLIT)
+    split = stream_statistics(spec, reps, seed, PURPOSE_SPLIT, means=True)
     absmeans, m = np.abs(split.means), split.max_abs_mean
     below = np.where(absmeans <= U, absmeans, 0.0).max(axis=1)
     e1 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * below)))
@@ -527,6 +531,22 @@ def verify_independence_reduction(
     )
 
 
+def _squared_block_sums(sums: np.ndarray) -> np.ndarray:
+    """``(sums**2).sum(axis=1)`` for block sums (c, count, p), bit for bit.
+
+    The squares are formed c // count replications at a time, so the
+    temporary never outgrows the (c, p) result. Each row is reduced by the
+    same numpy call as on the whole array: in block order when p > 1, and
+    pairwise when p == 1, so adding whole blocks in order would not do.
+    """
+    c, count, p = sums.shape
+    out = np.empty((c, p))
+    step = max(1, c // count)
+    for start in range(0, c, step):
+        out[start : start + step] = (sums[start : start + step] ** 2).sum(axis=1)
+    return out
+
+
 def hoeffding_factor(q: float, c: float, p: int, n: int) -> float:
     """Exact conditional-multiplier factor 2**(q/2) c**q (ln(2p) / n)**(q/2)."""
     return 2.0 ** (q / 2.0) * c**q * (math.log(2.0 * p) / n) ** (q / 2.0)
@@ -569,7 +589,7 @@ def theorem1_bound(
     for start, _, sums in reduce_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_QUAD,
                                         scheme.b):
         c = len(sums)
-        quad = np.abs((sums**2).sum(axis=1) / spec.n).max(axis=1)
+        quad = np.abs(_squared_block_sums(sums) / spec.n).max(axis=1)
         quad_vals[start : start + c] = quad ** (q / 2.0)
         eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_HOEFFDING, start, start + c)
         mstat = batch_multiplier_max(sums, eps, spec.n)

@@ -28,8 +28,6 @@ from blocksym.remainders import (
     optimal_truncation_forms,
     power_R1_closed_form,
     power_R1_nscaled,
-    power_Rn_closed_form,
-    power_Rn_nscaled,
     remainder_R1,
     remainder_Rn,
     subexp_total_bound,
@@ -45,6 +43,16 @@ from blocksym.verify import (
 )
 
 RADEMACHER = MultiplierSpec("rademacher")
+
+
+# Closed forms of the power-gauge blocking remainder R_n: the substitution
+# form and its n-scaled variant, which carries an extra n**(-q/2).
+def power_Rn_closed_form(q, U, rho_sum):
+    return rho_sum * U**q
+
+
+def power_Rn_nscaled(q, n, U, rho_sum):
+    return rho_sum * U**q * n ** (-q / 2.0)
 
 
 def report_line(criterion, ok, detail):

@@ -25,7 +25,7 @@ from blocksym.blocking import (
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec, generate_panels, reduce_panels
-from blocksym.seeding import STREAM_COPY, STREAM_PANEL
+from blocksym.seeding import PURPOSE_MOMENT, PURPOSE_TAIL, STREAM_COPY, STREAM_PANEL
 from blocksym.verify import verify_prop2
 
 RADEMACHER = MultiplierSpec("rademacher")
@@ -304,16 +304,17 @@ class TestStreamLedger:
             first = stream_statistics(*args)
             again = stream_statistics(*args)
             assert sum(panel_calls.values()) == 1
-            assert again.means is first.means and again.mult_max is first.mult_max
+            assert again.max_abs_mean is first.max_abs_mean
+            assert again.mult_max is first.mult_max
             assert (ledger.drawn, ledger.reused) == (1, 1)
-        for array in (first.means, first.mult_max):
+        for array in (first.max_abs_mean, first.mult_max):
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0
         outside = [stream_statistics(*args) for _ in range(2)]
         assert sum(panel_calls.values()) == 3
-        assert outside[0].means is not outside[1].means
-        assert np.array_equal(outside[0].means, first.means)
+        assert outside[0].max_abs_mean is not outside[1].max_abs_mean
+        assert np.array_equal(outside[0].max_abs_mean, first.max_abs_mean)
         assert np.array_equal(outside[1].mult_max, first.mult_max)
         # A new block starts empty.
         with shared_passes() as ledger:
@@ -332,6 +333,28 @@ class TestStreamLedger:
             assert (ledger.drawn, ledger.reused) == (1, 0)
         assert sum(panel_calls.values()) == 2
 
+    def test_means_are_kept_only_when_asked(self, panel_calls):
+        args = (self.SPEC, 50, 3, 2, self.SCHEME, self.MULT)
+        with shared_passes() as ledger:
+            maxima = stream_statistics(*args)
+            # A maxima-only request keeps per-replication vectors only.
+            assert maxima.means is None
+            assert all(array.shape == (50,) for array in maxima if array is not None)
+            # Asking for the means afterwards draws the stream again ...
+            full = stream_statistics(*args, means=True)
+            assert sum(panel_calls.values()) == 2
+            assert full.means.shape == (50, 3) and not full.means.flags.writeable
+            assert np.array_equal(full.max_abs_mean, maxima.max_abs_mean)
+            assert np.array_equal(full.mult_max, maxima.mult_max)
+            assert np.array_equal(full.max_abs_mean, np.abs(full.means).max(axis=1))
+            # ... and the entry with means then serves both kinds of request.
+            assert stream_statistics(*args) is full
+            assert stream_statistics(*args, means=True) is full
+            assert (ledger.drawn, ledger.reused) == (2, 2)
+            assert ledger.kept_bytes == 0
+        assert ledger.kept_bytes == full.means.nbytes + 2 * full.max_abs_mean.nbytes
+        assert len(ledger) == 0
+
     def test_plain_request_has_no_multiplier_statistic(self):
         stats = stream_statistics(self.SPEC, 20, 3, 2)
         assert stats.mult_max is None
@@ -345,7 +368,8 @@ class TestStreamLedger:
            b=st.sampled_from([1, 2, 8]))
     def test_copies_are_the_kernels_on_differences(self, reps, seed, purpose, b):
         scheme = make_blocks(8, b)
-        stats = stream_statistics(self.SPEC, reps, seed, purpose, scheme, self.MULT, copies=True)
+        stats = stream_statistics(self.SPEC, reps, seed, purpose, scheme, self.MULT,
+                                  copies=True, means=True)
         panels, copies = (
             np.concatenate([c for _, c in generate_panels(self.SPEC, reps, seed, stream, purpose)])
             for stream in (STREAM_PANEL, STREAM_COPY)
@@ -400,7 +424,12 @@ class TestSharedRun:
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
         # Every stream but the quadratic-term one goes through the ledger.
-        assert meta["panel_streams"] == {"drawn": 9, "reused": 6}
+        # The model, tail, split and moment streams keep (reps, p) means; all
+        # nine keep their (reps,) maxima, and the rho and mid streams their
+        # multiplier maxima too.
+        reps, p = config.reps, config.dgp.p
+        assert meta["panel_streams"] == {"drawn": 9, "reused": 6,
+                                         "kept_bytes": 8 * reps * (4 * p + 11)}
 
         # The same check built outside a run draws its own panels and
         # reports the same numbers.
@@ -410,3 +439,36 @@ class TestSharedRun:
         alone = verify_prop2(config.dgp, config.scheme(), config.multiplier, config.psi,
                              3.0, config.r, config.reps, rho, config.seed)
         assert json.loads(json.dumps(alone.to_json_dict())) == report
+
+    @pytest.mark.parametrize("tail, reread", [("lq", PURPOSE_MOMENT), ("subexp", PURPOSE_TAIL)],
+                             ids=["lq", "subexp"])
+    def test_reread_means_streams_are_drawn_once(self, tmp_path, panel_calls, monkeypatch,
+                                                 tail, reread):
+        # With q = 3 the lq moment is read at q = 2 (prop2) and at q = 3
+        # (theorem1); the sub-exponential fit reads the tail stream after
+        # prop2's exceedance count has drawn it.
+        from blocksym import gaussian, psi, verify
+
+        reads = Counter()
+
+        def counting(spec, reps, seed, purpose, *args, **kw):
+            reads[purpose] += 1
+            return stream_statistics(spec, reps, seed, purpose, *args, **kw)
+
+        for module in (gaussian, psi, verify):
+            monkeypatch.setattr(module, "stream_statistics", counting)
+        obj = dict(FULL_RUN, psi={"kind": "power", "q": 3.0}, checks=["prop2", "theorem1"],
+                   tail=dict(FULL_RUN["tail"], mode=tail))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        config = load_config(path)
+        out = tmp_path / "out"
+        assert run_experiment(config, output_dir=str(out)) == 0
+        assert reads[reread] == 2
+        assert len(panel_calls) == 10
+        assert set(panel_calls.values()) == {1}
+        meta = json.loads((out / "run_meta.json").read_text())
+        # Only the model, tail, split and moment streams keep (reps, p) means.
+        reps, p = config.reps, config.dgp.p
+        assert meta["panel_streams"] == {"drawn": 9, "reused": 3,
+                                         "kept_bytes": 8 * reps * (4 * p + 11)}

@@ -153,6 +153,13 @@ PROBES = {
     "coeff-nan": (with_fields(dgp={"kind": "linear_process", "n": 16, "p": 3,
                                    "coeffs": [1.0, NAN]}), "dgp.coeffs[1]"),
     "output-dir-number": (with_fields(output_dir=5), "output_dir"),
+    "U-below-linear-support": (
+        with_fields(dgp={"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1.0, 0.5],
+                         "innovation": "rademacher"},
+                    checks=["prop1"], **{"truncation.U": 1.0}), "truncation.U"),
+    "U-below-sign-scale": (
+        with_fields(dgp={"kind": "bounded_rademacher", "n": 16, "p": 3, "scale": 2.0},
+                    checks=["prop1"], **{"truncation.U": 1}), "truncation.U"),
 }
 
 

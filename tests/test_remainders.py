@@ -19,8 +19,6 @@ from blocksym.remainders import (
     optimal_truncation_forms,
     power_R1_closed_form,
     power_R1_nscaled,
-    power_Rn_closed_form,
-    power_Rn_nscaled,
     remainder_R1,
     remainder_R2,
     remainder_Rn,
@@ -28,6 +26,16 @@ from blocksym.remainders import (
 )
 
 E = math.e
+
+
+# Closed forms of the power-gauge blocking remainder R_n: the substitution
+# form and its n-scaled variant, which carries an extra n**(-q/2).
+def power_Rn_closed_form(q, U, rho_sum):
+    return rho_sum * U**q
+
+
+def power_Rn_nscaled(q, n, U, rho_sum):
+    return rho_sum * U**q * n ** (-q / 2.0)
 
 
 class TestQuadratureModule:

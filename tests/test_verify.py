@@ -1,5 +1,7 @@
 import itertools
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,11 +17,12 @@ from blocksym.blocking import (
     stream_statistics,
 )
 from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
-from blocksym.processes import DgpSpec
+from blocksym.processes import DEFAULT_CHUNK, DgpSpec
 from blocksym.psi import PsiSpec, psi_deriv, psi_eval
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
 from blocksym.seeding import PURPOSE_LHS
 from blocksym.verify import (
+    _squared_block_sums,
     hoeffding_factor,
     EnumerationBudgetError,
     ExactChain,
@@ -548,6 +551,31 @@ class TestTheorem1:
         with pytest.raises(ValueError, match="tail_params"):
             theorem1_bound(ZERO_LAW, make_blocks(8, 2), RADEMACHER, 2.0, 2.0, 1.0,
                            2000, zero_rho(), "subexp", seed=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(c=st.integers(1, 40), count=st.integers(1, 16), p=st.integers(1, 5),
+           seed=st.integers(0, 2**32))
+    def test_squared_block_sums_are_bit_identical(self, c, count, p, seed):
+        # Values of mixed magnitude, so that a different summation order
+        # (numpy sums the blocks pairwise when p == 1) changes the last bits.
+        rng = np.random.default_rng(seed)
+        sums = rng.standard_normal((c, count, p)) * 10.0 ** rng.uniform(-3, 3, (c, count, p))
+        assert np.array_equal(_squared_block_sums(sums), (sums**2).sum(axis=1))
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
+    def test_quadratic_term_holds_one_copy_of_the_sums(self, cpus, monkeypatch):
+        # Squaring whole chunks of block sums would peak above twice their bytes.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        spec = DgpSpec("iid_gaussian", n=32, p=100)
+        tracemalloc.start()
+        try:
+            theorem1_bound(spec, make_blocks(32, 2), RADEMACHER, 2.0, 2.0, 3.0,
+                           DEFAULT_CHUNK, zero_rho(), "lq", seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.75 * DEFAULT_CHUNK * 16 * spec.p * 8
 
     def test_subexp_mode_and_verdicts(self):
         spec = DgpSpec("var1", n=64, p=4, phi=0.5)
