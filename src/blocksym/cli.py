@@ -20,6 +20,7 @@ import csv
 import datetime
 import json
 import math
+import re
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,14 +30,8 @@ import numpy as np
 import scipy
 
 from .blocking import BlockScheme, MultiplierSpec, make_blocks, shared_passes
-from .gaussian import (
-    GaussianModel,
-    RhoEstimate,
-    estimate_gaussian_model,
-    sample_gaussian_max,
-    simulate_max_statistics,
-)
-from .processes import DgpSpec, LongRunCovError, draw_workers
+from .gaussian import GaussianModel, RhoEstimate, draw_rho_samples, estimate_gaussian_model
+from .processes import DgpSpec, LongRunCovError, _is_real, draw_workers
 from .psi import PsiSpec, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -118,6 +113,11 @@ _INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "reps", "rho_reps", "seed",
                    "gaussian_model.reps")
 
 
+def _is_positive(value) -> bool:
+    """Whether ``value`` is a number (not a boolean) above zero."""
+    return _is_real(value) and value > 0
+
+
 def _shape_problems(node, path: str = "") -> list:
     """A root or section that is not an object, integer fields that are not
     JSON integers and numbers that are not finite, each with its field path."""
@@ -155,7 +155,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
         try:
             return ctor(node[leaf])
         except (TypeError, ValueError) as exc:
-            problems.append((path, str(exc)))
+            # Spec errors name their field first: "<field>: <message>".
+            field, sep, message = str(exc).partition(": ")
+            if sep and re.fullmatch(r"\w+(\[\d+\])*", field):
+                problems.append((f"{path}.{field}", message))
+            else:
+                problems.append((path, str(exc)))
             return default
 
     dgp = grab("dgp", DgpSpec.from_json_dict)
@@ -170,8 +175,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         problems.append(("truncation.mode", f"expected fixed or optimal, got {mode!r}"))
     else:
         key = "U" if mode == "fixed" else "phi"
-        level = truncation.get(key)
-        if not isinstance(level, (int, float)) or level <= 0:
+        if not _is_positive(truncation.get(key)):
             problems.append((f"truncation.{key}", f"{mode} mode needs {key} > 0"))
 
     r = grab("r", float, default=2.0, required=False)
@@ -202,6 +206,18 @@ def parse_config(obj: dict) -> ExperimentConfig:
     tail = obj.get("tail", {"mode": "lq"})
     if tail.get("mode") not in ("lq", "subexp"):
         problems.append(("tail.mode", "expected lq or subexp"))
+    for key in ("gamma", "phi", "a", "b"):
+        if key in tail and not _is_positive(tail[key]):
+            problems.append((f"tail.{key}", f"expected a number > 0, got {tail[key]!r}"))
+    gamma, phi = tail.get("gamma", 1.0), tail.get("phi")
+    if _is_positive(gamma) and _is_positive(phi) and phi >= gamma:
+        problems.append(("tail.phi", f"must lie strictly inside (0, gamma), "
+                                     f"got phi={phi}, gamma={gamma}"))
+    fit = tail.get("fit", True)
+    if not isinstance(fit, bool):
+        problems.append(("tail.fit", f"expected true or false, got {fit!r}"))
+    elif not fit and not ("a" in tail and "b" in tail):
+        problems.append(("tail.fit", "fit false needs both tail.a and tail.b"))
 
     debug = obj.get("debug", {})
     output_dir = obj.get("output_dir", "out")
@@ -292,7 +308,7 @@ def _fit_tail_params(config: ExperimentConfig, U_hint: float) -> TailParams:
     tail = config.tail
     gamma = float(tail.get("gamma", 1.0))
     phi = float(tail.get("phi", gamma / 2.0))
-    if not tail.get("fit", True) and "a" in tail and "b" in tail:
+    if not tail.get("fit", True):
         return TailParams(a=float(tail["a"]), b=float(tail["b"]), gamma=gamma, phi=phi)
     levels = U_hint * np.geomspace(0.25, 2.0, 8)
     tails = mc_per_coordinate_tails(config.dgp, levels, config.reps, config.seed)
@@ -423,12 +439,10 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
             needs_rho = any(c in config.checks for c in ("prop1", "prop2", "theorem1", "rho-only"))
             if needs_rho:
                 model = _resolve_model(config)
-                plain, starred = simulate_max_statistics(
-                    config.dgp, config.scheme(), config.multiplier, config.rho_reps, config.seed
-                )
-                gauss = sample_gaussian_max(model, config.rho_reps, config.seed)
-                run.rho = RhoEstimate.from_samples(plain, starred, gauss)
-                run.rho_samples = {"plain": plain, "multiplier": starred, "gaussian": gauss}
+                samples = draw_rho_samples(config.dgp, config.scheme(), config.multiplier,
+                                           model, config.rho_reps, config.seed)
+                run.rho = RhoEstimate.from_samples(*samples)
+                run.rho_samples = samples._asdict()
                 run.model_source = model.source
             needs_trunc = any(c in config.checks for c in ("prop1", "prop2", "theorem1"))
             trunc = _resolve_truncation(config, run.rho) if needs_trunc else {"U": None}

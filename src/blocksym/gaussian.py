@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 
 from .blocking import BlockScheme, MultiplierSpec, stream_statistics
@@ -194,6 +196,28 @@ def simulate_max_statistics(
     return root_n * stats.max_abs_mean, root_n * stats.mult_max
 
 
+class RhoSamples(NamedTuple):
+    """The paired samples behind a ``RhoEstimate``, on the sqrt(n) scale: the
+    plain and block-multiplier max statistics and the Gaussian max."""
+
+    plain: np.ndarray
+    multiplier: np.ndarray
+    gaussian: np.ndarray
+
+
+def draw_rho_samples(
+    spec: DgpSpec,
+    scheme: BlockScheme,
+    mult: MultiplierSpec,
+    model: GaussianModel,
+    reps: int,
+    seed: int,
+) -> RhoSamples:
+    """The three samples whose Kolmogorov distances ``estimate_rhos`` reports."""
+    plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed)
+    return RhoSamples(plain, starred, sample_gaussian_max(model, reps, seed))
+
+
 def estimate_rhos(
     spec: DgpSpec,
     scheme: BlockScheme,
@@ -203,5 +227,4 @@ def estimate_rhos(
     seed: int,
 ) -> RhoEstimate:
     """Kolmogorov distance estimates against the Gaussian comparison law."""
-    plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed)
-    return RhoEstimate.from_samples(plain, starred, sample_gaussian_max(model, reps, seed))
+    return RhoEstimate.from_samples(*draw_rho_samples(spec, scheme, mult, model, reps, seed))

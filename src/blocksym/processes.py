@@ -10,20 +10,20 @@ p-dimensional process. Five generator kinds are shipped:
 - ``bounded_rademacher``: iid random signs times a scale, support {-s, +s}
 - ``truncated_var1``: the var1 path clipped to [-U, U]
 
-Panels come in batches from ``generate_panels``; replication r is a pure
-function of (spec, seed, stream, purpose, r), so identical inputs give
-bit-identical panels. Every kind is mean zero by construction (innovations
-are centered before filtering, and clipping a stationary law that is
-symmetric about zero keeps its mean exactly zero). Cross-sectional
-dependence is described by a single equicorrelation coefficient, which keeps
-specs serializable while still covering the correlated-coordinate regime.
-
 Estimators need only each panel's column means and within-block column
-sums, which ``reduce_panels`` yields per chunk. Both functions split a chunk
-into blocks of ``_BLOCK_BYTES`` of panel and draw each block with the one
-filler per kind (``_fill``); ``reduce_panels`` reduces each block as soon as
-it is drawn, so it never holds a chunk of panels. Gaussian kinds run their
-blocks on a thread pool sized by the CPUs this process may run on
+sums, which ``reduce_panels``, the one function here that draws panels,
+yields per chunk. Replication r is a pure function of (spec, seed, stream,
+purpose, r), so identical inputs give bit-identical results. Every kind is
+mean zero by construction (innovations are centered before filtering, and
+clipping a stationary law that is symmetric about zero keeps its mean
+exactly zero). Cross-sectional dependence is described by a single
+equicorrelation coefficient, which keeps specs serializable while still
+covering the correlated-coordinate regime.
+
+``reduce_panels`` splits a chunk into blocks of ``_BLOCK_BYTES`` of panel,
+draws each block with the one filler per kind (``_fill``) and reduces it as
+soon as it is drawn, so it never holds a chunk of panels. Gaussian kinds run
+their blocks on a thread pool sized by the CPUs this process may run on
 (``draw_workers``); numpy's normal fills and ufunc loops release the GIL, so
 the blocks overlap. Each block rekeys its own generator from its
 replications' keys, so the output is bit-identical for any worker count.
@@ -41,7 +41,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .seeding import STREAM_PANEL, _rekeyed, philox_signs, substream_keys
+from .seeding import _rekeyed, philox_signs, substream_keys
 
 KINDS = (
     "iid_gaussian",
@@ -65,6 +65,12 @@ _SIGN_SLICE = 64
 
 class DgpValidationError(ValueError):
     """Invalid generator specification; the message names the field."""
+
+
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a boolean."""
+    return (isinstance(value, (int, float, np.integer, np.floating))
+            and not isinstance(value, bool))
 
 
 class LongRunCovError(ValueError):
@@ -93,8 +99,13 @@ class DgpSpec:
     cross_corr: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        try:
+            object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        except TypeError:
+            raise DgpValidationError(
+                f"coeffs: expected a list of numbers, got {self.coeffs!r}") from None
         self.validate()
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     def validate(self):
         if self.kind not in KINDS:
@@ -107,6 +118,8 @@ class DgpSpec:
                    for name in ("phi", "scale", "truncation", "cross_corr")]
         numbers += [(f"coeffs[{i}]", c) for i, c in enumerate(self.coeffs)]
         for name, value in numbers:
+            if not _is_real(value):
+                raise DgpValidationError(f"{name}: expected a number, got {value!r}")
             if not math.isfinite(value):
                 raise DgpValidationError(f"{name}: expected a finite number, got {value!r}")
         if self.n < 1:
@@ -192,10 +205,10 @@ class DgpSpec:
         extra = set(obj) - known
         if extra:
             raise DgpValidationError(f"unknown dgp fields: {sorted(extra)}")
-        kwargs = dict(obj)
-        if "coeffs" in kwargs:
-            kwargs["coeffs"] = tuple(kwargs["coeffs"])
-        return cls(**kwargs)
+        for name in ("kind", "n", "p"):
+            if name not in obj:
+                raise DgpValidationError(f"{name}: missing")
+        return cls(**obj)
 
 
 # ---------------------------------------------------------------------------
@@ -328,57 +341,6 @@ def _draw_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
 
 
-def _run_blocks(spec: DgpSpec, count: int, task) -> None:
-    """Run ``task(span)`` on blocks of replications covering 0..count-1.
-
-    A block holds ``_BLOCK_BYTES`` of panel (at least one replication). The
-    draw pool runs the blocks of a Gaussian kind when there are several and
-    more than one worker; otherwise they run in order on the calling thread.
-    Each task writes only its own span, so the output does not depend on
-    the worker count.
-    """
-    block = max(1, _BLOCK_BYTES // (spec.n * spec.p * 8))
-    spans = [slice(lo, lo + block) for lo in range(0, count, block)]
-    workers = draw_workers()
-    if len(spans) == 1 or workers == 1 or _signs(spec):
-        for span in spans:
-            task(span)
-    else:
-        list(_draw_pool(workers).map(task, spans))
-
-
-def _draw_batch(spec: DgpSpec, seed: int, stream: int, purpose: int,
-                start: int, stop: int) -> np.ndarray:
-    """Panels of replications start..stop-1, shape (stop - start, n, p).
-
-    Replication r reads the substream (seed, stream, purpose, r).
-    """
-    keys = substream_keys(seed, stream, purpose, start, stop)
-    chol = _cross_chol(spec)
-    x = np.empty((stop - start, spec.n, spec.p))
-    _run_blocks(spec, stop - start, lambda span: _fill(spec, chol, keys[span], x[span]))
-    return x
-
-
-def generate_panels(
-    spec: DgpSpec,
-    reps: int,
-    seed: int,
-    stream: int = STREAM_PANEL,
-    purpose: int = 0,
-    chunk: int = DEFAULT_CHUNK,
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Yield (offset, panels) chunks; panels has shape (c, n, p).
-
-    Replication r draws from the substream (seed, stream, purpose, r), so
-    any single replication can be regenerated in isolation and the full
-    batch is independent of chunking or scheduling.
-    """
-    for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        yield start, _draw_batch(spec, seed, stream, purpose, start, stop)
-
-
 def reduce_panels(
     spec: DgpSpec,
     reps: int,
@@ -390,19 +352,25 @@ def reduce_panels(
 ) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray]]]:
     """Yield (offset, means, sums) per chunk of ``DEFAULT_CHUNK`` replications.
 
-    ``means`` (c, p) holds the column means of the panels of
-    ``generate_panels`` and ``sums`` (c, n/b, p) their within-block column
-    sums over blocks of length ``b`` (None without ``b``). With
-    ``copy_stream`` each panel minus its copy, the same replication of that
-    stream, is reduced instead. Each block of replications is drawn into a
-    block-sized buffer and reduced by the thread that drew it, so no
-    chunk-sized panel is ever held. numpy sums each replication over t in
-    order, so the results equal those of the whole chunk bit for bit.
+    Replication r reads the substream (seed, stream, purpose, r). ``means``
+    (c, p) holds the panels' column means and ``sums`` (c, n/b, p) their
+    within-block column sums over blocks of length ``b`` (None without
+    ``b``). With ``copy_stream`` each panel minus its copy, the same
+    replication of that stream, is reduced instead.
+
+    Each block of ``_BLOCK_BYTES`` of panel (at least one replication) is
+    drawn into its own buffer and reduced by the thread that drew it: the
+    draw pool when a Gaussian chunk has several blocks and there is more
+    than one worker, else the calling thread. Each block writes only its own
+    rows, and numpy sums each replication over t in order, so the results
+    equal those of the whole chunk bit for bit, for any worker count.
     """
     n, p = spec.n, spec.p
     if b is not None and not (1 <= b <= n and n % b == 0):
         raise ValueError(f"block length must divide n (n={n}, b={b})")
     chol = _cross_chol(spec)
+    block = max(1, _BLOCK_BYTES // (n * p * 8))
+    workers = draw_workers()
     for start in range(0, reps, DEFAULT_CHUNK):
         stop = min(start + DEFAULT_CHUNK, reps)
         keys = substream_keys(seed, stream, purpose, start, stop)
@@ -423,7 +391,12 @@ def reduce_panels(
             if sums is not None:
                 sums[span] = _block_sums(x, b)
 
-        _run_blocks(spec, stop - start, reduce)
+        spans = [slice(lo, lo + block) for lo in range(0, stop - start, block)]
+        if len(spans) == 1 or workers == 1 or _signs(spec):
+            for span in spans:
+                reduce(span)
+        else:
+            list(_draw_pool(workers).map(reduce, spans))
         yield start, means, sums
         del means, sums  # the caller is done with this chunk
 

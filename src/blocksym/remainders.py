@@ -99,13 +99,9 @@ def remainder_R2(r: float, tail_prob: float, psi_norm: float) -> float:
     return 0.5 * tail_prob ** ((r - 1.0) / r) * psi_norm
 
 
-# Power-gauge closed forms. The substitution forms are exact; the n-scaled
-# variants carry an extra n**(-q/2) factor and are reported for comparison
-# only, never used as the authority.
-
-
-def power_R1_closed_form(q: float, U: float, rho_sum: float) -> float:
-    return 2.0 ** (q - 2.0) * rho_sum * U**q
+# The n-scaled power-gauge R1 carries an extra n**(-q/2) factor beside the
+# exact substitution form; it is reported for comparison only, never used as
+# the authority.
 
 
 def power_R1_nscaled(q: float, n: int, U: float, rho_sum: float) -> float:

@@ -7,7 +7,7 @@ The moment-bound check tests the maximal q-th moment against the
 Hoeffding-factor bound on the quadratic block term plus remainders.
 
 Every Monte Carlo estimator draws a fresh panel per replication (fresh
-multipliers and fresh independent copies where the mode needs them), and all
+multipliers and fresh independent copies where a check needs them), and all
 expectations are unconditional. Estimators read the per-replication maxima
 of ``blocking.stream_statistics``, and the column means only where they need
 them (the split diagnostic, the moment and the tails), so inside one
@@ -62,7 +62,7 @@ from .seeding import (
     STREAM_PANEL,
 )
 
-STATISTIC_MODES = ("plain", "multiplier", "multiplier-indep-copy")
+STATISTIC_MODES = ("plain", "multiplier")
 
 _ENUMERATION_BUDGET = 2**24
 _ENUMERATION_CHUNK = 2**18  # array elements per enumeration step
@@ -225,9 +225,7 @@ def mc_expect_psi_max(
     """Unconditional Monte Carlo estimate of E psi(scale * statistic).
 
     Modes: ``plain`` uses the max-abs column mean; ``multiplier`` the
-    block-multiplier statistic with fresh multipliers per replication;
-    ``multiplier-indep-copy`` applies the multiplier statistic to the panel
-    minus a fresh independent copy.
+    block-multiplier statistic with fresh multipliers per replication.
     """
     if mode not in STATISTIC_MODES:
         raise ValueError(f"unknown statistic mode {mode!r}")
@@ -235,9 +233,8 @@ def mc_expect_psi_max(
         raise ValueError(f"need reps >= 1000, got {reps}")
     if scale <= 0:
         raise ValueError(f"scale must be > 0, got {scale}")
-    if mode in ("multiplier", "multiplier-indep-copy"):
-        stats = stream_statistics(spec, reps, seed, purpose, scheme, mult,
-                                  copies=mode == "multiplier-indep-copy").mult_max
+    if mode == "multiplier":
+        stats = stream_statistics(spec, reps, seed, purpose, scheme, mult).mult_max
     else:
         stats = stream_statistics(spec, reps, seed, purpose).max_abs_mean
     values = np.asarray(psi_eval(psi, scale * stats))

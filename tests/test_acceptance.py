@@ -17,7 +17,7 @@ from blocksym import processes
 from blocksym.blocking import MultiplierSpec, batch_max_abs_mean, make_blocks
 from blocksym.cli import parse_config, run_experiment
 from blocksym.gaussian import estimate_gaussian_model, estimate_rhos
-from blocksym.processes import DgpSpec, generate_panels
+from blocksym.processes import DEFAULT_CHUNK, DgpSpec
 from blocksym.psi import PsiSpec, psi_moment_norm
 from blocksym.remainders import (
     concentration_general,
@@ -26,7 +26,6 @@ from blocksym.remainders import (
     fit_subexp_envelope,
     optimal_truncation,
     optimal_truncation_forms,
-    power_R1_closed_form,
     power_R1_nscaled,
     remainder_R1,
     remainder_Rn,
@@ -41,6 +40,7 @@ from blocksym.verify import (
     verify_independence_reduction,
     verify_prop1,
 )
+from conftest import draw_panels
 
 RADEMACHER = MultiplierSpec("rademacher")
 
@@ -53,6 +53,11 @@ def power_Rn_closed_form(q, U, rho_sum):
 
 def power_Rn_nscaled(q, n, U, rho_sum):
     return rho_sum * U**q * n ** (-q / 2.0)
+
+
+# The substitution form of the power-gauge split remainder R1.
+def power_R1_closed_form(q, U, rho_sum):
+    return 2.0 ** (q - 2.0) * rho_sum * U**q
 
 
 def report_line(criterion, ok, detail):
@@ -160,8 +165,9 @@ def test_criterion_5_concentration_domination():
     reps = 10_000
     grid = np.linspace(0.6, 1.5, 10)
     stats = np.empty(reps)
-    for start, panels in generate_panels(spec, reps, 505, 1, 0):
-        stats[start : start + len(panels)] = batch_max_abs_mean(panels)
+    for start in range(0, reps, DEFAULT_CHUNK):
+        stop = min(start + DEFAULT_CHUNK, reps)
+        stats[start:stop] = batch_max_abs_mean(draw_panels(spec, 505, 1, 0, start, stop))
     pbar_grid = mc_per_coordinate_tails(spec, grid, reps, seed=505)
     moment = mc_coordinate_mean_moment(spec, 2.0, reps, seed=505)["value"]
     envelope = fit_subexp_envelope(grid, pbar_grid, spec.n, gamma=1.0, phi=0.5)

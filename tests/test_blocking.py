@@ -24,9 +24,10 @@ from blocksym.blocking import (
 )
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
-from blocksym.processes import DEFAULT_CHUNK, DgpSpec, generate_panels, reduce_panels
+from blocksym.processes import DEFAULT_CHUNK, DgpSpec, reduce_panels
 from blocksym.seeding import PURPOSE_MOMENT, PURPOSE_TAIL, STREAM_COPY, STREAM_PANEL
 from blocksym.verify import verify_prop2
+from conftest import draw_panels
 
 RADEMACHER = MultiplierSpec("rademacher")
 
@@ -266,9 +267,7 @@ class TestKernels:
         scheme = make_blocks(n, n if full_block else 1)
         mult = MultiplierSpec(mult)
         plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed, purpose)
-        panels = np.concatenate(
-            [chunk for _, chunk in generate_panels(spec, reps, seed, STREAM_PANEL, purpose)]
-        )
+        panels = draw_panels(spec, seed, STREAM_PANEL, purpose, 0, reps)
         eps = batch_multipliers(mult, scheme.count, seed, purpose, 0, reps)
         root_n = math.sqrt(n)
         assert np.array_equal(plain, root_n * batch_max_abs_mean(panels))
@@ -370,10 +369,8 @@ class TestStreamLedger:
         scheme = make_blocks(8, b)
         stats = stream_statistics(self.SPEC, reps, seed, purpose, scheme, self.MULT,
                                   copies=True, means=True)
-        panels, copies = (
-            np.concatenate([c for _, c in generate_panels(self.SPEC, reps, seed, stream, purpose)])
-            for stream in (STREAM_PANEL, STREAM_COPY)
-        )
+        panels, copies = (draw_panels(self.SPEC, seed, stream, purpose, 0, reps)
+                          for stream in (STREAM_PANEL, STREAM_COPY))
         diff = panels - copies
         eps = batch_multipliers(self.MULT, scheme.count, seed, purpose, 0, reps)
         assert np.array_equal(stats.means, diff.mean(axis=1))

@@ -160,6 +160,21 @@ PROBES = {
     "U-below-sign-scale": (
         with_fields(dgp={"kind": "bounded_rademacher", "n": 16, "p": 3, "scale": 2.0},
                     checks=["prop1"], **{"truncation.U": 1}), "truncation.U"),
+    "U-boolean": (with_fields(**{"truncation.U": True}), "truncation.U"),
+    "truncation-phi-boolean": (with_fields(truncation={"mode": "optimal", "phi": True}),
+                               "truncation.phi"),
+    **{f"tail-{name}": (with_fields(checks=["theorem1"], tail=dict(mode="subexp", **tail)), path)
+       for name, tail, path in [
+           ("gamma-string", {"gamma": "x"}, "tail.gamma"),
+           ("gamma-zero", {"gamma": 0}, "tail.gamma"),
+           ("a-negative", {"a": -1}, "tail.a"),
+           ("phi-above-gamma", {"gamma": 1, "phi": 2}, "tail.phi"),
+           ("fit-false-without-b", {"fit": False, "a": 2.0}, "tail.fit"),
+       ]},
+    "dgp-phi-string": (with_fields(**{"dgp.kind": "var1", "dgp.phi": "x"}), "dgp.phi"),
+    "dgp-coeffs-number": (with_fields(**{"dgp.kind": "linear_process", "dgp.coeffs": 5}),
+                          "dgp.coeffs"),
+    "dgp-kind-missing": (with_fields(dgp={"n": 16, "p": 3}), "dgp.kind"),
 }
 
 

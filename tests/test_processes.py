@@ -18,21 +18,24 @@ from blocksym.processes import (
     DgpValidationError,
     LongRunCovError,
     _cross_chol,
-    _draw_batch,
-    generate_panels,
     reduce_panels,
     theoretical_longrun_cov,
 )
 from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream
+from conftest import draw_panels
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
 
-def stack_panels(spec, reps, seed, **kw):
-    out = np.empty((reps, spec.n, spec.p))
-    for start, chunk in generate_panels(spec, reps, seed, **kw):
-        out[start : start + len(chunk)] = chunk
-    return out
+def stack_panels(spec, reps, seed, stream=STREAM_PANEL):
+    return draw_panels(spec, seed, stream, 0, 0, reps)
+
+
+def chunked_panels(spec, reps, seed, chunk):
+    """The panels of ``stack_panels``, drawn ``chunk`` replications at a time."""
+    return np.concatenate([draw_panels(spec, seed, STREAM_PANEL, 0, start,
+                                       min(start + chunk, reps))
+                           for start in range(0, reps, chunk)])
 
 
 class TestValidation:
@@ -67,6 +70,9 @@ class TestValidation:
         (dict(kind="var1", n=4, p=1, phi=math.nan), "phi"),
         (dict(kind="iid_gaussian", n=4, p=3, cross_corr=math.nan), "cross_corr"),
         (dict(kind="linear_process", n=4, p=1, coeffs=(1.0, math.inf)), r"coeffs\[1\]"),
+        (dict(kind="var1", n=4, p=1, phi="0.5"), "phi"),
+        (dict(kind="linear_process", n=4, p=1, coeffs=5), "coeffs"),
+        (dict(kind="linear_process", n=4, p=1, coeffs=(1.0, "0.5")), r"coeffs\[1\]"),
     ])
     def test_non_finite_or_non_integer_field_named(self, kwargs, field):
         with pytest.raises(DgpValidationError, match=f"^{field}: "):
@@ -100,8 +106,8 @@ class TestDeterminism:
 
     def test_batch_matches_per_rep_streams(self):
         # Chunking must not change which substream feeds which replication.
-        big = stack_panels(VAR1, 10, 3, chunk=10)
-        small = stack_panels(VAR1, 10, 3, chunk=3)
+        big = stack_panels(VAR1, 10, 3)
+        small = chunked_panels(VAR1, 10, 3, chunk=3)
         assert np.array_equal(big, small)
 
     def test_correlated_var1_independent_of_chunking(self):
@@ -109,7 +115,7 @@ class TestDeterminism:
         # product's shape depends on how many replications share a chunk.
         spec = DgpSpec("var1", n=8, p=50, phi=0.5, cross_corr=0.05)
         assert np.array_equal(stack_panels(spec, 300, 5),
-                              stack_panels(spec, 300, 5, chunk=7))
+                              chunked_panels(spec, 300, 5, chunk=7))
 
     @pytest.mark.parametrize("spec, reps, bound", [
         *[(DgpSpec(kind, n=64, p=8, phi=0.5), 256, 2.5) for kind in KINDS],
@@ -129,7 +135,7 @@ class TestDeterminism:
         # Rademacher innovations are drawn and filtered in slices.
         tracemalloc.start()
         try:
-            panels = _draw_batch(spec, 1, STREAM_PANEL, 0, 0, reps)
+            panels = draw_panels(spec, 1, STREAM_PANEL, 0, 0, reps)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -186,12 +192,14 @@ class TestReplicationBlocks:
     START, STOP = 5, 25
 
     def draw(self, spec):
-        return _draw_batch(spec, 3, STREAM_PANEL, 2, self.START, self.STOP)
+        # With b = 1 the block sums are the panels, drawn block by block.
+        (_, _, sums), = reduce_panels(spec, self.STOP, 3, STREAM_PANEL, 2, 1)
+        return sums[self.START:]
 
     @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
     def test_blocks_match_single_block_and_substreams(self, spec, monkeypatch):
         whole = self.draw(spec)
-        # Three replications per block: seven blocks, the last one short.
+        # Three replications per block: nine blocks, the last one short.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 3 * spec.n * spec.p * 8 + 7)
         blocked = self.draw(spec)
         reference = np.stack([
@@ -226,7 +234,7 @@ class TestReplicationBlocks:
         # 140 replications from an offset cross two slice boundaries.
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
-        panels = _draw_batch(spec, 8, STREAM_PANEL, 1, 10, 150)
+        panels = draw_panels(spec, 8, STREAM_PANEL, 1, 10, 150)
         reference = np.stack([reference_panel(spec, substream(8, STREAM_PANEL, 1, r))
                               for r in range(10, 150)])
         assert np.array_equal(panels, reference)
@@ -260,11 +268,11 @@ class TestReducePanels:
     REPS = DEFAULT_CHUNK + 30  # two chunks, the second one short
 
     def expected(self, spec, b, copies):
-        panels = generate_panels(spec, self.REPS, 4, STREAM_PANEL, 6)
-        copy = generate_panels(spec, self.REPS, 4, STREAM_COPY, 6) if copies else None
-        for start, x in panels:
+        for start in range(0, self.REPS, DEFAULT_CHUNK):
+            stop = min(start + DEFAULT_CHUNK, self.REPS)
+            x = draw_panels(spec, 4, STREAM_PANEL, 6, start, stop)
             if copies:
-                x = x - next(copy)[1]
+                x -= draw_panels(spec, 4, STREAM_COPY, 6, start, stop)
             yield start, x.mean(axis=-2), batch_block_sums(x, make_blocks(spec.n, b))
 
     @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])

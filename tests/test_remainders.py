@@ -17,7 +17,6 @@ from blocksym.remainders import (
     fit_subexp_envelope,
     optimal_truncation,
     optimal_truncation_forms,
-    power_R1_closed_form,
     power_R1_nscaled,
     remainder_R1,
     remainder_R2,
@@ -36,6 +35,11 @@ def power_Rn_closed_form(q, U, rho_sum):
 
 def power_Rn_nscaled(q, n, U, rho_sum):
     return rho_sum * U**q * n ** (-q / 2.0)
+
+
+# The substitution form of the power-gauge split remainder R1.
+def power_R1_closed_form(q, U, rho_sum):
+    return 2.0 ** (q - 2.0) * rho_sum * U**q
 
 
 class TestQuadratureModule:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blocksym.blocking import MultiplierSpec, batch_multipliers
-from blocksym.processes import DgpSpec, generate_panels
+from blocksym.processes import DgpSpec
 from blocksym.seeding import (
     STREAM_COPY,
     STREAM_MULTIPLIER,
@@ -18,6 +18,7 @@ from blocksym.seeding import (
     substream,
     substream_keys,
 )
+from conftest import draw_panels
 
 MASK64 = (1 << 64) - 1
 
@@ -133,8 +134,8 @@ class TestRawBitDraws:
     @pytest.mark.parametrize("seed", [0, -7, 2**63 + 12345])
     def test_bounded_rademacher_chunks_match_integers(self, n, p, seed):
         spec = DgpSpec("bounded_rademacher", n=n, p=p, scale=0.5)
-        chunks = dict(generate_panels(spec, 11, seed, STREAM_COPY, 3, chunk=4))
-        panels = np.concatenate([chunks[start] for start in sorted(chunks)])
+        panels = np.concatenate([draw_panels(spec, seed, STREAM_COPY, 3, start, stop)
+                                 for start, stop in ((0, 4), (4, 8), (8, 11))])
         expected = [0.5 * (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0)
                     for rng in per_replication(seed, STREAM_COPY, 3, 0, 11)]
         assert np.array_equal(panels, expected)
@@ -142,7 +143,7 @@ class TestRawBitDraws:
     def test_rademacher_innovations_match_integers(self):
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
-        (_, panels), = generate_panels(spec, 3, 8, STREAM_PANEL, 1)
+        panels = draw_panels(spec, 8, STREAM_PANEL, 1, 0, 3)
         rows = spec.n + 1  # the panel plus one lag
         for panel, rng in zip(panels, per_replication(8, STREAM_PANEL, 1, 0, 3)):
             e = 2.0 * rng.integers(0, 2, size=(rows, 2)) - 1.0
@@ -153,7 +154,7 @@ class TestRawBitDraws:
         DgpSpec("var1", n=3, p=2, phi=0.5),
     ])
     def test_gaussian_chunks_read_their_substreams(self, spec):
-        (_, panels), = generate_panels(spec, 4, 5, STREAM_PANEL, 2)
+        panels = draw_panels(spec, 5, STREAM_PANEL, 2, 0, 4)
         rngs = per_replication(5, STREAM_PANEL, 2, 0, 4)
         if spec.kind == "iid_gaussian":
             expected = [rng.standard_normal((3, 2)) for rng in rngs]

@@ -20,7 +20,7 @@ from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rho
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec
 from blocksym.psi import PsiSpec, psi_deriv, psi_eval
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
-from blocksym.seeding import PURPOSE_LHS
+from blocksym.seeding import PURPOSE_DEFAULT, PURPOSE_LHS
 from blocksym.verify import (
     _squared_block_sums,
     hoeffding_factor,
@@ -37,6 +37,7 @@ from blocksym.verify import (
     verify_prop1,
     verify_prop2,
 )
+from conftest import draw_panels
 
 RADEMACHER = MultiplierSpec("rademacher")
 POWER1 = PsiSpec("power", q=1.0)
@@ -290,9 +291,10 @@ class TestExactEnumeration:
                 for eps in itertools.product([-1.0, 1.0], repeat=2):
                     vals.append(abs(np.dot(eps, d) / 2.0))
         target = np.mean(vals)
-        est = mc_expect_psi_max("multiplier-indep-copy", spec, sch, RADEMACHER,
-                                POWER1, 1.0, 20_000, seed=6)
-        assert abs(est.mean - target) < 3 * est.se
+        stats = stream_statistics(spec, 20_000, 6, PURPOSE_DEFAULT, sch, RADEMACHER,
+                                  copies=True).mult_max
+        se = stats.std(ddof=1) / math.sqrt(len(stats))
+        assert abs(stats.mean() - target) < 3 * se
 
 
 class TestTailAndMoments:
@@ -340,7 +342,6 @@ class TestTailAndMoments:
         # Invariant: each applicable bound sits above the MC exceedance
         # probability minus 3 SE on a level grid scaled to the mean's
         # dispersion.
-        from blocksym.processes import generate_panels
         from blocksym.remainders import (
             concentration_general,
             concentration_lq,
@@ -350,9 +351,7 @@ class TestTailAndMoments:
         from blocksym.verify import mc_per_coordinate_tails
 
         reps = 4000
-        stats = np.empty(reps)
-        for start, panels in generate_panels(spec, reps, 99, 1, 0):
-            stats[start : start + len(panels)] = batch_max_abs_mean(panels)
+        stats = batch_max_abs_mean(draw_panels(spec, 99, 1, 0, 0, reps))
         scale = np.quantile(stats, 0.9)
         grid = scale * np.array([1.0, 1.5, 2.5, 4.0])
         pbars = mc_per_coordinate_tails(spec, grid, reps, seed=99)
