@@ -1,7 +1,8 @@
 """Block schemes, block sums, multiplier draws, and the max statistics.
 
 The sample {1..n} is partitioned into count = n/b contiguous blocks of equal
-length b. Multipliers are drawn once per block and expanded to a
+length b; a ``BlockScheme`` holds only n, b and count, and the block sums
+apply the partition. Multipliers are drawn once per block and expanded to a
 piecewise-constant weight per time point. The two statistics of interest are
 the largest absolute column mean of a panel and its block-multiplier
 counterpart max_i |(1/n) sum_l eps_l S[l, i]|.
@@ -54,11 +55,6 @@ class BlockScheme:
     n: int
     b: int
     count: int
-    blocks: tuple
-
-    def describe(self) -> str:
-        spans = " ".join(f"[{blk.start + 1}..{blk.stop}]" for blk in self.blocks)
-        return f"BlockScheme(n={self.n}, b={self.b}, count={self.count}): {spans}"
 
 
 @dataclass(frozen=True)
@@ -73,7 +69,7 @@ class MultiplierSpec:
 
     def __post_init__(self):
         if self.kind not in MULTIPLIER_KINDS:
-            raise ValueError(f"unknown multiplier kind {self.kind!r}")
+            raise ValueError(f"kind: unknown multiplier kind {self.kind!r}")
 
     @property
     def bound(self) -> float:
@@ -82,10 +78,6 @@ class MultiplierSpec:
     def to_json_dict(self) -> dict:
         return {"kind": self.kind}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "MultiplierSpec":
-        return cls(**obj)
-
 
 def make_blocks(n: int, b: int) -> BlockScheme:
     """Blocks of length b covering {0..n-1}; b must divide n exactly."""
@@ -93,9 +85,7 @@ def make_blocks(n: int, b: int) -> BlockScheme:
         raise BlockSchemeError(f"block size must satisfy 1 <= b <= n, got b={b}, n={n}")
     if n % b != 0:
         raise BlockSchemeError(f"block size must divide n (n={n}, b={b})")
-    count = n // b
-    blocks = tuple(range(l * b, (l + 1) * b) for l in range(count))
-    return BlockScheme(n=n, b=b, count=count, blocks=blocks)
+    return BlockScheme(n=n, b=b, count=n // b)
 
 
 def batch_block_sums(panels: np.ndarray, scheme: BlockScheme) -> np.ndarray:

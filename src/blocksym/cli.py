@@ -23,6 +23,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Optional
 
@@ -31,7 +32,7 @@ import scipy
 
 from .blocking import BlockScheme, MultiplierSpec, make_blocks, shared_passes
 from .gaussian import GaussianModel, RhoEstimate, draw_rho_samples, estimate_gaussian_model
-from .processes import DgpSpec, LongRunCovError, _is_real, draw_workers
+from .processes import DgpSpec, LongRunCovError, _is_real, draw_workers, from_fields
 from .psi import PsiSpec, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -163,11 +164,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
                 problems.append((path, str(exc)))
             return default
 
-    dgp = grab("dgp", DgpSpec.from_json_dict)
+    dgp = grab("dgp", partial(from_fields, DgpSpec))
     b = grab("scheme.b", int)
-    mult = grab("multiplier", MultiplierSpec.from_json_dict,
+    mult = grab("multiplier", partial(from_fields, MultiplierSpec),
                 default=MultiplierSpec("rademacher"), required=False)
-    psi = grab("psi", PsiSpec.from_json_dict)
+    psi = grab("psi", partial(from_fields, PsiSpec))
 
     truncation = obj.get("truncation", {"mode": "fixed", "U": 1.0})
     mode = truncation.get("mode")
@@ -220,6 +221,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
         problems.append(("tail.fit", "fit false needs both tail.a and tail.b"))
 
     debug = obj.get("debug", {})
+    zero = debug.get("zero_remainder", False)
+    if not isinstance(zero, bool):
+        problems.append(("debug.zero_remainder", f"expected true or false, got {zero!r}"))
     output_dir = obj.get("output_dir", "out")
     if not isinstance(output_dir, str):
         problems.append(("output_dir", f"expected a string, got {output_dir!r}"))
@@ -309,7 +313,7 @@ def _fit_tail_params(config: ExperimentConfig, U_hint: float) -> TailParams:
     gamma = float(tail.get("gamma", 1.0))
     phi = float(tail.get("phi", gamma / 2.0))
     if not tail.get("fit", True):
-        return TailParams(a=float(tail["a"]), b=float(tail["b"]), gamma=gamma, phi=phi)
+        return TailParams(float(tail["a"]), float(tail["b"]), gamma, phi)
     levels = U_hint * np.geomspace(0.25, 2.0, 8)
     tails = mc_per_coordinate_tails(config.dgp, levels, config.reps, config.seed)
     return fit_subexp_envelope(levels, tails, config.dgp.n, gamma=gamma,
@@ -507,11 +511,7 @@ def _tail_bound_vs_U(tail: dict, p: int, n: int, U: float) -> float:
     try:
         if tail["mode"] == "lq":
             return concentration_lq(p, U, tail["q"], tail["max_mean_moment"])
-        params = tail["params"]
-        return concentration_subexp(
-            p, n, U, TailParams(a=params["a"], b=params["b"],
-                                gamma=params["gamma"], phi=params["phi"])
-        ).value
+        return concentration_subexp(p, n, U, from_fields(TailParams, tail["params"])).value
     except VacuousBoundError:
         return 1.0
 
@@ -542,7 +542,7 @@ def emit_plot_data(kind: str, report_paths: list, out_path) -> None:
         if inputs is None:
             raise ValueError("no report carries remainder_inputs "
                              "(produced by prop2 and theorem1 runs)")
-        psi = PsiSpec.from_json_dict(inputs["psi"])
+        psi = from_fields(PsiSpec, inputs["psi"])
         center = inputs["U"]
         for U in np.geomspace(center / 4.0, center * 4.0, 50):
             r1 = remainder_R1(psi, inputs["n"], float(U), inputs["rho_sum"])
@@ -559,9 +559,7 @@ def emit_plot_data(kind: str, report_paths: list, out_path) -> None:
         if inputs is None:
             raise ValueError("bound-vs-p needs a report with a sub-exponential tail "
                              "(theorem1 with tail mode subexp)")
-        params = inputs["tail"]["params"]
-        tp = TailParams(a=params["a"], b=params["b"], gamma=params["gamma"],
-                        phi=params["phi"])
+        tp = from_fields(TailParams, inputs["tail"]["params"])
         for p in (10, 100, 1000, 10**4, 10**5, 10**6):
             value = concentration_subexp(p, inputs["n"], inputs["U"], tp).value
             rows.append(("subexp-bound", p, value))

@@ -10,7 +10,7 @@ versus the Gaussian max, and the two simulated statistics directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -102,13 +102,7 @@ class RhoEstimate:
         )
 
     def to_json_dict(self) -> dict:
-        return {
-            "rho": self.rho,
-            "rho_star": self.rho_star,
-            "rho_direct": self.rho_direct,
-            "reps": self.reps,
-            "se": self.se,
-        }
+        return asdict(self)
 
 
 def rho_uncertainty(reps: int) -> float:

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from typing import Iterator, Optional
 
@@ -71,6 +71,22 @@ def _is_real(value) -> bool:
     """Whether ``value`` is a real number other than a boolean."""
     return (isinstance(value, (int, float, np.integer, np.floating))
             and not isinstance(value, bool))
+
+
+def from_fields(cls, obj: dict):
+    """The dataclass ``cls`` built from the JSON object ``obj``.
+
+    An unknown key raises ``"<key>: unknown field"`` and an absent field
+    without a default ``"<field>: missing"``; ``cls`` checks the values.
+    """
+    names = {f.name for f in fields(cls)}
+    for key in obj:
+        if key not in names:
+            raise ValueError(f"{key}: unknown field")
+    for f in fields(cls):
+        if f.name not in obj and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{f.name}: missing")
+    return cls(**obj)
 
 
 class LongRunCovError(ValueError):
@@ -195,20 +211,6 @@ class DgpSpec:
         if self.cross_corr != 0.0:
             out["cross_corr"] = self.cross_corr
         return out
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "DgpSpec":
-        known = {
-            "kind", "n", "p", "phi", "coeffs", "innovation",
-            "scale", "truncation", "cross_corr",
-        }
-        extra = set(obj) - known
-        if extra:
-            raise DgpValidationError(f"unknown dgp fields: {sorted(extra)}")
-        for name in ("kind", "n", "p"):
-            if name not in obj:
-                raise DgpValidationError(f"{name}: missing")
-        return cls(**obj)
 
 
 # ---------------------------------------------------------------------------

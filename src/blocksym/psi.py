@@ -17,8 +17,12 @@ from typing import Callable, Union
 import numpy as np
 
 from .blocking import stream_statistics
-from .processes import DgpSpec, marginal_spec
+from .processes import DgpSpec, _is_real, marginal_spec
 from .seeding import PURPOSE_NORM
+
+# The convexity check's grid size and its tolerance for rounding.
+_GRID_POINTS = 201
+_GRID_TOL = 1e-9
 
 
 class PsiDomainError(ValueError):
@@ -47,6 +51,8 @@ class PsiSpec:
             raise PsiValidationError(f"kind: unknown gauge kind {self.kind!r}")
         for name in ("q", "a", "b"):
             value = getattr(self, name)
+            if not _is_real(value):
+                raise PsiValidationError(f"{name}: expected a number, got {value!r}")
             if not math.isfinite(value):
                 raise PsiValidationError(f"{name}: expected a finite number, got {value!r}")
         if self.kind == "power" and self.q < 1:
@@ -63,10 +69,6 @@ class PsiSpec:
         if self.kind == "power":
             return {"kind": "power", "q": self.q}
         return {"kind": "exponential", "a": self.a, "b": self.b}
-
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PsiSpec":
-        return cls(**obj)
 
 
 @dataclass(frozen=True)
@@ -140,23 +142,22 @@ def psi_inverse(spec: PsiLike, y):
     return float(out) if out.ndim == 0 else out
 
 
-def check_convexity(psi_fn: Callable, upper: float = 100.0, points: int = 201,
-                    tol: float = 1e-9) -> None:
+def check_convexity(psi_fn: Callable, upper: float = 100.0) -> None:
     """Grid check that psi_fn(0) = 0 and slopes are non-decreasing.
 
     Raises PsiValidationError on failure and ValueError when the gauge
     overflows on the grid (shrink ``upper`` in that case).
     """
-    grid = np.linspace(0.0, upper, points)
+    grid = np.linspace(0.0, upper, _GRID_POINTS)
     vals = np.asarray(psi_fn(grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise ValueError("gauge overflows on the check grid; use a smaller upper bound")
-    if abs(vals[0]) > tol:
+    if abs(vals[0]) > _GRID_TOL:
         raise PsiValidationError(f"gauge must vanish at 0, got {vals[0]!r}")
-    if np.any(np.diff(vals) < -tol):
+    if np.any(np.diff(vals) < -_GRID_TOL):
         raise PsiValidationError("gauge is not non-decreasing on the grid")
     slopes = np.diff(vals) / np.diff(grid)
-    if np.any(np.diff(slopes) < -tol):
+    if np.any(np.diff(slopes) < -_GRID_TOL):
         raise PsiValidationError("gauge is not convex on the grid")
 
 

@@ -11,7 +11,7 @@ from typing import Callable
 
 from scipy import integrate
 
-DEFAULT_REL_TOL = 1e-10
+REL_TOL = 1e-10
 
 
 class QuadratureError(RuntimeError):
@@ -22,9 +22,8 @@ def integrate_to_tolerance(
     f: Callable[[float], float],
     lower: float,
     upper: float,
-    rel_tol: float = DEFAULT_REL_TOL,
 ) -> float:
-    """Integrate ``f`` over [lower, upper] to relative tolerance ``rel_tol``.
+    """Integrate ``f`` over [lower, upper] to relative tolerance ``REL_TOL``.
 
     Raises QuadratureError with the integrator's diagnostics when convergence
     is not achieved.
@@ -34,7 +33,7 @@ def integrate_to_tolerance(
     if upper == lower:
         return 0.0
     out = integrate.quad(
-        f, lower, upper, epsabs=0.0, epsrel=rel_tol, limit=500, full_output=True
+        f, lower, upper, epsabs=0.0, epsrel=REL_TOL, limit=500, full_output=True
     )
     value, abserr = out[0], out[1]
     if len(out) > 3:

@@ -2,7 +2,8 @@
 
 The bounded chain compares E psi(max-abs column mean) against the same gauge
 of the block-multiplier statistic plus a blocking remainder, both ways. The
-unbounded chain adds the (1/2) psi(2 .) scaling and a truncation remainder.
+unbounded chain adds the (1/2) psi(2 .) scaling and a truncation remainder;
+one builder makes both, with gain 1 or 2.
 The moment-bound check tests the maximal q-th moment against the
 Hoeffding-factor bound on the quadratic block term plus remainders.
 
@@ -15,13 +16,15 @@ run (``blocking.shared_passes``) checks that need the same stream share one
 panel pass; the quadratic term of the moment bound reads the block sums of
 ``processes.reduce_panels``. Inequality verdicts use a three-band rule:
 ``holds`` when the margin is nonpositive, ``holds-within-noise`` within three
-propagated standard errors, ``violated`` beyond that.
+propagated standard errors, ``violated`` beyond that. Estimates, margins and
+reports are dataclasses written out by ``dataclasses.asdict``, so each lists
+its report fields once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -87,9 +90,6 @@ class ExpectationEstimate:
         return ExpectationEstimate(factor * self.mean, abs(factor) * self.se,
                                    self.reps, self.mode)
 
-    def to_json_dict(self) -> dict:
-        return {"mean": self.mean, "se": self.se, "reps": self.reps, "mode": self.mode}
-
 
 @dataclass(frozen=True)
 class InequalityCheck:
@@ -105,14 +105,6 @@ class InequalityCheck:
     se: float
     verdict: str
     two_sided: bool = False
-
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name, "lhs": self.lhs, "lhs_se": self.lhs_se,
-            "rhs": self.rhs, "rhs_se": self.rhs_se, "remainder": self.remainder,
-            "margin": self.margin, "se": self.se, "verdict": self.verdict,
-            "two_sided": self.two_sided,
-        }
 
 
 def verdict_for(margin: float, se: float, two_sided: bool = False) -> str:
@@ -164,18 +156,7 @@ class VerificationReport:
         return any(m.verdict == "violated" for m in self.margins)
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "check": self.check,
-            "params": self.params,
-            "lhs": self.lhs.to_json_dict() if self.lhs else None,
-            "mid": self.mid.to_json_dict() if self.mid else None,
-            "rhs": self.rhs.to_json_dict() if self.rhs else None,
-            "remainders": self.remainders,
-            "rho": self.rho.to_json_dict() if self.rho else None,
-            "margins": [m.to_json_dict() for m in self.margins],
-            "diagnostics": self.diagnostics,
-        }
+        return {"schema_version": 1, **asdict(self)}
 
     def csv_rows(self) -> list:
         """One summary row per inequality, fixed column set."""
@@ -246,14 +227,12 @@ def mc_expect_psi_max(
     return _estimate_from_values(values)
 
 
-def mc_tail_probability(
-    spec: DgpSpec, U: float, reps: int, seed: int, purpose: int = PURPOSE_TAIL
-) -> dict:
+def mc_tail_probability(spec: DgpSpec, U: float, reps: int, seed: int) -> dict:
     """MC exceedance probability of the max-abs mean with a one-sided
     97.5% Clopper-Pearson upper confidence bound."""
     # The sub-exponential tail fit reads this stream's means afterwards, so
     # ask for them here and the stream is drawn once.
-    stats = stream_statistics(spec, reps, seed, purpose, means=True)
+    stats = stream_statistics(spec, reps, seed, PURPOSE_TAIL, means=True)
     hits = int((stats.max_abs_mean >= U).sum())
     if hits == reps:
         upper = 1.0
@@ -264,12 +243,10 @@ def mc_tail_probability(
     return {"hits": hits, "reps": reps, "estimate": hat, "upper": upper, "se": se}
 
 
-def mc_coordinate_mean_moment(
-    spec: DgpSpec, q: float, reps: int, seed: int, purpose: int = PURPOSE_MOMENT
-) -> dict:
+def mc_coordinate_mean_moment(spec: DgpSpec, q: float, reps: int, seed: int) -> dict:
     """MC estimate of max_i E |column mean_i|^q with the argmax coordinate's
     standard error attached."""
-    means = stream_statistics(spec, reps, seed, purpose, means=True).means
+    means = stream_statistics(spec, reps, seed, PURPOSE_MOMENT, means=True).means
     acc = np.zeros(spec.p)
     acc2 = np.zeros(spec.p)
     # Summed chunk by chunk, as the panels are drawn: one sum over all
@@ -290,12 +267,11 @@ def mc_coordinate_mean_moment(
 
 
 def mc_per_coordinate_tails(
-    spec: DgpSpec, levels: np.ndarray, reps: int, seed: int,
-    purpose: int = PURPOSE_TAIL,
+    spec: DgpSpec, levels: np.ndarray, reps: int, seed: int
 ) -> np.ndarray:
     """Worst per-coordinate exceedance probability at each level."""
     levels = np.asarray(levels, dtype=float)
-    absmeans = np.abs(stream_statistics(spec, reps, seed, purpose, means=True).means)
+    absmeans = np.abs(stream_statistics(spec, reps, seed, PURPOSE_TAIL, means=True).means)
     counts = (absmeans >= levels[:, None, None]).sum(axis=1)
     return counts.max(axis=1) / reps
 
@@ -398,6 +374,25 @@ def exact_enumeration(
 # ---------------------------------------------------------------------------
 
 
+def _chain(spec: DgpSpec, scheme: BlockScheme, mult: MultiplierSpec, psi: PsiLike,
+           gain: float, reps: int, seed: int, remainder: float):
+    """The margins lhs <= mid + R and mid <= rhs + 2R with their three sides.
+
+    lhs is E psi(max-abs mean); mid and rhs are (1/gain) E psi(gain .) of the
+    multiplier and the plain statistic. Gain 1 is the bounded chain, gain 2
+    the truncated one; the 1/gain scaling is exact for both.
+    """
+    args = (spec, scheme, mult, psi)
+    lhs = mc_expect_psi_max("plain", *args, 1.0, reps, seed, PURPOSE_LHS)
+    mid = mc_expect_psi_max("multiplier", *args, gain, reps, seed, PURPOSE_MID).scaled(1 / gain)
+    rhs = mc_expect_psi_max("plain", *args, gain, reps, seed, PURPOSE_RHS).scaled(1 / gain)
+    margins = [
+        _inequality("symmetrization", lhs, mid, remainder),
+        _inequality("desymmetrization", mid, rhs, 2.0 * remainder),
+    ]
+    return lhs, mid, rhs, margins
+
+
 def verify_prop1(
     spec: DgpSpec,
     scheme: BlockScheme,
@@ -424,13 +419,7 @@ def verify_prop1(
     rho_sum = rho.rho + rho.rho_star
     rn = remainder_Rn(psi, spec.n, U, rho_sum) if remainder_override is None \
         else remainder_override
-    lhs = mc_expect_psi_max("plain", spec, scheme, mult, psi, 1.0, reps, seed, PURPOSE_LHS)
-    mid = mc_expect_psi_max("multiplier", spec, scheme, mult, psi, 1.0, reps, seed, PURPOSE_MID)
-    rhs = mc_expect_psi_max("plain", spec, scheme, mult, psi, 1.0, reps, seed, PURPOSE_RHS)
-    margins = [
-        _inequality("symmetrization", lhs, mid, rn),
-        _inequality("desymmetrization", mid, rhs, 2.0 * rn),
-    ]
+    lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 1.0, reps, seed, rn)
     return VerificationReport(
         check="prop1", lhs=lhs, mid=mid, rhs=rhs,
         remainders={"R_n": rn, "rho_sum": rho_sum},
@@ -465,20 +454,12 @@ def verify_prop2(
     r1 = remainder_R1(psi, spec.n, U, rho_sum)
     r2 = remainder_R2(r, tail["upper"], norm.value)
     total = r1 + r2 if remainder_override is None else remainder_override
-    lhs = mc_expect_psi_max("plain", spec, scheme, mult, psi, 1.0, reps, seed, PURPOSE_LHS)
-    mid = mc_expect_psi_max("multiplier", spec, scheme, mult, psi, 2.0, reps, seed,
-                            PURPOSE_MID).scaled(0.5)
-    rhs = mc_expect_psi_max("plain", spec, scheme, mult, psi, 2.0, reps, seed,
-                            PURPOSE_RHS).scaled(0.5)
+    lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 2.0, reps, seed, total)
     split = stream_statistics(spec, reps, seed, PURPOSE_SPLIT, means=True)
     absmeans, m = np.abs(split.means), split.max_abs_mean
     below = np.where(absmeans <= U, absmeans, 0.0).max(axis=1)
     e1 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * below)))
     e2 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * m)) * (m > U))
-    margins = [
-        _inequality("symmetrization", lhs, mid, total),
-        _inequality("desymmetrization", mid, rhs, 2.0 * total),
-    ]
     return VerificationReport(
         check="prop2", lhs=lhs, mid=mid, rhs=rhs,
         remainders={"R1": r1, "R2": r2, "total": total, "rho_sum": rho_sum,
@@ -487,8 +468,8 @@ def verify_prop2(
         params={"n": spec.n, "p": spec.p, "b": scheme.b, "U": U, "r": r,
                 "seed": seed, "reps": reps, **_psi_params(psi)},
         diagnostics={
-            "E_n1": e1.to_json_dict(),
-            "E_n2": e2.to_json_dict(),
+            "E_n1": asdict(e1),
+            "E_n2": asdict(e2),
             "split_margin": lhs.mean - e1.mean - e2.mean,
             "tail": tail,
             "psi_norm_se": norm.se,
@@ -607,9 +588,7 @@ def theorem1_bound(
         tail_bound = sub.value
         subexp_warning = sub.warning
         tail_info = {"mode": "subexp", "second_term": sub.second_term,
-                     "warning": sub.warning,
-                     "params": {"a": tail_params.a, "b": tail_params.b,
-                                "gamma": tail_params.gamma, "phi": tail_params.phi}}
+                     "warning": sub.warning, "params": asdict(tail_params)}
     r2 = remainder_R2(r, tail_bound, 2.0**q * m_hat_q)
     r1_quadrature = remainder_R1(psi_q, spec.n, U, rho_sum)
     r1_nscaled = power_R1_nscaled(q, spec.n, U, rho_sum)

@@ -175,6 +175,14 @@ PROBES = {
     "dgp-coeffs-number": (with_fields(**{"dgp.kind": "linear_process", "dgp.coeffs": 5}),
                           "dgp.coeffs"),
     "dgp-kind-missing": (with_fields(dgp={"n": 16, "p": 3}), "dgp.kind"),
+    "dgp-unknown-field": (with_fields(**{"dgp.x": 1}), "dgp.x"),
+    "psi-q-string": (with_fields(**{"psi.q": "x"}), "psi.q"),
+    "psi-q-boolean": (with_fields(**{"psi.q": True}), "psi.q"),
+    "psi-kind-missing": (with_fields(psi={"q": 2.0}), "psi.kind"),
+    "multiplier-kind-missing": (with_fields(multiplier={}), "multiplier.kind"),
+    "multiplier-unknown-field": (with_fields(**{"multiplier.x": 1}), "multiplier.x"),
+    "debug-zero-remainder-string": (with_fields(debug={"zero_remainder": "no"}),
+                                    "debug.zero_remainder"),
 }
 
 

@@ -361,17 +361,38 @@ class TestSupport:
         assert DgpSpec("linear_process", n=4, p=2, coeffs=(1.0, 0.5)).support_bound is None
 
 
+MEAN_ZERO_SPECS = [
+    DgpSpec("iid_gaussian", n=4, p=2),
+    DgpSpec("var1", n=4, p=2, phi=0.5),
+    DgpSpec("truncated_var1", n=4, p=2, phi=0.5, truncation=3.0),
+]
+
+
+def centered(spec, reps=10_000):
+    """Whether every entry's mean over replications is within 4 se of zero."""
+    panels = stack_panels(spec, reps, 9)
+    sd = panels.std(axis=0)
+    return bool(np.all(np.abs(panels.mean(axis=0)) < 4.0 / math.sqrt(reps) * sd))
+
+
 class TestMoments:
     def test_mean_zero_over_replications(self):
-        reps = 10_000
-        for spec in [
-            DgpSpec("iid_gaussian", n=4, p=2),
-            DgpSpec("var1", n=4, p=2, phi=0.5),
-            DgpSpec("truncated_var1", n=4, p=2, phi=0.5, truncation=3.0),
-        ]:
-            panels = stack_panels(spec, reps, 9)
-            sd = panels.std(axis=0)
-            assert np.all(np.abs(panels.mean(axis=0)) < 4.0 / math.sqrt(reps) * sd)
+        assert all(centered(spec) for spec in MEAN_ZERO_SPECS)
+
+    def test_shifted_panels_are_caught(self, monkeypatch):
+        # Negative control: panels 0.1 off mean zero, as uncentered
+        # innovations would leave them, fail the mean-zero gate above. The
+        # chain gates barely see such a shift, because E psi(max |mean|)
+        # moves by second order in it: 3.5 se on the exact MA(1) lhs at 20k
+        # replications, under the 4 se that flags.
+        fill = processes._fill
+
+        def shifted(spec, chol, keys, out):
+            fill(spec, chol, keys, out)
+            out += 0.1
+
+        monkeypatch.setattr(processes, "_fill", shifted)
+        assert not any(centered(spec) for spec in MEAN_ZERO_SPECS)
 
     def test_var1_phi_zero_matches_iid_lag1(self):
         # phi = 0 degenerates to iid; lag-1 autocovariance must sit at zero.

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blocksym import verify
 from blocksym.blocking import (
     MultiplierSpec,
     batch_block_sums,
@@ -162,6 +163,16 @@ def small_enumerable(draw):
     return spec, make_blocks(n, b), draw(st.floats(0.5, 2.0))
 
 
+def ma1_mc_gap(mode):
+    """Distance in se of the MC estimate from the exact MA(1) sign-panel value."""
+    sch = make_blocks(4, 2)
+    exact = exact_enumeration(MA1_SIGNS_4x2, sch, RADEMACHER, POWER2)
+    target = exact.lhs if mode == "plain" else exact.mid
+    est = mc_expect_psi_max(mode, MA1_SIGNS_4x2, sch, RADEMACHER, POWER2,
+                            1.0, 20_000, seed=12)
+    return abs(est.mean - target) / est.se
+
+
 class TestExactEnumeration:
     def test_hand_checked_two_point_panel(self):
         # n=2, p=1 signs: |mean| is 1 on (+,+)/(-,-) and 0 otherwise, so
@@ -253,12 +264,7 @@ class TestExactEnumeration:
 
     @pytest.mark.parametrize("mode", ["plain", "multiplier"])
     def test_mc_matches_enumeration_on_dependent_panel(self, mode):
-        sch = make_blocks(4, 2)
-        exact = exact_enumeration(MA1_SIGNS_4x2, sch, RADEMACHER, POWER2)
-        target = exact.lhs if mode == "plain" else exact.mid
-        est = mc_expect_psi_max(mode, MA1_SIGNS_4x2, sch, RADEMACHER, POWER2,
-                                1.0, 20_000, seed=12)
-        assert abs(est.mean - target) < 4 * est.se
+        assert ma1_mc_gap(mode) < 4
 
     def test_kind_validation(self):
         with pytest.raises(ValueError, match="random-sign"):
@@ -295,6 +301,24 @@ class TestExactEnumeration:
                                   copies=True).mult_max
         se = stats.std(ddof=1) / math.sqrt(len(stats))
         assert abs(stats.mean() - target) < 3 * se
+
+
+class TestNegativeControls:
+    """Known-wrong variants patched in; each must be caught by a named gate."""
+
+    def test_multipliers_per_time_point(self, monkeypatch):
+        # Caught by test_mc_matches_enumeration_on_dependent_panel[multiplier],
+        # whose target is the pinned exact mid 0.69677734375: multipliers per
+        # time point give 0.4937744140625 there, about 60 se away.
+        def per_time_point(spec, reps, seed, purpose, scheme=None, mult=None, **kw):
+            if scheme is not None:
+                scheme = make_blocks(spec.n, 1)
+            return stream_statistics(spec, reps, seed, purpose, scheme, mult, **kw)
+
+        monkeypatch.setattr(verify, "stream_statistics", per_time_point)
+        assert exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER,
+                                 POWER2).mid == 0.69677734375
+        assert ma1_mc_gap("multiplier") > 4
 
 
 class TestTailAndMoments:
