@@ -56,6 +56,9 @@ class BlockScheme:
     b: int
     count: int
 
+    def to_json_dict(self) -> dict:
+        return {"n": self.n, "b": self.b}
+
 
 @dataclass(frozen=True)
 class MultiplierSpec:

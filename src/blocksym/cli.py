@@ -22,7 +22,7 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -72,7 +72,7 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     dgp: DgpSpec
-    b: int
+    scheme: BlockScheme
     multiplier: MultiplierSpec
     psi: PsiSpec
     truncation: dict
@@ -84,32 +84,26 @@ class ExperimentConfig:
     gaussian_model: dict = field(default_factory=dict)
     tail: dict = field(default_factory=lambda: {"mode": "lq"})
     output_dir: str = "out"
-    debug: dict = field(default_factory=dict)
-
-    def scheme(self) -> BlockScheme:
-        return make_blocks(self.dgp.n, self.b)
 
     def to_json_dict(self) -> dict:
-        return {
-            "dgp": self.dgp.to_json_dict(),
-            "scheme": {"n": self.dgp.n, "b": self.b},
-            "multiplier": self.multiplier.to_json_dict(),
-            "psi": self.psi.to_json_dict(),
-            "truncation": self.truncation,
-            "r": self.r,
-            "reps": self.reps,
-            "rho_reps": self.rho_reps,
-            "seed": self.seed,
-            "checks": list(self.checks),
-            "gaussian_model": self.gaussian_model,
-            "tail": self.tail,
-            "output_dir": self.output_dir,
-            "debug": self.debug,
-        }
+        """The config echo: each field, through its own ``to_json_dict`` if it has one."""
+        echo = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            echo[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
+        return echo
 
 
 _SECTIONS = ("dgp", "scheme", "multiplier", "psi", "truncation", "tail",
-             "gaussian_model", "debug")
+             "gaussian_model")
+# The keys of the root ("") and of each section that from_fields does not read.
+_KEYS = {
+    "": tuple(f.name for f in fields(ExperimentConfig)),
+    "scheme": ("b",),
+    "truncation": ("mode", "U", "phi"),
+    "tail": ("mode", "gamma", "phi", "a", "b", "fit"),
+    "gaussian_model": ("method", "reps"),
+}
 _INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "reps", "rho_reps", "seed",
                    "gaussian_model.reps")
 
@@ -143,6 +137,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     problems = _shape_problems(obj)
     if problems:
         raise ConfigError(problems)
+    for section, keys in _KEYS.items():
+        problems += [(f"{section}.{key}" if section else key, "unknown field")
+                     for key in (obj.get(section, {}) if section else obj) if key not in keys]
 
     def grab(path, ctor, default=None, required=True):
         node = obj
@@ -165,7 +162,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
             return default
 
     dgp = grab("dgp", partial(from_fields, DgpSpec))
-    b = grab("scheme.b", int)
+    # make_blocks checks the partition; with no valid dgp only presence is checked.
+    scheme = grab("scheme.b", partial(make_blocks, dgp.n) if dgp else int)
     mult = grab("multiplier", partial(from_fields, MultiplierSpec),
                 default=MultiplierSpec("rademacher"), required=False)
     psi = grab("psi", partial(from_fields, PsiSpec))
@@ -220,20 +218,11 @@ def parse_config(obj: dict) -> ExperimentConfig:
     elif not fit and not ("a" in tail and "b" in tail):
         problems.append(("tail.fit", "fit false needs both tail.a and tail.b"))
 
-    debug = obj.get("debug", {})
-    zero = debug.get("zero_remainder", False)
-    if not isinstance(zero, bool):
-        problems.append(("debug.zero_remainder", f"expected true or false, got {zero!r}"))
     output_dir = obj.get("output_dir", "out")
     if not isinstance(output_dir, str):
         problems.append(("output_dir", f"expected a string, got {output_dir!r}"))
 
     # Cross-field invariants.
-    if dgp is not None and b is not None:
-        if not 1 <= b <= dgp.n:
-            problems.append(("scheme.b", f"need 1 <= b <= n, got b={b}, n={dgp.n}"))
-        elif dgp.n % b != 0:
-            problems.append(("scheme.b", f"block size must divide n (n={dgp.n}, b={b})"))
     if dgp is not None and "prop1" in checks:
         bound = dgp.support_bound
         U = truncation.get("U") if mode == "fixed" else None
@@ -244,21 +233,21 @@ def parse_config(obj: dict) -> ExperimentConfig:
                                              f"support bound {bound}, got {U}"))
     if dgp is not None and "independence-reduction" in checks and not dgp.is_iid:
         problems.append(("checks", "independence-reduction requires an iid generator kind"))
-    if psi is not None and "theorem1" in checks and psi.kind != "power":
-        problems.append(("psi.kind", "theorem1 needs a power gauge"))
-    needs_subexp = ("theorem1" in checks and tail.get("mode") == "subexp") or (
-        truncation.get("mode") == "optimal"
-    )
+    if psi is not None and psi.kind != "power":
+        if "theorem1" in checks:
+            problems.append(("psi.kind", "theorem1 needs a power gauge"))
+        if mode == "optimal":
+            problems.append(("psi.kind", "optimal truncation needs a power gauge"))
+    needs_subexp = ("theorem1" in checks and tail.get("mode") == "subexp") or mode == "optimal"
     if dgp is not None and needs_subexp and dgp.p <= math.e:
         problems.append(("dgp.p", "sub-exponential bounds need p > e (p >= 3)"))
 
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(
-        dgp=dgp, b=b, multiplier=mult, psi=psi, truncation=truncation, r=r,
+        dgp=dgp, scheme=scheme, multiplier=mult, psi=psi, truncation=truncation, r=r,
         reps=reps, rho_reps=rho_reps, seed=seed, checks=checks,
-        gaussian_model=gaussian_model, tail=tail,
-        output_dir=output_dir, debug=debug,
+        gaussian_model=gaussian_model, tail=tail, output_dir=output_dir,
     )
 
 
@@ -276,23 +265,8 @@ def load_config(path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _plain(value):
-    """Recursively convert numpy scalars and arrays for JSON output."""
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, np.floating):
-        return float(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    return value
-
-
 def _dump_json(obj, path: Path) -> None:
-    path.write_text(json.dumps(_plain(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 def _resolve_model(config: ExperimentConfig) -> GaussianModel:
@@ -320,14 +294,12 @@ def _fit_tail_params(config: ExperimentConfig, U_hint: float) -> TailParams:
                                amplitude=float(tail.get("a", 2.0)), phi=phi)
 
 
-def _resolve_truncation(config: ExperimentConfig, rho: Optional[RhoEstimate]) -> dict:
+def _resolve_truncation(config: ExperimentConfig, rho: RhoEstimate) -> dict:
+    # Every check that needs a truncation also draws rho, and parse_config
+    # admits optimal truncation only with a power gauge.
     trunc = config.truncation
     if trunc["mode"] == "fixed":
         return {"U": float(trunc["U"]), "mode": "fixed"}
-    if rho is None:
-        raise RuntimeError("optimal truncation needs a rho estimate first")
-    if config.psi.kind != "power":
-        raise RuntimeError("optimal truncation needs a power gauge")
     q = config.psi.q
     phi = float(trunc["phi"])
     norm = psi_moment_norm(config.psi, config.dgp, config.r, config.reps, config.seed)
@@ -351,7 +323,6 @@ def _quantile_grid(samples: dict, points: int = 257) -> dict:
 class _RunInputs:
     """What the checks of one run share: the distances and the truncation."""
 
-    remainder_override: Optional[float]
     rho: Optional[RhoEstimate] = None
     rho_samples: Optional[dict] = None
     model_source: Optional[str] = None
@@ -368,16 +339,15 @@ def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float
 
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
     return verify_prop1(
-        config.dgp, config.scheme(), config.multiplier, config.psi, run.U,
-        config.reps, run.rho, config.seed, remainder_override=run.remainder_override,
+        config.dgp, config.scheme, config.multiplier, config.psi, run.U,
+        config.reps, run.rho, config.seed,
     )
 
 
 def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
     report = verify_prop2(
-        config.dgp, config.scheme(), config.multiplier, config.psi, run.U,
+        config.dgp, config.scheme, config.multiplier, config.psi, run.U,
         config.r, config.reps, run.rho, config.seed,
-        remainder_override=run.remainder_override,
     )
     moment = mc_coordinate_mean_moment(config.dgp, 2.0, config.reps, config.seed)
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
@@ -391,7 +361,7 @@ def _run_theorem1(config: ExperimentConfig, run: _RunInputs) -> VerificationRepo
     tail_mode = config.tail.get("mode", "lq")
     tparams = _fit_tail_params(config, run.U) if tail_mode == "subexp" else None
     report = theorem1_bound(
-        config.dgp, config.scheme(), config.multiplier, config.psi.q,
+        config.dgp, config.scheme, config.multiplier, config.psi.q,
         config.r, run.U, config.reps, run.rho, tail_mode, config.seed,
         tail_params=tparams,
     )
@@ -410,7 +380,7 @@ def _run_rho_only(config: ExperimentConfig, run: _RunInputs) -> VerificationRepo
     return VerificationReport(
         check="rho-only", lhs=None, mid=None, rhs=None,
         remainders={}, rho=run.rho, margins=[],
-        params={"n": config.dgp.n, "p": config.dgp.p, "b": config.b,
+        params={"n": config.dgp.n, "p": config.dgp.p, "b": config.scheme.b,
                 "seed": config.seed, "reps": config.rho_reps},
         diagnostics={"cdf_grid": _quantile_grid(run.rho_samples),
                      "model_source": run.model_source},
@@ -436,14 +406,14 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
 
     reports: dict[str, VerificationReport] = {}
     partial_error = None
-    run = _RunInputs(remainder_override=0.0 if config.debug.get("zero_remainder") else None)
+    run = _RunInputs()
 
     with shared_passes() as ledger:
         try:
             needs_rho = any(c in config.checks for c in ("prop1", "prop2", "theorem1", "rho-only"))
             if needs_rho:
                 model = _resolve_model(config)
-                samples = draw_rho_samples(config.dgp, config.scheme(), config.multiplier,
+                samples = draw_rho_samples(config.dgp, config.scheme, config.multiplier,
                                            model, config.rho_reps, config.seed)
                 run.rho = RhoEstimate.from_samples(*samples)
                 run.rho_samples = samples._asdict()
@@ -476,7 +446,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
         writer.writeheader()
-        writer.writerows(_plain(row) for row in rows)
+        writer.writerows(rows)
 
     finished = datetime.datetime.now(datetime.timezone.utc)
     _dump_json(

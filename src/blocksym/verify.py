@@ -402,12 +402,10 @@ def verify_prop1(
     reps: int,
     rho: RhoEstimate,
     seed: int,
-    remainder_override: Optional[float] = None,
 ) -> VerificationReport:
     """Bounded chain: lhs <= mid + R and mid <= lhs + 2R with estimated rhos.
 
-    The panel law must be supported inside [-U, U]^p. ``remainder_override``
-    substitutes a fixed remainder (testing hook for the exit-code contract).
+    The panel law must be supported inside [-U, U]^p.
     """
     bound = spec.support_bound
     if bound is None:
@@ -417,8 +415,7 @@ def verify_prop1(
     if bound > U + 1e-12:
         raise ValueError(f"panel support bound {bound} exceeds truncation level {U}")
     rho_sum = rho.rho + rho.rho_star
-    rn = remainder_Rn(psi, spec.n, U, rho_sum) if remainder_override is None \
-        else remainder_override
+    rn = remainder_Rn(psi, spec.n, U, rho_sum)
     lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 1.0, reps, seed, rn)
     return VerificationReport(
         check="prop1", lhs=lhs, mid=mid, rhs=rhs,
@@ -439,7 +436,6 @@ def verify_prop2(
     reps: int,
     rho: RhoEstimate,
     seed: int,
-    remainder_override: Optional[float] = None,
 ) -> VerificationReport:
     """Truncated chain with the (1/2) psi(2 .) scaling and empirical tail.
 
@@ -453,7 +449,7 @@ def verify_prop2(
     tail = mc_tail_probability(spec, U, reps, seed)
     r1 = remainder_R1(psi, spec.n, U, rho_sum)
     r2 = remainder_R2(r, tail["upper"], norm.value)
-    total = r1 + r2 if remainder_override is None else remainder_override
+    total = r1 + r2
     lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 2.0, reps, seed, total)
     split = stream_statistics(spec, reps, seed, PURPOSE_SPLIT, means=True)
     absmeans, m = np.abs(split.means), split.max_abs_mean

@@ -430,7 +430,7 @@ class TestSharedRun:
         report = json.loads((out / "prop2.json").read_text())
         del report["config"], report["diagnostics"]["remainder_inputs"]
         rho = RhoEstimate(**report["rho"])
-        alone = verify_prop2(config.dgp, config.scheme(), config.multiplier, config.psi,
+        alone = verify_prop2(config.dgp, config.scheme, config.multiplier, config.psi,
                              3.0, config.r, config.reps, rho, config.seed)
         assert json.loads(json.dumps(alone.to_json_dict())) == report
 

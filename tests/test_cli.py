@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksym import processes
+from blocksym import processes, verify
 from blocksym.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -47,7 +47,7 @@ class TestConfigValidation:
     def test_valid_config_parses(self):
         cfg = parse_config(BASE)
         assert cfg.dgp.n == 16
-        assert cfg.b == 4
+        assert (cfg.scheme.n, cfg.scheme.b, cfg.scheme.count) == (16, 4, 4)
 
     def test_block_size_must_divide(self):
         obj = dict(BASE, scheme={"b": 3})
@@ -181,8 +181,15 @@ PROBES = {
     "psi-kind-missing": (with_fields(psi={"q": 2.0}), "psi.kind"),
     "multiplier-kind-missing": (with_fields(multiplier={}), "multiplier.kind"),
     "multiplier-unknown-field": (with_fields(**{"multiplier.x": 1}), "multiplier.x"),
-    "debug-zero-remainder-string": (with_fields(debug={"zero_remainder": "no"}),
-                                    "debug.zero_remainder"),
+    "debug": (with_fields(debug={"zero_remainder": True}), "debug"),
+    "rho-rep-unknown": (with_fields(rho_rep=5000), "rho_rep"),
+    "scheme-bb-unknown": (with_fields(**{"scheme.bb": 4}), "scheme.bb"),
+    "truncation-u-unknown": (with_fields(**{"truncation.u": 2.0}), "truncation.u"),
+    "tail-gama-unknown": (with_fields(tail={"mode": "lq", "gama": 1.0}), "tail.gama"),
+    "gaussian-model-x-unknown": (with_fields(**{"gaussian_model.x": 1}), "gaussian_model.x"),
+    "optimal-truncation-exponential-gauge": (
+        with_fields(psi={"kind": "exponential", "a": 1.0, "b": 1.0},
+                    truncation={"mode": "optimal", "phi": 0.5}, checks=["prop2"]), "psi.kind"),
 }
 
 
@@ -223,8 +230,8 @@ def test_parse_config_raises_only_config_error(fields):
         cfg = parse_config(with_fields(**fields))
     except ConfigError:
         return
-    # An accepted config builds its block scheme and serializes to strict JSON.
-    cfg.scheme()
+    # An accepted config holds a partition of its sample and serializes to strict JSON.
+    assert cfg.scheme.n == cfg.dgp.n and cfg.scheme.count * cfg.scheme.b == cfg.dgp.n
     json.dumps(cfg.to_json_dict(), allow_nan=False)
 
 
@@ -270,9 +277,10 @@ class TestRun:
         report = json.loads((out / "prop1.json").read_text())
         assert [m["verdict"] for m in report["margins"]] == ["holds", "holds"]
 
-    def test_exit_code_flags_violation(self, tmp_path):
+    def test_exit_code_flags_violation(self, tmp_path, monkeypatch):
         # Zeroed remainder on strongly dependent data with singleton blocks:
         # the raw symmetrization inequality fails, so the run must exit 1.
+        monkeypatch.setattr(verify, "remainder_Rn", lambda *args: 0.0)
         path, _ = write_config(
             tmp_path,
             dgp={"kind": "truncated_var1", "n": 64, "p": 5, "phi": 0.9,
@@ -280,7 +288,6 @@ class TestRun:
             scheme={"b": 1},
             truncation={"mode": "fixed", "U": 3.0},
             checks=["prop1"],
-            debug={"zero_remainder": True},
             reps=2000,
             rho_reps=2000,
         )

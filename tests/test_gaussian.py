@@ -6,11 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
+from blocksym import gaussian
 from blocksym.blocking import MultiplierSpec, make_blocks
 from blocksym.gaussian import (
     CovarianceError,
     GaussianModel,
     RhoEstimate,
+    draw_rho_samples,
     estimate_gaussian_model,
     estimate_rhos,
     kolmogorov_distance,
@@ -31,6 +33,21 @@ def dkw_two_sample_bound(reps: int, alpha: float = 0.05) -> float:
 
 
 RADEMACHER = MultiplierSpec("rademacher")
+MA1_SIGNS_4x2 = DgpSpec("linear_process", n=4, p=2, coeffs=(1.0, 0.5),
+                        innovation="rademacher")
+
+
+def ma1_sample_gaps():
+    """Distances in se of the mean squared plain and multiplier maxima of the
+    rho samples from the exact MA(1) sign-panel lhs and mid (q = 2, b = 2)."""
+    model = estimate_gaussian_model(MA1_SIGNS_4x2)
+    samples = draw_rho_samples(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, model,
+                               20_000, seed=7)
+    gaps = {}
+    for name, exact in (("plain", 0.798828125), ("multiplier", 0.69677734375)):
+        squared = (getattr(samples, name) / math.sqrt(MA1_SIGNS_4x2.n)) ** 2
+        gaps[name] = abs(squared.mean() - exact) / (squared.std(ddof=1) / math.sqrt(20_000))
+    return gaps
 
 
 def ks_oracle(a, b):
@@ -233,6 +250,21 @@ class TestEstimateRhos:
         rho = estimate_rhos(spec, scheme, RADEMACHER, model, 4000, seed=2026)
         assert rho.rho == pytest.approx(0.016, abs=1e-12)
         assert rho.rho_star == pytest.approx(0.09175, abs=1e-12)
+
+    def test_samples_match_exact_ma1_chain(self):
+        # rho_star reads the multiplier sample; its law must be the exact mid.
+        gaps = ma1_sample_gaps()
+        assert gaps["plain"] < 4 and gaps["multiplier"] < 4, gaps
+
+    def test_rho_star_on_plain_statistic_is_caught(self, monkeypatch):
+        # Negative control: the plain sample passed off as the multiplier
+        # sample lands about 25 se from the exact mid.
+        def plain_twice(*args, **kw):
+            plain, _ = simulate_max_statistics(*args, **kw)
+            return plain, plain
+
+        monkeypatch.setattr(gaussian, "simulate_max_statistics", plain_twice)
+        assert ma1_sample_gaps()["multiplier"] > 4
 
     def test_rho_estimate_validation(self):
         with pytest.raises(ValueError):

@@ -173,6 +173,15 @@ def ma1_mc_gap(mode):
     return abs(est.mean - target) / est.se
 
 
+def prop2_ma1_gaps():
+    """Distances in se of prop2's mid and rhs from (1/2) E psi(2 .) of the exact
+    MA(1) sign-panel chain: twice the exact mid and lhs for q = 2."""
+    report = verify_prop2(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2, 1.5, 2.0,
+                          20_000, zero_rho(), seed=12)
+    return {"mid": abs(report.mid.mean - 1.3935546875) / report.mid.se,
+            "rhs": abs(report.rhs.mean - 1.59765625) / report.rhs.se}
+
+
 class TestExactEnumeration:
     def test_hand_checked_two_point_panel(self):
         # n=2, p=1 signs: |mean| is 1 on (+,+)/(-,-) and 0 otherwise, so
@@ -321,6 +330,16 @@ class TestNegativeControls:
         assert ma1_mc_gap("multiplier") > 4
 
 
+    def test_prop2_without_scaling(self, monkeypatch):
+        # Caught by TestProp2::test_scaling_matches_exact_chain: gain 1 gives
+        # mid 0.6968 and rhs 0.7988, half the targets.
+        chain = verify._chain
+        monkeypatch.setattr(verify, "_chain",
+                            lambda *args: chain(*args[:4], 1.0, *args[5:]))
+        gaps = prop2_ma1_gaps()
+        assert gaps["mid"] > 4 and gaps["rhs"] > 4, gaps
+
+
 class TestTailAndMoments:
     def test_tail_probability_upper_is_conservative(self):
         spec = DgpSpec("iid_gaussian", n=16, p=1)
@@ -438,6 +457,13 @@ class TestProp1:
 
 
 class TestProp2:
+    def test_scaling_matches_exact_chain(self):
+        exact = exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2,
+                                  scale=2.0)
+        assert (exact.mid / 2, exact.lhs / 2) == (1.3935546875, 1.59765625)
+        gaps = prop2_ma1_gaps()
+        assert gaps["mid"] < 4 and gaps["rhs"] < 4, gaps
+
     def test_zero_law_all_zero(self):
         sch = make_blocks(8, 2)
         report = verify_prop2(ZERO_LAW, sch, RADEMACHER, POWER2, 1.0, 2.0,
