@@ -46,7 +46,7 @@ def ma1_sample_gaps():
     gaps = {}
     for name, exact in (("plain", 0.798828125), ("multiplier", 0.69677734375)):
         squared = (getattr(samples, name) / math.sqrt(MA1_SIGNS_4x2.n)) ** 2
-        gaps[name] = abs(squared.mean() - exact) / (squared.std(ddof=1) / math.sqrt(20_000))
+        gaps[name] = abs(squared.mean() - exact) / (squared.std(ddof=1) / math.sqrt(len(squared)))
     return gaps
 
 

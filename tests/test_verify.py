@@ -329,7 +329,6 @@ class TestNegativeControls:
                                  POWER2).mid == 0.69677734375
         assert ma1_mc_gap("multiplier") > 4
 
-
     def test_prop2_without_scaling(self, monkeypatch):
         # Caught by TestProp2::test_scaling_matches_exact_chain: gain 1 gives
         # mid 0.6968 and rhs 0.7988, half the targets.
