@@ -1,6 +1,6 @@
 """Print the sha256 of every report the bundled configs write.
 
-Usage: python scripts/report_digests.py
+Usage: python scripts/report_digests.py [--check BENCH_<n>.json]
 
 Runs scripts/full_suite.json, scripts/independence.json and
 scripts/high_dim.json (p = 1000 >> n = 32) from a temporary working
@@ -8,11 +8,18 @@ directory, so each writes under its own ``output_dir`` there, and prints one
 line per report: ``<config> <file> <sha256>``. ``run_meta.json``
 records timings and versions, so it is left out; every other report is a
 pure function of its config. Exits with the worst exit code of the runs.
+
+With ``--check`` the printed digests are compared with the ``digests`` of
+that trajectory file, keyed ``"<config> <file>"``. Each report whose digest
+differs, or that only one side has, is named on stderr, and the exit code is
+1 if any is, unless a run already exited worse.
 """
 
+import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 import tempfile
@@ -26,9 +33,10 @@ from blocksym.cli import load_config, run_experiment  # noqa: E402
 CONFIGS = ("full_suite", "independence", "high_dim")
 
 
-def main() -> int:
+def report_digests() -> tuple[dict, int]:
+    """The digest of every report, keyed ``"<config> <file>"``, and the worst exit code."""
     worst = 0
-    lines = []
+    digests = {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -40,10 +48,43 @@ def main() -> int:
                 for path in sorted(Path(config.output_dir).iterdir()):
                     if path.name != "run_meta.json":
                         digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                        lines.append(f"{name} {path.name} {digest}")
+                        digests[f"{name} {path.name}"] = digest
         finally:
             os.chdir(home)
-    print("\n".join(lines))
+    return digests, worst
+
+
+def mismatches(digests: dict, expected: dict) -> list:
+    """One line per report whose digest differs or that one side lacks."""
+    lines = []
+    for key in sorted(digests.keys() | expected.keys()):
+        if key not in expected:
+            lines.append(f"{key}: not in the trajectory file")
+        elif key not in digests:
+            lines.append(f"{key}: not written")
+        elif digests[key] != expected[key]:
+            lines.append(f"{key}: {digests[key]} != {expected[key]}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", metavar="BENCH_JSON",
+                        help="compare with the digests of this trajectory file")
+    args = parser.parse_args(argv)
+    expected = None
+    if args.check:
+        expected = json.loads(Path(args.check).read_text())["digests"]
+    digests, worst = report_digests()
+    print("\n".join(f"{key} {digest}" for key, digest in digests.items()))
+    if expected is not None:
+        differ = mismatches(digests, expected)
+        for line in differ:
+            print(f"mismatch: {line}", file=sys.stderr)
+        if differ:
+            worst = max(worst, 1)
+        else:
+            print(f"all {len(digests)} digests match {args.check}", file=sys.stderr)
     return worst
 
 

@@ -9,16 +9,22 @@ counterpart max_i |(1/n) sum_l eps_l S[l, i]|.
 
 Every estimator, the Gaussian comparison and the exact oracle compute these
 through the ``batch_*`` kernels, which act on stacks of panels along any
-leading axes.
+leading axes; folds that run on draw-pool threads call the private core of
+``batch_multiplier_max``.
 
 Monte Carlo estimators read their panels only through ``stream_statistics``,
 which reduces a panel stream to per-replication vectors: the largest absolute
-column mean and the block-multiplier maximum. The (reps, p) column means are
-kept only for requests that ask for them. The panels themselves never reach
-this module: ``processes.reduce_panels`` hands over each chunk's column means
-and block sums, and the multipliers are applied to those sums here. Inside a
-``shared_passes()`` block each distinct request is drawn once and served from
-the block's ledger afterwards.
+column mean and the block-multiplier maximum. A request may also name one
+reduction of the column means (``MeanGram``, ``PowerSums``, ``Exceedances``,
+``MaxBelow``), which is folded in chunk by chunk while the stream is drawn,
+over the same ``DEFAULT_CHUNK`` slices of replications whatever the blocks,
+so no (reps, p) means are kept. The panels themselves never reach this
+module: ``processes.reduce_panels`` hands each block's column means and
+block sums to the fold of ``stream_statistics`` on the thread that drew the
+block, and the fold applies that chunk's multipliers, drawn beforehand on
+the calling thread, so no chunk of block sums is held either. Inside a
+``shared_passes()`` block each distinct request, reduction included, is drawn
+once and served from the block's ledger afterwards.
 """
 
 from __future__ import annotations
@@ -27,7 +33,7 @@ import contextlib
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -113,6 +119,13 @@ def batch_multiplier_max(sums: np.ndarray, eps: np.ndarray, n: int) -> np.ndarra
     if eps.shape[-1] != sums.shape[-2]:
         raise BlockSchemeError(
             f"expected {sums.shape[-2]} multipliers, got shape {eps.shape}")
+    return _multiplier_max(sums, eps, n)
+
+
+def _multiplier_max(sums: np.ndarray, eps: np.ndarray, n: int) -> np.ndarray:
+    """``batch_multiplier_max`` without the shape check; private, so that the
+    folds run on draw-pool threads may call it. Each row's result does not
+    depend on how many rows come with it."""
     return np.abs(np.einsum("...l,...lp->...p", eps, sums) / n).max(axis=-1)
 
 
@@ -136,15 +149,78 @@ def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
     return -half + (2.0 * half) * unit
 
 
+@dataclass(frozen=True)
+class MeanGram:
+    """The (p, p) Gram sum_r (scale m_r)^T (scale m_r) of the column means."""
+
+    scale: float
+
+    def empty(self, reps: int, p: int) -> np.ndarray:
+        return np.zeros((p, p))
+
+    def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
+        scaled = means * self.scale
+        out += scaled.T @ scaled
+
+
+@dataclass(frozen=True)
+class PowerSums:
+    """Per-coordinate sums of |m|**q and |m|**(2q), shape (len(orders), 2, p)."""
+
+    orders: tuple
+
+    def empty(self, reps: int, p: int) -> np.ndarray:
+        return np.zeros((len(self.orders), 2, p))
+
+    def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
+        for (acc, acc2), q in zip(out, self.orders):
+            powered = np.abs(means) ** q
+            acc += powered.sum(axis=0)
+            acc2 += (powered**2).sum(axis=0)
+
+
+@dataclass(frozen=True)
+class Exceedances:
+    """Per-level, per-coordinate counts of |m_i| >= level, shape (len(levels), p)."""
+
+    levels: tuple
+
+    def empty(self, reps: int, p: int) -> np.ndarray:
+        return np.zeros((len(self.levels), p), dtype=np.int64)
+
+    def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
+        out += (np.abs(means) >= np.array(self.levels)[:, None, None]).sum(axis=1)
+
+
+@dataclass(frozen=True)
+class MaxBelow:
+    """Per replication, the largest |m_i| not above U (0 if none), shape (reps,)."""
+
+    U: float
+
+    def empty(self, reps: int, p: int) -> np.ndarray:
+        return np.empty(reps)
+
+    def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
+        absmeans = np.abs(means)
+        out[start : start + len(means)] = np.where(absmeans <= self.U, absmeans, 0.0).max(axis=1)
+
+
+# A reduction of a stream's column means: ``empty(reps, p)`` gives its result
+# array and ``add(out, start, means)`` folds in the (c, p) means of the
+# chunk of replications from ``start``, on the calling thread.
+MeanReduction = Union[MeanGram, PowerSums, Exceedances, MaxBelow]
+
+
 class StreamStatistics(NamedTuple):
-    """Read-only statistics of one panel stream, one entry per replication:
-    the largest absolute column mean, as ``batch_max_abs_mean`` (reps,); the
-    block-multiplier maximum when a block scheme was named (reps,); and the
-    column means when they were asked for (reps, p)."""
+    """Read-only statistics of one panel stream: the largest absolute column
+    mean, as ``batch_max_abs_mean`` (reps,); the block-multiplier maximum
+    when a block scheme was named (reps,); and the result of the named
+    reduction of the column means, if any."""
 
     max_abs_mean: np.ndarray
     mult_max: Optional[np.ndarray]
-    means: Optional[np.ndarray]
+    reduced: Optional[np.ndarray]
 
 
 class PassLedger(dict):
@@ -181,43 +257,57 @@ def shared_passes():
 def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                       scheme: Optional[BlockScheme] = None,
                       mult: Optional[MultiplierSpec] = None,
-                      copies: bool = False, means: bool = False) -> StreamStatistics:
+                      copies: bool = False,
+                      reduction: Optional[MeanReduction] = None) -> StreamStatistics:
     """Statistics of replications 0..reps-1 of the panel stream ``purpose``.
 
     Replication r reads the panel substream (seed, panel stream, purpose, r)
     and the multipliers of ``batch_multipliers`` for the same purpose. With
     ``copies`` the statistics are taken on the panel minus its independent
-    copy from the copy stream. The (reps, p) column means are kept only with
-    ``means``. A ledger entry kept without them is drawn again for a request
-    with ``means``, so every consumer of a stream whose means are read should
-    ask for them.
+    copy from the copy stream. ``reduction`` folds each chunk's column means
+    into its result as the chunk is drawn, over the chunks of
+    ``DEFAULT_CHUNK`` replications, so no (reps, p) means are kept. It is
+    part of the request's ledger key, so every consumer of one stream should
+    name the same reduction.
     """
     if (scheme is None) != (mult is None):
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
     if scheme is not None and scheme.n != spec.n:
         raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={spec.n}")
-    key = (spec, reps, seed, purpose, scheme, mult, copies)
+    key = (spec, reps, seed, purpose, scheme, mult, copies, reduction)
     ledger = _ledger.get()
     kept = None if ledger is None else ledger.get(key)
-    if kept is not None and (kept.means is not None or not means):
+    if kept is not None:
         ledger.reused += 1
         return kept
     max_abs_mean = np.empty(reps)
     mult_max = None if scheme is None else np.empty(reps)
-    all_means = np.empty((reps, spec.p)) if means else None
-    chunks = reduce_panels(spec, reps, seed, STREAM_PANEL, purpose,
-                           None if scheme is None else scheme.b,
-                           STREAM_COPY if copies else None)
-    for start, chunk_means, sums in chunks:
-        stop = start + len(chunk_means)
-        max_abs_mean[start:stop] = np.abs(chunk_means).max(axis=-1)
-        if means:
-            all_means[start:stop] = chunk_means
-        if scheme is not None:
-            eps = batch_multipliers(mult, scheme.count, seed, purpose, start, stop)
-            mult_max[start:stop] = batch_multiplier_max(sums, eps, scheme.n)
-        del chunk_means, sums  # release this chunk before the next one is reduced
-    stats = StreamStatistics(max_abs_mean, mult_max, all_means)
+    reduced = None if reduction is None else reduction.empty(reps, spec.p)
+
+    @contextlib.contextmanager
+    def fold(start, stop):
+        # The chunk's multipliers are drawn here, on the calling thread,
+        # because block folds may call no public function.
+        eps = (None if scheme is None
+               else batch_multipliers(mult, scheme.count, seed, purpose, start, stop))
+        means = None if reduction is None else np.empty((stop - start, spec.p))
+        plain = max_abs_mean[start:stop]
+        starred = None if mult_max is None else mult_max[start:stop]
+
+        def block(rows, block_means, sums):
+            plain[rows] = np.abs(block_means).max(axis=-1)
+            if starred is not None:
+                starred[rows] = _multiplier_max(sums, eps[rows], spec.n)
+            if means is not None:
+                means[rows] = block_means
+
+        yield block
+        if reduction is not None:
+            reduction.add(reduced, start, means)
+
+    reduce_panels(spec, reps, seed, STREAM_PANEL, purpose, fold,
+                  None if scheme is None else scheme.b, STREAM_COPY if copies else None)
+    stats = StreamStatistics(max_abs_mean, mult_max, reduced)
     for array in stats:
         if array is not None:
             array.setflags(write=False)

@@ -49,6 +49,7 @@ from .verify import (
     VerificationReport,
     mc_coordinate_mean_moment,
     mc_per_coordinate_tails,
+    tail_levels,
     theorem1_bound,
     verify_independence_reduction,
     verify_prop1,
@@ -99,13 +100,13 @@ _SECTIONS = ("dgp", "scheme", "multiplier", "psi", "truncation", "tail",
 # The keys of the root ("") and of each section that from_fields does not read.
 _KEYS = {
     "": tuple(f.name for f in fields(ExperimentConfig)),
-    "scheme": ("b",),
+    "scheme": ("b", "n"),
     "truncation": ("mode", "U", "phi"),
     "tail": ("mode", "gamma", "phi", "a", "b", "fit"),
     "gaussian_model": ("method", "reps"),
 }
-_INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "reps", "rho_reps", "seed",
-                   "gaussian_model.reps")
+_INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "scheme.n", "reps", "rho_reps",
+                   "seed", "gaussian_model.reps")
 
 
 def _is_positive(value) -> bool:
@@ -131,6 +132,25 @@ def _shape_problems(node, path: str = "") -> list:
     return [found for child, value in children for found in _shape_problems(value, child)]
 
 
+def _unread_keys(obj: dict) -> list:
+    """Keys that the chosen mode never reads, which the echo would show as
+    if they had been used, each with its field path."""
+    truncation, tail, model = (obj.get(section, {}) for section in
+                               ("truncation", "tail", "gaussian_model"))
+    mode = truncation.get("mode")
+    unread = {"truncation": (f"in {mode} mode", ("phi",) if mode == "fixed"
+                             else ("U",) if mode == "optimal" else ())}
+    if tail.get("mode") == "lq":
+        unread["tail"] = ("in lq mode", ("gamma", "phi", "a", "b", "fit"))
+    elif tail.get("fit", True) is True:
+        unread["tail"] = ("when fit is true", ("b",))
+    if model.get("method") == "analytic":
+        unread["gaussian_model"] = ("by the analytic method", ("reps",))
+    return [(f"{section}.{key}", f"not read {reason}")
+            for section, (reason, keys) in unread.items()
+            for key in keys if key in obj.get(section, {})]
+
+
 def parse_config(obj: dict) -> ExperimentConfig:
     """Build a validated config, collecting every problem before raising."""
     # The checks below read inside the sections, so shape problems come alone.
@@ -140,6 +160,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     for section, keys in _KEYS.items():
         problems += [(f"{section}.{key}" if section else key, "unknown field")
                      for key in (obj.get(section, {}) if section else obj) if key not in keys]
+    problems += _unread_keys(obj)
 
     def grab(path, ctor, default=None, required=True):
         node = obj
@@ -164,6 +185,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     dgp = grab("dgp", partial(from_fields, DgpSpec))
     # make_blocks checks the partition; with no valid dgp only presence is checked.
     scheme = grab("scheme.b", partial(make_blocks, dgp.n) if dgp else int)
+    # The config echo writes scheme.n, so it parses again when it equals dgp.n.
+    echoed_n = obj.get("scheme", {}).get("n")
+    if dgp is not None and echoed_n is not None and echoed_n != dgp.n:
+        problems.append(("scheme.n", f"must equal dgp.n ({dgp.n}), got {echoed_n}"))
     mult = grab("multiplier", partial(from_fields, MultiplierSpec),
                 default=MultiplierSpec("rademacher"), required=False)
     psi = grab("psi", partial(from_fields, PsiSpec))
@@ -288,7 +313,7 @@ def _fit_tail_params(config: ExperimentConfig, U_hint: float) -> TailParams:
     phi = float(tail.get("phi", gamma / 2.0))
     if not tail.get("fit", True):
         return TailParams(float(tail["a"]), float(tail["b"]), gamma, phi)
-    levels = U_hint * np.geomspace(0.25, 2.0, 8)
+    levels = tail_levels(U_hint)
     tails = mc_per_coordinate_tails(config.dgp, levels, config.reps, config.seed)
     return fit_subexp_envelope(levels, tails, config.dgp.n, gamma=gamma,
                                amplitude=float(tail.get("a", 2.0)), phi=phi)
@@ -337,6 +362,15 @@ def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float
             "psi_norm": psi_norm, "tail": tail, "U": run.U}
 
 
+def _moment_orders(config: ExperimentConfig) -> tuple:
+    """Every order at which the run reads the moment stream: 2 for prop2's
+    lq diagnostic and q for theorem1 in lq mode, so it is drawn once."""
+    orders = (2.0,) if "prop2" in config.checks else ()
+    if "theorem1" in config.checks and config.tail.get("mode", "lq") == "lq":
+        orders += (config.psi.q,)
+    return orders
+
+
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
     return verify_prop1(
         config.dgp, config.scheme, config.multiplier, config.psi, run.U,
@@ -349,7 +383,8 @@ def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
         config.dgp, config.scheme, config.multiplier, config.psi, run.U,
         config.r, config.reps, run.rho, config.seed,
     )
-    moment = mc_coordinate_mean_moment(config.dgp, 2.0, config.reps, config.seed)
+    moment = mc_coordinate_mean_moment(config.dgp, 2.0, config.reps, config.seed,
+                                       _moment_orders(config))
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
         config, run, report.remainders["psi_norm"],
         {"mode": "lq", "q": 2.0, "max_mean_moment": moment["value"]},
@@ -363,7 +398,7 @@ def _run_theorem1(config: ExperimentConfig, run: _RunInputs) -> VerificationRepo
     report = theorem1_bound(
         config.dgp, config.scheme, config.multiplier, config.psi.q,
         config.r, run.U, config.reps, run.rho, tail_mode, config.seed,
-        tail_params=tparams,
+        tail_params=tparams, moment_orders=_moment_orders(config),
     )
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
         config, run, 2.0**config.psi.q * report.remainders["M_hat_q"],

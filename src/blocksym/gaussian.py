@@ -15,12 +15,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocking import BlockScheme, MultiplierSpec, stream_statistics
-from .processes import DEFAULT_CHUNK, DgpSpec, theoretical_longrun_cov
+from .blocking import BlockScheme, MeanGram, MultiplierSpec, stream_statistics
+from .processes import DgpSpec, theoretical_longrun_cov
 from .seeding import PURPOSE_DEFAULT, PURPOSE_MODEL, STREAM_GAUSSIAN, substream
 
 _SYM_TOL = 1e-10
 _EIG_TOL = 1e-8
+
+# Pooled points whose CDF gap ``kolmogorov_distance`` evaluates at once.
+_KS_SLICE = 8192
 
 
 class CovarianceError(ValueError):
@@ -91,8 +94,11 @@ class RhoEstimate:
 
     @classmethod
     def from_samples(cls, plain, starred, gauss) -> "RhoEstimate":
-        """The three distances between paired max-statistic samples."""
+        """The three distances between paired max-statistic samples, each
+        sample sorted once."""
         reps = len(plain)
+        plain, starred, gauss = (np.sort(np.asarray(x, dtype=float))
+                                 for x in (plain, starred, gauss))
         return cls(
             rho=kolmogorov_distance(plain, gauss),
             rho_star=kolmogorov_distance(starred, gauss),
@@ -128,14 +134,9 @@ def estimate_gaussian_model(
         raise ValueError(f"unknown model method {method!r}")
     if reps < 1000:
         raise ValueError(f"mc covariance needs reps >= 1000, got {reps}")
-    means = stream_statistics(spec, reps, seed, PURPOSE_MODEL, means=True).means
-    acc = np.zeros((spec.p, spec.p))
-    # Summed chunk by chunk, as the panels are drawn: one product over all
-    # replications would round differently.
-    for start in range(0, reps, DEFAULT_CHUNK):
-        scaled = means[start : start + DEFAULT_CHUNK] * math.sqrt(spec.n)
-        acc += scaled.T @ scaled
-    return GaussianModel(cov=acc / reps, source=f"mc({reps})")
+    gram = stream_statistics(spec, reps, seed, PURPOSE_MODEL,
+                             reduction=MeanGram(math.sqrt(spec.n))).reduced
+    return GaussianModel(cov=gram / reps, source=f"mc({reps})")
 
 
 def sample_gaussian_max(model: GaussianModel, draws: int, seed: int) -> np.ndarray:
@@ -147,25 +148,37 @@ def sample_gaussian_max(model: GaussianModel, draws: int, seed: int) -> np.ndarr
     return np.abs(z).max(axis=1)
 
 
+def _ascending(x) -> np.ndarray:
+    """``x`` as a sorted float array, sorted only if it is not sorted yet."""
+    x = np.asarray(x, dtype=float)
+    return x if np.all(x[1:] >= x[:-1]) else np.sort(x)
+
+
 def kolmogorov_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Exact sup-norm distance between two empirical CDFs.
 
     Both CDFs are right-continuous steps that jump only at pooled points, so
     the gap is constant from each pooled point up to the next. Evaluating it
     at every pooled point covers every piece: the left limit at a pooled
-    point is the value at the previous one, and 0 below the first.
+    point is the value at the previous one, and 0 below the first. The
+    points of each sample are evaluated ``_KS_SLICE`` at a time, so no pool
+    and no full-length temporaries are built; a sorted sample is not sorted
+    again.
     """
-    a = np.sort(np.asarray(a, dtype=float))
-    b = np.sort(np.asarray(b, dtype=float))
+    a, b = _ascending(a), _ascending(b)
     if a.size == 0 or b.size == 0:
         raise ValueError("empty sample")
     if a[0] < 0 or b[0] < 0:
         raise ValueError("max-abs statistics must be >= 0")
-    pooled = np.concatenate([a, b])
-    return float(np.abs(
-        np.searchsorted(a, pooled, side="right") / a.size
-        - np.searchsorted(b, pooled, side="right") / b.size
-    ).max())
+    gap = 0.0
+    for points in (a, b):
+        for lo in range(0, points.size, _KS_SLICE):
+            x = points[lo : lo + _KS_SLICE]
+            gap = max(gap, float(np.abs(
+                np.searchsorted(a, x, side="right") / a.size
+                - np.searchsorted(b, x, side="right") / b.size
+            ).max()))
+    return gap
 
 
 def simulate_max_statistics(

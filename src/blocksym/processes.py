@@ -10,24 +10,27 @@ p-dimensional process. Five generator kinds are shipped:
 - ``bounded_rademacher``: iid random signs times a scale, support {-s, +s}
 - ``truncated_var1``: the var1 path clipped to [-U, U]
 
-Estimators need only each panel's column means and within-block column
-sums, which ``reduce_panels``, the one function here that draws panels,
-yields per chunk. Replication r is a pure function of (spec, seed, stream,
-purpose, r), so identical inputs give bit-identical results. Every kind is
-mean zero by construction (innovations are centered before filtering, and
-clipping a stationary law that is symmetric about zero keeps its mean
-exactly zero). Cross-sectional dependence is described by a single
-equicorrelation coefficient, which keeps specs serializable while still
-covering the correlated-coordinate regime.
+Estimators need only per-replication functions of each panel's column
+means and within-block column sums. ``reduce_panels``, the one function here
+that draws panels, hands those to a fold its caller passes in, so it returns
+nothing: the caller's arrays hold what the fold wrote. Replication r is a
+pure function of (spec, seed, stream, purpose, r), so identical inputs give
+bit-identical results. Every kind is mean zero by construction (innovations
+are centered before filtering, and clipping a stationary law that is
+symmetric about zero keeps its mean exactly zero). Cross-sectional
+dependence is described by a single equicorrelation coefficient, which keeps
+specs serializable while still covering the correlated-coordinate regime.
 
 ``reduce_panels`` splits a chunk into blocks of ``_BLOCK_BYTES`` of panel,
-draws each block with the one filler per kind (``_fill``) and reduces it as
-soon as it is drawn, so it never holds a chunk of panels. Gaussian kinds run
-their blocks on a thread pool sized by the CPUs this process may run on
-(``draw_workers``); numpy's normal fills and ufunc loops release the GIL, so
-the blocks overlap. Each block rekeys its own generator from its
-replications' keys, so the output is bit-identical for any worker count.
-Sign kinds call the public ``philox_signs`` and keep to the calling thread.
+draws each block with the one filler per kind (``_fill``) and hands its
+column means and block sums to the caller's block fold as soon as it is
+drawn, so it never holds a chunk of panels or of block sums. Gaussian kinds
+run their blocks, fold included, on a thread pool sized by the CPUs this
+process may run on (``draw_workers``); numpy's normal fills and ufunc loops
+release the GIL, so the blocks overlap. Each block rekeys its own generator
+from its replications' keys, so the output is bit-identical for any worker
+count. Pool threads call only private functions. Sign kinds call the public
+``philox_signs`` and keep to the calling thread.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Callable, ContextManager, Optional
 
 import numpy as np
 
@@ -61,6 +64,9 @@ _BLOCK_BYTES = 4 << 20
 
 # Replications whose signs (panels, or innovations to filter) are drawn at once.
 _SIGN_SLICE = 64
+
+# What a block of replications is folded by: (rows, means, sums) -> None.
+BlockFold = Callable[[slice, np.ndarray, Optional[np.ndarray]], None]
 
 
 class DgpValidationError(ValueError):
@@ -349,23 +355,28 @@ def reduce_panels(
     seed: int,
     stream: int,
     purpose: int,
+    fold: Callable[[int, int], ContextManager[BlockFold]],
     b: Optional[int] = None,
     copy_stream: Optional[int] = None,
-) -> Iterator[tuple[int, np.ndarray, Optional[np.ndarray]]]:
-    """Yield (offset, means, sums) per chunk of ``DEFAULT_CHUNK`` replications.
+) -> None:
+    """Fold replications 0..reps-1 of one panel stream where they are drawn.
 
-    Replication r reads the substream (seed, stream, purpose, r). ``means``
-    (c, p) holds the panels' column means and ``sums`` (c, n/b, p) their
-    within-block column sums over blocks of length ``b`` (None without
-    ``b``). With ``copy_stream`` each panel minus its copy, the same
-    replication of that stream, is reduced instead.
-
-    Each block of ``_BLOCK_BYTES`` of panel (at least one replication) is
-    drawn into its own buffer and reduced by the thread that drew it: the
-    draw pool when a Gaussian chunk has several blocks and there is more
-    than one worker, else the calling thread. Each block writes only its own
-    rows, and numpy sums each replication over t in order, so the results
-    equal those of the whole chunk bit for bit, for any worker count.
+    Replication r reads the substream (seed, stream, purpose, r); with
+    ``copy_stream`` each panel minus its copy, the same replication of that
+    stream, is folded instead. The replications go by in chunks of
+    ``DEFAULT_CHUNK``. For the chunk start..stop-1 the calling thread enters
+    ``fold(start, stop)``, a context manager that gives the chunk's block
+    fold, and leaves it once the chunk is folded. The chunk is drawn in
+    blocks of ``_BLOCK_BYTES`` of panel (at least one replication), and each
+    block calls ``block_fold(rows, means, sums)`` on the thread that drew it:
+    ``rows`` is the block's slice of the chunk, ``means`` (k, p) its panels'
+    column means and ``sums`` (k, n/b, p) their within-block column sums
+    over blocks of length ``b`` (None without ``b``). That thread is the
+    draw pool when a Gaussian chunk has several blocks and there is more than
+    one worker, else the calling thread; so a block fold calls no public
+    function, and writes only its own rows of the arrays its caller owns.
+    numpy reduces each replication in the same order in any block, so what a
+    fold sees is bit-identical for any worker count.
     """
     n, p = spec.n, spec.p
     if b is not None and not (1 <= b <= n and n % b == 0):
@@ -378,29 +389,24 @@ def reduce_panels(
         keys = substream_keys(seed, stream, purpose, start, stop)
         copy_keys = (None if copy_stream is None
                      else substream_keys(seed, copy_stream, purpose, start, stop))
-        means = np.empty((stop - start, p))
-        sums = None if b is None else np.empty((stop - start, n // b, p))
+        with fold(start, stop) as block_fold:
 
-        def reduce(span):
-            x = np.empty((len(keys[span]), n, p))
-            _fill(spec, chol, keys[span], x)
-            if copy_keys is not None:
-                copy = np.empty_like(x)
-                _fill(spec, chol, copy_keys[span], copy)
-                x -= copy
-                del copy
-            means[span] = x.mean(axis=-2)
-            if sums is not None:
-                sums[span] = _block_sums(x, b)
+            def reduce(span):
+                x = np.empty((len(keys[span]), n, p))
+                _fill(spec, chol, keys[span], x)
+                if copy_keys is not None:
+                    copy = np.empty_like(x)
+                    _fill(spec, chol, copy_keys[span], copy)
+                    x -= copy
+                    del copy
+                block_fold(span, x.mean(axis=-2), None if b is None else _block_sums(x, b))
 
-        spans = [slice(lo, lo + block) for lo in range(0, stop - start, block)]
-        if len(spans) == 1 or workers == 1 or _signs(spec):
-            for span in spans:
-                reduce(span)
-        else:
-            list(_draw_pool(workers).map(reduce, spans))
-        yield start, means, sums
-        del means, sums  # the caller is done with this chunk
+            spans = [slice(lo, lo + block) for lo in range(0, stop - start, block)]
+            if len(spans) == 1 or workers == 1 or _signs(spec):
+                for span in spans:
+                    reduce(span)
+            else:
+                list(_draw_pool(workers).map(reduce, spans))
 
 
 def marginal_spec(spec: DgpSpec) -> DgpSpec:

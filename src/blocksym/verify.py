@@ -10,19 +10,25 @@ Hoeffding-factor bound on the quadratic block term plus remainders.
 Every Monte Carlo estimator draws a fresh panel per replication (fresh
 multipliers and fresh independent copies where a check needs them), and all
 expectations are unconditional. Estimators read the per-replication maxima
-of ``blocking.stream_statistics``, and the column means only where they need
-them (the split diagnostic, the moment and the tails), so inside one
-run (``blocking.shared_passes``) checks that need the same stream share one
-panel pass; the quadratic term of the moment bound reads the block sums of
-``processes.reduce_panels``. Inequality verdicts use a three-band rule:
-``holds`` when the margin is nonpositive, ``holds-within-noise`` within three
-propagated standard errors, ``violated`` beyond that. Estimates, margins and
-reports are dataclasses written out by ``dataclasses.asdict``, so each lists
-its report fields once.
+of ``blocking.stream_statistics``. Where they need more of the column means
+they name a reduction that is folded in while the stream is drawn: the
+split diagnostic's largest mean below U (``MaxBelow``), the coordinate
+moments (``PowerSums``) and the per-coordinate tails (``Exceedances`` at
+``tail_levels(U)``, which the exceedance count on the same stream names too).
+So inside one run (``blocking.shared_passes``) checks that need the same
+stream share one panel pass, and no (reps, p) means are kept. The quadratic
+term of the moment bound and its Hoeffding difference are folded from each
+block's sums by ``processes.reduce_panels`` on the thread that drew the
+block, so no chunk of block sums is held. Inequality verdicts use a
+three-band rule: ``holds`` when the margin is nonpositive,
+``holds-within-noise`` within three propagated standard errors, ``violated``
+beyond that. Estimates, margins and reports are dataclasses written out by
+``dataclasses.asdict``, so each lists its report fields once.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -32,7 +38,11 @@ from scipy.stats import beta
 
 from .blocking import (
     BlockScheme,
+    Exceedances,
+    MaxBelow,
     MultiplierSpec,
+    PowerSums,
+    _multiplier_max,
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
@@ -41,7 +51,7 @@ from .blocking import (
     stream_statistics,
 )
 from .gaussian import RhoEstimate
-from .processes import DEFAULT_CHUNK, DgpSpec, _linear_filter, reduce_panels
+from .processes import DgpSpec, _linear_filter, reduce_panels
 from .psi import PsiLike, PsiSpec, psi_eval, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -227,12 +237,19 @@ def mc_expect_psi_max(
     return _estimate_from_values(values)
 
 
+def tail_levels(U: float) -> tuple:
+    """The levels U * geomspace(0.25, 2, 8) at which the tail stream counts
+    per-coordinate exceedances for the sub-exponential tail fit."""
+    return tuple(U * np.geomspace(0.25, 2.0, 8))
+
+
 def mc_tail_probability(spec: DgpSpec, U: float, reps: int, seed: int) -> dict:
     """MC exceedance probability of the max-abs mean with a one-sided
     97.5% Clopper-Pearson upper confidence bound."""
-    # The sub-exponential tail fit reads this stream's means afterwards, so
-    # ask for them here and the stream is drawn once.
-    stats = stream_statistics(spec, reps, seed, PURPOSE_TAIL, means=True)
+    # The sub-exponential tail fit reads this stream's counts at
+    # ``tail_levels(U)``, so the request names them and the stream is drawn once.
+    stats = stream_statistics(spec, reps, seed, PURPOSE_TAIL,
+                              reduction=Exceedances(tail_levels(U)))
     hits = int((stats.max_abs_mean >= U).sum())
     if hits == reps:
         upper = 1.0
@@ -243,18 +260,19 @@ def mc_tail_probability(spec: DgpSpec, U: float, reps: int, seed: int) -> dict:
     return {"hits": hits, "reps": reps, "estimate": hat, "upper": upper, "se": se}
 
 
-def mc_coordinate_mean_moment(spec: DgpSpec, q: float, reps: int, seed: int) -> dict:
+def mc_coordinate_mean_moment(spec: DgpSpec, q: float, reps: int, seed: int,
+                              orders: tuple = ()) -> dict:
     """MC estimate of max_i E |column mean_i|^q with the argmax coordinate's
-    standard error attached."""
-    means = stream_statistics(spec, reps, seed, PURPOSE_MOMENT, means=True).means
-    acc = np.zeros(spec.p)
-    acc2 = np.zeros(spec.p)
-    # Summed chunk by chunk, as the panels are drawn: one sum over all
-    # replications would round differently.
-    for start in range(0, reps, DEFAULT_CHUNK):
-        powered = np.abs(means[start : start + DEFAULT_CHUNK]) ** q
-        acc += powered.sum(axis=0)
-        acc2 += (powered**2).sum(axis=0)
+    standard error attached.
+
+    The moment stream's one pass sums every order of ``orders`` besides q,
+    so a run that reads it at several orders names them all each time and
+    draws it once.
+    """
+    orders = tuple(sorted({float(q), *map(float, orders)}))
+    powers = stream_statistics(spec, reps, seed, PURPOSE_MOMENT,
+                               reduction=PowerSums(orders)).reduced
+    acc, acc2 = powers[orders.index(q)]
     means = acc / reps
     i = int(np.argmax(means))
     var = max(acc2[i] / reps - means[i] ** 2, 0.0)
@@ -270,9 +288,9 @@ def mc_per_coordinate_tails(
     spec: DgpSpec, levels: np.ndarray, reps: int, seed: int
 ) -> np.ndarray:
     """Worst per-coordinate exceedance probability at each level."""
-    levels = np.asarray(levels, dtype=float)
-    absmeans = np.abs(stream_statistics(spec, reps, seed, PURPOSE_TAIL, means=True).means)
-    counts = (absmeans >= levels[:, None, None]).sum(axis=1)
+    levels = tuple(map(float, levels))
+    counts = stream_statistics(spec, reps, seed, PURPOSE_TAIL,
+                               reduction=Exceedances(levels)).reduced
     return counts.max(axis=1) / reps
 
 
@@ -451,9 +469,8 @@ def verify_prop2(
     r2 = remainder_R2(r, tail["upper"], norm.value)
     total = r1 + r2
     lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 2.0, reps, seed, total)
-    split = stream_statistics(spec, reps, seed, PURPOSE_SPLIT, means=True)
-    absmeans, m = np.abs(split.means), split.max_abs_mean
-    below = np.where(absmeans <= U, absmeans, 0.0).max(axis=1)
+    split = stream_statistics(spec, reps, seed, PURPOSE_SPLIT, reduction=MaxBelow(U))
+    below, m = split.reduced, split.max_abs_mean
     e1 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * below)))
     e2 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * m)) * (m > U))
     return VerificationReport(
@@ -505,22 +522,6 @@ def verify_independence_reduction(
     )
 
 
-def _squared_block_sums(sums: np.ndarray) -> np.ndarray:
-    """``(sums**2).sum(axis=1)`` for block sums (c, count, p), bit for bit.
-
-    The squares are formed c // count replications at a time, so the
-    temporary never outgrows the (c, p) result. Each row is reduced by the
-    same numpy call as on the whole array: in block order when p > 1, and
-    pairwise when p == 1, so adding whole blocks in order would not do.
-    """
-    c, count, p = sums.shape
-    out = np.empty((c, p))
-    step = max(1, c // count)
-    for start in range(0, c, step):
-        out[start : start + step] = (sums[start : start + step] ** 2).sum(axis=1)
-    return out
-
-
 def hoeffding_factor(q: float, c: float, p: int, n: int) -> float:
     """Exact conditional-multiplier factor 2**(q/2) c**q (ln(2p) / n)**(q/2)."""
     return 2.0 ** (q / 2.0) * c**q * (math.log(2.0 * p) / n) ** (q / 2.0)
@@ -538,13 +539,17 @@ def theorem1_bound(
     tail_mode: str,
     seed: int,
     tail_params: Optional[TailParams] = None,
+    moment_orders: tuple = (),
 ) -> VerificationReport:
     """Maximal moment bound with the exact Hoeffding factor.
 
     The blocking remainder is computed both by quadrature and in the
     n-scaled closed-form variant; the verdict uses the larger. The
     conditional Hoeffding step is audited separately as a paired margin on
-    shared panels.
+    shared panels. The quadratic term and the Hoeffding difference are
+    folded from each block's sums on the thread that drew it. In lq mode
+    ``moment_orders`` names the run's other reads of the moment stream (see
+    ``mc_coordinate_mean_moment``).
     """
     if tail_mode not in ("lq", "subexp"):
         raise ValueError(f"unknown tail mode {tail_mode!r}")
@@ -560,22 +565,30 @@ def theorem1_bound(
 
     quad_vals = np.empty(reps)
     hoeff_diff = np.empty(reps)
-    for start, _, sums in reduce_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_QUAD,
-                                        scheme.b):
-        c = len(sums)
-        quad = np.abs(_squared_block_sums(sums) / spec.n).max(axis=1)
-        quad_vals[start : start + c] = quad ** (q / 2.0)
-        eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_HOEFFDING, start, start + c)
-        mstat = batch_multiplier_max(sums, eps, spec.n)
-        hoeff_diff[start : start + c] = mstat**q - factor * quad ** (q / 2.0)
-        del sums  # release this chunk before the next one is reduced
+
+    @contextlib.contextmanager
+    def fold(start, stop):
+        # The chunk's multipliers are drawn here, on the calling thread,
+        # because block folds may call no public function.
+        eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_HOEFFDING, start, stop)
+        quad_out, diff_out = quad_vals[start:stop], hoeff_diff[start:stop]
+
+        def block(rows, _, sums):
+            quad = np.abs((sums**2).sum(axis=1) / spec.n).max(axis=1)
+            quad_out[rows] = quad ** (q / 2.0)
+            mstat = _multiplier_max(sums, eps[rows], spec.n)
+            diff_out[rows] = mstat**q - factor * quad ** (q / 2.0)
+
+        yield block
+
+    reduce_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_QUAD, fold, scheme.b)
     quad_est = _estimate_from_values(quad_vals)
 
     norm = psi_moment_norm(psi_q, spec, r, reps, seed)
     m_hat_q = norm.value / 2.0**q  # estimate of max_t || max_i |x[t,i]| ||_qr ** q
     subexp_warning = False
     if tail_mode == "lq":
-        moment = mc_coordinate_mean_moment(spec, q, reps, seed)
+        moment = mc_coordinate_mean_moment(spec, q, reps, seed, moment_orders)
         tail_bound = concentration_lq(spec.p, U, q, moment["value"])
         tail_info = {"mode": "lq", "q": q, "max_mean_moment": moment["value"],
                      "moment_se": moment["se"]}

@@ -13,7 +13,11 @@ from hypothesis.extra.numpy import arrays
 
 from blocksym.blocking import (
     BlockSchemeError,
+    Exceedances,
+    MaxBelow,
+    MeanGram,
     MultiplierSpec,
+    PowerSums,
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
@@ -329,26 +333,26 @@ class TestStreamLedger:
             assert (ledger.drawn, ledger.reused) == (1, 0)
         assert sum(panel_calls.values()) == 2
 
-    def test_means_are_kept_only_when_asked(self, panel_calls):
+    def test_reduction_is_part_of_the_key(self, panel_calls):
         args = (self.SPEC, 50, 3, 2, self.SCHEME, self.MULT)
         with shared_passes() as ledger:
             maxima = stream_statistics(*args)
-            # A maxima-only request keeps per-replication vectors only.
-            assert maxima.means is None
+            # A request without a reduction keeps per-replication vectors only.
+            assert maxima.reduced is None
             assert all(array.shape == (50,) for array in maxima if array is not None)
-            # Asking for the means afterwards draws the stream again ...
-            full = stream_statistics(*args, means=True)
+            # A request that names a reduction draws the stream again ...
+            gram = stream_statistics(*args, reduction=MeanGram(1.0))
             assert sum(panel_calls.values()) == 2
-            assert full.means.shape == (50, 3) and not full.means.flags.writeable
-            assert np.array_equal(full.max_abs_mean, maxima.max_abs_mean)
-            assert np.array_equal(full.mult_max, maxima.mult_max)
-            assert np.array_equal(full.max_abs_mean, np.abs(full.means).max(axis=1))
-            # ... and the entry with means then serves both kinds of request.
-            assert stream_statistics(*args) is full
-            assert stream_statistics(*args, means=True) is full
-            assert (ledger.drawn, ledger.reused) == (2, 2)
+            assert gram.reduced.shape == (3, 3) and not gram.reduced.flags.writeable
+            assert np.array_equal(gram.max_abs_mean, maxima.max_abs_mean)
+            assert np.array_equal(gram.mult_max, maxima.mult_max)
+            # ... and each request is then served by its own entry.
+            assert stream_statistics(*args) is maxima
+            assert stream_statistics(*args, reduction=MeanGram(1.0)) is gram
+            assert stream_statistics(*args, reduction=MeanGram(2.0)) is not gram
+            assert (ledger.drawn, ledger.reused) == (3, 2)
             assert ledger.kept_bytes == 0
-        assert ledger.kept_bytes == full.means.nbytes + 2 * full.max_abs_mean.nbytes
+        assert ledger.kept_bytes == 3 * 2 * 50 * 8 + 2 * 3 * 3 * 8
         assert len(ledger) == 0
 
     def test_plain_request_has_no_multiplier_statistic(self):
@@ -365,12 +369,13 @@ class TestStreamLedger:
     def test_copies_are_the_kernels_on_differences(self, reps, seed, purpose, b):
         scheme = make_blocks(8, b)
         stats = stream_statistics(self.SPEC, reps, seed, purpose, scheme, self.MULT,
-                                  copies=True, means=True)
+                                  copies=True, reduction=MeanGram(1.0))
         panels, copies = (draw_panels(self.SPEC, seed, stream, purpose, 0, reps)
                           for stream in (STREAM_PANEL, STREAM_COPY))
         diff = panels - copies
         eps = batch_multipliers(self.MULT, scheme.count, seed, purpose, 0, reps)
-        assert np.array_equal(stats.means, diff.mean(axis=1))
+        means = diff.mean(axis=1)
+        assert np.array_equal(stats.reduced, means.T @ means)
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(diff))
         assert np.array_equal(stats.mult_max,
                               batch_multiplier_max(batch_block_sums(diff, scheme), eps, 8))
@@ -392,6 +397,65 @@ class TestStreamLedger:
         assert peak < 0.5 * DEFAULT_CHUNK * spec.n * spec.p * 8
 
 
+def reference_reduction(reduction, means):
+    """A reduction of whole (reps, p) means, as the estimators once computed it
+    from kept means: floating sums over ``DEFAULT_CHUNK`` slices in order,
+    counts and maxima at once."""
+    chunks = [means[start : start + DEFAULT_CHUNK]
+              for start in range(0, len(means), DEFAULT_CHUNK)]
+    absmeans, p = np.abs(means), means.shape[1]
+    if isinstance(reduction, MeanGram):
+        acc = np.zeros((p, p))
+        for chunk in chunks:
+            scaled = chunk * reduction.scale
+            acc += scaled.T @ scaled
+        return acc
+    if isinstance(reduction, PowerSums):
+        out = []
+        for q in reduction.orders:
+            acc, acc2 = np.zeros(p), np.zeros(p)
+            for chunk in chunks:
+                powered = np.abs(chunk) ** q
+                acc += powered.sum(axis=0)
+                acc2 += (powered**2).sum(axis=0)
+            out.append((acc, acc2))
+        return np.array(out)
+    if isinstance(reduction, Exceedances):
+        return (absmeans >= np.array(reduction.levels)[:, None, None]).sum(axis=1)
+    return np.where(absmeans <= reduction.U, absmeans, 0.0).max(axis=1)
+
+
+REDUCTIONS = [MeanGram(math.sqrt(8)), PowerSums((1.0, 2.0, 3.0)),
+              Exceedances(tuple(0.3 * np.geomspace(0.25, 2.0, 8))), MaxBelow(0.3)]
+
+
+class TestReductions:
+    """Each reduction, folded in while the stream is drawn, equals the same
+    reduction of the serial panels of ``tests/conftest.py``, bit for bit."""
+
+    SPEC = DgpSpec("var1", n=8, p=3, phi=0.4)
+    SCHEME = make_blocks(8, 2)
+    REPS = DEFAULT_CHUNK + 30  # two chunks, the second one short
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
+    @pytest.mark.parametrize("reduction", REDUCTIONS, ids=lambda r: type(r).__name__)
+    def test_matches_serial_panels(self, reduction, cpus, monkeypatch):
+        from blocksym import processes
+
+        # Seven replications per block: each chunk spans many blocks.
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * self.SPEC.n * self.SPEC.p * 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        stats = stream_statistics(self.SPEC, self.REPS, 5, 3, self.SCHEME, RADEMACHER,
+                                  reduction=reduction)
+        panels = draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS)
+        eps = batch_multipliers(RADEMACHER, self.SCHEME.count, 5, 3, 0, self.REPS)
+        want = reference_reduction(reduction, panels.mean(axis=1))
+        assert stats.reduced.dtype == want.dtype and np.array_equal(stats.reduced, want)
+        assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
+        assert np.array_equal(stats.mult_max, mult_stat(panels, self.SCHEME, eps))
+
+
 FULL_RUN = {
     "dgp": {"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "truncation": 3.0},
     "scheme": {"b": 4},
@@ -407,6 +471,19 @@ FULL_RUN = {
 }
 
 
+def kept_bytes(reps, p, orders):
+    """The ledger bytes of a run of every Monte Carlo check on a model stream.
+
+    Nine streams keep their (reps,) maxima, the rho and mid streams their
+    multiplier maxima and the split stream its largest mean below U: twelve
+    vectors. No stream keeps (reps, p) means: the model stream keeps its
+    (p, p) Gram, the tail stream its int64 counts at eight levels per
+    coordinate, and the moment stream two power sums per coordinate at each
+    of its ``orders`` orders.
+    """
+    return 8 * (12 * reps + p * p + 8 * p + 2 * orders * p)
+
+
 class TestSharedRun:
     def test_one_pass_per_stream(self, tmp_path, panel_calls):
         path = tmp_path / "config.json"
@@ -417,13 +494,9 @@ class TestSharedRun:
         assert len(panel_calls) == 10
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
-        # Every stream but the quadratic-term one goes through the ledger.
-        # The model, tail, split and moment streams keep (reps, p) means; all
-        # nine keep their (reps,) maxima, and the rho and mid streams their
-        # multiplier maxima too.
         reps, p = config.reps, config.dgp.p
         assert meta["panel_streams"] == {"drawn": 9, "reused": 6,
-                                         "kept_bytes": 8 * reps * (4 * p + 11)}
+                                         "kept_bytes": kept_bytes(reps, p, orders=1)}
 
         # The same check built outside a run draws its own panels and
         # reports the same numbers.
@@ -434,13 +507,14 @@ class TestSharedRun:
                              3.0, config.r, config.reps, rho, config.seed)
         assert json.loads(json.dumps(alone.to_json_dict())) == report
 
-    @pytest.mark.parametrize("tail, reread", [("lq", PURPOSE_MOMENT), ("subexp", PURPOSE_TAIL)],
+    @pytest.mark.parametrize("tail, reread, orders", [({"mode": "lq"}, PURPOSE_MOMENT, 2),
+                                                      (FULL_RUN["tail"], PURPOSE_TAIL, 1)],
                              ids=["lq", "subexp"])
     def test_reread_means_streams_are_drawn_once(self, tmp_path, panel_calls, monkeypatch,
-                                                 tail, reread):
+                                                 tail, reread, orders):
         # With q = 3 the lq moment is read at q = 2 (prop2) and at q = 3
-        # (theorem1); the sub-exponential fit reads the tail stream after
-        # prop2's exceedance count has drawn it.
+        # (theorem1), and both reads name both orders; the sub-exponential
+        # fit reads the counts that prop2's exceedance count asked for.
         from blocksym import gaussian, psi, verify
 
         reads = Counter()
@@ -452,7 +526,7 @@ class TestSharedRun:
         for module in (gaussian, psi, verify):
             monkeypatch.setattr(module, "stream_statistics", counting)
         obj = dict(FULL_RUN, psi={"kind": "power", "q": 3.0}, checks=["prop2", "theorem1"],
-                   tail=dict(FULL_RUN["tail"], mode=tail))
+                   tail=tail)
         path = tmp_path / "config.json"
         path.write_text(json.dumps(obj))
         config = load_config(path)
@@ -462,7 +536,6 @@ class TestSharedRun:
         assert len(panel_calls) == 10
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
-        # Only the model, tail, split and moment streams keep (reps, p) means.
         reps, p = config.reps, config.dgp.p
         assert meta["panel_streams"] == {"drawn": 9, "reused": 3,
-                                         "kept_bytes": 8 * reps * (4 * p + 11)}
+                                         "kept_bytes": kept_bytes(reps, p, orders)}

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 from pathlib import Path
@@ -190,6 +191,18 @@ PROBES = {
     "optimal-truncation-exponential-gauge": (
         with_fields(psi={"kind": "exponential", "a": 1.0, "b": 1.0},
                     truncation={"mode": "optimal", "phi": 0.5}, checks=["prop2"]), "psi.kind"),
+    "scheme-n-not-dgp-n": (with_fields(**{"scheme.n": 8}), "scheme.n"),
+    # Keys that the chosen mode never reads.
+    "truncation-phi-fixed": (with_fields(**{"truncation.phi": 0.5}), "truncation.phi"),
+    "truncation-U-optimal": (with_fields(truncation={"mode": "optimal", "phi": 0.5, "U": 2.0}),
+                             "truncation.U"),
+    **{f"tail-{key}-lq": (with_fields(checks=["theorem1"], tail={"mode": "lq", key: value}),
+                          f"tail.{key}")
+       for key, value in [("gamma", 1.0), ("phi", 0.5), ("a", 2.0), ("b", 1.0), ("fit", True)]},
+    "tail-b-fit-true": (with_fields(checks=["theorem1"], tail={"mode": "subexp", "b": 1.0}),
+                        "tail.b"),
+    "model-reps-analytic": (with_fields(gaussian_model={"method": "analytic", "reps": 5000}),
+                            "gaussian_model.reps"),
 }
 
 
@@ -215,7 +228,7 @@ json_values = st.recursive(
 )
 FUZZ_PATHS = [
     "dgp", "dgp.kind", "dgp.n", "dgp.p", "dgp.phi", "dgp.coeffs", "dgp.cross_corr",
-    "scheme", "scheme.b", "multiplier", "multiplier.kind", "psi", "psi.kind", "psi.q",
+    "scheme", "scheme.b", "scheme.n", "multiplier", "multiplier.kind", "psi", "psi.kind", "psi.q",
     "truncation", "truncation.mode", "truncation.U", "truncation.phi", "r", "reps",
     "rho_reps", "seed", "checks", "gaussian_model", "gaussian_model.method",
     "gaussian_model.reps", "tail", "tail.mode", "tail.gamma", "debug", "output_dir",
@@ -236,6 +249,18 @@ def test_parse_config_raises_only_config_error(fields):
 
 
 class TestRun:
+    def test_config_echo_parses_again(self, tmp_path):
+        path, _ = write_config(
+            tmp_path, dgp={"kind": "var1", "n": 16, "p": 3, "phi": 0.5},
+            gaussian_model={"method": "mc", "reps": 1000},
+            tail={"mode": "subexp", "gamma": 1.0, "phi": 0.5, "a": 2.0},
+            output_dir=str(tmp_path / "out"))
+        config = load_config(path)
+        assert main(["run", str(path)]) == EXIT_OK
+        echo = json.loads((tmp_path / "out" / "rho-only.json").read_text())["config"]
+        assert echo["scheme"] == {"n": 16, "b": 4}
+        assert parse_config(echo) == config
+
     def test_rho_only_writes_reports(self, tmp_path):
         path, _ = write_config(tmp_path, output_dir=str(tmp_path / "out"))
         code = main(["run", str(path)])
@@ -401,6 +426,31 @@ class TestPlots:
         main(["run", str(path), "--output-dir", str(out)])
         with pytest.raises(ValueError, match="remainder_inputs"):
             emit_plot_data("remainder-vs-U", [out / "rho-only.json"], tmp_path / "x.csv")
+
+
+def load_digest_script():
+    """scripts/report_digests.py as a module."""
+    spec = importlib.util.spec_from_file_location("report_digests",
+                                                  SCRIPTS / "report_digests.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_digest_check_names_each_mismatch(tmp_path, capsys, monkeypatch):
+    script = load_digest_script()
+    printed = {"a x.json": "1", "a y.json": "2", "b z.csv": "3"}
+    monkeypatch.setattr(script, "report_digests", lambda: (dict(printed), 0))
+    bench = tmp_path / "BENCH.json"
+    bench.write_text(json.dumps({"digests": {"a x.json": "1", "a y.json": "9", "c w.csv": "4"}}))
+    assert script.main(["--check", str(bench)]) == 1
+    out, err = capsys.readouterr()
+    assert out.splitlines() == ["a x.json 1", "a y.json 2", "b z.csv 3"]
+    assert err.splitlines() == ["mismatch: a y.json: 2 != 9",
+                                "mismatch: b z.csv: not in the trajectory file",
+                                "mismatch: c w.csv: not written"]
+    bench.write_text(json.dumps({"digests": printed}))
+    assert script.main(["--check", str(bench)]) == 0
 
 
 def test_cli_entry_point_help():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,6 +49,14 @@ def ma1_sample_gaps():
         squared = (getattr(samples, name) / math.sqrt(MA1_SIGNS_4x2.n)) ** 2
         gaps[name] = abs(squared.mean() - exact) / (squared.std(ddof=1) / math.sqrt(len(squared)))
     return gaps
+
+
+def pooled_gap(a, b):
+    """The sup gap evaluated at every point of the concatenated pool at once."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    return float(np.abs(np.searchsorted(a, pooled, side="right") / a.size
+                        - np.searchsorted(b, pooled, side="right") / b.size).max())
 
 
 def ks_oracle(a, b):
@@ -124,6 +133,48 @@ class TestKolmogorovDistance:
         d = kolmogorov_distance(a, b)
         for f in (lambda x: x**2, lambda x: np.expm1(x / 5.0), lambda x: 3.0 * x + 1):
             assert kolmogorov_distance(f(np.asarray(a)), f(np.asarray(b))) == pytest.approx(d)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.lists(st.integers(0, 6) | st.floats(0.0, 6.0), min_size=1, max_size=40),
+        b=st.lists(st.integers(0, 6) | st.floats(0.0, 6.0), min_size=1, max_size=40),
+        step=st.integers(1, 7),
+    )
+    def test_slices_match_pooled_gaps(self, a, b, step):
+        # The gaps are evaluated a slice of points at a time; any slice
+        # length gives the gap over the whole pool, bit for bit.
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gaussian, "_KS_SLICE", step)
+            assert kolmogorov_distance(a, b) == pooled_gap(a, b)
+
+    def test_sorted_samples_need_no_full_length_temporaries(self):
+        rng = substream(315, 99)
+        a, b = (np.sort(np.abs(rng.standard_normal(100_000))) for _ in range(2))
+        tracemalloc.start()
+        try:
+            kolmogorov_distance(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < a.nbytes / 2
+
+    def test_from_samples_sorts_each_sample_once(self, monkeypatch):
+        sorted_sizes = []
+        sort = np.sort
+
+        def counting(x, *args, **kw):
+            sorted_sizes.append(len(x))
+            return sort(x, *args, **kw)
+
+        rng = substream(316, 99)
+        samples = [np.abs(rng.standard_normal(m)) for m in (300, 301, 302)]
+        monkeypatch.setattr(np, "sort", counting)
+        est = RhoEstimate.from_samples(*samples)
+        assert sorted(sorted_sizes) == [300, 301, 302]
+        plain, starred, gauss = samples
+        assert (est.rho, est.rho_star, est.rho_direct) == (
+            pooled_gap(plain, gauss), pooled_gap(starred, gauss), pooled_gap(plain, starred))
 
     def test_null_calibration(self):
         # Same-law pairs exceed the 1% two-sample bound in about 1% of

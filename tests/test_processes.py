@@ -1,3 +1,4 @@
+import contextlib
 import math
 import os
 import sys
@@ -29,6 +30,38 @@ VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
 def stack_panels(spec, reps, seed, stream=STREAM_PANEL):
     return draw_panels(spec, seed, stream, 0, 0, reps)
+
+
+def gather(spec, reps, seed, stream, purpose, b=None, copy_stream=None):
+    """What ``reduce_panels`` hands its fold, gathered into whole arrays.
+
+    Returns the chunks (start, stop) in the order they were folded, the
+    (reps, p) column means and the (reps, n/b, p) block sums (None without
+    ``b``). Asserts that each chunk's fold is entered and left on the
+    calling thread.
+    """
+    caller = threading.current_thread()
+    chunks = []
+    means = np.full((reps, spec.p), np.nan)
+    sums = None if b is None else np.full((reps, spec.n // b, spec.p), np.nan)
+
+    @contextlib.contextmanager
+    def fold(start, stop):
+        assert threading.current_thread() is caller
+        chunks.append((start, stop))
+
+        def block(rows, block_means, block_sums):
+            means[start:stop][rows] = block_means
+            if sums is None:
+                assert block_sums is None
+            else:
+                sums[start:stop][rows] = block_sums
+
+        yield block
+        assert threading.current_thread() is caller
+
+    reduce_panels(spec, reps, seed, stream, purpose, fold, b, copy_stream)
+    return chunks, means, sums
 
 
 def chunked_panels(spec, reps, seed, chunk):
@@ -193,8 +226,7 @@ class TestReplicationBlocks:
 
     def draw(self, spec):
         # With b = 1 the block sums are the panels, drawn block by block.
-        (_, _, sums), = reduce_panels(spec, self.STOP, 3, STREAM_PANEL, 2, 1)
-        return sums[self.START:]
+        return gather(spec, self.STOP, 3, STREAM_PANEL, 2, 1)[2][self.START:]
 
     @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
     def test_blocks_match_single_block_and_substreams(self, spec, monkeypatch):
@@ -263,22 +295,27 @@ def patch_cpus(monkeypatch, cpus):
 
 
 class TestReducePanels:
-    """Chunks reduced block by block equal the reductions of whole chunks."""
+    """Blocks folded where they are drawn equal the reductions of whole chunks."""
 
     REPS = DEFAULT_CHUNK + 30  # two chunks, the second one short
 
     def expected(self, spec, b, copies):
+        """The chunks, means and block sums of ``gather``, from whole chunks."""
+        chunks, means, sums = [], [], []
         for start in range(0, self.REPS, DEFAULT_CHUNK):
             stop = min(start + DEFAULT_CHUNK, self.REPS)
             x = draw_panels(spec, 4, STREAM_PANEL, 6, start, stop)
             if copies:
                 x -= draw_panels(spec, 4, STREAM_COPY, 6, start, stop)
-            yield start, x.mean(axis=-2), batch_block_sums(x, make_blocks(spec.n, b))
+            chunks.append((start, stop))
+            means.append(x.mean(axis=-2))
+            sums.append(batch_block_sums(x, make_blocks(spec.n, b)))
+        return chunks, np.concatenate(means), np.concatenate(sums)
 
     @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])
     @pytest.mark.parametrize("spec", REDUCE_SPECS, ids=reduce_id)
     def test_matches_reduced_generate_panels(self, spec, copies, monkeypatch):
-        expected = list(self.expected(spec, 2, copies))
+        chunks, means, sums = self.expected(spec, 2, copies)
         # Five replications per block: each chunk spans many blocks, the last short.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 5 * spec.n * spec.p * 8)
         threads = set()
@@ -292,12 +329,10 @@ class TestReducePanels:
         for cpus in ({0}, {0, 1}):
             patch_cpus(monkeypatch, cpus)
             threads.clear()
-            got = list(reduce_panels(spec, self.REPS, 4, STREAM_PANEL, 6, 2,
-                                     STREAM_COPY if copies else None))
-            assert [start for start, _, _ in got] == [start for start, _, _ in expected]
-            for (_, means, sums), (_, want_means, want_sums) in zip(got, expected):
-                assert np.array_equal(means, want_means)
-                assert np.array_equal(sums, want_sums)
+            got = gather(spec, self.REPS, 4, STREAM_PANEL, 6, 2,
+                         STREAM_COPY if copies else None)
+            assert got[0] == chunks
+            assert np.array_equal(got[1], means) and np.array_equal(got[2], sums)
             # Sign kinds call a public function, so they stay on this thread.
             inline = threads == {threading.current_thread().name}
             assert inline == (len(cpus) == 1 or processes._signs(spec))
@@ -306,33 +341,30 @@ class TestReducePanels:
         # One replication per block on eight workers, switching threads as
         # often as the interpreter allows: a lost or misplaced write shows.
         spec = REDUCE_SPECS[1]
-        expected = list(self.expected(spec, 2, True))
+        _, means, sums = self.expected(spec, 2, True)
         monkeypatch.setattr(processes, "_BLOCK_BYTES", spec.n * spec.p * 8)
         patch_cpus(monkeypatch, set(range(8)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = list(reduce_panels(spec, self.REPS, 4, STREAM_PANEL, 6, 2, STREAM_COPY))
+            _, got_means, got_sums = gather(spec, self.REPS, 4, STREAM_PANEL, 6, 2, STREAM_COPY)
         finally:
             sys.setswitchinterval(interval)
-        for (_, means, sums), (_, want_means, want_sums) in zip(got, expected):
-            assert np.array_equal(means, want_means) and np.array_equal(sums, want_sums)
+        assert np.array_equal(got_means, means) and np.array_equal(got_sums, sums)
 
     @pytest.mark.parametrize("b", [1, 8])
     def test_block_lengths_and_plain_means(self, b):
         spec = REDUCE_SPECS[2]
-        expected = list(self.expected(spec, b, False))
-        got = list(reduce_panels(spec, self.REPS, 4, STREAM_PANEL, 6, b))
-        plain = list(reduce_panels(spec, self.REPS, 4, STREAM_PANEL, 6))
-        for (_, means, sums), (_, plain_means, none), (_, want_means, want_sums) in \
-                zip(got, plain, expected):
-            assert np.array_equal(sums, want_sums) and sums.shape[1] == spec.n // b
-            assert np.array_equal(means, want_means) and np.array_equal(plain_means, means)
-            assert none is None
+        _, want_means, want_sums = self.expected(spec, b, False)
+        _, means, sums = gather(spec, self.REPS, 4, STREAM_PANEL, 6, b)
+        _, plain_means, none = gather(spec, self.REPS, 4, STREAM_PANEL, 6)
+        assert np.array_equal(sums, want_sums) and sums.shape[1] == spec.n // b
+        assert np.array_equal(means, want_means) and np.array_equal(plain_means, means)
+        assert none is None
 
     def test_block_length_must_divide_n(self):
         with pytest.raises(ValueError, match="divide"):
-            next(reduce_panels(REDUCE_SPECS[0], 10, 4, STREAM_PANEL, 6, 3))
+            gather(REDUCE_SPECS[0], 10, 4, STREAM_PANEL, 6, 3)
 
 
 class TestSupport:

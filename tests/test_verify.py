@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksym import verify
+from blocksym import processes, verify
 from blocksym.blocking import (
     MultiplierSpec,
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
+    batch_multipliers,
     make_blocks,
     stream_statistics,
 )
@@ -21,9 +22,14 @@ from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rho
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec
 from blocksym.psi import PsiSpec, psi_deriv, psi_eval
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
-from blocksym.seeding import PURPOSE_DEFAULT, PURPOSE_LHS
+from blocksym.seeding import (
+    PURPOSE_DEFAULT,
+    PURPOSE_HOEFFDING,
+    PURPOSE_LHS,
+    PURPOSE_QUAD,
+    STREAM_PANEL,
+)
 from blocksym.verify import (
-    _squared_block_sums,
     hoeffding_factor,
     EnumerationBudgetError,
     ExactChain,
@@ -329,6 +335,18 @@ class TestNegativeControls:
                                  POWER2).mid == 0.69677734375
         assert ma1_mc_gap("multiplier") > 4
 
+    def test_block_sums_over_wrong_length(self, monkeypatch):
+        # Caught by test_mc_matches_enumeration_on_dependent_panel[multiplier]:
+        # the fold gets block sums over length 1 (the first point of each
+        # block) instead of b = 2, with the same block count, and the MC mid
+        # lands about 325 se from the pinned exact mid 0.69677734375.
+        block_sums = processes._block_sums
+        monkeypatch.setattr(processes, "_block_sums",
+                            lambda panels, b: block_sums(panels[..., ::b, :], 1))
+        assert exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER,
+                                 POWER2).mid == 0.69677734375
+        assert ma1_mc_gap("multiplier") > 4
+
     def test_prop2_without_scaling(self, monkeypatch):
         # Caught by TestProp2::test_scaling_matches_exact_chain: gain 1 gives
         # mid 0.6968 and rhs 0.7988, half the targets.
@@ -604,15 +622,47 @@ class TestTheorem1:
     @given(c=st.integers(1, 40), count=st.integers(1, 16), p=st.integers(1, 5),
            seed=st.integers(0, 2**32))
     def test_squared_block_sums_are_bit_identical(self, c, count, p, seed):
-        # Values of mixed magnitude, so that a different summation order
-        # (numpy sums the blocks pairwise when p == 1) changes the last bits.
+        # The quadratic term squares each block's sums where the block is
+        # drawn, so a replication's sum of squares must not depend on how
+        # many replications share its block. Values of mixed magnitude, so
+        # that a different summation order (numpy sums the blocks pairwise
+        # when p == 1) changes the last bits.
         rng = np.random.default_rng(seed)
         sums = rng.standard_normal((c, count, p)) * 10.0 ** rng.uniform(-3, 3, (c, count, p))
-        assert np.array_equal(_squared_block_sums(sums), (sums**2).sum(axis=1))
+        whole = (sums**2).sum(axis=1)
+        step = 1 + seed % c
+        for lo in range(0, c, step):
+            assert np.array_equal((sums[lo : lo + step] ** 2).sum(axis=1), whole[lo : lo + step])
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
+    def test_quadratic_term_matches_serial_panels(self, cpus, monkeypatch):
+        # The quadratic term and the Hoeffding difference, folded block by
+        # block where the panels are drawn, equal the same statistics of the
+        # serial panels of tests/conftest.py, bit for bit.
+        spec, sch, q, reps, seed = DgpSpec("var1", n=8, p=3, phi=0.4), make_blocks(8, 2), 3.0, \
+            DEFAULT_CHUNK + 30, 7
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * spec.n * spec.p * 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        report = theorem1_bound(spec, sch, RADEMACHER, q, 2.0, 1.0, reps, zero_rho(), "lq",
+                                seed=seed)
+        sums = batch_block_sums(draw_panels(spec, seed, STREAM_PANEL, PURPOSE_QUAD, 0, reps), sch)
+        eps = batch_multipliers(RADEMACHER, sch.count, seed, PURPOSE_HOEFFDING, 0, reps)
+        quad = np.abs((sums**2).sum(axis=1) / spec.n).max(axis=1) ** (q / 2.0)
+        factor = hoeffding_factor(q, 1.0, spec.p, spec.n)
+        diff = batch_multiplier_max(sums, eps, spec.n) ** q - factor * quad
+        want_quad, want_diff = verify._estimate_from_values(quad), \
+            verify._estimate_from_values(diff)
+        hoeff = report.margins[1]
+        assert report.remainders["quad_term"] == want_quad.mean
+        assert report.diagnostics["quad_term_se"] == want_quad.se
+        assert (hoeff.margin, hoeff.se) == (want_diff.mean, want_diff.se)
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
     def test_quadratic_term_holds_one_copy_of_the_sums(self, cpus, monkeypatch):
-        # Squaring whole chunks of block sums would peak above twice their bytes.
+        # The sums are squared block by block where they are drawn, so the
+        # peak stays below one chunk's block sums (squaring whole chunks of
+        # them once peaked above twice their bytes).
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
         spec = DgpSpec("iid_gaussian", n=32, p=100)
@@ -623,7 +673,7 @@ class TestTheorem1:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.75 * DEFAULT_CHUNK * 16 * spec.p * 8
+        assert peak < DEFAULT_CHUNK * 16 * spec.p * 8
 
     def test_subexp_mode_and_verdicts(self):
         spec = DgpSpec("var1", n=64, p=4, phi=0.5)
