@@ -13,24 +13,28 @@ leading axes; folds that run on draw-pool threads call the private core of
 ``batch_multiplier_max``.
 
 Monte Carlo estimators read their panels only through ``stream_statistics``,
-which reduces a panel stream to per-replication vectors: the largest absolute
-column mean and the block-multiplier maximum. A request may also name one
+the one caller of ``processes.reduce_panels``. It reduces a panel stream to
+per-replication vectors: the largest absolute column mean and, when a block
+scheme is named, the block-multiplier maximum and the quadratic block term
+max_i (1/n) sum_l S[l, i]^2 of theorem1. A request may also name one
 reduction of the column means (``MeanGram``, ``PowerSums``, ``Exceedances``,
 ``MaxBelow``), which is folded in chunk by chunk while the stream is drawn,
 over the same ``DEFAULT_CHUNK`` slices of replications whatever the blocks,
 so no (reps, p) means are kept. The panels themselves never reach this
-module: ``processes.reduce_panels`` hands each block's column means and
-block sums to the fold of ``stream_statistics`` on the thread that drew the
-block, and the fold applies that chunk's multipliers, drawn beforehand on
-the calling thread, so no chunk of block sums is held either. Inside a
+module: ``reduce_panels`` hands each block's column means and block sums to
+the fold of ``stream_statistics`` on the thread that drew the block, and the
+fold applies that chunk's multipliers, drawn beforehand on the calling
+thread, so no chunk of block sums is held either. Inside a
 ``shared_passes()`` block each distinct request, reduction included, is drawn
-once and served from the block's ledger afterwards.
+once and served from the block's ledger afterwards, and the ledger lists its
+passes in draw order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -214,21 +218,41 @@ MeanReduction = Union[MeanGram, PowerSums, Exceedances, MaxBelow]
 
 class StreamStatistics(NamedTuple):
     """Read-only statistics of one panel stream: the largest absolute column
-    mean, as ``batch_max_abs_mean`` (reps,); the block-multiplier maximum
-    when a block scheme was named (reps,); and the result of the named
+    mean, as ``batch_max_abs_mean`` (reps,); when a block scheme was named,
+    the block-multiplier maximum and the quadratic block term
+    max_i (1/n) sum_l S[l, i]^2 (reps,) each; and the result of the named
     reduction of the column means, if any."""
 
     max_abs_mean: np.ndarray
     mult_max: Optional[np.ndarray]
+    quad: Optional[np.ndarray]
     reduced: Optional[np.ndarray]
 
 
 class PassLedger(dict):
-    """Statistics drawn in one ``shared_passes()`` block, keyed by request;
+    """Statistics drawn in one ``shared_passes()`` block, keyed by request.
+
     ``drawn`` and ``reused`` count the requests that drew and that did not,
-    and ``kept_bytes`` is set on exit to the array bytes the block held."""
+    and ``served`` the later requests each entry answered. On exit
+    ``kept_bytes`` is set to the array bytes the block held and ``passes``
+    to one record per drawn request, in draw order.
+    """
 
     drawn = reused = kept_bytes = 0
+    passes = ()
+
+    def __init__(self):
+        super().__init__()
+        self.served = Counter()
+
+
+def _pass_record(key: tuple, served: int) -> dict:
+    """What ``run_meta.json`` says of one pass: its request and its reuse."""
+    spec, reps, _, purpose, _, mult, copies, reduction = key
+    return {"purpose": purpose, "reps": reps, "n": spec.n, "p": spec.p,
+            "multipliers": mult is not None, "copies": copies,
+            "reduction": None if reduction is None else type(reduction).__name__,
+            "served": served}
 
 
 # The ledger of the innermost open block; a context variable, so threads
@@ -251,6 +275,7 @@ def shared_passes():
         _ledger.reset(token)
         ledger.kept_bytes = sum(array.nbytes for stats in ledger.values()
                                 for array in stats if array is not None)
+        ledger.passes = [_pass_record(key, ledger.served[key]) for key in ledger]
         ledger.clear()
 
 
@@ -279,9 +304,11 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     kept = None if ledger is None else ledger.get(key)
     if kept is not None:
         ledger.reused += 1
+        ledger.served[key] += 1
         return kept
     max_abs_mean = np.empty(reps)
     mult_max = None if scheme is None else np.empty(reps)
+    quad = None if scheme is None else np.empty(reps)
     reduced = None if reduction is None else reduction.empty(reps, spec.p)
 
     @contextlib.contextmanager
@@ -293,11 +320,14 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         means = None if reduction is None else np.empty((stop - start, spec.p))
         plain = max_abs_mean[start:stop]
         starred = None if mult_max is None else mult_max[start:stop]
+        squared = None if quad is None else quad[start:stop]
 
         def block(rows, block_means, sums):
             plain[rows] = np.abs(block_means).max(axis=-1)
             if starred is not None:
                 starred[rows] = _multiplier_max(sums, eps[rows], spec.n)
+                # Summed in one order per replication, whatever the block size.
+                squared[rows] = np.einsum("klp,klp->kp", sums, sums).max(axis=-1) / spec.n
             if means is not None:
                 means[rows] = block_means
 
@@ -307,7 +337,7 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
 
     reduce_panels(spec, reps, seed, STREAM_PANEL, purpose, fold,
                   None if scheme is None else scheme.b, STREAM_COPY if copies else None)
-    stats = StreamStatistics(max_abs_mean, mult_max, reduced)
+    stats = StreamStatistics(max_abs_mean, mult_max, quad, reduced)
     for array in stats:
         if array is not None:
             array.setflags(write=False)

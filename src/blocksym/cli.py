@@ -32,7 +32,7 @@ import scipy
 
 from .blocking import BlockScheme, MultiplierSpec, make_blocks, shared_passes
 from .gaussian import GaussianModel, RhoEstimate, draw_rho_samples, estimate_gaussian_model
-from .processes import DgpSpec, LongRunCovError, _is_real, draw_workers, from_fields
+from .processes import DgpSpec, _is_real, draw_workers, from_fields
 from .psi import PsiSpec, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -132,20 +132,31 @@ def _shape_problems(node, path: str = "") -> list:
     return [found for child, value in children for found in _shape_problems(value, child)]
 
 
-def _unread_keys(obj: dict) -> list:
-    """Keys that the chosen mode never reads, which the echo would show as
-    if they had been used, each with its field path."""
+# The checks that estimate rho, and so read ``gaussian_model``.
+_RHO_CHECKS = ("prop1", "prop2", "theorem1", "rho-only")
+
+
+def _unread_keys(obj: dict, checks: list, dgp: Optional[DgpSpec]) -> list:
+    """Keys that the chosen checks and modes never read, which the echo would
+    show as if they had been used, each with its field path."""
     truncation, tail, model = (obj.get(section, {}) for section in
                                ("truncation", "tail", "gaussian_model"))
     mode = truncation.get("mode")
     unread = {"truncation": (f"in {mode} mode", ("phi",) if mode == "fixed"
                              else ("U",) if mode == "optimal" else ())}
-    if tail.get("mode") == "lq":
+    if "theorem1" not in checks:
+        unread["tail"] = ("without a theorem1 check", ("gamma", "phi", "a", "b", "fit"))
+    elif tail.get("mode") == "lq":
         unread["tail"] = ("in lq mode", ("gamma", "phi", "a", "b", "fit"))
     elif tail.get("fit", True) is True:
         unread["tail"] = ("when fit is true", ("b",))
-    if model.get("method") == "analytic":
+    if not any(check in checks for check in _RHO_CHECKS):
+        unread["gaussian_model"] = ("without a check that estimates rho", ("method", "reps"))
+    elif model.get("method") == "analytic":
         unread["gaussian_model"] = ("by the analytic method", ("reps",))
+    elif "method" not in model and dgp is not None and dgp.has_longrun_closed_form:
+        unread["gaussian_model"] = (f"without a method, as {dgp.kind} gets the "
+                                    f"analytic model", ("reps",))
     return [(f"{section}.{key}", f"not read {reason}")
             for section, (reason, keys) in unread.items()
             for key in keys if key in obj.get(section, {})]
@@ -160,7 +171,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
     for section, keys in _KEYS.items():
         problems += [(f"{section}.{key}" if section else key, "unknown field")
                      for key in (obj.get(section, {}) if section else obj) if key not in keys]
-    problems += _unread_keys(obj)
 
     def grab(path, ctor, default=None, required=True):
         node = obj
@@ -222,6 +232,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         for i, c in enumerate(checks):
             if c not in KNOWN_CHECKS:
                 problems.append((f"checks[{i}]", f"unknown check {c!r}; choose from {KNOWN_CHECKS}"))
+    problems += _unread_keys(obj, checks, dgp)
 
     gaussian_model = obj.get("gaussian_model", {})
     if gaussian_model.get("method") not in (None, "analytic", "mc"):
@@ -297,10 +308,7 @@ def _dump_json(obj, path: Path) -> None:
 def _resolve_model(config: ExperimentConfig) -> GaussianModel:
     method = config.gaussian_model.get("method")
     if method is None:
-        try:
-            return estimate_gaussian_model(config.dgp, method="analytic")
-        except LongRunCovError:
-            method = "mc"
+        method = "analytic" if config.dgp.has_longrun_closed_form else "mc"
     if method == "analytic":
         return estimate_gaussian_model(config.dgp, method="analytic")
     reps = int(config.gaussian_model.get("reps", config.rho_reps))
@@ -445,8 +453,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
 
     with shared_passes() as ledger:
         try:
-            needs_rho = any(c in config.checks for c in ("prop1", "prop2", "theorem1", "rho-only"))
-            if needs_rho:
+            if any(c in config.checks for c in _RHO_CHECKS):
                 model = _resolve_model(config)
                 samples = draw_rho_samples(config.dgp, config.scheme, config.multiplier,
                                            model, config.rho_reps, config.seed)
@@ -488,7 +495,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
         {"started": started.isoformat(), "finished": finished.isoformat(),
          "duration_seconds": (finished - started).total_seconds(),
          "panel_streams": {"drawn": ledger.drawn, "reused": ledger.reused,
-                           "kept_bytes": ledger.kept_bytes},
+                           "kept_bytes": ledger.kept_bytes, "passes": ledger.passes},
          "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                       "scipy": scipy.__version__},
          "draw_workers": draw_workers()},

@@ -13,13 +13,15 @@ p-dimensional process. Five generator kinds are shipped:
 Estimators need only per-replication functions of each panel's column
 means and within-block column sums. ``reduce_panels``, the one function here
 that draws panels, hands those to a fold its caller passes in, so it returns
-nothing: the caller's arrays hold what the fold wrote. Replication r is a
-pure function of (spec, seed, stream, purpose, r), so identical inputs give
-bit-identical results. Every kind is mean zero by construction (innovations
-are centered before filtering, and clipping a stationary law that is
-symmetric about zero keeps its mean exactly zero). Cross-sectional
-dependence is described by a single equicorrelation coefficient, which keeps
-specs serializable while still covering the correlated-coordinate regime.
+nothing: the caller's arrays hold what the fold wrote. Its one caller is
+``blocking.stream_statistics``, so every pass goes through the run's ledger.
+Replication r is a pure function of (spec, seed, stream, purpose, r), so
+identical inputs give bit-identical results. Every kind is mean zero by
+construction (innovations are centered before filtering, and clipping a
+stationary law that is symmetric about zero keeps its mean exactly zero).
+Cross-sectional dependence is described by a single equicorrelation
+coefficient, which keeps specs serializable while still covering the
+correlated-coordinate regime.
 
 ``reduce_panels`` splits a chunk into blocks of ``_BLOCK_BYTES`` of panel,
 draws each block with the one filler per kind (``_fill``) and hands its
@@ -196,6 +198,11 @@ class DgpSpec:
             # exactly and rounding, monotone in each term, never exceeds it.
             return sum(abs(a) for a in self.coeffs)
         return None
+
+    @property
+    def has_longrun_closed_form(self) -> bool:
+        """Whether ``theoretical_longrun_cov`` has a closed form for the kind."""
+        return self.kind != "truncated_var1"
 
     @property
     def is_iid(self) -> bool:
@@ -421,7 +428,7 @@ def theoretical_longrun_cov(spec: DgpSpec) -> np.ndarray:
     weights (1 - |h|/n). Supported for the linear-filter kinds; the clipped
     autoregression has no closed form.
     """
-    if spec.kind == "truncated_var1":
+    if not spec.has_longrun_closed_form:
         raise LongRunCovError("no closed form; use MC covariance estimation")
     sigma = cross_sectional_cov(spec)
     n = spec.n

@@ -32,11 +32,9 @@ PURPOSE_MID = 2
 PURPOSE_RHS = 3
 PURPOSE_TAIL = 4
 PURPOSE_NORM = 5
-PURPOSE_QUAD = 6
 PURPOSE_MODEL = 7
 PURPOSE_SPLIT = 8
 PURPOSE_MOMENT = 9
-PURPOSE_HOEFFDING = 10
 
 
 # SplitMix64 constants (Steele, Lea and Flood, OOPSLA 2014).

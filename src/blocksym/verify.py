@@ -16,19 +16,18 @@ split diagnostic's largest mean below U (``MaxBelow``), the coordinate
 moments (``PowerSums``) and the per-coordinate tails (``Exceedances`` at
 ``tail_levels(U)``, which the exceedance count on the same stream names too).
 So inside one run (``blocking.shared_passes``) checks that need the same
-stream share one panel pass, and no (reps, p) means are kept. The quadratic
-term of the moment bound and its Hoeffding difference are folded from each
-block's sums by ``processes.reduce_panels`` on the thread that drew the
-block, so no chunk of block sums is held. Inequality verdicts use a
-three-band rule: ``holds`` when the margin is nonpositive,
-``holds-within-noise`` within three propagated standard errors, ``violated``
-beyond that. Estimates, margins and reports are dataclasses written out by
-``dataclasses.asdict``, so each lists its report fields once.
+stream share one panel pass, and no (reps, p) means are kept. The moment
+bound reads its quadratic block term and its Hoeffding step from the mid
+stream of prop1 and prop2, whose block sums are folded where each block is
+drawn. Inequality verdicts use a three-band rule: ``holds`` when the margin
+is nonpositive, ``holds-within-noise`` within three propagated standard
+errors, ``violated`` beyond that. Estimates, margins and reports are
+dataclasses written out by ``dataclasses.asdict``, so each lists its report
+fields once.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Optional
@@ -42,16 +41,14 @@ from .blocking import (
     MaxBelow,
     MultiplierSpec,
     PowerSums,
-    _multiplier_max,
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
-    batch_multipliers,
     make_blocks,
     stream_statistics,
 )
 from .gaussian import RhoEstimate
-from .processes import DgpSpec, _linear_filter, reduce_panels
+from .processes import DgpSpec, _linear_filter
 from .psi import PsiLike, PsiSpec, psi_eval, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -64,15 +61,12 @@ from .remainders import (
 )
 from .seeding import (
     PURPOSE_DEFAULT,
-    PURPOSE_HOEFFDING,
     PURPOSE_LHS,
     PURPOSE_MID,
     PURPOSE_MOMENT,
-    PURPOSE_QUAD,
     PURPOSE_RHS,
     PURPOSE_SPLIT,
     PURPOSE_TAIL,
-    STREAM_PANEL,
 )
 
 STATISTIC_MODES = ("plain", "multiplier")
@@ -545,11 +539,11 @@ def theorem1_bound(
 
     The blocking remainder is computed both by quadrature and in the
     n-scaled closed-form variant; the verdict uses the larger. The
-    conditional Hoeffding step is audited separately as a paired margin on
-    shared panels. The quadratic term and the Hoeffding difference are
-    folded from each block's sums on the thread that drew it. In lq mode
-    ``moment_orders`` names the run's other reads of the moment stream (see
-    ``mc_coordinate_mean_moment``).
+    conditional Hoeffding step is audited separately as a paired margin.
+    The quadratic block term and the Hoeffding step read the block sums and
+    multipliers of the mid stream, which prop1 and prop2 read too, so a run
+    draws no panel for them alone. In lq mode ``moment_orders`` names the
+    run's other reads of the moment stream (see ``mc_coordinate_mean_moment``).
     """
     if tail_mode not in ("lq", "subexp"):
         raise ValueError(f"unknown tail mode {tail_mode!r}")
@@ -562,26 +556,9 @@ def theorem1_bound(
     factor = hoeffding_factor(q, mult.bound, spec.p, spec.n)
 
     lhs = mc_expect_psi_max("plain", spec, scheme, mult, psi_q, 1.0, reps, seed, PURPOSE_LHS)
-
-    quad_vals = np.empty(reps)
-    hoeff_diff = np.empty(reps)
-
-    @contextlib.contextmanager
-    def fold(start, stop):
-        # The chunk's multipliers are drawn here, on the calling thread,
-        # because block folds may call no public function.
-        eps = batch_multipliers(mult, scheme.count, seed, PURPOSE_HOEFFDING, start, stop)
-        quad_out, diff_out = quad_vals[start:stop], hoeff_diff[start:stop]
-
-        def block(rows, _, sums):
-            quad = np.abs((sums**2).sum(axis=1) / spec.n).max(axis=1)
-            quad_out[rows] = quad ** (q / 2.0)
-            mstat = _multiplier_max(sums, eps[rows], spec.n)
-            diff_out[rows] = mstat**q - factor * quad ** (q / 2.0)
-
-        yield block
-
-    reduce_panels(spec, reps, seed, STREAM_PANEL, PURPOSE_QUAD, fold, scheme.b)
+    mid = stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, mult)
+    quad_vals = mid.quad ** (q / 2.0)
+    mult_vals = mid.mult_max**q
     quad_est = _estimate_from_values(quad_vals)
 
     norm = psi_moment_norm(psi_q, spec, r, reps, seed)
@@ -607,9 +584,8 @@ def theorem1_bound(
     rhs = ExpectationEstimate(mean=rhs_mean, se=factor * quad_est.se,
                               reps=reps, mode="mc")
     main = _inequality("moment-bound", lhs, rhs, 0.0)
-    mult_moment = _estimate_from_values(hoeff_diff + factor * quad_vals)
-    hoeff = _inequality("hoeffding-step", mult_moment, quad_est.scaled(factor), 0.0,
-                        paired=hoeff_diff)
+    hoeff = _inequality("hoeffding-step", _estimate_from_values(mult_vals),
+                        quad_est.scaled(factor), 0.0, paired=mult_vals - factor * quad_vals)
     return VerificationReport(
         check="theorem1", lhs=lhs, mid=None, rhs=rhs,
         remainders={"R1_quadrature": r1_quadrature, "R1_nscaled": r1_nscaled,

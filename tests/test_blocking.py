@@ -29,7 +29,14 @@ from blocksym.blocking import (
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec, reduce_panels
-from blocksym.seeding import PURPOSE_MOMENT, PURPOSE_TAIL, STREAM_COPY, STREAM_PANEL
+from blocksym.seeding import (
+    PURPOSE_MID,
+    PURPOSE_MODEL,
+    PURPOSE_MOMENT,
+    PURPOSE_TAIL,
+    STREAM_COPY,
+    STREAM_PANEL,
+)
 from blocksym.verify import verify_prop2
 from conftest import draw_panels
 
@@ -280,7 +287,7 @@ class TestKernels:
 @pytest.fixture
 def panel_calls(monkeypatch):
     """Counts reduce_panels calls by (spec, seed, stream, purpose, reps)."""
-    from blocksym import blocking, verify
+    from blocksym import blocking
 
     calls = Counter()
 
@@ -289,7 +296,6 @@ def panel_calls(monkeypatch):
         return reduce_panels(spec, reps, seed, stream, purpose, *args, **kw)
 
     monkeypatch.setattr(blocking, "reduce_panels", counting)
-    monkeypatch.setattr(verify, "reduce_panels", counting)
     return calls
 
 
@@ -352,8 +358,12 @@ class TestStreamLedger:
             assert stream_statistics(*args, reduction=MeanGram(2.0)) is not gram
             assert (ledger.drawn, ledger.reused) == (3, 2)
             assert ledger.kept_bytes == 0
-        assert ledger.kept_bytes == 3 * 2 * 50 * 8 + 2 * 3 * 3 * 8
+        # Each entry keeps three (reps,) vectors: the two maxima and the
+        # quadratic block term.
+        assert ledger.kept_bytes == 3 * 3 * 50 * 8 + 2 * 3 * 3 * 8
         assert len(ledger) == 0
+        assert [(record["reduction"], record["served"]) for record in ledger.passes] == \
+            [(None, 1), ("MeanGram", 1), ("MeanGram", 0)]
 
     def test_plain_request_has_no_multiplier_statistic(self):
         stats = stream_statistics(self.SPEC, 20, 3, 2)
@@ -475,13 +485,13 @@ def kept_bytes(reps, p, orders):
     """The ledger bytes of a run of every Monte Carlo check on a model stream.
 
     Nine streams keep their (reps,) maxima, the rho and mid streams their
-    multiplier maxima and the split stream its largest mean below U: twelve
-    vectors. No stream keeps (reps, p) means: the model stream keeps its
-    (p, p) Gram, the tail stream its int64 counts at eight levels per
-    coordinate, and the moment stream two power sums per coordinate at each
-    of its ``orders`` orders.
+    multiplier maxima and quadratic block terms, and the split stream its
+    largest mean below U: fourteen vectors. No stream keeps (reps, p) means:
+    the model stream keeps its (p, p) Gram, the tail stream its int64 counts
+    at eight levels per coordinate, and the moment stream two power sums per
+    coordinate at each of its ``orders`` orders.
     """
-    return 8 * (12 * reps + p * p + 8 * p + 2 * orders * p)
+    return 8 * (14 * reps + p * p + 8 * p + 2 * orders * p)
 
 
 class TestSharedRun:
@@ -491,12 +501,22 @@ class TestSharedRun:
         config = load_config(path)
         out = tmp_path / "out"
         assert run_experiment(config, output_dir=str(out)) == 0
-        assert len(panel_calls) == 10
+        assert len(panel_calls) == 9
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
+        streams = meta["panel_streams"]
         reps, p = config.reps, config.dgp.p
-        assert meta["panel_streams"] == {"drawn": 9, "reused": 6,
-                                         "kept_bytes": kept_bytes(reps, p, orders=1)}
+        # Every pass goes through the ledger, so the record counts them all.
+        assert streams["drawn"] == sum(panel_calls.values())
+        assert {key: streams[key] for key in ("drawn", "reused", "kept_bytes")} == \
+            {"drawn": 9, "reused": 7, "kept_bytes": kept_bytes(reps, p, orders=1)}
+
+        # theorem1's Hoeffding step reads the mid stream that prop1 reads.
+        prop1, theorem1 = (json.loads((out / f"{name}.json").read_text())
+                           for name in ("prop1", "theorem1"))
+        hoeffding = theorem1["margins"][1]
+        assert hoeffding["name"] == "hoeffding-step"
+        assert hoeffding["lhs"] == pytest.approx(prop1["mid"]["mean"], rel=1e-12)
 
         # The same check built outside a run draws its own panels and
         # reports the same numbers.
@@ -533,9 +553,30 @@ class TestSharedRun:
         out = tmp_path / "out"
         assert run_experiment(config, output_dir=str(out)) == 0
         assert reads[reread] == 2
-        assert len(panel_calls) == 10
+        assert len(panel_calls) == 9
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
+        streams = meta["panel_streams"]
         reps, p = config.reps, config.dgp.p
-        assert meta["panel_streams"] == {"drawn": 9, "reused": 3,
-                                         "kept_bytes": kept_bytes(reps, p, orders)}
+        assert {key: streams[key] for key in ("drawn", "reused", "kept_bytes")} == \
+            {"drawn": 9, "reused": 4, "kept_bytes": kept_bytes(reps, p, orders)}
+
+    def test_run_record_lists_each_pass(self, tmp_path):
+        # run_meta.json lists the passes in draw order: one per (stream,
+        # purpose), each with its request and the later requests it served.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FULL_RUN))
+        config = load_config(path)
+        out = tmp_path / "out"
+        assert run_experiment(config, output_dir=str(out)) == 0
+        streams = json.loads((out / "run_meta.json").read_text())["panel_streams"]
+        passes = streams["passes"]
+        assert len(passes) == streams["drawn"]
+        assert len({record["purpose"] for record in passes}) == 9
+        assert sum(record["served"] for record in passes) == streams["reused"]
+        assert passes[0] == {"purpose": PURPOSE_MODEL, "reps": config.rho_reps,
+                             "n": config.dgp.n, "p": config.dgp.p, "multipliers": False,
+                             "copies": False, "reduction": "MeanGram", "served": 0}
+        # prop1 draws the mid stream, and prop2 and theorem1 read it again.
+        mid = next(record for record in passes if record["purpose"] == PURPOSE_MID)
+        assert (mid["multipliers"], mid["reduction"], mid["served"]) == (True, None, 2)

@@ -109,6 +109,13 @@ class TestConfigValidation:
         assert main(["validate", str(path)]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
+    def test_model_reps_without_method_needs_no_closed_form(self):
+        # The clipped autoregression has no closed-form covariance, so its
+        # model is estimated by Monte Carlo and reads gaussian_model.reps.
+        dgp = {"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5}
+        cfg = parse_config(dict(BASE, dgp=dgp, gaussian_model={"reps": 5000}))
+        assert cfg.gaussian_model == {"reps": 5000}
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{nope")
@@ -203,6 +210,13 @@ PROBES = {
                         "tail.b"),
     "model-reps-analytic": (with_fields(gaussian_model={"method": "analytic", "reps": 5000}),
                             "gaussian_model.reps"),
+    # Keys of sections that no chosen check reads.
+    "tail-gamma-no-theorem1": (with_fields(tail={"mode": "subexp", "gamma": 2.0}), "tail.gamma"),
+    "model-method-no-rho": (with_fields(checks=["independence-reduction"],
+                                        gaussian_model={"method": "mc"}),
+                            "gaussian_model.method"),
+    "model-reps-closed-form": (with_fields(gaussian_model={"reps": 5000}),
+                               "gaussian_model.reps"),
 }
 
 
@@ -252,7 +266,7 @@ class TestRun:
     def test_config_echo_parses_again(self, tmp_path):
         path, _ = write_config(
             tmp_path, dgp={"kind": "var1", "n": 16, "p": 3, "phi": 0.5},
-            gaussian_model={"method": "mc", "reps": 1000},
+            checks=["rho-only", "theorem1"], gaussian_model={"method": "mc", "reps": 1000},
             tail={"mode": "subexp", "gamma": 1.0, "phi": 0.5, "a": 2.0},
             output_dir=str(tmp_path / "out"))
         config = load_config(path)

@@ -22,13 +22,7 @@ from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rho
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec
 from blocksym.psi import PsiSpec, psi_deriv, psi_eval
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
-from blocksym.seeding import (
-    PURPOSE_DEFAULT,
-    PURPOSE_HOEFFDING,
-    PURPOSE_LHS,
-    PURPOSE_QUAD,
-    STREAM_PANEL,
-)
+from blocksym.seeding import PURPOSE_DEFAULT, PURPOSE_LHS, PURPOSE_MID, STREAM_PANEL
 from blocksym.verify import (
     hoeffding_factor,
     EnumerationBudgetError,
@@ -188,6 +182,17 @@ def prop2_ma1_gaps():
             "rhs": abs(report.rhs.mean - 1.59765625) / report.rhs.se}
 
 
+def theorem1_ma1_gaps():
+    """Distances in se of theorem1's quadratic term and Hoeffding-step lhs from
+    their exact MA(1) sign-panel values at b = 2 and q = 2."""
+    report = theorem1_bound(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, 2.0, 2.0, 1.5,
+                            20_000, zero_rho(), "lq", seed=12)
+    hoeffding = report.margins[1]
+    return {"quad": abs(report.remainders["quad_term"] - 313 / 128)
+            / report.diagnostics["quad_term_se"],
+            "hoeffding": abs(hoeffding.lhs - 0.69677734375) / hoeffding.lhs_se}
+
+
 class TestExactEnumeration:
     def test_hand_checked_two_point_panel(self):
         # n=2, p=1 signs: |mean| is 1 on (+,+)/(-,-) and 0 otherwise, so
@@ -339,13 +344,16 @@ class TestNegativeControls:
         # Caught by test_mc_matches_enumeration_on_dependent_panel[multiplier]:
         # the fold gets block sums over length 1 (the first point of each
         # block) instead of b = 2, with the same block count, and the MC mid
-        # lands about 325 se from the pinned exact mid 0.69677734375.
+        # lands about 325 se from the pinned exact mid 0.69677734375. Caught
+        # by TestTheorem1::test_quadratic_term_matches_exact_chain too: the
+        # quadratic term reads about 0.81, some 770 se from 313/128.
         block_sums = processes._block_sums
         monkeypatch.setattr(processes, "_block_sums",
                             lambda panels, b: block_sums(panels[..., ::b, :], 1))
         assert exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER,
                                  POWER2).mid == 0.69677734375
         assert ma1_mc_gap("multiplier") > 4
+        assert theorem1_ma1_gaps()["quad"] > 4
 
     def test_prop2_without_scaling(self, monkeypatch):
         # Caught by TestProp2::test_scaling_matches_exact_chain: gain 1 gives
@@ -622,23 +630,41 @@ class TestTheorem1:
     @given(c=st.integers(1, 40), count=st.integers(1, 16), p=st.integers(1, 5),
            seed=st.integers(0, 2**32))
     def test_squared_block_sums_are_bit_identical(self, c, count, p, seed):
-        # The quadratic term squares each block's sums where the block is
-        # drawn, so a replication's sum of squares must not depend on how
-        # many replications share its block. Values of mixed magnitude, so
-        # that a different summation order (numpy sums the blocks pairwise
-        # when p == 1) changes the last bits.
+        # The stream fold squares each block's sums where the block is drawn
+        # (np.einsum("klp,klp->kp")), so a replication's sum of squares must
+        # not depend on how many replications share its block. Values of
+        # mixed magnitude, so that a different summation order changes the
+        # last bits.
         rng = np.random.default_rng(seed)
         sums = rng.standard_normal((c, count, p)) * 10.0 ** rng.uniform(-3, 3, (c, count, p))
-        whole = (sums**2).sum(axis=1)
+        whole = np.einsum("klp,klp->kp", sums, sums)
         step = 1 + seed % c
         for lo in range(0, c, step):
-            assert np.array_equal((sums[lo : lo + step] ** 2).sum(axis=1), whole[lo : lo + step])
+            part = sums[lo : lo + step]
+            assert np.array_equal(np.einsum("klp,klp->kp", part, part), whole[lo : lo + step])
+
+    def test_quadratic_term_matches_exact_chain(self):
+        # MA(1) sign panel, b = 2, q = 2. One column reads 2^5 equiprobable
+        # innovation sequences e_0..e_4, with x_t = e_{t+1} + 0.5 e_t,
+        # S = (x_0 + x_1, x_2 + x_3) and quad = (S_0^2 + S_1^2) / 4; the
+        # max over p = 2 iid columns takes the F^p weights (p = 2) of
+        # exact_enumeration. That gives E[quad] = 313/128 = 2.4453125. The
+        # Hoeffding-step lhs is E max_i |(1/n) sum_l eps_l S[l, i]|^2, the
+        # exact mid 0.69677734375.
+        e = 2.0 * ((np.arange(32)[:, None] >> np.arange(5)) & 1) - 1.0
+        x = e[:, 1:] + 0.5 * e[:, :-1]
+        column = np.sort(((x[:, 0] + x[:, 1]) ** 2 + (x[:, 2] + x[:, 3]) ** 2) / 4)
+        j = np.arange(1, 33)
+        assert column @ ((j / 32) ** 2 - ((j - 1) / 32) ** 2) == 313 / 128
+        gaps = theorem1_ma1_gaps()
+        assert gaps["quad"] < 4 and gaps["hoeffding"] < 4, gaps
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
     def test_quadratic_term_matches_serial_panels(self, cpus, monkeypatch):
-        # The quadratic term and the Hoeffding difference, folded block by
-        # block where the panels are drawn, equal the same statistics of the
-        # serial panels of tests/conftest.py, bit for bit.
+        # The quadratic term and the Hoeffding difference, read from the mid
+        # stream that is folded block by block where the panels are drawn,
+        # equal the same statistics of the serial panels of
+        # tests/conftest.py, bit for bit.
         spec, sch, q, reps, seed = DgpSpec("var1", n=8, p=3, phi=0.4), make_blocks(8, 2), 3.0, \
             DEFAULT_CHUNK + 30, 7
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * spec.n * spec.p * 8)
@@ -646,9 +672,9 @@ class TestTheorem1:
                             raising=False)
         report = theorem1_bound(spec, sch, RADEMACHER, q, 2.0, 1.0, reps, zero_rho(), "lq",
                                 seed=seed)
-        sums = batch_block_sums(draw_panels(spec, seed, STREAM_PANEL, PURPOSE_QUAD, 0, reps), sch)
-        eps = batch_multipliers(RADEMACHER, sch.count, seed, PURPOSE_HOEFFDING, 0, reps)
-        quad = np.abs((sums**2).sum(axis=1) / spec.n).max(axis=1) ** (q / 2.0)
+        sums = batch_block_sums(draw_panels(spec, seed, STREAM_PANEL, PURPOSE_MID, 0, reps), sch)
+        eps = batch_multipliers(RADEMACHER, sch.count, seed, PURPOSE_MID, 0, reps)
+        quad = (np.einsum("klp,klp->kp", sums, sums).max(axis=1) / spec.n) ** (q / 2.0)
         factor = hoeffding_factor(q, 1.0, spec.p, spec.n)
         diff = batch_multiplier_max(sums, eps, spec.n) ** q - factor * quad
         want_quad, want_diff = verify._estimate_from_values(quad), \
