@@ -16,25 +16,27 @@ Monte Carlo estimators read their panels only through ``stream_statistics``,
 the one caller of ``processes.reduce_panels``. It reduces a panel stream to
 per-replication vectors: the largest absolute column mean and, when a block
 scheme is named, the block-multiplier maximum and the quadratic block term
-max_i (1/n) sum_l S[l, i]^2 of theorem1. A request may also name one
-reduction of the column means (``MeanGram``, ``PowerSums``, ``Exceedances``,
-``MaxBelow``), which is folded in chunk by chunk while the stream is drawn,
-over the same ``DEFAULT_CHUNK`` slices of replications whatever the blocks,
-so no (reps, p) means are kept. The panels themselves never reach this
-module: ``reduce_panels`` hands each block's column means and block sums to
-the fold of ``stream_statistics`` on the thread that drew the block, and the
-fold applies that chunk's multipliers, drawn beforehand on the calling
-thread, so no chunk of block sums is held either. Inside a
-``shared_passes()`` block each distinct request, reduction included, is drawn
-once and served from the block's ledger afterwards, and the ledger lists its
-passes in draw order.
+max_i (1/n) sum_l S[l, i]^2 of theorem1. A request may also name reductions
+of the column means (``MeanGram``, ``PowerSums``, ``Exceedances``,
+``MaxBelow``), one or a tuple of several, which are folded in chunk by chunk
+while the stream is drawn, over the same ``DEFAULT_CHUNK`` slices of
+replications whatever the blocks, so no (reps, p) means are kept. The panels
+themselves never reach this module: ``reduce_panels`` hands each block's
+column means and block sums to the fold of ``stream_statistics`` on the
+thread that drew the block, and the fold applies that chunk's multipliers,
+drawn beforehand on the calling thread, so no chunk of block sums is held
+either. Inside a ``shared_passes()`` block each distinct request is drawn
+once and served from the block's ledger afterwards. A request that names
+several reductions is filed under the key of each one alone, so one pass
+serves every later request for any of them, and the ledger lists its passes
+in draw order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
-from collections import Counter
+import time
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -193,7 +195,10 @@ class Exceedances:
         return np.zeros((len(self.levels), p), dtype=np.int64)
 
     def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
-        out += (np.abs(means) >= np.array(self.levels)[:, None, None]).sum(axis=1)
+        # Level by level, so no (levels, c, p) boolean array is built.
+        absmeans = np.abs(means)
+        for counts, level in zip(out, self.levels):
+            counts += np.count_nonzero(absmeans >= level, axis=0)
 
 
 @dataclass(frozen=True)
@@ -221,21 +226,23 @@ class StreamStatistics(NamedTuple):
     mean, as ``batch_max_abs_mean`` (reps,); when a block scheme was named,
     the block-multiplier maximum and the quadratic block term
     max_i (1/n) sum_l S[l, i]^2 (reps,) each; and the result of the named
-    reduction of the column means, if any."""
+    reduction of the column means, if any, or a tuple of results when a
+    tuple of reductions was named."""
 
     max_abs_mean: np.ndarray
     mult_max: Optional[np.ndarray]
     quad: Optional[np.ndarray]
-    reduced: Optional[np.ndarray]
+    reduced: Union[None, np.ndarray, tuple]
 
 
 class PassLedger(dict):
     """Statistics drawn in one ``shared_passes()`` block, keyed by request.
 
-    ``drawn`` and ``reused`` count the requests that drew and that did not,
-    and ``served`` the later requests each entry answered. On exit
-    ``kept_bytes`` is set to the array bytes the block held and ``passes``
-    to one record per drawn request, in draw order.
+    ``drawn`` and ``reused`` count the requests that drew and that did not.
+    ``pass_of`` maps each key to the record of the pass that drew it, which
+    counts under ``served`` the later requests the pass answered. On exit
+    ``kept_bytes`` is set to the array bytes the block held, each array
+    counted once, and ``passes`` to the pass records, in draw order.
     """
 
     drawn = reused = kept_bytes = 0
@@ -243,16 +250,18 @@ class PassLedger(dict):
 
     def __init__(self):
         super().__init__()
-        self.served = Counter()
+        self.pass_of = {}
 
 
-def _pass_record(key: tuple, served: int) -> dict:
-    """What ``run_meta.json`` says of one pass: its request and its reuse."""
-    spec, reps, _, purpose, _, mult, copies, reduction = key
+def _pass_record(keys: list, seconds: float) -> dict:
+    """What ``run_meta.json`` says of one pass: its request, its wall time and
+    its reuse. ``reduction`` is null, the one class name or the list of them."""
+    spec, reps, _, purpose, _, mult, copies, _ = keys[0]
+    names = [type(key[-1]).__name__ for key in keys if key[-1] is not None]
     return {"purpose": purpose, "reps": reps, "n": spec.n, "p": spec.p,
             "multipliers": mult is not None, "copies": copies,
-            "reduction": None if reduction is None else type(reduction).__name__,
-            "served": served}
+            "reduction": names if len(names) > 1 else names[0] if names else None,
+            "seconds": seconds, "served": 0}
 
 
 # The ledger of the innermost open block; a context variable, so threads
@@ -273,9 +282,12 @@ def shared_passes():
         yield ledger
     finally:
         _ledger.reset(token)
-        ledger.kept_bytes = sum(array.nbytes for stats in ledger.values()
-                                for array in stats if array is not None)
-        ledger.passes = [_pass_record(key, ledger.served[key]) for key in ledger]
+        kept = {id(array): array for stats in ledger.values()
+                for array in stats if array is not None}
+        ledger.kept_bytes = sum(array.nbytes for array in kept.values())
+        # A pass is filed under each of its keys, first in draw order.
+        ledger.passes = list({id(record): record
+                              for record in ledger.pass_of.values()}.values())
         ledger.clear()
 
 
@@ -283,7 +295,7 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                       scheme: Optional[BlockScheme] = None,
                       mult: Optional[MultiplierSpec] = None,
                       copies: bool = False,
-                      reduction: Optional[MeanReduction] = None) -> StreamStatistics:
+                      reduction: Union[None, MeanReduction, tuple] = None) -> StreamStatistics:
     """Statistics of replications 0..reps-1 of the panel stream ``purpose``.
 
     Replication r reads the panel substream (seed, panel stream, purpose, r)
@@ -291,25 +303,53 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     ``copies`` the statistics are taken on the panel minus its independent
     copy from the copy stream. ``reduction`` folds each chunk's column means
     into its result as the chunk is drawn, over the chunks of
-    ``DEFAULT_CHUNK`` replications, so no (reps, p) means are kept. It is
-    part of the request's ledger key, so every consumer of one stream should
-    name the same reduction.
+    ``DEFAULT_CHUNK`` replications, so no (reps, p) means are kept; a tuple
+    of reductions is folded in one pass and gives a tuple of results. Each
+    reduction is part of its ledger key, so inside a ``shared_passes()``
+    block a request for several reductions serves every later request for
+    any one of them, and draws only those that no earlier pass kept.
     """
     if (scheme is None) != (mult is None):
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
     if scheme is not None and scheme.n != spec.n:
         raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={spec.n}")
-    key = (spec, reps, seed, purpose, scheme, mult, copies, reduction)
+    several = isinstance(reduction, tuple)
+    if several and not reduction:
+        raise ValueError("name at least one reduction, or none with None")
+    keys = [(spec, reps, seed, purpose, scheme, mult, copies, part)
+            for part in (reduction if several else (reduction,))]
     ledger = _ledger.get()
-    kept = None if ledger is None else ledger.get(key)
-    if kept is not None:
+    missing = [key for key in keys if ledger is None or key not in ledger]
+    if missing:
+        started = time.perf_counter()
+        stats = _draw_pass(spec, reps, seed, purpose, scheme, mult, copies,
+                           [key[-1] for key in missing])
+        if ledger is None:
+            return stats if several else stats._replace(reduced=stats.reduced[0])
+        record = _pass_record(missing, time.perf_counter() - started)
+        for key, reduced in zip(missing, stats.reduced):
+            ledger[key] = stats._replace(reduced=reduced)
+            ledger.pass_of[key] = record
+        ledger.drawn += 1
+    else:
         ledger.reused += 1
-        ledger.served[key] += 1
-        return kept
+        ledger.pass_of[keys[0]]["served"] += 1
+    kept = [ledger[key] for key in keys]
+    return kept[0]._replace(reduced=tuple(stats.reduced for stats in kept)) if several \
+        else kept[0]
+
+
+def _draw_pass(spec: DgpSpec, reps: int, seed: int, purpose: int,
+               scheme: Optional[BlockScheme], mult: Optional[MultiplierSpec],
+               copies: bool, reductions: list) -> StreamStatistics:
+    """One pass of ``stream_statistics``; ``reduced`` holds one result per
+    entry of ``reductions``, None for a None entry."""
     max_abs_mean = np.empty(reps)
     mult_max = None if scheme is None else np.empty(reps)
     quad = None if scheme is None else np.empty(reps)
-    reduced = None if reduction is None else reduction.empty(reps, spec.p)
+    reduced = tuple(None if part is None else part.empty(reps, spec.p)
+                    for part in reductions)
+    folded = [(part, out) for part, out in zip(reductions, reduced) if part is not None]
 
     @contextlib.contextmanager
     def fold(start, stop):
@@ -317,7 +357,7 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         # because block folds may call no public function.
         eps = (None if scheme is None
                else batch_multipliers(mult, scheme.count, seed, purpose, start, stop))
-        means = None if reduction is None else np.empty((stop - start, spec.p))
+        means = np.empty((stop - start, spec.p)) if folded else None
         plain = max_abs_mean[start:stop]
         starred = None if mult_max is None else mult_max[start:stop]
         squared = None if quad is None else quad[start:stop]
@@ -332,16 +372,12 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                 means[rows] = block_means
 
         yield block
-        if reduction is not None:
-            reduction.add(reduced, start, means)
+        for part, out in folded:
+            part.add(out, start, means)
 
     reduce_panels(spec, reps, seed, STREAM_PANEL, purpose, fold,
                   None if scheme is None else scheme.b, STREAM_COPY if copies else None)
-    stats = StreamStatistics(max_abs_mean, mult_max, quad, reduced)
-    for array in stats:
+    for array in (max_abs_mean, mult_max, quad, *reduced):
         if array is not None:
             array.setflags(write=False)
-    if ledger is not None:
-        ledger[key] = stats
-        ledger.drawn += 1
-    return stats
+    return StreamStatistics(max_abs_mean, mult_max, quad, reduced)

@@ -16,12 +16,14 @@ and environment notes go to a separate run_meta.json.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import datetime
 import json
 import math
 import re
 import sys
+import time
 from dataclasses import dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -30,7 +32,15 @@ from typing import Optional
 import numpy as np
 import scipy
 
-from .blocking import BlockScheme, MultiplierSpec, make_blocks, shared_passes
+from .blocking import (
+    BlockScheme,
+    Exceedances,
+    MaxBelow,
+    MultiplierSpec,
+    make_blocks,
+    shared_passes,
+    stream_statistics,
+)
 from .gaussian import GaussianModel, RhoEstimate, draw_rho_samples, estimate_gaussian_model
 from .processes import DgpSpec, _is_real, draw_workers, from_fields
 from .psi import PsiSpec, psi_moment_norm
@@ -44,11 +54,13 @@ from .remainders import (
     remainder_R1,
     remainder_R2,
 )
+from .seeding import PURPOSE_TAIL
 from .verify import (
     CSV_COLUMNS,
     VerificationReport,
     mc_coordinate_mean_moment,
     mc_per_coordinate_tails,
+    moment_sums,
     tail_levels,
     theorem1_bound,
     verify_independence_reduction,
@@ -371,12 +383,39 @@ def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float
 
 
 def _moment_orders(config: ExperimentConfig) -> tuple:
-    """Every order at which the run reads the moment stream: 2 for prop2's
-    lq diagnostic and q for theorem1 in lq mode, so it is drawn once."""
+    """Every order at which the run reads the coordinate moments: 2 for
+    prop2's lq diagnostic and q for theorem1 in lq mode, so their power sums
+    are folded once."""
     orders = (2.0,) if "prop2" in config.checks else ()
     if "theorem1" in config.checks and config.tail.get("mode", "lq") == "lq":
         orders += (config.psi.q,)
     return orders
+
+
+def _tail_reductions(config: ExperimentConfig, U: float) -> tuple:
+    """Every reduction of the tail stream's column means that the run reads:
+    the exceedance counts of prop2 and of the sub-exponential fit, prop2's
+    split diagnostic and the coordinate moments."""
+    reductions, orders = (), _moment_orders(config)
+    fits_tail = ("theorem1" in config.checks and config.tail.get("mode", "lq") == "subexp"
+                 and config.tail.get("fit", True))
+    if "prop2" in config.checks or fits_tail:
+        reductions += (Exceedances(tail_levels(U)),)
+    if "prop2" in config.checks:
+        reductions += (MaxBelow(U),)
+    if orders:
+        reductions += (moment_sums(orders),)
+    return reductions
+
+
+@contextlib.contextmanager
+def _timed(stages: dict, name: str):
+    """Record the wall time of the block under ``stages[name]``, in seconds."""
+    started = time.perf_counter()
+    try:
+        yield
+    finally:
+        stages[name] = time.perf_counter() - started
 
 
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
@@ -450,24 +489,38 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     reports: dict[str, VerificationReport] = {}
     partial_error = None
     run = _RunInputs()
+    stages = {}
 
     with shared_passes() as ledger:
         try:
             if any(c in config.checks for c in _RHO_CHECKS):
-                model = _resolve_model(config)
-                samples = draw_rho_samples(config.dgp, config.scheme, config.multiplier,
-                                           model, config.rho_reps, config.seed)
-                run.rho = RhoEstimate.from_samples(*samples)
+                with _timed(stages, "model"):
+                    model = _resolve_model(config)
+                with _timed(stages, "rho"):
+                    samples = draw_rho_samples(config.dgp, config.scheme,
+                                               config.multiplier, model,
+                                               config.rho_reps, config.seed)
+                    run.rho = RhoEstimate.from_samples(*samples)
                 run.rho_samples = samples._asdict()
                 run.model_source = model.source
-            needs_trunc = any(c in config.checks for c in ("prop1", "prop2", "theorem1"))
-            trunc = _resolve_truncation(config, run.rho) if needs_trunc else {"U": None}
+            trunc = {"U": None}
+            if any(c in config.checks for c in ("prop1", "prop2", "theorem1")):
+                with _timed(stages, "truncation"):
+                    trunc = _resolve_truncation(config, run.rho)
             run.U = trunc.get("U")
+            # One pass of the tail stream folds every reduction of its means
+            # that the checks read; each of their reads is then served by it.
+            reductions = _tail_reductions(config, run.U)
+            if reductions:
+                with _timed(stages, "tail"):
+                    stream_statistics(config.dgp, config.reps, config.seed, PURPOSE_TAIL,
+                                      reduction=reductions)
 
             for check, runner in _CHECK_RUNNERS.items():
                 if check not in config.checks:
                     continue
-                reports[check] = report = runner(config, run)
+                with _timed(stages, check):
+                    reports[check] = report = runner(config, run)
                 if trunc.get("mode") == "optimal":
                     report.diagnostics["truncation"] = trunc
         except Exception as exc:  # noqa: BLE001 - abort with a partial report
@@ -496,6 +549,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
          "duration_seconds": (finished - started).total_seconds(),
          "panel_streams": {"drawn": ledger.drawn, "reused": ledger.reused,
                            "kept_bytes": ledger.kept_bytes, "passes": ledger.passes},
+         "stages": stages,
          "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                       "scipy": scipy.__version__},
          "draw_workers": draw_workers()},

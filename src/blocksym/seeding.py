@@ -33,8 +33,6 @@ PURPOSE_RHS = 3
 PURPOSE_TAIL = 4
 PURPOSE_NORM = 5
 PURPOSE_MODEL = 7
-PURPOSE_SPLIT = 8
-PURPOSE_MOMENT = 9
 
 
 # SplitMix64 constants (Steele, Lea and Flood, OOPSLA 2014).

@@ -11,15 +11,18 @@ Every Monte Carlo estimator draws a fresh panel per replication (fresh
 multipliers and fresh independent copies where a check needs them), and all
 expectations are unconditional. Estimators read the per-replication maxima
 of ``blocking.stream_statistics``. Where they need more of the column means
-they name a reduction that is folded in while the stream is drawn: the
-split diagnostic's largest mean below U (``MaxBelow``), the coordinate
-moments (``PowerSums``) and the per-coordinate tails (``Exceedances`` at
-``tail_levels(U)``, which the exceedance count on the same stream names too).
-So inside one run (``blocking.shared_passes``) checks that need the same
-stream share one panel pass, and no (reps, p) means are kept. The moment
-bound reads its quadratic block term and its Hoeffding step from the mid
-stream of prop1 and prop2, whose block sums are folded where each block is
-drawn. Inequality verdicts use a three-band rule: ``holds`` when the margin
+they name a reduction that is folded in while the stream is drawn. Every
+such reduction reads the plain means of the tail stream: the exceedance
+count and the sub-exponential fit read per-coordinate tails
+(``Exceedances`` at ``tail_levels(U)``), the split diagnostic the largest
+mean below U (``MaxBelow``) and the coordinate moments their power sums
+(``PowerSums``, at ``moment_sums``). A run names all of them in one request
+once U is known, so inside it (``blocking.shared_passes``) the tail stream is
+drawn once and each of these reads is served from that pass; outside a run
+each draws its own pass of the same panels. No (reps, p) means are kept. The
+moment bound reads its quadratic block term and its Hoeffding step from the
+mid stream of prop1 and prop2, whose block sums are folded where each block
+is drawn. Inequality verdicts use a three-band rule: ``holds`` when the margin
 is nonpositive, ``holds-within-noise`` within three propagated standard
 errors, ``violated`` beyond that. Estimates, margins and reports are
 dataclasses written out by ``dataclasses.asdict``, so each lists its report
@@ -63,9 +66,7 @@ from .seeding import (
     PURPOSE_DEFAULT,
     PURPOSE_LHS,
     PURPOSE_MID,
-    PURPOSE_MOMENT,
     PURPOSE_RHS,
-    PURPOSE_SPLIT,
     PURPOSE_TAIL,
 )
 
@@ -254,19 +255,24 @@ def mc_tail_probability(spec: DgpSpec, U: float, reps: int, seed: int) -> dict:
     return {"hits": hits, "reps": reps, "estimate": hat, "upper": upper, "se": se}
 
 
+def moment_sums(orders) -> PowerSums:
+    """The power sums of the tail stream's means at each of ``orders``, in
+    the one form every reader of them names."""
+    return PowerSums(tuple(sorted(set(map(float, orders)))))
+
+
 def mc_coordinate_mean_moment(spec: DgpSpec, q: float, reps: int, seed: int,
                               orders: tuple = ()) -> dict:
     """MC estimate of max_i E |column mean_i|^q with the argmax coordinate's
-    standard error attached.
+    standard error attached, from the tail stream's means.
 
-    The moment stream's one pass sums every order of ``orders`` besides q,
-    so a run that reads it at several orders names them all each time and
-    draws it once.
+    One pass sums every order of ``orders`` besides q, so a run that reads
+    the moments at several orders names them all each time and draws them
+    once.
     """
-    orders = tuple(sorted({float(q), *map(float, orders)}))
-    powers = stream_statistics(spec, reps, seed, PURPOSE_MOMENT,
-                               reduction=PowerSums(orders)).reduced
-    acc, acc2 = powers[orders.index(q)]
+    sums = moment_sums((q, *orders))
+    powers = stream_statistics(spec, reps, seed, PURPOSE_TAIL, reduction=sums).reduced
+    acc, acc2 = powers[sums.orders.index(float(q))]
     means = acc / reps
     i = int(np.argmax(means))
     var = max(acc2[i] / reps - means[i] ** 2, 0.0)
@@ -454,7 +460,8 @@ def verify_prop2(
     The truncation remainder uses the Clopper-Pearson 97.5% upper bound on
     the exceedance probability, so the reported value is conservative, and a
     Monte Carlo gauge moment norm (whose finiteness is the moment
-    diagnostic).
+    diagnostic). The exceedance count and the split diagnostic read the
+    tail stream.
     """
     rho_sum = rho.rho + rho.rho_star
     norm = psi_moment_norm(psi, spec, r, reps, seed)
@@ -463,7 +470,7 @@ def verify_prop2(
     r2 = remainder_R2(r, tail["upper"], norm.value)
     total = r1 + r2
     lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 2.0, reps, seed, total)
-    split = stream_statistics(spec, reps, seed, PURPOSE_SPLIT, reduction=MaxBelow(U))
+    split = stream_statistics(spec, reps, seed, PURPOSE_TAIL, reduction=MaxBelow(U))
     below, m = split.reduced, split.max_abs_mean
     e1 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * below)))
     e2 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * m)) * (m > U))
@@ -543,7 +550,8 @@ def theorem1_bound(
     The quadratic block term and the Hoeffding step read the block sums and
     multipliers of the mid stream, which prop1 and prop2 read too, so a run
     draws no panel for them alone. In lq mode ``moment_orders`` names the
-    run's other reads of the moment stream (see ``mc_coordinate_mean_moment``).
+    run's other orders of the coordinate moments (see
+    ``mc_coordinate_mean_moment``).
     """
     if tail_mode not in ("lq", "subexp"):
         raise ValueError(f"unknown tail mode {tail_mode!r}")

@@ -32,7 +32,6 @@ from blocksym.processes import DEFAULT_CHUNK, DgpSpec, reduce_panels
 from blocksym.seeding import (
     PURPOSE_MID,
     PURPOSE_MODEL,
-    PURPOSE_MOMENT,
     PURPOSE_TAIL,
     STREAM_COPY,
     STREAM_PANEL,
@@ -465,6 +464,65 @@ class TestReductions:
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
         assert np.array_equal(stats.mult_max, mult_stat(panels, self.SCHEME, eps))
 
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
+    def test_several_reductions_in_one_pass(self, cpus, panel_calls, monkeypatch):
+        # One pass folds every named reduction; each part equals its
+        # stand-alone request and the serial panels, and inside a block it
+        # serves every later request for that part alone.
+        from blocksym import processes
+
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * self.SPEC.n * self.SPEC.p * 8)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        args = (self.SPEC, self.REPS, 5, 3)
+        parts = tuple(REDUCTIONS[1:])
+        means = draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS).mean(axis=1)
+        with shared_passes() as ledger:
+            stats = stream_statistics(*args, reduction=parts)
+            assert stats.mult_max is None and len(stats.reduced) == len(parts)
+            for part, reduced in zip(parts, stats.reduced):
+                assert np.array_equal(reduced, reference_reduction(part, means))
+                served = stream_statistics(*args, reduction=part)
+                assert served.reduced is reduced
+                assert served.max_abs_mean is stats.max_abs_mean
+            again = stream_statistics(*args, reduction=parts[::-1]).reduced
+            assert all(a is b for a, b in zip(again, stats.reduced[::-1]))
+            assert (ledger.drawn, ledger.reused, sum(panel_calls.values())) == (1, 4, 1)
+            # A reduction that was not named draws a pass of its own, and a
+            # tuple with one part kept draws only the other.
+            gram = stream_statistics(*args, reduction=REDUCTIONS[0])
+            mixed = stream_statistics(*args, reduction=(MeanGram(2.0), parts[0]))
+            assert mixed.reduced[1] is stats.reduced[0]
+            assert np.array_equal(mixed.reduced[0], reference_reduction(MeanGram(2.0), means))
+            assert (ledger.drawn, ledger.reused, sum(panel_calls.values())) == (3, 4, 3)
+        # The column maxima that the parts share are counted once.
+        assert ledger.kept_bytes == sum(array.nbytes for array in
+                                        (stats.max_abs_mean, *stats.reduced,
+                                         gram.max_abs_mean, gram.reduced,
+                                         mixed.max_abs_mean, mixed.reduced[0]))
+        assert [(record["reduction"], record["served"]) for record in ledger.passes] == \
+            [(["PowerSums", "Exceedances", "MaxBelow"], 4), ("MeanGram", 0), ("MeanGram", 0)]
+        assert all(record["seconds"] >= 0 for record in ledger.passes)
+        # Outside a block each part draws its own pass of the same panels.
+        for part, reduced in zip(parts, stats.reduced):
+            assert np.array_equal(stream_statistics(*args, reduction=part).reduced, reduced)
+        assert sum(panel_calls.values()) == 3 + len(parts)
+
+    def test_exceedances_build_no_level_stack(self):
+        # Counting level by level holds one (c, p) boolean array at a time,
+        # not a (levels, c, p) stack beside the absolute means.
+        reduction = Exceedances(tuple(np.geomspace(0.01, 1.0, 8)))
+        means = np.random.default_rng(0).normal(0.0, 0.1, (DEFAULT_CHUNK, 1000))
+        out = reduction.empty(DEFAULT_CHUNK, 1000)
+        tracemalloc.start()
+        try:
+            reduction.add(out, 0, means)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * means.nbytes
+        assert np.array_equal(out, reference_reduction(reduction, means))
+
 
 FULL_RUN = {
     "dgp": {"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "truncation": 3.0},
@@ -484,14 +542,14 @@ FULL_RUN = {
 def kept_bytes(reps, p, orders):
     """The ledger bytes of a run of every Monte Carlo check on a model stream.
 
-    Nine streams keep their (reps,) maxima, the rho and mid streams their
-    multiplier maxima and quadratic block terms, and the split stream its
-    largest mean below U: fourteen vectors. No stream keeps (reps, p) means:
-    the model stream keeps its (p, p) Gram, the tail stream its int64 counts
-    at eight levels per coordinate, and the moment stream two power sums per
-    coordinate at each of its ``orders`` orders.
+    Seven streams keep their (reps,) maxima, the rho and mid streams their
+    multiplier maxima and quadratic block terms, and the tail stream its
+    largest mean below U: twelve vectors. No stream keeps (reps, p) means:
+    the model stream keeps its (p, p) Gram, and the tail stream its int64
+    counts at eight levels per coordinate and two power sums per coordinate
+    at each of its ``orders`` orders.
     """
-    return 8 * (14 * reps + p * p + 8 * p + 2 * orders * p)
+    return 8 * (12 * reps + p * p + 8 * p + 2 * orders * p)
 
 
 class TestSharedRun:
@@ -501,15 +559,17 @@ class TestSharedRun:
         config = load_config(path)
         out = tmp_path / "out"
         assert run_experiment(config, output_dir=str(out)) == 0
-        assert len(panel_calls) == 9
+        assert len(panel_calls) == 7
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
         streams = meta["panel_streams"]
         reps, p = config.reps, config.dgp.p
         # Every pass goes through the ledger, so the record counts them all.
+        # The run names the tail stream's reductions in one request, which
+        # serves prop2's exceedance count, split and moments and the tail fit.
         assert streams["drawn"] == sum(panel_calls.values())
         assert {key: streams[key] for key in ("drawn", "reused", "kept_bytes")} == \
-            {"drawn": 9, "reused": 7, "kept_bytes": kept_bytes(reps, p, orders=1)}
+            {"drawn": 7, "reused": 10, "kept_bytes": kept_bytes(reps, p, orders=1)}
 
         # theorem1's Hoeffding step reads the mid stream that prop1 reads.
         prop1, theorem1 = (json.loads((out / f"{name}.json").read_text())
@@ -527,21 +587,23 @@ class TestSharedRun:
                              3.0, config.r, config.reps, rho, config.seed)
         assert json.loads(json.dumps(alone.to_json_dict())) == report
 
-    @pytest.mark.parametrize("tail, reread, orders", [({"mode": "lq"}, PURPOSE_MOMENT, 2),
-                                                      (FULL_RUN["tail"], PURPOSE_TAIL, 1)],
+    @pytest.mark.parametrize("tail, reread, orders", [({"mode": "lq"}, "PowerSums", 2),
+                                                      (FULL_RUN["tail"], "Exceedances", 1)],
                              ids=["lq", "subexp"])
     def test_reread_means_streams_are_drawn_once(self, tmp_path, panel_calls, monkeypatch,
                                                  tail, reread, orders):
         # With q = 3 the lq moment is read at q = 2 (prop2) and at q = 3
         # (theorem1), and both reads name both orders; the sub-exponential
-        # fit reads the counts that prop2's exceedance count asked for.
+        # fit reads the counts that prop2's exceedance count asked for. Each
+        # read is of the tail stream, whose one pass the run drew up front.
         from blocksym import gaussian, psi, verify
 
         reads = Counter()
 
-        def counting(spec, reps, seed, purpose, *args, **kw):
-            reads[purpose] += 1
-            return stream_statistics(spec, reps, seed, purpose, *args, **kw)
+        def counting(spec, reps, seed, purpose, *args, reduction=None, **kw):
+            reads[purpose, type(reduction).__name__] += 1
+            return stream_statistics(spec, reps, seed, purpose, *args, reduction=reduction,
+                                     **kw)
 
         for module in (gaussian, psi, verify):
             monkeypatch.setattr(module, "stream_statistics", counting)
@@ -552,14 +614,14 @@ class TestSharedRun:
         config = load_config(path)
         out = tmp_path / "out"
         assert run_experiment(config, output_dir=str(out)) == 0
-        assert reads[reread] == 2
-        assert len(panel_calls) == 9
+        assert reads[PURPOSE_TAIL, reread] == 2
+        assert len(panel_calls) == 7
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
         streams = meta["panel_streams"]
         reps, p = config.reps, config.dgp.p
         assert {key: streams[key] for key in ("drawn", "reused", "kept_bytes")} == \
-            {"drawn": 9, "reused": 4, "kept_bytes": kept_bytes(reps, p, orders)}
+            {"drawn": 7, "reused": 7, "kept_bytes": kept_bytes(reps, p, orders)}
 
     def test_run_record_lists_each_pass(self, tmp_path):
         # run_meta.json lists the passes in draw order: one per (stream,
@@ -572,11 +634,32 @@ class TestSharedRun:
         streams = json.loads((out / "run_meta.json").read_text())["panel_streams"]
         passes = streams["passes"]
         assert len(passes) == streams["drawn"]
-        assert len({record["purpose"] for record in passes}) == 9
+        assert len({record["purpose"] for record in passes}) == 7
         assert sum(record["served"] for record in passes) == streams["reused"]
+        assert passes[0].pop("seconds") >= 0
         assert passes[0] == {"purpose": PURPOSE_MODEL, "reps": config.rho_reps,
                              "n": config.dgp.n, "p": config.dgp.p, "multipliers": False,
                              "copies": False, "reduction": "MeanGram", "served": 0}
         # prop1 draws the mid stream, and prop2 and theorem1 read it again.
         mid = next(record for record in passes if record["purpose"] == PURPOSE_MID)
         assert (mid["multipliers"], mid["reduction"], mid["served"]) == (True, None, 2)
+        # One pass of the tail stream serves prop2's three reads and the tail fit.
+        tail = next(record for record in passes if record["purpose"] == PURPOSE_TAIL)
+        assert (tail["reduction"], tail["served"]) == \
+            (["Exceedances", "MaxBelow", "PowerSums"], 4)
+
+    def test_run_record_times_passes_and_stages(self, tmp_path):
+        # run_meta.json gives each pass's seconds and each stage's, and the
+        # stages, which do not overlap, fit inside the run.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(FULL_RUN))
+        config = load_config(path)
+        out = tmp_path / "out"
+        assert run_experiment(config, output_dir=str(out)) == 0
+        meta = json.loads((out / "run_meta.json").read_text())
+        stages = meta["stages"]
+        assert set(stages) == {"model", "rho", "truncation", "tail", *FULL_RUN["checks"]}
+        seconds = [*stages.values(), *(record["seconds"]
+                                       for record in meta["panel_streams"]["passes"])]
+        assert all(value >= 0 for value in seconds)
+        assert sum(stages.values()) <= meta["duration_seconds"]

@@ -482,6 +482,26 @@ class TestProp1:
 
 
 class TestProp2:
+    def test_split_and_moment_diagnostics_match_exact_chain(self):
+        # MA(1) sign panel, b = 2, q = 2, U = 1.5, the support bound, so every
+        # max is at most U: E_n1 = (1/2) E psi(2 max) is twice the exact lhs
+        # and E_n2 is 0. One column's mean is sum_t x_t / 4 over the 2^5
+        # innovation sequences e_0..e_4 with x_t = e_{t+1} + 0.5 e_t, so
+        # E mean^2 = 1/2 for each column. Both diagnostics read the tail stream.
+        e = 2.0 * ((np.arange(32)[:, None] >> np.arange(5)) & 1) - 1.0
+        column_means = (e[:, 1:] + 0.5 * e[:, :-1]).mean(axis=1)
+        exact_moment = float((column_means**2).mean())
+        assert exact_moment == 0.5
+        lhs = exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2).lhs
+        assert 2 * lhs == 1.59765625
+        report = verify_prop2(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2, 1.5,
+                              2.0, 20_000, zero_rho(), seed=12)
+        e1, e2 = report.diagnostics["E_n1"], report.diagnostics["E_n2"]
+        assert abs(e1["mean"] - 2 * lhs) < 4 * e1["se"], e1
+        assert (e2["mean"], e2["se"]) == (0.0, 0.0)
+        moment = mc_coordinate_mean_moment(MA1_SIGNS_4x2, 2.0, 20_000, seed=12)
+        assert abs(moment["value"] - exact_moment) < 4 * moment["se"], moment
+
     def test_scaling_matches_exact_chain(self):
         exact = exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2,
                                   scale=2.0)
