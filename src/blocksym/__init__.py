@@ -47,7 +47,6 @@ from .verify import (
     ExpectationEstimate,
     VerificationReport,
     exact_enumeration,
-    mc_expect_psi_max,
     theorem1_bound,
     verify_independence_reduction,
     verify_prop1,

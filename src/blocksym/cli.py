@@ -550,6 +550,8 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
          "panel_streams": {"drawn": ledger.drawn, "reused": ledger.reused,
                            "kept_bytes": ledger.kept_bytes, "passes": ledger.passes},
          "stages": stages,
+         "slack": {f"{report.check}.{m.name}": m.slack
+                   for report in reports.values() for m in report.margins},
          "versions": {"python": sys.version.split()[0], "numpy": np.__version__,
                       "scipy": scipy.__version__},
          "draw_workers": draw_workers()},
@@ -558,8 +560,9 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
 
     for report in reports.values():
         for m in report.margins:
+            slack = "null" if m.slack is None else f"{m.slack:.6g}"
             print(f"{report.check}.{m.name}: {m.verdict} "
-                  f"(margin={m.margin:.6g}, 3se={3 * m.se:.6g})")
+                  f"(margin={m.margin:.6g}, 3se={3 * m.se:.6g}, slack={slack})")
     if partial_error is not None:
         print(f"error: {partial_error}", file=sys.stderr)
         return EXIT_ERROR

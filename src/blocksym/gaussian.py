@@ -187,7 +187,6 @@ def simulate_max_statistics(
     mult: MultiplierSpec,
     reps: int,
     seed: int,
-    purpose: int = PURPOSE_DEFAULT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-replication plain and block-multiplier max statistics.
 
@@ -198,7 +197,7 @@ def simulate_max_statistics(
     """
     if scheme.n != spec.n:
         raise ValueError(f"scheme n={scheme.n} does not match spec n={spec.n}")
-    stats = stream_statistics(spec, reps, seed, purpose, scheme, mult)
+    stats = stream_statistics(spec, reps, seed, PURPOSE_DEFAULT, scheme, mult)
     root_n = math.sqrt(spec.n)
     return root_n * stats.max_abs_mean, root_n * stats.mult_max
 

@@ -24,12 +24,11 @@ STREAM_MULTIPLIER = 3
 STREAM_GAUSSIAN = 4
 
 # Purpose coordinates inserted after the stream tag by the verification
-# drivers, so that e.g. the lhs and rhs estimates of one report draw
+# drivers, so that e.g. the chains and the tail remainders of one run draw
 # disjoint panels from a single master seed.
 PURPOSE_DEFAULT = 0
 PURPOSE_LHS = 1
 PURPOSE_MID = 2
-PURPOSE_RHS = 3
 PURPOSE_TAIL = 4
 PURPOSE_NORM = 5
 PURPOSE_MODEL = 7

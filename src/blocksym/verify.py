@@ -10,21 +10,31 @@ Hoeffding-factor bound on the quadratic block term plus remainders.
 Every Monte Carlo estimator draws a fresh panel per replication (fresh
 multipliers and fresh independent copies where a check needs them), and all
 expectations are unconditional. Estimators read the per-replication maxima
-of ``blocking.stream_statistics``. Where they need more of the column means
-they name a reduction that is folded in while the stream is drawn. Every
-such reduction reads the plain means of the tail stream: the exceedance
-count and the sub-exponential fit read per-coordinate tails
-(``Exceedances`` at ``tail_levels(U)``), the split diagnostic the largest
-mean below U (``MaxBelow``) and the coordinate moments their power sums
-(``PowerSums``, at ``moment_sums``). A run names all of them in one request
-once U is known, so inside it (``blocking.shared_passes``) the tail stream is
-drawn once and each of these reads is served from that pass; outside a run
-each draws its own pass of the same panels. No (reps, p) means are kept. The
-moment bound reads its quadratic block term and its Hoeffding step from the
-mid stream of prop1 and prop2, whose block sums are folded where each block
-is drawn. Inequality verdicts use a three-band rule: ``holds`` when the margin
-is nonpositive, ``holds-within-noise`` within three propagated standard
-errors, ``violated`` beyond that. Estimates, margins and reports are
+of ``blocking.stream_statistics``. A chain is one pass: its lhs, mid and rhs
+are gauges of the plain and the multiplier statistic of the same panels of
+the mid stream, and theorem1 reads its lhs, its quadratic block term and its
+Hoeffding step from that pass too, so a run draws the mid stream once for
+prop1, prop2 and theorem1. Every gauge value of a Monte Carlo sample goes
+through one kernel, which names the replication of an overflow.
+
+Where estimators need more of the column means they name a reduction that
+is folded in while the stream is drawn. Every such reduction reads the plain
+means of the tail stream: the exceedance count and the sub-exponential fit
+read per-coordinate tails (``Exceedances`` at ``tail_levels(U)``), the split
+diagnostic the largest mean below U (``MaxBelow``) and the coordinate
+moments their power sums (``PowerSums``, at ``moment_sums``). A run names
+all of them in one request once U is known, so inside it
+(``blocking.shared_passes``) the tail stream is drawn once and each of these
+reads is served from that pass; outside a run each draws its own pass of the
+same panels. No (reps, p) means are kept. The tail stream stays apart from
+the mid stream: the remainders built from it are treated as constants, so
+they share no panel with the sides they bound.
+
+Both sides of every inequality are read from the same panels, so each margin
+and its standard error come from the per-replication differences of its
+sides. Verdicts use a three-band rule: ``holds`` when the margin is
+nonpositive, ``holds-within-noise`` within three standard errors of those
+differences, ``violated`` beyond that. Estimates, margins and reports are
 dataclasses written out by ``dataclasses.asdict``, so each lists its report
 fields once.
 """
@@ -62,15 +72,7 @@ from .remainders import (
     remainder_R2,
     remainder_Rn,
 )
-from .seeding import (
-    PURPOSE_DEFAULT,
-    PURPOSE_LHS,
-    PURPOSE_MID,
-    PURPOSE_RHS,
-    PURPOSE_TAIL,
-)
-
-STATISTIC_MODES = ("plain", "multiplier")
+from .seeding import PURPOSE_LHS, PURPOSE_MID, PURPOSE_TAIL
 
 _ENUMERATION_BUDGET = 2**24
 _ENUMERATION_CHUNK = 2**18  # array elements per enumeration step
@@ -91,10 +93,6 @@ class ExpectationEstimate:
     reps: int
     mode: str = "mc"
 
-    def scaled(self, factor: float) -> "ExpectationEstimate":
-        return ExpectationEstimate(factor * self.mean, abs(factor) * self.se,
-                                   self.reps, self.mode)
-
 
 @dataclass(frozen=True)
 class InequalityCheck:
@@ -111,6 +109,12 @@ class InequalityCheck:
     verdict: str
     two_sided: bool = False
 
+    @property
+    def slack(self) -> Optional[float]:
+        """(lhs - rhs) / remainder, the share of the remainder that the gap
+        between the sides takes; None when the remainder is 0."""
+        return None if self.remainder == 0 else (self.lhs - self.rhs) / self.remainder
+
 
 def verdict_for(margin: float, se: float, two_sided: bool = False) -> str:
     stat = abs(margin) if two_sided else margin
@@ -123,24 +127,19 @@ def verdict_for(margin: float, se: float, two_sided: bool = False) -> str:
 
 def _inequality(
     name: str,
-    lhs: ExpectationEstimate,
-    rhs: ExpectationEstimate,
+    lhs: np.ndarray,
+    rhs: np.ndarray,
     remainder: float,
     two_sided: bool = False,
-    paired: Optional[np.ndarray] = None,
 ) -> InequalityCheck:
-    """lhs <= rhs + remainder. With ``paired``, the per-replication lhs - rhs
-    on shared panels, the margin and its se come from those differences."""
-    if paired is None:
-        margin = lhs.mean - rhs.mean - remainder
-        se = math.hypot(lhs.se, rhs.se)
-    else:
-        diff = _estimate_from_values(paired)
-        margin, se = diff.mean - remainder, diff.se
+    """lhs <= rhs + remainder from the per-replication values of both sides
+    on the same panels; the margin and its se come from their differences."""
+    left, right, diff = map(_estimate_from_values, (lhs, rhs, lhs - rhs))
+    margin = diff.mean - remainder
     return InequalityCheck(
-        name=name, lhs=lhs.mean, lhs_se=lhs.se, rhs=rhs.mean, rhs_se=rhs.se,
-        remainder=remainder, margin=margin, se=se,
-        verdict=verdict_for(margin, se, two_sided), two_sided=two_sided,
+        name=name, lhs=left.mean, lhs_se=left.se, rhs=right.mean, rhs_se=right.se,
+        remainder=remainder, margin=margin, se=diff.se,
+        verdict=verdict_for(margin, diff.se, two_sided), two_sided=two_sided,
     )
 
 
@@ -197,39 +196,14 @@ def _estimate_from_values(values: np.ndarray) -> ExpectationEstimate:
     return ExpectationEstimate(mean=mean, se=se, reps=reps, mode="mc")
 
 
-def mc_expect_psi_max(
-    mode: str,
-    spec: DgpSpec,
-    scheme: BlockScheme,
-    mult: MultiplierSpec,
-    psi: PsiLike,
-    scale: float,
-    reps: int,
-    seed: int,
-    purpose: int = PURPOSE_DEFAULT,
-) -> ExpectationEstimate:
-    """Unconditional Monte Carlo estimate of E psi(scale * statistic).
-
-    Modes: ``plain`` uses the max-abs column mean; ``multiplier`` the
-    block-multiplier statistic with fresh multipliers per replication.
-    """
-    if mode not in STATISTIC_MODES:
-        raise ValueError(f"unknown statistic mode {mode!r}")
-    if reps < 1000:
-        raise ValueError(f"need reps >= 1000, got {reps}")
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    if mode == "multiplier":
-        stats = stream_statistics(spec, reps, seed, purpose, scheme, mult).mult_max
-    else:
-        stats = stream_statistics(spec, reps, seed, purpose).max_abs_mean
-    values = np.asarray(psi_eval(psi, scale * stats))
+def _gauge_values(psi: PsiLike, gain: float, stats: np.ndarray) -> np.ndarray:
+    """psi(gain * stats), one value per replication; an overflow raises
+    ``NonFiniteGaugeError`` naming the first replication it hit."""
+    values = np.asarray(psi_eval(psi, gain * stats))
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
-        raise NonFiniteGaugeError(
-            f"gauge value overflowed in {mode!r} mode at replication {bad[0]}"
-        )
-    return _estimate_from_values(values)
+        raise NonFiniteGaugeError(f"gauge value overflowed at replication {bad[0]}")
+    return values
 
 
 def tail_levels(U: float) -> tuple:
@@ -305,7 +279,8 @@ class ExactChain:
 
     The desymmetrization side of the bounded chain is the plain expectation,
     so ``rhs`` always equals ``lhs``; it is returned separately to mirror the
-    report layout.
+    report layout. The Monte Carlo chain has the same identity: its rhs reads
+    the lhs's panels, so at gain 1 the two are equal exactly, not only in law.
     """
 
     lhs: float
@@ -398,17 +373,22 @@ def _chain(spec: DgpSpec, scheme: BlockScheme, mult: MultiplierSpec, psi: PsiLik
 
     lhs is E psi(max-abs mean); mid and rhs are (1/gain) E psi(gain .) of the
     multiplier and the plain statistic. Gain 1 is the bounded chain, gain 2
-    the truncated one; the 1/gain scaling is exact for both.
+    the truncated one; the 1/gain scaling is exact for both. All three sides
+    read the one pass of the mid stream, the plain and the multiplier
+    statistic of each panel, so at gain 1 rhs is lhs exactly and each margin
+    takes its se from the per-replication differences of its two sides.
     """
-    args = (spec, scheme, mult, psi)
-    lhs = mc_expect_psi_max("plain", *args, 1.0, reps, seed, PURPOSE_LHS)
-    mid = mc_expect_psi_max("multiplier", *args, gain, reps, seed, PURPOSE_MID).scaled(1 / gain)
-    rhs = mc_expect_psi_max("plain", *args, gain, reps, seed, PURPOSE_RHS).scaled(1 / gain)
+    if reps < 1000:
+        raise ValueError(f"need reps >= 1000, got {reps}")
+    stats = stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, mult)
+    lhs = _gauge_values(psi, 1.0, stats.max_abs_mean)
+    mid = _gauge_values(psi, gain, stats.mult_max) / gain
+    rhs = _gauge_values(psi, gain, stats.max_abs_mean) / gain
     margins = [
         _inequality("symmetrization", lhs, mid, remainder),
         _inequality("desymmetrization", mid, rhs, 2.0 * remainder),
     ]
-    return lhs, mid, rhs, margins
+    return (*map(_estimate_from_values, (lhs, mid, rhs)), margins)
 
 
 def verify_prop1(
@@ -472,8 +452,8 @@ def verify_prop2(
     lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 2.0, reps, seed, total)
     split = stream_statistics(spec, reps, seed, PURPOSE_TAIL, reduction=MaxBelow(U))
     below, m = split.reduced, split.max_abs_mean
-    e1 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * below)))
-    e2 = _estimate_from_values(0.5 * np.asarray(psi_eval(psi, 2.0 * m)) * (m > U))
+    e1 = _estimate_from_values(0.5 * _gauge_values(psi, 2.0, below))
+    e2 = _estimate_from_values(0.5 * _gauge_values(psi, 2.0, m) * (m > U))
     return VerificationReport(
         check="prop2", lhs=lhs, mid=mid, rhs=rhs,
         remainders={"R1": r1, "R2": r2, "total": total, "rho_sum": rho_sum,
@@ -508,14 +488,12 @@ def verify_independence_reduction(
         raise ValueError(f"need reps >= 1000, got {reps}")
     stats = stream_statistics(spec, reps, seed, PURPOSE_LHS, make_blocks(spec.n, 1),
                               MultiplierSpec("rademacher"), copies=True)
-    mult_vals = np.asarray(psi_eval(psi, stats.mult_max))
-    plain_vals = np.asarray(psi_eval(psi, stats.max_abs_mean))
-    lhs = _estimate_from_values(mult_vals)
-    rhs = _estimate_from_values(plain_vals)
-    check = _inequality("two-sided-equality", lhs, rhs, 0.0, two_sided=True,
-                        paired=mult_vals - plain_vals)
+    mult_vals = _gauge_values(psi, 1.0, stats.mult_max)
+    plain_vals = _gauge_values(psi, 1.0, stats.max_abs_mean)
+    check = _inequality("two-sided-equality", mult_vals, plain_vals, 0.0, two_sided=True)
     return VerificationReport(
-        check="independence-reduction", lhs=lhs, mid=None, rhs=rhs,
+        check="independence-reduction", lhs=_estimate_from_values(mult_vals), mid=None,
+        rhs=_estimate_from_values(plain_vals),
         remainders={"R_breve": 0.0}, rho=None, margins=[check],
         params={"n": spec.n, "p": spec.p, "b": 1, "seed": seed, "reps": reps,
                 **_psi_params(psi)},
@@ -547,10 +525,11 @@ def theorem1_bound(
     The blocking remainder is computed both by quadrature and in the
     n-scaled closed-form variant; the verdict uses the larger. The
     conditional Hoeffding step is audited separately as a paired margin.
-    The quadratic block term and the Hoeffding step read the block sums and
-    multipliers of the mid stream, which prop1 and prop2 read too, so a run
-    draws no panel for them alone. In lq mode ``moment_orders`` names the
-    run's other orders of the coordinate moments (see
+    The lhs, the quadratic block term and the Hoeffding step read the one
+    pass of the mid stream that prop1 and prop2 read too, so a run draws no
+    panel for them alone, and both margins take their se from the paired
+    per-replication differences of their sides. In lq mode ``moment_orders``
+    names the run's other orders of the coordinate moments (see
     ``mc_coordinate_mean_moment``).
     """
     if tail_mode not in ("lq", "subexp"):
@@ -559,14 +538,16 @@ def theorem1_bound(
         raise ValueError("subexp mode needs tail_params")
     if scheme.n != spec.n:
         raise ValueError("scheme and spec disagree on n")
+    if reps < 1000:
+        raise ValueError(f"need reps >= 1000, got {reps}")
     psi_q = PsiSpec("power", q=q)
     rho_sum = rho.rho + rho.rho_star
     factor = hoeffding_factor(q, mult.bound, spec.p, spec.n)
 
-    lhs = mc_expect_psi_max("plain", spec, scheme, mult, psi_q, 1.0, reps, seed, PURPOSE_LHS)
-    mid = stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, mult)
-    quad_vals = mid.quad ** (q / 2.0)
-    mult_vals = mid.mult_max**q
+    stats = stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, mult)
+    lhs_vals = _gauge_values(psi_q, 1.0, stats.max_abs_mean)
+    mult_vals = _gauge_values(psi_q, 1.0, stats.mult_max)
+    quad_vals = stats.quad ** (q / 2.0)
     quad_est = _estimate_from_values(quad_vals)
 
     norm = psi_moment_norm(psi_q, spec, r, reps, seed)
@@ -588,14 +569,12 @@ def theorem1_bound(
     r1_nscaled = power_R1_nscaled(q, spec.n, U, rho_sum)
     r1_used = max(r1_quadrature, r1_nscaled)
 
-    rhs_mean = factor * quad_est.mean + 0.5 * (r1_used + r2)
-    rhs = ExpectationEstimate(mean=rhs_mean, se=factor * quad_est.se,
-                              reps=reps, mode="mc")
-    main = _inequality("moment-bound", lhs, rhs, 0.0)
-    hoeff = _inequality("hoeffding-step", _estimate_from_values(mult_vals),
-                        quad_est.scaled(factor), 0.0, paired=mult_vals - factor * quad_vals)
+    rhs_vals = factor * quad_vals + 0.5 * (r1_used + r2)
+    main = _inequality("moment-bound", lhs_vals, rhs_vals, 0.0)
+    hoeff = _inequality("hoeffding-step", mult_vals, factor * quad_vals, 0.0)
     return VerificationReport(
-        check="theorem1", lhs=lhs, mid=None, rhs=rhs,
+        check="theorem1", lhs=_estimate_from_values(lhs_vals), mid=None,
+        rhs=_estimate_from_values(rhs_vals),
         remainders={"R1_quadrature": r1_quadrature, "R1_nscaled": r1_nscaled,
                     "R1_used": r1_used, "R2": r2, "rho_sum": rho_sum,
                     "hoeffding_factor": factor, "quad_term": quad_est.mean,

@@ -16,7 +16,7 @@ from scipy.stats import binom
 from blocksym import processes
 from blocksym.blocking import MultiplierSpec, batch_max_abs_mean, make_blocks
 from blocksym.cli import parse_config, run_experiment
-from blocksym.gaussian import estimate_gaussian_model, estimate_rhos
+from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec
 from blocksym.psi import PsiSpec, psi_moment_norm
 from blocksym.remainders import (
@@ -34,7 +34,6 @@ from blocksym.remainders import (
 from blocksym.verify import (
     exact_enumeration,
     mc_coordinate_mean_moment,
-    mc_expect_psi_max,
     mc_per_coordinate_tails,
     theorem1_bound,
     verify_independence_reduction,
@@ -66,27 +65,21 @@ def report_line(criterion, ok, detail):
 
 
 def test_criterion_1_enumeration_oracle_gate():
-    # n=4, p=2, b=2 random-sign panel: MC estimates of lhs, mid, rhs at
+    # n=4, p=2, b=2 random-sign panel: prop1's lhs, mid and rhs at
     # reps = 1e5 match exact enumeration within 3 SE for both gauges.
     started = time.monotonic()
     spec = DgpSpec("bounded_rademacher", n=4, p=2)
     scheme = make_blocks(4, 2)
     reps = 100_000
+    no_rho = RhoEstimate(rho=0.0, rho_star=0.0, rho_direct=0.0, reps=reps, se=0.0)
     ok = True
     details = []
     for q in (1.0, 2.0):
         psi = PsiSpec("power", q=q)
         exact = exact_enumeration(spec, scheme, RADEMACHER, psi)
-        estimates = {
-            "lhs": mc_expect_psi_max("plain", spec, scheme, RADEMACHER, psi,
-                                     1.0, reps, seed=101, purpose=1),
-            "mid": mc_expect_psi_max("multiplier", spec, scheme, RADEMACHER, psi,
-                                     1.0, reps, seed=101, purpose=2),
-            "rhs": mc_expect_psi_max("plain", spec, scheme, RADEMACHER, psi,
-                                     1.0, reps, seed=101, purpose=3),
-        }
-        for name, est in estimates.items():
-            target = getattr(exact, name)
+        report = verify_prop1(spec, scheme, RADEMACHER, psi, 1.0, reps, no_rho, seed=101)
+        for name in ("lhs", "mid", "rhs"):
+            est, target = getattr(report, name), getattr(exact, name)
             gap = abs(est.mean - target)
             ok &= gap < 3 * est.se
             details.append(f"q={q} {name} gap={gap:.5f} 3se={3 * est.se:.5f}")

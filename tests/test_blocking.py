@@ -30,6 +30,8 @@ from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec, reduce_panels
 from blocksym.seeding import (
+    PURPOSE_DEFAULT,
+    PURPOSE_LHS,
     PURPOSE_MID,
     PURPOSE_MODEL,
     PURPOSE_TAIL,
@@ -273,14 +275,19 @@ class TestKernels:
         spec = DgpSpec(kind, n=n, p=p)
         scheme = make_blocks(n, n if full_block else 1)
         mult = MultiplierSpec(mult)
-        plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed, purpose)
+        stats = stream_statistics(spec, reps, seed, purpose, scheme, mult)
         panels = draw_panels(spec, seed, STREAM_PANEL, purpose, 0, reps)
         eps = batch_multipliers(mult, scheme.count, seed, purpose, 0, reps)
-        root_n = math.sqrt(n)
-        assert np.array_equal(plain, root_n * batch_max_abs_mean(panels))
+        assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
         assert np.array_equal(
-            starred, root_n * batch_multiplier_max(batch_block_sums(panels, scheme), eps, n)
+            stats.mult_max, batch_multiplier_max(batch_block_sums(panels, scheme), eps, n)
         )
+        # The rho samples are the default purpose's statistics on the sqrt(n) scale.
+        plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed)
+        stats = stream_statistics(spec, reps, seed, PURPOSE_DEFAULT, scheme, mult)
+        root_n = math.sqrt(n)
+        assert np.array_equal(plain, root_n * stats.max_abs_mean)
+        assert np.array_equal(starred, root_n * stats.mult_max)
 
 
 @pytest.fixture
@@ -542,14 +549,14 @@ FULL_RUN = {
 def kept_bytes(reps, p, orders):
     """The ledger bytes of a run of every Monte Carlo check on a model stream.
 
-    Seven streams keep their (reps,) maxima, the rho and mid streams their
+    Five streams keep their (reps,) maxima, the rho and mid streams their
     multiplier maxima and quadratic block terms, and the tail stream its
-    largest mean below U: twelve vectors. No stream keeps (reps, p) means:
+    largest mean below U: ten vectors. No stream keeps (reps, p) means:
     the model stream keeps its (p, p) Gram, and the tail stream its int64
     counts at eight levels per coordinate and two power sums per coordinate
     at each of its ``orders`` orders.
     """
-    return 8 * (12 * reps + p * p + 8 * p + 2 * orders * p)
+    return 8 * (10 * reps + p * p + 8 * p + 2 * orders * p)
 
 
 class TestSharedRun:
@@ -559,7 +566,7 @@ class TestSharedRun:
         config = load_config(path)
         out = tmp_path / "out"
         assert run_experiment(config, output_dir=str(out)) == 0
-        assert len(panel_calls) == 7
+        assert len(panel_calls) == 5
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
         streams = meta["panel_streams"]
@@ -569,14 +576,16 @@ class TestSharedRun:
         # serves prop2's exceedance count, split and moments and the tail fit.
         assert streams["drawn"] == sum(panel_calls.values())
         assert {key: streams[key] for key in ("drawn", "reused", "kept_bytes")} == \
-            {"drawn": 7, "reused": 10, "kept_bytes": kept_bytes(reps, p, orders=1)}
+            {"drawn": 5, "reused": 7, "kept_bytes": kept_bytes(reps, p, orders=1)}
 
-        # theorem1's Hoeffding step reads the mid stream that prop1 reads.
+        # theorem1's lhs and Hoeffding step read the mid stream that prop1
+        # reads, whose rhs is its lhs.
         prop1, theorem1 = (json.loads((out / f"{name}.json").read_text())
                            for name in ("prop1", "theorem1"))
         hoeffding = theorem1["margins"][1]
         assert hoeffding["name"] == "hoeffding-step"
         assert hoeffding["lhs"] == pytest.approx(prop1["mid"]["mean"], rel=1e-12)
+        assert theorem1["lhs"] == prop1["lhs"] == prop1["rhs"]
 
         # The same check built outside a run draws its own panels and
         # reports the same numbers.
@@ -615,13 +624,13 @@ class TestSharedRun:
         out = tmp_path / "out"
         assert run_experiment(config, output_dir=str(out)) == 0
         assert reads[PURPOSE_TAIL, reread] == 2
-        assert len(panel_calls) == 7
+        assert len(panel_calls) == 5
         assert set(panel_calls.values()) == {1}
         meta = json.loads((out / "run_meta.json").read_text())
         streams = meta["panel_streams"]
         reps, p = config.reps, config.dgp.p
         assert {key: streams[key] for key in ("drawn", "reused", "kept_bytes")} == \
-            {"drawn": 7, "reused": 7, "kept_bytes": kept_bytes(reps, p, orders)}
+            {"drawn": 5, "reused": 6, "kept_bytes": kept_bytes(reps, p, orders)}
 
     def test_run_record_lists_each_pass(self, tmp_path):
         # run_meta.json lists the passes in draw order: one per (stream,
@@ -634,7 +643,7 @@ class TestSharedRun:
         streams = json.loads((out / "run_meta.json").read_text())["panel_streams"]
         passes = streams["passes"]
         assert len(passes) == streams["drawn"]
-        assert len({record["purpose"] for record in passes}) == 7
+        assert len({record["purpose"] for record in passes}) == 5
         assert sum(record["served"] for record in passes) == streams["reused"]
         assert passes[0].pop("seconds") >= 0
         assert passes[0] == {"purpose": PURPOSE_MODEL, "reps": config.rho_reps,
@@ -643,6 +652,7 @@ class TestSharedRun:
         # prop1 draws the mid stream, and prop2 and theorem1 read it again.
         mid = next(record for record in passes if record["purpose"] == PURPOSE_MID)
         assert (mid["multipliers"], mid["reduction"], mid["served"]) == (True, None, 2)
+        assert PURPOSE_LHS not in {record["purpose"] for record in passes}
         # One pass of the tail stream serves prop2's three reads and the tail fit.
         tail = next(record for record in passes if record["purpose"] == PURPOSE_TAIL)
         assert (tail["reduction"], tail["served"]) == \

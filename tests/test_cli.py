@@ -316,6 +316,31 @@ class TestRun:
         report = json.loads((out / "prop1.json").read_text())
         assert [m["verdict"] for m in report["margins"]] == ["holds", "holds"]
 
+    def test_run_meta_records_slack(self, tmp_path, capsys):
+        # run_meta.json and each stdout verdict line carry (lhs - rhs) /
+        # remainder of every margin, null where the remainder is 0; the
+        # reports do not carry it.
+        out = tmp_path / "out"
+        checks = ["prop2", "theorem1", "independence-reduction"]
+        path, _ = write_config(tmp_path, checks=checks, output_dir=str(out))
+        assert main(["run", str(path)]) == EXIT_OK
+        slack = json.loads((out / "run_meta.json").read_text())["slack"]
+        want = {}
+        for check in checks:
+            report = json.loads((out / f"{check}.json").read_text())
+            for m in report["margins"]:
+                assert "slack" not in m
+                want[f"{check}.{m['name']}"] = (
+                    None if m["remainder"] == 0 else (m["lhs"] - m["rhs"]) / m["remainder"])
+        assert slack == want
+        assert [key for key, value in want.items() if value is not None] == \
+            ["prop2.symmetrization", "prop2.desymmetrization"]
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == len(want)
+        for line, (key, value) in zip(lines, want.items()):
+            assert line.startswith(f"{key}: ")
+            assert line.endswith(f"slack={'null' if value is None else f'{value:.6g}'})")
+
     def test_exit_code_flags_violation(self, tmp_path, monkeypatch):
         # Zeroed remainder on strongly dependent data with singleton blocks:
         # the raw symmetrization inequality fails, so the run must exit 1.

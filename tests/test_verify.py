@@ -30,7 +30,6 @@ from blocksym.verify import (
     NonFiniteGaugeError,
     exact_enumeration,
     mc_coordinate_mean_moment,
-    mc_expect_psi_max,
     mc_tail_probability,
     theorem1_bound,
     verdict_for,
@@ -72,16 +71,18 @@ class TestVerdicts:
 class TestMcExpect:
     def test_zero_law_is_exactly_zero(self):
         scheme = make_blocks(8, 2)
-        est = mc_expect_psi_max("plain", ZERO_LAW, scheme, RADEMACHER, POWER2,
-                                1.0, 2000, seed=0)
-        assert est.mean == 0.0 and est.se == 0.0
+        report = verify_prop2(ZERO_LAW, scheme, RADEMACHER, POWER2, 1.0, 2.0,
+                              2000, zero_rho(), seed=0)
+        for est in (report.lhs, report.mid, report.rhs):
+            assert est.mean == 0.0 and est.se == 0.0
+        assert all(m.se == 0.0 for m in report.margins)
 
     def test_gaussian_mean_square(self):
-        # Scalar iid Gaussian: E (column mean)^2 = 1/n.
+        # Scalar iid Gaussian: E (column mean)^2 = 1/n, prop2's lhs at q = 2.
         spec = DgpSpec("iid_gaussian", n=64, p=1)
         scheme = make_blocks(64, 8)
-        est = mc_expect_psi_max("plain", spec, scheme, RADEMACHER, POWER2,
-                                1.0, 20_000, seed=1)
+        est = verify_prop2(spec, scheme, RADEMACHER, POWER2, 1.0, 2.0, 20_000, zero_rho(),
+                           seed=1).lhs
         assert abs(est.mean - 1.0 / 64.0) < 3 * est.se
 
     def test_unit_multipliers_match_plain_per_replication(self):
@@ -95,18 +96,33 @@ class TestMcExpect:
         )
 
     def test_overflow_names_replication(self):
+        # The independence reduction's gauge overflows on a few of these
+        # panels; it must raise at the first of them, not report a violation.
         heavy = PsiSpec("exponential", a=200.0, b=3.0)
         spec = DgpSpec("iid_gaussian", n=4, p=1)
-        scheme = make_blocks(4, 2)
-        with pytest.raises(NonFiniteGaugeError, match="replication"):
-            mc_expect_psi_max("plain", spec, scheme, RADEMACHER, heavy,
-                              8.0, 2000, seed=2)
+        stats = stream_statistics(spec, 2000, 2, PURPOSE_LHS, make_blocks(4, 1), RADEMACHER,
+                                  copies=True)
+        with np.errstate(over="ignore"):
+            first = np.flatnonzero(np.isinf(np.expm1(200.0 * stats.mult_max**3)))[0]
+        with pytest.raises(NonFiniteGaugeError, match=f"at replication {first}$"):
+            verify_independence_reduction(spec, heavy, 2000, seed=2)
 
-    def test_mode_validation(self):
-        scheme = make_blocks(8, 2)
-        with pytest.raises(ValueError, match="mode"):
-            mc_expect_psi_max("median", ZERO_LAW, scheme, RADEMACHER, POWER1,
-                              1.0, 2000, seed=0)
+    def test_chain_overflow_names_replication(self):
+        # Sign panels of scale 2 reach |mean| = 2, where expm1(200 x**3)
+        # overflows, on one replication in eight.
+        heavy = PsiSpec("exponential", a=200.0, b=3.0)
+        spec = DgpSpec("bounded_rademacher", n=4, p=1, scale=2.0)
+        with pytest.raises(NonFiniteGaugeError, match=r"at replication \d+$"):
+            verify_prop1(spec, make_blocks(4, 2), RADEMACHER, heavy, 2.0, 2000, zero_rho(),
+                         seed=2)
+
+    def test_reps_floor(self):
+        for build in (lambda: verify_prop1(SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2,
+                                           1.0, 999, zero_rho(), seed=0),
+                      lambda: theorem1_bound(SIGNS_4x2, make_blocks(4, 2), RADEMACHER, 2.0,
+                                             2.0, 1.0, 999, zero_rho(), "lq", seed=0)):
+            with pytest.raises(ValueError, match="reps >= 1000"):
+                build()
 
 
 def brute_force_enumeration(spec, scheme, psi, scale=1.0):
@@ -164,12 +180,13 @@ def small_enumerable(draw):
 
 
 def ma1_mc_gap(mode):
-    """Distance in se of the MC estimate from the exact MA(1) sign-panel value."""
+    """Distance in se of prop1's lhs (``plain``) or mid (``multiplier``) from
+    the exact MA(1) sign-panel value; U = 1.5 is the panel's support bound."""
     sch = make_blocks(4, 2)
     exact = exact_enumeration(MA1_SIGNS_4x2, sch, RADEMACHER, POWER2)
-    target = exact.lhs if mode == "plain" else exact.mid
-    est = mc_expect_psi_max(mode, MA1_SIGNS_4x2, sch, RADEMACHER, POWER2,
-                            1.0, 20_000, seed=12)
+    report = verify_prop1(MA1_SIGNS_4x2, sch, RADEMACHER, POWER2, 1.5, 20_000, zero_rho(),
+                          seed=12)
+    est, target = (report.lhs, exact.lhs) if mode == "plain" else (report.mid, exact.mid)
     return abs(est.mean - target) / est.se
 
 
@@ -301,9 +318,9 @@ class TestExactEnumeration:
     def test_mc_estimators_match_enumeration(self, mode):
         sch = make_blocks(4, 2)
         exact = exact_enumeration(SIGNS_4x2, sch, RADEMACHER, POWER2)
-        target = exact.lhs if mode == "plain" else exact.mid
-        est = mc_expect_psi_max(mode, SIGNS_4x2, sch, RADEMACHER, POWER2,
-                                1.0, 20_000, seed=5)
+        report = verify_prop1(SIGNS_4x2, sch, RADEMACHER, POWER2, 1.0, 20_000, zero_rho(),
+                              seed=5)
+        est, target = (report.lhs, exact.lhs) if mode == "plain" else (report.mid, exact.mid)
         assert abs(est.mean - target) < 3 * est.se
 
     def test_indep_copy_mode_matches_brute_force(self):
@@ -465,7 +482,7 @@ class TestProp1:
         exact = exact_enumeration(SIGNS_4x2, sch, RADEMACHER, POWER2)
         assert abs(report.lhs.mean - exact.lhs) < 3 * report.lhs.se
         assert abs(report.mid.mean - exact.mid) < 3 * report.mid.se
-        assert abs(report.rhs.mean - exact.rhs) < 3 * report.rhs.se
+        assert report.rhs == report.lhs
 
     def test_report_serialization_round_trip(self):
         sch = make_blocks(4, 2)
@@ -732,6 +749,62 @@ class TestTheorem1:
         names = {m.name: m.verdict for m in report.margins}
         assert names["moment-bound"] != "violated"
         assert names["hoeffding-step"] != "violated"
+
+
+class TestOnePassChain:
+    """Every side of every check reads the one pass of the mid stream, and
+    each margin's se is the se of the per-replication differences of its
+    two sides."""
+
+    SPEC = DgpSpec("truncated_var1", n=16, p=3, phi=0.5, truncation=3.0)
+    SCHEME = make_blocks(16, 4)
+    REPS, SEED = 2000, 3
+
+    def mid_stream(self):
+        return stream_statistics(self.SPEC, self.REPS, self.SEED, PURPOSE_MID, self.SCHEME,
+                                 RADEMACHER)
+
+    @pytest.mark.parametrize("gain", [1.0, 2.0], ids=["prop1", "prop2"])
+    def test_chain_sides_and_paired_se(self, gain):
+        args = (self.SPEC, self.SCHEME, RADEMACHER, POWER2, 3.0)
+        report = (verify_prop1(*args, self.REPS, zero_rho(), self.SEED) if gain == 1.0
+                  else verify_prop2(*args, 2.0, self.REPS, zero_rho(), self.SEED))
+        stats = self.mid_stream()
+        lhs = psi_eval(POWER2, stats.max_abs_mean)
+        mid = psi_eval(POWER2, gain * stats.mult_max) / gain
+        rhs = psi_eval(POWER2, gain * stats.max_abs_mean) / gain
+        estimate = verify._estimate_from_values
+        assert (report.lhs, report.mid, report.rhs) == tuple(map(estimate, (lhs, mid, rhs)))
+        if gain == 1.0:
+            assert report.rhs == report.lhs
+        symmetrization, desymmetrization = report.margins
+        assert symmetrization.se == estimate(lhs - mid).se
+        assert desymmetrization.se == estimate(mid - rhs).se
+        assert symmetrization.margin == estimate(lhs - mid).mean - symmetrization.remainder
+
+    def test_moment_bound_paired_se(self):
+        q = 2.0
+        report = theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, q, 2.0, 3.0, self.REPS,
+                                zero_rho(), "lq", seed=self.SEED)
+        stats = self.mid_stream()
+        rem = report.remainders
+        lhs = stats.max_abs_mean**q
+        rhs = (rem["hoeffding_factor"] * stats.quad ** (q / 2.0)
+               + 0.5 * (rem["R1_used"] + rem["R2"]))
+        estimate = verify._estimate_from_values
+        assert (report.lhs, report.rhs) == (estimate(lhs), estimate(rhs))
+        main, hoeffding = report.margins
+        assert (main.margin, main.se) == (estimate(lhs - rhs).mean, estimate(lhs - rhs).se)
+        assert hoeffding.se == estimate(
+            stats.mult_max**q - rem["hoeffding_factor"] * stats.quad ** (q / 2.0)).se
+
+    def test_independence_paired_se(self):
+        spec = DgpSpec("iid_gaussian", n=16, p=3)
+        report = verify_independence_reduction(spec, POWER2, self.REPS, seed=self.SEED)
+        stats = stream_statistics(spec, self.REPS, self.SEED, PURPOSE_LHS, make_blocks(16, 1),
+                                  RADEMACHER, copies=True)
+        diff = psi_eval(POWER2, stats.mult_max) - psi_eval(POWER2, stats.max_abs_mean)
+        assert report.margins[0].se == verify._estimate_from_values(diff).se
 
 
 def cdf_integral_check(spec, psi, U, reps, seed, grid_points=401):
