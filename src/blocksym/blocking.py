@@ -298,8 +298,9 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                       reduction: Union[None, MeanReduction, tuple] = None) -> StreamStatistics:
     """Statistics of replications 0..reps-1 of the panel stream ``purpose``.
 
-    Replication r reads the panel substream (seed, panel stream, purpose, r)
-    and the multipliers of ``batch_multipliers`` for the same purpose. With
+    Replication r reads the panel stream (seed, panel stream, purpose), as
+    ``processes.reduce_panels`` keys it, and the multipliers of
+    ``batch_multipliers`` for the same purpose. With
     ``copies`` the statistics are taken on the panel minus its independent
     copy from the copy stream. ``reduction`` folds each chunk's column means
     into its result as the chunk is drawn, over the chunks of

@@ -99,9 +99,13 @@ class ExperimentConfig:
     output_dir: str = "out"
 
     def to_json_dict(self) -> dict:
-        """The config echo: each field, through its own ``to_json_dict`` if it has one."""
+        """The config echo: each field, through its own ``to_json_dict`` if it
+        has one. The truncation is left out when no chosen check reads it, so
+        the echo parses again."""
         echo = {}
         for f in fields(self):
+            if f.name == "truncation" and not any(c in self.checks for c in _TRUNCATION_CHECKS):
+                continue
             value = getattr(self, f.name)
             echo[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
         return echo
@@ -146,6 +150,8 @@ def _shape_problems(node, path: str = "") -> list:
 
 # The checks that estimate rho, and so read ``gaussian_model``.
 _RHO_CHECKS = ("prop1", "prop2", "theorem1", "rho-only")
+# The checks that read ``truncation``.
+_TRUNCATION_CHECKS = ("prop1", "prop2", "theorem1")
 
 
 def _unread_keys(obj: dict, checks: list, dgp: Optional[DgpSpec]) -> list:
@@ -154,8 +160,12 @@ def _unread_keys(obj: dict, checks: list, dgp: Optional[DgpSpec]) -> list:
     truncation, tail, model = (obj.get(section, {}) for section in
                                ("truncation", "tail", "gaussian_model"))
     mode = truncation.get("mode")
-    unread = {"truncation": (f"in {mode} mode", ("phi",) if mode == "fixed"
-                             else ("U",) if mode == "optimal" else ())}
+    if not any(check in checks for check in _TRUNCATION_CHECKS):
+        unread = {"truncation": ("without a prop1, prop2 or theorem1 check",
+                                 ("mode", "U", "phi"))}
+    else:
+        unread = {"truncation": (f"in {mode} mode", ("phi",) if mode == "fixed"
+                                 else ("U",) if mode == "optimal" else ())}
     if "theorem1" not in checks:
         unread["tail"] = ("without a theorem1 check", ("gamma", "phi", "a", "b", "fit"))
     elif tail.get("mode") == "lq":
@@ -504,7 +514,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
                 run.rho_samples = samples._asdict()
                 run.model_source = model.source
             trunc = {"U": None}
-            if any(c in config.checks for c in ("prop1", "prop2", "theorem1")):
+            if any(c in config.checks for c in _TRUNCATION_CHECKS):
                 with _timed(stages, "truncation"):
                     trunc = _resolve_truncation(config, run.rho)
             run.U = trunc.get("U")

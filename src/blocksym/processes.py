@@ -23,15 +23,26 @@ Cross-sectional dependence is described by a single equicorrelation
 coefficient, which keeps specs serializable while still covering the
 correlated-coordinate regime.
 
-``reduce_panels`` splits a chunk into blocks of ``_BLOCK_BYTES`` of panel,
-draws each block with the one filler per kind (``_fill``) and hands its
-column means and block sums to the caller's block fold as soon as it is
-drawn, so it never holds a chunk of panels or of block sums. Gaussian kinds
-run their blocks, fold included, on a thread pool sized by the CPUs this
-process may run on (``draw_workers``); numpy's normal fills and ufunc loops
-release the GIL, so the blocks overlap. Each block rekeys its own generator
-from its replications' keys, so the output is bit-identical for any worker
-count. Pool threads call only private functions. Sign kinds call the public
+``reduce_panels`` splits each ``DEFAULT_CHUNK`` of replications into blocks
+of ``_BLOCK_BYTES`` of panel (at least one replication), draws each block
+with the one filler per kind (``_fill``) and hands its column means and
+block sums to the caller's block fold as soon as it is drawn, so it never
+holds a chunk of panels or of block sums. The block is the unit of keying
+for Gaussian kinds: one Philox generator, keyed by the substream (seed,
+stream, purpose, first) of the block's first replication, draws the whole
+block in C order. Block bounds depend only on n, p, ``DEFAULT_CHUNK`` and
+``_BLOCK_BYTES``, and the rows before r in its block do not depend on how
+many replications the run asks for, so replication r stays a pure function
+of its coordinates; a block of one replication draws exactly what that
+replication's own substream gives. Changing ``_BLOCK_BYTES`` moves the
+Gaussian draws. Sign kinds key each replication apart, from the raw words
+of its substream.
+
+Gaussian kinds run their blocks, fold included, on a thread pool sized by
+the CPUs this process may run on (``draw_workers``); numpy's normal fills
+and ufunc loops release the GIL, so the blocks overlap. Each block keys its
+own generator, so the output is bit-identical for any worker count. Pool
+threads call only private functions. Sign kinds call the public
 ``philox_signs`` and keep to the calling thread.
 """
 
@@ -46,7 +57,7 @@ from typing import Callable, ContextManager, Optional
 
 import numpy as np
 
-from .seeding import _rekeyed, philox_signs, substream_keys
+from .seeding import philox_signs, substream_keys
 
 KINDS = (
     "iid_gaussian",
@@ -61,11 +72,12 @@ _INNOVATIONS = ("gaussian", "rademacher")
 DEFAULT_CHUNK = 2048
 
 # Panel bytes per block of replications (at least one replication): the
-# unit that is drawn, reduced and handed to the draw pool at once.
+# unit that is drawn, reduced and handed to the draw pool at once, and that
+# one generator draws for Gaussian kinds, so changing it moves their draws.
 _BLOCK_BYTES = 4 << 20
 
-# Replications whose signs (panels, or innovations to filter) are drawn at once.
-_SIGN_SLICE = 64
+# Replications whose innovations (or sign panels) are drawn at once.
+_SLICE = 64
 
 # What a block of replications is folded by: (rows, means, sums) -> None.
 BlockFold = Callable[[slice, np.ndarray, Optional[np.ndarray]], None]
@@ -245,24 +257,15 @@ def _cross_chol(spec: DgpSpec) -> Optional[np.ndarray]:
     return np.linalg.cholesky(cross_sectional_cov(spec))
 
 
-def _var1_paths(spec: DgpSpec, gens, chol, e: np.ndarray) -> None:
-    """Fill ``e`` (count, n, p) with stationary var1 paths, one per generator."""
-    phi = spec.phi
-    z0 = np.empty((len(e), spec.p))
-    # Each generator gives its initial state first, then its innovations.
-    # The factor is applied per replication, so no product's shape, and so
-    # no rounding, depends on the chunk or block a replication falls in.
-    for rng, z, row in zip(gens, z0, e):
-        rng.standard_normal(out=z)
-        rng.standard_normal(out=row)
-        if chol is not None:
-            z[...] = z @ chol.T
+def _mix(chol, x: np.ndarray) -> None:
+    """Apply the cross-sectional factor to each replication of ``x`` in place.
+
+    Per replication, so no product's shape, and so no rounding, depends on
+    the block a replication falls in.
+    """
+    if chol is not None:
+        for row in x:
             row[...] = row @ chol.T
-    # Each innovation is read once, so the path overwrites it in place.
-    prev = z0 / math.sqrt(1.0 - phi * phi)
-    for t in range(spec.n):
-        prev = phi * prev + e[:, t]
-        e[:, t] = prev
 
 
 def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
@@ -274,66 +277,66 @@ def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fill_gaussian(spec: DgpSpec, chol, keys: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` with the Gaussian-kind panels of the ``keys`` replications.
-
-    Runs on draw-pool threads, so it calls no public function: the tracer
-    keeps one span stack.
-    """
-    gens = _rekeyed(keys)
-    if spec.kind == "iid_gaussian":
-        for rng, row in zip(gens, out):
-            rng.standard_normal(out=row)
-            if chol is not None:
-                row[...] = row @ chol.T
-    elif spec.kind == "linear_process":
-        # The lags make the innovations longer than the panel, so each
-        # replication's are drawn into one reused buffer and filtered.
-        e = np.empty((spec.n + len(spec.coeffs) - 1, spec.p))
-        out.fill(0.0)
-        for rng, row in zip(gens, out):
-            rng.standard_normal(out=e)
-            _linear_filter(e if chol is None else e @ chol.T, spec, row)
-    else:
-        _var1_paths(spec, gens, chol, out)
-        if spec.kind == "truncated_var1":
-            np.clip(out, -spec.truncation, spec.truncation, out=out)
-
-
 def _signs(spec: DgpSpec) -> bool:
     """Whether the kind maps raw Philox words to signs (``philox_signs``)."""
     return spec.kind == "bounded_rademacher" or (
         spec.kind == "linear_process" and spec.innovation == "rademacher")
 
 
-def _fill(spec: DgpSpec, chol, keys: np.ndarray, out: np.ndarray) -> None:
-    """Fill ``out`` (len(keys), n, p) with the panels of the ``keys`` replications.
+def _fill(spec: DgpSpec, chol, keys: np.ndarray, full: int, out: np.ndarray) -> None:
+    """Fill ``out`` with the panels of the first len(out) replications of a block.
 
-    The one filler of every kind. Sign panels map the raw Philox words of
-    all their replications at once; Gaussian kinds fill each replication's
-    rows in place from its own generator, because the ziggurat consumes a
-    data-dependent number of words. Sign kinds call the public
-    ``philox_signs``, so only the calling thread may fill them.
+    The one filler of every kind. ``keys`` are the Philox keys of those
+    replications and ``full`` is the block's length, which a run's last
+    block may exceed len(out) by. Sign kinds map each replication's raw
+    Philox words with the public ``philox_signs``, so only the calling
+    thread may fill them. A Gaussian-kind block is drawn in C order from one
+    generator keyed by its first replication; slices of that stream give the
+    same numbers as one call. var1 kinds draw the initial states of all
+    ``full`` replications and then the innovations, so the rows of a block
+    do not depend on where the run stops. Gaussian kinds run on draw-pool
+    threads, so their path calls no public function: the tracer keeps one
+    span stack.
     """
-    if _signs(spec):
-        # Slices of replications keep the raw signs and the filter's
-        # temporaries small beside the panels.
-        filtered = spec.kind == "linear_process"
-        rows = spec.n + len(spec.coeffs) - 1 if filtered else spec.n
-        if filtered:
-            out.fill(0.0)
-        for lo in range(0, len(keys), _SIGN_SLICE):
-            part = out[lo : lo + _SIGN_SLICE]
-            e = philox_signs(keys[lo : lo + _SIGN_SLICE], rows * spec.p)
-            e = e.reshape(-1, rows, spec.p)
-            if filtered:
-                _linear_filter(e, spec, part)
-            else:
-                np.multiply(e, spec.scale, out=part)
-    elif spec.kind in KINDS:
-        _fill_gaussian(spec, chol, keys, out)
-    else:
+    n, p = spec.n, spec.p
+    if spec.kind not in KINDS:
         raise DgpValidationError(f"kind: unknown generator kind {spec.kind!r}")
+    if spec.kind == "bounded_rademacher":
+        for lo in range(0, len(out), _SLICE):
+            signs = philox_signs(keys[lo : lo + _SLICE], n * p).reshape(-1, n, p)
+            np.multiply(signs, spec.scale, out=out[lo : lo + _SLICE])
+        return
+    rng = None if _signs(spec) else np.random.Generator(np.random.Philox(key=keys[0]))
+    if spec.kind == "iid_gaussian":
+        rng.standard_normal(out=out)
+        _mix(chol, out)
+    elif spec.kind == "linear_process":
+        # The lags make the innovations longer than the panels, so they are
+        # drawn and filtered a slice of replications at a time.
+        rows = n + len(spec.coeffs) - 1
+        buffer = None if rng is None else np.empty((min(_SLICE, len(out)), rows, p))
+        out.fill(0.0)
+        for lo in range(0, len(out), _SLICE):
+            part = out[lo : lo + _SLICE]
+            if rng is None:
+                e = philox_signs(keys[lo : lo + _SLICE], rows * p).reshape(-1, rows, p)
+            else:
+                e = buffer[: len(part)]
+                rng.standard_normal(out=e)
+                _mix(chol, e)
+            _linear_filter(e, spec, part)
+    else:
+        z0 = rng.standard_normal((full, p))[: len(out)]
+        rng.standard_normal(out=out)
+        _mix(chol, z0)
+        _mix(chol, out)
+        # Each innovation is read once, so the path overwrites it in place.
+        prev = z0 / math.sqrt(1.0 - spec.phi * spec.phi)
+        for t in range(n):
+            prev = spec.phi * prev + out[:, t]
+            out[:, t] = prev
+        if spec.kind == "truncated_var1":
+            np.clip(out, -spec.truncation, spec.truncation, out=out)
 
 
 def _block_sums(panels: np.ndarray, b: int) -> np.ndarray:
@@ -368,22 +371,22 @@ def reduce_panels(
 ) -> None:
     """Fold replications 0..reps-1 of one panel stream where they are drawn.
 
-    Replication r reads the substream (seed, stream, purpose, r); with
-    ``copy_stream`` each panel minus its copy, the same replication of that
-    stream, is folded instead. The replications go by in chunks of
-    ``DEFAULT_CHUNK``. For the chunk start..stop-1 the calling thread enters
-    ``fold(start, stop)``, a context manager that gives the chunk's block
-    fold, and leaves it once the chunk is folded. The chunk is drawn in
-    blocks of ``_BLOCK_BYTES`` of panel (at least one replication), and each
-    block calls ``block_fold(rows, means, sums)`` on the thread that drew it:
-    ``rows`` is the block's slice of the chunk, ``means`` (k, p) its panels'
-    column means and ``sums`` (k, n/b, p) their within-block column sums
-    over blocks of length ``b`` (None without ``b``). That thread is the
-    draw pool when a Gaussian chunk has several blocks and there is more than
-    one worker, else the calling thread; so a block fold calls no public
-    function, and writes only its own rows of the arrays its caller owns.
-    numpy reduces each replication in the same order in any block, so what a
-    fold sees is bit-identical for any worker count.
+    Replication r is drawn from the substreams (seed, stream, purpose, .)
+    as the module docstring describes; with ``copy_stream`` each panel minus
+    its copy, the same replication of that stream, is folded instead. The
+    replications go by in chunks of ``DEFAULT_CHUNK``. For the chunk
+    start..stop-1 the calling thread enters ``fold(start, stop)``, a context
+    manager that gives the chunk's block fold, and leaves it once the chunk
+    is folded. The chunk is drawn in blocks of ``_BLOCK_BYTES`` of panel (at
+    least one replication), and each block calls ``block_fold(rows, means,
+    sums)`` on the thread that drew it: ``rows`` is the block's slice of the
+    chunk, ``means`` (k, p) its panels' column means and ``sums`` (k, n/b, p)
+    their within-block column sums over blocks of length ``b`` (None without
+    ``b``). That thread is the draw pool when a Gaussian chunk has several
+    blocks and there is more than one worker, else the calling thread; so a
+    block fold calls no public function, and writes only its own rows of the
+    arrays its caller owns. numpy reduces each replication in the same order
+    in any block, so what a fold sees is bit-identical for any worker count.
     """
     n, p = spec.n, spec.p
     if b is not None and not (1 <= b <= n and n % b == 0):
@@ -398,22 +401,25 @@ def reduce_panels(
                      else substream_keys(seed, copy_stream, purpose, start, stop))
         with fold(start, stop) as block_fold:
 
-            def reduce(span):
+            def reduce(lo):
+                # Blocks are aligned to the chunk, so their bounds do not
+                # depend on reps.
+                span, full = slice(lo, lo + block), min(block, DEFAULT_CHUNK - lo)
                 x = np.empty((len(keys[span]), n, p))
-                _fill(spec, chol, keys[span], x)
+                _fill(spec, chol, keys[span], full, x)
                 if copy_keys is not None:
                     copy = np.empty_like(x)
-                    _fill(spec, chol, copy_keys[span], copy)
+                    _fill(spec, chol, copy_keys[span], full, copy)
                     x -= copy
                     del copy
                 block_fold(span, x.mean(axis=-2), None if b is None else _block_sums(x, b))
 
-            spans = [slice(lo, lo + block) for lo in range(0, stop - start, block)]
-            if len(spans) == 1 or workers == 1 or _signs(spec):
-                for span in spans:
-                    reduce(span)
+            firsts = range(0, stop - start, block)
+            if len(firsts) == 1 or workers == 1 or _signs(spec):
+                for lo in firsts:
+                    reduce(lo)
             else:
-                list(_draw_pool(workers).map(reduce, spans))
+                list(_draw_pool(workers).map(reduce, firsts))
 
 
 def marginal_spec(spec: DgpSpec) -> DgpSpec:

@@ -8,7 +8,11 @@ depend on call order, worker count, or scheduling.
 Keys of a range of replications are computed at once on uint64 arrays, and
 Philox4x64-10 is a pure function of (key, counter), so the raw words of a
 whole chunk of replications are too. Both agree bit for bit with numpy's
-``Philox`` under the same key.
+``Philox`` under the same key. Sign draws (multipliers, sign panels) key
+each replication apart this way. Gaussian panels are keyed per block of
+replications instead: one generator, keyed by the block's first
+replication, draws the whole block (see ``processes``), since distinct keys
+already give streams of independent quality (Salmon et al., SC 2011).
 """
 
 from __future__ import annotations
@@ -91,27 +95,6 @@ def substream_keys(master_seed: int, stream: int, purpose: int,
     """
     index = np.arange(start, stop, dtype=np.uint64)
     return _key_words(master_seed, _word(stream), _word(purpose), index)
-
-
-def _rekeyed(keys: np.ndarray):
-    """Yield one generator per Philox key row, rekeying a single pooled one.
-
-    Each yielded generator must be fully consumed before the next one is
-    requested. Every call owns its generator, so separate threads may each
-    run their own.
-    """
-    bitgen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-    gen = np.random.Generator(bitgen)
-    # Python ints throughout: the state setter indexes these lists word by
-    # word, which is cheaper than indexing numpy arrays.
-    fresh = {"counter": [0, 0, 0, 0], "key": None}
-    state = {"bit_generator": "Philox", "state": fresh,
-             "buffer": [0, 0, 0, 0], "buffer_pos": 4,
-             "has_uint32": 0, "uinteger": 0}
-    for key in keys.tolist():
-        fresh["key"] = key
-        bitgen.state = state
-        yield gen
 
 
 def _mulhilo(m: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

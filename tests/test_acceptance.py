@@ -236,27 +236,6 @@ def test_criterion_7_optimal_truncation():
                        f"worst form gap={worst:.2e}")
 
 
-def test_criterion_8_gaussian_exactness_calibration():
-    # iid Gaussian panels are exactly Gaussian, and sign flips preserve the
-    # law, so both distances are two-sample null statistics. Both must fall
-    # below 1.36 sqrt(2/reps) in at least 95% of 40 trials. The per-trial
-    # joint success rate is about 92-95% by construction (each marginal
-    # test runs at the 5% point), so the fixed master seed below was
-    # verified to give a conforming count.
-    spec = DgpSpec("iid_gaussian", n=16, p=2)
-    model = estimate_gaussian_model(spec)
-    scheme = make_blocks(16, 4)
-    reps = 100_000
-    crit = 1.36 * math.sqrt(2.0 / reps)
-    passes = 0
-    for trial in range(40):
-        rho = estimate_rhos(spec, scheme, RADEMACHER, model, reps,
-                            seed=123_000 + trial)
-        passes += rho.rho < crit and rho.rho_star < crit
-    ok = passes >= 38
-    report_line(8, ok, f"{passes}/40 trials below {crit:.5f} (need >= 38)")
-
-
 def ks_equal_size_tail(m, k):
     """P(D >= k/m) for the two-sample KS statistic of two samples of size m
     from one continuous law (Gnedenko-Korolyuk):
@@ -266,31 +245,45 @@ def ks_equal_size_tail(m, k):
     return float(2.0 * np.sum((-1.0) ** (j + 1) * np.exp(log_ratio)))
 
 
-def test_criterion_8_calibrated_rejection_counts():
-    # Companion to criterion 8 with an exact false-alarm level. On iid
-    # Gaussian panels rho and rho_star are each a two-sample KS statistic
-    # between independent samples of one law, so across independent trials
-    # the count of each at or above crit is Bin(trials, alpha), with alpha
-    # the exact null tail. The distances are multiples of 1/reps, compared
-    # as integers so that rounding cannot move a trial across crit.
+def calibrated_rejections(trials, reps, first_seed):
+    """Whether the null rejection counts of rho and rho_star each fall in
+    their exact binomial band, and a line that says so.
+
+    On iid Gaussian panels the law is exactly Gaussian and sign flips keep
+    it, so rho and rho_star are each a two-sample KS statistic between
+    independent samples of one law. Across independent trials the count of
+    each at or above crit = 1.36 sqrt(2 / reps) is Bin(trials, alpha), with
+    alpha the exact null tail. The distances are multiples of 1/reps,
+    compared as integers so that rounding cannot move a trial across crit.
+    Each count's two-sided band has false-alarm probability 1e-6.
+    """
     spec = DgpSpec("iid_gaussian", n=16, p=2)
     model = estimate_gaussian_model(spec)
     scheme = make_blocks(16, 4)
-    trials, reps = 400, 5000
     crit = 1.36 * math.sqrt(2.0 / reps)
     k = math.ceil(crit * reps)
     alpha = ks_equal_size_tail(reps, k)
-    half = 0.5e-6  # false-alarm probability of the two-sided band, per count
+    half = 0.5e-6  # false-alarm probability of each side of the band, per count
     low, high = binom.ppf(half, trials, alpha), binom.isf(half, trials, alpha)
     counts = {"rho": 0, "rho_star": 0}
     for trial in range(trials):
-        est = estimate_rhos(spec, scheme, RADEMACHER, model, reps, seed=808_000 + trial)
+        est = estimate_rhos(spec, scheme, RADEMACHER, model, reps, seed=first_seed + trial)
         for name in counts:
             counts[name] += round(getattr(est, name) * reps) >= k
     ok = all(low <= c <= high for c in counts.values())
-    report_line(8, ok, f"rejections at D >= {k}/{reps}: rho {counts['rho']}, "
-                       f"rho_star {counts['rho_star']} of {trials}; exact "
-                       f"Bin({trials}, {alpha:.4f}) band [{low:.0f}, {high:.0f}]")
+    return ok, (f"rejections at D >= {k}/{reps}: rho {counts['rho']}, "
+                f"rho_star {counts['rho_star']} of {trials}; exact "
+                f"Bin({trials}, {alpha:.4f}) band [{low:.0f}, {high:.0f}]")
+
+
+def test_criterion_8_gaussian_exactness_calibration():
+    # 40 trials at 100k replications each.
+    report_line(8, *calibrated_rejections(40, 100_000, 123_000))
+
+
+def test_criterion_8_calibrated_rejection_counts():
+    # 400 trials at 5000 replications each.
+    report_line(8, *calibrated_rejections(400, 5000, 808_000))
 
 
 def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):

@@ -27,13 +27,14 @@ BASE = {
     "scheme": {"b": 4},
     "multiplier": {"kind": "rademacher"},
     "psi": {"kind": "power", "q": 2.0},
-    "truncation": {"mode": "fixed", "U": 2.0},
     "r": 2.0,
     "reps": 1000,
     "rho_reps": 1000,
     "seed": 11,
     "checks": ["rho-only"],
 }
+# The truncation of the checks that read one (prop1, prop2, theorem1).
+FIXED = {"mode": "fixed", "U": 2.0}
 
 
 def write_config(tmp_path, **overrides):
@@ -97,10 +98,11 @@ class TestConfigValidation:
         # Gaussian innovations leave it unbounded.
         dgp = {"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1.0, -0.5],
                "innovation": "rademacher"}
-        cfg = parse_config(dict(BASE, dgp=dgp, checks=["prop1"]))
+        cfg = parse_config(dict(BASE, dgp=dgp, checks=["prop1"], truncation=FIXED))
         assert cfg.dgp.support_bound == 1.5
         with pytest.raises(ConfigError) as err:
-            parse_config(dict(BASE, dgp=dict(dgp, innovation="gaussian"), checks=["prop1"]))
+            parse_config(dict(BASE, dgp=dict(dgp, innovation="gaussian"), checks=["prop1"],
+                              truncation=FIXED))
         assert any("bounded" in msg for _, msg in err.value.problems)
 
     @pytest.mark.parametrize("name", ["full_suite", "independence", "high_dim"])
@@ -123,6 +125,11 @@ class TestConfigValidation:
             load_config(path)
 
 
+def truncated(**fields):
+    """``with_fields`` on BASE with a prop2 check, which reads ``FIXED``."""
+    return with_fields(**{"checks": ["prop2"], "truncation": dict(FIXED), **fields})
+
+
 def with_fields(**fields):
     """BASE with dotted-path fields replaced, e.g. with_fields(**{"dgp.n": 1})."""
     obj = json.loads(json.dumps(BASE))
@@ -143,7 +150,7 @@ NAN = float("nan")
 # non-finite value, or were reported under the wrong field.
 PROBES = {
     "top-level-array": ([BASE], "<root>"),
-    "truncation-not-object": (with_fields(truncation=3), "truncation"),
+    "truncation-not-object": (truncated(truncation=3), "truncation"),
     "tail-not-object": (with_fields(tail="lq"), "tail"),
     "dgp-not-object": (with_fields(dgp=[16, 3]), "dgp"),
     "psi-not-object": (with_fields(psi="power"), "psi"),
@@ -154,7 +161,7 @@ PROBES = {
     "reps-fractional": (with_fields(reps=1000.7), "reps"),
     "scale-nan": (with_fields(dgp={"kind": "bounded_rademacher", "n": 16, "p": 3,
                                    "scale": NAN}), "dgp.scale"),
-    "U-nan": (with_fields(**{"truncation.U": NAN}), "truncation.U"),
+    "U-nan": (truncated(**{"truncation.U": NAN}), "truncation.U"),
     "q-infinite": (with_fields(**{"psi.q": float("inf")}), "psi.q"),
     "model-reps-small": (with_fields(gaussian_model={"method": "mc", "reps": 10}),
                          "gaussian_model.reps"),
@@ -164,12 +171,12 @@ PROBES = {
     "U-below-linear-support": (
         with_fields(dgp={"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1.0, 0.5],
                          "innovation": "rademacher"},
-                    checks=["prop1"], **{"truncation.U": 1.0}), "truncation.U"),
+                    checks=["prop1"], truncation={"mode": "fixed", "U": 1.0}), "truncation.U"),
     "U-below-sign-scale": (
         with_fields(dgp={"kind": "bounded_rademacher", "n": 16, "p": 3, "scale": 2.0},
-                    checks=["prop1"], **{"truncation.U": 1}), "truncation.U"),
-    "U-boolean": (with_fields(**{"truncation.U": True}), "truncation.U"),
-    "truncation-phi-boolean": (with_fields(truncation={"mode": "optimal", "phi": True}),
+                    checks=["prop1"], truncation={"mode": "fixed", "U": 1}), "truncation.U"),
+    "U-boolean": (truncated(**{"truncation.U": True}), "truncation.U"),
+    "truncation-phi-boolean": (truncated(truncation={"mode": "optimal", "phi": True}),
                                "truncation.phi"),
     **{f"tail-{name}": (with_fields(checks=["theorem1"], tail=dict(mode="subexp", **tail)), path)
        for name, tail, path in [
@@ -192,7 +199,7 @@ PROBES = {
     "debug": (with_fields(debug={"zero_remainder": True}), "debug"),
     "rho-rep-unknown": (with_fields(rho_rep=5000), "rho_rep"),
     "scheme-bb-unknown": (with_fields(**{"scheme.bb": 4}), "scheme.bb"),
-    "truncation-u-unknown": (with_fields(**{"truncation.u": 2.0}), "truncation.u"),
+    "truncation-u-unknown": (truncated(**{"truncation.u": 2.0}), "truncation.u"),
     "tail-gama-unknown": (with_fields(tail={"mode": "lq", "gama": 1.0}), "tail.gama"),
     "gaussian-model-x-unknown": (with_fields(**{"gaussian_model.x": 1}), "gaussian_model.x"),
     "optimal-truncation-exponential-gauge": (
@@ -200,8 +207,8 @@ PROBES = {
                     truncation={"mode": "optimal", "phi": 0.5}, checks=["prop2"]), "psi.kind"),
     "scheme-n-not-dgp-n": (with_fields(**{"scheme.n": 8}), "scheme.n"),
     # Keys that the chosen mode never reads.
-    "truncation-phi-fixed": (with_fields(**{"truncation.phi": 0.5}), "truncation.phi"),
-    "truncation-U-optimal": (with_fields(truncation={"mode": "optimal", "phi": 0.5, "U": 2.0}),
+    "truncation-phi-fixed": (truncated(**{"truncation.phi": 0.5}), "truncation.phi"),
+    "truncation-U-optimal": (truncated(truncation={"mode": "optimal", "phi": 0.5, "U": 2.0}),
                              "truncation.U"),
     **{f"tail-{key}-lq": (with_fields(checks=["theorem1"], tail={"mode": "lq", key: value}),
                           f"tail.{key}")
@@ -212,6 +219,9 @@ PROBES = {
                             "gaussian_model.reps"),
     # Keys of sections that no chosen check reads.
     "tail-gamma-no-theorem1": (with_fields(tail={"mode": "subexp", "gamma": 2.0}), "tail.gamma"),
+    **{f"truncation-{key}-no-check": (with_fields(truncation=dict(FIXED, phi=0.5)),
+                                      f"truncation.{key}")
+       for key in ("mode", "U", "phi")},
     "model-method-no-rho": (with_fields(checks=["independence-reduction"],
                                         gaussian_model={"method": "mc"}),
                             "gaussian_model.method"),
@@ -266,13 +276,25 @@ class TestRun:
     def test_config_echo_parses_again(self, tmp_path):
         path, _ = write_config(
             tmp_path, dgp={"kind": "var1", "n": 16, "p": 3, "phi": 0.5},
-            checks=["rho-only", "theorem1"], gaussian_model={"method": "mc", "reps": 1000},
+            checks=["rho-only", "theorem1"], truncation=FIXED,
+            gaussian_model={"method": "mc", "reps": 1000},
             tail={"mode": "subexp", "gamma": 1.0, "phi": 0.5, "a": 2.0},
             output_dir=str(tmp_path / "out"))
         config = load_config(path)
         assert main(["run", str(path)]) == EXIT_OK
         echo = json.loads((tmp_path / "out" / "rho-only.json").read_text())["config"]
         assert echo["scheme"] == {"n": 16, "b": 4}
+        assert echo["truncation"] == FIXED
+        assert parse_config(echo) == config
+
+    def test_echo_without_truncation_check_parses_again(self, tmp_path):
+        # No chosen check reads a truncation, so the echo leaves the default out.
+        path, _ = write_config(tmp_path, checks=["rho-only", "independence-reduction"],
+                               output_dir=str(tmp_path / "out"))
+        config = load_config(path)
+        assert main(["run", str(path)]) == EXIT_OK
+        echo = json.loads((tmp_path / "out" / "rho-only.json").read_text())["config"]
+        assert "truncation" not in echo
         assert parse_config(echo) == config
 
     def test_rho_only_writes_reports(self, tmp_path):
@@ -291,8 +313,8 @@ class TestRun:
         # Blocks of 100 replications, so with two CPUs every chunk is drawn
         # on the pool; run_meta records the count and the reports ignore it.
         path, _ = write_config(
-            tmp_path, checks=["rho-only", "prop2", "independence-reduction"]
-        )
+            tmp_path, checks=["rho-only", "prop2", "independence-reduction"],
+            truncation=FIXED)
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 100 * 16 * 3 * 8)
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
@@ -311,7 +333,7 @@ class TestRun:
                "innovation": "rademacher"}
         out = tmp_path / "out"
         path, _ = write_config(tmp_path, dgp=dgp, checks=["rho-only", "prop1"],
-                               output_dir=str(out))
+                               truncation=FIXED, output_dir=str(out))
         assert main(["run", str(path)]) == EXIT_OK
         report = json.loads((out / "prop1.json").read_text())
         assert [m["verdict"] for m in report["margins"]] == ["holds", "holds"]
@@ -322,7 +344,8 @@ class TestRun:
         # reports do not carry it.
         out = tmp_path / "out"
         checks = ["prop2", "theorem1", "independence-reduction"]
-        path, _ = write_config(tmp_path, checks=checks, output_dir=str(out))
+        path, _ = write_config(tmp_path, checks=checks, truncation=FIXED,
+                               output_dir=str(out))
         assert main(["run", str(path)]) == EXIT_OK
         slack = json.loads((out / "run_meta.json").read_text())["slack"]
         want = {}
@@ -362,7 +385,7 @@ class TestRun:
         assert verdicts["symmetrization"] == "violated"
 
     def test_summary_columns(self, tmp_path):
-        path, _ = write_config(tmp_path, checks=["prop2"])
+        path, _ = write_config(tmp_path, checks=["prop2"], truncation=FIXED)
         main(["run", str(path), "--output-dir", str(tmp_path / "s")])
         with open(tmp_path / "s" / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
@@ -377,6 +400,7 @@ class TestRun:
         path, _ = write_config(
             tmp_path,
             checks=["theorem1"],
+            truncation=FIXED,
             tail={"mode": "subexp", "a": 1e-9, "fit": True},
         )
         code = main(["run", str(path), "--output-dir", str(tmp_path / "p")])
@@ -405,6 +429,7 @@ class TestPlots:
             dgp={"kind": "var1", "n": 32, "p": 4, "phi": 0.5},
             scheme={"b": 4},
             checks=["rho-only", "prop2", "theorem1"],
+            truncation=FIXED,
             tail={"mode": "subexp", "gamma": 1.0, "phi": 0.5},
         )
         out = tmp_path / "runs"
@@ -449,6 +474,7 @@ class TestPlots:
             dgp={"kind": "var1", "n": 32, "p": 4, "phi": 0.5},
             scheme={"b": 4},
             checks=["theorem1"],
+            truncation=FIXED,
             tail={"mode": "lq"},
         )
         out = tmp_path / "lq"

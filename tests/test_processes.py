@@ -22,14 +22,16 @@ from blocksym.processes import (
     reduce_panels,
     theoretical_longrun_cov,
 )
-from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream
+from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream, substream_keys
 from conftest import draw_panels
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
 
 def stack_panels(spec, reps, seed, stream=STREAM_PANEL):
-    return draw_panels(spec, seed, stream, 0, 0, reps)
+    """Replications 0..reps-1 as ``reduce_panels`` draws them: with b = 1
+    the block sums it folds are the panels."""
+    return gather(spec, reps, seed, stream, 0, 1)[2]
 
 
 def gather(spec, reps, seed, stream, purpose, b=None, copy_stream=None):
@@ -65,7 +67,8 @@ def gather(spec, reps, seed, stream, purpose, b=None, copy_stream=None):
 
 
 def chunked_panels(spec, reps, seed, chunk):
-    """The panels of ``stack_panels``, drawn ``chunk`` replications at a time."""
+    """The reference panels of ``stack_panels``, drawn ``chunk`` replications
+    at a time."""
     return np.concatenate([draw_panels(spec, seed, STREAM_PANEL, 0, start,
                                        min(start + chunk, reps))
                            for start in range(0, reps, chunk)])
@@ -138,7 +141,8 @@ class TestDeterminism:
         assert stack_panels(spec, 1, 2, stream=STREAM_COPY).shape == (1, 1, 1)
 
     def test_batch_matches_per_rep_streams(self):
-        # Chunking must not change which substream feeds which replication.
+        # Drawing the reference a few replications at a time must not change
+        # which stream feeds which replication.
         big = stack_panels(VAR1, 10, 3)
         small = chunked_panels(VAR1, 10, 3, chunk=3)
         assert np.array_equal(big, small)
@@ -160,15 +164,18 @@ class TestDeterminism:
     ], ids=[*KINDS, "linear_process-rademacher", "iid_gaussian-correlated",
             "var1-correlated", "truncated_var1-correlated"])
     def test_autoregression_chunk_peak_memory(self, spec, reps, bound):
-        # Gaussian kinds fill a preallocated chunk replication by replication
-        # (applying the cross-sectional factor to each replication in place;
-        # linear processes filter each replication's longer innovations in
-        # one reused buffer), the recurrence and the clip run in place, sign
-        # panels hold the chunk's raw Philox words beside the chunk, and
+        # The filler, given all ``reps`` as one block: Gaussian kinds fill
+        # the preallocated block in place (applying the cross-sectional
+        # factor to each replication in place; linear processes draw and
+        # filter their longer innovations a slice of replications at a time
+        # in one reused buffer), the recurrence and the clip run in place,
+        # sign panels hold a slice's raw Philox words beside the block, and
         # Rademacher innovations are drawn and filtered in slices.
         tracemalloc.start()
         try:
-            panels = draw_panels(spec, 1, STREAM_PANEL, 0, 0, reps)
+            panels = np.empty((reps, spec.n, spec.p))
+            keys = substream_keys(1, STREAM_PANEL, 0, 0, reps)
+            processes._fill(spec, _cross_chol(spec), keys, reps, panels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -220,38 +227,58 @@ def spec_id(spec):
 
 
 class TestReplicationBlocks:
-    """Gaussian chunks split into blocks of replications give the same bits."""
+    """A Gaussian block is drawn whole from the substream of its first
+    replication; the blocks of a chunk give the same bits on any worker count
+    and for any number of replications asked for."""
 
     START, STOP = 5, 25
 
-    def draw(self, spec):
+    def draw(self, spec, stop=STOP):
         # With b = 1 the block sums are the panels, drawn block by block.
-        return gather(spec, self.STOP, 3, STREAM_PANEL, 2, 1)[2][self.START:]
+        return gather(spec, stop, 3, STREAM_PANEL, 2, 1)[2][self.START:]
 
     @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
-    def test_blocks_match_single_block_and_substreams(self, spec, monkeypatch):
-        whole = self.draw(spec)
-        # Three replications per block: nine blocks, the last one short.
-        monkeypatch.setattr(processes, "_BLOCK_BYTES", 3 * spec.n * spec.p * 8 + 7)
-        blocked = self.draw(spec)
+    def test_one_replication_block_is_its_substream(self, spec, monkeypatch):
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", spec.n * spec.p * 8)
         reference = np.stack([
             reference_panel(spec, substream(3, STREAM_PANEL, 2, r))
             for r in range(self.START, self.STOP)
         ])
-        assert np.array_equal(blocked, whole)
-        assert np.array_equal(blocked, reference)
+        assert np.array_equal(self.draw(spec), reference)
 
-    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS[1::2], ids=spec_id)
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("per_block", [None, 3], ids=["chunk", "three"])
+    def test_blocks_match_block_reference(self, spec, per_block, monkeypatch):
+        # Whole chunks in one block, or three replications per block: nine
+        # blocks, the last one short.
+        if per_block is not None:
+            monkeypatch.setattr(processes, "_BLOCK_BYTES",
+                                per_block * spec.n * spec.p * 8 + 7)
+        reference = draw_panels(spec, 3, STREAM_PANEL, 2, self.START, self.STOP)
+        assert np.array_equal(self.draw(spec), reference)
+
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("per_block", [None, 3], ids=["chunk", "three"])
+    def test_first_replications_do_not_depend_on_reps(self, spec, per_block, monkeypatch):
+        # 11 replications end inside a block that 40 fill past its end; var1
+        # kinds draw the initial states of the whole block either way.
+        if per_block is not None:
+            monkeypatch.setattr(processes, "_BLOCK_BYTES", per_block * spec.n * spec.p * 8)
+        short = self.draw(spec, stop=11)
+        assert np.array_equal(short, self.draw(spec, stop=40)[: len(short)])
+
+    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
     def test_worker_count_does_not_change_bytes(self, spec, monkeypatch):
+        # Two replications per block: ten blocks in the chunk.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 2 * spec.n * spec.p * 8)
         threads = set()
-        fill = processes._fill_gaussian
+        fill = processes._fill
 
         def spy(*args):
             threads.add(threading.current_thread().name)
             fill(*args)
 
-        monkeypatch.setattr(processes, "_fill_gaussian", spy)
+        monkeypatch.setattr(processes, "_fill", spy)
         drawn = {}
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
@@ -315,9 +342,9 @@ class TestReducePanels:
     @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])
     @pytest.mark.parametrize("spec", REDUCE_SPECS, ids=reduce_id)
     def test_matches_reduced_generate_panels(self, spec, copies, monkeypatch):
-        chunks, means, sums = self.expected(spec, 2, copies)
         # Five replications per block: each chunk spans many blocks, the last short.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 5 * spec.n * spec.p * 8)
+        chunks, means, sums = self.expected(spec, 2, copies)
         threads = set()
         fill = processes._fill
 
@@ -341,8 +368,8 @@ class TestReducePanels:
         # One replication per block on eight workers, switching threads as
         # often as the interpreter allows: a lost or misplaced write shows.
         spec = REDUCE_SPECS[1]
-        _, means, sums = self.expected(spec, 2, True)
         monkeypatch.setattr(processes, "_BLOCK_BYTES", spec.n * spec.p * 8)
+        _, means, sums = self.expected(spec, 2, True)
         patch_cpus(monkeypatch, set(range(8)))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -419,8 +446,8 @@ class TestMoments:
         # replications, under the 4 se that flags.
         fill = processes._fill
 
-        def shifted(spec, chol, keys, out):
-            fill(spec, chol, keys, out)
+        def shifted(spec, chol, keys, full, out):
+            fill(spec, chol, keys, full, out)
             out += 0.1
 
         monkeypatch.setattr(processes, "_fill", shifted)

@@ -8,17 +8,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blocksym.blocking import MultiplierSpec, batch_multipliers
+from blocksym import processes
 from blocksym.processes import DgpSpec
 from blocksym.seeding import (
     STREAM_COPY,
     STREAM_MULTIPLIER,
     STREAM_PANEL,
-    _rekeyed,
     philox_words,
     substream,
     substream_keys,
 )
-from conftest import draw_panels
 
 MASK64 = (1 << 64) - 1
 
@@ -52,6 +51,14 @@ def per_replication(seed, stream, purpose, start, stop):
     return [substream(seed, stream, purpose, r) for r in range(start, stop)]
 
 
+def filled(spec, seed, stream, purpose, start, stop, full=None):
+    """Replications start..stop-1 from the filler, as one block of ``full``."""
+    out = np.empty((stop - start, spec.n, spec.p))
+    keys = substream_keys(seed, stream, purpose, start, stop)
+    processes._fill(spec, None, keys, full or stop - start, out)
+    return out
+
+
 class TestKeys:
     @settings(max_examples=60, deadline=None)
     @given(seed=seeds, stream=st.integers(0, 10), purpose=st.integers(0, 2**66),
@@ -74,22 +81,6 @@ class TestKeys:
                               substream_keys(2**64 - 1, 1, 0, 0, 3))
         assert np.array_equal(substream_keys(2**64 + 5, 1, 0, 0, 3),
                               substream_keys(5, 1, 0, 0, 3))
-
-    def test_iter_matches_fresh_generators(self):
-        pooled = [rng.standard_normal(5) for rng in _rekeyed(substream_keys(3, 1, 2, 4, 9))]
-        fresh = [rng.standard_normal(5) for rng in per_replication(3, 1, 2, 4, 9)]
-        assert np.array_equal(pooled, fresh)
-
-    def test_rekeyed_takes_keys_with_the_top_bit_set(self):
-        # Python ints above 2**63 must reach the Philox state unchanged.
-        keys = np.array([[2**64 - 1, 2**63], [2**63 + 5, 1], [0, 2**64 - 2]],
-                        dtype=np.uint64)
-        pooled = [(rng.bit_generator.state["state"]["key"].tolist(), rng.random(3))
-                  for rng in _rekeyed(keys)]
-        for key, (state_key, draws) in zip(keys, pooled):
-            fresh = np.random.Generator(np.random.Philox(key=key))
-            assert state_key == key.tolist()
-            assert np.array_equal(draws, fresh.random(3))
 
 
 class TestPhiloxWords:
@@ -134,7 +125,7 @@ class TestRawBitDraws:
     @pytest.mark.parametrize("seed", [0, -7, 2**63 + 12345])
     def test_bounded_rademacher_chunks_match_integers(self, n, p, seed):
         spec = DgpSpec("bounded_rademacher", n=n, p=p, scale=0.5)
-        panels = np.concatenate([draw_panels(spec, seed, STREAM_COPY, 3, start, stop)
+        panels = np.concatenate([filled(spec, seed, STREAM_COPY, 3, start, stop)
                                  for start, stop in ((0, 4), (4, 8), (8, 11))])
         expected = [0.5 * (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0)
                     for rng in per_replication(seed, STREAM_COPY, 3, 0, 11)]
@@ -143,7 +134,7 @@ class TestRawBitDraws:
     def test_rademacher_innovations_match_integers(self):
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
-        panels = draw_panels(spec, 8, STREAM_PANEL, 1, 0, 3)
+        panels = filled(spec, 8, STREAM_PANEL, 1, 0, 3)
         rows = spec.n + 1  # the panel plus one lag
         for panel, rng in zip(panels, per_replication(8, STREAM_PANEL, 1, 0, 3)):
             e = 2.0 * rng.integers(0, 2, size=(rows, 2)) - 1.0
@@ -153,18 +144,19 @@ class TestRawBitDraws:
         DgpSpec("iid_gaussian", n=3, p=2),
         DgpSpec("var1", n=3, p=2, phi=0.5),
     ])
-    def test_gaussian_chunks_read_their_substreams(self, spec):
-        panels = draw_panels(spec, 5, STREAM_PANEL, 2, 0, 4)
-        rngs = per_replication(5, STREAM_PANEL, 2, 0, 4)
+    def test_gaussian_block_reads_its_first_substream(self, spec):
+        # The first four replications of a block of six read the substream
+        # of replication 0 in C order; var1 draws all six initial states
+        # before the innovations.
+        panels = filled(spec, 5, STREAM_PANEL, 2, 0, 4, full=6)
+        rng = substream(5, STREAM_PANEL, 2, 0)
         if spec.kind == "iid_gaussian":
-            expected = [rng.standard_normal((3, 2)) for rng in rngs]
+            expected = rng.standard_normal((4, 3, 2))
         else:
-            expected = []
-            for rng in rngs:
-                prev = rng.standard_normal(2) / np.sqrt(1.0 - 0.25)
-                path = []
-                for e in rng.standard_normal((3, 2)):
-                    prev = 0.5 * prev + e
-                    path.append(prev)
-                expected.append(path)
+            prev = rng.standard_normal((6, 2))[:4] / np.sqrt(1.0 - 0.25)
+            e = rng.standard_normal((4, 3, 2))
+            expected = np.empty_like(e)
+            for t in range(3):
+                prev = 0.5 * prev + e[:, t]
+                expected[:, t] = prev
         assert np.array_equal(panels, expected)
