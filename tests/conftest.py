@@ -5,7 +5,7 @@ import math
 import numpy as np
 
 from blocksym import processes
-from blocksym.processes import DEFAULT_CHUNK, cross_sectional_cov
+from blocksym.processes import DEFAULT_CHUNK
 from blocksym.seeding import substream
 
 
@@ -34,8 +34,7 @@ def gaussian_block(spec, rng, size):
     innovations. The cross-sectional factor is applied per replication.
     """
     n, p, lags = spec.n, spec.p, len(spec.coeffs) - 1
-    chol = None if spec.p == 1 or spec.cross_corr == 0.0 \
-        else np.linalg.cholesky(cross_sectional_cov(spec))
+    chol = processes._cross_chol(spec)
 
     def draw(*shape):
         g = rng.standard_normal((size, *shape))
