@@ -104,7 +104,7 @@ class ExperimentConfig:
         the echo parses again."""
         echo = {}
         for f in fields(self):
-            if f.name == "truncation" and not any(c in self.checks for c in _TRUNCATION_CHECKS):
+            if f.name == "truncation" and not _reads_truncation(self.checks):
                 continue
             value = getattr(self, f.name)
             echo[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
@@ -150,8 +150,11 @@ def _shape_problems(node, path: str = "") -> list:
 
 # The checks that estimate rho, and so read ``gaussian_model``.
 _RHO_CHECKS = ("prop1", "prop2", "theorem1", "rho-only")
-# The checks that read ``truncation``.
-_TRUNCATION_CHECKS = ("prop1", "prop2", "theorem1")
+
+
+def _reads_truncation(checks: list) -> bool:
+    """Whether one of ``checks`` reads the truncation (prop1, prop2, theorem1)."""
+    return any(check in checks for check in ("prop1", "prop2", "theorem1"))
 
 
 def _unread_keys(obj: dict, checks: list, dgp: Optional[DgpSpec]) -> list:
@@ -160,7 +163,7 @@ def _unread_keys(obj: dict, checks: list, dgp: Optional[DgpSpec]) -> list:
     truncation, tail, model = (obj.get(section, {}) for section in
                                ("truncation", "tail", "gaussian_model"))
     mode = truncation.get("mode")
-    if not any(check in checks for check in _TRUNCATION_CHECKS):
+    if not _reads_truncation(checks):
         unread = {"truncation": ("without a prop1, prop2 or theorem1 check",
                                  ("mode", "U", "phi"))}
     else:
@@ -514,7 +517,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
                 run.rho_samples = samples._asdict()
                 run.model_source = model.source
             trunc = {"U": None}
-            if any(c in config.checks for c in _TRUNCATION_CHECKS):
+            if _reads_truncation(config.checks):
                 with _timed(stages, "truncation"):
                     trunc = _resolve_truncation(config, run.rho)
             run.U = trunc.get("U")
