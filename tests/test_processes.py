@@ -290,10 +290,12 @@ class TestReplicationBlocks:
         assert drawn[1] == drawn[2]
 
     def test_rademacher_innovation_slices_match_substreams(self):
-        # 140 replications from an offset cross two slice boundaries.
+        # 140 replications from an offset cross two slice boundaries of the
+        # shipped sign filler.
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
-        panels = draw_panels(spec, 8, STREAM_PANEL, 1, 10, 150)
+        panels = np.empty((140, spec.n, spec.p))
+        processes._fill(spec, None, substream_keys(8, STREAM_PANEL, 1, 10, 150), 140, panels)
         reference = np.stack([reference_panel(spec, substream(8, STREAM_PANEL, 1, r))
                               for r in range(10, 150)])
         assert np.array_equal(panels, reference)
