@@ -2,8 +2,9 @@
 
 Usage: python scripts/report_digests.py [--check BENCH_<n>.json]
 
-Runs scripts/full_suite.json, scripts/independence.json and
-scripts/high_dim.json (p = 1000 >> n = 32) from a temporary working
+Runs scripts/full_suite.json, scripts/independence.json,
+scripts/high_dim.json (p = 1000 >> n = 32) and scripts/high_dim_1e4.json
+(the same shape at p = 10^4, about 40 s and 600 MB) from a temporary working
 directory, so each writes under its own ``output_dir`` there, and prints one
 line per report: ``<config> <file> <sha256>``. ``run_meta.json``
 records timings and versions, so it is left out; every other report is a
@@ -30,7 +31,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE.parent / "src"))
 
 from blocksym.cli import load_config, run_experiment  # noqa: E402
-CONFIGS = ("full_suite", "independence", "high_dim")
+CONFIGS = ("full_suite", "independence", "high_dim", "high_dim_1e4")
 
 
 def report_digests() -> tuple[dict, int]:

@@ -22,7 +22,7 @@ from .gaussian import (
 )
 from .processes import (
     DgpSpec,
-    theoretical_longrun_cov,
+    theoretical_longrun_variance,
 )
 from .psi import (
     CustomPsi,

@@ -20,12 +20,12 @@ max_i (1/n) sum_l S[l, i]^2 of theorem1. A request may also name reductions
 of the column means (``MeanGram``, ``PowerSums``, ``Exceedances``,
 ``MaxBelow``), one or a tuple of several, which are folded in chunk by chunk
 while the stream is drawn, over the same ``DEFAULT_CHUNK`` slices of
-replications whatever the blocks, so no (reps, p) means are kept. The panels
-themselves never reach this module: ``reduce_panels`` hands each block's
-column means and block sums to the fold of ``stream_statistics`` on the
-thread that drew the block, and the fold applies that chunk's multipliers,
-drawn beforehand on the calling thread, so no chunk of block sums is held
-either. Inside a ``shared_passes()`` block each distinct request is drawn
+replications whatever the blocks, so no (reps, p) means and no (p, p) Gram
+are kept. The panels themselves never reach this module: ``reduce_panels``
+hands each block's column means and block sums to the fold of
+``stream_statistics`` on the thread that drew the block, and the fold applies
+that chunk's multipliers, drawn beforehand on the calling thread, so no chunk
+of block sums is held either. Inside a ``shared_passes()`` block each distinct request is drawn
 once and served from the block's ledger afterwards. A request that names
 several reductions is filed under the key of each one alone, so one pass
 serves every later request for any of them, and the ledger lists its passes
@@ -157,16 +157,19 @@ def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
 
 @dataclass(frozen=True)
 class MeanGram:
-    """The (p, p) Gram sum_r (scale m_r)^T (scale m_r) of the column means."""
+    """The trace and total 1^T G 1 of the Gram G = sum_r (scale m_r)^T
+    (scale m_r) of the column means, shape (2,); G is never built."""
 
     scale: float
 
     def empty(self, reps: int, p: int) -> np.ndarray:
-        return np.zeros((p, p))
+        return np.zeros(2)
 
     def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
-        scaled = means * self.scale
-        out += scaled.T @ scaled
+        # einsum, not BLAS: BLAS threads left spinning slow the next draws.
+        sums = np.einsum("ij->i", means)
+        squares = (np.einsum("ij,ij->", means, means), np.einsum("i,i->", sums, sums))
+        out += np.multiply(self.scale**2, squares)
 
 
 @dataclass(frozen=True)

@@ -262,6 +262,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     gaussian_model = obj.get("gaussian_model", {})
     if gaussian_model.get("method") not in (None, "analytic", "mc"):
         problems.append(("gaussian_model.method", "expected analytic or mc"))
+    elif (gaussian_model.get("method") == "analytic" and dgp is not None
+          and not dgp.has_longrun_closed_form
+          and any(check in checks for check in _RHO_CHECKS)):
+        problems.append(("gaussian_model.method", f"{dgp.kind} has no closed form; use mc"))
 
     tail = obj.get("tail", {"mode": "lq"})
     if tail.get("mode") not in ("lq", "subexp"):

@@ -1,7 +1,9 @@
 """Gaussian comparison process and Kolmogorov distance estimation.
 
 The comparison process is the centered Gaussian vector whose covariance
-matches that of sqrt(n) times the panel column means. The distances of
+matches that of sqrt(n) times the panel column means. That covariance is
+equicorrelated, so a ``GaussianModel`` holds it as two eigenvalues and no
+p x p matrix is built, factored or multiplied. The distances of
 interest are sup-norm gaps between empirical CDFs of max-abs statistics:
 the plain statistic versus the Gaussian max, the block-multiplier statistic
 versus the Gaussian max, and the two simulated statistics directly.
@@ -16,11 +18,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .blocking import BlockScheme, MeanGram, MultiplierSpec, stream_statistics
-from .processes import DgpSpec, theoretical_longrun_cov
+from .processes import (DgpSpec, _eigenvariances, _equicorrelate, _is_real,
+                        theoretical_longrun_variance)
 from .seeding import PURPOSE_DEFAULT, PURPOSE_MODEL, STREAM_GAUSSIAN, substream
-
-_SYM_TOL = 1e-10
-_EIG_TOL = 1e-8
 
 # Pooled points whose CDF gap ``kolmogorov_distance`` evaluates at once.
 _KS_SLICE = 8192
@@ -30,40 +30,28 @@ class CovarianceError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaussianModel:
-    """Covariance of the comparison vector plus a sampling factor.
+    """The comparison law N(0, cov) in dimension ``p``, cov equicorrelated.
 
-    The matrix is symmetrized, then eigenvalues in [-tol * max_eig, 0) are
-    clipped to zero; anything more negative raises. Sampling uses the
-    symmetric square root.
+    ``parallel`` is the eigenvalue of cov along the all-ones vector and
+    ``perp`` across it: v (1 + (p - 1) c) and v (1 - c) for v ((1 - c) I +
+    c 11^T). Both finite and >= 0 is all it takes for cov to be PSD; at
+    p = 1 only ``parallel`` counts.
     """
 
-    cov: np.ndarray
+    p: int
+    parallel: float
+    perp: float
     source: str = "analytic"
 
     def __post_init__(self):
-        cov = np.asarray(self.cov, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise CovarianceError(f"covariance must be square, got {cov.shape}")
-        scale = max(1.0, float(np.abs(cov).max()))
-        if np.abs(cov - cov.T).max() > _SYM_TOL * scale:
-            raise CovarianceError("covariance is not symmetric within tolerance")
-        cov = 0.5 * (cov + cov.T)
-        eigvals, eigvecs = np.linalg.eigh(cov)
-        top = max(float(eigvals.max()), 0.0)
-        if eigvals.min() < -_EIG_TOL * max(top, 1e-300):
-            raise CovarianceError(
-                f"covariance is not PSD: min eigenvalue {eigvals.min():.3e} "
-                f"against top {top:.3e}"
-            )
-        clipped = np.clip(eigvals, 0.0, None)
-        self.cov = cov
-        self._factor = (eigvecs * np.sqrt(clipped)) @ eigvecs.T
-
-    @property
-    def p(self) -> int:
-        return self.cov.shape[0]
+        if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 1:
+            raise CovarianceError(f"p: expected an integer >= 1, got {self.p!r}")
+        for name in ("parallel", "perp"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
+                raise CovarianceError(f"{name}: expected a finite variance >= 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -124,28 +112,37 @@ def estimate_gaussian_model(
 ) -> GaussianModel:
     """Comparison covariance, analytically or by Monte Carlo.
 
-    The MC route averages outer products of sqrt(n) times the column means
-    over fresh panels; the mean is not recentered because every generator
-    kind is mean zero by construction.
+    The analytic route takes v ((1 - c) I + c 11^T), v the closed-form
+    long-run variance and c = ``cross_corr``. The MC route takes the
+    eigenvalues of the equicorrelated projection of G / reps, G the Gram of
+    sqrt(n) times the column means of fresh panels, from its trace T and
+    total 1^T G 1: total / (p reps) and (p T - total) / (p (p - 1) reps),
+    clipped at 0. Both are linear in G, so unbiased; the mean is not
+    recentered because every generator kind is mean zero by construction.
     """
     if method == "analytic":
-        return GaussianModel(cov=theoretical_longrun_cov(spec), source="analytic")
+        variances = _eigenvariances(theoretical_longrun_variance(spec), spec.cross_corr, spec.p)
+        return GaussianModel(spec.p, *variances, source="analytic")
     if method != "mc":
         raise ValueError(f"unknown model method {method!r}")
     if reps < 1000:
         raise ValueError(f"mc covariance needs reps >= 1000, got {reps}")
-    gram = stream_statistics(spec, reps, seed, PURPOSE_MODEL,
-                             reduction=MeanGram(math.sqrt(spec.n))).reduced
-    return GaussianModel(cov=gram / reps, source=f"mc({reps})")
+    trace, total = stream_statistics(spec, reps, seed, PURPOSE_MODEL,
+                                     reduction=MeanGram(math.sqrt(spec.n))).reduced
+    p = spec.p
+    parallel = float(total) / (p * reps)
+    perp = parallel if p == 1 else max(0.0, float(p * trace - total) / (p * (p - 1) * reps))
+    return GaussianModel(p, parallel, perp, source=f"mc({reps})")
 
 
 def sample_gaussian_max(model: GaussianModel, draws: int, seed: int) -> np.ndarray:
-    """iid draws of max_i |Z_i| with Z ~ N(0, cov)."""
+    """iid draws of max_i |Z_i| with Z ~ N(0, cov), from one (draws, p) array."""
     if draws < 1:
         raise ValueError(f"draws must be >= 1, got {draws}")
     rng = substream(seed, STREAM_GAUSSIAN)
-    z = rng.standard_normal((draws, model.p)) @ model._factor
-    return np.abs(z).max(axis=1)
+    z = rng.standard_normal((draws, model.p))
+    _equicorrelate(z, model.parallel, model.perp)
+    return np.abs(z, out=z).max(axis=1)
 
 
 def _ascending(x) -> np.ndarray:

@@ -19,9 +19,10 @@ Replication r is a pure function of (spec, seed, stream, purpose, r), so
 identical inputs give bit-identical results. Every kind is mean zero by
 construction (innovations are centered before filtering, and clipping a
 stationary law that is symmetric about zero keeps its mean exactly zero).
-Cross-sectional dependence is described by a single equicorrelation
-coefficient, which keeps specs serializable while still covering the
-correlated-coordinate regime.
+Cross-sectional dependence is a single equicorrelation coefficient c, so
+every long-run covariance is v ((1 - c) I + c 11^T): two numbers, never a
+p x p matrix. ``_equicorrelate`` applies its symmetric square root in place,
+to the Gaussian innovations here and to the comparison draws of ``gaussian``.
 
 ``reduce_panels`` splits each ``DEFAULT_CHUNK`` of replications into blocks
 of ``_BLOCK_BYTES`` of panel (at least one replication), draws each block
@@ -110,7 +111,7 @@ def from_fields(cls, obj: dict):
 
 
 class LongRunCovError(ValueError):
-    """No closed-form long-run covariance exists for the requested kind."""
+    """No closed-form long-run variance exists for the requested kind."""
 
 
 @dataclass(frozen=True)
@@ -213,7 +214,7 @@ class DgpSpec:
 
     @property
     def has_longrun_closed_form(self) -> bool:
-        """Whether ``theoretical_longrun_cov`` has a closed form for the kind."""
+        """Whether ``theoretical_longrun_variance`` has a closed form for the kind."""
         return self.kind != "truncated_var1"
 
     @property
@@ -243,29 +244,23 @@ class DgpSpec:
 # ---------------------------------------------------------------------------
 
 
-def cross_sectional_cov(spec: DgpSpec) -> np.ndarray:
-    """Innovation cross-sectional covariance implied by the spec."""
-    sigma = np.full((spec.p, spec.p), spec.cross_corr)
-    np.fill_diagonal(sigma, 1.0)
-    return sigma
+def _eigenvariances(v: float, c: float, p: int) -> tuple[float, float]:
+    """The eigenvalues of v ((1 - c) I + c 11^T) along 1 and across it."""
+    return v * (1.0 + (p - 1) * c), v * (1.0 - c)
 
 
-def _cross_chol(spec: DgpSpec) -> Optional[np.ndarray]:
-    """Cholesky factor of ``cross_sectional_cov``, or None when identity."""
-    if spec.p == 1 or spec.cross_corr == 0.0:
-        return None
-    return np.linalg.cholesky(cross_sectional_cov(spec))
-
-
-def _mix(chol, x: np.ndarray) -> None:
-    """Apply the cross-sectional factor to each replication of ``x`` in place.
-
-    Per replication, so no product's shape, and so no rounding, depends on
-    the block a replication falls in.
-    """
-    if chol is not None:
-        for row in x:
-            row[...] = row @ chol.T
+def _equicorrelate(x: np.ndarray, parallel: float, perp: float) -> None:
+    """Map each vector on the last axis of ``x`` in place by the symmetric
+    square root of the covariance with eigenvalue ``parallel`` along 1 and
+    ``perp`` across it: x -> sqrt(perp) x + (sqrt(parallel) - sqrt(perp))
+    mean(x). A vector's result does not depend on the block it falls in;
+    with both eigenvalues 1 nothing is done."""
+    across, along = math.sqrt(perp), math.sqrt(parallel)
+    shift = x.mean(axis=-1, keepdims=True) if along != across else None
+    if across != 1.0:
+        x *= across
+    if shift is not None:
+        x += np.multiply(shift, along - across, out=shift)
 
 
 def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
@@ -283,7 +278,7 @@ def _signs(spec: DgpSpec) -> bool:
         spec.kind == "linear_process" and spec.innovation == "rademacher")
 
 
-def _fill(spec: DgpSpec, chol, keys: np.ndarray, full: int, out: np.ndarray) -> None:
+def _fill(spec: DgpSpec, keys: np.ndarray, full: int, out: np.ndarray) -> None:
     """Fill ``out`` with the panels of the first len(out) replications of a block.
 
     The one filler of every kind. ``keys`` are the Philox keys of those
@@ -294,9 +289,10 @@ def _fill(spec: DgpSpec, chol, keys: np.ndarray, full: int, out: np.ndarray) -> 
     generator keyed by its first replication; slices of that stream give the
     same numbers as one call. var1 kinds draw the initial states of all
     ``full`` replications and then the innovations, so the rows of a block
-    do not depend on where the run stops. Gaussian kinds run on draw-pool
-    threads, so their path calls no public function: the tracer keeps one
-    span stack.
+    do not depend on where the run stops. Gaussian innovations and initial
+    states are equicorrelated by ``cross_corr``. Gaussian kinds run on
+    draw-pool threads, so their path calls no public function: the tracer
+    keeps one span stack.
     """
     n, p = spec.n, spec.p
     if spec.kind not in KINDS:
@@ -307,9 +303,10 @@ def _fill(spec: DgpSpec, chol, keys: np.ndarray, full: int, out: np.ndarray) -> 
             np.multiply(signs, spec.scale, out=out[lo : lo + _SLICE])
         return
     rng = None if _signs(spec) else np.random.Generator(np.random.Philox(key=keys[0]))
+    variances = _eigenvariances(1.0, spec.cross_corr, p)
     if spec.kind == "iid_gaussian":
         rng.standard_normal(out=out)
-        _mix(chol, out)
+        _equicorrelate(out, *variances)
     elif spec.kind == "linear_process":
         # The lags make the innovations longer than the panels, so they are
         # drawn and filtered a slice of replications at a time.
@@ -323,13 +320,13 @@ def _fill(spec: DgpSpec, chol, keys: np.ndarray, full: int, out: np.ndarray) -> 
             else:
                 e = buffer[: len(part)]
                 rng.standard_normal(out=e)
-                _mix(chol, e)
+                _equicorrelate(e, *variances)
             _linear_filter(e, spec, part)
     else:
         z0 = rng.standard_normal((full, p))[: len(out)]
         rng.standard_normal(out=out)
-        _mix(chol, z0)
-        _mix(chol, out)
+        _equicorrelate(z0, *variances)
+        _equicorrelate(out, *variances)
         # Each innovation is read once, so the path overwrites it in place.
         prev = z0 / math.sqrt(1.0 - spec.phi * spec.phi)
         for t in range(n):
@@ -391,7 +388,6 @@ def reduce_panels(
     n, p = spec.n, spec.p
     if b is not None and not (1 <= b <= n and n % b == 0):
         raise ValueError(f"block length must divide n (n={n}, b={b})")
-    chol = _cross_chol(spec)
     block = max(1, _BLOCK_BYTES // (n * p * 8))
     workers = draw_workers()
     for start in range(0, reps, DEFAULT_CHUNK):
@@ -406,10 +402,10 @@ def reduce_panels(
                 # depend on reps.
                 span, full = slice(lo, lo + block), min(block, DEFAULT_CHUNK - lo)
                 x = np.empty((len(keys[span]), n, p))
-                _fill(spec, chol, keys[span], full, x)
+                _fill(spec, keys[span], full, x)
                 if copy_keys is not None:
                     copy = np.empty_like(x)
-                    _fill(spec, chol, copy_keys[span], full, copy)
+                    _fill(spec, copy_keys[span], full, copy)
                     x -= copy
                     del copy
                 block_fold(span, x.mean(axis=-2), None if b is None else _block_sums(x, b))
@@ -427,8 +423,9 @@ def marginal_spec(spec: DgpSpec) -> DgpSpec:
     return replace(spec, n=1)
 
 
-def theoretical_longrun_cov(spec: DgpSpec) -> np.ndarray:
-    """Closed-form covariance of sqrt(n) times the panel column means.
+def theoretical_longrun_variance(spec: DgpSpec) -> float:
+    """Closed-form variance v of sqrt(n) times one panel column mean; the
+    long-run covariance is v ((1 - c) I + c 11^T), c = ``cross_corr``.
 
     Accumulates all lag autocovariances with the finite-n triangular
     weights (1 - |h|/n). Supported for the linear-filter kinds; the clipped
@@ -436,23 +433,20 @@ def theoretical_longrun_cov(spec: DgpSpec) -> np.ndarray:
     """
     if not spec.has_longrun_closed_form:
         raise LongRunCovError("no closed form; use MC covariance estimation")
-    sigma = cross_sectional_cov(spec)
     n = spec.n
     if spec.kind == "iid_gaussian":
-        return sigma
+        return 1.0
     if spec.kind == "bounded_rademacher":
-        return spec.scale**2 * np.eye(spec.p)
+        return spec.scale**2
     if spec.kind == "var1":
         h = np.arange(1, n)
         weight = 1.0 + 2.0 * np.sum((1.0 - h / n) * spec.phi**h)
-        return sigma * weight / (1.0 - spec.phi**2)
+        return float(weight / (1.0 - spec.phi**2))
     if spec.kind == "linear_process":
         a = np.asarray(spec.coeffs)
-        lags = len(a) - 1
-        c0 = float(np.dot(a, a))
-        weight = c0
-        for h in range(1, min(lags, n - 1) + 1):
+        weight = float(np.dot(a, a))
+        for h in range(1, min(len(a) - 1, n - 1) + 1):
             ch = float(np.dot(a[:-h], a[h:]))
             weight += 2.0 * (1.0 - h / n) * ch
-        return sigma * weight
+        return weight
     raise LongRunCovError(f"unsupported kind {spec.kind!r}")

@@ -26,19 +26,27 @@ def block_bounds(spec, start, stop):
     return bounds
 
 
+def equicorrelated(g, c):
+    """Standard normals ``g`` mapped along their last axis by the symmetric
+    square root of (1 - c) I + c 11^T, whose eigenvalues are 1 + (p - 1) c
+    along the all-ones vector and 1 - c across it."""
+    if c == 0.0:
+        return g
+    across, along = math.sqrt(1.0 - c), math.sqrt(1.0 + (g.shape[-1] - 1) * c)
+    return across * g + (along - across) * g.mean(axis=-1, keepdims=True)
+
+
 def gaussian_block(spec, rng, size):
     """``size`` Gaussian-kind panels drawn whole from the generator ``rng``.
 
     The block's normals go in C order: iid panels, or a linear process's
     longer innovations, or for var1 kinds all initial states and then all
-    innovations. The cross-sectional factor is applied per replication.
+    innovations, each equicorrelated by ``cross_corr``.
     """
     n, p, lags = spec.n, spec.p, len(spec.coeffs) - 1
-    chol = processes._cross_chol(spec)
 
     def draw(*shape):
-        g = rng.standard_normal((size, *shape))
-        return g if chol is None else np.stack([row @ chol.T for row in g])
+        return equicorrelated(rng.standard_normal((size, *shape)), spec.cross_corr)
 
     if spec.kind == "iid_gaussian":
         return draw(n, p)

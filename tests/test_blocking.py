@@ -355,7 +355,7 @@ class TestStreamLedger:
             # A request that names a reduction draws the stream again ...
             gram = stream_statistics(*args, reduction=MeanGram(1.0))
             assert sum(panel_calls.values()) == 2
-            assert gram.reduced.shape == (3, 3) and not gram.reduced.flags.writeable
+            assert gram.reduced.shape == (2,) and not gram.reduced.flags.writeable
             assert np.array_equal(gram.max_abs_mean, maxima.max_abs_mean)
             assert np.array_equal(gram.mult_max, maxima.mult_max)
             # ... and each request is then served by its own entry.
@@ -365,8 +365,8 @@ class TestStreamLedger:
             assert (ledger.drawn, ledger.reused) == (3, 2)
             assert ledger.kept_bytes == 0
         # Each entry keeps three (reps,) vectors: the two maxima and the
-        # quadratic block term.
-        assert ledger.kept_bytes == 3 * 3 * 50 * 8 + 2 * 3 * 3 * 8
+        # quadratic block term; each Gram entry its two sums.
+        assert ledger.kept_bytes == 3 * 3 * 50 * 8 + 2 * 2 * 8
         assert len(ledger) == 0
         assert [(record["reduction"], record["served"]) for record in ledger.passes] == \
             [(None, 1), ("MeanGram", 1), ("MeanGram", 0)]
@@ -391,7 +391,7 @@ class TestStreamLedger:
         diff = panels - copies
         eps = batch_multipliers(self.MULT, scheme.count, seed, purpose, 0, reps)
         means = diff.mean(axis=1)
-        assert np.array_equal(stats.reduced, means.T @ means)
+        assert np.array_equal(stats.reduced, reference_reduction(MeanGram(1.0), means))
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(diff))
         assert np.array_equal(stats.mult_max,
                               batch_multiplier_max(batch_block_sums(diff, scheme), eps, 8))
@@ -421,10 +421,11 @@ def reference_reduction(reduction, means):
               for start in range(0, len(means), DEFAULT_CHUNK)]
     absmeans, p = np.abs(means), means.shape[1]
     if isinstance(reduction, MeanGram):
-        acc = np.zeros((p, p))
+        acc = np.zeros(2)
         for chunk in chunks:
-            scaled = chunk * reduction.scale
-            acc += scaled.T @ scaled
+            sums = np.einsum("ij->i", chunk)
+            squares = (np.einsum("ij,ij->", chunk, chunk), np.einsum("i,i->", sums, sums))
+            acc += np.multiply(reduction.scale**2, squares)
         return acc
     if isinstance(reduction, PowerSums):
         out = []
@@ -470,6 +471,15 @@ class TestReductions:
         assert stats.reduced.dtype == want.dtype and np.array_equal(stats.reduced, want)
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
         assert np.array_equal(stats.mult_max, mult_stat(panels, self.SCHEME, eps))
+
+    def test_mean_gram_sums_are_trace_and_total(self):
+        # The two sums are the trace and 1^T G 1 of the (p, p) Gram G of the
+        # scaled column means over both chunks.
+        scale = math.sqrt(8)
+        stats = stream_statistics(self.SPEC, self.REPS, 5, 3, reduction=MeanGram(scale))
+        scaled = scale * draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS).mean(axis=1)
+        gram = scaled.T @ scaled
+        assert stats.reduced == pytest.approx([np.trace(gram), gram.sum()], rel=1e-12)
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
     def test_several_reductions_in_one_pass(self, cpus, panel_calls, monkeypatch):
@@ -552,11 +562,11 @@ def kept_bytes(reps, p, orders):
     Five streams keep their (reps,) maxima, the rho and mid streams their
     multiplier maxima and quadratic block terms, and the tail stream its
     largest mean below U: ten vectors. No stream keeps (reps, p) means:
-    the model stream keeps its (p, p) Gram, and the tail stream its int64
+    the model stream keeps the two sums of its Gram, and the tail stream its int64
     counts at eight levels per coordinate and two power sums per coordinate
     at each of its ``orders`` orders.
     """
-    return 8 * (10 * reps + p * p + 8 * p + 2 * orders * p)
+    return 8 * (10 * reps + 2 + 8 * p + 2 * orders * p)
 
 
 class TestSharedRun:

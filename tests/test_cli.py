@@ -105,7 +105,8 @@ class TestConfigValidation:
                               truncation=FIXED))
         assert any("bounded" in msg for _, msg in err.value.problems)
 
-    @pytest.mark.parametrize("name", ["full_suite", "independence", "high_dim"])
+    @pytest.mark.parametrize("name", ["full_suite", "independence", "high_dim",
+                                      "high_dim_1e4"])
     def test_bundled_configs_validate(self, name, capsys):
         path = SCRIPTS / f"{name}.json"
         assert main(["validate", str(path)]) == EXIT_OK
@@ -227,6 +228,10 @@ PROBES = {
                             "gaussian_model.method"),
     "model-reps-closed-form": (with_fields(gaussian_model={"reps": 5000}),
                                "gaussian_model.reps"),
+    # A run would stop at the model with LongRunCovError.
+    "model-analytic-no-closed-form": (
+        with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5},
+                    gaussian_model={"method": "analytic"}), "gaussian_model.method"),
 }
 
 

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from blocksym.gaussian import (
     sample_gaussian_max,
     simulate_max_statistics,
 )
-from blocksym.processes import DgpSpec
-from blocksym.seeding import substream
+from blocksym.processes import DgpSpec, theoretical_longrun_variance
+from blocksym.seeding import PURPOSE_MODEL, STREAM_GAUSSIAN, STREAM_PANEL, substream
+from conftest import draw_panels
 
 
 def dkw_two_sample_bound(reps: int, alpha: float = 0.05) -> float:
@@ -190,66 +192,135 @@ class TestKolmogorovDistance:
         assert exceed <= 5
 
 
+def equicorrelated_cov(p, v, c):
+    """v ((1 - c) I + c 11^T) as a (p, p) matrix."""
+    return v * ((1.0 - c) * np.eye(p) + c * np.ones((p, p)))
+
+
 class TestGaussianModel:
-    def test_symmetry_enforced(self):
-        with pytest.raises(CovarianceError, match="symmetric"):
-            GaussianModel(cov=np.array([[1.0, 0.5], [0.1, 1.0]]))
+    @pytest.mark.parametrize("kwargs, field", [
+        (dict(p=2, parallel=-0.1, perp=1.0), "parallel"),
+        (dict(p=2, parallel=1.0, perp=-1e-12), "perp"),
+        (dict(p=2, parallel=math.nan, perp=1.0), "parallel"),
+        (dict(p=2, parallel=1.0, perp=math.inf), "perp"),
+        (dict(p=2, parallel="1.0", perp=1.0), "parallel"),
+        (dict(p=0, parallel=1.0, perp=1.0), "p"),
+        (dict(p=2.0, parallel=1.0, perp=1.0), "p"),
+    ], ids=["parallel-negative", "perp-negative", "parallel-nan", "perp-inf",
+            "parallel-string", "p-zero", "p-float"])
+    def test_range_check_names_the_field(self, kwargs, field):
+        with pytest.raises(CovarianceError, match=f"^{field}: "):
+            GaussianModel(**kwargs)
 
-    def test_negative_definite_rejected(self):
-        with pytest.raises(CovarianceError, match="PSD"):
-            GaussianModel(cov=np.array([[1.0, 0.0], [0.0, -0.5]]))
-
-    def test_tiny_negative_eigenvalue_clipped(self):
-        cov = np.array([[1.0, 1.0], [1.0, 1.0 - 1e-12]])
-        model = GaussianModel(cov=cov)
-        draws = sample_gaussian_max(model, 100, seed=0)
-        assert np.all(np.isfinite(draws))
-
-    def test_zero_matrix_draws_zero(self):
-        model = GaussianModel(cov=np.zeros((3, 3)))
+    def test_zero_variance_draws_zero(self):
+        model = GaussianModel(3, 0.0, 0.0)
         assert np.all(sample_gaussian_max(model, 50, seed=1) == 0.0)
 
 
 class TestSampleGaussianMax:
     def test_half_normal_mean(self):
-        draws = sample_gaussian_max(GaussianModel(cov=np.eye(1)), 100_000, seed=3)
+        draws = sample_gaussian_max(GaussianModel(1, 1.0, 1.0), 100_000, seed=3)
         se = draws.std(ddof=1) / math.sqrt(len(draws))
         assert abs(draws.mean() - math.sqrt(2.0 / math.pi)) < 4 * se
 
     def test_perfectly_correlated_pair_matches_scalar(self):
-        ones = GaussianModel(cov=np.ones((2, 2)))
-        scalar = GaussianModel(cov=np.eye(1))
+        ones = GaussianModel(2, 2.0, 0.0)
+        scalar = GaussianModel(1, 1.0, 1.0)
         m = 20_000
         a = sample_gaussian_max(ones, m, seed=5)
         b = sample_gaussian_max(scalar, m, seed=6)
         assert kolmogorov_distance(a, b) < dkw_two_sample_bound(m, alpha=0.05)
 
+    @pytest.mark.parametrize("p, v, c", [(3, 1.7, -0.4), (20, 0.8, 0.6)])
+    def test_law_matches_cholesky_reference(self, p, v, c):
+        # max |Z| against Z = L g, L the Cholesky factor of the covariance,
+        # at a negative and a positive correlation.
+        m = 200_000
+        cov = equicorrelated_cov(p, v, c)
+        model = GaussianModel(p, v * (1.0 + (p - 1) * c), v * (1.0 - c))
+        reference = np.abs(np.random.default_rng(7).standard_normal((m, p))
+                           @ np.linalg.cholesky(cov).T).max(axis=1)
+        assert kolmogorov_distance(sample_gaussian_max(model, m, seed=8), reference) \
+            < dkw_two_sample_bound(m, alpha=1e-4)
+
+    @pytest.mark.parametrize("spec", [
+        DgpSpec("iid_gaussian", n=8, p=5),
+        DgpSpec("var1", n=16, p=20, phi=0.5),
+        DgpSpec("linear_process", n=8, p=7, coeffs=(1.0, 0.5, -0.25)),
+        DgpSpec("bounded_rademacher", n=8, p=3, scale=1.7),
+    ], ids=lambda spec: spec.kind)
+    def test_uncorrelated_analytic_model_scales_its_normals(self, spec):
+        # With cross_corr 0 the draws are sqrt(v) times the normals of the
+        # Gaussian substream, bit for bit.
+        v = theoretical_longrun_variance(spec)
+        g = substream(9, STREAM_GAUSSIAN).standard_normal((500, spec.p))
+        assert np.array_equal(sample_gaussian_max(estimate_gaussian_model(spec), 500, seed=9),
+                              np.abs(math.sqrt(v) * g).max(axis=1))
+
     def test_draw_count_validation(self):
         with pytest.raises(ValueError):
-            sample_gaussian_max(GaussianModel(cov=np.eye(1)), 0, seed=0)
+            sample_gaussian_max(GaussianModel(1, 1.0, 1.0), 0, seed=0)
 
 
 class TestEstimateGaussianModel:
     def test_analytic_identity(self):
         model = estimate_gaussian_model(DgpSpec("iid_gaussian", n=8, p=2))
-        assert np.allclose(model.cov, np.eye(2))
-        assert model.source == "analytic"
+        assert model == GaussianModel(2, 1.0, 1.0, source="analytic")
+
+    def test_analytic_equicorrelated(self):
+        spec = DgpSpec("linear_process", n=8, p=4, coeffs=(1.0, 0.5), cross_corr=-0.2)
+        v = theoretical_longrun_variance(spec)
+        model = estimate_gaussian_model(spec)
+        eigenvalues = np.linalg.eigvalsh(equicorrelated_cov(4, v, -0.2))
+        assert (model.perp, model.parallel) == pytest.approx(
+            (eigenvalues[-1], eigenvalues[0]), rel=1e-12)
 
     def test_mc_consistent_on_iid(self):
         spec = DgpSpec("iid_gaussian", n=8, p=2)
         model = estimate_gaussian_model(spec, method="mc", reps=40_000, seed=2)
-        # Entrywise within 4 MC standard errors of the identity; the
-        # variance of a product of standard normals is at most 2 here.
+        # At p = 2 both eigenvalues are means of a chi-square(1) variable,
+        # (s1 + s2)^2 / 2 and (s1 - s2)^2 / 2, of variance 2.
         se = math.sqrt(2.0 / 40_000)
-        assert np.abs(model.cov - np.eye(2)).max() < 4 * se * 1.5
+        assert abs(model.parallel - 1.0) < 4 * se and abs(model.perp - 1.0) < 4 * se
 
     def test_mc_matches_analytic_var1(self):
         spec = DgpSpec("var1", n=32, p=1, phi=0.5)
-        analytic = estimate_gaussian_model(spec).cov[0, 0]
-        mc = estimate_gaussian_model(spec, method="mc", reps=40_000, seed=3).cov[0, 0]
+        analytic = estimate_gaussian_model(spec).parallel
+        mc = estimate_gaussian_model(spec, method="mc", reps=40_000, seed=3)
+        assert mc.perp == mc.parallel
         # Var of the squared statistic is about 2 * analytic^2.
         se = math.sqrt(2.0) * analytic / math.sqrt(40_000)
-        assert abs(mc - analytic) < 4 * se
+        assert abs(mc.parallel - analytic) < 4 * se
+
+    def test_mc_recovers_brute_force_gram(self):
+        # The clipped autoregression has no closed form. Its MC eigenvalues
+        # against those read from the (p, p) Gram of independent panels,
+        # each within 4 se of the difference of two such estimates.
+        spec = DgpSpec("truncated_var1", n=16, p=5, phi=0.5, truncation=1.5, cross_corr=0.3)
+        reps, p = 20_000, spec.p
+        model = estimate_gaussian_model(spec, method="mc", reps=reps, seed=4)
+        scaled = math.sqrt(spec.n) * draw_panels(spec, 40, STREAM_PANEL, PURPOSE_MODEL,
+                                                 0, reps).mean(axis=1)
+        gram = scaled.T @ scaled
+        parallel = gram.sum() / (p * reps)
+        perp = (p * np.trace(gram) - gram.sum()) / (p * (p - 1) * reps)
+        # Per replication the two estimates average these terms.
+        along = scaled.sum(axis=1) ** 2 / p
+        across = (p * (scaled**2).sum(axis=1) - scaled.sum(axis=1) ** 2) / (p * (p - 1))
+        for got, want, terms in ((model.parallel, parallel, along),
+                                 (model.perp, perp, across)):
+            se = math.sqrt(2.0) * terms.std(ddof=1) / math.sqrt(reps)
+            assert abs(got - want) < 4 * se
+        assert model.parallel > 2 * model.perp  # the correlation shows
+
+    def test_mc_clips_tiny_negative_perp(self, monkeypatch):
+        # Sums of perfectly correlated means may round p T - total below 0.
+        def sums(*args, **kwargs):
+            return SimpleNamespace(reduced=np.array([1000.0, 2000.0 + 1e-9]))
+
+        monkeypatch.setattr(gaussian, "stream_statistics", sums)
+        model = estimate_gaussian_model(DgpSpec("iid_gaussian", n=8, p=2), "mc", reps=1000)
+        assert (model.parallel, model.perp) == (pytest.approx(1.0), 0.0)
 
     def test_unsupported_analytic_kind_points_to_mc(self):
         spec = DgpSpec("truncated_var1", n=8, p=1, phi=0.5)

@@ -18,12 +18,11 @@ from blocksym.processes import (
     DgpSpec,
     DgpValidationError,
     LongRunCovError,
-    _cross_chol,
     reduce_panels,
-    theoretical_longrun_cov,
+    theoretical_longrun_variance,
 )
 from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream, substream_keys
-from conftest import draw_panels
+from conftest import draw_panels, equicorrelated
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
@@ -148,8 +147,8 @@ class TestDeterminism:
         assert np.array_equal(big, small)
 
     def test_correlated_var1_independent_of_chunking(self):
-        # The cross-sectional factor is applied per replication, so no
-        # product's shape depends on how many replications share a chunk.
+        # Each vector is equicorrelated by its own mean, so no row's result
+        # depends on how many replications share a chunk.
         spec = DgpSpec("var1", n=8, p=50, phi=0.5, cross_corr=0.05)
         assert np.array_equal(stack_panels(spec, 300, 5),
                               chunked_panels(spec, 300, 5, chunk=7))
@@ -165,17 +164,17 @@ class TestDeterminism:
             "var1-correlated", "truncated_var1-correlated"])
     def test_autoregression_chunk_peak_memory(self, spec, reps, bound):
         # The filler, given all ``reps`` as one block: Gaussian kinds fill
-        # the preallocated block in place (applying the cross-sectional
-        # factor to each replication in place; linear processes draw and
-        # filter their longer innovations a slice of replications at a time
-        # in one reused buffer), the recurrence and the clip run in place,
+        # the preallocated block in place (equicorrelating it in place beside
+        # one mean per vector; linear processes draw and filter their longer
+        # innovations a slice of replications at a time in one reused
+        # buffer), the recurrence and the clip run in place,
         # sign panels hold a slice's raw Philox words beside the block, and
         # Rademacher innovations are drawn and filtered in slices.
         tracemalloc.start()
         try:
             panels = np.empty((reps, spec.n, spec.p))
             keys = substream_keys(1, STREAM_PANEL, 0, 0, reps)
-            processes._fill(spec, _cross_chol(spec), keys, reps, panels)
+            processes._fill(spec, keys, reps, panels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -189,10 +188,8 @@ def reference_panel(spec, rng):
     Covers the Gaussian kinds and linear processes with Rademacher
     innovations (numpy's integers on {0, 1}).
     """
-    chol = _cross_chol(spec)
-
     def mix(draws):
-        return draws if chol is None else draws @ chol.T
+        return equicorrelated(draws, spec.cross_corr)
 
     n, lags = spec.n, len(spec.coeffs) - 1
     if spec.kind == "iid_gaussian":
@@ -295,7 +292,7 @@ class TestReplicationBlocks:
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
         panels = np.empty((140, spec.n, spec.p))
-        processes._fill(spec, None, substream_keys(8, STREAM_PANEL, 1, 10, 150), 140, panels)
+        processes._fill(spec, substream_keys(8, STREAM_PANEL, 1, 10, 150), 140, panels)
         reference = np.stack([reference_panel(spec, substream(8, STREAM_PANEL, 1, r))
                               for r in range(10, 150)])
         assert np.array_equal(panels, reference)
@@ -448,8 +445,8 @@ class TestMoments:
         # replications, under the 4 se that flags.
         fill = processes._fill
 
-        def shifted(spec, chol, keys, full, out):
-            fill(spec, chol, keys, full, out)
+        def shifted(spec, keys, full, out):
+            fill(spec, keys, full, out)
             out += 0.1
 
         monkeypatch.setattr(processes, "_fill", shifted)
@@ -493,13 +490,16 @@ class TestMoments:
 class TestLongRunCov:
     def test_iid_identity(self):
         spec = DgpSpec("iid_gaussian", n=16, p=3)
-        assert np.allclose(theoretical_longrun_cov(spec), np.eye(3))
+        assert theoretical_longrun_variance(spec) == 1.0
 
     def test_iid_equicorrelated(self):
+        # cross_corr sets the correlation, not the variance.
         spec = DgpSpec("iid_gaussian", n=16, p=3, cross_corr=0.4)
-        cov = theoretical_longrun_cov(spec)
-        assert cov[0, 1] == pytest.approx(0.4)
-        assert cov[0, 0] == pytest.approx(1.0)
+        assert theoretical_longrun_variance(spec) == 1.0
+
+    def test_rademacher_scale_squared(self):
+        spec = DgpSpec("bounded_rademacher", n=16, p=3, scale=1.5)
+        assert theoretical_longrun_variance(spec) == 2.25
 
     def test_var1_against_double_sum(self):
         # Brute-force O(n^2) double summation of autocovariances.
@@ -508,11 +508,11 @@ class TestLongRunCov:
         brute = sum(
             0.5 ** abs(s - t) * gamma0 for s in range(64) for t in range(64)
         ) / 64.0
-        assert theoretical_longrun_cov(spec)[0, 0] == pytest.approx(brute, rel=1e-12)
+        assert theoretical_longrun_variance(spec) == pytest.approx(brute, rel=1e-12)
 
     def test_linear_trivial_filter_reduces_to_iid(self):
         spec = DgpSpec("linear_process", n=16, p=2, coeffs=(1.0,))
-        assert np.allclose(theoretical_longrun_cov(spec), np.eye(2))
+        assert theoretical_longrun_variance(spec) == 1.0
 
     def test_linear_against_double_sum(self):
         coeffs = (1.0, 0.7, -0.3)
@@ -525,22 +525,24 @@ class TestLongRunCov:
             return float(np.dot(a[: len(a) - h], a[h:])) if h < len(a) else 0.0
 
         brute = sum(gamma(s - t) for s in range(n) for t in range(n)) / n
-        assert theoretical_longrun_cov(spec)[0, 0] == pytest.approx(brute, rel=1e-12)
+        assert theoretical_longrun_variance(spec) == pytest.approx(brute, rel=1e-12)
 
     def test_truncated_has_no_closed_form(self):
         spec = DgpSpec("truncated_var1", n=16, p=1, phi=0.5)
         with pytest.raises(LongRunCovError, match="MC covariance"):
-            theoretical_longrun_cov(spec)
+            theoretical_longrun_variance(spec)
 
     def test_matches_mc_covariance(self):
-        # Covariance of sqrt(n) * column means over replications; for the
-        # near-Gaussian statistic Var(s_i s_j) = c_ii c_jj + c_ij^2.
+        # Covariance of sqrt(n) * column means over replications against
+        # v ((1 - c) I + c 11^T); for the near-Gaussian statistic
+        # Var(s_i s_j) = c_ii c_jj + c_ij^2.
         spec = DgpSpec("var1", n=64, p=4, phi=0.5, cross_corr=0.3)
         reps = 10_000
         panels = stack_panels(spec, reps, 17)
         stats = panels.mean(axis=1) * math.sqrt(spec.n)
         mc = stats.T @ stats / reps
-        cov = theoretical_longrun_cov(spec)
+        v, c = theoretical_longrun_variance(spec), spec.cross_corr
+        cov = v * ((1.0 - c) * np.eye(spec.p) + c * np.ones((spec.p, spec.p)))
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / reps)
         assert np.all(np.abs(mc - cov) < 4 * se)
 

@@ -55,7 +55,7 @@ def filled(spec, seed, stream, purpose, start, stop, full=None):
     """Replications start..stop-1 from the filler, as one block of ``full``."""
     out = np.empty((stop - start, spec.n, spec.p))
     keys = substream_keys(seed, stream, purpose, start, stop)
-    processes._fill(spec, None, keys, full or stop - start, out)
+    processes._fill(spec, keys, full or stop - start, out)
     return out
 
 
