@@ -13,23 +13,23 @@ leading axes; folds that run on draw-pool threads call the private core of
 ``batch_multiplier_max``.
 
 Monte Carlo estimators read their panels only through ``stream_statistics``,
-the one caller of ``processes.reduce_panels``. It reduces a panel stream to
-per-replication vectors: the largest absolute column mean and, when a block
-scheme is named, the block-multiplier maximum and the quadratic block term
-max_i (1/n) sum_l S[l, i]^2 of theorem1. A request may also name reductions
-of the column means (``MeanGram``, ``PowerSums``, ``Exceedances``,
-``MaxBelow``), one or a tuple of several, which are folded in chunk by chunk
-while the stream is drawn, over the same ``DEFAULT_CHUNK`` slices of
+the one caller of ``processes.reduce_panels``. Each call draws one pass of a
+panel stream and reduces it to per-replication vectors: the largest absolute
+column mean and, when a block scheme is named, the block-multiplier maximum
+and the quadratic block term max_i (1/n) sum_l S[l, i]^2 of theorem1. A call
+may also name a tuple of reductions of the column means (``MeanGram``,
+``PowerSums``, ``Exceedances``, ``MaxBelow``), which are folded in chunk by
+chunk while the stream is drawn, over the same ``DEFAULT_CHUNK`` slices of
 replications whatever the blocks, so no (reps, p) means and no (p, p) Gram
-are kept. The panels themselves never reach this module: ``reduce_panels``
+are kept; a read of a reduction that the pass did not fold raises an error
+naming it. The panels themselves never reach this module: ``reduce_panels``
 hands each block's column means and block sums to the fold of
 ``stream_statistics`` on the thread that drew the block, and the fold applies
 that chunk's multipliers, drawn beforehand on the calling thread, so no chunk
-of block sums is held either. Inside a ``shared_passes()`` block each distinct request is drawn
-once and served from the block's ledger afterwards. A request that names
-several reductions is filed under the key of each one alone, so one pass
-serves every later request for any of them, and the ledger lists its passes
-in draw order.
+of block sums is held either. Nothing is cached: a run draws each stream
+once and hands its statistics to every check that reads them. Inside a
+``recorded_passes()`` block each pass appends its request and wall time to
+the block's list, in draw order.
 """
 
 from __future__ import annotations
@@ -174,18 +174,21 @@ class MeanGram:
 
 @dataclass(frozen=True)
 class PowerSums:
-    """Per-coordinate sums of |m|**q and |m|**(2q), shape (len(orders), 2, p)."""
+    """Per-coordinate sums of |m|**q and |m|**(2q) at q = ``order``, shape (2, p)."""
 
-    orders: tuple
+    order: float
 
     def empty(self, reps: int, p: int) -> np.ndarray:
-        return np.zeros((len(self.orders), 2, p))
+        return np.zeros((2, p))
 
     def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
-        for (acc, acc2), q in zip(out, self.orders):
-            powered = np.abs(means) ** q
-            acc += powered.sum(axis=0)
-            acc2 += (powered**2).sum(axis=0)
+        # One (c, p) buffer, powered in place; ``**=`` takes the fast paths
+        # of ``**``, so the sums are bit for bit those of |m|**q and its square.
+        powered = np.abs(means)
+        powered **= self.order
+        out[0] += powered.sum(axis=0)
+        powered **= 2
+        out[1] += powered.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -214,8 +217,10 @@ class MaxBelow:
         return np.empty(reps)
 
     def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
+        # One (c, p) buffer: |m|, zeroed in place above U.
         absmeans = np.abs(means)
-        out[start : start + len(means)] = np.where(absmeans <= self.U, absmeans, 0.0).max(axis=1)
+        absmeans[absmeans > self.U] = 0.0
+        out[start : start + len(means)] = absmeans.max(axis=1)
 
 
 # A reduction of a stream's column means: ``empty(reps, p)`` gives its result
@@ -225,135 +230,73 @@ MeanReduction = Union[MeanGram, PowerSums, Exceedances, MaxBelow]
 
 
 class StreamStatistics(NamedTuple):
-    """Read-only statistics of one panel stream: the largest absolute column
-    mean, as ``batch_max_abs_mean`` (reps,); when a block scheme was named,
-    the block-multiplier maximum and the quadratic block term
-    max_i (1/n) sum_l S[l, i]^2 (reps,) each; and the result of the named
-    reduction of the column means, if any, or a tuple of results when a
-    tuple of reductions was named."""
+    """Read-only statistics of one pass of a panel stream: the largest
+    absolute column mean, as ``batch_max_abs_mean`` (reps,); when a block
+    scheme was named, the block-multiplier maximum and the quadratic block
+    term max_i (1/n) sum_l S[l, i]^2 (reps,) each, else None; and the result
+    of each reduction the pass folded, keyed by the reduction (see ``read``)."""
 
     max_abs_mean: np.ndarray
     mult_max: Optional[np.ndarray]
     quad: Optional[np.ndarray]
-    reduced: Union[None, np.ndarray, tuple]
+    reduced: dict
+
+    @property
+    def reps(self) -> int:
+        return len(self.max_abs_mean)
+
+    def read(self, reduction: MeanReduction) -> np.ndarray:
+        """The result of ``reduction``; a ``ValueError`` names it when the
+        pass did not fold it."""
+        if reduction not in self.reduced:
+            raise ValueError(f"the pass folded no {reduction}; it folded "
+                             f"{list(self.reduced) or 'no reduction'}")
+        return self.reduced[reduction]
 
 
-class PassLedger(dict):
-    """Statistics drawn in one ``shared_passes()`` block, keyed by request.
-
-    ``drawn`` and ``reused`` count the requests that drew and that did not.
-    ``pass_of`` maps each key to the record of the pass that drew it, which
-    counts under ``served`` the later requests the pass answered. On exit
-    ``kept_bytes`` is set to the array bytes the block held, each array
-    counted once, and ``passes`` to the pass records, in draw order.
-    """
-
-    drawn = reused = kept_bytes = 0
-    passes = ()
-
-    def __init__(self):
-        super().__init__()
-        self.pass_of = {}
-
-
-def _pass_record(keys: list, seconds: float) -> dict:
-    """What ``run_meta.json`` says of one pass: its request, its wall time and
-    its reuse. ``reduction`` is null, the one class name or the list of them."""
-    spec, reps, _, purpose, _, mult, copies, _ = keys[0]
-    names = [type(key[-1]).__name__ for key in keys if key[-1] is not None]
-    return {"purpose": purpose, "reps": reps, "n": spec.n, "p": spec.p,
-            "multipliers": mult is not None, "copies": copies,
-            "reduction": names if len(names) > 1 else names[0] if names else None,
-            "seconds": seconds, "served": 0}
-
-
-# The ledger of the innermost open block; a context variable, so threads
-# and tasks running blocks of their own never share one.
-_ledger: ContextVar[Optional[PassLedger]] = ContextVar("_ledger", default=None)
+# The records of the innermost open ``recorded_passes()`` block; a context
+# variable, so threads and tasks running blocks of their own never share one.
+_records: ContextVar[Optional[list]] = ContextVar("_records", default=None)
 
 
 @contextlib.contextmanager
-def shared_passes():
-    """Draw each distinct ``stream_statistics`` request once inside the block.
-
-    Every block yields a fresh ledger and drops its entries on exit, so no
-    block sees another's statistics; outside a block every request draws.
-    """
-    ledger = PassLedger()
-    token = _ledger.set(ledger)
+def recorded_passes():
+    """Yield a list to which every pass drawn inside the block appends what
+    ``run_meta.json`` says of it: its request and its wall time."""
+    records = []
+    token = _records.set(records)
     try:
-        yield ledger
+        yield records
     finally:
-        _ledger.reset(token)
-        kept = {id(array): array for stats in ledger.values()
-                for array in stats if array is not None}
-        ledger.kept_bytes = sum(array.nbytes for array in kept.values())
-        # A pass is filed under each of its keys, first in draw order.
-        ledger.passes = list({id(record): record
-                              for record in ledger.pass_of.values()}.values())
-        ledger.clear()
+        _records.reset(token)
 
 
 def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                       scheme: Optional[BlockScheme] = None,
                       mult: Optional[MultiplierSpec] = None,
                       copies: bool = False,
-                      reduction: Union[None, MeanReduction, tuple] = None) -> StreamStatistics:
-    """Statistics of replications 0..reps-1 of the panel stream ``purpose``.
+                      reductions: tuple = ()) -> StreamStatistics:
+    """Statistics of replications 0..reps-1 of the panel stream ``purpose``,
+    from one pass drawn on every call.
 
     Replication r reads the panel stream (seed, panel stream, purpose), as
     ``processes.reduce_panels`` keys it, and the multipliers of
     ``batch_multipliers`` for the same purpose. With
     ``copies`` the statistics are taken on the panel minus its independent
-    copy from the copy stream. ``reduction`` folds each chunk's column means
-    into its result as the chunk is drawn, over the chunks of
-    ``DEFAULT_CHUNK`` replications, so no (reps, p) means are kept; a tuple
-    of reductions is folded in one pass and gives a tuple of results. Each
-    reduction is part of its ledger key, so inside a ``shared_passes()``
-    block a request for several reductions serves every later request for
-    any one of them, and draws only those that no earlier pass kept.
+    copy from the copy stream. Each of ``reductions`` folds each chunk's
+    column means into its result as the chunk is drawn, over the chunks of
+    ``DEFAULT_CHUNK`` replications, so no (reps, p) means are kept; a
+    reduction named twice is folded once.
     """
     if (scheme is None) != (mult is None):
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
     if scheme is not None and scheme.n != spec.n:
         raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={spec.n}")
-    several = isinstance(reduction, tuple)
-    if several and not reduction:
-        raise ValueError("name at least one reduction, or none with None")
-    keys = [(spec, reps, seed, purpose, scheme, mult, copies, part)
-            for part in (reduction if several else (reduction,))]
-    ledger = _ledger.get()
-    missing = [key for key in keys if ledger is None or key not in ledger]
-    if missing:
-        started = time.perf_counter()
-        stats = _draw_pass(spec, reps, seed, purpose, scheme, mult, copies,
-                           [key[-1] for key in missing])
-        if ledger is None:
-            return stats if several else stats._replace(reduced=stats.reduced[0])
-        record = _pass_record(missing, time.perf_counter() - started)
-        for key, reduced in zip(missing, stats.reduced):
-            ledger[key] = stats._replace(reduced=reduced)
-            ledger.pass_of[key] = record
-        ledger.drawn += 1
-    else:
-        ledger.reused += 1
-        ledger.pass_of[keys[0]]["served"] += 1
-    kept = [ledger[key] for key in keys]
-    return kept[0]._replace(reduced=tuple(stats.reduced for stats in kept)) if several \
-        else kept[0]
-
-
-def _draw_pass(spec: DgpSpec, reps: int, seed: int, purpose: int,
-               scheme: Optional[BlockScheme], mult: Optional[MultiplierSpec],
-               copies: bool, reductions: list) -> StreamStatistics:
-    """One pass of ``stream_statistics``; ``reduced`` holds one result per
-    entry of ``reductions``, None for a None entry."""
+    started = time.perf_counter()
     max_abs_mean = np.empty(reps)
     mult_max = None if scheme is None else np.empty(reps)
     quad = None if scheme is None else np.empty(reps)
-    reduced = tuple(None if part is None else part.empty(reps, spec.p)
-                    for part in reductions)
-    folded = [(part, out) for part, out in zip(reductions, reduced) if part is not None]
+    reduced = {part: part.empty(reps, spec.p) for part in reductions}
 
     @contextlib.contextmanager
     def fold(start, stop):
@@ -361,7 +304,7 @@ def _draw_pass(spec: DgpSpec, reps: int, seed: int, purpose: int,
         # because block folds may call no public function.
         eps = (None if scheme is None
                else batch_multipliers(mult, scheme.count, seed, purpose, start, stop))
-        means = np.empty((stop - start, spec.p)) if folded else None
+        means = np.empty((stop - start, spec.p)) if reduced else None
         plain = max_abs_mean[start:stop]
         starred = None if mult_max is None else mult_max[start:stop]
         squared = None if quad is None else quad[start:stop]
@@ -376,12 +319,18 @@ def _draw_pass(spec: DgpSpec, reps: int, seed: int, purpose: int,
                 means[rows] = block_means
 
         yield block
-        for part, out in folded:
+        for part, out in reduced.items():
             part.add(out, start, means)
 
     reduce_panels(spec, reps, seed, STREAM_PANEL, purpose, fold,
                   None if scheme is None else scheme.b, STREAM_COPY if copies else None)
-    for array in (max_abs_mean, mult_max, quad, *reduced):
+    for array in (max_abs_mean, mult_max, quad, *reduced.values()):
         if array is not None:
             array.setflags(write=False)
+    records = _records.get()
+    if records is not None:
+        records.append({"purpose": purpose, "reps": reps, "n": spec.n, "p": spec.p,
+                        "multipliers": mult is not None, "copies": copies,
+                        "reductions": [type(part).__name__ for part in reduced],
+                        "seconds": time.perf_counter() - started})
     return StreamStatistics(max_abs_mean, mult_max, quad, reduced)

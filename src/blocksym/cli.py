@@ -37,12 +37,14 @@ from .blocking import (
     Exceedances,
     MaxBelow,
     MultiplierSpec,
+    PowerSums,
+    StreamStatistics,
     make_blocks,
-    shared_passes,
+    recorded_passes,
     stream_statistics,
 )
 from .gaussian import GaussianModel, RhoEstimate, draw_rho_samples, estimate_gaussian_model
-from .processes import DgpSpec, _is_real, draw_workers, from_fields
+from .processes import DgpSpec, _is_real, draw_workers, from_fields, marginal_spec
 from .psi import PsiSpec, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -54,13 +56,12 @@ from .remainders import (
     remainder_R1,
     remainder_R2,
 )
-from .seeding import PURPOSE_TAIL
+from .seeding import PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL
 from .verify import (
     CSV_COLUMNS,
     VerificationReport,
     mc_coordinate_mean_moment,
     mc_per_coordinate_tails,
-    moment_sums,
     tail_levels,
     theorem1_bound,
     verify_independence_reduction,
@@ -344,19 +345,19 @@ def _resolve_model(config: ExperimentConfig) -> GaussianModel:
     return estimate_gaussian_model(config.dgp, method="mc", reps=reps, seed=config.seed)
 
 
-def _fit_tail_params(config: ExperimentConfig, U_hint: float) -> TailParams:
+def _fit_tail_params(config: ExperimentConfig, run: _RunInputs) -> TailParams:
     tail = config.tail
     gamma = float(tail.get("gamma", 1.0))
     phi = float(tail.get("phi", gamma / 2.0))
     if not tail.get("fit", True):
         return TailParams(float(tail["a"]), float(tail["b"]), gamma, phi)
-    levels = tail_levels(U_hint)
-    tails = mc_per_coordinate_tails(config.dgp, levels, config.reps, config.seed)
+    levels = tail_levels(run.U)
+    tails = mc_per_coordinate_tails(run.tail, levels)
     return fit_subexp_envelope(levels, tails, config.dgp.n, gamma=gamma,
                                amplitude=float(tail.get("a", 2.0)), phi=phi)
 
 
-def _resolve_truncation(config: ExperimentConfig, rho: RhoEstimate) -> dict:
+def _resolve_truncation(config: ExperimentConfig, run: _RunInputs) -> dict:
     # Every check that needs a truncation also draws rho, and parse_config
     # admits optimal truncation only with a power gauge.
     trunc = config.truncation
@@ -364,9 +365,9 @@ def _resolve_truncation(config: ExperimentConfig, rho: RhoEstimate) -> dict:
         return {"U": float(trunc["U"]), "mode": "fixed"}
     q = config.psi.q
     phi = float(trunc["phi"])
-    norm = psi_moment_norm(config.psi, config.dgp, config.r, config.reps, config.seed)
+    norm = psi_moment_norm(config.psi, run.marginal, config.r)
     m_hat = (norm.value / 2.0**q) ** (1.0 / q)
-    rho_sum = rho.rho + rho.rho_star
+    rho_sum = run.rho.rho + run.rho.rho_star
     u_star = optimal_truncation(q, config.r, phi, rho_sum, config.dgp.p,
                                 config.dgp.n, m_hat)
     return {"U": u_star, "mode": "optimal", "phi": phi, "M_hat": m_hat,
@@ -383,12 +384,16 @@ def _quantile_grid(samples: dict, points: int = 257) -> dict:
 
 @dataclass
 class _RunInputs:
-    """What the checks of one run share: the distances and the truncation."""
+    """What the checks of one run share: the distances, the truncation and
+    the statistics of the mid, tail and marginal passes, each drawn once."""
 
     rho: Optional[RhoEstimate] = None
     rho_samples: Optional[dict] = None
     model_source: Optional[str] = None
     U: Optional[float] = None
+    mid: Optional[StreamStatistics] = None
+    tail: Optional[StreamStatistics] = None
+    marginal: Optional[StreamStatistics] = None
 
 
 def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float,
@@ -399,30 +404,26 @@ def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float
             "psi_norm": psi_norm, "tail": tail, "U": run.U}
 
 
-def _moment_orders(config: ExperimentConfig) -> tuple:
-    """Every order at which the run reads the coordinate moments: 2 for
-    prop2's lq diagnostic and q for theorem1 in lq mode, so their power sums
-    are folded once."""
-    orders = (2.0,) if "prop2" in config.checks else ()
-    if "theorem1" in config.checks and config.tail.get("mode", "lq") == "lq":
-        orders += (config.psi.q,)
-    return orders
-
-
 def _tail_reductions(config: ExperimentConfig, U: float) -> tuple:
-    """Every reduction of the tail stream's column means that the run reads:
-    the exceedance counts of prop2 and of the sub-exponential fit, prop2's
-    split diagnostic and the coordinate moments."""
-    reductions, orders = (), _moment_orders(config)
-    fits_tail = ("theorem1" in config.checks and config.tail.get("mode", "lq") == "subexp"
-                 and config.tail.get("fit", True))
-    if "prop2" in config.checks or fits_tail:
+    """Every reduction of the tail stream's column means that the run reads,
+    so its one pass folds them all: the exceedance counts of the
+    sub-exponential fit, prop2's split diagnostic and its lq moment at
+    q = 2, and theorem1's lq moment at q."""
+    checks, tail_mode = config.checks, config.tail.get("mode", "lq")
+    reductions = ()
+    if "theorem1" in checks and tail_mode == "subexp" and config.tail.get("fit", True):
         reductions += (Exceedances(tail_levels(U)),)
-    if "prop2" in config.checks:
-        reductions += (MaxBelow(U),)
-    if orders:
-        reductions += (moment_sums(orders),)
+    if "prop2" in checks:
+        reductions += (MaxBelow(U), PowerSums(2.0))
+    if "theorem1" in checks and tail_mode == "lq":
+        reductions += (PowerSums(float(config.psi.q)),)
     return reductions
+
+
+def _marginal_pass(config: ExperimentConfig) -> StreamStatistics:
+    """The marginal rows whose gauge moment norm prop2, theorem1 and
+    optimal truncation read: one-row panels, whose means are the rows."""
+    return stream_statistics(marginal_spec(config.dgp), config.reps, config.seed, PURPOSE_NORM)
 
 
 @contextlib.contextmanager
@@ -436,19 +437,16 @@ def _timed(stages: dict, name: str):
 
 
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    return verify_prop1(
-        config.dgp, config.scheme, config.multiplier, config.psi, run.U,
-        config.reps, run.rho, config.seed,
-    )
+    return verify_prop1(config.dgp, config.scheme, config.psi, run.U, run.rho, config.seed,
+                        mid=run.mid)
 
 
 def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
     report = verify_prop2(
-        config.dgp, config.scheme, config.multiplier, config.psi, run.U,
-        config.r, config.reps, run.rho, config.seed,
+        config.dgp, config.scheme, config.psi, run.U, config.r, run.rho, config.seed,
+        mid=run.mid, tail=run.tail, marginal=run.marginal,
     )
-    moment = mc_coordinate_mean_moment(config.dgp, 2.0, config.reps, config.seed,
-                                       _moment_orders(config))
+    moment = mc_coordinate_mean_moment(run.tail, 2.0)
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
         config, run, report.remainders["psi_norm"],
         {"mode": "lq", "q": 2.0, "max_mean_moment": moment["value"]},
@@ -458,11 +456,11 @@ def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
 
 def _run_theorem1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
     tail_mode = config.tail.get("mode", "lq")
-    tparams = _fit_tail_params(config, run.U) if tail_mode == "subexp" else None
+    tparams = _fit_tail_params(config, run) if tail_mode == "subexp" else None
     report = theorem1_bound(
         config.dgp, config.scheme, config.multiplier, config.psi.q,
-        config.r, run.U, config.reps, run.rho, tail_mode, config.seed,
-        tail_params=tparams, moment_orders=_moment_orders(config),
+        config.r, run.U, run.rho, tail_mode, config.seed,
+        mid=run.mid, marginal=run.marginal, tail=run.tail, tail_params=tparams,
     )
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
         config, run, 2.0**config.psi.q * report.remainders["M_hat_q"],
@@ -508,7 +506,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     run = _RunInputs()
     stages = {}
 
-    with shared_passes() as ledger:
+    with recorded_passes() as passes:
         try:
             if any(c in config.checks for c in _RHO_CHECKS):
                 with _timed(stages, "model"):
@@ -522,16 +520,27 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
                 run.model_source = model.source
             trunc = {"U": None}
             if _reads_truncation(config.checks):
+                # The passes of the chain checks, each drawn once: the
+                # marginal rows come first only when optimal truncation
+                # reads their norm, and the tail stream's reductions need U.
+                optimal = config.truncation["mode"] == "optimal"
+                if optimal:
+                    with _timed(stages, "marginal"):
+                        run.marginal = _marginal_pass(config)
                 with _timed(stages, "truncation"):
-                    trunc = _resolve_truncation(config, run.rho)
-            run.U = trunc.get("U")
-            # One pass of the tail stream folds every reduction of its means
-            # that the checks read; each of their reads is then served by it.
-            reductions = _tail_reductions(config, run.U)
-            if reductions:
-                with _timed(stages, "tail"):
-                    stream_statistics(config.dgp, config.reps, config.seed, PURPOSE_TAIL,
-                                      reduction=reductions)
+                    trunc = _resolve_truncation(config, run)
+                run.U = trunc["U"]
+                reductions = _tail_reductions(config, run.U)
+                if reductions:
+                    with _timed(stages, "tail"):
+                        run.tail = stream_statistics(config.dgp, config.reps, config.seed,
+                                                     PURPOSE_TAIL, reductions=reductions)
+                with _timed(stages, "mid"):
+                    run.mid = stream_statistics(config.dgp, config.reps, config.seed,
+                                                PURPOSE_MID, config.scheme, config.multiplier)
+                if not optimal and ("prop2" in config.checks or "theorem1" in config.checks):
+                    with _timed(stages, "marginal"):
+                        run.marginal = _marginal_pass(config)
 
             for check, runner in _CHECK_RUNNERS.items():
                 if check not in config.checks:
@@ -564,8 +573,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     _dump_json(
         {"started": started.isoformat(), "finished": finished.isoformat(),
          "duration_seconds": (finished - started).total_seconds(),
-         "panel_streams": {"drawn": ledger.drawn, "reused": ledger.reused,
-                           "kept_bytes": ledger.kept_bytes, "passes": ledger.passes},
+         "panel_streams": {"drawn": len(passes), "passes": passes},
          "stages": stages,
          "slack": {f"{report.check}.{m.name}": m.slack
                    for report in reports.values() for m in report.margins},

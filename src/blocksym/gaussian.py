@@ -127,8 +127,9 @@ def estimate_gaussian_model(
         raise ValueError(f"unknown model method {method!r}")
     if reps < 1000:
         raise ValueError(f"mc covariance needs reps >= 1000, got {reps}")
+    gram = MeanGram(math.sqrt(spec.n))
     trace, total = stream_statistics(spec, reps, seed, PURPOSE_MODEL,
-                                     reduction=MeanGram(math.sqrt(spec.n))).reduced
+                                     reductions=(gram,)).read(gram)
     p = spec.p
     parallel = float(total) / (p * reps)
     perp = parallel if p == 1 else max(0.0, float(p * trace - total) / (p * (p - 1) * reps))
@@ -216,7 +217,10 @@ def draw_rho_samples(
     reps: int,
     seed: int,
 ) -> RhoSamples:
-    """The three samples whose Kolmogorov distances ``estimate_rhos`` reports."""
+    """The three samples whose Kolmogorov distances ``estimate_rhos`` reports;
+    the model must be of the panels' dimension."""
+    if model.p != spec.p:
+        raise ValueError(f"the Gaussian model has p={model.p} but the panels have p={spec.p}")
     plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed)
     return RhoSamples(plain, starred, sample_gaussian_max(model, reps, seed))
 

@@ -14,7 +14,7 @@ Estimators need only per-replication functions of each panel's column
 means and within-block column sums. ``reduce_panels``, the one function here
 that draws panels, hands those to a fold its caller passes in, so it returns
 nothing: the caller's arrays hold what the fold wrote. Its one caller is
-``blocking.stream_statistics``, so every pass goes through the run's ledger.
+``blocking.stream_statistics``, and every call of that draws one pass.
 Replication r is a pure function of (spec, seed, stream, purpose, r), so
 identical inputs give bit-identical results. Every kind is mean zero by
 construction (innovations are centered before filtering, and clipping a

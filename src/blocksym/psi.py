@@ -16,9 +16,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .blocking import stream_statistics
-from .processes import DgpSpec, _is_real, marginal_spec
-from .seeding import PURPOSE_NORM
+from .blocking import StreamStatistics
+from .processes import _is_real
 
 # The convexity check's grid size and its tolerance for rounding.
 _GRID_POINTS = 201
@@ -170,32 +169,27 @@ class MomentNormEstimate:
     reps: int
 
 
-def psi_moment_norm(
-    spec: PsiLike,
-    sample_law: DgpSpec,
-    r: float,
-    reps: int,
-    seed: int,
-) -> MomentNormEstimate:
+def psi_moment_norm(spec: PsiLike, marginal: StreamStatistics, r: float) -> MomentNormEstimate:
     """L_r norm of psi(2 * max_i |x[t, i]|) over the stationary marginal.
 
-    All shipped generator kinds are stationary, so a single time index
-    carries the maximum over t. Each replication draws one fresh row from
-    the marginal law, giving iid samples and a clean standard error.
+    ``marginal`` holds the statistics of one-row panels of the marginal law
+    (``processes.marginal_spec``), whose column means are the rows
+    themselves. All shipped generator kinds are stationary, so a single time
+    index carries the maximum over t, and each replication is one fresh row:
+    iid samples and a clean standard error.
     """
     if r <= 1:
         raise ValueError(f"Hoelder exponent r must be > 1, got {r}")
+    reps = marginal.reps
     if reps < 1000:
         raise ValueError(f"need reps >= 1000 for a stable norm estimate, got {reps}")
-    # The column means of one-row panels are the rows themselves.
-    marginal = stream_statistics(marginal_spec(sample_law), reps, seed, PURPOSE_NORM)
     values = psi_eval(spec, 2.0 * marginal.max_abs_mean)
     with np.errstate(over="ignore"):
         powered = np.asarray(values) ** r
     if not np.all(np.isfinite(powered)):
         raise MomentExplosionError(
-            f"moment average of psi(2 max|x|)^r is not finite for dgp kind "
-            f"{sample_law.kind!r}; the gauge grows too fast for this tail"
+            "moment average of psi(2 max|x|)^r over the marginal rows is not "
+            "finite; the gauge grows too fast for this tail"
         )
     mean = float(np.mean(powered))
     se_mean = float(np.std(powered, ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0

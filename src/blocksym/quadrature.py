@@ -1,8 +1,9 @@
 """Adaptive quadrature used for every integral of a gauge derivative.
 
-The integral definitions are the authority for all remainder terms; closed
-forms are cross-checks only. Integration is adaptive Gauss-Kronrod
-(QUADPACK) driven to a relative tolerance.
+Every remainder term is the quadrature value of its integral definition,
+except in theorem1's moment bound, which uses the larger of the quadrature
+R1 and its n-scaled closed-form variant (see ``remainders``). Integration is
+adaptive Gauss-Kronrod (QUADPACK) driven to a relative tolerance.
 """
 
 from __future__ import annotations

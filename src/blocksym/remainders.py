@@ -7,10 +7,12 @@ The blocking remainders are integrals of the gauge derivative,
 
 computed by adaptive quadrature; for power gauges the substitution
 u = v / sqrt(n) collapses them to rho_sum * U**q and 2**(q-2) * rho_sum * U**q.
-An n-scaled closed-form variant carrying an extra n**(-q/2) factor circulates
-for the power case; it disagrees with direct substitution, so both values are
-reported and the quadrature value is authoritative. The truncation remainder
-is (1/2) * tail_prob**((r-1)/r) * psi_norm.
+An n-scaled closed-form variant of the split remainder R1, carrying an extra
+n**(-q/2) factor, circulates for the power case; it disagrees with direct
+substitution. Every remainder is the quadrature value, except in theorem1's
+moment bound, which reports both R1 values and uses the larger,
+R1_used = max(R1_quadrature, R1_nscaled). The truncation remainder is
+(1/2) * tail_prob**((r-1)/r) * psi_norm.
 
 Concentration bounds on P(max_i |mean_i| >= U) come from a log-exp bound with
 tuning parameter lambda: a general version using only the worst per-coordinate
@@ -100,8 +102,8 @@ def remainder_R2(r: float, tail_prob: float, psi_norm: float) -> float:
 
 
 # The n-scaled power-gauge R1 carries an extra n**(-q/2) factor beside the
-# exact substitution form; it is reported for comparison only, never used as
-# the authority.
+# exact substitution form. theorem1 reports it beside the quadrature R1 and
+# uses the larger, R1_used = max(R1_quadrature, R1_nscaled).
 
 
 def power_R1_nscaled(q: float, n: int, U: float, rho_sum: float) -> float:

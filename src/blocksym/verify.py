@@ -7,28 +7,29 @@ one builder makes both, with gain 1 or 2.
 The moment-bound check tests the maximal q-th moment against the
 Hoeffding-factor bound on the quadratic block term plus remainders.
 
-Every Monte Carlo estimator draws a fresh panel per replication (fresh
+Every Monte Carlo estimator reads a fresh panel per replication (fresh
 multipliers and fresh independent copies where a check needs them), and all
-expectations are unconditional. Estimators read the per-replication maxima
-of ``blocking.stream_statistics``. A chain is one pass: its lhs, mid and rhs
-are gauges of the plain and the multiplier statistic of the same panels of
-the mid stream, and theorem1 reads its lhs, its quadratic block term and its
-Hoeffding step from that pass too, so a run draws the mid stream once for
-prop1, prop2 and theorem1. Every gauge value of a Monte Carlo sample goes
-through one kernel, which names the replication of an overflow.
+expectations are unconditional. The chain verifiers and the tail
+estimators draw nothing themselves: they take the statistics of the passes
+they read (``blocking.stream_statistics``) from their caller, which draws
+each stream once; only the independence reduction draws its own pass. A
+chain is one pass of the mid stream: its lhs, mid and rhs are gauges of the
+plain and the multiplier statistic of the same panels, and theorem1 reads
+its lhs, its quadratic block term and its Hoeffding step from that pass
+too. Every gauge value of a Monte Carlo sample goes through one kernel,
+which names the replication of an overflow. A pass without the statistics a
+verifier reads, or a mid pass with fewer than 1000 replications, is
+rejected with a ``ValueError`` naming what is missing.
 
-Where estimators need more of the column means they name a reduction that
-is folded in while the stream is drawn. Every such reduction reads the plain
-means of the tail stream: the exceedance count and the sub-exponential fit
-read per-coordinate tails (``Exceedances`` at ``tail_levels(U)``), the split
-diagnostic the largest mean below U (``MaxBelow``) and the coordinate
-moments their power sums (``PowerSums``, at ``moment_sums``). A run names
-all of them in one request once U is known, so inside it
-(``blocking.shared_passes``) the tail stream is drawn once and each of these
-reads is served from that pass; outside a run each draws its own pass of the
-same panels. No (reps, p) means are kept. The tail stream stays apart from
-the mid stream: the remainders built from it are treated as constants, so
-they share no panel with the sides they bound.
+Where estimators need more of the column means they read a reduction that
+the pass folded while the stream was drawn. Every such reduction is of the
+plain means of the tail stream: the sub-exponential fit reads per-coordinate
+tails (``Exceedances`` at ``tail_levels(U)``), the split diagnostic the
+largest mean below U (``MaxBelow``) and the coordinate moments their power
+sums (``PowerSums`` at order q); the exceedance count reads the tail
+stream's maxima. No (reps, p) means are kept. The tail stream stays apart
+from the mid stream: the remainders built from it are treated as constants,
+so they share no panel with the sides they bound.
 
 Both sides of every inequality are read from the same panels, so each margin
 and its standard error come from the per-replication differences of its
@@ -54,6 +55,7 @@ from .blocking import (
     MaxBelow,
     MultiplierSpec,
     PowerSums,
+    StreamStatistics,
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
@@ -72,7 +74,7 @@ from .remainders import (
     remainder_R2,
     remainder_Rn,
 )
-from .seeding import PURPOSE_LHS, PURPOSE_MID, PURPOSE_TAIL
+from .seeding import PURPOSE_LHS
 
 _ENUMERATION_BUDGET = 2**24
 _ENUMERATION_CHUNK = 2**18  # array elements per enumeration step
@@ -206,20 +208,26 @@ def _gauge_values(psi: PsiLike, gain: float, stats: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_mid(mid: StreamStatistics) -> None:
+    """Reject a mid pass without the multiplier statistic or 1000 replications."""
+    if mid.mult_max is None:
+        raise ValueError("the mid pass has no multiplier statistic (mult_max); "
+                         "draw it with a block scheme and a multiplier law")
+    if mid.reps < 1000:
+        raise ValueError(f"need reps >= 1000, got {mid.reps}")
+
+
 def tail_levels(U: float) -> tuple:
     """The levels U * geomspace(0.25, 2, 8) at which the tail stream counts
     per-coordinate exceedances for the sub-exponential tail fit."""
     return tuple(U * np.geomspace(0.25, 2.0, 8))
 
 
-def mc_tail_probability(spec: DgpSpec, U: float, reps: int, seed: int) -> dict:
-    """MC exceedance probability of the max-abs mean with a one-sided
-    97.5% Clopper-Pearson upper confidence bound."""
-    # The sub-exponential tail fit reads this stream's counts at
-    # ``tail_levels(U)``, so the request names them and the stream is drawn once.
-    stats = stream_statistics(spec, reps, seed, PURPOSE_TAIL,
-                              reduction=Exceedances(tail_levels(U)))
-    hits = int((stats.max_abs_mean >= U).sum())
+def mc_tail_probability(tail: StreamStatistics, U: float) -> dict:
+    """MC exceedance probability of the max-abs mean of the tail pass with a
+    one-sided 97.5% Clopper-Pearson upper confidence bound."""
+    reps = tail.reps
+    hits = int((tail.max_abs_mean >= U).sum())
     if hits == reps:
         upper = 1.0
     else:
@@ -229,24 +237,11 @@ def mc_tail_probability(spec: DgpSpec, U: float, reps: int, seed: int) -> dict:
     return {"hits": hits, "reps": reps, "estimate": hat, "upper": upper, "se": se}
 
 
-def moment_sums(orders) -> PowerSums:
-    """The power sums of the tail stream's means at each of ``orders``, in
-    the one form every reader of them names."""
-    return PowerSums(tuple(sorted(set(map(float, orders)))))
-
-
-def mc_coordinate_mean_moment(spec: DgpSpec, q: float, reps: int, seed: int,
-                              orders: tuple = ()) -> dict:
+def mc_coordinate_mean_moment(tail: StreamStatistics, q: float) -> dict:
     """MC estimate of max_i E |column mean_i|^q with the argmax coordinate's
-    standard error attached, from the tail stream's means.
-
-    One pass sums every order of ``orders`` besides q, so a run that reads
-    the moments at several orders names them all each time and draws them
-    once.
-    """
-    sums = moment_sums((q, *orders))
-    powers = stream_statistics(spec, reps, seed, PURPOSE_TAIL, reduction=sums).reduced
-    acc, acc2 = powers[sums.orders.index(float(q))]
+    standard error attached, from the tail pass's ``PowerSums(q)``."""
+    acc, acc2 = tail.read(PowerSums(q))
+    reps = tail.reps
     means = acc / reps
     i = int(np.argmax(means))
     var = max(acc2[i] / reps - means[i] ** 2, 0.0)
@@ -258,14 +253,11 @@ def mc_coordinate_mean_moment(spec: DgpSpec, q: float, reps: int, seed: int,
     }
 
 
-def mc_per_coordinate_tails(
-    spec: DgpSpec, levels: np.ndarray, reps: int, seed: int
-) -> np.ndarray:
-    """Worst per-coordinate exceedance probability at each level."""
-    levels = tuple(map(float, levels))
-    counts = stream_statistics(spec, reps, seed, PURPOSE_TAIL,
-                               reduction=Exceedances(levels)).reduced
-    return counts.max(axis=1) / reps
+def mc_per_coordinate_tails(tail: StreamStatistics, levels) -> np.ndarray:
+    """Worst per-coordinate exceedance probability at each level, from the
+    tail pass's ``Exceedances`` at those levels."""
+    counts = tail.read(Exceedances(tuple(map(float, levels))))
+    return counts.max(axis=1) / tail.reps
 
 
 # ---------------------------------------------------------------------------
@@ -367,8 +359,7 @@ def exact_enumeration(
 # ---------------------------------------------------------------------------
 
 
-def _chain(spec: DgpSpec, scheme: BlockScheme, mult: MultiplierSpec, psi: PsiLike,
-           gain: float, reps: int, seed: int, remainder: float):
+def _chain(mid: StreamStatistics, psi: PsiLike, gain: float, remainder: float):
     """The margins lhs <= mid + R and mid <= rhs + 2R with their three sides.
 
     lhs is E psi(max-abs mean); mid and rhs are (1/gain) E psi(gain .) of the
@@ -378,30 +369,29 @@ def _chain(spec: DgpSpec, scheme: BlockScheme, mult: MultiplierSpec, psi: PsiLik
     statistic of each panel, so at gain 1 rhs is lhs exactly and each margin
     takes its se from the per-replication differences of its two sides.
     """
-    if reps < 1000:
-        raise ValueError(f"need reps >= 1000, got {reps}")
-    stats = stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, mult)
-    lhs = _gauge_values(psi, 1.0, stats.max_abs_mean)
-    mid = _gauge_values(psi, gain, stats.mult_max) / gain
-    rhs = _gauge_values(psi, gain, stats.max_abs_mean) / gain
+    _check_mid(mid)
+    lhs = _gauge_values(psi, 1.0, mid.max_abs_mean)
+    middle = _gauge_values(psi, gain, mid.mult_max) / gain
+    rhs = _gauge_values(psi, gain, mid.max_abs_mean) / gain
     margins = [
-        _inequality("symmetrization", lhs, mid, remainder),
-        _inequality("desymmetrization", mid, rhs, 2.0 * remainder),
+        _inequality("symmetrization", lhs, middle, remainder),
+        _inequality("desymmetrization", middle, rhs, 2.0 * remainder),
     ]
-    return (*map(_estimate_from_values, (lhs, mid, rhs)), margins)
+    return (*map(_estimate_from_values, (lhs, middle, rhs)), margins)
 
 
 def verify_prop1(
     spec: DgpSpec,
     scheme: BlockScheme,
-    mult: MultiplierSpec,
     psi: PsiLike,
     U: float,
-    reps: int,
     rho: RhoEstimate,
     seed: int,
+    *,
+    mid: StreamStatistics,
 ) -> VerificationReport:
-    """Bounded chain: lhs <= mid + R and mid <= lhs + 2R with estimated rhos.
+    """Bounded chain: lhs <= mid + R and mid <= lhs + 2R with estimated rhos,
+    from the statistics ``mid`` of the mid stream of ``spec`` under ``scheme``.
 
     The panel law must be supported inside [-U, U]^p.
     """
@@ -414,58 +404,61 @@ def verify_prop1(
         raise ValueError(f"panel support bound {bound} exceeds truncation level {U}")
     rho_sum = rho.rho + rho.rho_star
     rn = remainder_Rn(psi, spec.n, U, rho_sum)
-    lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 1.0, reps, seed, rn)
+    lhs, middle, rhs, margins = _chain(mid, psi, 1.0, rn)
     return VerificationReport(
-        check="prop1", lhs=lhs, mid=mid, rhs=rhs,
+        check="prop1", lhs=lhs, mid=middle, rhs=rhs,
         remainders={"R_n": rn, "rho_sum": rho_sum},
         rho=rho, margins=margins,
         params={"n": spec.n, "p": spec.p, "b": scheme.b, "U": U, "seed": seed,
-                "reps": reps, **_psi_params(psi)},
+                "reps": mid.reps, **_psi_params(psi)},
     )
 
 
 def verify_prop2(
     spec: DgpSpec,
     scheme: BlockScheme,
-    mult: MultiplierSpec,
     psi: PsiLike,
     U: float,
     r: float,
-    reps: int,
     rho: RhoEstimate,
     seed: int,
+    *,
+    mid: StreamStatistics,
+    tail: StreamStatistics,
+    marginal: StreamStatistics,
 ) -> VerificationReport:
     """Truncated chain with the (1/2) psi(2 .) scaling and empirical tail.
 
     The truncation remainder uses the Clopper-Pearson 97.5% upper bound on
     the exceedance probability, so the reported value is conservative, and a
     Monte Carlo gauge moment norm (whose finiteness is the moment
-    diagnostic). The exceedance count and the split diagnostic read the
-    tail stream.
+    diagnostic) of the marginal rows ``marginal``. The exceedance count and
+    the split diagnostic read the tail pass ``tail``, which must have folded
+    ``MaxBelow(U)``.
     """
+    below = tail.read(MaxBelow(U))
     rho_sum = rho.rho + rho.rho_star
-    norm = psi_moment_norm(psi, spec, r, reps, seed)
-    tail = mc_tail_probability(spec, U, reps, seed)
+    norm = psi_moment_norm(psi, marginal, r)
+    tail_prob = mc_tail_probability(tail, U)
     r1 = remainder_R1(psi, spec.n, U, rho_sum)
-    r2 = remainder_R2(r, tail["upper"], norm.value)
+    r2 = remainder_R2(r, tail_prob["upper"], norm.value)
     total = r1 + r2
-    lhs, mid, rhs, margins = _chain(spec, scheme, mult, psi, 2.0, reps, seed, total)
-    split = stream_statistics(spec, reps, seed, PURPOSE_TAIL, reduction=MaxBelow(U))
-    below, m = split.reduced, split.max_abs_mean
+    lhs, middle, rhs, margins = _chain(mid, psi, 2.0, total)
+    m = tail.max_abs_mean
     e1 = _estimate_from_values(0.5 * _gauge_values(psi, 2.0, below))
     e2 = _estimate_from_values(0.5 * _gauge_values(psi, 2.0, m) * (m > U))
     return VerificationReport(
-        check="prop2", lhs=lhs, mid=mid, rhs=rhs,
+        check="prop2", lhs=lhs, mid=middle, rhs=rhs,
         remainders={"R1": r1, "R2": r2, "total": total, "rho_sum": rho_sum,
-                    "tail_prob_upper": tail["upper"], "psi_norm": norm.value},
+                    "tail_prob_upper": tail_prob["upper"], "psi_norm": norm.value},
         rho=rho, margins=margins,
         params={"n": spec.n, "p": spec.p, "b": scheme.b, "U": U, "r": r,
-                "seed": seed, "reps": reps, **_psi_params(psi)},
+                "seed": seed, "reps": mid.reps, **_psi_params(psi)},
         diagnostics={
             "E_n1": asdict(e1),
             "E_n2": asdict(e2),
             "split_margin": lhs.mean - e1.mean - e2.mean,
-            "tail": tail,
+            "tail": tail_prob,
             "psi_norm_se": norm.se,
         },
     )
@@ -513,48 +506,50 @@ def theorem1_bound(
     q: float,
     r: float,
     U: float,
-    reps: int,
     rho: RhoEstimate,
     tail_mode: str,
     seed: int,
+    *,
+    mid: StreamStatistics,
+    marginal: StreamStatistics,
+    tail: Optional[StreamStatistics] = None,
     tail_params: Optional[TailParams] = None,
-    moment_orders: tuple = (),
 ) -> VerificationReport:
     """Maximal moment bound with the exact Hoeffding factor.
 
-    The blocking remainder is computed both by quadrature and in the
-    n-scaled closed-form variant; the verdict uses the larger. The
-    conditional Hoeffding step is audited separately as a paired margin.
-    The lhs, the quadratic block term and the Hoeffding step read the one
-    pass of the mid stream that prop1 and prop2 read too, so a run draws no
-    panel for them alone, and both margins take their se from the paired
-    per-replication differences of their sides. In lq mode ``moment_orders``
-    names the run's other orders of the coordinate moments (see
-    ``mc_coordinate_mean_moment``).
+    The blocking remainder R1 is computed both by quadrature and in the
+    n-scaled closed-form variant, and the bound uses the larger of the two.
+    The conditional Hoeffding step is audited separately as a paired margin.
+    The lhs, the quadratic block term and the Hoeffding step read ``mid``,
+    the pass of the mid stream that prop1 and prop2 read too, and both
+    margins take their se from the paired per-replication differences of
+    their sides. The moment norm reads the marginal rows ``marginal``; in lq
+    mode the tail bound reads ``PowerSums(q)`` of the tail pass ``tail``,
+    and in subexp mode it takes ``tail_params``.
     """
     if tail_mode not in ("lq", "subexp"):
         raise ValueError(f"unknown tail mode {tail_mode!r}")
     if tail_mode == "subexp" and tail_params is None:
         raise ValueError("subexp mode needs tail_params")
+    if tail_mode == "lq" and tail is None:
+        raise ValueError(f"lq mode needs a tail pass that folded {PowerSums(q)}")
     if scheme.n != spec.n:
         raise ValueError("scheme and spec disagree on n")
-    if reps < 1000:
-        raise ValueError(f"need reps >= 1000, got {reps}")
+    _check_mid(mid)
     psi_q = PsiSpec("power", q=q)
     rho_sum = rho.rho + rho.rho_star
     factor = hoeffding_factor(q, mult.bound, spec.p, spec.n)
 
-    stats = stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, mult)
-    lhs_vals = _gauge_values(psi_q, 1.0, stats.max_abs_mean)
-    mult_vals = _gauge_values(psi_q, 1.0, stats.mult_max)
-    quad_vals = stats.quad ** (q / 2.0)
+    lhs_vals = _gauge_values(psi_q, 1.0, mid.max_abs_mean)
+    mult_vals = _gauge_values(psi_q, 1.0, mid.mult_max)
+    quad_vals = mid.quad ** (q / 2.0)
     quad_est = _estimate_from_values(quad_vals)
 
-    norm = psi_moment_norm(psi_q, spec, r, reps, seed)
+    norm = psi_moment_norm(psi_q, marginal, r)
     m_hat_q = norm.value / 2.0**q  # estimate of max_t || max_i |x[t,i]| ||_qr ** q
     subexp_warning = False
     if tail_mode == "lq":
-        moment = mc_coordinate_mean_moment(spec, q, reps, seed, moment_orders)
+        moment = mc_coordinate_mean_moment(tail, q)
         tail_bound = concentration_lq(spec.p, U, q, moment["value"])
         tail_info = {"mode": "lq", "q": q, "max_mean_moment": moment["value"],
                      "moment_se": moment["se"]}
@@ -581,7 +576,7 @@ def theorem1_bound(
                     "M_hat_q": m_hat_q, "tail_bound": tail_bound},
         rho=rho, margins=[main, hoeff],
         params={"n": spec.n, "p": spec.p, "b": scheme.b, "q": q, "r": r,
-                "U": U, "seed": seed, "reps": reps},
+                "U": U, "seed": seed, "reps": mid.reps},
         diagnostics={"tail": tail_info, "subexp_warning": subexp_warning,
                      "quad_term_se": quad_est.se, "psi_norm_se": norm.se},
     )

@@ -1,12 +1,17 @@
-"""Whole panels for the tests, drawn apart from the estimators' draw path."""
+"""Whole panels for the tests, drawn apart from the estimators' draw path,
+and the passes of a run's streams, drawn as ``cli.run_experiment`` draws them."""
 
 import math
 
 import numpy as np
 
-from blocksym import processes
-from blocksym.processes import DEFAULT_CHUNK
-from blocksym.seeding import substream
+from blocksym import blocking, processes
+from blocksym.blocking import MaxBelow, MultiplierSpec, PowerSums
+from blocksym.processes import DEFAULT_CHUNK, marginal_spec
+from blocksym.seeding import PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL, substream
+from blocksym.verify import theorem1_bound, verify_prop1, verify_prop2
+
+RADEMACHER = MultiplierSpec("rademacher")
 
 
 def block_bounds(spec, start, stop):
@@ -93,3 +98,45 @@ def draw_panels(spec, seed, stream, purpose, start, stop):
         lo, hi = max(first, start), min(end, stop)
         out[lo - start : hi - start] = panels[lo - first : hi - first]
     return out
+
+
+# The passes call ``blocking.stream_statistics`` through the module, so a
+# test that patches it there changes what they draw.
+
+
+def mid_pass(spec, scheme, reps, seed, mult=RADEMACHER):
+    """The mid stream's pass, with the multiplier statistic of ``scheme``."""
+    return blocking.stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, mult)
+
+
+def tail_pass(spec, reps, seed, *reductions):
+    """The tail stream's pass, folding ``reductions``."""
+    return blocking.stream_statistics(spec, reps, seed, PURPOSE_TAIL, reductions=reductions)
+
+
+def marginal_pass(spec, reps, seed):
+    """The marginal rows: one-row panels of ``spec``'s marginal law."""
+    return blocking.stream_statistics(marginal_spec(spec), reps, seed, PURPOSE_NORM)
+
+
+def run_prop1(spec, scheme, psi, U, reps, rho, seed):
+    """``verify_prop1`` on its own mid pass."""
+    return verify_prop1(spec, scheme, psi, U, rho, seed, mid=mid_pass(spec, scheme, reps, seed))
+
+
+def run_prop2(spec, scheme, psi, U, r, reps, rho, seed):
+    """``verify_prop2`` on its own mid, tail and marginal passes."""
+    return verify_prop2(spec, scheme, psi, U, r, rho, seed,
+                        mid=mid_pass(spec, scheme, reps, seed),
+                        tail=tail_pass(spec, reps, seed, MaxBelow(U)),
+                        marginal=marginal_pass(spec, reps, seed))
+
+
+def run_theorem1(spec, scheme, q, r, U, reps, rho, tail_mode, seed, tail_params=None):
+    """``theorem1_bound`` with sign multipliers on its own passes; in lq mode
+    the tail pass folds the power sums at q."""
+    tail = tail_pass(spec, reps, seed, PowerSums(q)) if tail_mode == "lq" else None
+    return theorem1_bound(spec, scheme, RADEMACHER, q, r, U, rho, tail_mode, seed,
+                          mid=mid_pass(spec, scheme, reps, seed),
+                          marginal=marginal_pass(spec, reps, seed),
+                          tail=tail, tail_params=tail_params)

@@ -14,7 +14,13 @@ from scipy.special import gammaln
 from scipy.stats import binom
 
 from blocksym import processes
-from blocksym.blocking import MultiplierSpec, batch_max_abs_mean, make_blocks
+from blocksym.blocking import (
+    Exceedances,
+    MultiplierSpec,
+    PowerSums,
+    batch_max_abs_mean,
+    make_blocks,
+)
 from blocksym.cli import parse_config, run_experiment
 from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec
@@ -35,11 +41,9 @@ from blocksym.verify import (
     exact_enumeration,
     mc_coordinate_mean_moment,
     mc_per_coordinate_tails,
-    theorem1_bound,
     verify_independence_reduction,
-    verify_prop1,
 )
-from conftest import draw_panels
+from conftest import draw_panels, marginal_pass, run_prop1, run_theorem1, tail_pass
 
 RADEMACHER = MultiplierSpec("rademacher")
 
@@ -77,7 +81,7 @@ def test_criterion_1_enumeration_oracle_gate():
     for q in (1.0, 2.0):
         psi = PsiSpec("power", q=q)
         exact = exact_enumeration(spec, scheme, RADEMACHER, psi)
-        report = verify_prop1(spec, scheme, RADEMACHER, psi, 1.0, reps, no_rho, seed=101)
+        report = run_prop1(spec, scheme, psi, 1.0, reps, no_rho, seed=101)
         for name in ("lhs", "mid", "rhs"):
             est, target = getattr(report, name), getattr(exact, name)
             gap = abs(est.mean - target)
@@ -97,7 +101,7 @@ def test_criterion_2_bounded_chain_dependent():
     psi = PsiSpec("power", q=2.0)
     model = estimate_gaussian_model(spec, method="mc", reps=10_000, seed=202)
     rho = estimate_rhos(spec, scheme, RADEMACHER, model, 10_000, seed=202)
-    report = verify_prop1(spec, scheme, RADEMACHER, psi, 3.0, 10_000, rho, seed=202)
+    report = run_prop1(spec, scheme, psi, 3.0, 10_000, rho, seed=202)
     elapsed = time.monotonic() - started
     verdicts = {m.name: m.verdict for m in report.margins}
     ok = all(v in ("holds", "holds-within-noise") for v in verdicts.values())
@@ -161,8 +165,9 @@ def test_criterion_5_concentration_domination():
     for start in range(0, reps, DEFAULT_CHUNK):
         stop = min(start + DEFAULT_CHUNK, reps)
         stats[start:stop] = batch_max_abs_mean(draw_panels(spec, 505, 1, 0, start, stop))
-    pbar_grid = mc_per_coordinate_tails(spec, grid, reps, seed=505)
-    moment = mc_coordinate_mean_moment(spec, 2.0, reps, seed=505)["value"]
+    tail = tail_pass(spec, reps, 505, Exceedances(tuple(grid)), PowerSums(2.0))
+    pbar_grid = mc_per_coordinate_tails(tail, grid)
+    moment = mc_coordinate_mean_moment(tail, 2.0)["value"]
     envelope = fit_subexp_envelope(grid, pbar_grid, spec.n, gamma=1.0, phi=0.5)
     ok = True
     rows = []
@@ -192,15 +197,16 @@ def test_criterion_6_moment_bound():
     ok = True
     details = []
     for q in (1.0, 2.0):
-        norm = psi_moment_norm(PsiSpec("power", q=q), spec, r, 10_000, seed=606)
+        norm = psi_moment_norm(PsiSpec("power", q=q), marginal_pass(spec, 10_000, 606), r)
         m_hat = (norm.value / 2.0**q) ** (1.0 / q)
         u_star = optimal_truncation(q, r, phi, rho_sum, spec.p, spec.n, m_hat)
         levels = u_star * np.geomspace(0.25, 2.0, 8)
-        tails = mc_per_coordinate_tails(spec, levels, 10_000, seed=606)
+        tails = mc_per_coordinate_tails(tail_pass(spec, 10_000, 606, Exceedances(tuple(levels))),
+                                        levels)
         envelope = fit_subexp_envelope(levels, tails, spec.n, gamma=1.0, phi=phi)
-        report = theorem1_bound(spec, scheme, RADEMACHER, q, r, u_star,
-                                10_000, rho, "subexp", seed=606,
-                                tail_params=envelope)
+        report = run_theorem1(spec, scheme, q, r, u_star,
+                              10_000, rho, "subexp", seed=606,
+                              tail_params=envelope)
         main = report.margins[0]
         used = report.remainders["R1_used"]
         ok &= main.verdict in ("holds", "holds-within-noise")

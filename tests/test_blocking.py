@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import threading
 import tracemalloc
 from collections import Counter
@@ -23,22 +24,22 @@ from blocksym.blocking import (
     batch_multiplier_max,
     batch_multipliers,
     make_blocks,
-    shared_passes,
+    recorded_passes,
     stream_statistics,
 )
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
-from blocksym.processes import DEFAULT_CHUNK, DgpSpec, reduce_panels
+from blocksym.processes import DEFAULT_CHUNK, DgpSpec, marginal_spec, reduce_panels
 from blocksym.seeding import (
     PURPOSE_DEFAULT,
-    PURPOSE_LHS,
     PURPOSE_MID,
     PURPOSE_MODEL,
+    PURPOSE_NORM,
     PURPOSE_TAIL,
     STREAM_COPY,
     STREAM_PANEL,
 )
-from blocksym.verify import verify_prop2
+from blocksym.verify import tail_levels, verify_prop2
 from conftest import draw_panels
 
 RADEMACHER = MultiplierSpec("rademacher")
@@ -305,71 +306,60 @@ def panel_calls(monkeypatch):
     return calls
 
 
-class TestStreamLedger:
+class TestStreamStatistics:
     SPEC = DgpSpec("var1", n=8, p=3, phi=0.4)
     SCHEME = make_blocks(8, 2)
     MULT = MultiplierSpec("rademacher")
 
-    def test_repeated_request_is_served_once_per_block(self, panel_calls):
+    def test_every_call_draws(self, panel_calls):
+        # Nothing is kept between calls: each draws its own pass of the same
+        # panels, and each pass's arrays are read-only.
         args = (self.SPEC, 50, 3, 2, self.SCHEME, self.MULT)
-        with shared_passes() as ledger:
-            first = stream_statistics(*args)
-            again = stream_statistics(*args)
-            assert sum(panel_calls.values()) == 1
-            assert again.max_abs_mean is first.max_abs_mean
-            assert again.mult_max is first.mult_max
-            assert (ledger.drawn, ledger.reused) == (1, 1)
-        for array in (first.max_abs_mean, first.mult_max):
-            assert not array.flags.writeable
+        first, again = stream_statistics(*args), stream_statistics(*args)
+        assert sum(panel_calls.values()) == 2
+        assert first.max_abs_mean is not again.max_abs_mean
+        for a, b in zip(first[:3], again[:3]):
+            assert np.array_equal(a, b)
+            assert not a.flags.writeable
             with pytest.raises(ValueError):
-                array[0] = 0.0
-        outside = [stream_statistics(*args) for _ in range(2)]
-        assert sum(panel_calls.values()) == 3
-        assert outside[0].max_abs_mean is not outside[1].max_abs_mean
-        assert np.array_equal(outside[0].max_abs_mean, first.max_abs_mean)
-        assert np.array_equal(outside[1].mult_max, first.mult_max)
-        # A new block starts empty.
-        with shared_passes() as ledger:
-            stream_statistics(*args)
-            assert (ledger.drawn, ledger.reused) == (1, 0)
-        assert sum(panel_calls.values()) == 4
+                a[0] = 0.0
+        assert first.reps == 50 and first.reduced == {}
 
-    def test_other_threads_keep_their_own_ledger(self, panel_calls):
-        args = (self.SPEC, 50, 3, 2)
-        with shared_passes() as ledger:
-            stream_statistics(*args)
-            worker = threading.Thread(target=stream_statistics, args=args)
+    def test_read_names_a_reduction_the_pass_did_not_fold(self, panel_calls):
+        gram = MeanGram(1.0)
+        stats = stream_statistics(self.SPEC, 50, 3, 2, reductions=(gram, gram))
+        assert list(stats.reduced) == [gram]  # named twice, folded once
+        assert stats.read(gram).shape == (2,) and not stats.read(gram).flags.writeable
+        for missing in (MeanGram(2.0), MaxBelow(0.5), PowerSums(2.0)):
+            with pytest.raises(ValueError, match=re.escape(repr(missing))):
+                stats.read(missing)
+        with pytest.raises(ValueError, match=r"MaxBelow\(U=0\.5\).*no reduction"):
+            stream_statistics(self.SPEC, 50, 3, 2).read(MaxBelow(0.5))
+        # A failed read draws nothing.
+        assert sum(panel_calls.values()) == 2
+
+    def test_recorded_passes_list_each_pass_in_draw_order(self, panel_calls):
+        args = (self.SPEC, 50, 3)
+        with recorded_passes() as passes:
+            stream_statistics(*args, 2, self.SCHEME, self.MULT)
+            stream_statistics(*args, 4, reductions=(MaxBelow(0.5), PowerSums(2.0)))
+            with recorded_passes() as inner:
+                stream_statistics(*args, 6, copies=True, scheme=self.SCHEME, mult=self.MULT)
+            # A thread keeps its own context, so its pass is not recorded here.
+            worker = threading.Thread(target=stream_statistics, args=(*args, 2))
             worker.start()
             worker.join(timeout=60)
             assert not worker.is_alive()
-            assert (ledger.drawn, ledger.reused) == (1, 0)
-        assert sum(panel_calls.values()) == 2
-
-    def test_reduction_is_part_of_the_key(self, panel_calls):
-        args = (self.SPEC, 50, 3, 2, self.SCHEME, self.MULT)
-        with shared_passes() as ledger:
-            maxima = stream_statistics(*args)
-            # A request without a reduction keeps per-replication vectors only.
-            assert maxima.reduced is None
-            assert all(array.shape == (50,) for array in maxima if array is not None)
-            # A request that names a reduction draws the stream again ...
-            gram = stream_statistics(*args, reduction=MeanGram(1.0))
-            assert sum(panel_calls.values()) == 2
-            assert gram.reduced.shape == (2,) and not gram.reduced.flags.writeable
-            assert np.array_equal(gram.max_abs_mean, maxima.max_abs_mean)
-            assert np.array_equal(gram.mult_max, maxima.mult_max)
-            # ... and each request is then served by its own entry.
-            assert stream_statistics(*args) is maxima
-            assert stream_statistics(*args, reduction=MeanGram(1.0)) is gram
-            assert stream_statistics(*args, reduction=MeanGram(2.0)) is not gram
-            assert (ledger.drawn, ledger.reused) == (3, 2)
-            assert ledger.kept_bytes == 0
-        # Each entry keeps three (reps,) vectors: the two maxima and the
-        # quadratic block term; each Gram entry its two sums.
-        assert ledger.kept_bytes == 3 * 3 * 50 * 8 + 2 * 2 * 8
-        assert len(ledger) == 0
-        assert [(record["reduction"], record["served"]) for record in ledger.passes] == \
-            [(None, 1), ("MeanGram", 1), ("MeanGram", 0)]
+        stream_statistics(*args, 2)
+        assert sum(panel_calls.values()) == 5
+        assert all(record.pop("seconds") >= 0 for record in passes + inner)
+        common = {"reps": 50, "n": 8, "p": 3}
+        assert passes == [
+            dict(common, purpose=2, multipliers=True, copies=False, reductions=[]),
+            dict(common, purpose=4, multipliers=False, copies=False,
+                 reductions=["MaxBelow", "PowerSums"]),
+        ]
+        assert inner == [dict(common, purpose=6, multipliers=True, copies=True, reductions=[])]
 
     def test_plain_request_has_no_multiplier_statistic(self):
         stats = stream_statistics(self.SPEC, 20, 3, 2)
@@ -385,13 +375,13 @@ class TestStreamLedger:
     def test_copies_are_the_kernels_on_differences(self, reps, seed, purpose, b):
         scheme = make_blocks(8, b)
         stats = stream_statistics(self.SPEC, reps, seed, purpose, scheme, self.MULT,
-                                  copies=True, reduction=MeanGram(1.0))
+                                  copies=True, reductions=(MeanGram(1.0),))
         panels, copies = (draw_panels(self.SPEC, seed, stream, purpose, 0, reps)
                           for stream in (STREAM_PANEL, STREAM_COPY))
         diff = panels - copies
         eps = batch_multipliers(self.MULT, scheme.count, seed, purpose, 0, reps)
         means = diff.mean(axis=1)
-        assert np.array_equal(stats.reduced, reference_reduction(MeanGram(1.0), means))
+        assert np.array_equal(stats.read(MeanGram(1.0)), reference_reduction(MeanGram(1.0), means))
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(diff))
         assert np.array_equal(stats.mult_max,
                               batch_multiplier_max(batch_block_sums(diff, scheme), eps, 8))
@@ -428,21 +418,18 @@ def reference_reduction(reduction, means):
             acc += np.multiply(reduction.scale**2, squares)
         return acc
     if isinstance(reduction, PowerSums):
-        out = []
-        for q in reduction.orders:
-            acc, acc2 = np.zeros(p), np.zeros(p)
-            for chunk in chunks:
-                powered = np.abs(chunk) ** q
-                acc += powered.sum(axis=0)
-                acc2 += (powered**2).sum(axis=0)
-            out.append((acc, acc2))
-        return np.array(out)
+        acc, acc2 = np.zeros(p), np.zeros(p)
+        for chunk in chunks:
+            powered = np.abs(chunk) ** reduction.order
+            acc += powered.sum(axis=0)
+            acc2 += (powered**2).sum(axis=0)
+        return np.array([acc, acc2])
     if isinstance(reduction, Exceedances):
         return (absmeans >= np.array(reduction.levels)[:, None, None]).sum(axis=1)
     return np.where(absmeans <= reduction.U, absmeans, 0.0).max(axis=1)
 
 
-REDUCTIONS = [MeanGram(math.sqrt(8)), PowerSums((1.0, 2.0, 3.0)),
+REDUCTIONS = [MeanGram(math.sqrt(8)), PowerSums(3.0),
               Exceedances(tuple(0.3 * np.geomspace(0.25, 2.0, 8))), MaxBelow(0.3)]
 
 
@@ -464,72 +451,67 @@ class TestReductions:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
         stats = stream_statistics(self.SPEC, self.REPS, 5, 3, self.SCHEME, RADEMACHER,
-                                  reduction=reduction)
+                                  reductions=(reduction,))
         panels = draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS)
         eps = batch_multipliers(RADEMACHER, self.SCHEME.count, 5, 3, 0, self.REPS)
         want = reference_reduction(reduction, panels.mean(axis=1))
-        assert stats.reduced.dtype == want.dtype and np.array_equal(stats.reduced, want)
+        got = stats.read(reduction)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
         assert np.array_equal(stats.mult_max, mult_stat(panels, self.SCHEME, eps))
 
     def test_mean_gram_sums_are_trace_and_total(self):
         # The two sums are the trace and 1^T G 1 of the (p, p) Gram G of the
         # scaled column means over both chunks.
-        scale = math.sqrt(8)
-        stats = stream_statistics(self.SPEC, self.REPS, 5, 3, reduction=MeanGram(scale))
-        scaled = scale * draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS).mean(axis=1)
-        gram = scaled.T @ scaled
-        assert stats.reduced == pytest.approx([np.trace(gram), gram.sum()], rel=1e-12)
+        gram = MeanGram(math.sqrt(8))
+        stats = stream_statistics(self.SPEC, self.REPS, 5, 3, reductions=(gram,))
+        scaled = gram.scale * draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS).mean(axis=1)
+        full = scaled.T @ scaled
+        assert stats.read(gram) == pytest.approx([np.trace(full), full.sum()], rel=1e-12)
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
-    def test_several_reductions_in_one_pass(self, cpus, panel_calls, monkeypatch):
-        # One pass folds every named reduction; each part equals its
-        # stand-alone request and the serial panels, and inside a block it
-        # serves every later request for that part alone.
+    def test_tail_reductions_fold_in_one_pass(self, cpus, panel_calls, monkeypatch):
+        # The tail pass of a run: one draw folds every reduction the checks
+        # read, and each equals its reference on the serial panels' means.
         from blocksym import processes
 
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * self.SPEC.n * self.SPEC.p * 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
-        args = (self.SPEC, self.REPS, 5, 3)
-        parts = tuple(REDUCTIONS[1:])
-        means = draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS).mean(axis=1)
-        with shared_passes() as ledger:
-            stats = stream_statistics(*args, reduction=parts)
-            assert stats.mult_max is None and len(stats.reduced) == len(parts)
-            for part, reduced in zip(parts, stats.reduced):
-                assert np.array_equal(reduced, reference_reduction(part, means))
-                served = stream_statistics(*args, reduction=part)
-                assert served.reduced is reduced
-                assert served.max_abs_mean is stats.max_abs_mean
-            again = stream_statistics(*args, reduction=parts[::-1]).reduced
-            assert all(a is b for a, b in zip(again, stats.reduced[::-1]))
-            assert (ledger.drawn, ledger.reused, sum(panel_calls.values())) == (1, 4, 1)
-            # A reduction that was not named draws a pass of its own, and a
-            # tuple with one part kept draws only the other.
-            gram = stream_statistics(*args, reduction=REDUCTIONS[0])
-            mixed = stream_statistics(*args, reduction=(MeanGram(2.0), parts[0]))
-            assert mixed.reduced[1] is stats.reduced[0]
-            assert np.array_equal(mixed.reduced[0], reference_reduction(MeanGram(2.0), means))
-            assert (ledger.drawn, ledger.reused, sum(panel_calls.values())) == (3, 4, 3)
-        # The column maxima that the parts share are counted once.
-        assert ledger.kept_bytes == sum(array.nbytes for array in
-                                        (stats.max_abs_mean, *stats.reduced,
-                                         gram.max_abs_mean, gram.reduced,
-                                         mixed.max_abs_mean, mixed.reduced[0]))
-        assert [(record["reduction"], record["served"]) for record in ledger.passes] == \
-            [(["PowerSums", "Exceedances", "MaxBelow"], 4), ("MeanGram", 0), ("MeanGram", 0)]
-        assert all(record["seconds"] >= 0 for record in ledger.passes)
-        # Outside a block each part draws its own pass of the same panels.
-        for part, reduced in zip(parts, stats.reduced):
-            assert np.array_equal(stream_statistics(*args, reduction=part).reduced, reduced)
-        assert sum(panel_calls.values()) == 3 + len(parts)
+        U = 0.3
+        parts = (Exceedances(tail_levels(U)), MaxBelow(U), PowerSums(2.0), PowerSums(3.0))
+        stats = stream_statistics(self.SPEC, self.REPS, 5, PURPOSE_TAIL, reductions=parts)
+        assert dict(panel_calls) == {(self.SPEC, 5, STREAM_PANEL, PURPOSE_TAIL, self.REPS): 1}
+        assert stats.mult_max is None and list(stats.reduced) == list(parts)
+        panels = draw_panels(self.SPEC, 5, STREAM_PANEL, PURPOSE_TAIL, 0, self.REPS)
+        means = panels.mean(axis=1)
+        for part in parts:
+            want = reference_reduction(part, means)
+            assert stats.read(part).dtype == want.dtype
+            assert np.array_equal(stats.read(part), want)
+        assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
 
     def test_exceedances_build_no_level_stack(self):
         # Counting level by level holds one (c, p) boolean array at a time,
         # not a (levels, c, p) stack beside the absolute means.
         reduction = Exceedances(tuple(np.geomspace(0.01, 1.0, 8)))
         means = np.random.default_rng(0).normal(0.0, 0.1, (DEFAULT_CHUNK, 1000))
+        out = reduction.empty(DEFAULT_CHUNK, 1000)
+        tracemalloc.start()
+        try:
+            reduction.add(out, 0, means)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * means.nbytes
+        assert np.array_equal(out, reference_reduction(reduction, means))
+
+    @pytest.mark.parametrize("reduction", [MaxBelow(0.1), PowerSums(2.0), PowerSums(3.0)],
+                             ids=repr)
+    def test_tail_reduction_holds_one_buffer(self, reduction):
+        # |m|, its power and its square, or |m| zeroed above U, are worked
+        # in one (c, p) buffer: no second (c, p) float array beside it.
+        means = np.random.default_rng(1).normal(0.0, 0.1, (DEFAULT_CHUNK, 1000))
         out = reduction.empty(DEFAULT_CHUNK, 1000)
         tracemalloc.start()
         try:
@@ -556,129 +538,83 @@ FULL_RUN = {
 }
 
 
-def kept_bytes(reps, p, orders):
-    """The ledger bytes of a run of every Monte Carlo check on a model stream.
-
-    Five streams keep their (reps,) maxima, the rho and mid streams their
-    multiplier maxima and quadratic block terms, and the tail stream its
-    largest mean below U: ten vectors. No stream keeps (reps, p) means:
-    the model stream keeps the two sums of its Gram, and the tail stream its int64
-    counts at eight levels per coordinate and two power sums per coordinate
-    at each of its ``orders`` orders.
-    """
-    return 8 * (10 * reps + 2 + 8 * p + 2 * orders * p)
+def run_config(tmp_path, obj):
+    """Run the config ``obj``; its config and its run_meta.json."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(obj))
+    config = load_config(path)
+    out = tmp_path / "out"
+    assert run_experiment(config, output_dir=str(out)) == 0
+    return config, json.loads((out / "run_meta.json").read_text())
 
 
-class TestSharedRun:
-    def test_one_pass_per_stream(self, tmp_path, panel_calls):
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(FULL_RUN))
-        config = load_config(path)
-        out = tmp_path / "out"
-        assert run_experiment(config, output_dir=str(out)) == 0
+class TestRunPasses:
+    """A run draws each (stream, purpose) once and hands its statistics to
+    every check that reads it."""
+
+    @pytest.mark.parametrize("obj", [FULL_RUN,
+                                     dict(FULL_RUN, psi={"kind": "power", "q": 3.0},
+                                          checks=["prop2", "theorem1"], tail={"mode": "lq"})],
+                             ids=["full", "lq-q3"])
+    def test_one_pass_per_stream(self, tmp_path, panel_calls, obj):
+        config, meta = run_config(tmp_path, obj)
         assert len(panel_calls) == 5
         assert set(panel_calls.values()) == {1}
-        meta = json.loads((out / "run_meta.json").read_text())
         streams = meta["panel_streams"]
-        reps, p = config.reps, config.dgp.p
-        # Every pass goes through the ledger, so the record counts them all.
-        # The run names the tail stream's reductions in one request, which
-        # serves prop2's exceedance count, split and moments and the tail fit.
-        assert streams["drawn"] == sum(panel_calls.values())
-        assert {key: streams[key] for key in ("drawn", "reused", "kept_bytes")} == \
-            {"drawn": 5, "reused": 7, "kept_bytes": kept_bytes(reps, p, orders=1)}
+        assert set(streams) == {"drawn", "passes"} and streams["drawn"] == 5
+        passes = streams["passes"]
+        assert all(record.pop("seconds") >= 0 for record in passes)
+        # In draw order: model, rho, tail, mid, marginal.
+        assert [record["purpose"] for record in passes] == \
+            [PURPOSE_MODEL, PURPOSE_DEFAULT, PURPOSE_TAIL, PURPOSE_MID, PURPOSE_NORM]
+        reps, n, p = config.reps, config.dgp.n, config.dgp.p
+        assert passes[0] == {"purpose": PURPOSE_MODEL, "reps": config.rho_reps, "n": n,
+                             "p": p, "multipliers": False, "copies": False,
+                             "reductions": ["MeanGram"]}
+        tail_reads = (["Exceedances", "MaxBelow", "PowerSums"] if obj is FULL_RUN
+                      else ["MaxBelow", "PowerSums", "PowerSums"])
+        assert passes[2:] == [
+            {"purpose": PURPOSE_TAIL, "reps": reps, "n": n, "p": p, "multipliers": False,
+             "copies": False, "reductions": tail_reads},
+            {"purpose": PURPOSE_MID, "reps": reps, "n": n, "p": p, "multipliers": True,
+             "copies": False, "reductions": []},
+            {"purpose": PURPOSE_NORM, "reps": reps, "n": 1, "p": p, "multipliers": False,
+             "copies": False, "reductions": []},
+        ]
 
-        # theorem1's lhs and Hoeffding step read the mid stream that prop1
+    def test_checks_read_the_one_mid_pass(self, tmp_path):
+        # theorem1's lhs and Hoeffding step read the mid pass that prop1
         # reads, whose rhs is its lhs.
-        prop1, theorem1 = (json.loads((out / f"{name}.json").read_text())
+        run_config(tmp_path, FULL_RUN)
+        prop1, theorem1 = (json.loads((tmp_path / "out" / f"{name}.json").read_text())
                            for name in ("prop1", "theorem1"))
         hoeffding = theorem1["margins"][1]
         assert hoeffding["name"] == "hoeffding-step"
         assert hoeffding["lhs"] == pytest.approx(prop1["mid"]["mean"], rel=1e-12)
         assert theorem1["lhs"] == prop1["lhs"] == prop1["rhs"]
 
-        # The same check built outside a run draws its own panels and
-        # reports the same numbers.
-        report = json.loads((out / "prop2.json").read_text())
+    def test_prop2_from_hand_drawn_statistics(self, tmp_path):
+        # prop2 built from passes drawn here, each with only what prop2
+        # reads, reports what the run wrote.
+        config, _ = run_config(tmp_path, FULL_RUN)
+        report = json.loads((tmp_path / "out" / "prop2.json").read_text())
         del report["config"], report["diagnostics"]["remainder_inputs"]
-        rho = RhoEstimate(**report["rho"])
-        alone = verify_prop2(config.dgp, config.scheme, config.multiplier, config.psi,
-                             3.0, config.r, config.reps, rho, config.seed)
+        spec, reps, seed, U = config.dgp, config.reps, config.seed, 3.0
+        alone = verify_prop2(
+            spec, config.scheme, config.psi, U, config.r, RhoEstimate(**report["rho"]), seed,
+            mid=stream_statistics(spec, reps, seed, PURPOSE_MID, config.scheme,
+                                  config.multiplier),
+            tail=stream_statistics(spec, reps, seed, PURPOSE_TAIL, reductions=(MaxBelow(U),)),
+            marginal=stream_statistics(marginal_spec(spec), reps, seed, PURPOSE_NORM))
         assert json.loads(json.dumps(alone.to_json_dict())) == report
-
-    @pytest.mark.parametrize("tail, reread, orders", [({"mode": "lq"}, "PowerSums", 2),
-                                                      (FULL_RUN["tail"], "Exceedances", 1)],
-                             ids=["lq", "subexp"])
-    def test_reread_means_streams_are_drawn_once(self, tmp_path, panel_calls, monkeypatch,
-                                                 tail, reread, orders):
-        # With q = 3 the lq moment is read at q = 2 (prop2) and at q = 3
-        # (theorem1), and both reads name both orders; the sub-exponential
-        # fit reads the counts that prop2's exceedance count asked for. Each
-        # read is of the tail stream, whose one pass the run drew up front.
-        from blocksym import gaussian, psi, verify
-
-        reads = Counter()
-
-        def counting(spec, reps, seed, purpose, *args, reduction=None, **kw):
-            reads[purpose, type(reduction).__name__] += 1
-            return stream_statistics(spec, reps, seed, purpose, *args, reduction=reduction,
-                                     **kw)
-
-        for module in (gaussian, psi, verify):
-            monkeypatch.setattr(module, "stream_statistics", counting)
-        obj = dict(FULL_RUN, psi={"kind": "power", "q": 3.0}, checks=["prop2", "theorem1"],
-                   tail=tail)
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(obj))
-        config = load_config(path)
-        out = tmp_path / "out"
-        assert run_experiment(config, output_dir=str(out)) == 0
-        assert reads[PURPOSE_TAIL, reread] == 2
-        assert len(panel_calls) == 5
-        assert set(panel_calls.values()) == {1}
-        meta = json.loads((out / "run_meta.json").read_text())
-        streams = meta["panel_streams"]
-        reps, p = config.reps, config.dgp.p
-        assert {key: streams[key] for key in ("drawn", "reused", "kept_bytes")} == \
-            {"drawn": 5, "reused": 6, "kept_bytes": kept_bytes(reps, p, orders)}
-
-    def test_run_record_lists_each_pass(self, tmp_path):
-        # run_meta.json lists the passes in draw order: one per (stream,
-        # purpose), each with its request and the later requests it served.
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(FULL_RUN))
-        config = load_config(path)
-        out = tmp_path / "out"
-        assert run_experiment(config, output_dir=str(out)) == 0
-        streams = json.loads((out / "run_meta.json").read_text())["panel_streams"]
-        passes = streams["passes"]
-        assert len(passes) == streams["drawn"]
-        assert len({record["purpose"] for record in passes}) == 5
-        assert sum(record["served"] for record in passes) == streams["reused"]
-        assert passes[0].pop("seconds") >= 0
-        assert passes[0] == {"purpose": PURPOSE_MODEL, "reps": config.rho_reps,
-                             "n": config.dgp.n, "p": config.dgp.p, "multipliers": False,
-                             "copies": False, "reduction": "MeanGram", "served": 0}
-        # prop1 draws the mid stream, and prop2 and theorem1 read it again.
-        mid = next(record for record in passes if record["purpose"] == PURPOSE_MID)
-        assert (mid["multipliers"], mid["reduction"], mid["served"]) == (True, None, 2)
-        assert PURPOSE_LHS not in {record["purpose"] for record in passes}
-        # One pass of the tail stream serves prop2's three reads and the tail fit.
-        tail = next(record for record in passes if record["purpose"] == PURPOSE_TAIL)
-        assert (tail["reduction"], tail["served"]) == \
-            (["Exceedances", "MaxBelow", "PowerSums"], 4)
 
     def test_run_record_times_passes_and_stages(self, tmp_path):
         # run_meta.json gives each pass's seconds and each stage's, and the
         # stages, which do not overlap, fit inside the run.
-        path = tmp_path / "config.json"
-        path.write_text(json.dumps(FULL_RUN))
-        config = load_config(path)
-        out = tmp_path / "out"
-        assert run_experiment(config, output_dir=str(out)) == 0
-        meta = json.loads((out / "run_meta.json").read_text())
+        _, meta = run_config(tmp_path, FULL_RUN)
         stages = meta["stages"]
-        assert set(stages) == {"model", "rho", "truncation", "tail", *FULL_RUN["checks"]}
+        assert set(stages) == {"model", "rho", "truncation", "tail", "mid", "marginal",
+                               *FULL_RUN["checks"]}
         seconds = [*stages.values(), *(record["seconds"]
                                        for record in meta["panel_streams"]["passes"])]
         assert all(value >= 0 for value in seconds)

@@ -316,7 +316,7 @@ class TestEstimateGaussianModel:
     def test_mc_clips_tiny_negative_perp(self, monkeypatch):
         # Sums of perfectly correlated means may round p T - total below 0.
         def sums(*args, **kwargs):
-            return SimpleNamespace(reduced=np.array([1000.0, 2000.0 + 1e-9]))
+            return SimpleNamespace(read=lambda reduction: np.array([1000.0, 2000.0 + 1e-9]))
 
         monkeypatch.setattr(gaussian, "stream_statistics", sums)
         model = estimate_gaussian_model(DgpSpec("iid_gaussian", n=8, p=2), "mc", reps=1000)
@@ -341,6 +341,21 @@ class TestEstimateRhos:
         crit = dkw_two_sample_bound(reps, alpha=0.05)
         assert rho.rho < crit
         assert rho.rho_star < crit
+
+    def test_model_of_another_dimension_is_rejected(self, monkeypatch):
+        # A model for p = 50 used on p = 3 panels once gave rho 0.80; the
+        # dimensions are checked before anything is drawn.
+        from blocksym import blocking
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("drew a pass")
+
+        monkeypatch.setattr(blocking, "reduce_panels", no_draw)
+        spec = DgpSpec("iid_gaussian", n=16, p=3)
+        for draw in (draw_rho_samples, estimate_rhos):
+            with pytest.raises(ValueError, match="p=50 .* p=3"):
+                draw(spec, make_blocks(16, 4), RADEMACHER, GaussianModel(50, 1.0, 1.0),
+                     1000, 0)
 
     def test_deterministic(self):
         spec = DgpSpec("var1", n=16, p=2, phi=0.5)

@@ -19,6 +19,7 @@ from blocksym.psi import (
     psi_moment_norm,
 )
 from blocksym.quadrature import integrate_to_tolerance
+from conftest import marginal_pass
 
 POWER2 = PsiSpec("power", q=2.0)
 POWER1 = PsiSpec("power", q=1.0)
@@ -164,7 +165,7 @@ def test_monotone_on_sorted_grids(spec, xs):
 class TestMomentNorm:
     def test_zero_law(self):
         zero = DgpSpec("linear_process", n=4, p=2, coeffs=(0.0,))
-        est = psi_moment_norm(POWER2, zero, r=2.0, reps=2000, seed=1)
+        est = psi_moment_norm(POWER2, marginal_pass(zero, 2000, 1), r=2.0)
         assert est.value == 0.0
         assert est.se == 0.0
 
@@ -172,12 +173,12 @@ class TestMomentNorm:
         # power q=2, r=2, scalar standard normal: the norm is
         # (E (2|x|)^4)^(1/2) = sqrt(48).
         law = DgpSpec("iid_gaussian", n=1, p=1)
-        est = psi_moment_norm(POWER2, law, r=2.0, reps=40_000, seed=3)
+        est = psi_moment_norm(POWER2, marginal_pass(law, 40_000, 3), r=2.0)
         assert abs(est.value - math.sqrt(48.0)) < 3 * est.se
 
     def test_bounded_sign_exact(self):
         law = DgpSpec("bounded_rademacher", n=1, p=1)
-        est = psi_moment_norm(POWER1, law, r=2.0, reps=2000, seed=5)
+        est = psi_moment_norm(POWER1, marginal_pass(law, 2000, 5), r=2.0)
         assert est.value == pytest.approx(2.0)
         assert est.se == pytest.approx(0.0, abs=1e-12)
 
@@ -185,12 +186,12 @@ class TestMomentNorm:
         # Heavy exponential gauge against Gaussian tails overflows to inf.
         heavy = PsiSpec("exponential", a=50.0, b=4.0)
         law = DgpSpec("iid_gaussian", n=1, p=1)
-        with pytest.raises(MomentExplosionError, match="iid_gaussian"):
-            psi_moment_norm(heavy, law, r=2.0, reps=2000, seed=7)
+        with pytest.raises(MomentExplosionError, match="not finite"):
+            psi_moment_norm(heavy, marginal_pass(law, 2000, 7), r=2.0)
 
     def test_rejects_bad_arguments(self):
         law = DgpSpec("iid_gaussian", n=1, p=1)
         with pytest.raises(ValueError, match="r"):
-            psi_moment_norm(POWER2, law, r=1.0, reps=2000, seed=0)
+            psi_moment_norm(POWER2, marginal_pass(law, 2000, 0), r=1.0)
         with pytest.raises(ValueError, match="reps"):
-            psi_moment_norm(POWER2, law, r=2.0, reps=10, seed=0)
+            psi_moment_norm(POWER2, marginal_pass(law, 10, 0), r=2.0)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,9 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksym import processes, verify
+from blocksym import blocking, processes, verify
 from blocksym.blocking import (
+    Exceedances,
+    MaxBelow,
     MultiplierSpec,
+    PowerSums,
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
@@ -20,7 +24,7 @@ from blocksym.blocking import (
 )
 from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec
-from blocksym.psi import PsiSpec, psi_deriv, psi_eval
+from blocksym.psi import PsiSpec, psi_deriv, psi_eval, psi_moment_norm
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
 from blocksym.seeding import PURPOSE_DEFAULT, PURPOSE_LHS, PURPOSE_MID, STREAM_PANEL
 from blocksym.verify import (
@@ -30,14 +34,24 @@ from blocksym.verify import (
     NonFiniteGaugeError,
     exact_enumeration,
     mc_coordinate_mean_moment,
+    mc_per_coordinate_tails,
     mc_tail_probability,
+    tail_levels,
     theorem1_bound,
     verdict_for,
     verify_independence_reduction,
     verify_prop1,
     verify_prop2,
 )
-from conftest import draw_panels
+from conftest import (
+    draw_panels,
+    marginal_pass,
+    mid_pass,
+    run_prop1,
+    run_prop2,
+    run_theorem1,
+    tail_pass,
+)
 
 RADEMACHER = MultiplierSpec("rademacher")
 POWER1 = PsiSpec("power", q=1.0)
@@ -71,8 +85,8 @@ class TestVerdicts:
 class TestMcExpect:
     def test_zero_law_is_exactly_zero(self):
         scheme = make_blocks(8, 2)
-        report = verify_prop2(ZERO_LAW, scheme, RADEMACHER, POWER2, 1.0, 2.0,
-                              2000, zero_rho(), seed=0)
+        report = run_prop2(ZERO_LAW, scheme, POWER2, 1.0, 2.0,
+                           2000, zero_rho(), seed=0)
         for est in (report.lhs, report.mid, report.rhs):
             assert est.mean == 0.0 and est.se == 0.0
         assert all(m.se == 0.0 for m in report.margins)
@@ -81,8 +95,8 @@ class TestMcExpect:
         # Scalar iid Gaussian: E (column mean)^2 = 1/n, prop2's lhs at q = 2.
         spec = DgpSpec("iid_gaussian", n=64, p=1)
         scheme = make_blocks(64, 8)
-        est = verify_prop2(spec, scheme, RADEMACHER, POWER2, 1.0, 2.0, 20_000, zero_rho(),
-                           seed=1).lhs
+        est = run_prop2(spec, scheme, POWER2, 1.0, 2.0, 20_000, zero_rho(),
+                        seed=1).lhs
         assert abs(est.mean - 1.0 / 64.0) < 3 * est.se
 
     def test_unit_multipliers_match_plain_per_replication(self):
@@ -113,14 +127,14 @@ class TestMcExpect:
         heavy = PsiSpec("exponential", a=200.0, b=3.0)
         spec = DgpSpec("bounded_rademacher", n=4, p=1, scale=2.0)
         with pytest.raises(NonFiniteGaugeError, match=r"at replication \d+$"):
-            verify_prop1(spec, make_blocks(4, 2), RADEMACHER, heavy, 2.0, 2000, zero_rho(),
-                         seed=2)
+            run_prop1(spec, make_blocks(4, 2), heavy, 2.0, 2000, zero_rho(),
+                      seed=2)
 
     def test_reps_floor(self):
-        for build in (lambda: verify_prop1(SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2,
-                                           1.0, 999, zero_rho(), seed=0),
-                      lambda: theorem1_bound(SIGNS_4x2, make_blocks(4, 2), RADEMACHER, 2.0,
-                                             2.0, 1.0, 999, zero_rho(), "lq", seed=0)):
+        for build in (lambda: run_prop1(SIGNS_4x2, make_blocks(4, 2), POWER2,
+                                        1.0, 999, zero_rho(), seed=0),
+                      lambda: run_theorem1(SIGNS_4x2, make_blocks(4, 2), 2.0,
+                                           2.0, 1.0, 999, zero_rho(), "lq", seed=0)):
             with pytest.raises(ValueError, match="reps >= 1000"):
                 build()
 
@@ -184,8 +198,8 @@ def ma1_mc_gap(mode):
     the exact MA(1) sign-panel value; U = 1.5 is the panel's support bound."""
     sch = make_blocks(4, 2)
     exact = exact_enumeration(MA1_SIGNS_4x2, sch, RADEMACHER, POWER2)
-    report = verify_prop1(MA1_SIGNS_4x2, sch, RADEMACHER, POWER2, 1.5, 20_000, zero_rho(),
-                          seed=12)
+    report = run_prop1(MA1_SIGNS_4x2, sch, POWER2, 1.5, 20_000, zero_rho(),
+                       seed=12)
     est, target = (report.lhs, exact.lhs) if mode == "plain" else (report.mid, exact.mid)
     return abs(est.mean - target) / est.se
 
@@ -193,8 +207,8 @@ def ma1_mc_gap(mode):
 def prop2_ma1_gaps():
     """Distances in se of prop2's mid and rhs from (1/2) E psi(2 .) of the exact
     MA(1) sign-panel chain: twice the exact mid and lhs for q = 2."""
-    report = verify_prop2(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2, 1.5, 2.0,
-                          20_000, zero_rho(), seed=12)
+    report = run_prop2(MA1_SIGNS_4x2, make_blocks(4, 2), POWER2, 1.5, 2.0,
+                       20_000, zero_rho(), seed=12)
     return {"mid": abs(report.mid.mean - 1.3935546875) / report.mid.se,
             "rhs": abs(report.rhs.mean - 1.59765625) / report.rhs.se}
 
@@ -202,8 +216,8 @@ def prop2_ma1_gaps():
 def theorem1_ma1_gaps():
     """Distances in se of theorem1's quadratic term and Hoeffding-step lhs from
     their exact MA(1) sign-panel values at b = 2 and q = 2."""
-    report = theorem1_bound(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, 2.0, 2.0, 1.5,
-                            20_000, zero_rho(), "lq", seed=12)
+    report = run_theorem1(MA1_SIGNS_4x2, make_blocks(4, 2), 2.0, 2.0, 1.5,
+                          20_000, zero_rho(), "lq", seed=12)
     hoeffding = report.margins[1]
     return {"quad": abs(report.remainders["quad_term"] - 313 / 128)
             / report.diagnostics["quad_term_se"],
@@ -318,8 +332,8 @@ class TestExactEnumeration:
     def test_mc_estimators_match_enumeration(self, mode):
         sch = make_blocks(4, 2)
         exact = exact_enumeration(SIGNS_4x2, sch, RADEMACHER, POWER2)
-        report = verify_prop1(SIGNS_4x2, sch, RADEMACHER, POWER2, 1.0, 20_000, zero_rho(),
-                              seed=5)
+        report = run_prop1(SIGNS_4x2, sch, POWER2, 1.0, 20_000, zero_rho(),
+                           seed=5)
         est, target = (report.lhs, exact.lhs) if mode == "plain" else (report.mid, exact.mid)
         assert abs(est.mean - target) < 3 * est.se
 
@@ -352,7 +366,7 @@ class TestNegativeControls:
                 scheme = make_blocks(spec.n, 1)
             return stream_statistics(spec, reps, seed, purpose, scheme, mult, **kw)
 
-        monkeypatch.setattr(verify, "stream_statistics", per_time_point)
+        monkeypatch.setattr(blocking, "stream_statistics", per_time_point)
         assert exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER,
                                  POWER2).mid == 0.69677734375
         assert ma1_mc_gap("multiplier") > 4
@@ -377,39 +391,99 @@ class TestNegativeControls:
         # mid 0.6968 and rhs 0.7988, half the targets.
         chain = verify._chain
         monkeypatch.setattr(verify, "_chain",
-                            lambda *args: chain(*args[:4], 1.0, *args[5:]))
+                            lambda mid, psi, gain, remainder: chain(mid, psi, 1.0, remainder))
         gaps = prop2_ma1_gaps()
         assert gaps["mid"] > 4 and gaps["rhs"] > 4, gaps
+
+
+class TestWrongStatistics:
+    """A verifier given a pass without what it reads names what is missing,
+    before numpy sees the arrays."""
+
+    SPEC = DgpSpec("truncated_var1", n=16, p=3, phi=0.5, truncation=3.0)
+    SCHEME = make_blocks(16, 4)
+
+    def passes(self, reps=1000, *reductions):
+        return {"mid": mid_pass(self.SPEC, self.SCHEME, reps, 1),
+                "tail": tail_pass(self.SPEC, reps, 1, *reductions),
+                "marginal": marginal_pass(self.SPEC, reps, 1)}
+
+    def raises(self, build, match):
+        with pytest.raises(ValueError, match=match) as caught:
+            build()
+        assert "numpy" not in str(caught.traceback[-1].path)
+
+    def test_mid_pass_without_multipliers(self):
+        streams = self.passes(1000, MaxBelow(3.0))
+        plain = tail_pass(self.SPEC, 1000, 1)
+        assert plain.mult_max is None
+        self.raises(lambda: verify_prop1(self.SPEC, self.SCHEME, POWER2, 3.0, zero_rho(), 1,
+                                         mid=plain), r"multiplier statistic \(mult_max\)")
+        self.raises(lambda: verify_prop2(self.SPEC, self.SCHEME, POWER2, 3.0, 2.0, zero_rho(),
+                                         1, **dict(streams, mid=plain)), "mult_max")
+        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
+                                           zero_rho(), "lq", 1, mid=plain,
+                                           marginal=streams["marginal"],
+                                           tail=tail_pass(self.SPEC, 1000, 1, PowerSums(2.0))),
+                    "mult_max")
+
+    def test_tail_pass_without_its_reduction(self):
+        streams = self.passes(1000, PowerSums(3.0))
+        self.raises(lambda: verify_prop2(self.SPEC, self.SCHEME, POWER2, 3.0, 2.0, zero_rho(),
+                                         1, **streams), re.escape("MaxBelow(U=3.0)"))
+        theorem1 = dict(mid=streams["mid"], marginal=streams["marginal"])
+        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
+                                           zero_rho(), "lq", 1, tail=streams["tail"],
+                                           **theorem1), re.escape("PowerSums(order=2.0)"))
+        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
+                                           zero_rho(), "lq", 1, **theorem1),
+                    re.escape("PowerSums(order=2.0)"))
+        self.raises(lambda: mc_per_coordinate_tails(streams["tail"], tail_levels(3.0)),
+                    r"folded no Exceedances\(levels=\(0\.75")
+        self.raises(lambda: mc_coordinate_mean_moment(streams["tail"], 2.0),
+                    r"folded no PowerSums\(order=2\.0\); it folded \[PowerSums\(order=3\.0\)\]")
+
+    def test_fewer_than_1000_replications(self):
+        streams = self.passes(999, MaxBelow(3.0), PowerSums(2.0))
+        self.raises(lambda: verify_prop1(self.SPEC, self.SCHEME, POWER2, 3.0, zero_rho(), 1,
+                                         mid=streams["mid"]), "need reps >= 1000, got 999")
+        self.raises(lambda: verify_prop2(self.SPEC, self.SCHEME, POWER2, 3.0, 2.0, zero_rho(),
+                                         1, **streams), "reps >= 1000.*got 999")
+        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
+                                           zero_rho(), "lq", 1, **streams),
+                    "reps >= 1000, got 999")
+        self.raises(lambda: psi_moment_norm(POWER2, streams["marginal"], 2.0),
+                    "reps >= 1000 for a stable norm estimate, got 999")
 
 
 class TestTailAndMoments:
     def test_tail_probability_upper_is_conservative(self):
         spec = DgpSpec("iid_gaussian", n=16, p=1)
-        out = mc_tail_probability(spec, U=10.0, reps=2000, seed=0)
+        out = mc_tail_probability(tail_pass(spec, 2000, 0), U=10.0)
         assert out["hits"] == 0
         assert 0.0 < out["upper"] < 0.01
         assert out["estimate"] == 0.0
 
     def test_tail_probability_all_hits(self):
-        out = mc_tail_probability(ZERO_LAW, U=0.0, reps=1000, seed=0)
+        out = mc_tail_probability(tail_pass(ZERO_LAW, 1000, 0), U=0.0)
         assert out["hits"] == 1000 and out["upper"] == 1.0
 
     def test_coordinate_moment_scalar_gaussian(self):
         spec = DgpSpec("iid_gaussian", n=16, p=1)
-        out = mc_coordinate_mean_moment(spec, 2.0, 20_000, seed=1)
+        out = mc_coordinate_mean_moment(tail_pass(spec, 20_000, 1, PowerSums(2.0)), 2.0)
         assert abs(out["value"] - 1.0 / 16.0) < 3 * out["se"]
 
     def test_split_tail_term_enumerates(self):
         # n=2, p=1 signs with level 0.4: |mean| is 1 w.p. 1/2 and 0 w.p.
         # 1/2, so E_n2 = E[(1/2) psi(2 |mean|) 1{|mean| > 0.4}] = psi(2) / 4 = 1.
-        rep = verify_prop2(SIGNS_2x1, make_blocks(2, 1), RADEMACHER, POWER2,
-                           0.4, 2.0, 20_000, zero_rho(), seed=3)
+        rep = run_prop2(SIGNS_2x1, make_blocks(2, 1), POWER2,
+                        0.4, 2.0, 20_000, zero_rho(), seed=3)
         e2 = rep.diagnostics["E_n2"]
         assert abs(e2["mean"] - 1.0) < 3 * e2["se"]
 
     def test_split_tail_term_vanishes_above_support(self):
-        rep = verify_prop2(SIGNS_2x1, make_blocks(2, 1), RADEMACHER, POWER2,
-                           1.5, 2.0, 2000, zero_rho(), seed=4)
+        rep = run_prop2(SIGNS_2x1, make_blocks(2, 1), POWER2,
+                        1.5, 2.0, 2000, zero_rho(), seed=4)
         assert rep.diagnostics["E_n2"]["mean"] == 0.0
 
     @pytest.mark.parametrize(
@@ -433,14 +507,13 @@ class TestTailAndMoments:
             concentration_subexp,
             fit_subexp_envelope,
         )
-        from blocksym.verify import mc_per_coordinate_tails
-
         reps = 4000
         stats = batch_max_abs_mean(draw_panels(spec, 99, 1, 0, 0, reps))
         scale = np.quantile(stats, 0.9)
         grid = scale * np.array([1.0, 1.5, 2.5, 4.0])
-        pbars = mc_per_coordinate_tails(spec, grid, reps, seed=99)
-        moment = mc_coordinate_mean_moment(spec, 2.0, reps, seed=99)["value"]
+        tail = tail_pass(spec, reps, 99, Exceedances(tuple(grid)), PowerSums(2.0))
+        pbars = mc_per_coordinate_tails(tail, grid)
+        moment = mc_coordinate_mean_moment(tail, 2.0)["value"]
         envelope = fit_subexp_envelope(grid, pbars, spec.n, gamma=1.0, phi=0.5)
         for u, pbar in zip(grid, pbars):
             hat = float((stats >= u).mean())
@@ -454,21 +527,21 @@ class TestProp1:
     def test_zero_law_rejected_as_unbounded(self):
         # The zero-coefficient filter is unbounded by declaration.
         with pytest.raises(ValueError, match="bounded"):
-            verify_prop1(ZERO_LAW, make_blocks(8, 2), RADEMACHER, POWER2,
-                         1.0, 2000, zero_rho(), seed=0)
+            run_prop1(ZERO_LAW, make_blocks(8, 2), POWER2,
+                      1.0, 2000, zero_rho(), seed=0)
 
     def test_support_must_fit_below_level(self):
         spec = DgpSpec("bounded_rademacher", n=8, p=1, scale=2.0)
         with pytest.raises(ValueError, match="exceeds"):
-            verify_prop1(spec, make_blocks(8, 2), RADEMACHER, POWER2,
-                         1.0, 2000, zero_rho(), seed=0)
+            run_prop1(spec, make_blocks(8, 2), POWER2,
+                      1.0, 2000, zero_rho(), seed=0)
 
     def test_near_degenerate_scale_holds(self):
         # Vanishing panels: both sides and the remainder collapse to zero
         # and the chain holds.
         spec = DgpSpec("bounded_rademacher", n=8, p=2, scale=1e-12)
-        report = verify_prop1(spec, make_blocks(8, 2), RADEMACHER, POWER2,
-                              1e-12, 2000, zero_rho(), seed=1)
+        report = run_prop1(spec, make_blocks(8, 2), POWER2,
+                           1e-12, 2000, zero_rho(), seed=1)
         assert report.lhs.mean < 1e-20
         assert not report.violated
 
@@ -476,8 +549,8 @@ class TestProp1:
         sch = make_blocks(4, 2)
         model = estimate_gaussian_model(SIGNS_4x2)
         rho = estimate_rhos(SIGNS_4x2, sch, RADEMACHER, model, 4000, seed=3)
-        report = verify_prop1(SIGNS_4x2, sch, RADEMACHER, POWER2, 1.0,
-                              4000, rho, seed=4)
+        report = run_prop1(SIGNS_4x2, sch, POWER2, 1.0,
+                           4000, rho, seed=4)
         assert not report.violated
         exact = exact_enumeration(SIGNS_4x2, sch, RADEMACHER, POWER2)
         assert abs(report.lhs.mean - exact.lhs) < 3 * report.lhs.se
@@ -486,8 +559,8 @@ class TestProp1:
 
     def test_report_serialization_round_trip(self):
         sch = make_blocks(4, 2)
-        report = verify_prop1(SIGNS_4x2, sch, RADEMACHER, POWER2, 1.0,
-                              2000, zero_rho(), seed=4)
+        report = run_prop1(SIGNS_4x2, sch, POWER2, 1.0,
+                           2000, zero_rho(), seed=4)
         payload = report.to_json_dict()
         assert payload["schema_version"] == 1
         assert payload["check"] == "prop1"
@@ -511,12 +584,13 @@ class TestProp2:
         assert exact_moment == 0.5
         lhs = exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2).lhs
         assert 2 * lhs == 1.59765625
-        report = verify_prop2(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER, POWER2, 1.5,
-                              2.0, 20_000, zero_rho(), seed=12)
+        report = run_prop2(MA1_SIGNS_4x2, make_blocks(4, 2), POWER2, 1.5,
+                           2.0, 20_000, zero_rho(), seed=12)
         e1, e2 = report.diagnostics["E_n1"], report.diagnostics["E_n2"]
         assert abs(e1["mean"] - 2 * lhs) < 4 * e1["se"], e1
         assert (e2["mean"], e2["se"]) == (0.0, 0.0)
-        moment = mc_coordinate_mean_moment(MA1_SIGNS_4x2, 2.0, 20_000, seed=12)
+        moment = mc_coordinate_mean_moment(tail_pass(MA1_SIGNS_4x2, 20_000, 12, PowerSums(2.0)),
+                                           2.0)
         assert abs(moment["value"] - exact_moment) < 4 * moment["se"], moment
 
     def test_scaling_matches_exact_chain(self):
@@ -528,8 +602,8 @@ class TestProp2:
 
     def test_zero_law_all_zero(self):
         sch = make_blocks(8, 2)
-        report = verify_prop2(ZERO_LAW, sch, RADEMACHER, POWER2, 1.0, 2.0,
-                              2000, zero_rho(), seed=0)
+        report = run_prop2(ZERO_LAW, sch, POWER2, 1.0, 2.0,
+                           2000, zero_rho(), seed=0)
         assert report.lhs.mean == 0.0
         assert report.mid.mean == 0.0
         assert not report.violated
@@ -543,8 +617,8 @@ class TestProp2:
         sch = make_blocks(64, 8)
         model = estimate_gaussian_model(spec)
         rho = estimate_rhos(spec, sch, RADEMACHER, model, 4000, seed=1)
-        report = verify_prop2(spec, sch, RADEMACHER, POWER1, 10.0, 2.0,
-                              4000, rho, seed=2)
+        report = run_prop2(spec, sch, POWER1, 10.0, 2.0,
+                           4000, rho, seed=2)
         assert report.diagnostics["tail"]["hits"] == 0
         assert report.remainders["R2"] < 0.1
         assert not report.violated
@@ -554,8 +628,8 @@ class TestProp2:
         sch = make_blocks(32, 4)
         model = estimate_gaussian_model(spec)
         rho = estimate_rhos(spec, sch, RADEMACHER, model, 4000, seed=3)
-        report = verify_prop2(spec, sch, RADEMACHER, POWER2, 0.5, 2.0,
-                              4000, rho, seed=4)
+        report = run_prop2(spec, sch, POWER2, 0.5, 2.0,
+                           4000, rho, seed=4)
         e1 = report.diagnostics["E_n1"]["mean"]
         e2 = report.diagnostics["E_n2"]["mean"]
         se = math.hypot(report.diagnostics["E_n1"]["se"],
@@ -569,8 +643,8 @@ class TestProp2:
         sch = make_blocks(32, 4)
         model = estimate_gaussian_model(spec)
         rho = estimate_rhos(spec, sch, RADEMACHER, model, 4000, seed=5)
-        report = verify_prop2(spec, sch, RADEMACHER, POWER2, 1.0, 2.0,
-                              4000, rho, seed=6)
+        report = run_prop2(spec, sch, POWER2, 1.0, 2.0,
+                           4000, rho, seed=6)
         total = report.remainders["total"]
         lhs_side = report.mid.mean + total
         rhs_side = 2.0 * report.rhs.mean + 2.0 * total
@@ -610,8 +684,8 @@ class TestIndependenceReduction:
 class TestTheorem1:
     def test_zero_law_trivial(self):
         sch = make_blocks(8, 2)
-        report = theorem1_bound(ZERO_LAW, sch, RADEMACHER, 2.0, 2.0, 1.0,
-                                2000, zero_rho(), "lq", seed=0)
+        report = run_theorem1(ZERO_LAW, sch, 2.0, 2.0, 1.0,
+                              2000, zero_rho(), "lq", seed=0)
         assert report.lhs.mean == 0.0
         assert not report.violated
 
@@ -622,8 +696,8 @@ class TestTheorem1:
         )
         spec = DgpSpec("iid_gaussian", n=32, p=2)
         sch = make_blocks(32, 4)
-        report = theorem1_bound(spec, sch, RADEMACHER, 2.0, 2.0, 1.0,
-                                2000, zero_rho(), "lq", seed=1)
+        report = run_theorem1(spec, sch, 2.0, 2.0, 1.0,
+                              2000, zero_rho(), "lq", seed=1)
         assert report.remainders["hoeffding_factor"] == pytest.approx(
             hoeffding_factor(2.0, 1.0, 2, 32)
         )
@@ -633,20 +707,21 @@ class TestTheorem1:
         sch = make_blocks(64, 8)
         model = estimate_gaussian_model(spec)
         rho = estimate_rhos(spec, sch, RADEMACHER, model, 2000, seed=2)
-        report = theorem1_bound(spec, sch, RADEMACHER, 2.0, 2.0, 1.5,
-                                2000, rho, "lq", seed=3)
+        report = run_theorem1(spec, sch, 2.0, 2.0, 1.5,
+                              2000, rho, "lq", seed=3)
         rem = report.remainders
         assert rem["R1_used"] == max(rem["R1_quadrature"], rem["R1_nscaled"])
 
     def test_lq_mode_wiring(self):
         spec = DgpSpec("iid_gaussian", n=16, p=4)
         sch = make_blocks(16, 4)
-        report = theorem1_bound(spec, sch, RADEMACHER, 1.0, 2.0, 2.0,
-                                2000, zero_rho(), "lq", seed=6)
+        report = run_theorem1(spec, sch, 1.0, 2.0, 2.0,
+                              2000, zero_rho(), "lq", seed=6)
         tail = report.diagnostics["tail"]
         rem = report.remainders
         assert tail["mode"] == "lq"
-        assert tail["max_mean_moment"] == mc_coordinate_mean_moment(spec, 1.0, 2000, 6)["value"]
+        moment = mc_coordinate_mean_moment(tail_pass(spec, 2000, 6, PowerSums(1.0)), 1.0)
+        assert tail["max_mean_moment"] == moment["value"]
         assert rem["tail_bound"] == concentration_lq(4, 2.0, 1.0, tail["max_mean_moment"])
         assert rem["R2"] == remainder_R2(2.0, rem["tail_bound"], 2.0 * rem["M_hat_q"])
         assert report.rhs.mean == pytest.approx(
@@ -655,13 +730,13 @@ class TestTheorem1:
 
     def test_unknown_tail_mode(self):
         with pytest.raises(ValueError, match="tail mode"):
-            theorem1_bound(ZERO_LAW, make_blocks(8, 2), RADEMACHER, 2.0, 2.0, 1.0,
-                           2000, zero_rho(), "bayes", seed=0)
+            run_theorem1(ZERO_LAW, make_blocks(8, 2), 2.0, 2.0, 1.0,
+                         2000, zero_rho(), "bayes", seed=0)
 
     def test_subexp_needs_tail_params(self):
         with pytest.raises(ValueError, match="tail_params"):
-            theorem1_bound(ZERO_LAW, make_blocks(8, 2), RADEMACHER, 2.0, 2.0, 1.0,
-                           2000, zero_rho(), "subexp", seed=0)
+            run_theorem1(ZERO_LAW, make_blocks(8, 2), 2.0, 2.0, 1.0,
+                         2000, zero_rho(), "subexp", seed=0)
 
     @settings(max_examples=80, deadline=None)
     @given(c=st.integers(1, 40), count=st.integers(1, 16), p=st.integers(1, 5),
@@ -707,8 +782,8 @@ class TestTheorem1:
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * spec.n * spec.p * 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
-        report = theorem1_bound(spec, sch, RADEMACHER, q, 2.0, 1.0, reps, zero_rho(), "lq",
-                                seed=seed)
+        report = run_theorem1(spec, sch, q, 2.0, 1.0, reps, zero_rho(), "lq",
+                              seed=seed)
         sums = batch_block_sums(draw_panels(spec, seed, STREAM_PANEL, PURPOSE_MID, 0, reps), sch)
         eps = batch_multipliers(RADEMACHER, sch.count, seed, PURPOSE_MID, 0, reps)
         quad = (np.einsum("klp,klp->kp", sums, sums).max(axis=1) / spec.n) ** (q / 2.0)
@@ -731,8 +806,8 @@ class TestTheorem1:
         spec = DgpSpec("iid_gaussian", n=32, p=100)
         tracemalloc.start()
         try:
-            theorem1_bound(spec, make_blocks(32, 2), RADEMACHER, 2.0, 2.0, 3.0,
-                           DEFAULT_CHUNK, zero_rho(), "lq", seed=1)
+            run_theorem1(spec, make_blocks(32, 2), 2.0, 2.0, 3.0,
+                         DEFAULT_CHUNK, zero_rho(), "lq", seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -744,8 +819,8 @@ class TestTheorem1:
         model = estimate_gaussian_model(spec)
         rho = estimate_rhos(spec, sch, RADEMACHER, model, 2000, seed=4)
         params = TailParams(a=2.0, b=0.1, gamma=1.0, phi=0.5)
-        report = theorem1_bound(spec, sch, RADEMACHER, 1.0, 2.0, 1.0,
-                                4000, rho, "subexp", seed=5, tail_params=params)
+        report = run_theorem1(spec, sch, 1.0, 2.0, 1.0,
+                              4000, rho, "subexp", seed=5, tail_params=params)
         names = {m.name: m.verdict for m in report.margins}
         assert names["moment-bound"] != "violated"
         assert names["hoeffding-step"] != "violated"
@@ -761,14 +836,13 @@ class TestOnePassChain:
     REPS, SEED = 2000, 3
 
     def mid_stream(self):
-        return stream_statistics(self.SPEC, self.REPS, self.SEED, PURPOSE_MID, self.SCHEME,
-                                 RADEMACHER)
+        return mid_pass(self.SPEC, self.SCHEME, self.REPS, self.SEED)
 
     @pytest.mark.parametrize("gain", [1.0, 2.0], ids=["prop1", "prop2"])
     def test_chain_sides_and_paired_se(self, gain):
-        args = (self.SPEC, self.SCHEME, RADEMACHER, POWER2, 3.0)
-        report = (verify_prop1(*args, self.REPS, zero_rho(), self.SEED) if gain == 1.0
-                  else verify_prop2(*args, 2.0, self.REPS, zero_rho(), self.SEED))
+        args = (self.SPEC, self.SCHEME, POWER2, 3.0)
+        report = (run_prop1(*args, self.REPS, zero_rho(), self.SEED) if gain == 1.0
+                  else run_prop2(*args, 2.0, self.REPS, zero_rho(), self.SEED))
         stats = self.mid_stream()
         lhs = psi_eval(POWER2, stats.max_abs_mean)
         mid = psi_eval(POWER2, gain * stats.mult_max) / gain
@@ -784,8 +858,8 @@ class TestOnePassChain:
 
     def test_moment_bound_paired_se(self):
         q = 2.0
-        report = theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, q, 2.0, 3.0, self.REPS,
-                                zero_rho(), "lq", seed=self.SEED)
+        report = run_theorem1(self.SPEC, self.SCHEME, q, 2.0, 3.0, self.REPS,
+                              zero_rho(), "lq", seed=self.SEED)
         stats = self.mid_stream()
         rem = report.remainders
         lhs = stats.max_abs_mean**q
