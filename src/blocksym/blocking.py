@@ -233,13 +233,21 @@ class StreamStatistics(NamedTuple):
     """Read-only statistics of one pass of a panel stream: the largest
     absolute column mean, as ``batch_max_abs_mean`` (reps,); when a block
     scheme was named, the block-multiplier maximum and the quadratic block
-    term max_i (1/n) sum_l S[l, i]^2 (reps,) each, else None; and the result
-    of each reduction the pass folded, keyed by the reduction (see ``read``)."""
+    term max_i (1/n) sum_l S[l, i]^2 (reps,) each, else None; the result of
+    each reduction the pass folded, keyed by the reduction (see ``read``);
+    and the request the pass was drawn for: its spec, purpose, block scheme
+    and multiplier law (None without multipliers), and whether it took
+    differences with the copy stream (see ``require``)."""
 
     max_abs_mean: np.ndarray
     mult_max: Optional[np.ndarray]
     quad: Optional[np.ndarray]
     reduced: dict
+    spec: DgpSpec
+    purpose: int
+    scheme: Optional[BlockScheme]
+    mult: Optional[MultiplierSpec]
+    copies: bool
 
     @property
     def reps(self) -> int:
@@ -252,6 +260,37 @@ class StreamStatistics(NamedTuple):
             raise ValueError(f"the pass folded no {reduction}; it folded "
                              f"{list(self.reduced) or 'no reduction'}")
         return self.reduced[reduction]
+
+    def require(self, role: str, spec: DgpSpec, purpose: int,
+                scheme: Optional[BlockScheme] = None,
+                mult: Optional[MultiplierSpec] = None) -> None:
+        """Check that the pass is the stream ``purpose`` of ``spec``, without
+        copies, drawn with ``scheme`` and ``mult`` where those are given; a
+        ``ValueError`` names the request of the ``role`` pass and the one
+        it was read for."""
+        want = {"spec": spec, "purpose": purpose, "copies": False}
+        if scheme is not None:
+            want["scheme"] = scheme
+        if mult is not None:
+            want["mult"] = mult
+        have = {key: getattr(self, key) for key in want}
+        if have != want:
+            raise ValueError(f"the {role} pass was drawn for {_describe(have)}, "
+                             f"but it is read as {_describe(want)}")
+
+
+def _describe(request: dict) -> str:
+    """A pass request in words, for the messages of ``require``."""
+    words = [f"purpose {request['purpose']} of {request['spec'].to_json_dict()}"]
+    if "scheme" in request:
+        scheme = request["scheme"]
+        words.append("no block scheme" if scheme is None else f"block length {scheme.b}")
+    if "mult" in request:
+        mult = request["mult"]
+        words.append("no multipliers" if mult is None else f"{mult.kind} multipliers")
+    if request["copies"]:
+        words.append("differences with the copy stream")
+    return ", ".join(words)
 
 
 # The records of the innermost open ``recorded_passes()`` block; a context
@@ -333,4 +372,5 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                         "multipliers": mult is not None, "copies": copies,
                         "reductions": [type(part).__name__ for part in reduced],
                         "seconds": time.perf_counter() - started})
-    return StreamStatistics(max_abs_mean, mult_max, quad, reduced)
+    return StreamStatistics(max_abs_mean, mult_max, quad, reduced, spec, purpose, scheme,
+                            mult, copies)

@@ -9,8 +9,9 @@ One JSON config file fully determines a run. Subcommands:
   field path.
 - ``plot <kind> <reports...>``: emit tidy plot-ready CSV (series, x, y).
 
-Report JSON is byte-deterministic for a fixed config and seed; timestamps
-and environment notes go to a separate run_meta.json.
+Report JSON is byte-deterministic for a fixed config and seed; timestamps,
+stage timings, the panel passes, each remainder integral's QUADPACK error
+estimate and environment notes go to a separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .blocking import (
 from .gaussian import GaussianModel, RhoEstimate, draw_rho_samples, estimate_gaussian_model
 from .processes import DgpSpec, _is_real, draw_workers, from_fields, marginal_spec
 from .psi import PsiSpec, psi_moment_norm
+from .quadrature import recorded_integrals
 from .remainders import (
     TailParams,
     VacuousBoundError,
@@ -427,13 +429,18 @@ def _marginal_pass(config: ExperimentConfig) -> StreamStatistics:
 
 
 @contextlib.contextmanager
-def _timed(stages: dict, name: str):
-    """Record the wall time of the block under ``stages[name]``, in seconds."""
+def _timed(meta: dict, name: str):
+    """Record the wall time of the block under ``meta["stages"][name]``, in
+    seconds, and the integrals it evaluates, if any, under
+    ``meta["quadrature"][name]``."""
     started = time.perf_counter()
-    try:
-        yield
-    finally:
-        stages[name] = time.perf_counter() - started
+    with recorded_integrals() as integrals:
+        try:
+            yield
+        finally:
+            meta["stages"][name] = time.perf_counter() - started
+            if integrals:
+                meta["quadrature"][name] = integrals
 
 
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
@@ -504,14 +511,14 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     reports: dict[str, VerificationReport] = {}
     partial_error = None
     run = _RunInputs()
-    stages = {}
+    meta = {"stages": {}, "quadrature": {}}
 
     with recorded_passes() as passes:
         try:
             if any(c in config.checks for c in _RHO_CHECKS):
-                with _timed(stages, "model"):
+                with _timed(meta, "model"):
                     model = _resolve_model(config)
-                with _timed(stages, "rho"):
+                with _timed(meta, "rho"):
                     samples = draw_rho_samples(config.dgp, config.scheme,
                                                config.multiplier, model,
                                                config.rho_reps, config.seed)
@@ -525,27 +532,27 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
                 # reads their norm, and the tail stream's reductions need U.
                 optimal = config.truncation["mode"] == "optimal"
                 if optimal:
-                    with _timed(stages, "marginal"):
+                    with _timed(meta, "marginal"):
                         run.marginal = _marginal_pass(config)
-                with _timed(stages, "truncation"):
+                with _timed(meta, "truncation"):
                     trunc = _resolve_truncation(config, run)
                 run.U = trunc["U"]
                 reductions = _tail_reductions(config, run.U)
                 if reductions:
-                    with _timed(stages, "tail"):
+                    with _timed(meta, "tail"):
                         run.tail = stream_statistics(config.dgp, config.reps, config.seed,
                                                      PURPOSE_TAIL, reductions=reductions)
-                with _timed(stages, "mid"):
+                with _timed(meta, "mid"):
                     run.mid = stream_statistics(config.dgp, config.reps, config.seed,
                                                 PURPOSE_MID, config.scheme, config.multiplier)
                 if not optimal and ("prop2" in config.checks or "theorem1" in config.checks):
-                    with _timed(stages, "marginal"):
+                    with _timed(meta, "marginal"):
                         run.marginal = _marginal_pass(config)
 
             for check, runner in _CHECK_RUNNERS.items():
                 if check not in config.checks:
                     continue
-                with _timed(stages, check):
+                with _timed(meta, check):
                     reports[check] = report = runner(config, run)
                 if trunc.get("mode") == "optimal":
                     report.diagnostics["truncation"] = trunc
@@ -574,7 +581,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
         {"started": started.isoformat(), "finished": finished.isoformat(),
          "duration_seconds": (finished - started).total_seconds(),
          "panel_streams": {"drawn": len(passes), "passes": passes},
-         "stages": stages,
+         **meta,
          "slack": {f"{report.check}.{m.name}": m.slack
                    for report in reports.values() for m in report.margins},
          "versions": {"python": sys.version.split()[0], "numpy": np.__version__,

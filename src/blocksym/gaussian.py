@@ -152,16 +152,33 @@ def _ascending(x) -> np.ndarray:
     return x if np.all(x[1:] >= x[:-1]) else np.sort(x)
 
 
+def _run_ends(points: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """``searchsorted(points, points[lo:hi], side="right")`` for sorted
+    ``points`` in O(hi - lo): the index just past each point's run of ties.
+
+    A point equal to its successor ends where the successor's run ends, so
+    the ends are the running minimum from the right of i + 1 at points that
+    end a run; only the slice's last run may reach past ``hi``.
+    """
+    x = points[lo:hi]
+    ends = np.arange(lo + 1, hi + 1)
+    ends[-1] = np.searchsorted(points, x[-1], side="right")
+    ends[:-1][x[:-1] == x[1:]] = ends[-1]
+    return np.minimum.accumulate(ends[::-1])[::-1]
+
+
 def kolmogorov_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Exact sup-norm distance between two empirical CDFs.
 
     Both CDFs are right-continuous steps that jump only at pooled points, so
     the gap is constant from each pooled point up to the next. Evaluating it
     at every pooled point covers every piece: the left limit at a pooled
-    point is the value at the previous one, and 0 below the first. The
-    points of each sample are evaluated ``_KS_SLICE`` at a time, so no pool
-    and no full-length temporaries are built; a sorted sample is not sorted
-    again.
+    point is the value at the previous one, and 0 below the first. At a
+    point of one sample its own CDF is the end of the point's run of ties,
+    read off the sorted sample in linear time, so only the other sample is
+    searched. The points of each sample are evaluated ``_KS_SLICE`` at a
+    time, so no pool and no full-length temporaries are built; a sorted
+    sample is not sorted again.
     """
     a, b = _ascending(a), _ascending(b)
     if a.size == 0 or b.size == 0:
@@ -169,12 +186,12 @@ def kolmogorov_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a[0] < 0 or b[0] < 0:
         raise ValueError("max-abs statistics must be >= 0")
     gap = 0.0
-    for points in (a, b):
+    for points, other in ((a, b), (b, a)):
         for lo in range(0, points.size, _KS_SLICE):
-            x = points[lo : lo + _KS_SLICE]
+            hi = min(lo + _KS_SLICE, points.size)
             gap = max(gap, float(np.abs(
-                np.searchsorted(a, x, side="right") / a.size
-                - np.searchsorted(b, x, side="right") / b.size
+                _run_ends(points, lo, hi) / points.size
+                - np.searchsorted(other, points[lo:hi], side="right") / other.size
             ).max()))
     return gap
 

@@ -28,16 +28,21 @@ to the Gaussian innovations here and to the comparison draws of ``gaussian``.
 of ``_BLOCK_BYTES`` of panel (at least one replication), draws each block
 with the one filler per kind (``_fill``) and hands its column means and
 block sums to the caller's block fold as soon as it is drawn, so it never
-holds a chunk of panels or of block sums. The block is the unit of keying
-for Gaussian kinds: one Philox generator, keyed by the substream (seed,
-stream, purpose, first) of the block's first replication, draws the whole
-block in C order. Block bounds depend only on n, p, ``DEFAULT_CHUNK`` and
-``_BLOCK_BYTES``, and the rows before r in its block do not depend on how
-many replications the run asks for, so replication r stays a pure function
-of its coordinates; a block of one replication draws exactly what that
-replication's own substream gives. Changing ``_BLOCK_BYTES`` moves the
-Gaussian draws. Sign kinds key each replication apart, from the raw words
-of its substream.
+holds a chunk of panels or of block sums. A block of k panels is held
+time-major, as an (n, k, p) array whose row t is time t of every panel, so
+the column means and the block sums are sums of contiguous rows, one row
+at a time (a one-column block is reduced as (k, n, 1), as numpy sums a
+column). The block is the unit of keying for Gaussian kinds: one Philox
+generator, keyed by the substream (seed, stream, purpose, first) of the
+block's first replication, draws the whole block time-major. Block bounds
+depend only on n, p, ``DEFAULT_CHUNK`` and ``_BLOCK_BYTES``, and a block's
+first rows do not depend on how many replications the run asks for (its
+last block is drawn at full length), so replication r stays a pure
+function of its coordinates; a block of one replication draws exactly
+what that replication's own substream gives. Changing ``_BLOCK_BYTES``
+moves the Gaussian draws. Sign kinds key each replication apart, from the
+raw words of its substream, and write it through a transposed view, so
+their values do not depend on the layout.
 
 Gaussian kinds run their blocks, fold included, on a thread pool sized by
 the CPUs this process may run on (``draw_workers``); numpy's normal fills
@@ -278,29 +283,38 @@ def _signs(spec: DgpSpec) -> bool:
         spec.kind == "linear_process" and spec.innovation == "rademacher")
 
 
-def _fill(spec: DgpSpec, keys: np.ndarray, full: int, out: np.ndarray) -> None:
-    """Fill ``out`` with the panels of the first len(out) replications of a block.
+def _fill(spec: DgpSpec, keys: np.ndarray, out: np.ndarray) -> None:
+    """Fill the first len(keys) replications of ``out``, one block of panels
+    stored time-major: ``out`` is (n, full, p) in C order, and out[t, r] is
+    row t of replication r.
 
-    The one filler of every kind. ``keys`` are the Philox keys of those
-    replications and ``full`` is the block's length, which a run's last
-    block may exceed len(out) by. Sign kinds map each replication's raw
-    Philox words with the public ``philox_signs``, so only the calling
-    thread may fill them. A Gaussian-kind block is drawn in C order from one
-    generator keyed by its first replication; slices of that stream give the
-    same numbers as one call. var1 kinds draw the initial states of all
-    ``full`` replications and then the innovations, so the rows of a block
-    do not depend on where the run stops. Gaussian innovations and initial
-    states are equicorrelated by ``cross_corr``. Gaussian kinds run on
-    draw-pool threads, so their path calls no public function: the tracer
-    keeps one span stack.
+    The one filler of every kind. ``keys`` are the Philox keys of the
+    replications wanted and ``full`` is the block's length, which a run's
+    last block may exceed len(keys) by; the columns past len(keys) may be
+    left as they were. A Gaussian-kind block reads one generator keyed by
+    its first replication, time-major: iid kinds fill the whole buffer with
+    one call; var1 kinds draw the initial states of all ``full``
+    replications and then the whole innovation buffer, run the recursion in
+    place row by row and clip after it; linear processes draw their longer
+    innovations a slice of ``_SLICE`` replications at a time as (rows,
+    slice, p), each slice at its full width within ``full``. So no
+    replication depends on how many are wanted. Gaussian innovations and
+    initial states are equicorrelated by ``cross_corr``. Sign kinds key each
+    replication apart and map its raw Philox words with the public
+    ``philox_signs``, writing each slice through a transposed view, so only
+    the calling thread may fill them. Gaussian kinds run on draw-pool
+    threads, so their path calls no public function: the tracer keeps one
+    span stack.
     """
     n, p = spec.n, spec.p
+    wanted, full = len(keys), out.shape[1]
     if spec.kind not in KINDS:
         raise DgpValidationError(f"kind: unknown generator kind {spec.kind!r}")
     if spec.kind == "bounded_rademacher":
-        for lo in range(0, len(out), _SLICE):
+        for lo in range(0, wanted, _SLICE):
             signs = philox_signs(keys[lo : lo + _SLICE], n * p).reshape(-1, n, p)
-            np.multiply(signs, spec.scale, out=out[lo : lo + _SLICE])
+            part = out[:, lo : lo + len(signs)].transpose(1, 0, 2)
+            np.multiply(signs, spec.scale, out=part)
         return
     rng = None if _signs(spec) else np.random.Generator(np.random.Philox(key=keys[0]))
     variances = _eigenvariances(1.0, spec.cross_corr, p)
@@ -311,35 +325,41 @@ def _fill(spec: DgpSpec, keys: np.ndarray, full: int, out: np.ndarray) -> None:
         # The lags make the innovations longer than the panels, so they are
         # drawn and filtered a slice of replications at a time.
         rows = n + len(spec.coeffs) - 1
-        buffer = None if rng is None else np.empty((min(_SLICE, len(out)), rows, p))
+        buffer = None if rng is None else np.empty(rows * min(_SLICE, full) * p)
         out.fill(0.0)
-        for lo in range(0, len(out), _SLICE):
-            part = out[lo : lo + _SLICE]
+        for lo in range(0, wanted, _SLICE):
             if rng is None:
-                e = philox_signs(keys[lo : lo + _SLICE], rows * p).reshape(-1, rows, p)
+                hi = min(lo + _SLICE, wanted)
+                e = philox_signs(keys[lo:hi], rows * p).reshape(-1, rows, p)
             else:
-                e = buffer[: len(part)]
+                hi = min(lo + _SLICE, full)
+                e = buffer[: rows * (hi - lo) * p].reshape(rows, hi - lo, p)
                 rng.standard_normal(out=e)
                 _equicorrelate(e, *variances)
-            _linear_filter(e, spec, part)
+                e = e.transpose(1, 0, 2)
+            _linear_filter(e, spec, out[:, lo:hi].transpose(1, 0, 2))
     else:
-        z0 = rng.standard_normal((full, p))[: len(out)]
+        start = rng.standard_normal((full, p))
         rng.standard_normal(out=out)
-        _equicorrelate(z0, *variances)
+        _equicorrelate(start, *variances)
         _equicorrelate(out, *variances)
-        # Each innovation is read once, so the path overwrites it in place.
-        prev = z0 / math.sqrt(1.0 - spec.phi * spec.phi)
+        # x[t] = e[t] + phi x[t - 1] from the stationary state before t = 0,
+        # in place on whole rows; ``start`` is reused for phi x[t - 1].
+        start /= math.sqrt(1.0 - spec.phi * spec.phi)
         for t in range(n):
-            prev = spec.phi * prev + out[:, t]
-            out[:, t] = prev
+            np.multiply(start if t == 0 else out[t - 1], spec.phi, out=start)
+            out[t] += start
         if spec.kind == "truncated_var1":
             np.clip(out, -spec.truncation, spec.truncation, out=out)
 
 
-def _block_sums(panels: np.ndarray, b: int) -> np.ndarray:
-    """Within-block column sums over leading axes: (..., n, p) -> (..., n/b, p)."""
-    lead, (n, p) = panels.shape[:-2], panels.shape[-2:]
-    return panels.reshape(*lead, n // b, b, p).sum(axis=-2)
+def _block_sums(x: np.ndarray, b: int, axis: int = -2) -> np.ndarray:
+    """Sums of each run of b consecutive entries along the time axis ``axis``,
+    which shrinks from n to n/b: (..., n, p) -> (..., n/b, p) by default."""
+    axis %= x.ndim
+    shape = x.shape
+    runs = x.reshape(*shape[:axis], shape[axis] // b, b, *shape[axis + 1 :])
+    return runs.sum(axis=axis + 1)
 
 
 def draw_workers() -> int:
@@ -379,11 +399,17 @@ def reduce_panels(
     sums)`` on the thread that drew it: ``rows`` is the block's slice of the
     chunk, ``means`` (k, p) its panels' column means and ``sums`` (k, n/b, p)
     their within-block column sums over blocks of length ``b`` (None without
-    ``b``). That thread is the draw pool when a Gaussian chunk has several
-    blocks and there is more than one worker, else the calling thread; so a
-    block fold calls no public function, and writes only its own rows of the
-    arrays its caller owns. numpy reduces each replication in the same order
-    in any block, so what a fold sees is bit-identical for any worker count.
+    ``b``), a transposed view of the time-major (n/b, k, p) sums. That thread
+    is the draw pool when a Gaussian chunk has several blocks and there is
+    more than one worker, else the calling thread; so a block fold calls no
+    public function, and writes only its own rows of the arrays its caller
+    owns. Both sums run over the block's time-major rows one row at a time,
+    the order in which ``blocking.batch_max_abs_mean`` and
+    ``batch_block_sums`` sum (k, n, p) panels when p > 1. At p = 1 numpy
+    sums a contiguous column pairwise, so a one-column block is copied to
+    the (k, n, 1) layout of those kernels and reduced there. Either way
+    each replication is summed in the same order in any block, so what a
+    fold sees is bit for bit the kernels' and the same for any worker count.
     """
     n, p = spec.n, spec.p
     if b is not None and not (1 <= b <= n and n % b == 0):
@@ -401,14 +427,26 @@ def reduce_panels(
                 # Blocks are aligned to the chunk, so their bounds do not
                 # depend on reps.
                 span, full = slice(lo, lo + block), min(block, DEFAULT_CHUNK - lo)
-                x = np.empty((len(keys[span]), n, p))
-                _fill(spec, keys[span], full, x)
+                wanted = len(keys[span])
+                x = np.empty((n, full, p))
+                _fill(spec, keys[span], x)
+                x = x[:, :wanted]
                 if copy_keys is not None:
-                    copy = np.empty_like(x)
-                    _fill(spec, copy_keys[span], full, copy)
-                    x -= copy
+                    copy = np.empty((n, full, p))
+                    _fill(spec, copy_keys[span], copy)
+                    x -= copy[:, :wanted]
                     del copy
-                block_fold(span, x.mean(axis=-2), None if b is None else _block_sums(x, b))
+                if p == 1:
+                    # numpy sums a contiguous column pairwise, not row by
+                    # row, so one column is reduced in the kernels' layout.
+                    x = np.ascontiguousarray(x.transpose(1, 0, 2))
+                    means = x.mean(axis=1)
+                    sums = None if b is None else _block_sums(x, b)
+                else:
+                    means = x.sum(axis=0)
+                    means /= n
+                    sums = None if b is None else _block_sums(x, b, 0).transpose(1, 0, 2)
+                block_fold(span, means, sums)
 
             firsts = range(0, stop - start, block)
             if len(firsts) == 1 or workers == 1 or _signs(spec):

@@ -17,7 +17,8 @@ from typing import Callable, Union
 import numpy as np
 
 from .blocking import StreamStatistics
-from .processes import _is_real
+from .processes import _is_real, marginal_spec
+from .seeding import PURPOSE_NORM
 
 # The convexity check's grid size and its tolerance for rounding.
 _GRID_POINTS = 201
@@ -176,10 +177,12 @@ def psi_moment_norm(spec: PsiLike, marginal: StreamStatistics, r: float) -> Mome
     (``processes.marginal_spec``), whose column means are the rows
     themselves. All shipped generator kinds are stationary, so a single time
     index carries the maximum over t, and each replication is one fresh row:
-    iid samples and a clean standard error.
+    iid samples and a clean standard error. Any other pass is rejected with a
+    ``ValueError`` naming its request beside that of the marginal rows.
     """
     if r <= 1:
         raise ValueError(f"Hoelder exponent r must be > 1, got {r}")
+    marginal.require("marginal", marginal_spec(marginal.spec), PURPOSE_NORM)
     reps = marginal.reps
     if reps < 1000:
         raise ValueError(f"need reps >= 1000 for a stable norm estimate, got {reps}")

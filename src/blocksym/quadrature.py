@@ -3,16 +3,37 @@
 Every remainder term is the quadrature value of its integral definition,
 except in theorem1's moment bound, which uses the larger of the quadrature
 R1 and its n-scaled closed-form variant (see ``remainders``). Integration is
-adaptive Gauss-Kronrod (QUADPACK) driven to a relative tolerance.
+adaptive Gauss-Kronrod (QUADPACK) driven to a relative tolerance. Inside a
+``recorded_integrals()`` block each integral appends its range, its value,
+QUADPACK's absolute error estimate and the subintervals it used to the
+block's list, in call order.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+import contextlib
+from contextvars import ContextVar
+from typing import Callable, Optional
 
 from scipy import integrate
 
 REL_TOL = 1e-10
+
+# The records of the innermost open ``recorded_integrals()`` block; a context
+# variable, so threads and tasks running blocks of their own never share one.
+_records: ContextVar[Optional[list]] = ContextVar("_records", default=None)
+
+
+@contextlib.contextmanager
+def recorded_integrals():
+    """Yield a list to which every integral evaluated inside the block
+    appends what ``run_meta.json`` says of it."""
+    records = []
+    token = _records.set(records)
+    try:
+        yield records
+    finally:
+        _records.reset(token)
 
 
 class QuadratureError(RuntimeError):
@@ -27,7 +48,9 @@ def integrate_to_tolerance(
     """Integrate ``f`` over [lower, upper] to relative tolerance ``REL_TOL``.
 
     Raises QuadratureError with the integrator's diagnostics when convergence
-    is not achieved.
+    is not achieved. Inside a ``recorded_integrals()`` block a converged
+    integral is recorded; an empty range evaluates nothing and records
+    nothing.
     """
     if upper < lower:
         raise ValueError(f"empty integration range [{lower}, {upper}]")
@@ -42,4 +65,8 @@ def integrate_to_tolerance(
             f"quadrature did not converge on [{lower}, {upper}]: {out[3]} "
             f"(last estimate {value!r}, abs error {abserr!r})"
         )
+    records = _records.get()
+    if records is not None:
+        records.append({"lower": float(lower), "upper": float(upper), "value": float(value),
+                        "abserr": float(abserr), "subintervals": int(out[2]["last"])})
     return float(value)

@@ -19,7 +19,10 @@ its lhs, its quadratic block term and its Hoeffding step from that pass
 too. Every gauge value of a Monte Carlo sample goes through one kernel,
 which names the replication of an overflow. A pass without the statistics a
 verifier reads, or a mid pass with fewer than 1000 replications, is
-rejected with a ``ValueError`` naming what is missing.
+rejected with a ``ValueError`` naming what is missing. So is a pass drawn
+for another stream than the one it is read as: each pass carries its
+request, and the mid, tail and marginal passes must be the streams of the
+verifier's spec, the mid pass drawn with its block scheme.
 
 Where estimators need more of the column means they read a reduction that
 the pass folded while the stream was drawn. Every such reduction is of the
@@ -63,7 +66,7 @@ from .blocking import (
     stream_statistics,
 )
 from .gaussian import RhoEstimate
-from .processes import DgpSpec, _linear_filter
+from .processes import DgpSpec, _linear_filter, marginal_spec
 from .psi import PsiLike, PsiSpec, psi_eval, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -74,7 +77,7 @@ from .remainders import (
     remainder_R2,
     remainder_Rn,
 )
-from .seeding import PURPOSE_LHS
+from .seeding import PURPOSE_LHS, PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL
 
 _ENUMERATION_BUDGET = 2**24
 _ENUMERATION_CHUNK = 2**18  # array elements per enumeration step
@@ -208,13 +211,17 @@ def _gauge_values(psi: PsiLike, gain: float, stats: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_mid(mid: StreamStatistics) -> None:
-    """Reject a mid pass without the multiplier statistic or 1000 replications."""
+def _check_mid(mid: StreamStatistics, spec: DgpSpec, scheme: BlockScheme,
+               mult: Optional[MultiplierSpec] = None) -> None:
+    """Reject a mid pass without the multiplier statistic or 1000
+    replications, or one drawn for another stream, spec, block scheme or
+    (when given) multiplier law."""
     if mid.mult_max is None:
         raise ValueError("the mid pass has no multiplier statistic (mult_max); "
                          "draw it with a block scheme and a multiplier law")
     if mid.reps < 1000:
         raise ValueError(f"need reps >= 1000, got {mid.reps}")
+    mid.require("mid", spec, PURPOSE_MID, scheme, mult)
 
 
 def tail_levels(U: float) -> tuple:
@@ -369,7 +376,6 @@ def _chain(mid: StreamStatistics, psi: PsiLike, gain: float, remainder: float):
     statistic of each panel, so at gain 1 rhs is lhs exactly and each margin
     takes its se from the per-replication differences of its two sides.
     """
-    _check_mid(mid)
     lhs = _gauge_values(psi, 1.0, mid.max_abs_mean)
     middle = _gauge_values(psi, gain, mid.mult_max) / gain
     rhs = _gauge_values(psi, gain, mid.max_abs_mean) / gain
@@ -402,6 +408,7 @@ def verify_prop1(
         )
     if bound > U + 1e-12:
         raise ValueError(f"panel support bound {bound} exceeds truncation level {U}")
+    _check_mid(mid, spec, scheme)
     rho_sum = rho.rho + rho.rho_star
     rn = remainder_Rn(psi, spec.n, U, rho_sum)
     lhs, middle, rhs, margins = _chain(mid, psi, 1.0, rn)
@@ -434,8 +441,11 @@ def verify_prop2(
     Monte Carlo gauge moment norm (whose finiteness is the moment
     diagnostic) of the marginal rows ``marginal``. The exceedance count and
     the split diagnostic read the tail pass ``tail``, which must have folded
-    ``MaxBelow(U)``.
+    ``MaxBelow(U)``. Each pass must be the stream of ``spec`` it is read as.
     """
+    _check_mid(mid, spec, scheme)
+    tail.require("tail", spec, PURPOSE_TAIL)
+    marginal.require("marginal", marginal_spec(spec), PURPOSE_NORM)
     below = tail.read(MaxBelow(U))
     rho_sum = rho.rho + rho.rho_star
     norm = psi_moment_norm(psi, marginal, r)
@@ -525,7 +535,9 @@ def theorem1_bound(
     margins take their se from the paired per-replication differences of
     their sides. The moment norm reads the marginal rows ``marginal``; in lq
     mode the tail bound reads ``PowerSums(q)`` of the tail pass ``tail``,
-    and in subexp mode it takes ``tail_params``.
+    and in subexp mode it takes ``tail_params``. Each pass must be the
+    stream of ``spec`` it is read as, the mid pass drawn with ``scheme`` and
+    ``mult``.
     """
     if tail_mode not in ("lq", "subexp"):
         raise ValueError(f"unknown tail mode {tail_mode!r}")
@@ -535,7 +547,10 @@ def theorem1_bound(
         raise ValueError(f"lq mode needs a tail pass that folded {PowerSums(q)}")
     if scheme.n != spec.n:
         raise ValueError("scheme and spec disagree on n")
-    _check_mid(mid)
+    _check_mid(mid, spec, scheme, mult)
+    marginal.require("marginal", marginal_spec(spec), PURPOSE_NORM)
+    if tail_mode == "lq":
+        tail.require("tail", spec, PURPOSE_TAIL)
     psi_q = PsiSpec("power", q=q)
     rho_sum = rho.rho + rho.rho_star
     factor = hoeffding_factor(q, mult.bound, spec.p, spec.n)

@@ -42,31 +42,37 @@ def equicorrelated(g, c):
 
 
 def gaussian_block(spec, rng, size):
-    """``size`` Gaussian-kind panels drawn whole from the generator ``rng``.
+    """``size`` Gaussian-kind panels drawn whole from the generator ``rng``,
+    shape (size, n, p).
 
-    The block's normals go in C order: iid panels, or a linear process's
-    longer innovations, or for var1 kinds all initial states and then all
-    innovations, each equicorrelated by ``cross_corr``.
+    The block's normals are read time-major, row t of every panel before row
+    t + 1: iid panels as one (n, size, p) array; a linear process's longer
+    innovations as (rows, slice, p), a slice of ``processes._SLICE`` panels
+    at a time; for var1 kinds all initial states and then all innovations.
+    Each is equicorrelated by ``cross_corr``.
     """
     n, p, lags = spec.n, spec.p, len(spec.coeffs) - 1
 
     def draw(*shape):
-        return equicorrelated(rng.standard_normal((size, *shape)), spec.cross_corr)
+        return equicorrelated(rng.standard_normal(shape), spec.cross_corr)
 
     if spec.kind == "iid_gaussian":
-        return draw(n, p)
+        return draw(n, size, p).transpose(1, 0, 2)
     if spec.kind == "linear_process":
-        e = draw(n + lags, p)
-        return sum(a * e[:, lags - j : lags - j + n] for j, a in enumerate(spec.coeffs))
-    prev = draw(p) / math.sqrt(1.0 - spec.phi**2)
-    e = draw(n, p)
+        slices = []
+        for lo in range(0, size, processes._SLICE):
+            e = draw(n + lags, min(processes._SLICE, size - lo), p)
+            slices.append(sum(a * e[lags - j : lags - j + n] for j, a in enumerate(spec.coeffs)))
+        return np.concatenate(slices, axis=1).transpose(1, 0, 2)
+    prev = draw(size, p) / math.sqrt(1.0 - spec.phi**2)
+    e = draw(n, size, p)
     x = np.empty_like(e)
     for t in range(n):
-        prev = spec.phi * prev + e[:, t]
-        x[:, t] = prev
+        prev = spec.phi * prev + e[t]
+        x[t] = prev
     if spec.kind == "truncated_var1":
         np.clip(x, -spec.truncation, spec.truncation, out=x)
-    return x
+    return x.transpose(1, 0, 2)
 
 
 def sign_panel(spec, rng):

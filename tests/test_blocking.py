@@ -8,7 +8,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -30,6 +30,7 @@ from blocksym.blocking import (
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec, marginal_spec, reduce_panels
+from blocksym.quadrature import REL_TOL
 from blocksym.seeding import (
     PURPOSE_DEFAULT,
     PURPOSE_MID,
@@ -269,8 +270,13 @@ class TestKernels:
     @settings(max_examples=20, deadline=None)
     @given(kind=st.sampled_from(["iid_gaussian", "bounded_rademacher"]),
            mult=st.sampled_from(["rademacher", "uniform_sym"]),
-           n=st.sampled_from([1, 4, 6]), p=st.integers(1, 3), full_block=st.booleans(),
+           n=st.sampled_from([1, 4, 6, 16]), p=st.integers(1, 3), full_block=st.booleans(),
            reps=st.integers(1, 40), seed=st.integers(0, 2**32), purpose=st.integers(0, 10))
+    # One column, which numpy sums pairwise from 8 points on.
+    @example(kind="iid_gaussian", mult="rademacher", n=4, p=1, full_block=False, reps=2,
+             seed=0, purpose=0)
+    @example(kind="iid_gaussian", mult="uniform_sym", n=16, p=1, full_block=True, reps=40,
+             seed=0, purpose=0)
     def test_simulated_statistics_are_the_kernels(self, kind, mult, n, p, full_block,
                                                   reps, seed, purpose):
         spec = DgpSpec(kind, n=n, p=p)
@@ -401,6 +407,28 @@ class TestStreamStatistics:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * DEFAULT_CHUNK * spec.n * spec.p * 8
+
+    @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
+    def test_full_suite_shape_with_a_partial_last_block(self, cpus, monkeypatch):
+        # The full_suite pass: 204 replications per time-major block, and
+        # 10000 replications end 176 rows into a block of the last chunk.
+        # Every statistic equals the kernels on the reference panels, bit
+        # for bit, chunk by chunk.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
+                            raising=False)
+        spec = DgpSpec("truncated_var1", n=128, p=20, phi=0.5, truncation=3.0)
+        scheme, reps, seed = make_blocks(128, 8), 10_000, 11
+        stats = stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, self.MULT)
+        for start in range(0, reps, DEFAULT_CHUNK):
+            stop = min(start + DEFAULT_CHUNK, reps)
+            panels = draw_panels(spec, seed, STREAM_PANEL, PURPOSE_MID, start, stop)
+            sums = batch_block_sums(panels, scheme)
+            eps = batch_multipliers(self.MULT, scheme.count, seed, PURPOSE_MID, start, stop)
+            quad = np.einsum("klp,klp->kp", sums, sums).max(axis=-1) / spec.n
+            assert np.array_equal(stats.max_abs_mean[start:stop], batch_max_abs_mean(panels))
+            assert np.array_equal(stats.mult_max[start:stop],
+                                  batch_multiplier_max(sums, eps, spec.n))
+            assert np.array_equal(stats.quad[start:stop], quad)
 
 
 def reference_reduction(reduction, means):
@@ -619,3 +647,23 @@ class TestRunPasses:
                                        for record in meta["panel_streams"]["passes"])]
         assert all(value >= 0 for value in seconds)
         assert sum(stages.values()) <= meta["duration_seconds"]
+
+    def test_run_record_lists_each_remainder_integral(self, tmp_path):
+        # Each check's remainder is one integral of the gauge derivative over
+        # [0, sqrt(n) U]; run_meta.json keeps its value, QUADPACK's error
+        # estimate, within the relative tolerance, and its subinterval count.
+        config, meta = run_config(tmp_path, FULL_RUN)
+        integrals = meta["quadrature"]
+        assert set(integrals) == {"prop1", "prop2", "theorem1"}
+        for stage, records in integrals.items():
+            assert len(records) == 1, stage
+            record = records[0]
+            assert set(record) == {"lower", "upper", "value", "abserr", "subintervals"}
+            assert (record["lower"], record["upper"]) == (0.0, math.sqrt(config.dgp.n) * 3.0)
+            assert 0.0 <= record["abserr"] <= REL_TOL * abs(record["value"])
+            assert record["subintervals"] >= 1
+        prop1 = json.loads((tmp_path / "out" / "prop1.json").read_text())
+        remainders = prop1["remainders"]
+        assert remainders["R_n"] == pytest.approx(
+            remainders["rho_sum"] * integrals["prop1"][0]["value"] / math.sqrt(config.dgp.n),
+            rel=1e-15)

@@ -163,22 +163,23 @@ class TestDeterminism:
     ], ids=[*KINDS, "linear_process-rademacher", "iid_gaussian-correlated",
             "var1-correlated", "truncated_var1-correlated"])
     def test_autoregression_chunk_peak_memory(self, spec, reps, bound):
-        # The filler, given all ``reps`` as one block: Gaussian kinds fill
-        # the preallocated block in place (equicorrelating it in place beside
-        # one mean per vector; linear processes draw and filter their longer
-        # innovations a slice of replications at a time in one reused
-        # buffer), the recurrence and the clip run in place,
-        # sign panels hold a slice's raw Philox words beside the block, and
-        # Rademacher innovations are drawn and filtered in slices.
+        # The filler, given all ``reps`` as one time-major block: Gaussian
+        # kinds fill the preallocated block in place (equicorrelating it in
+        # place beside one mean per vector; linear processes draw and filter
+        # their longer innovations a slice of replications at a time in one
+        # reused buffer), the recurrence runs in place on whole rows beside
+        # one row and the clip in place, sign panels hold a slice's raw
+        # Philox words beside the block, and Rademacher innovations are
+        # drawn and filtered in slices.
         tracemalloc.start()
         try:
-            panels = np.empty((reps, spec.n, spec.p))
+            panels = np.empty((spec.n, reps, spec.p))
             keys = substream_keys(1, STREAM_PANEL, 0, 0, reps)
-            processes._fill(spec, keys, reps, panels)
+            processes._fill(spec, keys, panels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert panels.shape == (reps, spec.n, spec.p)
+        assert panels.shape == (spec.n, reps, spec.p)
         assert peak <= bound * panels.nbytes
 
 
@@ -291,11 +292,11 @@ class TestReplicationBlocks:
         # shipped sign filler.
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
-        panels = np.empty((140, spec.n, spec.p))
-        processes._fill(spec, substream_keys(8, STREAM_PANEL, 1, 10, 150), 140, panels)
+        panels = np.empty((spec.n, 140, spec.p))
+        processes._fill(spec, substream_keys(8, STREAM_PANEL, 1, 10, 150), panels)
         reference = np.stack([reference_panel(spec, substream(8, STREAM_PANEL, 1, r))
                               for r in range(10, 150)])
-        assert np.array_equal(panels, reference)
+        assert np.array_equal(panels.transpose(1, 0, 2), reference)
 
     def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -308,12 +309,16 @@ REDUCE_SPECS = [
       for kind in KINDS],
     *[spec for spec in GAUSSIAN_SPECS if spec.cross_corr],
     DgpSpec("linear_process", n=8, p=3, coeffs=(1.0, -0.5), innovation="rademacher"),
+    # One column of 8 or more points, which numpy sums pairwise.
+    DgpSpec("var1", n=8, p=1, phi=0.5),
+    DgpSpec("bounded_rademacher", n=8, p=1, scale=0.3),
 ]
 
 
 def reduce_id(spec):
-    return f"{spec_id(spec)}-{spec.innovation}" if spec.kind == "linear_process" \
+    name = f"{spec_id(spec)}-{spec.innovation}" if spec.kind == "linear_process" \
         else spec_id(spec)
+    return f"{name}-p1" if spec.p == 1 else name
 
 
 def patch_cpus(monkeypatch, cpus):
@@ -445,8 +450,8 @@ class TestMoments:
         # replications, under the 4 se that flags.
         fill = processes._fill
 
-        def shifted(spec, keys, full, out):
-            fill(spec, keys, full, out)
+        def shifted(spec, keys, out):
+            fill(spec, keys, out)
             out += 0.1
 
         monkeypatch.setattr(processes, "_fill", shifted)

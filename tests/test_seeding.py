@@ -52,11 +52,12 @@ def per_replication(seed, stream, purpose, start, stop):
 
 
 def filled(spec, seed, stream, purpose, start, stop, full=None):
-    """Replications start..stop-1 from the filler, as one block of ``full``."""
-    out = np.empty((stop - start, spec.n, spec.p))
+    """Replications start..stop-1 from the filler, as one time-major block
+    of ``full``, shape (stop - start, n, p)."""
+    out = np.empty((spec.n, full or stop - start, spec.p))
     keys = substream_keys(seed, stream, purpose, start, stop)
-    processes._fill(spec, keys, full or stop - start, out)
-    return out
+    processes._fill(spec, keys, out)
+    return out[:, : stop - start].transpose(1, 0, 2)
 
 
 class TestKeys:
@@ -146,17 +147,17 @@ class TestRawBitDraws:
     ])
     def test_gaussian_block_reads_its_first_substream(self, spec):
         # The first four replications of a block of six read the substream
-        # of replication 0 in C order; var1 draws all six initial states
-        # before the innovations.
+        # of replication 0 time-major, all six panels' row t before row
+        # t + 1; var1 draws all six initial states before the innovations.
         panels = filled(spec, 5, STREAM_PANEL, 2, 0, 4, full=6)
         rng = substream(5, STREAM_PANEL, 2, 0)
         if spec.kind == "iid_gaussian":
-            expected = rng.standard_normal((4, 3, 2))
+            expected = rng.standard_normal((3, 6, 2))
         else:
-            prev = rng.standard_normal((6, 2))[:4] / np.sqrt(1.0 - 0.25)
-            e = rng.standard_normal((4, 3, 2))
+            prev = rng.standard_normal((6, 2)) / np.sqrt(1.0 - 0.25)
+            e = rng.standard_normal((3, 6, 2))
             expected = np.empty_like(e)
             for t in range(3):
-                prev = 0.5 * prev + e[:, t]
-                expected[:, t] = prev
-        assert np.array_equal(panels, expected)
+                prev = 0.5 * prev + e[t]
+                expected[t] = prev
+        assert np.array_equal(panels, expected[:, :4].transpose(1, 0, 2))

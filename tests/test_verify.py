@@ -26,7 +26,8 @@ from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rho
 from blocksym.processes import DEFAULT_CHUNK, DgpSpec
 from blocksym.psi import PsiSpec, psi_deriv, psi_eval, psi_moment_norm
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
-from blocksym.seeding import PURPOSE_DEFAULT, PURPOSE_LHS, PURPOSE_MID, STREAM_PANEL
+from blocksym.seeding import (PURPOSE_DEFAULT, PURPOSE_LHS, PURPOSE_MID, PURPOSE_NORM,
+                              STREAM_PANEL)
 from blocksym.verify import (
     hoeffding_factor,
     EnumerationBudgetError,
@@ -360,11 +361,14 @@ class TestNegativeControls:
     def test_multipliers_per_time_point(self, monkeypatch):
         # Caught by test_mc_matches_enumeration_on_dependent_panel[multiplier],
         # whose target is the pinned exact mid 0.69677734375: multipliers per
-        # time point give 0.4937744140625 there, about 60 se away.
+        # time point give 0.4937744140625 there, about 60 se away. The wrong
+        # pass names the scheme it was asked for, as a wrong fold would.
         def per_time_point(spec, reps, seed, purpose, scheme=None, mult=None, **kw):
-            if scheme is not None:
-                scheme = make_blocks(spec.n, 1)
-            return stream_statistics(spec, reps, seed, purpose, scheme, mult, **kw)
+            if scheme is None:
+                return stream_statistics(spec, reps, seed, purpose, scheme, mult, **kw)
+            singletons = make_blocks(spec.n, 1)
+            return stream_statistics(spec, reps, seed, purpose, singletons, mult,
+                                     **kw)._replace(scheme=scheme)
 
         monkeypatch.setattr(blocking, "stream_statistics", per_time_point)
         assert exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER,
@@ -377,10 +381,11 @@ class TestNegativeControls:
         # block) instead of b = 2, with the same block count, and the MC mid
         # lands about 325 se from the pinned exact mid 0.69677734375. Caught
         # by TestTheorem1::test_quadratic_term_matches_exact_chain too: the
-        # quadratic term reads about 0.81, some 770 se from 313/128.
+        # quadratic term reads about 0.81, some 770 se from 313/128. The
+        # draws sum time-major blocks, whose time axis is the first.
         block_sums = processes._block_sums
         monkeypatch.setattr(processes, "_block_sums",
-                            lambda panels, b: block_sums(panels[..., ::b, :], 1))
+                            lambda x, b, axis: block_sums(x[::b], 1, axis))
         assert exact_enumeration(MA1_SIGNS_4x2, make_blocks(4, 2), RADEMACHER,
                                  POWER2).mid == 0.69677734375
         assert ma1_mc_gap("multiplier") > 4
@@ -454,6 +459,53 @@ class TestWrongStatistics:
                     "reps >= 1000, got 999")
         self.raises(lambda: psi_moment_norm(POWER2, streams["marginal"], 2.0),
                     "reps >= 1000 for a stable norm estimate, got 999")
+
+    def test_mid_pass_read_as_marginal_rows(self):
+        # The mid pass (n = 16, b = 4, 2000 replications, seed 1) has what
+        # the moment norm reads, and read as the marginal rows it gave 2.59
+        # where the marginal rows give 13.91. Its request names it.
+        mid = mid_pass(self.SPEC, self.SCHEME, 2000, 1)
+        self.raises(lambda: psi_moment_norm(POWER2, mid, 2.0),
+                    r"the marginal pass was drawn for purpose 2 of \{'kind': 'truncated_var1', "
+                    r"'n': 16.*read as purpose 5 of \{'kind': 'truncated_var1', 'n': 1,")
+        norm = psi_moment_norm(POWER2, marginal_pass(self.SPEC, 2000, 1), 2.0)
+        assert norm.value == pytest.approx(13.9095, abs=1e-4)
+        forged = mid._replace(spec=processes.marginal_spec(self.SPEC), purpose=PURPOSE_NORM,
+                              scheme=None, mult=None)
+        assert psi_moment_norm(POWER2, forged, 2.0).value < 3.0
+
+    def test_pass_of_another_stream_spec_or_scheme(self):
+        streams = self.passes(1000, MaxBelow(3.0), PowerSums(2.0))
+        other = DgpSpec("truncated_var1", n=16, p=3, phi=0.4, truncation=3.0)
+        wrong = {
+            "another spec": dict(mid=mid_pass(other, self.SCHEME, 1000, 1)),
+            "another scheme": dict(mid=mid_pass(self.SPEC, make_blocks(16, 2), 1000, 1)),
+            "another stream": dict(mid=stream_statistics(self.SPEC, 1000, 1, PURPOSE_DEFAULT,
+                                                         self.SCHEME, RADEMACHER)),
+            "the tail as marginal rows": dict(marginal=streams["tail"]),
+            "the marginal rows of another spec": dict(marginal=marginal_pass(other, 1000, 1)),
+            "the mid as tail": dict(tail=streams["mid"]),
+        }
+        for name, swap in wrong.items():
+            role, stats = next(iter(swap.items()))
+            have = f"drawn for purpose {stats.purpose} of {stats.spec.to_json_dict()}"
+            passes = dict(streams, **swap)
+            calls = [lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
+                                            zero_rho(), "lq", 1, **passes),
+                     lambda: verify_prop2(self.SPEC, self.SCHEME, POWER2, 3.0, 2.0,
+                                          zero_rho(), 1, **passes)]
+            if role == "mid":
+                calls.append(lambda: verify_prop1(self.SPEC, self.SCHEME, POWER2, 3.0,
+                                                  zero_rho(), 1, mid=passes["mid"]))
+            for call in calls:
+                with pytest.raises(ValueError, match=f"the {role} pass was drawn for") as caught:
+                    call()
+                assert have in str(caught.value) and "but it is read as" in str(caught.value), name
+        uniform = mid_pass(self.SPEC, self.SCHEME, 1000, 1, MultiplierSpec("uniform_sym"))
+        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
+                                           zero_rho(), "lq", 1, **dict(streams, mid=uniform)),
+                    "block length 4, uniform_sym multipliers, but it is read as .*"
+                    "block length 4, rademacher multipliers")
 
 
 class TestTailAndMoments:
