@@ -13,11 +13,15 @@ pure function of its config. Exits with the worst exit code of the runs.
 With ``--check`` the printed digests are compared with the ``digests`` of
 that trajectory file, keyed ``"<config> <file>"``. Each report whose digest
 differs, or that only one side has, is named on stderr, and the exit code is
-1 if any is, unless a run already exited worse.
+1 if any is, unless a run already exited worse. For each config with such a
+report, the ``<check>.<margin> <verdict>`` rows of its summary.csv follow on
+stderr, so a change that moves digests shows whether every verdict keeps its
+band.
 """
 
 import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -34,10 +38,12 @@ from blocksym.cli import load_config, run_experiment  # noqa: E402
 CONFIGS = ("full_suite", "independence", "high_dim", "high_dim_1e4")
 
 
-def report_digests() -> tuple[dict, int]:
-    """The digest of every report, keyed ``"<config> <file>"``, and the worst exit code."""
+def report_digests() -> tuple[dict, dict, int]:
+    """The digest of every report, keyed ``"<config> <file>"``; each config's
+    ``<check>.<margin> <verdict>`` rows of summary.csv, keyed by config; and
+    the worst exit code."""
     worst = 0
-    digests = {}
+    digests, verdicts = {}, {}
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
@@ -50,9 +56,12 @@ def report_digests() -> tuple[dict, int]:
                     if path.name != "run_meta.json":
                         digest = hashlib.sha256(path.read_bytes()).hexdigest()
                         digests[f"{name} {path.name}"] = digest
+                with open(Path(config.output_dir) / "summary.csv", newline="") as fh:
+                    verdicts[name] = [f"{row['check']} {row['verdict']}"
+                                      for row in csv.DictReader(fh)]
         finally:
             os.chdir(home)
-    return digests, worst
+    return digests, verdicts, worst
 
 
 def mismatches(digests: dict, expected: dict) -> list:
@@ -76,12 +85,17 @@ def main(argv=None) -> int:
     expected = None
     if args.check:
         expected = json.loads(Path(args.check).read_text())["digests"]
-    digests, worst = report_digests()
+    digests, verdicts, worst = report_digests()
     print("\n".join(f"{key} {digest}" for key, digest in digests.items()))
     if expected is not None:
         differ = mismatches(digests, expected)
         for line in differ:
             print(f"mismatch: {line}", file=sys.stderr)
+        moved = {line.split(" ", 1)[0] for line in differ}
+        for name, rows in verdicts.items():
+            if name in moved:
+                for row in rows:
+                    print(f"verdict: {name} {row}", file=sys.stderr)
         if differ:
             worst = max(worst, 1)
         else:

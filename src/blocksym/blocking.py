@@ -17,9 +17,11 @@ the one caller of ``processes.reduce_panels``. Each call draws one pass of a
 panel stream and reduces it to per-replication vectors: the largest absolute
 column mean and, when a block scheme is named, the block-multiplier maximum
 and the quadratic block term max_i (1/n) sum_l S[l, i]^2 of theorem1. A call
-may also name a tuple of reductions of the column means (``MeanGram``,
-``PowerSums``, ``Exceedances``, ``MaxBelow``), which are folded in chunk by
-chunk while the stream is drawn, over the same ``DEFAULT_CHUNK`` slices of
+may also name a tuple of reductions of the column means (``MeanGram``, which
+the Monte Carlo Gaussian model reads, and ``PowerSums``, ``Exceedances`` and
+``MaxBelow``, which the remainders read; a run folds them all in one pass of
+the tail stream), which are folded in chunk by chunk while the stream is
+drawn, over the same ``DEFAULT_CHUNK`` slices of
 replications whatever the blocks, so no (reps, p) means and no (p, p) Gram
 are kept; a read of a reduction that the pass did not fold raises an error
 naming it. The panels themselves never reach this module: ``reduce_panels``

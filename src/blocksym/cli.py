@@ -2,9 +2,10 @@
 
 One JSON config file fully determines a run. Subcommands:
 
-- ``run <config>``: execute the requested checks in dependency order, write
-  one JSON report per check plus a CSV summary; exit 0 iff nothing was
-  violated.
+- ``run <config>``: draw each of the run's panel passes once (tail, rho,
+  mid, marginal; the tail pass also yields the Monte Carlo Gaussian model),
+  execute the requested checks in dependency order, write one JSON report
+  per check plus a CSV summary; exit 0 iff nothing was violated.
 - ``validate <config>``: parse and validate, listing every error with its
   field path.
 - ``plot <kind> <reports...>``: emit tidy plot-ready CSV (series, x, y).
@@ -44,7 +45,7 @@ from .blocking import (
     recorded_passes,
     stream_statistics,
 )
-from .gaussian import GaussianModel, RhoEstimate, draw_rho_samples, estimate_gaussian_model
+from .gaussian import RhoEstimate, draw_rho_samples, estimate_gaussian_model, model_reduction
 from .processes import DgpSpec, _is_real, draw_workers, from_fields, marginal_spec
 from .psi import PsiSpec, psi_moment_norm
 from .quadrature import recorded_integrals
@@ -122,10 +123,14 @@ _KEYS = {
     "scheme": ("b", "n"),
     "truncation": ("mode", "U", "phi"),
     "tail": ("mode", "gamma", "phi", "a", "b", "fit"),
-    "gaussian_model": ("method", "reps"),
+    "gaussian_model": ("method",),
 }
-_INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "scheme.n", "reps", "rho_reps",
-                   "seed", "gaussian_model.reps")
+# Fields that were once read, each with what is read instead.
+_RETIRED = {
+    "gaussian_model.reps": "no longer read; the mc model reads the tail pass of reps "
+                           "replications",
+}
+_INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "scheme.n", "reps", "rho_reps", "seed")
 
 
 def _is_positive(value) -> bool:
@@ -160,11 +165,10 @@ def _reads_truncation(checks: list) -> bool:
     return any(check in checks for check in ("prop1", "prop2", "theorem1"))
 
 
-def _unread_keys(obj: dict, checks: list, dgp: Optional[DgpSpec]) -> list:
+def _unread_keys(obj: dict, checks: list) -> list:
     """Keys that the chosen checks and modes never read, which the echo would
     show as if they had been used, each with its field path."""
-    truncation, tail, model = (obj.get(section, {}) for section in
-                               ("truncation", "tail", "gaussian_model"))
+    truncation, tail = (obj.get(section, {}) for section in ("truncation", "tail"))
     mode = truncation.get("mode")
     if not _reads_truncation(checks):
         unread = {"truncation": ("without a prop1, prop2 or theorem1 check",
@@ -179,12 +183,7 @@ def _unread_keys(obj: dict, checks: list, dgp: Optional[DgpSpec]) -> list:
     elif tail.get("fit", True) is True:
         unread["tail"] = ("when fit is true", ("b",))
     if not any(check in checks for check in _RHO_CHECKS):
-        unread["gaussian_model"] = ("without a check that estimates rho", ("method", "reps"))
-    elif model.get("method") == "analytic":
-        unread["gaussian_model"] = ("by the analytic method", ("reps",))
-    elif "method" not in model and dgp is not None and dgp.has_longrun_closed_form:
-        unread["gaussian_model"] = (f"without a method, as {dgp.kind} gets the "
-                                    f"analytic model", ("reps",))
+        unread["gaussian_model"] = ("without a check that estimates rho", ("method",))
     return [(f"{section}.{key}", f"not read {reason}")
             for section, (reason, keys) in unread.items()
             for key in keys if key in obj.get(section, {})]
@@ -197,8 +196,10 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
     for section, keys in _KEYS.items():
-        problems += [(f"{section}.{key}" if section else key, "unknown field")
-                     for key in (obj.get(section, {}) if section else obj) if key not in keys]
+        for key in (obj.get(section, {}) if section else obj):
+            if key not in keys:
+                path = f"{section}.{key}" if section else key
+                problems.append((path, _RETIRED.get(path, "unknown field")))
 
     def grab(path, ctor, default=None, required=True):
         node = obj
@@ -246,9 +247,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     reps = grab("reps", int)
     rho_reps = grab("rho_reps", int, default=reps, required=False)
     seed = grab("seed", int)
-    model_reps = grab("gaussian_model.reps", int, required=False)
-    for name, value in (("reps", reps), ("rho_reps", rho_reps),
-                        ("gaussian_model.reps", model_reps)):
+    for name, value in (("reps", reps), ("rho_reps", rho_reps)):
         if value is not None and value < 1000:
             problems.append((name, f"need at least 1000, got {value}"))
 
@@ -260,7 +259,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
         for i, c in enumerate(checks):
             if c not in KNOWN_CHECKS:
                 problems.append((f"checks[{i}]", f"unknown check {c!r}; choose from {KNOWN_CHECKS}"))
-    problems += _unread_keys(obj, checks, dgp)
+            elif c in checks[:i]:
+                problems.append((f"checks[{i}]", f"{c!r} is listed twice; each check runs once"))
+    problems += _unread_keys(obj, checks)
 
     gaussian_model = obj.get("gaussian_model", {})
     if gaussian_model.get("method") not in (None, "analytic", "mc"):
@@ -337,14 +338,16 @@ def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
-def _resolve_model(config: ExperimentConfig) -> GaussianModel:
+def _model_method(config: ExperimentConfig) -> Optional[str]:
+    """How the run's Gaussian model is estimated: analytic when the kind has a
+    closed form, unless the config names a method; None when no check
+    estimates rho."""
+    if not any(check in config.checks for check in _RHO_CHECKS):
+        return None
     method = config.gaussian_model.get("method")
     if method is None:
         method = "analytic" if config.dgp.has_longrun_closed_form else "mc"
-    if method == "analytic":
-        return estimate_gaussian_model(config.dgp, method="analytic")
-    reps = int(config.gaussian_model.get("reps", config.rho_reps))
-    return estimate_gaussian_model(config.dgp, method="mc", reps=reps, seed=config.seed)
+    return method
 
 
 def _fit_tail_params(config: ExperimentConfig, run: _RunInputs) -> TailParams:
@@ -407,8 +410,8 @@ def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float
 
 
 def _tail_reductions(config: ExperimentConfig, U: float) -> tuple:
-    """Every reduction of the tail stream's column means that the run reads,
-    so its one pass folds them all: the exceedance counts of the
+    """Every reduction of the tail stream's column means that the chain
+    checks read at truncation level ``U``: the exceedance counts of the
     sub-exponential fit, prop2's split diagnostic and its lq moment at
     q = 2, and theorem1's lq moment at q."""
     checks, tail_mode = config.checks, config.tail.get("mode", "lq")
@@ -430,17 +433,37 @@ def _marginal_pass(config: ExperimentConfig) -> StreamStatistics:
 
 @contextlib.contextmanager
 def _timed(meta: dict, name: str):
-    """Record the wall time of the block under ``meta["stages"][name]``, in
-    seconds, and the integrals it evaluates, if any, under
-    ``meta["quadrature"][name]``."""
+    """Add the wall time of the block to ``meta["stages"][name]``, in
+    seconds, and record the integrals it evaluates, if any, under
+    ``meta["quadrature"][name]``. A stage run twice (the tail stream under
+    optimal truncation) reports the sum."""
     started = time.perf_counter()
     with recorded_integrals() as integrals:
         try:
             yield
         finally:
-            meta["stages"][name] = time.perf_counter() - started
+            meta["stages"][name] = (meta["stages"].get(name, 0.0)
+                                    + time.perf_counter() - started)
             if integrals:
                 meta["quadrature"][name] = integrals
+
+
+def _truncate(config: ExperimentConfig, run: _RunInputs, meta: dict) -> dict:
+    """Resolve the truncation as the ``truncation`` stage and set ``run.U``."""
+    with _timed(meta, "truncation"):
+        trunc = _resolve_truncation(config, run)
+    run.U = trunc["U"]
+    return trunc
+
+
+def _draw_tail(config: ExperimentConfig, run: _RunInputs, meta: dict,
+               reductions: tuple) -> None:
+    """Draw the tail stream as the ``tail`` stage, folding ``reductions``,
+    unless there are none."""
+    if reductions:
+        with _timed(meta, "tail"):
+            run.tail = stream_statistics(config.dgp, config.reps, config.seed, PURPOSE_TAIL,
+                                         reductions=reductions)
 
 
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
@@ -515,33 +538,38 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
 
     with recorded_passes() as passes:
         try:
-            if any(c in config.checks for c in _RHO_CHECKS):
-                with _timed(meta, "model"):
-                    model = _resolve_model(config)
+            # Each pass drawn once, in the order tail, rho, mid, marginal. A
+            # fixed U is known before the tail pass, so that pass folds the
+            # MC model's Gram and every reduction that reads U. Optimal
+            # truncation is the exception: its U reads rho, which reads the
+            # model, so the marginal rows whose norm U reads come first, the
+            # tail stream is drawn once for the model before rho and again,
+            # over the same panels, for the reductions that read U.
+            trunc = {"U": None}
+            chain = _reads_truncation(config.checks)
+            optimal = chain and config.truncation["mode"] == "optimal"
+            method = _model_method(config)
+            reductions = (model_reduction(config.dgp),) if method == "mc" else ()
+            if optimal:
+                with _timed(meta, "marginal"):
+                    run.marginal = _marginal_pass(config)
+            elif chain:
+                trunc = _truncate(config, run, meta)
+                reductions += _tail_reductions(config, run.U)
+            _draw_tail(config, run, meta, reductions)
+            if method is not None:
                 with _timed(meta, "rho"):
+                    model = estimate_gaussian_model(config.dgp, method, tail=run.tail)
                     samples = draw_rho_samples(config.dgp, config.scheme,
                                                config.multiplier, model,
                                                config.rho_reps, config.seed)
                     run.rho = RhoEstimate.from_samples(*samples)
                 run.rho_samples = samples._asdict()
                 run.model_source = model.source
-            trunc = {"U": None}
-            if _reads_truncation(config.checks):
-                # The passes of the chain checks, each drawn once: the
-                # marginal rows come first only when optimal truncation
-                # reads their norm, and the tail stream's reductions need U.
-                optimal = config.truncation["mode"] == "optimal"
-                if optimal:
-                    with _timed(meta, "marginal"):
-                        run.marginal = _marginal_pass(config)
-                with _timed(meta, "truncation"):
-                    trunc = _resolve_truncation(config, run)
-                run.U = trunc["U"]
-                reductions = _tail_reductions(config, run.U)
-                if reductions:
-                    with _timed(meta, "tail"):
-                        run.tail = stream_statistics(config.dgp, config.reps, config.seed,
-                                                     PURPOSE_TAIL, reductions=reductions)
+            if optimal:
+                trunc = _truncate(config, run, meta)
+                _draw_tail(config, run, meta, _tail_reductions(config, run.U))
+            if chain:
                 with _timed(meta, "mid"):
                     run.mid = stream_statistics(config.dgp, config.reps, config.seed,
                                                 PURPOSE_MID, config.scheme, config.multiplier)

@@ -3,7 +3,11 @@
 The comparison process is the centered Gaussian vector whose covariance
 matches that of sqrt(n) times the panel column means. That covariance is
 equicorrelated, so a ``GaussianModel`` holds it as two eigenvalues and no
-p x p matrix is built, factored or multiplied. The distances of
+p x p matrix is built, factored or multiplied. Where the long-run
+covariance has no closed form, the model is read from the ``MeanGram`` that
+a pass of the tail stream folded, so the model draws nothing of its own; it
+is never fitted to the panels whose distances it enters, which would bias
+those distances down. The distances of
 interest are sup-norm gaps between empirical CDFs of max-abs statistics:
 the plain statistic versus the Gaussian max, the block-multiplier statistic
 versus the Gaussian max, and the two simulated statistics directly.
@@ -13,14 +17,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blocking import BlockScheme, MeanGram, MultiplierSpec, stream_statistics
+from .blocking import (BlockScheme, MeanGram, MultiplierSpec, StreamStatistics,
+                       stream_statistics)
 from .processes import (DgpSpec, _eigenvariances, _equicorrelate, _is_real,
                         theoretical_longrun_variance)
-from .seeding import PURPOSE_DEFAULT, PURPOSE_MODEL, STREAM_GAUSSIAN, substream
+from .seeding import PURPOSE_DEFAULT, PURPOSE_TAIL, STREAM_GAUSSIAN, substream
 
 # Pooled points whose CDF gap ``kolmogorov_distance`` evaluates at once.
 _KS_SLICE = 8192
@@ -104,32 +109,42 @@ def rho_uncertainty(reps: int) -> float:
     return 2.0 * math.sqrt(math.log(2.0 / 0.05) / (2.0 * reps))
 
 
+def model_reduction(spec: DgpSpec) -> MeanGram:
+    """The reduction of the tail pass that the MC model reads: the Gram of
+    sqrt(n) times the column means."""
+    return MeanGram(math.sqrt(spec.n))
+
+
 def estimate_gaussian_model(
     spec: DgpSpec,
     method: str = "analytic",
-    reps: int = 10_000,
-    seed: int = 0,
+    tail: Optional[StreamStatistics] = None,
 ) -> GaussianModel:
-    """Comparison covariance, analytically or by Monte Carlo.
+    """Comparison covariance, analytically or by Monte Carlo; draws nothing.
 
     The analytic route takes v ((1 - c) I + c 11^T), v the closed-form
-    long-run variance and c = ``cross_corr``. The MC route takes the
-    eigenvalues of the equicorrelated projection of G / reps, G the Gram of
-    sqrt(n) times the column means of fresh panels, from its trace T and
-    total 1^T G 1: total / (p reps) and (p T - total) / (p (p - 1) reps),
-    clipped at 0. Both are linear in G, so unbiased; the mean is not
-    recentered because every generator kind is mean zero by construction.
+    long-run variance and c = ``cross_corr``. The MC route reads
+    ``model_reduction(spec)`` from ``tail``, a pass of the tail stream of
+    ``spec`` of at least 1000 replications: the Gram G of sqrt(n) times its
+    column means, as its trace T and total 1^T G 1. It takes the eigenvalues
+    of the equicorrelated projection of G / reps, total / (p reps) and
+    (p T - total) / (p (p - 1) reps), clipped at 0. Both are linear in G, so
+    unbiased; the mean is not recentered because every generator kind is
+    mean zero by construction.
     """
     if method == "analytic":
         variances = _eigenvariances(theoretical_longrun_variance(spec), spec.cross_corr, spec.p)
         return GaussianModel(spec.p, *variances, source="analytic")
     if method != "mc":
         raise ValueError(f"unknown model method {method!r}")
+    if tail is None:
+        raise ValueError(f"the mc model reads {model_reduction(spec)} of a tail pass; "
+                         f"none was given")
+    tail.require("model", spec, PURPOSE_TAIL)
+    reps = tail.reps
     if reps < 1000:
         raise ValueError(f"mc covariance needs reps >= 1000, got {reps}")
-    gram = MeanGram(math.sqrt(spec.n))
-    trace, total = stream_statistics(spec, reps, seed, PURPOSE_MODEL,
-                                     reductions=(gram,)).read(gram)
+    trace, total = tail.read(model_reduction(spec))
     p = spec.p
     parallel = float(total) / (p * reps)
     perp = parallel if p == 1 else max(0.0, float(p * trace - total) / (p * (p - 1) * reps))

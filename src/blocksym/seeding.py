@@ -35,7 +35,6 @@ PURPOSE_LHS = 1
 PURPOSE_MID = 2
 PURPOSE_TAIL = 4
 PURPOSE_NORM = 5
-PURPOSE_MODEL = 7
 
 
 # SplitMix64 constants (Steele, Lea and Flood, OOPSLA 2014).

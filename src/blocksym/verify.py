@@ -530,6 +530,9 @@ def theorem1_bound(
     The blocking remainder R1 is computed both by quadrature and in the
     n-scaled closed-form variant, and the bound uses the larger of the two.
     The conditional Hoeffding step is audited separately as a paired margin.
+    The moment-bound margin compares the lhs with the Hoeffding factor times
+    the quadratic term, with remainder (R1_used + R2) / 2, so its slack is
+    (lhs - rhs) / remainder as for prop1 and prop2.
     The lhs, the quadratic block term and the Hoeffding step read ``mid``,
     the pass of the mid stream that prop1 and prop2 read too, and both
     margins take their se from the paired per-replication differences of
@@ -579,9 +582,9 @@ def theorem1_bound(
     r1_nscaled = power_R1_nscaled(q, spec.n, U, rho_sum)
     r1_used = max(r1_quadrature, r1_nscaled)
 
-    rhs_vals = factor * quad_vals + 0.5 * (r1_used + r2)
-    main = _inequality("moment-bound", lhs_vals, rhs_vals, 0.0)
-    hoeff = _inequality("hoeffding-step", mult_vals, factor * quad_vals, 0.0)
+    rhs_vals = factor * quad_vals
+    main = _inequality("moment-bound", lhs_vals, rhs_vals, 0.5 * (r1_used + r2))
+    hoeff = _inequality("hoeffding-step", mult_vals, rhs_vals, 0.0)
     return VerificationReport(
         check="theorem1", lhs=_estimate_from_values(lhs_vals), mid=None,
         rhs=_estimate_from_values(rhs_vals),

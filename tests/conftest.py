@@ -7,6 +7,7 @@ import numpy as np
 
 from blocksym import blocking, processes
 from blocksym.blocking import MaxBelow, MultiplierSpec, PowerSums
+from blocksym.gaussian import estimate_gaussian_model, model_reduction
 from blocksym.processes import DEFAULT_CHUNK, marginal_spec
 from blocksym.seeding import PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL, substream
 from blocksym.verify import theorem1_bound, verify_prop1, verify_prop2
@@ -118,6 +119,13 @@ def mid_pass(spec, scheme, reps, seed, mult=RADEMACHER):
 def tail_pass(spec, reps, seed, *reductions):
     """The tail stream's pass, folding ``reductions``."""
     return blocking.stream_statistics(spec, reps, seed, PURPOSE_TAIL, reductions=reductions)
+
+
+def mc_model(spec, reps, seed):
+    """The Monte Carlo Gaussian model, read from a tail pass that folds only
+    the model's Gram."""
+    return estimate_gaussian_model(spec, "mc", tail=tail_pass(spec, reps, seed,
+                                                              model_reduction(spec)))
 
 
 def marginal_pass(spec, reps, seed):

@@ -43,7 +43,7 @@ from blocksym.verify import (
     mc_per_coordinate_tails,
     verify_independence_reduction,
 )
-from conftest import draw_panels, marginal_pass, run_prop1, run_theorem1, tail_pass
+from conftest import draw_panels, marginal_pass, mc_model, run_prop1, run_theorem1, tail_pass
 
 RADEMACHER = MultiplierSpec("rademacher")
 
@@ -99,7 +99,7 @@ def test_criterion_2_bounded_chain_dependent():
     spec = DgpSpec("truncated_var1", n=128, p=20, phi=0.5, truncation=3.0)
     scheme = make_blocks(128, 8)
     psi = PsiSpec("power", q=2.0)
-    model = estimate_gaussian_model(spec, method="mc", reps=10_000, seed=202)
+    model = mc_model(spec, 10_000, seed=202)
     rho = estimate_rhos(spec, scheme, RADEMACHER, model, 10_000, seed=202)
     report = run_prop1(spec, scheme, psi, 3.0, 10_000, rho, seed=202)
     elapsed = time.monotonic() - started

@@ -34,7 +34,6 @@ from blocksym.quadrature import REL_TOL
 from blocksym.seeding import (
     PURPOSE_DEFAULT,
     PURPOSE_MID,
-    PURPOSE_MODEL,
     PURPOSE_NORM,
     PURPOSE_TAIL,
     STREAM_COPY,
@@ -586,29 +585,72 @@ class TestRunPasses:
                              ids=["full", "lq-q3"])
     def test_one_pass_per_stream(self, tmp_path, panel_calls, obj):
         config, meta = run_config(tmp_path, obj)
-        assert len(panel_calls) == 5
+        assert len(panel_calls) == 4
         assert set(panel_calls.values()) == {1}
         streams = meta["panel_streams"]
-        assert set(streams) == {"drawn", "passes"} and streams["drawn"] == 5
+        assert set(streams) == {"drawn", "passes"} and streams["drawn"] == 4
         passes = streams["passes"]
         assert all(record.pop("seconds") >= 0 for record in passes)
-        # In draw order: model, rho, tail, mid, marginal.
+        # In draw order: tail, rho, mid, marginal. The tail pass folds the
+        # Gram the Monte Carlo model reads beside the chain's reductions.
         assert [record["purpose"] for record in passes] == \
-            [PURPOSE_MODEL, PURPOSE_DEFAULT, PURPOSE_TAIL, PURPOSE_MID, PURPOSE_NORM]
+            [PURPOSE_TAIL, PURPOSE_DEFAULT, PURPOSE_MID, PURPOSE_NORM]
         reps, n, p = config.reps, config.dgp.n, config.dgp.p
-        assert passes[0] == {"purpose": PURPOSE_MODEL, "reps": config.rho_reps, "n": n,
-                             "p": p, "multipliers": False, "copies": False,
-                             "reductions": ["MeanGram"]}
-        tail_reads = (["Exceedances", "MaxBelow", "PowerSums"] if obj is FULL_RUN
-                      else ["MaxBelow", "PowerSums", "PowerSums"])
+        tail_reads = (["MeanGram", "Exceedances", "MaxBelow", "PowerSums"] if obj is FULL_RUN
+                      else ["MeanGram", "MaxBelow", "PowerSums", "PowerSums"])
+        assert passes[0] == {"purpose": PURPOSE_TAIL, "reps": reps, "n": n, "p": p,
+                             "multipliers": False, "copies": False, "reductions": tail_reads}
         assert passes[2:] == [
-            {"purpose": PURPOSE_TAIL, "reps": reps, "n": n, "p": p, "multipliers": False,
-             "copies": False, "reductions": tail_reads},
             {"purpose": PURPOSE_MID, "reps": reps, "n": n, "p": p, "multipliers": True,
              "copies": False, "reductions": []},
             {"purpose": PURPOSE_NORM, "reps": reps, "n": 1, "p": p, "multipliers": False,
              "copies": False, "reductions": []},
         ]
+        report = json.loads((tmp_path / "out" / "prop2.json").read_text())
+        assert report["config"]["gaussian_model"] == {}
+        if "rho-only" in config.checks:
+            rho_only = json.loads((tmp_path / "out" / "rho-only.json").read_text())
+            assert rho_only["diagnostics"]["model_source"] == f"mc({reps})"
+
+    def test_optimal_truncation_draws_the_tail_stream_twice(self, tmp_path, monkeypatch):
+        # U reads rho, which reads the model: the tail stream is drawn for
+        # the model's Gram before rho and again, over the same panels, for
+        # the reductions that read U.
+        from blocksym import cli
+
+        drawn = []
+
+        def keeping(*args, **kwargs):
+            drawn.append(stream_statistics(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "stream_statistics", keeping)
+        obj = dict(FULL_RUN, checks=["prop2", "theorem1"],
+                   truncation={"mode": "optimal", "phi": 0.5})
+        config, meta = run_config(tmp_path, obj)
+        passes = meta["panel_streams"]["passes"]
+        assert meta["panel_streams"]["drawn"] == 5
+        assert [(record["purpose"], record["reductions"]) for record in passes] == [
+            (PURPOSE_NORM, []), (PURPOSE_TAIL, ["MeanGram"]), (PURPOSE_DEFAULT, []),
+            (PURPOSE_TAIL, ["Exceedances", "MaxBelow", "PowerSums"]), (PURPOSE_MID, [])]
+        tails = [stats for stats in drawn if stats.purpose == PURPOSE_TAIL]
+        assert len(tails) == 2
+        assert np.array_equal(tails[0].max_abs_mean, tails[1].max_abs_mean)
+        assert set(meta["stages"]) == {"marginal", "tail", "rho", "truncation", "mid",
+                                       *obj["checks"]}
+
+    def test_rho_only_reads_a_tail_pass_of_the_gram_alone(self, tmp_path):
+        # Without a chain check the Monte Carlo model still reads a tail
+        # pass of reps replications, which folds its Gram alone.
+        obj = {key: value for key, value in FULL_RUN.items() if key not in ("truncation", "tail")}
+        config, meta = run_config(tmp_path, dict(obj, checks=["rho-only"], rho_reps=2000))
+        passes = meta["panel_streams"]["passes"]
+        assert meta["panel_streams"]["drawn"] == 2
+        assert [(record["purpose"], record["reps"], record["reductions"])
+                for record in passes] == [(PURPOSE_TAIL, 1000, ["MeanGram"]),
+                                          (PURPOSE_DEFAULT, 2000, [])]
+        report = json.loads((tmp_path / "out" / "rho-only.json").read_text())
+        assert report["diagnostics"]["model_source"] == "mc(1000)"
 
     def test_checks_read_the_one_mid_pass(self, tmp_path):
         # theorem1's lhs and Hoeffding step read the mid pass that prop1
@@ -641,7 +683,7 @@ class TestRunPasses:
         # stages, which do not overlap, fit inside the run.
         _, meta = run_config(tmp_path, FULL_RUN)
         stages = meta["stages"]
-        assert set(stages) == {"model", "rho", "truncation", "tail", "mid", "marginal",
+        assert set(stages) == {"rho", "truncation", "tail", "mid", "marginal",
                                *FULL_RUN["checks"]}
         seconds = [*stages.values(), *(record["seconds"]
                                        for record in meta["panel_streams"]["passes"])]

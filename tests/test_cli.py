@@ -112,12 +112,18 @@ class TestConfigValidation:
         assert main(["validate", str(path)]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    def test_model_reps_without_method_needs_no_closed_form(self):
+    def test_model_reps_points_to_reps(self):
         # The clipped autoregression has no closed-form covariance, so its
-        # model is estimated by Monte Carlo and reads gaussian_model.reps.
+        # model is estimated by Monte Carlo, from the tail pass of reps
+        # replications; gaussian_model.reps is no longer read.
         dgp = {"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5}
-        cfg = parse_config(dict(BASE, dgp=dgp, gaussian_model={"reps": 5000}))
-        assert cfg.gaussian_model == {"reps": 5000}
+        assert parse_config(dict(BASE, dgp=dgp)).gaussian_model == {}
+        for model in ({"reps": 5000}, {"method": "mc", "reps": 5000}):
+            with pytest.raises(ConfigError) as err:
+                parse_config(dict(BASE, dgp=dgp, gaussian_model=model))
+            assert err.value.problems == [
+                ("gaussian_model.reps", "no longer read; the mc model reads the tail pass of "
+                                        "reps replications")]
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -164,8 +170,15 @@ PROBES = {
                                    "scale": NAN}), "dgp.scale"),
     "U-nan": (truncated(**{"truncation.U": NAN}), "truncation.U"),
     "q-infinite": (with_fields(**{"psi.q": float("inf")}), "psi.q"),
+    "model-reps-mc": (with_fields(gaussian_model={"method": "mc", "reps": 10_000}),
+                      "gaussian_model.reps"),
     "model-reps-small": (with_fields(gaussian_model={"method": "mc", "reps": 10}),
                          "gaussian_model.reps"),
+    "mc-model-reps-small": (with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3,
+                                             "phi": 0.5}, reps=999), "reps"),
+    # A check listed twice would run once but be echoed twice.
+    "check-repeated": (with_fields(dgp={"kind": "bounded_rademacher", "n": 16, "p": 3},
+                                   checks=["prop1", "prop1"], truncation=FIXED), "checks[1]"),
     "coeff-nan": (with_fields(dgp={"kind": "linear_process", "n": 16, "p": 3,
                                    "coeffs": [1.0, NAN]}), "dgp.coeffs[1]"),
     "output-dir-number": (with_fields(output_dir=5), "output_dir"),
@@ -282,7 +295,7 @@ class TestRun:
         path, _ = write_config(
             tmp_path, dgp={"kind": "var1", "n": 16, "p": 3, "phi": 0.5},
             checks=["rho-only", "theorem1"], truncation=FIXED,
-            gaussian_model={"method": "mc", "reps": 1000},
+            gaussian_model={"method": "mc"},
             tail={"mode": "subexp", "gamma": 1.0, "phi": 0.5, "a": 2.0},
             output_dir=str(tmp_path / "out"))
         config = load_config(path)
@@ -362,7 +375,7 @@ class TestRun:
                     None if m["remainder"] == 0 else (m["lhs"] - m["rhs"]) / m["remainder"])
         assert slack == want
         assert [key for key, value in want.items() if value is not None] == \
-            ["prop2.symmetrization", "prop2.desymmetrization"]
+            ["prop2.symmetrization", "prop2.desymmetrization", "theorem1.moment-bound"]
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == len(want)
         for line, (key, value) in zip(lines, want.items()):
@@ -509,16 +522,23 @@ def load_digest_script():
 
 def test_digest_check_names_each_mismatch(tmp_path, capsys, monkeypatch):
     script = load_digest_script()
-    printed = {"a x.json": "1", "a y.json": "2", "b z.csv": "3"}
-    monkeypatch.setattr(script, "report_digests", lambda: (dict(printed), 0))
+    printed = {"a x.json": "1", "a y.json": "2", "b z.csv": "3", "d v.csv": "5"}
+    verdicts = {"a": ["prop1.symmetrization holds", "prop1.desymmetrization holds"],
+                "b": ["x.two-sided holds-within-noise"], "d": ["y.m holds"]}
+    monkeypatch.setattr(script, "report_digests", lambda: (dict(printed), verdicts, 0))
     bench = tmp_path / "BENCH.json"
-    bench.write_text(json.dumps({"digests": {"a x.json": "1", "a y.json": "9", "c w.csv": "4"}}))
+    bench.write_text(json.dumps({"digests": {"a x.json": "1", "a y.json": "9", "c w.csv": "4",
+                                             "d v.csv": "5"}}))
     assert script.main(["--check", str(bench)]) == 1
     out, err = capsys.readouterr()
-    assert out.splitlines() == ["a x.json 1", "a y.json 2", "b z.csv 3"]
+    assert out.splitlines() == ["a x.json 1", "a y.json 2", "b z.csv 3", "d v.csv 5"]
+    # Each config with a moved report shows its verdicts; d moved nothing.
     assert err.splitlines() == ["mismatch: a y.json: 2 != 9",
                                 "mismatch: b z.csv: not in the trajectory file",
-                                "mismatch: c w.csv: not written"]
+                                "mismatch: c w.csv: not written",
+                                "verdict: a prop1.symmetrization holds",
+                                "verdict: a prop1.desymmetrization holds",
+                                "verdict: b x.two-sided holds-within-noise"]
     bench.write_text(json.dumps({"digests": printed}))
     assert script.main(["--check", str(bench)]) == 0
 

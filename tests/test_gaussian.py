@@ -1,6 +1,6 @@
 import math
+import re
 import tracemalloc
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,14 +17,15 @@ from blocksym.gaussian import (
     draw_rho_samples,
     estimate_gaussian_model,
     estimate_rhos,
+    model_reduction,
     kolmogorov_distance,
     rho_uncertainty,
     sample_gaussian_max,
     simulate_max_statistics,
 )
 from blocksym.processes import DgpSpec, theoretical_longrun_variance
-from blocksym.seeding import PURPOSE_MODEL, STREAM_GAUSSIAN, STREAM_PANEL, substream
-from conftest import draw_panels
+from blocksym.seeding import PURPOSE_MID, PURPOSE_TAIL, STREAM_GAUSSIAN, STREAM_PANEL, substream
+from conftest import draw_panels, mc_model, mid_pass, tail_pass
 
 
 def dkw_two_sample_bound(reps: int, alpha: float = 0.05) -> float:
@@ -307,7 +308,7 @@ class TestEstimateGaussianModel:
 
     def test_mc_consistent_on_iid(self):
         spec = DgpSpec("iid_gaussian", n=8, p=2)
-        model = estimate_gaussian_model(spec, method="mc", reps=40_000, seed=2)
+        model = mc_model(spec, 40_000, seed=2)
         # At p = 2 both eigenvalues are means of a chi-square(1) variable,
         # (s1 + s2)^2 / 2 and (s1 - s2)^2 / 2, of variance 2.
         se = math.sqrt(2.0 / 40_000)
@@ -316,7 +317,7 @@ class TestEstimateGaussianModel:
     def test_mc_matches_analytic_var1(self):
         spec = DgpSpec("var1", n=32, p=1, phi=0.5)
         analytic = estimate_gaussian_model(spec).parallel
-        mc = estimate_gaussian_model(spec, method="mc", reps=40_000, seed=3)
+        mc = mc_model(spec, 40_000, seed=3)
         assert mc.perp == mc.parallel
         # Var of the squared statistic is about 2 * analytic^2.
         se = math.sqrt(2.0) * analytic / math.sqrt(40_000)
@@ -328,8 +329,8 @@ class TestEstimateGaussianModel:
         # each within 4 se of the difference of two such estimates.
         spec = DgpSpec("truncated_var1", n=16, p=5, phi=0.5, truncation=1.5, cross_corr=0.3)
         reps, p = 20_000, spec.p
-        model = estimate_gaussian_model(spec, method="mc", reps=reps, seed=4)
-        scaled = math.sqrt(spec.n) * draw_panels(spec, 40, STREAM_PANEL, PURPOSE_MODEL,
+        model = mc_model(spec, reps, seed=4)
+        scaled = math.sqrt(spec.n) * draw_panels(spec, 40, STREAM_PANEL, PURPOSE_TAIL,
                                                  0, reps).mean(axis=1)
         gram = scaled.T @ scaled
         parallel = gram.sum() / (p * reps)
@@ -343,14 +344,35 @@ class TestEstimateGaussianModel:
             assert abs(got - want) < 4 * se
         assert model.parallel > 2 * model.perp  # the correlation shows
 
-    def test_mc_clips_tiny_negative_perp(self, monkeypatch):
+    def test_mc_clips_tiny_negative_perp(self):
         # Sums of perfectly correlated means may round p T - total below 0.
-        def sums(*args, **kwargs):
-            return SimpleNamespace(read=lambda reduction: np.array([1000.0, 2000.0 + 1e-9]))
-
-        monkeypatch.setattr(gaussian, "stream_statistics", sums)
-        model = estimate_gaussian_model(DgpSpec("iid_gaussian", n=8, p=2), "mc", reps=1000)
+        spec = DgpSpec("iid_gaussian", n=8, p=2)
+        tail = tail_pass(spec, 1000, 0, model_reduction(spec))
+        tail = tail._replace(reduced={model_reduction(spec): np.array([1000.0, 2000.0 + 1e-9])})
+        model = estimate_gaussian_model(spec, "mc", tail=tail)
         assert (model.parallel, model.perp) == (pytest.approx(1.0), 0.0)
+
+    def test_mc_reads_the_tail_pass_of_its_spec(self):
+        # A mid pass, or a tail pass of another spec, is named with the
+        # request the model reads it as.
+        spec = DgpSpec("truncated_var1", n=16, p=3, phi=0.5)
+        other = DgpSpec("truncated_var1", n=16, p=3, phi=0.4)
+        with pytest.raises(ValueError, match=f"model pass was drawn for purpose {PURPOSE_MID} "
+                                             f".* read as purpose {PURPOSE_TAIL} "):
+            estimate_gaussian_model(spec, "mc", tail=mid_pass(spec, make_blocks(16, 4), 1000, 0))
+        with pytest.raises(ValueError, match=r"'phi': 0\.4.* read as .*'phi': 0\.5"):
+            estimate_gaussian_model(spec, "mc",
+                                    tail=tail_pass(other, 1000, 0, model_reduction(other)))
+
+    def test_mc_needs_the_gram_of_its_tail_pass(self):
+        spec = DgpSpec("truncated_var1", n=16, p=3, phi=0.5)
+        with pytest.raises(ValueError, match="tail pass; none was given"):
+            estimate_gaussian_model(spec, "mc")
+        with pytest.raises(ValueError, match=re.escape(f"folded no {model_reduction(spec)}")):
+            estimate_gaussian_model(spec, "mc", tail=tail_pass(spec, 1000, 0))
+        with pytest.raises(ValueError, match="reps >= 1000"):
+            estimate_gaussian_model(spec, "mc", tail=tail_pass(spec, 999, 0,
+                                                              model_reduction(spec)))
 
     def test_unsupported_analytic_kind_points_to_mc(self):
         spec = DgpSpec("truncated_var1", n=8, p=1, phi=0.5)

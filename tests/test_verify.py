@@ -776,9 +776,8 @@ class TestTheorem1:
         assert tail["max_mean_moment"] == moment["value"]
         assert rem["tail_bound"] == concentration_lq(4, 2.0, 1.0, tail["max_mean_moment"])
         assert rem["R2"] == remainder_R2(2.0, rem["tail_bound"], 2.0 * rem["M_hat_q"])
-        assert report.rhs.mean == pytest.approx(
-            rem["hoeffding_factor"] * rem["quad_term"] + 0.5 * (rem["R1_used"] + rem["R2"])
-        )
+        assert report.rhs.mean == pytest.approx(rem["hoeffding_factor"] * rem["quad_term"])
+        assert report.margins[0].remainder == 0.5 * (rem["R1_used"] + rem["R2"])
 
     def test_unknown_tail_mode(self):
         with pytest.raises(ValueError, match="tail mode"):
@@ -915,14 +914,20 @@ class TestOnePassChain:
         stats = self.mid_stream()
         rem = report.remainders
         lhs = stats.max_abs_mean**q
-        rhs = (rem["hoeffding_factor"] * stats.quad ** (q / 2.0)
-               + 0.5 * (rem["R1_used"] + rem["R2"]))
+        rhs = rem["hoeffding_factor"] * stats.quad ** (q / 2.0)
+        remainder = 0.5 * (rem["R1_used"] + rem["R2"])
         estimate = verify._estimate_from_values
         assert (report.lhs, report.rhs) == (estimate(lhs), estimate(rhs))
         main, hoeffding = report.margins
-        assert (main.margin, main.se) == (estimate(lhs - rhs).mean, estimate(lhs - rhs).se)
-        assert hoeffding.se == estimate(
-            stats.mult_max**q - rem["hoeffding_factor"] * stats.quad ** (q / 2.0)).se
+        assert (main.remainder, main.se) == (remainder, estimate(lhs - rhs).se)
+        assert main.margin == estimate(lhs - rhs).mean - remainder
+        assert main.slack == (main.lhs - main.rhs) / remainder
+        # The remainder once sat inside the rhs; the margin and its se move
+        # only in the last bits.
+        inside = estimate(lhs - (rhs + remainder))
+        assert main.margin == pytest.approx(inside.mean, rel=1e-12)
+        assert main.se == pytest.approx(inside.se, rel=1e-9)
+        assert hoeffding.se == estimate(stats.mult_max**q - rhs).se
 
     def test_independence_paired_se(self):
         spec = DgpSpec("iid_gaussian", n=16, p=3)
