@@ -27,11 +27,11 @@ are kept; a read of a reduction that the pass did not fold raises an error
 naming it. The panels themselves never reach this module: ``reduce_panels``
 hands each block's column means and block sums to the fold of
 ``stream_statistics`` on the thread that drew the block, and the fold applies
-that chunk's multipliers, drawn beforehand on the calling thread, so no chunk
-of block sums is held either. Nothing is cached: a run draws each stream
-once and hands its statistics to every check that reads them. Inside a
-``recorded_passes()`` block each pass appends its request and wall time to
-the block's list, in draw order.
+that chunk's multipliers, drawn beforehand on the calling thread from the
+chunk's one generator, so no chunk of block sums is held either. Nothing is
+cached: a run draws each stream once and hands its statistics to every check
+that reads them. Inside a ``recorded_passes()`` block each pass appends its
+request and wall time to the block's list, in draw order.
 """
 
 from __future__ import annotations
@@ -45,15 +45,8 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .processes import DgpSpec, _block_sums, reduce_panels
-from .seeding import (
-    STREAM_COPY,
-    STREAM_MULTIPLIER,
-    STREAM_PANEL,
-    philox_signs,
-    philox_words,
-    substream_keys,
-)
+from .processes import DEFAULT_CHUNK, DgpSpec, _block_sums, reduce_panels
+from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
 
@@ -141,20 +134,27 @@ def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
                       start: int, stop: int) -> np.ndarray:
     """Multipliers of replications start..stop-1, shape (stop - start, count).
 
-    Replication r reads the substream (seed, multiplier stream, purpose, r),
-    so its multipliers do not depend on the batch it is in. The raw Philox
-    words of all replications are computed at once and mapped as numpy's
-    ``integers(0, 2)`` (Rademacher) and ``uniform(-sqrt(3), sqrt(3))`` would
-    map them, bit for bit.
+    Each chunk of ``DEFAULT_CHUNK`` replications reads one generator, keyed
+    by the substream (seed, multiplier stream, purpose, first) of its first
+    replication, row by row: replication r is row r - first of numpy's
+    int8 ``integers(0, 2)`` mapped to -1 and +1 (Rademacher) or of
+    ``uniform(-sqrt(3), sqrt(3))``, drawn with ``count`` columns. So its
+    multipliers do not depend on the batch it is in.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    keys = substream_keys(seed, STREAM_MULTIPLIER, purpose, start, stop)
-    if mult.kind == "rademacher":
-        return philox_signs(keys, count)
+    out = np.empty((stop - start, count))
     half = math.sqrt(3.0)
-    unit = (philox_words(keys, count) >> np.uint64(11)) * 2.0**-53
-    return -half + (2.0 * half) * unit
+    for first in range(start - start % DEFAULT_CHUNK, stop, DEFAULT_CHUNK):
+        rng = substream(seed, STREAM_MULTIPLIER, purpose, first)
+        lo, hi = max(first, start), min(first + DEFAULT_CHUNK, stop)
+        shape, part = (hi - first, count), out[lo - start : hi - start]
+        if mult.kind == "rademacher":
+            np.multiply(rng.integers(0, 2, size=shape, dtype=np.int8)[lo - first :], 2.0, out=part)
+            part -= 1.0
+        else:
+            part[:] = rng.uniform(-half, half, size=shape)[lo - first :]
+    return out
 
 
 @dataclass(frozen=True)

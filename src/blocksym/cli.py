@@ -65,6 +65,7 @@ from .verify import (
     VerificationReport,
     mc_coordinate_mean_moment,
     mc_per_coordinate_tails,
+    require_support,
     tail_levels,
     theorem1_bound,
     verify_independence_reduction,
@@ -449,10 +450,13 @@ def _timed(meta: dict, name: str):
 
 
 def _truncate(config: ExperimentConfig, run: _RunInputs, meta: dict) -> dict:
-    """Resolve the truncation as the ``truncation`` stage and set ``run.U``."""
+    """Resolve the truncation as the ``truncation`` stage and set ``run.U``;
+    with prop1, check U against the panel support before any pass reads it."""
     with _timed(meta, "truncation"):
         trunc = _resolve_truncation(config, run)
     run.U = trunc["U"]
+    if "prop1" in config.checks:
+        require_support(config.dgp, run.U)
     return trunc
 
 

@@ -32,7 +32,7 @@ holds a chunk of panels or of block sums. A block of k panels is held
 time-major, as an (n, k, p) array whose row t is time t of every panel, so
 the column means and the block sums are sums of contiguous rows, one row
 at a time (a one-column block is reduced as (k, n, 1), as numpy sums a
-column). The block is the unit of keying for Gaussian kinds: one Philox
+column). The block is the unit of keying for every kind: one Philox
 generator, keyed by the substream (seed, stream, purpose, first) of the
 block's first replication, draws the whole block time-major. Block bounds
 depend only on n, p, ``DEFAULT_CHUNK`` and ``_BLOCK_BYTES``, and a block's
@@ -40,16 +40,13 @@ first rows do not depend on how many replications the run asks for (its
 last block is drawn at full length), so replication r stays a pure
 function of its coordinates; a block of one replication draws exactly
 what that replication's own substream gives. Changing ``_BLOCK_BYTES``
-moves the Gaussian draws. Sign kinds key each replication apart, from the
-raw words of its substream, and write it through a transposed view, so
-their values do not depend on the layout.
+moves the draws.
 
-Gaussian kinds run their blocks, fold included, on a thread pool sized by
-the CPUs this process may run on (``draw_workers``); numpy's normal fills
-and ufunc loops release the GIL, so the blocks overlap. Each block keys its
-own generator, so the output is bit-identical for any worker count. Pool
-threads call only private functions. Sign kinds call the public
-``philox_signs`` and keep to the calling thread.
+Blocks run, fold included, on a thread pool sized by the CPUs this process
+may run on (``draw_workers``); numpy's fills and ufunc loops release the
+GIL, so the blocks overlap. Each block keys its own generator, so the
+output is bit-identical for any worker count. Pool threads call only
+private functions.
 """
 
 from __future__ import annotations
@@ -63,7 +60,7 @@ from typing import Callable, ContextManager, Optional
 
 import numpy as np
 
-from .seeding import philox_signs, substream_keys
+from .seeding import substream_keys
 
 KINDS = (
     "iid_gaussian",
@@ -79,10 +76,10 @@ DEFAULT_CHUNK = 2048
 
 # Panel bytes per block of replications (at least one replication): the
 # unit that is drawn, reduced and handed to the draw pool at once, and that
-# one generator draws for Gaussian kinds, so changing it moves their draws.
+# one generator draws, so changing it moves the draws.
 _BLOCK_BYTES = 4 << 20
 
-# Replications whose innovations (or sign panels) are drawn at once.
+# Replications whose linear-process innovations are drawn at once.
 _SLICE = 64
 
 # What a block of replications is folded by: (rows, means, sums) -> None.
@@ -277,10 +274,19 @@ def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _signs(spec: DgpSpec) -> bool:
-    """Whether the kind maps raw Philox words to signs (``philox_signs``)."""
-    return spec.kind == "bounded_rademacher" or (
-        spec.kind == "linear_process" and spec.innovation == "rademacher")
+def _innovate(rng: np.random.Generator, spec: DgpSpec, out: np.ndarray) -> None:
+    """Fill ``out`` with iid innovations of the kind, in the generator's
+    order: signs of magnitude ``scale`` (bounded_rademacher) or 1
+    (Rademacher innovations), numpy's int8 integers on {0, 1} mapped to -1
+    and +1, else standard normals equicorrelated along the last axis."""
+    if spec.kind == "bounded_rademacher" or (
+            spec.kind == "linear_process" and spec.innovation == "rademacher"):
+        scale = spec.scale if spec.kind == "bounded_rademacher" else 1.0
+        np.multiply(rng.integers(0, 2, size=out.shape, dtype=np.int8), 2.0 * scale, out=out)
+        out -= scale
+    else:
+        rng.standard_normal(out=out)
+        _equicorrelate(out, *_eigenvariances(1.0, spec.cross_corr, spec.p))
 
 
 def _fill(spec: DgpSpec, keys: np.ndarray, out: np.ndarray) -> None:
@@ -291,58 +297,37 @@ def _fill(spec: DgpSpec, keys: np.ndarray, out: np.ndarray) -> None:
     The one filler of every kind. ``keys`` are the Philox keys of the
     replications wanted and ``full`` is the block's length, which a run's
     last block may exceed len(keys) by; the columns past len(keys) may be
-    left as they were. A Gaussian-kind block reads one generator keyed by
-    its first replication, time-major: iid kinds fill the whole buffer with
-    one call; var1 kinds draw the initial states of all ``full``
-    replications and then the whole innovation buffer, run the recursion in
-    place row by row and clip after it; linear processes draw their longer
-    innovations a slice of ``_SLICE`` replications at a time as (rows,
-    slice, p), each slice at its full width within ``full``. So no
-    replication depends on how many are wanted. Gaussian innovations and
-    initial states are equicorrelated by ``cross_corr``. Sign kinds key each
-    replication apart and map its raw Philox words with the public
-    ``philox_signs``, writing each slice through a transposed view, so only
-    the calling thread may fill them. Gaussian kinds run on draw-pool
-    threads, so their path calls no public function: the tracer keeps one
-    span stack.
+    left as they were. The block reads one generator, keyed by its first
+    replication, time-major, and every draw goes through ``_innovate``: iid
+    kinds fill the whole buffer with one call; var1 kinds draw the initial
+    states of all ``full`` replications and then the whole innovation
+    buffer, run the recursion in place row by row and clip after it; linear
+    processes draw their longer innovations a slice of ``_SLICE``
+    replications at a time as (rows, slice, p), each slice at its full width
+    within ``full``. So no replication depends on how many are wanted. Fills
+    run on draw-pool threads, so this path calls no public function: the
+    tracer keeps one span stack.
     """
     n, p = spec.n, spec.p
     wanted, full = len(keys), out.shape[1]
-    if spec.kind not in KINDS:
-        raise DgpValidationError(f"kind: unknown generator kind {spec.kind!r}")
-    if spec.kind == "bounded_rademacher":
-        for lo in range(0, wanted, _SLICE):
-            signs = philox_signs(keys[lo : lo + _SLICE], n * p).reshape(-1, n, p)
-            part = out[:, lo : lo + len(signs)].transpose(1, 0, 2)
-            np.multiply(signs, spec.scale, out=part)
-        return
-    rng = None if _signs(spec) else np.random.Generator(np.random.Philox(key=keys[0]))
-    variances = _eigenvariances(1.0, spec.cross_corr, p)
-    if spec.kind == "iid_gaussian":
-        rng.standard_normal(out=out)
-        _equicorrelate(out, *variances)
+    rng = np.random.Generator(np.random.Philox(key=keys[0]))
+    if spec.kind in ("iid_gaussian", "bounded_rademacher"):
+        _innovate(rng, spec, out)
     elif spec.kind == "linear_process":
         # The lags make the innovations longer than the panels, so they are
         # drawn and filtered a slice of replications at a time.
         rows = n + len(spec.coeffs) - 1
-        buffer = None if rng is None else np.empty(rows * min(_SLICE, full) * p)
+        buffer = np.empty(rows * min(_SLICE, full) * p)
         out.fill(0.0)
         for lo in range(0, wanted, _SLICE):
-            if rng is None:
-                hi = min(lo + _SLICE, wanted)
-                e = philox_signs(keys[lo:hi], rows * p).reshape(-1, rows, p)
-            else:
-                hi = min(lo + _SLICE, full)
-                e = buffer[: rows * (hi - lo) * p].reshape(rows, hi - lo, p)
-                rng.standard_normal(out=e)
-                _equicorrelate(e, *variances)
-                e = e.transpose(1, 0, 2)
-            _linear_filter(e, spec, out[:, lo:hi].transpose(1, 0, 2))
+            hi = min(lo + _SLICE, full)
+            e = buffer[: rows * (hi - lo) * p].reshape(rows, hi - lo, p)
+            _innovate(rng, spec, e)
+            _linear_filter(e.transpose(1, 0, 2), spec, out[:, lo:hi].transpose(1, 0, 2))
     else:
-        start = rng.standard_normal((full, p))
-        rng.standard_normal(out=out)
-        _equicorrelate(start, *variances)
-        _equicorrelate(out, *variances)
+        start = np.empty((full, p))
+        _innovate(rng, spec, start)
+        _innovate(rng, spec, out)
         # x[t] = e[t] + phi x[t - 1] from the stationary state before t = 0,
         # in place on whole rows; ``start`` is reused for phi x[t - 1].
         start /= math.sqrt(1.0 - spec.phi * spec.phi)
@@ -363,7 +348,7 @@ def _block_sums(x: np.ndarray, b: int, axis: int = -2) -> np.ndarray:
 
 
 def draw_workers() -> int:
-    """Threads that fill Gaussian chunks: the CPUs this process may run on."""
+    """Threads that fill blocks: the CPUs this process may run on."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
@@ -400,7 +385,7 @@ def reduce_panels(
     chunk, ``means`` (k, p) its panels' column means and ``sums`` (k, n/b, p)
     their within-block column sums over blocks of length ``b`` (None without
     ``b``), a transposed view of the time-major (n/b, k, p) sums. That thread
-    is the draw pool when a Gaussian chunk has several blocks and there is
+    is the draw pool when a chunk has several blocks and there is
     more than one worker, else the calling thread; so a block fold calls no
     public function, and writes only its own rows of the arrays its caller
     owns. Both sums run over the block's time-major rows one row at a time,
@@ -449,7 +434,7 @@ def reduce_panels(
                 block_fold(span, means, sums)
 
             firsts = range(0, stop - start, block)
-            if len(firsts) == 1 or workers == 1 or _signs(spec):
+            if len(firsts) == 1 or workers == 1:
                 for lo in firsts:
                     reduce(lo)
             else:

@@ -315,15 +315,15 @@ def exact_enumeration(
     process), and the per-column outcome count times the 2**count
     multiplier vectors must not exceed 2**24; p does not enter it.
     """
-    linear_signs = spec.kind == "linear_process" and spec.innovation == "rademacher"
-    if spec.kind != "bounded_rademacher" and not linear_signs:
+    rademacher_filter = spec.kind == "linear_process" and spec.innovation == "rademacher"
+    if spec.kind != "bounded_rademacher" and not rademacher_filter:
         raise ValueError("exact enumeration supports only the random-sign panel kind "
                          "and linear_process with rademacher innovations")
     if mult.kind != "rademacher":
         raise ValueError("exact enumeration supports only sign multipliers")
     if scheme.n != spec.n:
         raise ValueError("scheme and spec disagree on n")
-    bits = spec.n + len(spec.coeffs) - 1 if linear_signs else spec.n
+    bits = spec.n + len(spec.coeffs) - 1 if rademacher_filter else spec.n
     if 2**bits * 2**scheme.count > _ENUMERATION_BUDGET:
         raise EnumerationBudgetError(
             f"per-column outcome count 2**{bits} * 2**{scheme.count} multiplier "
@@ -339,7 +339,7 @@ def exact_enumeration(
         stop = min(start + step, outcomes)
         idx = np.arange(start, stop)[:, None]
         column = (2.0 * ((idx >> np.arange(bits)) & 1) - 1.0)[..., None]
-        if linear_signs:
+        if rademacher_filter:
             column = _linear_filter(column, spec, np.zeros((stop - start, spec.n, 1)))
         plain[start:stop] = batch_max_abs_mean(column)
         sums[start:stop] = batch_block_sums(column, scheme)
@@ -386,6 +386,18 @@ def _chain(mid: StreamStatistics, psi: PsiLike, gain: float, remainder: float):
     return (*map(_estimate_from_values, (lhs, middle, rhs)), margins)
 
 
+def require_support(spec: DgpSpec, U: float) -> None:
+    """Raise a ``ValueError`` unless the panel law of ``spec`` is supported
+    inside [-U, U]^p, as prop1's bounded chain needs."""
+    bound = spec.support_bound
+    if bound is None:
+        raise ValueError(
+            f"bounded chain requires a bounded generator kind, got {spec.kind!r}"
+        )
+    if bound > U + 1e-12:
+        raise ValueError(f"panel support bound {bound} exceeds truncation level {U}")
+
+
 def verify_prop1(
     spec: DgpSpec,
     scheme: BlockScheme,
@@ -399,15 +411,9 @@ def verify_prop1(
     """Bounded chain: lhs <= mid + R and mid <= lhs + 2R with estimated rhos,
     from the statistics ``mid`` of the mid stream of ``spec`` under ``scheme``.
 
-    The panel law must be supported inside [-U, U]^p.
+    The panel law must be supported inside [-U, U]^p (``require_support``).
     """
-    bound = spec.support_bound
-    if bound is None:
-        raise ValueError(
-            f"bounded chain requires a bounded generator kind, got {spec.kind!r}"
-        )
-    if bound > U + 1e-12:
-        raise ValueError(f"panel support bound {bound} exceeds truncation level {U}")
+    require_support(spec, U)
     _check_mid(mid, spec, scheme)
     rho_sum = rho.rho + rho.rho_star
     rn = remainder_Rn(psi, spec.n, U, rho_sum)

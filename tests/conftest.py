@@ -42,22 +42,28 @@ def equicorrelated(g, c):
     return across * g + (along - across) * g.mean(axis=-1, keepdims=True)
 
 
-def gaussian_block(spec, rng, size):
-    """``size`` Gaussian-kind panels drawn whole from the generator ``rng``,
-    shape (size, n, p).
+def block_panels(spec, rng, size):
+    """``size`` panels drawn whole from the generator ``rng``, shape
+    (size, n, p).
 
-    The block's normals are read time-major, row t of every panel before row
-    t + 1: iid panels as one (n, size, p) array; a linear process's longer
+    The block's draws are read time-major, row t of every panel before row
+    t + 1: iid kinds as one (n, size, p) array; a linear process's longer
     innovations as (rows, slice, p), a slice of ``processes._SLICE`` panels
     at a time; for var1 kinds all initial states and then all innovations.
-    Each is equicorrelated by ``cross_corr``.
+    Signs are numpy's int8 integers on {0, 1} mapped to -1 and +1 (times
+    ``scale`` for bounded_rademacher); normals are equicorrelated by
+    ``cross_corr``.
     """
     n, p, lags = spec.n, spec.p, len(spec.coeffs) - 1
 
     def draw(*shape):
+        if spec.kind == "bounded_rademacher":
+            return spec.scale * (2.0 * rng.integers(0, 2, size=shape, dtype=np.int8) - 1.0)
+        if spec.kind == "linear_process" and spec.innovation == "rademacher":
+            return 2.0 * rng.integers(0, 2, size=shape, dtype=np.int8) - 1.0
         return equicorrelated(rng.standard_normal(shape), spec.cross_corr)
 
-    if spec.kind == "iid_gaussian":
+    if spec.kind in ("iid_gaussian", "bounded_rademacher"):
         return draw(n, size, p).transpose(1, 0, 2)
     if spec.kind == "linear_process":
         slices = []
@@ -76,32 +82,17 @@ def gaussian_block(spec, rng, size):
     return x.transpose(1, 0, 2)
 
 
-def sign_panel(spec, rng):
-    """One sign-kind panel from its replication's own generator (numpy's
-    integers on {0, 1})."""
-    n, p, lags = spec.n, spec.p, len(spec.coeffs) - 1
-    if spec.kind == "bounded_rademacher":
-        return spec.scale * (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0)
-    e = 2.0 * rng.integers(0, 2, size=(n + lags, p)) - 1.0
-    return sum(a * e[lags - j : lags - j + n] for j, a in enumerate(spec.coeffs))
-
-
 def draw_panels(spec, seed, stream, purpose, start, stop):
     """Panels of replications start..stop-1, shape (stop - start, n, p).
 
-    A reference for ``processes.reduce_panels`` built on numpy's own calls.
-    Sign kinds read each replication r from the substream (seed, stream,
-    purpose, r). Gaussian kinds draw each whole block, with the bounds of
-    ``block_bounds``, from the substream of its first replication, and keep
-    the rows in start..stop-1.
+    A reference for ``processes.reduce_panels`` built on numpy's own calls:
+    each whole block, with the bounds of ``block_bounds``, is drawn from the
+    substream (seed, stream, purpose, first) of its first replication, and
+    the rows in start..stop-1 are kept.
     """
     out = np.empty((stop - start, spec.n, spec.p))
-    if processes._signs(spec):
-        for r in range(start, stop):
-            out[r - start] = sign_panel(spec, substream(seed, stream, purpose, r))
-        return out
     for first, end in block_bounds(spec, start, stop):
-        panels = gaussian_block(spec, substream(seed, stream, purpose, first), end - first)
+        panels = block_panels(spec, substream(seed, stream, purpose, first), end - first)
         lo, hi = max(first, start), min(end, stop)
         out[lo - start : hi - start] = panels[lo - first : hi - first]
     return out

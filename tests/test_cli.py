@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksym import processes, verify
+from blocksym.seeding import PURPOSE_DEFAULT, PURPOSE_NORM, PURPOSE_TAIL
 from blocksym.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -438,6 +439,27 @@ class TestRun:
         report = json.loads((tmp_path / "o" / "prop2.json").read_text())
         assert report["diagnostics"]["truncation"]["mode"] == "optimal"
         assert report["diagnostics"]["truncation"]["U"] > 0
+
+    def test_optimal_truncation_below_support_stops_before_its_passes(self, tmp_path):
+        # U* reads rho and the marginal norm, so validate cannot see that it
+        # lies below the support bound 3.0; the run stops once U* resolves,
+        # after the marginal, model-tail and rho passes and before the
+        # second tail pass and the mid pass.
+        path, _ = write_config(
+            tmp_path,
+            dgp={"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "truncation": 3.0},
+            truncation={"mode": "optimal", "phi": 0.5},
+            checks=["rho-only", "prop1", "prop2", "theorem1"],
+        )
+        out = tmp_path / "u"
+        assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_ERROR
+        partial = json.loads((out / "partial.json").read_text())
+        assert partial["error"].startswith(
+            "ValueError: panel support bound 3.0 exceeds truncation level")
+        passes = json.loads((out / "run_meta.json").read_text())["panel_streams"]
+        assert passes["drawn"] == 3
+        assert ([p["purpose"] for p in passes["passes"]]
+                == [PURPOSE_NORM, PURPOSE_TAIL, PURPOSE_DEFAULT])
 
 
 class TestPlots:

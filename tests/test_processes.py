@@ -22,7 +22,7 @@ from blocksym.processes import (
     theoretical_longrun_variance,
 )
 from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream, substream_keys
-from conftest import draw_panels, equicorrelated
+from conftest import block_panels, draw_panels, equicorrelated
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
@@ -168,9 +168,9 @@ class TestDeterminism:
         # place beside one mean per vector; linear processes draw and filter
         # their longer innovations a slice of replications at a time in one
         # reused buffer), the recurrence runs in place on whole rows beside
-        # one row and the clip in place, sign panels hold a slice's raw
-        # Philox words beside the block, and Rademacher innovations are
-        # drawn and filtered in slices.
+        # one row and the clip in place, sign panels hold their int8 draws
+        # beside the block, and Rademacher innovations are drawn and
+        # filtered in slices like Gaussian ones.
         tracemalloc.start()
         try:
             panels = np.empty((spec.n, reps, spec.p))
@@ -184,20 +184,22 @@ class TestDeterminism:
 
 
 def reference_panel(spec, rng):
-    """One panel drawn straight from its replication's generator.
-
-    Covers the Gaussian kinds and linear processes with Rademacher
-    innovations (numpy's integers on {0, 1}).
-    """
+    """One panel drawn straight from its replication's generator; signs are
+    numpy's int8 integers on {0, 1}."""
     def mix(draws):
         return equicorrelated(draws, spec.cross_corr)
+
+    def signs(*shape):
+        return 2.0 * rng.integers(0, 2, size=shape, dtype=np.int8) - 1.0
 
     n, lags = spec.n, len(spec.coeffs) - 1
     if spec.kind == "iid_gaussian":
         return mix(rng.standard_normal((n, spec.p)))
+    if spec.kind == "bounded_rademacher":
+        return spec.scale * signs(n, spec.p)
     if spec.kind == "linear_process":
         if spec.innovation == "rademacher":
-            e = 2.0 * rng.integers(0, 2, size=(n + lags, spec.p)) - 1.0
+            e = signs(n + lags, spec.p)
         else:
             e = mix(rng.standard_normal((n + lags, spec.p)))
         return sum(a * e[lags - j : lags - j + n] for j, a in enumerate(spec.coeffs))
@@ -220,12 +222,23 @@ GAUSSIAN_SPECS = [
 ]
 
 
+SIGN_SPECS = [
+    DgpSpec("bounded_rademacher", n=8, p=3, scale=0.5),
+    DgpSpec("linear_process", n=8, p=3, coeffs=(1.0, 0.5, -0.25), innovation="rademacher"),
+]
+BLOCK_SPECS = GAUSSIAN_SPECS + SIGN_SPECS
+
+
 def spec_id(spec):
     return f"{spec.kind}-corr{spec.cross_corr}"
 
 
+def block_id(spec):
+    return f"{spec.kind}-rademacher" if spec.innovation == "rademacher" else spec_id(spec)
+
+
 class TestReplicationBlocks:
-    """A Gaussian block is drawn whole from the substream of its first
+    """A block of every kind is drawn whole from the substream of its first
     replication; the blocks of a chunk give the same bits on any worker count
     and for any number of replications asked for."""
 
@@ -235,7 +248,7 @@ class TestReplicationBlocks:
         # With b = 1 the block sums are the panels, drawn block by block.
         return gather(spec, stop, 3, STREAM_PANEL, 2, 1)[2][self.START:]
 
-    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=block_id)
     def test_one_replication_block_is_its_substream(self, spec, monkeypatch):
         monkeypatch.setattr(processes, "_BLOCK_BYTES", spec.n * spec.p * 8)
         reference = np.stack([
@@ -244,7 +257,7 @@ class TestReplicationBlocks:
         ])
         assert np.array_equal(self.draw(spec), reference)
 
-    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=block_id)
     @pytest.mark.parametrize("per_block", [None, 3], ids=["chunk", "three"])
     def test_blocks_match_block_reference(self, spec, per_block, monkeypatch):
         # Whole chunks in one block, or three replications per block: nine
@@ -255,7 +268,7 @@ class TestReplicationBlocks:
         reference = draw_panels(spec, 3, STREAM_PANEL, 2, self.START, self.STOP)
         assert np.array_equal(self.draw(spec), reference)
 
-    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=block_id)
     @pytest.mark.parametrize("per_block", [None, 3], ids=["chunk", "three"])
     def test_first_replications_do_not_depend_on_reps(self, spec, per_block, monkeypatch):
         # 11 replications end inside a block that 40 fill past its end; var1
@@ -265,7 +278,7 @@ class TestReplicationBlocks:
         short = self.draw(spec, stop=11)
         assert np.array_equal(short, self.draw(spec, stop=40)[: len(short)])
 
-    @pytest.mark.parametrize("spec", GAUSSIAN_SPECS, ids=spec_id)
+    @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=block_id)
     def test_worker_count_does_not_change_bytes(self, spec, monkeypatch):
         # Two replications per block: ten blocks in the chunk.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 2 * spec.n * spec.p * 8)
@@ -287,16 +300,15 @@ class TestReplicationBlocks:
             assert inline == (len(cpus) == 1)
         assert drawn[1] == drawn[2]
 
-    def test_rademacher_innovation_slices_match_substreams(self):
-        # 140 replications from an offset cross two slice boundaries of the
-        # shipped sign filler.
+    def test_rademacher_innovation_slices_match_block_reference(self):
+        # 140 of a block of 150 replications from an offset cross two slice
+        # boundaries of the filler; the slices past 140 are not drawn.
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
-        panels = np.empty((spec.n, 140, spec.p))
+        panels = np.empty((spec.n, 150, spec.p))
         processes._fill(spec, substream_keys(8, STREAM_PANEL, 1, 10, 150), panels)
-        reference = np.stack([reference_panel(spec, substream(8, STREAM_PANEL, 1, r))
-                              for r in range(10, 150)])
-        assert np.array_equal(panels.transpose(1, 0, 2), reference)
+        reference = block_panels(spec, substream(8, STREAM_PANEL, 1, 10), 150)
+        assert np.array_equal(panels[:, :140].transpose(1, 0, 2), reference[:140])
 
     def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -364,9 +376,8 @@ class TestReducePanels:
                          STREAM_COPY if copies else None)
             assert got[0] == chunks
             assert np.array_equal(got[1], means) and np.array_equal(got[2], sums)
-            # Sign kinds call a public function, so they stay on this thread.
             inline = threads == {threading.current_thread().name}
-            assert inline == (len(cpus) == 1 or processes._signs(spec))
+            assert inline == (len(cpus) == 1)
 
     def test_more_workers_than_cores_write_disjoint_spans(self, monkeypatch):
         # One replication per block on eight workers, switching threads as

@@ -1,23 +1,16 @@
-"""Golden parity of the array keys and raw-bit draws against numpy's own
-generators and a pure-Python SplitMix64 reference."""
+"""Golden parity of the array keys against a pure-Python SplitMix64
+reference, and of the block and chunk draws against numpy's own generators
+under the substream of their first replication."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 from blocksym.blocking import MultiplierSpec, batch_multipliers
 from blocksym import processes
-from blocksym.processes import DgpSpec
-from blocksym.seeding import (
-    STREAM_COPY,
-    STREAM_MULTIPLIER,
-    STREAM_PANEL,
-    philox_words,
-    substream,
-    substream_keys,
-)
+from blocksym.processes import DEFAULT_CHUNK, DgpSpec
+from blocksym.seeding import STREAM_MULTIPLIER, STREAM_PANEL, substream, substream_keys
 
 MASK64 = (1 << 64) - 1
 
@@ -42,13 +35,8 @@ seeds = st.one_of(
     st.integers(min_value=0, max_value=2**64 - 1),
     st.integers(min_value=2**64, max_value=2**70),
 )
-key_arrays = arrays(np.uint64, st.tuples(st.integers(1, 6), st.just(2)),
-                    elements=st.integers(0, MASK64))
 COUNTS = (1, 7, 8, 9, 17)
-
-
-def per_replication(seed, stream, purpose, start, stop):
-    return [substream(seed, stream, purpose, r) for r in range(start, stop)]
+HALF = np.sqrt(3.0)
 
 
 def filled(spec, seed, stream, purpose, start, stop, full=None):
@@ -84,62 +72,67 @@ class TestKeys:
                               substream_keys(5, 1, 0, 0, 3))
 
 
-class TestPhiloxWords:
-    @settings(max_examples=40, deadline=None)
-    @given(keys=key_arrays, words=st.sampled_from([1, 3, 4, 5, 8, 9]))
-    def test_matches_numpy_random_raw(self, keys, words):
-        expected = [np.random.Philox(key=k).random_raw(words) for k in keys]
-        assert np.array_equal(philox_words(keys, words), expected)
+def chunk_rows(mult, count, seed, purpose, first, rows):
+    """The first ``rows`` rows of the multipliers that the chunk from
+    ``first`` reads from its one generator."""
+    rng = substream(seed, STREAM_MULTIPLIER, purpose, first)
+    if mult == "rademacher":
+        return 2.0 * rng.integers(0, 2, size=(rows, count), dtype=np.int8) - 1.0
+    return rng.uniform(-HALF, HALF, size=(rows, count))
 
-    @pytest.mark.parametrize("words", [1, 3, 4, 5, 8, 9])
-    def test_all_ones_key(self, words):
-        key = np.full((1, 2), MASK64, dtype=np.uint64)
-        expected = np.random.Philox(key=key[0]).random_raw(words)
-        assert np.array_equal(philox_words(key, words)[0], expected)
+
+class TestChunkMultipliers:
+    @pytest.mark.parametrize("mult", ["rademacher", "uniform_sym"])
+    @settings(max_examples=10, deadline=None)
+    @given(seed=seeds, purpose=st.integers(0, 10), chunk=st.integers(0, 2**20),
+           offset=st.integers(0, DEFAULT_CHUNK - 4), count=st.sampled_from(COUNTS))
+    def test_rows_are_the_chunk_generators_rows(self, mult, seed, purpose, chunk,
+                                                offset, count):
+        first = chunk * DEFAULT_CHUNK
+        start = first + offset
+        out = batch_multipliers(MultiplierSpec(mult), count, seed, purpose,
+                                start, start + 4)
+        expected = chunk_rows(mult, count, seed, purpose, first, offset + 4)[offset:]
+        assert np.array_equal(out, expected)
+
+    @pytest.mark.parametrize("mult", ["rademacher", "uniform_sym"])
+    def test_batch_across_a_chunk_boundary_is_its_parts(self, mult):
+        spec = MultiplierSpec(mult)
+        whole = batch_multipliers(spec, 5, 7, 2, 2040, 2060)
+        parts = [batch_multipliers(spec, 5, 7, 2, lo, hi)
+                 for lo, hi in ((2040, 2048), (2048, 2051), (2051, 2060))]
+        assert np.array_equal(whole, np.concatenate(parts))
+        assert np.array_equal(whole[8:], chunk_rows(mult, 5, 7, 2, 2048, 12))
+
+    @pytest.mark.parametrize("mult", ["rademacher", "uniform_sym"])
+    @pytest.mark.parametrize("start", [0, 2050])
+    def test_empty_batch(self, mult, start):
+        out = batch_multipliers(MultiplierSpec(mult), 3, 1, 0, start, start)
+        assert out.shape == (0, 3)
 
 
 class TestRawBitDraws:
-    @settings(max_examples=10, deadline=None)
-    @given(seed=seeds, purpose=st.integers(0, 10), start=st.integers(0, 2**20),
-           count=st.sampled_from(COUNTS))
-    def test_rademacher_multipliers_match_integers(self, seed, purpose, start, count):
-        out = batch_multipliers(MultiplierSpec("rademacher"), count, seed, purpose,
-                                start, start + 4)
-        expected = [2.0 * rng.integers(0, 2, size=count) - 1.0
-                    for rng in per_replication(seed, STREAM_MULTIPLIER, purpose,
-                                               start, start + 4)]
-        assert np.array_equal(out, expected)
-
-    @settings(max_examples=10, deadline=None)
-    @given(seed=seeds, purpose=st.integers(0, 10), start=st.integers(0, 2**20),
-           count=st.sampled_from(COUNTS))
-    def test_uniform_multipliers_match_uniform(self, seed, purpose, start, count):
-        out = batch_multipliers(MultiplierSpec("uniform_sym"), count, seed, purpose,
-                                start, start + 4)
-        half = np.sqrt(3.0)
-        expected = [rng.uniform(-half, half, size=count)
-                    for rng in per_replication(seed, STREAM_MULTIPLIER, purpose,
-                                               start, start + 4)]
-        assert np.array_equal(out, expected)
-
-    @pytest.mark.parametrize("n, p", [(1, 1), (7, 1), (4, 2), (3, 3), (17, 1)])
+    @pytest.mark.parametrize("n, p", [(1, 1), (7, 1), (4, 2), (3, 3)])
     @pytest.mark.parametrize("seed", [0, -7, 2**63 + 12345])
-    def test_bounded_rademacher_chunks_match_integers(self, n, p, seed):
+    def test_sign_block_reads_its_first_substream(self, n, p, seed):
+        # The first four replications of a block of six: numpy's int8
+        # integers on {0, 1} over the (n, 6, p) block, time-major.
         spec = DgpSpec("bounded_rademacher", n=n, p=p, scale=0.5)
-        panels = np.concatenate([filled(spec, seed, STREAM_COPY, 3, start, stop)
-                                 for start, stop in ((0, 4), (4, 8), (8, 11))])
-        expected = [0.5 * (2.0 * rng.integers(0, 2, size=(n, p)) - 1.0)
-                    for rng in per_replication(seed, STREAM_COPY, 3, 0, 11)]
-        assert np.array_equal(panels, expected)
+        panels = filled(spec, seed, STREAM_PANEL, 3, 0, 4, full=6)
+        bits = substream(seed, STREAM_PANEL, 3, 0).integers(0, 2, size=(n, 6, p),
+                                                             dtype=np.int8)
+        expected = 0.5 * (2.0 * bits - 1.0)
+        assert np.array_equal(panels, expected[:, :4].transpose(1, 0, 2))
 
-    def test_rademacher_innovations_match_integers(self):
+    def test_rademacher_innovations_read_the_block_substream(self):
+        # One lag: the block's innovations are (n + 1, 3, p), time-major.
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
         panels = filled(spec, 8, STREAM_PANEL, 1, 0, 3)
-        rows = spec.n + 1  # the panel plus one lag
-        for panel, rng in zip(panels, per_replication(8, STREAM_PANEL, 1, 0, 3)):
-            e = 2.0 * rng.integers(0, 2, size=(rows, 2)) - 1.0
-            assert np.array_equal(panel, e[-spec.n:] - 0.5 * e[-spec.n - 1:-1])
+        bits = substream(8, STREAM_PANEL, 1, 0).integers(0, 2, size=(6, 3, 2),
+                                                          dtype=np.int8)
+        e = (2.0 * bits - 1.0).transpose(1, 0, 2)
+        assert np.array_equal(panels, e[:, 1:] - 0.5 * e[:, :-1])
 
     @pytest.mark.parametrize("spec", [
         DgpSpec("iid_gaussian", n=3, p=2),
