@@ -28,10 +28,15 @@ naming it. The panels themselves never reach this module: ``reduce_panels``
 hands each block's column means and block sums to the fold of
 ``stream_statistics`` on the thread that drew the block, and the fold applies
 that chunk's multipliers, drawn beforehand on the calling thread from the
-chunk's one generator, so no chunk of block sums is held either. Nothing is
-cached: a run draws each stream once and hands its statistics to every check
-that reads them. Inside a ``recorded_passes()`` block each pass appends its
-request and wall time to the block's list, in draw order.
+chunk's one generator, so no chunk of block sums is held either. With more
+than one draw worker there is one chunk of lookahead: a chunk's fold may be
+entered, its multipliers drawn and its means buffer allocated, before the
+previous chunk's fold is left and its reductions folded, so at most two
+chunks are in flight; the reductions still fold chunk by chunk in order.
+Nothing is cached: a run draws each stream once and hands its statistics to
+every check that reads them. Inside a ``recorded_passes()`` block each pass
+appends its request, its wall time and the wall time of its blocks, summed
+over the threads that ran them, to the block's list, in draw order.
 """
 
 from __future__ import annotations
@@ -107,7 +112,7 @@ def batch_block_sums(panels: np.ndarray, scheme: BlockScheme) -> np.ndarray:
 
 def batch_max_abs_mean(panels: np.ndarray) -> np.ndarray:
     """Largest absolute column mean over leading axes: (..., n, p) -> (...)."""
-    return np.abs(panels.mean(axis=-2)).max(axis=-1)
+    return _max_last(np.abs(panels.mean(axis=-2)))
 
 
 def batch_multiplier_max(sums: np.ndarray, eps: np.ndarray, n: int) -> np.ndarray:
@@ -127,7 +132,19 @@ def _multiplier_max(sums: np.ndarray, eps: np.ndarray, n: int) -> np.ndarray:
     """``batch_multiplier_max`` without the shape check; private, so that the
     folds run on draw-pool threads may call it. Each row's result does not
     depend on how many rows come with it."""
-    return np.abs(np.einsum("...l,...lp->...p", eps, sums) / n).max(axis=-1)
+    return _max_last(np.abs(np.einsum("...l,...lp->...p", eps, sums) / n))
+
+
+def _max_last(x: np.ndarray) -> np.ndarray:
+    """``x.max(axis=-1)``, bit for bit: a maximum does not depend on the
+    order it is taken in, and NaN propagates either way. numpy reduces a
+    short last axis row by row, an order of magnitude slower at (2048, 2)
+    than taking maxima across the rows of a contiguous copy with that axis
+    first; past 32 entries, or over few rows, the copy costs more than it
+    saves."""
+    if 2 <= x.shape[-1] <= 32 and x.size >= 128 * x.shape[-1]:
+        return np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)
+    return x.max(axis=-1)
 
 
 def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
@@ -222,7 +239,7 @@ class MaxBelow:
         # One (c, p) buffer: |m|, zeroed in place above U.
         absmeans = np.abs(means)
         absmeans[absmeans > self.U] = 0.0
-        out[start : start + len(means)] = absmeans.max(axis=1)
+        out[start : start + len(means)] = _max_last(absmeans)
 
 
 # A reduction of a stream's column means: ``empty(reps, p)`` gives its result
@@ -303,7 +320,10 @@ _records: ContextVar[Optional[list]] = ContextVar("_records", default=None)
 @contextlib.contextmanager
 def recorded_passes():
     """Yield a list to which every pass drawn inside the block appends what
-    ``run_meta.json`` says of it: its request and its wall time."""
+    ``run_meta.json`` says of it: its request, its wall time (``seconds``)
+    and its blocks' wall time summed over the threads that ran them
+    (``block_seconds``), so ``block_seconds / (draw_workers * seconds)`` is
+    the draw pool's utilisation."""
     records = []
     token = _records.set(records)
     try:
@@ -351,11 +371,11 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         squared = None if quad is None else quad[start:stop]
 
         def block(rows, block_means, sums):
-            plain[rows] = np.abs(block_means).max(axis=-1)
+            plain[rows] = _max_last(np.abs(block_means))
             if starred is not None:
                 starred[rows] = _multiplier_max(sums, eps[rows], spec.n)
                 # Summed in one order per replication, whatever the block size.
-                squared[rows] = np.einsum("klp,klp->kp", sums, sums).max(axis=-1) / spec.n
+                squared[rows] = _max_last(np.einsum("klp,klp->kp", sums, sums)) / spec.n
             if means is not None:
                 means[rows] = block_means
 
@@ -363,8 +383,9 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         for part, out in reduced.items():
             part.add(out, start, means)
 
-    reduce_panels(spec, reps, seed, STREAM_PANEL, purpose, fold,
-                  None if scheme is None else scheme.b, STREAM_COPY if copies else None)
+    block_seconds = reduce_panels(spec, reps, seed, STREAM_PANEL, purpose, fold,
+                                  None if scheme is None else scheme.b,
+                                  STREAM_COPY if copies else None)
     for array in (max_abs_mean, mult_max, quad, *reduced.values()):
         if array is not None:
             array.setflags(write=False)
@@ -373,6 +394,7 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         records.append({"purpose": purpose, "reps": reps, "n": spec.n, "p": spec.p,
                         "multipliers": mult is not None, "copies": copies,
                         "reductions": [type(part).__name__ for part in reduced],
-                        "seconds": time.perf_counter() - started})
+                        "seconds": time.perf_counter() - started,
+                        "block_seconds": block_seconds})
     return StreamStatistics(max_abs_mean, mult_max, quad, reduced, spec, purpose, scheme,
                             mult, copies)

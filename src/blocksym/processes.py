@@ -44,16 +44,22 @@ moves the draws.
 
 Blocks run, fold included, on a thread pool sized by the CPUs this process
 may run on (``draw_workers``); numpy's fills and ufunc loops release the
-GIL, so the blocks overlap. Each block keys its own generator, so the
-output is bit-identical for any worker count. Pool threads call only
-private functions.
+GIL, so the blocks overlap. There is one chunk of lookahead: a chunk's
+fold is entered and its blocks handed to the pool before the previous
+chunk's fold is left, so the pool stays busy while the calling thread
+draws a chunk's multipliers and folds the last one's reductions. Folds are
+still entered and left in chunk order on the calling thread, and each
+block keys its own generator, so the output is bit-identical for any
+worker count. Pool threads call only private functions.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import time
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
 from typing import Callable, ContextManager, Optional
@@ -289,28 +295,28 @@ def _innovate(rng: np.random.Generator, spec: DgpSpec, out: np.ndarray) -> None:
         _equicorrelate(out, *_eigenvariances(1.0, spec.cross_corr, spec.p))
 
 
-def _fill(spec: DgpSpec, keys: np.ndarray, out: np.ndarray) -> None:
-    """Fill the first len(keys) replications of ``out``, one block of panels
+def _fill(spec: DgpSpec, key: np.ndarray, wanted: int, out: np.ndarray) -> None:
+    """Fill the first ``wanted`` replications of ``out``, one block of panels
     stored time-major: ``out`` is (n, full, p) in C order, and out[t, r] is
     row t of replication r.
 
-    The one filler of every kind. ``keys`` are the Philox keys of the
-    replications wanted and ``full`` is the block's length, which a run's
-    last block may exceed len(keys) by; the columns past len(keys) may be
-    left as they were. The block reads one generator, keyed by its first
-    replication, time-major, and every draw goes through ``_innovate``: iid
-    kinds fill the whole buffer with one call; var1 kinds draw the initial
-    states of all ``full`` replications and then the whole innovation
-    buffer, run the recursion in place row by row and clip after it; linear
-    processes draw their longer innovations a slice of ``_SLICE``
-    replications at a time as (rows, slice, p), each slice at its full width
-    within ``full``. So no replication depends on how many are wanted. Fills
-    run on draw-pool threads, so this path calls no public function: the
-    tracer keeps one span stack.
+    The one filler of every kind. ``key`` is the Philox key of the block's
+    first replication and ``full`` is the block's length, which a run's last
+    block may exceed ``wanted`` by; the columns past ``wanted`` may be left
+    as they were. The block reads the one generator of ``key``, time-major,
+    and every draw goes through ``_innovate``: iid kinds fill the whole
+    buffer with one call; var1 kinds draw the initial states of all ``full``
+    replications and then the whole innovation buffer, run the recursion in
+    place row by row and clip after it; linear processes draw their longer
+    innovations a slice of ``_SLICE`` replications at a time as (rows,
+    slice, p), each slice at its full width within ``full``. So no
+    replication depends on how many are wanted. Fills run on draw-pool
+    threads, so this path calls no public function: the tracer keeps one
+    span stack.
     """
     n, p = spec.n, spec.p
-    wanted, full = len(keys), out.shape[1]
-    rng = np.random.Generator(np.random.Philox(key=keys[0]))
+    full = out.shape[1]
+    rng = np.random.Generator(np.random.Philox(key=key))
     if spec.kind in ("iid_gaussian", "bounded_rademacher"):
         _innovate(rng, spec, out)
     elif spec.kind == "linear_process":
@@ -361,6 +367,37 @@ def _draw_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
 
 
+def _reduce_block(spec: DgpSpec, b: Optional[int], block_fold: BlockFold, rows: slice,
+                  full: int, key: np.ndarray, copy_key: Optional[np.ndarray]) -> float:
+    """Draw the replications ``rows`` of a chunk, a block of ``full``, and
+    hand their column means and block sums to ``block_fold``; returns the
+    block's wall time. Runs on draw-pool threads, so it calls no public
+    function."""
+    started = time.perf_counter()
+    n, p = spec.n, spec.p
+    wanted = rows.stop - rows.start
+    x = np.empty((n, full, p))
+    _fill(spec, key, wanted, x)
+    x = x[:, :wanted]
+    if copy_key is not None:
+        copy = np.empty((n, full, p))
+        _fill(spec, copy_key, wanted, copy)
+        x -= copy[:, :wanted]
+        del copy
+    if p == 1:
+        # numpy sums a contiguous column pairwise, not row by row, so one
+        # column is reduced in the kernels' layout.
+        x = np.ascontiguousarray(x.transpose(1, 0, 2))
+        means = x.mean(axis=1)
+        sums = None if b is None else _block_sums(x, b)
+    else:
+        means = x.sum(axis=0)
+        means /= n
+        sums = None if b is None else _block_sums(x, b, 0).transpose(1, 0, 2)
+    block_fold(rows, means, sums)
+    return time.perf_counter() - started
+
+
 def reduce_panels(
     spec: DgpSpec,
     reps: int,
@@ -370,8 +407,10 @@ def reduce_panels(
     fold: Callable[[int, int], ContextManager[BlockFold]],
     b: Optional[int] = None,
     copy_stream: Optional[int] = None,
-) -> None:
-    """Fold replications 0..reps-1 of one panel stream where they are drawn.
+) -> float:
+    """Fold replications 0..reps-1 of one panel stream where they are drawn;
+    returns the wall time of the blocks, summed over the threads that ran
+    them.
 
     Replication r is drawn from the substreams (seed, stream, purpose, .)
     as the module docstring describes; with ``copy_stream`` each panel minus
@@ -384,61 +423,94 @@ def reduce_panels(
     sums)`` on the thread that drew it: ``rows`` is the block's slice of the
     chunk, ``means`` (k, p) its panels' column means and ``sums`` (k, n/b, p)
     their within-block column sums over blocks of length ``b`` (None without
-    ``b``), a transposed view of the time-major (n/b, k, p) sums. That thread
-    is the draw pool when a chunk has several blocks and there is
-    more than one worker, else the calling thread; so a block fold calls no
-    public function, and writes only its own rows of the arrays its caller
-    owns. Both sums run over the block's time-major rows one row at a time,
-    the order in which ``blocking.batch_max_abs_mean`` and
-    ``batch_block_sums`` sum (k, n, p) panels when p > 1. At p = 1 numpy
-    sums a contiguous column pairwise, so a one-column block is copied to
-    the (k, n, 1) layout of those kernels and reduced there. Either way
-    each replication is summed in the same order in any block, so what a
-    fold sees is bit for bit the kernels' and the same for any worker count.
+    ``b``), a transposed view of the time-major (n/b, k, p) sums.
+
+    With one worker every block runs inline, chunk after chunk. With more,
+    every block runs on the draw pool, with one chunk of lookahead: the
+    calling thread enters the fold of a chunk and hands all its blocks to
+    the pool before it waits for the previous chunk's blocks and leaves that
+    chunk's fold. So a chunk's fold may be entered before the previous
+    chunk's fold is left, at most two are entered at once, and folds are
+    entered and left in chunk order. A block fold calls no public function
+    and writes only its own rows of the arrays its caller owns. If a block
+    or a fold raises, the blocks not yet started are cancelled, the started
+    ones are waited for, every entered fold is left with the exception, and
+    the exception is raised: no block runs after this returns.
+
+    Both sums run over the block's time-major rows one row at a time, the
+    order in which ``blocking.batch_max_abs_mean`` and ``batch_block_sums``
+    sum (k, n, p) panels when p > 1. At p = 1 numpy sums a contiguous column
+    pairwise, so a one-column block is copied to the (k, n, 1) layout of
+    those kernels and reduced there. Either way each replication is summed
+    in the same order in any block, so what a fold sees is bit for bit the
+    kernels' and the same for any worker count.
     """
     n, p = spec.n, spec.p
     if b is not None and not (1 <= b <= n and n % b == 0):
         raise ValueError(f"block length must divide n (n={n}, b={b})")
     block = max(1, _BLOCK_BYTES // (n * p * 8))
-    workers = draw_workers()
-    for start in range(0, reps, DEFAULT_CHUNK):
-        stop = min(start + DEFAULT_CHUNK, reps)
-        keys = substream_keys(seed, stream, purpose, start, stop)
+
+    def blocks(start, stop, block_fold):
+        # A call that draws and folds block j of the chunk, and the range
+        # of j. Blocks are aligned to the chunk, so their bounds do not
+        # depend on reps, and each is keyed by its first replication.
+        firsts = range(start, stop, block)
+        keys = substream_keys(seed, stream, purpose, firsts)
         copy_keys = (None if copy_stream is None
-                     else substream_keys(seed, copy_stream, purpose, start, stop))
-        with fold(start, stop) as block_fold:
+                     else substream_keys(seed, copy_stream, purpose, firsts))
 
-            def reduce(lo):
-                # Blocks are aligned to the chunk, so their bounds do not
-                # depend on reps.
-                span, full = slice(lo, lo + block), min(block, DEFAULT_CHUNK - lo)
-                wanted = len(keys[span])
-                x = np.empty((n, full, p))
-                _fill(spec, keys[span], x)
-                x = x[:, :wanted]
-                if copy_keys is not None:
-                    copy = np.empty((n, full, p))
-                    _fill(spec, copy_keys[span], copy)
-                    x -= copy[:, :wanted]
-                    del copy
-                if p == 1:
-                    # numpy sums a contiguous column pairwise, not row by
-                    # row, so one column is reduced in the kernels' layout.
-                    x = np.ascontiguousarray(x.transpose(1, 0, 2))
-                    means = x.mean(axis=1)
-                    sums = None if b is None else _block_sums(x, b)
-                else:
-                    means = x.sum(axis=0)
-                    means /= n
-                    sums = None if b is None else _block_sums(x, b, 0).transpose(1, 0, 2)
-                block_fold(span, means, sums)
+        def reduce(j):
+            lo = j * block
+            return _reduce_block(spec, b, block_fold, slice(lo, min(lo + block, stop - start)),
+                                 min(block, DEFAULT_CHUNK - lo), keys[j],
+                                 None if copy_keys is None else copy_keys[j])
 
-            firsts = range(0, stop - start, block)
-            if len(firsts) == 1 or workers == 1:
-                for lo in firsts:
-                    reduce(lo)
-            else:
-                list(_draw_pool(workers).map(reduce, firsts))
+        return reduce, range(len(firsts))
+
+    chunks = [(start, min(start + DEFAULT_CHUNK, reps))
+              for start in range(0, reps, DEFAULT_CHUNK)]
+    seconds = 0.0
+    workers = draw_workers()
+    if workers == 1:
+        for start, stop in chunks:
+            with fold(start, stop) as block_fold:
+                reduce, indices = blocks(start, stop, block_fold)
+                seconds += sum(reduce(j) for j in indices)
+        return seconds
+
+    pool = _draw_pool(workers)
+    entered = []  # (fold, futures) of each entered chunk, oldest first
+
+    def leave_oldest():
+        manager, futures = entered[0]
+        waited = sum(future.result() for future in futures)
+        del entered[0]
+        manager.__exit__(None, None, None)
+        return waited
+
+    try:
+        for start, stop in chunks:
+            manager = fold(start, stop)
+            block_fold = manager.__enter__()
+            futures = []
+            entered.append((manager, futures))
+            reduce, indices = blocks(start, stop, block_fold)
+            futures += (pool.submit(reduce, j) for j in indices)
+            if len(entered) == 2:
+                seconds += leave_oldest()
+        if entered:
+            seconds += leave_oldest()
+        return seconds
+    except BaseException:
+        for _, futures in entered:
+            for future in futures:
+                future.cancel()
+        wait([future for _, futures in entered for future in futures])
+        # Left oldest first, each with the exception, even if one raises.
+        with contextlib.ExitStack() as stack:
+            for manager, _ in reversed(entered):
+                stack.push(manager)
+            raise
 
 
 def marginal_spec(spec: DgpSpec) -> DgpSpec:

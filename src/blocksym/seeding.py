@@ -10,7 +10,8 @@ generator, keyed by the substream of the block's first replication, since
 distinct keys already give streams of independent quality (Salmon et al.,
 SC 2011). Panels are keyed per block of bytes (see ``processes``) and
 multipliers per chunk of ``DEFAULT_CHUNK`` replications (see ``blocking``).
-The keys of a range of replications are mixed at once on uint64 arrays.
+The keys of a range of replications, such as the first replications of a
+chunk's blocks, are mixed at once on uint64 arrays.
 """
 
 from __future__ import annotations
@@ -43,12 +44,12 @@ _SECOND_WORD = np.uint64(0xA5A5A5A5A5A5A5A5)
 
 
 def _mix(z):
-    """SplitMix64 finalizer on uint64 values, wrapping modulo 2**64."""
-    with np.errstate(over="ignore"):
-        z = z + _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+    """SplitMix64 finalizer on uint64 values; its callers let it wrap modulo
+    2**64."""
+    z = z + _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 def _word(value: int) -> np.uint64:
@@ -60,10 +61,11 @@ def _key_words(master_seed: int, *path) -> np.ndarray:
 
     A path coordinate may be a uint64 array, which gives one key per entry.
     """
-    word = _mix(_word(master_seed))
-    for coordinate in path:
-        word = _mix(word ^ _mix(coordinate))
-    return np.stack([word, _mix(word ^ _SECOND_WORD)], axis=-1)
+    with np.errstate(over="ignore"):
+        word = _mix(_word(master_seed))
+        for coordinate in path:
+            word = _mix(word ^ _mix(coordinate))
+        return np.stack([word, _mix(word ^ _SECOND_WORD)], axis=-1)
 
 
 def substream(master_seed: int, *path: int) -> np.random.Generator:
@@ -78,10 +80,12 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
 
 
 def substream_keys(master_seed: int, stream: int, purpose: int,
-                   start: int, stop: int) -> np.ndarray:
-    """Philox keys of replications start..stop-1, shape (stop - start, 2).
+                   replications: range) -> np.ndarray:
+    """Philox keys of ``replications``, shape (len(replications), 2).
 
-    Row r - start is the key of substream(master_seed, stream, purpose, r).
+    Row j is the key of substream(master_seed, stream, purpose,
+    replications[j]).
     """
-    index = np.arange(start, stop, dtype=np.uint64)
+    index = np.arange(replications.start, replications.stop, replications.step,
+                      dtype=np.uint64)
     return _key_words(master_seed, _word(stream), _word(purpose), index)

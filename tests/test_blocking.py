@@ -19,6 +19,7 @@ from blocksym.blocking import (
     MeanGram,
     MultiplierSpec,
     PowerSums,
+    _max_last,
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
@@ -266,6 +267,17 @@ class TestKernels:
             for i in range(len(eps)):
                 assert mult_stat(data, scheme, eps[i]) == grid[i, j]
 
+    @pytest.mark.parametrize("shape", [(2048, 1), (2048, 2), (127, 2), (128, 2), (300, 32),
+                                       (300, 33), (2048, 1000), (40, 64, 3), (64, 256, 1)])
+    def test_short_axis_maxima_are_numpys(self, shape):
+        # Taken across a contiguous copy or along the last axis, by shape,
+        # the maxima are x.max(axis=-1) bit for bit, NaN and infinities
+        # included.
+        x = np.random.default_rng(2).standard_normal(shape)
+        flat = x.reshape(-1)
+        flat[::97], flat[5::101], flat[7::103] = np.nan, np.inf, -np.inf
+        assert _max_last(x).tobytes() == x.max(axis=-1).tobytes()
+
     @settings(max_examples=20, deadline=None)
     @given(kind=st.sampled_from(["iid_gaussian", "bounded_rademacher"]),
            mult=st.sampled_from(["rademacher", "uniform_sym"]),
@@ -358,6 +370,7 @@ class TestStreamStatistics:
         stream_statistics(*args, 2)
         assert sum(panel_calls.values()) == 5
         assert all(record.pop("seconds") >= 0 for record in passes + inner)
+        assert all(record.pop("block_seconds") > 0 for record in passes + inner)
         common = {"reps": 50, "n": 8, "p": 3}
         assert passes == [
             dict(common, purpose=2, multipliers=True, copies=False, reductions=[]),
@@ -365,6 +378,24 @@ class TestStreamStatistics:
                  reductions=["MaxBelow", "PowerSums"]),
         ]
         assert inner == [dict(common, purpose=6, multipliers=True, copies=True, reductions=[])]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_block_seconds_fit_in_the_pool(self, cpus, monkeypatch):
+        # Each pass's blocks, timed on the threads that ran them, sum to more
+        # than nothing and to no more than draw_workers threads busy for the
+        # whole pass: block_seconds / (draw_workers * seconds) is the pool's
+        # utilisation.
+        from blocksym import processes
+
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 50 * self.SPEC.n * self.SPEC.p * 8)
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        with recorded_passes() as passes:
+            stream_statistics(self.SPEC, 3 * DEFAULT_CHUNK, 3, 2, self.SCHEME, self.MULT)
+            stream_statistics(self.SPEC, 10, 3, 4, reductions=(MeanGram(1.0),))
+        assert processes.draw_workers() == cpus and len(passes) == 2
+        for record in passes:
+            assert 0 < record["block_seconds"] <= cpus * record["seconds"]
 
     def test_plain_request_has_no_multiplier_statistic(self):
         stats = stream_statistics(self.SPEC, 20, 3, 2)
@@ -487,6 +518,27 @@ class TestReductions:
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
         assert np.array_equal(stats.mult_max, mult_stat(panels, self.SCHEME, eps))
 
+    @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])
+    def test_pipelined_chunks_match_inline(self, copies, monkeypatch):
+        # Four chunks, the last one short, in blocks of 300 replications:
+        # with more than one worker each chunk's blocks are drawn while the
+        # previous chunk is still being folded, and every statistic and
+        # reduction is bit for bit the one-worker pass.
+        from blocksym import processes
+
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 300 * self.SPEC.n * self.SPEC.p * 8)
+        reps = 3 * DEFAULT_CHUNK + 77
+        drawn = {}
+        for cpus in (1, 2, 8):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid, cpus=cpus: set(range(cpus)), raising=False)
+            stats = stream_statistics(self.SPEC, reps, 5, 3, self.SCHEME, RADEMACHER,
+                                      copies, REDUCTIONS)
+            drawn[cpus] = [array.tobytes() for array in (
+                stats.max_abs_mean, stats.mult_max, stats.quad,
+                *(stats.read(reduction) for reduction in REDUCTIONS))]
+        assert drawn[1] == drawn[2] == drawn[8]
+
     def test_mean_gram_sums_are_trace_and_total(self):
         # The two sums are the trace and 1^T G 1 of the (p, p) Gram G of the
         # scaled column means over both chunks.
@@ -591,6 +643,7 @@ class TestRunPasses:
         assert set(streams) == {"drawn", "passes"} and streams["drawn"] == 4
         passes = streams["passes"]
         assert all(record.pop("seconds") >= 0 for record in passes)
+        assert all(record.pop("block_seconds") > 0 for record in passes)
         # In draw order: tail, rho, mid, marginal. The tail pass folds the
         # Gram the Monte Carlo model reads beside the chain's reductions.
         assert [record["purpose"] for record in passes] == \

@@ -340,8 +340,12 @@ class TestRun:
                                 raising=False)
             out = tmp_path / f"w{len(cpus)}"
             main(["run", str(path), "--output-dir", str(out)])
-            assert json.loads((out / "run_meta.json").read_text())["draw_workers"] \
-                == len(cpus)
+            meta = json.loads((out / "run_meta.json").read_text())
+            assert meta["draw_workers"] == len(cpus)
+            # Each pass's blocks, summed over the threads that ran them, fit
+            # in draw_workers threads busy for the whole pass.
+            for record in meta["panel_streams"]["passes"]:
+                assert 0 < record["block_seconds"] <= len(cpus) * record["seconds"]
         for name in ("rho-only.json", "prop2.json", "independence-reduction.json",
                      "summary.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == \

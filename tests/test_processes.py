@@ -3,7 +3,9 @@ import math
 import os
 import sys
 import threading
+import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -174,8 +176,8 @@ class TestDeterminism:
         tracemalloc.start()
         try:
             panels = np.empty((spec.n, reps, spec.p))
-            keys = substream_keys(1, STREAM_PANEL, 0, 0, reps)
-            processes._fill(spec, keys, panels)
+            key = substream_keys(1, STREAM_PANEL, 0, range(1))[0]
+            processes._fill(spec, key, reps, panels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -306,7 +308,8 @@ class TestReplicationBlocks:
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
         panels = np.empty((spec.n, 150, spec.p))
-        processes._fill(spec, substream_keys(8, STREAM_PANEL, 1, 10, 150), panels)
+        key = substream_keys(8, STREAM_PANEL, 1, range(10, 11))[0]
+        processes._fill(spec, key, 140, panels)
         reference = block_panels(spec, substream(8, STREAM_PANEL, 1, 10), 150)
         assert np.array_equal(panels[:, :140].transpose(1, 0, 2), reference[:140])
 
@@ -409,6 +412,119 @@ class TestReducePanels:
             gather(REDUCE_SPECS[0], 10, 4, STREAM_PANEL, 6, 3)
 
 
+class TestPipeline:
+    """With more than one worker the blocks of a chunk go to the draw pool
+    before the previous chunk's fold is left: one chunk of lookahead."""
+
+    SPEC = DgpSpec("var1", n=8, p=3, phi=0.5)
+    REPS = 3 * DEFAULT_CHUNK + 10  # four chunks, the last one short
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_folds_enter_and_leave_in_chunk_order_on_the_caller(self, cpus, monkeypatch):
+        # 100 replications per block. A fold is left only once every row of
+        # its chunk is folded, and never are more than two folds entered.
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 100 * self.SPEC.n * self.SPEC.p * 8)
+        patch_cpus(monkeypatch, set(range(cpus)))
+        caller = threading.current_thread()
+        lock = threading.Lock()
+        events, entered = [], []
+
+        @contextlib.contextmanager
+        def fold(start, stop):
+            assert threading.current_thread() is caller
+            events.append(("enter", start))
+            entered.append(start)
+            assert len(entered) <= 2
+            rows = []
+
+            def block(span, means, sums):
+                assert start in entered
+                with lock:
+                    rows.extend(range(span.start, span.stop))
+
+            yield block
+            assert threading.current_thread() is caller
+            assert sorted(rows) == list(range(stop - start))
+            entered.remove(start)
+            events.append(("leave", start))
+
+        reduce_panels(self.SPEC, self.REPS, 4, STREAM_PANEL, 6, fold, 2)
+        starts = list(range(0, self.REPS, DEFAULT_CHUNK))
+        if cpus == 1:
+            want = [(event, start) for start in starts for event in ("enter", "leave")]
+        else:
+            want = [("enter", 0)]
+            for previous, start in zip(starts, starts[1:]):
+                want += [("enter", start), ("leave", previous)]
+            want.append(("leave", starts[-1]))
+        assert events == want and not entered
+
+    @pytest.mark.parametrize("where", ["block", "leave", "enter"])
+    def test_a_failure_cancels_the_blocks_and_leaves_every_fold(self, where, monkeypatch):
+        # One replication per block on two workers. A block of chunk 0 that
+        # raises once chunk 1 is entered, chunk 0's fold raising as it is
+        # left, or chunk 1's raising as it is entered: the error reaches the
+        # caller, every entered fold is left with it, and no block runs once
+        # reduce_panels has returned.
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", self.SPEC.n * self.SPEC.p * 8)
+        patch_cpus(monkeypatch, {0, 1})
+        lock = threading.Lock()
+        second_entered, returned = threading.Event(), threading.Event()
+        state = {"active": 0, "late": 0}
+        ran, left = Counter(), []
+        reduce_block = processes._reduce_block
+
+        def tracked(*args):
+            with lock:
+                state["active"] += 1
+                state["late"] += returned.is_set()
+            try:
+                return reduce_block(*args)
+            finally:
+                with lock:
+                    state["active"] -= 1
+
+        monkeypatch.setattr(processes, "_reduce_block", tracked)
+
+        @contextlib.contextmanager
+        def fold(start, stop):
+            if start == DEFAULT_CHUNK:
+                if where == "enter":
+                    raise RuntimeError("chunk 1 failed")
+                second_entered.set()
+
+            def block(span, means, sums):
+                with lock:
+                    ran[start] += 1
+                if where == "block" and start == 0 and span.start == 0:
+                    assert second_entered.wait(timeout=30)
+                    raise RuntimeError("chunk 0 failed")
+
+            try:
+                yield block
+                if where == "leave" and start == 0:
+                    raise RuntimeError("chunk 0 failed")
+            except BaseException as error:
+                left.append((start, error))
+                raise
+            left.append((start, None))
+
+        with pytest.raises(RuntimeError, match="failed") as failure:
+            reduce_panels(self.SPEC, self.REPS, 4, STREAM_PANEL, 6, fold, 2)
+        returned.set()
+        with lock:
+            assert state["active"] == 0
+            blocks_run = sum(ran.values())
+        time.sleep(0.05)
+        assert state["late"] == 0 and sum(ran.values()) == blocks_run
+        if where == "enter":
+            assert left == [(0, failure.value)]
+        else:
+            assert left == [(0, failure.value), (DEFAULT_CHUNK, failure.value)]
+            # Chunk 1's blocks were queued behind chunk 0's; most never ran.
+            assert ran[DEFAULT_CHUNK] < DEFAULT_CHUNK
+
+
 class TestSupport:
     def test_rademacher_support(self):
         spec = DgpSpec("bounded_rademacher", n=4, p=1)
@@ -461,8 +577,8 @@ class TestMoments:
         # replications, under the 4 se that flags.
         fill = processes._fill
 
-        def shifted(spec, keys, out):
-            fill(spec, keys, out)
+        def shifted(spec, key, wanted, out):
+            fill(spec, key, wanted, out)
             out += 0.1
 
         monkeypatch.setattr(processes, "_fill", shifted)

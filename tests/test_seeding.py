@@ -43,8 +43,8 @@ def filled(spec, seed, stream, purpose, start, stop, full=None):
     """Replications start..stop-1 from the filler, as one time-major block
     of ``full``, shape (stop - start, n, p)."""
     out = np.empty((spec.n, full or stop - start, spec.p))
-    keys = substream_keys(seed, stream, purpose, start, stop)
-    processes._fill(spec, keys, out)
+    key = substream_keys(seed, stream, purpose, range(start, start + 1))[0]
+    processes._fill(spec, key, stop - start, out)
     return out[:, : stop - start].transpose(1, 0, 2)
 
 
@@ -53,7 +53,7 @@ class TestKeys:
     @given(seed=seeds, stream=st.integers(0, 10), purpose=st.integers(0, 2**66),
            start=st.integers(0, 2**40), size=st.integers(0, 5))
     def test_keys_match_python_splitmix(self, seed, stream, purpose, start, size):
-        out = substream_keys(seed, stream, purpose, start, start + size)
+        out = substream_keys(seed, stream, purpose, range(start, start + size))
         expected = [key_words_reference(seed, stream, purpose, r)
                     for r in range(start, start + size)]
         assert out.dtype == np.uint64 and out.shape == (size, 2)
@@ -65,11 +65,20 @@ class TestKeys:
         state = substream(seed, *path).bit_generator.state["state"]
         assert state["key"].tolist() == list(key_words_reference(seed, *path))
 
+    @pytest.mark.parametrize("replications", [range(0, 2048, 204), range(4096, 4097),
+                                              range(2**40, 2**40 + 50, 7), range(3, 3)])
+    def test_strided_keys_are_their_replications_keys(self, replications):
+        # The first replications of a chunk's blocks are keyed at once.
+        out = substream_keys(9, STREAM_PANEL, 2, replications)
+        assert out.shape == (len(replications), 2)
+        assert out.tolist() == [list(key_words_reference(9, STREAM_PANEL, 2, r))
+                                for r in replications]
+
     def test_masked_seeds_key_alike(self):
-        assert np.array_equal(substream_keys(-1, 1, 0, 0, 3),
-                              substream_keys(2**64 - 1, 1, 0, 0, 3))
-        assert np.array_equal(substream_keys(2**64 + 5, 1, 0, 0, 3),
-                              substream_keys(5, 1, 0, 0, 3))
+        assert np.array_equal(substream_keys(-1, 1, 0, range(3)),
+                              substream_keys(2**64 - 1, 1, 0, range(3)))
+        assert np.array_equal(substream_keys(2**64 + 5, 1, 0, range(3)),
+                              substream_keys(5, 1, 0, range(3)))
 
 
 def chunk_rows(mult, count, seed, purpose, first, rows):
