@@ -20,19 +20,15 @@ and the quadratic block term max_i (1/n) sum_l S[l, i]^2 of theorem1. A call
 may also name a tuple of reductions of the column means (``MeanGram``, which
 the Monte Carlo Gaussian model reads, and ``PowerSums``, ``Exceedances`` and
 ``MaxBelow``, which the remainders read; a run folds them all in one pass of
-the tail stream), which are folded in chunk by chunk while the stream is
-drawn, over the same ``DEFAULT_CHUNK`` slices of
-replications whatever the blocks, so no (reps, p) means and no (p, p) Gram
-are kept; a read of a reduction that the pass did not fold raises an error
-naming it. The panels themselves never reach this module: ``reduce_panels``
-hands each block's column means and block sums to the fold of
-``stream_statistics`` on the thread that drew the block, and the fold applies
-that chunk's multipliers, drawn beforehand on the calling thread from the
-chunk's one generator, so no chunk of block sums is held either. With more
-than one draw worker there is one chunk of lookahead: a chunk's fold may be
-entered, its multipliers drawn and its means buffer allocated, before the
-previous chunk's fold is left and its reductions folded, so at most two
-chunks are in flight; the reductions still fold chunk by chunk in order.
+the tail stream), which are folded in block by block, in block order, while
+the stream is drawn, so no (reps, p) means and no (p, p) Gram are kept; a
+read of a reduction that the pass did not fold raises an error naming it.
+The panels themselves never reach this module: ``reduce_panels`` hands each
+block's column means and block sums to the fold of ``stream_statistics`` on
+the thread that drew the block. The fold applies the block's multipliers,
+drawn on the calling thread from the block's one generator as the fold is
+entered, and keeps the block's means until the fold is left, so a pass
+holds the means and multipliers of at most ``draw_workers() + 1`` blocks.
 Nothing is cached: a run draws each stream once and hands its statistics to
 every check that reads them. Inside a ``recorded_passes()`` block each pass
 appends its request, its wall time and the wall time of its blocks, summed
@@ -50,7 +46,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .processes import DEFAULT_CHUNK, DgpSpec, _block_sums, reduce_panels
+from .processes import DgpSpec, _block_sums, reduce_panels
 from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
@@ -137,40 +133,40 @@ def _multiplier_max(sums: np.ndarray, eps: np.ndarray, n: int) -> np.ndarray:
 
 def _max_last(x: np.ndarray) -> np.ndarray:
     """``x.max(axis=-1)``, bit for bit: a maximum does not depend on the
-    order it is taken in, and NaN propagates either way. numpy reduces a
+    order it is taken in, and NaN propagates either way (only which of a
+    row's distinct NaN bit patterns comes out may differ). numpy reduces a
     short last axis row by row, an order of magnitude slower at (2048, 2)
-    than taking maxima across the rows of a contiguous copy with that axis
-    first; past 32 entries, or over few rows, the copy costs more than it
-    saves."""
+    than folding its columns into one output with ``np.maximum``; past 32
+    entries, or over few rows, the column loop costs more than it saves."""
     if 2 <= x.shape[-1] <= 32 and x.size >= 128 * x.shape[-1]:
-        return np.ascontiguousarray(np.moveaxis(x, -1, 0)).max(axis=0)
+        out = x[..., 0].copy()
+        for j in range(1, x.shape[-1]):
+            np.maximum(out, x[..., j], out=out)
+        return out
     return x.max(axis=-1)
 
 
 def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
                       start: int, stop: int) -> np.ndarray:
-    """Multipliers of replications start..stop-1, shape (stop - start, count).
+    """Multipliers of the block of replications start..stop-1, shape
+    (stop - start, count).
 
-    Each chunk of ``DEFAULT_CHUNK`` replications reads one generator, keyed
-    by the substream (seed, multiplier stream, purpose, first) of its first
-    replication, row by row: replication r is row r - first of numpy's
-    int8 ``integers(0, 2)`` mapped to -1 and +1 (Rademacher) or of
-    ``uniform(-sqrt(3), sqrt(3))``, drawn with ``count`` columns. So its
-    multipliers do not depend on the batch it is in.
+    The block reads one generator, keyed by the substream (seed, multiplier
+    stream, purpose, start) of its first replication, row by row:
+    replication start + i is row i of numpy's int8 ``integers(0, 2)``
+    mapped to -1 and +1 (Rademacher) or of ``uniform(-sqrt(3), sqrt(3))``,
+    drawn with ``count`` columns. So a replication's multipliers depend on
+    the first replication of its block, not on how many the block holds.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    out = np.empty((stop - start, count))
-    half = math.sqrt(3.0)
-    for first in range(start - start % DEFAULT_CHUNK, stop, DEFAULT_CHUNK):
-        rng = substream(seed, STREAM_MULTIPLIER, purpose, first)
-        lo, hi = max(first, start), min(first + DEFAULT_CHUNK, stop)
-        shape, part = (hi - first, count), out[lo - start : hi - start]
-        if mult.kind == "rademacher":
-            np.multiply(rng.integers(0, 2, size=shape, dtype=np.int8)[lo - first :], 2.0, out=part)
-            part -= 1.0
-        else:
-            part[:] = rng.uniform(-half, half, size=shape)[lo - first :]
+    rng = substream(seed, STREAM_MULTIPLIER, purpose, start)
+    shape = (stop - start, count)
+    if mult.kind == "uniform_sym":
+        half = math.sqrt(3.0)
+        return rng.uniform(-half, half, size=shape)
+    out = np.multiply(rng.integers(0, 2, size=shape, dtype=np.int8), 2.0)
+    out -= 1.0
     return out
 
 
@@ -244,7 +240,7 @@ class MaxBelow:
 
 # A reduction of a stream's column means: ``empty(reps, p)`` gives its result
 # array and ``add(out, start, means)`` folds in the (c, p) means of the
-# chunk of replications from ``start``, on the calling thread.
+# block of replications from ``start``, on the calling thread.
 MeanReduction = Union[MeanGram, PowerSums, Exceedances, MaxBelow]
 
 
@@ -342,12 +338,12 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
 
     Replication r reads the panel stream (seed, panel stream, purpose), as
     ``processes.reduce_panels`` keys it, and the multipliers of
-    ``batch_multipliers`` for the same purpose. With
-    ``copies`` the statistics are taken on the panel minus its independent
-    copy from the copy stream. Each of ``reductions`` folds each chunk's
-    column means into its result as the chunk is drawn, over the chunks of
-    ``DEFAULT_CHUNK`` replications, so no (reps, p) means are kept; a
-    reduction named twice is folded once.
+    ``batch_multipliers`` for the same purpose, drawn for the blocks of
+    ``reduce_panels``. With ``copies`` the statistics are taken on the panel
+    minus its independent copy from the copy stream. Each of ``reductions``
+    folds each block's column means into its result, in block order as the
+    blocks are drawn, so no (reps, p) means are kept; a reduction named
+    twice is folded once.
     """
     if (scheme is None) != (mult is None):
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
@@ -361,27 +357,24 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
 
     @contextlib.contextmanager
     def fold(start, stop):
-        # The chunk's multipliers are drawn here, on the calling thread,
+        # The block's multipliers are drawn here, on the calling thread,
         # because block folds may call no public function.
         eps = (None if scheme is None
                else batch_multipliers(mult, scheme.count, seed, purpose, start, stop))
-        means = np.empty((stop - start, spec.p)) if reduced else None
-        plain = max_abs_mean[start:stop]
-        starred = None if mult_max is None else mult_max[start:stop]
-        squared = None if quad is None else quad[start:stop]
+        kept = []
 
-        def block(rows, block_means, sums):
-            plain[rows] = _max_last(np.abs(block_means))
-            if starred is not None:
-                starred[rows] = _multiplier_max(sums, eps[rows], spec.n)
+        def block(means, sums):
+            max_abs_mean[start:stop] = _max_last(np.abs(means))
+            if mult_max is not None:
+                mult_max[start:stop] = _multiplier_max(sums, eps, spec.n)
                 # Summed in one order per replication, whatever the block size.
-                squared[rows] = _max_last(np.einsum("klp,klp->kp", sums, sums)) / spec.n
-            if means is not None:
-                means[rows] = block_means
+                quad[start:stop] = _max_last(np.einsum("klp,klp->kp", sums, sums)) / spec.n
+            if reduced:
+                kept.append(means)
 
         yield block
         for part, out in reduced.items():
-            part.add(out, start, means)
+            part.add(out, start, kept[0])
 
     block_seconds = reduce_panels(spec, reps, seed, STREAM_PANEL, purpose, fold,
                                   None if scheme is None else scheme.b,

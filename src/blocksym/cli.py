@@ -242,12 +242,17 @@ def parse_config(obj: dict) -> ExperimentConfig:
         if not _is_positive(truncation.get(key)):
             problems.append((f"truncation.{key}", f"{mode} mode needs {key} > 0"))
 
-    r = grab("r", float, default=2.0, required=False)
-    if r is not None and r <= 1:
-        problems.append(("r", f"Hoelder exponent must be > 1, got {r}"))
+    r = obj.get("r", 2.0)
+    if not (_is_real(r) and 1 < r <= sys.float_info.max):
+        problems.append(("r", f"Hoelder exponent must be a finite number > 1, got {r!r}"))
+    else:
+        r = float(r)
     reps = grab("reps", int)
     rho_reps = grab("rho_reps", int, default=reps, required=False)
     seed = grab("seed", int)
+    if seed is not None and not 0 <= seed < 2**64:
+        # Keys are mixed modulo 2**64, so a seed outside would draw another's panels.
+        problems.append(("seed", f"expected an integer in [0, 2**64), got {seed}"))
     for name, value in (("reps", reps), ("rho_reps", rho_reps)):
         if value is not None and value < 1000:
             problems.append((name, f"need at least 1000, got {value}"))

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .blocking import (BlockScheme, MeanGram, MultiplierSpec, StreamStatistics,
+from .blocking import (BlockScheme, MeanGram, MultiplierSpec, StreamStatistics, _max_last,
                        stream_statistics)
 from .processes import (DgpSpec, _eigenvariances, _equicorrelate, _is_real,
                         theoretical_longrun_variance)
@@ -158,7 +158,7 @@ def sample_gaussian_max(model: GaussianModel, draws: int, seed: int) -> np.ndarr
     rng = substream(seed, STREAM_GAUSSIAN)
     z = rng.standard_normal((draws, model.p))
     _equicorrelate(z, model.parallel, model.perp)
-    return np.abs(z, out=z).max(axis=1)
+    return _max_last(np.abs(z, out=z))
 
 
 def _ascending(x) -> np.ndarray:

@@ -24,32 +24,33 @@ every long-run covariance is v ((1 - c) I + c 11^T): two numbers, never a
 p x p matrix. ``_equicorrelate`` applies its symmetric square root in place,
 to the Gaussian innovations here and to the comparison draws of ``gaussian``.
 
-``reduce_panels`` splits each ``DEFAULT_CHUNK`` of replications into blocks
-of ``_BLOCK_BYTES`` of panel (at least one replication), draws each block
-with the one filler per kind (``_fill``) and hands its column means and
-block sums to the caller's block fold as soon as it is drawn, so it never
-holds a chunk of panels or of block sums. A block of k panels is held
-time-major, as an (n, k, p) array whose row t is time t of every panel, so
-the column means and the block sums are sums of contiguous rows, one row
-at a time (a one-column block is reduced as (k, n, 1), as numpy sums a
-column). The block is the unit of keying for every kind: one Philox
-generator, keyed by the substream (seed, stream, purpose, first) of the
-block's first replication, draws the whole block time-major. Block bounds
-depend only on n, p, ``DEFAULT_CHUNK`` and ``_BLOCK_BYTES``, and a block's
-first rows do not depend on how many replications the run asks for (its
-last block is drawn at full length), so replication r stays a pure
-function of its coordinates; a block of one replication draws exactly
-what that replication's own substream gives. Changing ``_BLOCK_BYTES``
-moves the draws.
+``reduce_panels`` draws a pass in blocks of replications, the only unit
+of a pass: block j holds replications [jL, min((j + 1) L, reps)), where L is
+``_BLOCK_BYTES`` of panel (at least one replication, at most
+``MAX_BLOCK_REPS``). It draws each block with the one filler per kind
+(``_fill``) and hands its column means and block sums to the caller's fold
+as soon as it is drawn, so it never holds more than a few blocks of panels,
+means or block sums. A block of k panels is held time-major, as an (n, k, p)
+array whose row t is time t of every panel, so the column means and the
+block sums are sums of contiguous rows, one row at a time (a one-column
+block is reduced as (k, n, 1), as numpy sums a column). The block is the
+unit of keying: one Philox generator, keyed by the substream (seed, stream,
+purpose, first) of the block's first replication, draws the whole block
+time-major. Block bounds depend only on n, p, ``MAX_BLOCK_REPS`` and
+``_BLOCK_BYTES``, and a block's first rows do not depend on how many
+replications the run asks for (its last block is drawn at full length, so
+the cap bounds that overdraw), so replication r stays a pure function of
+its coordinates; a block of one replication draws exactly what that
+replication's own substream gives. Changing ``_BLOCK_BYTES`` moves the
+draws.
 
 Blocks run, fold included, on a thread pool sized by the CPUs this process
 may run on (``draw_workers``); numpy's fills and ufunc loops release the
-GIL, so the blocks overlap. There is one chunk of lookahead: a chunk's
-fold is entered and its blocks handed to the pool before the previous
-chunk's fold is left, so the pool stays busy while the calling thread
-draws a chunk's multipliers and folds the last one's reductions. Folds are
-still entered and left in chunk order on the calling thread, and each
-block keys its own generator, so the output is bit-identical for any
+GIL, so the blocks overlap. The calling thread enters each block's fold
+and hands the block to the pool, keeping at most ``draw_workers() + 1``
+folds entered, and leaves the folds in block order, so the pool stays busy
+while the calling thread prepares the next fold and finishes the last one.
+Each block keys its own generator, so the output is bit-identical for any
 worker count. Pool threads call only private functions.
 """
 
@@ -59,6 +60,7 @@ import contextlib
 import math
 import os
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import lru_cache
@@ -78,7 +80,9 @@ KINDS = (
 
 _INNOVATIONS = ("gaussian", "rademacher")
 
-DEFAULT_CHUNK = 2048
+# Replications per block at most, which bounds how far a run's last block,
+# drawn at full length, overdraws.
+MAX_BLOCK_REPS = 2048
 
 # Panel bytes per block of replications (at least one replication): the
 # unit that is drawn, reduced and handed to the draw pool at once, and that
@@ -88,8 +92,8 @@ _BLOCK_BYTES = 4 << 20
 # Replications whose linear-process innovations are drawn at once.
 _SLICE = 64
 
-# What a block of replications is folded by: (rows, means, sums) -> None.
-BlockFold = Callable[[slice, np.ndarray, Optional[np.ndarray]], None]
+# What a block of replications is folded by: (means, sums) -> None.
+BlockFold = Callable[[np.ndarray, Optional[np.ndarray]], None]
 
 
 class DgpValidationError(ValueError):
@@ -367,15 +371,13 @@ def _draw_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
 
 
-def _reduce_block(spec: DgpSpec, b: Optional[int], block_fold: BlockFold, rows: slice,
+def _reduce_block(spec: DgpSpec, b: Optional[int], block_fold: BlockFold, wanted: int,
                   full: int, key: np.ndarray, copy_key: Optional[np.ndarray]) -> float:
-    """Draw the replications ``rows`` of a chunk, a block of ``full``, and
-    hand their column means and block sums to ``block_fold``; returns the
-    block's wall time. Runs on draw-pool threads, so it calls no public
-    function."""
+    """Draw the first ``wanted`` replications of a block of ``full`` and hand
+    their column means and block sums to ``block_fold``; returns the block's
+    wall time. Runs on draw-pool threads, so it calls no public function."""
     started = time.perf_counter()
     n, p = spec.n, spec.p
-    wanted = rows.stop - rows.start
     x = np.empty((n, full, p))
     _fill(spec, key, wanted, x)
     x = x[:, :wanted]
@@ -394,7 +396,7 @@ def _reduce_block(spec: DgpSpec, b: Optional[int], block_fold: BlockFold, rows: 
         means = x.sum(axis=0)
         means /= n
         sums = None if b is None else _block_sums(x, b, 0).transpose(1, 0, 2)
-    block_fold(rows, means, sums)
+    block_fold(means, sums)
     return time.perf_counter() - started
 
 
@@ -414,28 +416,23 @@ def reduce_panels(
 
     Replication r is drawn from the substreams (seed, stream, purpose, .)
     as the module docstring describes; with ``copy_stream`` each panel minus
-    its copy, the same replication of that stream, is folded instead. The
-    replications go by in chunks of ``DEFAULT_CHUNK``. For the chunk
-    start..stop-1 the calling thread enters ``fold(start, stop)``, a context
-    manager that gives the chunk's block fold, and leaves it once the chunk
-    is folded. The chunk is drawn in blocks of ``_BLOCK_BYTES`` of panel (at
-    least one replication), and each block calls ``block_fold(rows, means,
-    sums)`` on the thread that drew it: ``rows`` is the block's slice of the
-    chunk, ``means`` (k, p) its panels' column means and ``sums`` (k, n/b, p)
-    their within-block column sums over blocks of length ``b`` (None without
-    ``b``), a transposed view of the time-major (n/b, k, p) sums.
+    its copy, the same replication of that stream, is folded instead. For
+    the block start..stop-1 the calling thread enters ``fold(start, stop)``,
+    a context manager that gives the block's fold, and hands the block to
+    the draw pool; the pool thread that draws it calls ``block_fold(means,
+    sums)``: ``means`` (k, p) its panels' column means and ``sums`` (k,
+    n/b, p) their within-block column sums over blocks of length ``b`` (None
+    without ``b``), a transposed view of the time-major (n/b, k, p) sums.
 
-    With one worker every block runs inline, chunk after chunk. With more,
-    every block runs on the draw pool, with one chunk of lookahead: the
-    calling thread enters the fold of a chunk and hands all its blocks to
-    the pool before it waits for the previous chunk's blocks and leaves that
-    chunk's fold. So a chunk's fold may be entered before the previous
-    chunk's fold is left, at most two are entered at once, and folds are
-    entered and left in chunk order. A block fold calls no public function
-    and writes only its own rows of the arrays its caller owns. If a block
-    or a fold raises, the blocks not yet started are cancelled, the started
-    ones are waited for, every entered fold is left with the exception, and
-    the exception is raised: no block runs after this returns.
+    Once ``draw_workers() + 1`` folds are entered, the calling thread waits
+    for the oldest block and leaves its fold before it enters the next. So
+    folds are entered and left in block order on the calling thread, and a
+    fold is left only after its block is folded. A block fold calls no
+    public function and writes only its own block's part of the arrays its
+    caller owns. If a block or a fold raises, the blocks not yet started are
+    cancelled, the started ones are waited for, every entered fold is left
+    with the exception, and the exception is raised: no block runs after
+    this returns.
 
     Both sums run over the block's time-major rows one row at a time, the
     order in which ``blocking.batch_max_abs_mean`` and ``batch_block_sums``
@@ -448,67 +445,44 @@ def reduce_panels(
     n, p = spec.n, spec.p
     if b is not None and not (1 <= b <= n and n % b == 0):
         raise ValueError(f"block length must divide n (n={n}, b={b})")
-    block = max(1, _BLOCK_BYTES // (n * p * 8))
-
-    def blocks(start, stop, block_fold):
-        # A call that draws and folds block j of the chunk, and the range
-        # of j. Blocks are aligned to the chunk, so their bounds do not
-        # depend on reps, and each is keyed by its first replication.
-        firsts = range(start, stop, block)
-        keys = substream_keys(seed, stream, purpose, firsts)
-        copy_keys = (None if copy_stream is None
-                     else substream_keys(seed, copy_stream, purpose, firsts))
-
-        def reduce(j):
-            lo = j * block
-            return _reduce_block(spec, b, block_fold, slice(lo, min(lo + block, stop - start)),
-                                 min(block, DEFAULT_CHUNK - lo), keys[j],
-                                 None if copy_keys is None else copy_keys[j])
-
-        return reduce, range(len(firsts))
-
-    chunks = [(start, min(start + DEFAULT_CHUNK, reps))
-              for start in range(0, reps, DEFAULT_CHUNK)]
-    seconds = 0.0
+    block = min(MAX_BLOCK_REPS, max(1, _BLOCK_BYTES // (n * p * 8)))
+    firsts = range(0, reps, block)
+    keys = substream_keys(seed, stream, purpose, firsts)
+    copy_keys = (None if copy_stream is None
+                 else substream_keys(seed, copy_stream, purpose, firsts))
     workers = draw_workers()
-    if workers == 1:
-        for start, stop in chunks:
-            with fold(start, stop) as block_fold:
-                reduce, indices = blocks(start, stop, block_fold)
-                seconds += sum(reduce(j) for j in indices)
-        return seconds
-
     pool = _draw_pool(workers)
-    entered = []  # (fold, futures) of each entered chunk, oldest first
+    # The folds entered and not yet left, and their blocks, oldest first.
+    managers, futures = deque(), deque()
+    seconds = 0.0
 
     def leave_oldest():
-        manager, futures = entered[0]
-        waited = sum(future.result() for future in futures)
-        del entered[0]
-        manager.__exit__(None, None, None)
+        waited = futures[0].result()
+        futures.popleft()
+        managers.popleft().__exit__(None, None, None)
         return waited
 
     try:
-        for start, stop in chunks:
+        for j, start in enumerate(firsts):
+            stop = min(start + block, reps)
             manager = fold(start, stop)
             block_fold = manager.__enter__()
-            futures = []
-            entered.append((manager, futures))
-            reduce, indices = blocks(start, stop, block_fold)
-            futures += (pool.submit(reduce, j) for j in indices)
-            if len(entered) == 2:
+            managers.append(manager)
+            futures.append(pool.submit(_reduce_block, spec, b, block_fold, stop - start,
+                                       block, keys[j],
+                                       None if copy_keys is None else copy_keys[j]))
+            if len(managers) > workers:
                 seconds += leave_oldest()
-        if entered:
+        while managers:
             seconds += leave_oldest()
         return seconds
     except BaseException:
-        for _, futures in entered:
-            for future in futures:
-                future.cancel()
-        wait([future for _, futures in entered for future in futures])
+        for future in futures:
+            future.cancel()
+        wait(futures)
         # Left oldest first, each with the exception, even if one raises.
         with contextlib.ExitStack() as stack:
-            for manager, _ in reversed(entered):
+            for manager in reversed(managers):
                 stack.push(manager)
             raise
 

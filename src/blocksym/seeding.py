@@ -6,12 +6,14 @@ numpy's counter-based ``Philox`` generator. The mapping is a pure function,
 so results never depend on call order, worker count, or scheduling.
 
 Every draw follows one keying rule: a block of replications reads one
-generator, keyed by the substream of the block's first replication, since
-distinct keys already give streams of independent quality (Salmon et al.,
-SC 2011). Panels are keyed per block of bytes (see ``processes``) and
-multipliers per chunk of ``DEFAULT_CHUNK`` replications (see ``blocking``).
-The keys of a range of replications, such as the first replications of a
-chunk's blocks, are mixed at once on uint64 arrays.
+generator per stream, keyed by the substream of the block's first
+replication, since distinct keys already give streams of independent
+quality (Salmon et al., SC 2011). The blocks are those of
+``processes.reduce_panels``, and a block's panels, copies and multipliers
+(see ``blocking``) are keyed alike. The keys of a range of replications,
+such as the first replications of a pass's blocks, are mixed at once on
+uint64 arrays. Seeds and coordinates are taken modulo 2**64; the config
+checks keep seeds in [0, 2**64), so distinct seeds never alias.
 """
 
 from __future__ import annotations

@@ -6,9 +6,9 @@ import math
 import numpy as np
 
 from blocksym import blocking, processes
-from blocksym.blocking import MaxBelow, MultiplierSpec, PowerSums
+from blocksym.blocking import MaxBelow, MultiplierSpec, PowerSums, batch_multipliers
 from blocksym.gaussian import estimate_gaussian_model, model_reduction
-from blocksym.processes import DEFAULT_CHUNK, marginal_spec
+from blocksym.processes import MAX_BLOCK_REPS, marginal_spec
 from blocksym.seeding import PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL, substream
 from blocksym.verify import theorem1_bound, verify_prop1, verify_prop2
 
@@ -18,18 +18,22 @@ RADEMACHER = MultiplierSpec("rademacher")
 def block_bounds(spec, start, stop):
     """The (first, end) of each block that holds a replication in start..stop-1.
 
-    The bounds of ``processes.reduce_panels``: blocks of ``_BLOCK_BYTES`` of
-    panel (at least one replication) from the start of each
-    ``DEFAULT_CHUNK``, the last block of a chunk cut at the chunk's end.
+    The bounds of ``processes.reduce_panels``: blocks of L replications from
+    replication 0, L being ``_BLOCK_BYTES`` of panel, at least one
+    replication and at most ``MAX_BLOCK_REPS``.
     """
-    block = max(1, processes._BLOCK_BYTES // (spec.n * spec.p * 8))
-    bounds = []
-    for chunk in range(start - start % DEFAULT_CHUNK, stop, DEFAULT_CHUNK):
-        for first in range(chunk, chunk + DEFAULT_CHUNK, block):
-            end = min(first + block, chunk + DEFAULT_CHUNK)
-            if first < stop and end > start:
-                bounds.append((first, end))
-    return bounds
+    block = min(MAX_BLOCK_REPS, max(1, processes._BLOCK_BYTES // (spec.n * spec.p * 8)))
+    return [(first, first + block) for first in range(start - start % block, stop, block)]
+
+
+def pass_multipliers(spec, mult, count, seed, purpose, start, stop):
+    """Multipliers of replications start..stop-1 as a pass of ``spec`` draws
+    them, shape (stop - start, count): each block's rows from the generator
+    of its first replication."""
+    rows = [batch_multipliers(mult, count, seed, purpose, first, min(end, stop))
+            [max(first, start) - first:]
+            for first, end in block_bounds(spec, start, stop)]
+    return np.concatenate(rows) if rows else np.empty((0, count))
 
 
 def equicorrelated(g, c):

@@ -23,7 +23,7 @@ from blocksym.blocking import (
 )
 from blocksym.cli import parse_config, run_experiment
 from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
-from blocksym.processes import DEFAULT_CHUNK, DgpSpec
+from blocksym.processes import MAX_BLOCK_REPS, DgpSpec
 from blocksym.psi import PsiSpec, psi_moment_norm
 from blocksym.remainders import (
     concentration_general,
@@ -162,8 +162,8 @@ def test_criterion_5_concentration_domination():
     reps = 10_000
     grid = np.linspace(0.6, 1.5, 10)
     stats = np.empty(reps)
-    for start in range(0, reps, DEFAULT_CHUNK):
-        stop = min(start + DEFAULT_CHUNK, reps)
+    for start in range(0, reps, MAX_BLOCK_REPS):
+        stop = min(start + MAX_BLOCK_REPS, reps)
         stats[start:stop] = batch_max_abs_mean(draw_panels(spec, 505, 1, 0, start, stop))
     tail = tail_pass(spec, reps, 505, Exceedances(tuple(grid)), PowerSums(2.0))
     pbar_grid = mc_per_coordinate_tails(tail, grid)
@@ -293,8 +293,8 @@ def test_criterion_8_calibrated_rejection_counts():
 
 
 def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
-    # Byte-identical reports for the same config and seed whether the panel
-    # chunks are drawn inline or in blocks of 50 replications on 16 threads.
+    # Byte-identical reports for the same config and seed whether the blocks
+    # of 50 replications are drawn on one worker or on 16 threads.
     config = parse_config({
         "dgp": {"kind": "var1", "n": 32, "p": 4, "phi": 0.5},
         "scheme": {"b": 4},

@@ -30,7 +30,7 @@ from blocksym.blocking import (
 )
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
-from blocksym.processes import DEFAULT_CHUNK, DgpSpec, marginal_spec, reduce_panels
+from blocksym.processes import MAX_BLOCK_REPS, DgpSpec, marginal_spec, reduce_panels
 from blocksym.quadrature import REL_TOL
 from blocksym.seeding import (
     PURPOSE_DEFAULT,
@@ -41,7 +41,7 @@ from blocksym.seeding import (
     STREAM_PANEL,
 )
 from blocksym.verify import tail_levels, verify_prop2
-from conftest import draw_panels
+from conftest import block_bounds, draw_panels, pass_multipliers
 
 RADEMACHER = MultiplierSpec("rademacher")
 
@@ -132,9 +132,9 @@ class TestMultipliers:
         with pytest.raises(ValueError):
             batch_multipliers(RADEMACHER, 0, 0, 0, 0, 1)
 
-    def test_replication_independent_of_batch(self):
+    def test_block_rows_do_not_depend_on_its_length(self):
         whole = batch_multipliers(RADEMACHER, 5, 7, 2, 0, 10)
-        assert np.array_equal(batch_multipliers(RADEMACHER, 5, 7, 2, 3, 7), whole[3:7])
+        assert np.array_equal(batch_multipliers(RADEMACHER, 5, 7, 2, 0, 7), whole[:7])
         assert not np.array_equal(batch_multipliers(RADEMACHER, 5, 7, 3, 0, 10), whole)
 
     def test_bounds(self):
@@ -268,14 +268,19 @@ class TestKernels:
                 assert mult_stat(data, scheme, eps[i]) == grid[i, j]
 
     @pytest.mark.parametrize("shape", [(2048, 1), (2048, 2), (127, 2), (128, 2), (300, 32),
-                                       (300, 33), (2048, 1000), (40, 64, 3), (64, 256, 1)])
+                                       (300, 33), (2048, 1000), (40, 64, 3), (64, 256, 1),
+                                       (100000, 2), (10000, 20), (4, 512, 3), (2, 3, 200, 5)])
     def test_short_axis_maxima_are_numpys(self, shape):
-        # Taken across a contiguous copy or along the last axis, by shape,
-        # the maxima are x.max(axis=-1) bit for bit, NaN and infinities
-        # included.
+        # Taken column by column or along the last axis, by shape, the
+        # maxima are x.max(axis=-1) bit for bit, over any leading axes: NaN,
+        # infinities and signed zeros included, in any column of a row.
         x = np.random.default_rng(2).standard_normal(shape)
         flat = x.reshape(-1)
         flat[::97], flat[5::101], flat[7::103] = np.nan, np.inf, -np.inf
+        flat[9::11], flat[3::13] = 0.0, -0.0
+        rows = x.reshape(-1, shape[-1])
+        rows[0], rows[1], rows[2], rows[3] = np.nan, -np.inf, -0.0, 0.0
+        rows[4, 0], rows[5, -1], rows[6, 0], rows[6, 1:] = np.nan, np.nan, -0.0, 0.0
         assert _max_last(x).tobytes() == x.max(axis=-1).tobytes()
 
     @settings(max_examples=20, deadline=None)
@@ -295,7 +300,7 @@ class TestKernels:
         mult = MultiplierSpec(mult)
         stats = stream_statistics(spec, reps, seed, purpose, scheme, mult)
         panels = draw_panels(spec, seed, STREAM_PANEL, purpose, 0, reps)
-        eps = batch_multipliers(mult, scheme.count, seed, purpose, 0, reps)
+        eps = pass_multipliers(spec, mult, scheme.count, seed, purpose, 0, reps)
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
         assert np.array_equal(
             stats.mult_max, batch_multiplier_max(batch_block_sums(panels, scheme), eps, n)
@@ -391,7 +396,7 @@ class TestStreamStatistics:
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(cpus)), raising=False)
         with recorded_passes() as passes:
-            stream_statistics(self.SPEC, 3 * DEFAULT_CHUNK, 3, 2, self.SCHEME, self.MULT)
+            stream_statistics(self.SPEC, 3 * MAX_BLOCK_REPS, 3, 2, self.SCHEME, self.MULT)
             stream_statistics(self.SPEC, 10, 3, 4, reductions=(MeanGram(1.0),))
         assert processes.draw_workers() == cpus and len(passes) == 2
         for record in passes:
@@ -415,9 +420,10 @@ class TestStreamStatistics:
         panels, copies = (draw_panels(self.SPEC, seed, stream, purpose, 0, reps)
                           for stream in (STREAM_PANEL, STREAM_COPY))
         diff = panels - copies
-        eps = batch_multipliers(self.MULT, scheme.count, seed, purpose, 0, reps)
+        eps = pass_multipliers(self.SPEC, self.MULT, scheme.count, seed, purpose, 0, reps)
         means = diff.mean(axis=1)
-        assert np.array_equal(stats.read(MeanGram(1.0)), reference_reduction(MeanGram(1.0), means))
+        assert np.array_equal(stats.read(MeanGram(1.0)),
+                              reference_reduction(MeanGram(1.0), means, self.SPEC))
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(diff))
         assert np.array_equal(stats.mult_max,
                               batch_multiplier_max(batch_block_sums(diff, scheme), eps, 8))
@@ -426,34 +432,59 @@ class TestStreamStatistics:
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
     def test_no_chunk_sized_panel(self, cpus, monkeypatch):
         # The draw pool reduces each block of replications where it drew it,
-        # so one chunk's statistics never hold a chunk of panels at once.
+        # so a pass of the most replications a block may hold never holds
+        # that many panels at once.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
         spec = DgpSpec("truncated_var1", n=128, p=20, phi=0.5, truncation=3.0)
         tracemalloc.start()
         try:
-            stream_statistics(spec, DEFAULT_CHUNK, 3, 2, make_blocks(128, 8), self.MULT)
+            stream_statistics(spec, MAX_BLOCK_REPS, 3, 2, make_blocks(128, 8), self.MULT)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * DEFAULT_CHUNK * spec.n * spec.p * 8
+        assert peak < 0.5 * MAX_BLOCK_REPS * spec.n * spec.p * 8
+
+    def test_tail_reductions_hold_no_means_buffer(self, monkeypatch):
+        # One replication per block (n = 8, p = 65536 is 4 MiB of panel) on
+        # two workers: the Gram and power sums fold each block's own means,
+        # so the pass peaks at a few blocks, not at the 64 x p means of the
+        # pass (32 MiB) nor at a buffer of them.
+        from blocksym import processes
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        spec, reps = DgpSpec("var1", n=8, p=65536, phi=0.4), 64
+        block = spec.n * spec.p * 8
+        assert processes._BLOCK_BYTES // block == 1
+        tracemalloc.start()
+        try:
+            stats = stream_statistics(spec, reps, 3, PURPOSE_TAIL,
+                                      reductions=(MeanGram(1.0), PowerSums(2.0)))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stats.read(PowerSums(2.0)).shape == (2, spec.p)
+        assert peak < 4 * block
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
     def test_full_suite_shape_with_a_partial_last_block(self, cpus, monkeypatch):
-        # The full_suite pass: 204 replications per time-major block, and
-        # 10000 replications end 176 rows into a block of the last chunk.
-        # Every statistic equals the kernels on the reference panels, bit
-        # for bit, chunk by chunk.
+        # The full_suite pass: 204 replications per time-major block, one
+        # block straddling replication 2048 (2040..2243), and 10000
+        # replications end 4 rows into the last block. Every statistic
+        # equals the kernels on the reference panels, bit for bit, checked
+        # 2048 replications at a time.
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
         spec = DgpSpec("truncated_var1", n=128, p=20, phi=0.5, truncation=3.0)
         scheme, reps, seed = make_blocks(128, 8), 10_000, 11
         stats = stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, self.MULT)
-        for start in range(0, reps, DEFAULT_CHUNK):
-            stop = min(start + DEFAULT_CHUNK, reps)
+        assert block_bounds(spec, 2040, 2050) == [(2040, 2244)]
+        assert block_bounds(spec, 9999, 10000) == [(9996, 10200)]
+        for start in range(0, reps, MAX_BLOCK_REPS):
+            stop = min(start + MAX_BLOCK_REPS, reps)
             panels = draw_panels(spec, seed, STREAM_PANEL, PURPOSE_MID, start, stop)
             sums = batch_block_sums(panels, scheme)
-            eps = batch_multipliers(self.MULT, scheme.count, seed, PURPOSE_MID, start, stop)
+            eps = pass_multipliers(spec, self.MULT, scheme.count, seed, PURPOSE_MID, start, stop)
             quad = np.einsum("klp,klp->kp", sums, sums).max(axis=-1) / spec.n
             assert np.array_equal(stats.max_abs_mean[start:stop], batch_max_abs_mean(panels))
             assert np.array_equal(stats.mult_max[start:stop],
@@ -461,24 +492,24 @@ class TestStreamStatistics:
             assert np.array_equal(stats.quad[start:stop], quad)
 
 
-def reference_reduction(reduction, means):
+def reference_reduction(reduction, means, spec=None):
     """A reduction of whole (reps, p) means, as the estimators once computed it
-    from kept means: floating sums over ``DEFAULT_CHUNK`` slices in order,
-    counts and maxima at once."""
-    chunks = [means[start : start + DEFAULT_CHUNK]
-              for start in range(0, len(means), DEFAULT_CHUNK)]
+    from kept means: floating sums over the blocks of a pass of ``spec`` in
+    order (over one block without ``spec``), counts and maxima at once."""
+    bounds = block_bounds(spec, 0, len(means)) if spec else [(0, len(means))]
+    blocks = [means[first:end] for first, end in bounds]
     absmeans, p = np.abs(means), means.shape[1]
     if isinstance(reduction, MeanGram):
         acc = np.zeros(2)
-        for chunk in chunks:
-            sums = np.einsum("ij->i", chunk)
-            squares = (np.einsum("ij,ij->", chunk, chunk), np.einsum("i,i->", sums, sums))
+        for block in blocks:
+            sums = np.einsum("ij->i", block)
+            squares = (np.einsum("ij,ij->", block, block), np.einsum("i,i->", sums, sums))
             acc += np.multiply(reduction.scale**2, squares)
         return acc
     if isinstance(reduction, PowerSums):
         acc, acc2 = np.zeros(p), np.zeros(p)
-        for chunk in chunks:
-            powered = np.abs(chunk) ** reduction.order
+        for block in blocks:
+            powered = np.abs(block) ** reduction.order
             acc += powered.sum(axis=0)
             acc2 += (powered**2).sum(axis=0)
         return np.array([acc, acc2])
@@ -497,37 +528,36 @@ class TestReductions:
 
     SPEC = DgpSpec("var1", n=8, p=3, phi=0.4)
     SCHEME = make_blocks(8, 2)
-    REPS = DEFAULT_CHUNK + 30  # two chunks, the second one short
+    REPS = MAX_BLOCK_REPS + 30
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
     @pytest.mark.parametrize("reduction", REDUCTIONS, ids=lambda r: type(r).__name__)
     def test_matches_serial_panels(self, reduction, cpus, monkeypatch):
         from blocksym import processes
 
-        # Seven replications per block: each chunk spans many blocks.
+        # Seven replications per block: 297 blocks, the last one short.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * self.SPEC.n * self.SPEC.p * 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
         stats = stream_statistics(self.SPEC, self.REPS, 5, 3, self.SCHEME, RADEMACHER,
                                   reductions=(reduction,))
         panels = draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS)
-        eps = batch_multipliers(RADEMACHER, self.SCHEME.count, 5, 3, 0, self.REPS)
-        want = reference_reduction(reduction, panels.mean(axis=1))
+        eps = pass_multipliers(self.SPEC, RADEMACHER, self.SCHEME.count, 5, 3, 0, self.REPS)
+        want = reference_reduction(reduction, panels.mean(axis=1), self.SPEC)
         got = stats.read(reduction)
         assert got.dtype == want.dtype and np.array_equal(got, want)
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
         assert np.array_equal(stats.mult_max, mult_stat(panels, self.SCHEME, eps))
 
     @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])
-    def test_pipelined_chunks_match_inline(self, copies, monkeypatch):
-        # Four chunks, the last one short, in blocks of 300 replications:
-        # with more than one worker each chunk's blocks are drawn while the
-        # previous chunk is still being folded, and every statistic and
-        # reduction is bit for bit the one-worker pass.
+    def test_same_bytes_for_any_worker_count(self, copies, monkeypatch):
+        # 21 blocks of 300 replications, the last one short: however many
+        # folds the worker count lets be entered at once, every statistic
+        # and reduction is bit for bit the one-worker pass.
         from blocksym import processes
 
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 300 * self.SPEC.n * self.SPEC.p * 8)
-        reps = 3 * DEFAULT_CHUNK + 77
+        reps = 3 * MAX_BLOCK_REPS + 77
         drawn = {}
         for cpus in (1, 2, 8):
             monkeypatch.setattr(os, "sched_getaffinity",
@@ -541,7 +571,7 @@ class TestReductions:
 
     def test_mean_gram_sums_are_trace_and_total(self):
         # The two sums are the trace and 1^T G 1 of the (p, p) Gram G of the
-        # scaled column means over both chunks.
+        # scaled column means of the whole pass.
         gram = MeanGram(math.sqrt(8))
         stats = stream_statistics(self.SPEC, self.REPS, 5, 3, reductions=(gram,))
         scaled = gram.scale * draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS).mean(axis=1)
@@ -565,7 +595,7 @@ class TestReductions:
         panels = draw_panels(self.SPEC, 5, STREAM_PANEL, PURPOSE_TAIL, 0, self.REPS)
         means = panels.mean(axis=1)
         for part in parts:
-            want = reference_reduction(part, means)
+            want = reference_reduction(part, means, self.SPEC)
             assert stats.read(part).dtype == want.dtype
             assert np.array_equal(stats.read(part), want)
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(panels))
@@ -574,8 +604,8 @@ class TestReductions:
         # Counting level by level holds one (c, p) boolean array at a time,
         # not a (levels, c, p) stack beside the absolute means.
         reduction = Exceedances(tuple(np.geomspace(0.01, 1.0, 8)))
-        means = np.random.default_rng(0).normal(0.0, 0.1, (DEFAULT_CHUNK, 1000))
-        out = reduction.empty(DEFAULT_CHUNK, 1000)
+        means = np.random.default_rng(0).normal(0.0, 0.1, (MAX_BLOCK_REPS, 1000))
+        out = reduction.empty(MAX_BLOCK_REPS, 1000)
         tracemalloc.start()
         try:
             reduction.add(out, 0, means)
@@ -590,8 +620,8 @@ class TestReductions:
     def test_tail_reduction_holds_one_buffer(self, reduction):
         # |m|, its power and its square, or |m| zeroed above U, are worked
         # in one (c, p) buffer: no second (c, p) float array beside it.
-        means = np.random.default_rng(1).normal(0.0, 0.1, (DEFAULT_CHUNK, 1000))
-        out = reduction.empty(DEFAULT_CHUNK, 1000)
+        means = np.random.default_rng(1).normal(0.0, 0.1, (MAX_BLOCK_REPS, 1000))
+        out = reduction.empty(MAX_BLOCK_REPS, 1000)
         tracemalloc.start()
         try:
             reduction.add(out, 0, means)

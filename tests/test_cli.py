@@ -52,6 +52,14 @@ class TestConfigValidation:
         assert cfg.dgp.n == 16
         assert (cfg.scheme.n, cfg.scheme.b, cfg.scheme.count) == (16, 4, 4)
 
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seeds_at_the_bounds_parse(self, seed):
+        assert parse_config(dict(BASE, seed=seed)).seed == seed
+
+    def test_integer_r_parses_as_a_float(self):
+        r = parse_config(dict(BASE, r=3)).r
+        assert r == 3.0 and isinstance(r, float)
+
     def test_block_size_must_divide(self):
         obj = dict(BASE, scheme={"b": 3})
         with pytest.raises(ConfigError) as err:
@@ -165,6 +173,14 @@ PROBES = {
     "multiplier-not-object": (with_fields(multiplier="rademacher"), "multiplier"),
     "gaussian-model-not-object": (with_fields(gaussian_model="mc"), "gaussian_model"),
     "r-nan": (with_fields(r=NAN), "r"),
+    # A string or boolean r once passed through float() into the run.
+    "r-string-nan": (with_fields(r="nan"), "r"),
+    "r-string": (with_fields(r="2.5"), "r"),
+    "r-boolean": (with_fields(r=True), "r"),
+    "r-huge-integer": (with_fields(r=10**400), "r"),
+    # Keys are mixed modulo 2**64, so these would draw the panels of 2**64 - 1 and 5.
+    "seed-negative": (with_fields(seed=-1), "seed"),
+    "seed-above-64-bits": (with_fields(seed=2**64 + 5), "seed"),
     "n-fractional": (with_fields(**{"dgp.n": 32.5}), "dgp.n"),
     "reps-fractional": (with_fields(reps=1000.7), "reps"),
     "scale-nan": (with_fields(dgp={"kind": "bounded_rademacher", "n": 16, "p": 3,

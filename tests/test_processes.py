@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 from blocksym import processes
 from blocksym.blocking import batch_block_sums, make_blocks
 from blocksym.processes import (
-    DEFAULT_CHUNK,
     KINDS,
+    MAX_BLOCK_REPS,
     DgpSpec,
     DgpValidationError,
     LongRunCovError,
@@ -24,7 +24,7 @@ from blocksym.processes import (
     theoretical_longrun_variance,
 )
 from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream, substream_keys
-from conftest import block_panels, draw_panels, equicorrelated
+from conftest import block_bounds, block_panels, draw_panels, equicorrelated
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 
@@ -38,33 +38,33 @@ def stack_panels(spec, reps, seed, stream=STREAM_PANEL):
 def gather(spec, reps, seed, stream, purpose, b=None, copy_stream=None):
     """What ``reduce_panels`` hands its fold, gathered into whole arrays.
 
-    Returns the chunks (start, stop) in the order they were folded, the
-    (reps, p) column means and the (reps, n/b, p) block sums (None without
-    ``b``). Asserts that each chunk's fold is entered and left on the
-    calling thread.
+    Returns the blocks (start, stop) in the order their folds were entered,
+    the (reps, p) column means and the (reps, n/b, p) block sums (None
+    without ``b``). Asserts that each block's fold is entered and left on
+    the calling thread.
     """
     caller = threading.current_thread()
-    chunks = []
+    blocks = []
     means = np.full((reps, spec.p), np.nan)
     sums = None if b is None else np.full((reps, spec.n // b, spec.p), np.nan)
 
     @contextlib.contextmanager
     def fold(start, stop):
         assert threading.current_thread() is caller
-        chunks.append((start, stop))
+        blocks.append((start, stop))
 
-        def block(rows, block_means, block_sums):
-            means[start:stop][rows] = block_means
+        def block(block_means, block_sums):
+            means[start:stop] = block_means
             if sums is None:
                 assert block_sums is None
             else:
-                sums[start:stop][rows] = block_sums
+                sums[start:stop] = block_sums
 
         yield block
         assert threading.current_thread() is caller
 
     reduce_panels(spec, reps, seed, stream, purpose, fold, b, copy_stream)
-    return chunks, means, sums
+    return blocks, means, sums
 
 
 def chunked_panels(spec, reps, seed, chunk):
@@ -241,7 +241,7 @@ def block_id(spec):
 
 class TestReplicationBlocks:
     """A block of every kind is drawn whole from the substream of its first
-    replication; the blocks of a chunk give the same bits on any worker count
+    replication; the blocks of a pass give the same bits on any worker count
     and for any number of replications asked for."""
 
     START, STOP = 5, 25
@@ -260,9 +260,9 @@ class TestReplicationBlocks:
         assert np.array_equal(self.draw(spec), reference)
 
     @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=block_id)
-    @pytest.mark.parametrize("per_block", [None, 3], ids=["chunk", "three"])
+    @pytest.mark.parametrize("per_block", [None, 3], ids=["default", "three"])
     def test_blocks_match_block_reference(self, spec, per_block, monkeypatch):
-        # Whole chunks in one block, or three replications per block: nine
+        # The pass in one block, or three replications per block: nine
         # blocks, the last one short.
         if per_block is not None:
             monkeypatch.setattr(processes, "_BLOCK_BYTES",
@@ -271,7 +271,7 @@ class TestReplicationBlocks:
         assert np.array_equal(self.draw(spec), reference)
 
     @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=block_id)
-    @pytest.mark.parametrize("per_block", [None, 3], ids=["chunk", "three"])
+    @pytest.mark.parametrize("per_block", [None, 3], ids=["default", "three"])
     def test_first_replications_do_not_depend_on_reps(self, spec, per_block, monkeypatch):
         # 11 replications end inside a block that 40 fill past its end; var1
         # kinds draw the initial states of the whole block either way.
@@ -282,24 +282,16 @@ class TestReplicationBlocks:
 
     @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=block_id)
     def test_worker_count_does_not_change_bytes(self, spec, monkeypatch):
-        # Two replications per block: ten blocks in the chunk.
+        # Two replications per block: thirteen blocks in the pass.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 2 * spec.n * spec.p * 8)
-        threads = set()
-        fill = processes._fill
-
-        def spy(*args):
-            threads.add(threading.current_thread().name)
-            fill(*args)
-
-        monkeypatch.setattr(processes, "_fill", spy)
+        threads = fill_threads(monkeypatch)
         drawn = {}
         for cpus in ({0}, {0, 1}):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                                 raising=False)
             threads.clear()
             drawn[len(cpus)] = self.draw(spec).tobytes()
-            inline = threads == {threading.current_thread().name}
-            assert inline == (len(cpus) == 1)
+            assert_on_pool_threads(threads)
         assert drawn[1] == drawn[2]
 
     def test_rademacher_innovation_slices_match_block_reference(self):
@@ -340,47 +332,57 @@ def patch_cpus(monkeypatch, cpus):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus, raising=False)
 
 
-class TestReducePanels:
-    """Blocks folded where they are drawn equal the reductions of whole chunks."""
+def fill_threads(monkeypatch):
+    """The names of the threads that call ``_fill`` from now on."""
+    threads = set()
+    fill = processes._fill
 
-    REPS = DEFAULT_CHUNK + 30  # two chunks, the second one short
+    def spy(*args):
+        threads.add(threading.current_thread().name)
+        fill(*args)
+
+    monkeypatch.setattr(processes, "_fill", spy)
+    return threads
+
+
+def assert_on_pool_threads(threads):
+    """Every block was drawn on a draw-pool thread, none on the caller."""
+    assert threads and threading.current_thread().name not in threads
+    assert all(name.startswith("blocksym-draw") for name in threads)
+
+
+class TestReducePanels:
+    """Blocks folded where they are drawn equal the reductions of the
+    reference panels."""
+
+    REPS = MAX_BLOCK_REPS + 30
 
     def expected(self, spec, b, copies):
-        """The chunks, means and block sums of ``gather``, from whole chunks."""
-        chunks, means, sums = [], [], []
-        for start in range(0, self.REPS, DEFAULT_CHUNK):
-            stop = min(start + DEFAULT_CHUNK, self.REPS)
-            x = draw_panels(spec, 4, STREAM_PANEL, 6, start, stop)
-            if copies:
-                x -= draw_panels(spec, 4, STREAM_COPY, 6, start, stop)
-            chunks.append((start, stop))
-            means.append(x.mean(axis=-2))
-            sums.append(batch_block_sums(x, make_blocks(spec.n, b)))
-        return chunks, np.concatenate(means), np.concatenate(sums)
+        """The blocks, means and block sums of ``gather``, from the reference."""
+        x = draw_panels(spec, 4, STREAM_PANEL, 6, 0, self.REPS)
+        if copies:
+            x -= draw_panels(spec, 4, STREAM_COPY, 6, 0, self.REPS)
+        blocks = [(first, min(end, self.REPS))
+                  for first, end in block_bounds(spec, 0, self.REPS)]
+        return blocks, x.mean(axis=-2), batch_block_sums(x, make_blocks(spec.n, b))
 
     @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])
     @pytest.mark.parametrize("spec", REDUCE_SPECS, ids=reduce_id)
     def test_matches_reduced_generate_panels(self, spec, copies, monkeypatch):
-        # Five replications per block: each chunk spans many blocks, the last short.
+        # Five replications per block, the last block short; at every worker
+        # count the blocks run on the draw pool.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 5 * spec.n * spec.p * 8)
-        chunks, means, sums = self.expected(spec, 2, copies)
-        threads = set()
-        fill = processes._fill
-
-        def spy(*args):
-            threads.add(threading.current_thread().name)
-            fill(*args)
-
-        monkeypatch.setattr(processes, "_fill", spy)
+        blocks, means, sums = self.expected(spec, 2, copies)
+        threads = fill_threads(monkeypatch)
         for cpus in ({0}, {0, 1}):
             patch_cpus(monkeypatch, cpus)
             threads.clear()
             got = gather(spec, self.REPS, 4, STREAM_PANEL, 6, 2,
                          STREAM_COPY if copies else None)
-            assert got[0] == chunks
+            # Bounds are not realigned at replication 2048.
+            assert got[0] == blocks and (2045, 2050) in blocks
             assert np.array_equal(got[1], means) and np.array_equal(got[2], sums)
-            inline = threads == {threading.current_thread().name}
-            assert inline == (len(cpus) == 1)
+            assert_on_pool_threads(threads)
 
     def test_more_workers_than_cores_write_disjoint_spans(self, monkeypatch):
         # One replication per block on eight workers, switching threads as
@@ -413,20 +415,21 @@ class TestReducePanels:
 
 
 class TestPipeline:
-    """With more than one worker the blocks of a chunk go to the draw pool
-    before the previous chunk's fold is left: one chunk of lookahead."""
+    """The calling thread enters each block's fold, hands the block to the
+    draw pool and leaves the folds in block order, with at most
+    ``draw_workers() + 1`` entered at once."""
 
     SPEC = DgpSpec("var1", n=8, p=3, phi=0.5)
-    REPS = 3 * DEFAULT_CHUNK + 10  # four chunks, the last one short
+    REPS = 1010  # eleven blocks of 100, the last one short
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_folds_enter_and_leave_in_chunk_order_on_the_caller(self, cpus, monkeypatch):
-        # 100 replications per block. A fold is left only once every row of
-        # its chunk is folded, and never are more than two folds entered.
+    def test_folds_enter_and_leave_in_block_order_on_the_caller(self, cpus, monkeypatch):
+        # A fold is left only once its block is folded, and never are more
+        # than cpus + 1 folds entered.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 100 * self.SPEC.n * self.SPEC.p * 8)
         patch_cpus(monkeypatch, set(range(cpus)))
+        threads = fill_threads(monkeypatch)
         caller = threading.current_thread()
-        lock = threading.Lock()
         events, entered = [], []
 
         @contextlib.contextmanager
@@ -434,42 +437,42 @@ class TestPipeline:
             assert threading.current_thread() is caller
             events.append(("enter", start))
             entered.append(start)
-            assert len(entered) <= 2
-            rows = []
+            assert len(entered) <= cpus + 1
+            folded = []
 
-            def block(span, means, sums):
+            def block(means, sums):
                 assert start in entered
-                with lock:
-                    rows.extend(range(span.start, span.stop))
+                folded.append(len(means))
 
             yield block
             assert threading.current_thread() is caller
-            assert sorted(rows) == list(range(stop - start))
+            assert folded == [stop - start]
             entered.remove(start)
             events.append(("leave", start))
 
         reduce_panels(self.SPEC, self.REPS, 4, STREAM_PANEL, 6, fold, 2)
-        starts = list(range(0, self.REPS, DEFAULT_CHUNK))
-        if cpus == 1:
-            want = [(event, start) for start in starts for event in ("enter", "leave")]
-        else:
-            want = [("enter", 0)]
-            for previous, start in zip(starts, starts[1:]):
-                want += [("enter", start), ("leave", previous)]
-            want.append(("leave", starts[-1]))
+        starts = list(range(0, self.REPS, 100))
+        want = []
+        for j, start in enumerate(starts):
+            want.append(("enter", start))
+            if j >= cpus:
+                want.append(("leave", starts[j - cpus]))
+        want += [("leave", start) for start in starts[len(starts) - cpus:]]
         assert events == want and not entered
+        assert_on_pool_threads(threads)
 
     @pytest.mark.parametrize("where", ["block", "leave", "enter"])
     def test_a_failure_cancels_the_blocks_and_leaves_every_fold(self, where, monkeypatch):
-        # One replication per block on two workers. A block of chunk 0 that
-        # raises once chunk 1 is entered, chunk 0's fold raising as it is
-        # left, or chunk 1's raising as it is entered: the error reaches the
-        # caller, every entered fold is left with it, and no block runs once
-        # reduce_panels has returned.
+        # One replication per block on two workers, so three folds may be
+        # entered. Block 0 raising once block 2 is entered, block 0's fold
+        # raising as it is left, or block 2's raising as it is entered: the
+        # error reaches the caller, every entered fold is left with it, no
+        # block runs once reduce_panels has returned, and no block past the
+        # window is ever entered.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", self.SPEC.n * self.SPEC.p * 8)
         patch_cpus(monkeypatch, {0, 1})
         lock = threading.Lock()
-        second_entered, returned = threading.Event(), threading.Event()
+        third_entered, returned = threading.Event(), threading.Event()
         state = {"active": 0, "late": 0}
         ran, left = Counter(), []
         reduce_block = processes._reduce_block
@@ -488,29 +491,29 @@ class TestPipeline:
 
         @contextlib.contextmanager
         def fold(start, stop):
-            if start == DEFAULT_CHUNK:
+            if start == 2:
                 if where == "enter":
-                    raise RuntimeError("chunk 1 failed")
-                second_entered.set()
+                    raise RuntimeError("block 2 failed")
+                third_entered.set()
 
-            def block(span, means, sums):
+            def block(means, sums):
                 with lock:
                     ran[start] += 1
-                if where == "block" and start == 0 and span.start == 0:
-                    assert second_entered.wait(timeout=30)
-                    raise RuntimeError("chunk 0 failed")
+                if where == "block" and start == 0:
+                    assert third_entered.wait(timeout=30)
+                    raise RuntimeError("block 0 failed")
 
             try:
                 yield block
                 if where == "leave" and start == 0:
-                    raise RuntimeError("chunk 0 failed")
+                    raise RuntimeError("block 0 failed")
             except BaseException as error:
                 left.append((start, error))
                 raise
             left.append((start, None))
 
         with pytest.raises(RuntimeError, match="failed") as failure:
-            reduce_panels(self.SPEC, self.REPS, 4, STREAM_PANEL, 6, fold, 2)
+            reduce_panels(self.SPEC, 64, 4, STREAM_PANEL, 6, fold, 2)
         returned.set()
         with lock:
             assert state["active"] == 0
@@ -518,11 +521,10 @@ class TestPipeline:
         time.sleep(0.05)
         assert state["late"] == 0 and sum(ran.values()) == blocks_run
         if where == "enter":
-            assert left == [(0, failure.value)]
+            assert left == [(0, failure.value), (1, failure.value)]
         else:
-            assert left == [(0, failure.value), (DEFAULT_CHUNK, failure.value)]
-            # Chunk 1's blocks were queued behind chunk 0's; most never ran.
-            assert ran[DEFAULT_CHUNK] < DEFAULT_CHUNK
+            assert left == [(0, failure.value), (1, failure.value), (2, failure.value)]
+        assert set(ran) <= {0, 1, 2}
 
 
 class TestSupport:

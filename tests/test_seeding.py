@@ -1,6 +1,6 @@
 """Golden parity of the array keys against a pure-Python SplitMix64
-reference, and of the block and chunk draws against numpy's own generators
-under the substream of their first replication."""
+reference, and of the panel and multiplier blocks against numpy's own
+generators under the substream of their first replication."""
 
 import numpy as np
 import pytest
@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from blocksym.blocking import MultiplierSpec, batch_multipliers
 from blocksym import processes
-from blocksym.processes import DEFAULT_CHUNK, DgpSpec
+from blocksym.processes import DgpSpec
 from blocksym.seeding import STREAM_MULTIPLIER, STREAM_PANEL, substream, substream_keys
 
 MASK64 = (1 << 64) - 1
@@ -68,7 +68,7 @@ class TestKeys:
     @pytest.mark.parametrize("replications", [range(0, 2048, 204), range(4096, 4097),
                                               range(2**40, 2**40 + 50, 7), range(3, 3)])
     def test_strided_keys_are_their_replications_keys(self, replications):
-        # The first replications of a chunk's blocks are keyed at once.
+        # The first replications of a pass's blocks are keyed at once.
         out = substream_keys(9, STREAM_PANEL, 2, replications)
         assert out.shape == (len(replications), 2)
         assert out.tolist() == [list(key_words_reference(9, STREAM_PANEL, 2, r))
@@ -81,8 +81,8 @@ class TestKeys:
                               substream_keys(5, 1, 0, range(3)))
 
 
-def chunk_rows(mult, count, seed, purpose, first, rows):
-    """The first ``rows`` rows of the multipliers that the chunk from
+def block_rows(mult, count, seed, purpose, first, rows):
+    """The first ``rows`` rows of the multipliers that the block from
     ``first`` reads from its one generator."""
     rng = substream(seed, STREAM_MULTIPLIER, purpose, first)
     if mult == "rademacher":
@@ -90,28 +90,33 @@ def chunk_rows(mult, count, seed, purpose, first, rows):
     return rng.uniform(-HALF, HALF, size=(rows, count))
 
 
-class TestChunkMultipliers:
+class TestBlockMultipliers:
     @pytest.mark.parametrize("mult", ["rademacher", "uniform_sym"])
     @settings(max_examples=10, deadline=None)
-    @given(seed=seeds, purpose=st.integers(0, 10), chunk=st.integers(0, 2**20),
-           offset=st.integers(0, DEFAULT_CHUNK - 4), count=st.sampled_from(COUNTS))
-    def test_rows_are_the_chunk_generators_rows(self, mult, seed, purpose, chunk,
-                                                offset, count):
-        first = chunk * DEFAULT_CHUNK
-        start = first + offset
+    @given(seed=seeds, purpose=st.integers(0, 10), first=st.integers(0, 2**40),
+           rows=st.integers(1, 300), count=st.sampled_from(COUNTS))
+    def test_rows_are_the_block_generators_rows(self, mult, seed, purpose, first, rows,
+                                                count):
         out = batch_multipliers(MultiplierSpec(mult), count, seed, purpose,
-                                start, start + 4)
-        expected = chunk_rows(mult, count, seed, purpose, first, offset + 4)[offset:]
-        assert np.array_equal(out, expected)
+                                first, first + rows)
+        assert np.array_equal(out, block_rows(mult, count, seed, purpose, first, rows))
 
     @pytest.mark.parametrize("mult", ["rademacher", "uniform_sym"])
-    def test_batch_across_a_chunk_boundary_is_its_parts(self, mult):
+    def test_a_short_block_is_a_prefix_of_the_full_one(self, mult):
+        # A run's last block holds the first rows of the block at full length.
+        spec = MultiplierSpec(mult)
+        full = batch_multipliers(spec, 5, 7, 2, 2040, 2040 + 204)
+        assert np.array_equal(batch_multipliers(spec, 5, 7, 2, 2040, 2051), full[:11])
+
+    @pytest.mark.parametrize("mult", ["rademacher", "uniform_sym"])
+    def test_each_block_is_keyed_by_its_first_replication(self, mult):
+        # Replication 2048 reads row 0 of its own block's generator, not
+        # row 8 of the generator of a block from 2040.
         spec = MultiplierSpec(mult)
         whole = batch_multipliers(spec, 5, 7, 2, 2040, 2060)
-        parts = [batch_multipliers(spec, 5, 7, 2, lo, hi)
-                 for lo, hi in ((2040, 2048), (2048, 2051), (2051, 2060))]
-        assert np.array_equal(whole, np.concatenate(parts))
-        assert np.array_equal(whole[8:], chunk_rows(mult, 5, 7, 2, 2048, 12))
+        block = batch_multipliers(spec, 5, 7, 2, 2048, 2060)
+        assert np.array_equal(block, block_rows(mult, 5, 7, 2, 2048, 12))
+        assert not np.array_equal(whole[8:], block)
 
     @pytest.mark.parametrize("mult", ["rademacher", "uniform_sym"])
     @pytest.mark.parametrize("start", [0, 2050])

@@ -18,12 +18,11 @@ from blocksym.blocking import (
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
-    batch_multipliers,
     make_blocks,
     stream_statistics,
 )
 from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
-from blocksym.processes import DEFAULT_CHUNK, DgpSpec
+from blocksym.processes import MAX_BLOCK_REPS, DgpSpec
 from blocksym.psi import PsiSpec, psi_deriv, psi_eval, psi_moment_norm
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
 from blocksym.seeding import (PURPOSE_DEFAULT, PURPOSE_LHS, PURPOSE_MID, PURPOSE_NORM,
@@ -48,6 +47,7 @@ from conftest import (
     draw_panels,
     marginal_pass,
     mid_pass,
+    pass_multipliers,
     run_prop1,
     run_prop2,
     run_theorem1,
@@ -829,14 +829,14 @@ class TestTheorem1:
         # equal the same statistics of the serial panels of
         # tests/conftest.py, bit for bit.
         spec, sch, q, reps, seed = DgpSpec("var1", n=8, p=3, phi=0.4), make_blocks(8, 2), 3.0, \
-            DEFAULT_CHUNK + 30, 7
+            MAX_BLOCK_REPS + 30, 7
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * spec.n * spec.p * 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
         report = run_theorem1(spec, sch, q, 2.0, 1.0, reps, zero_rho(), "lq",
                               seed=seed)
         sums = batch_block_sums(draw_panels(spec, seed, STREAM_PANEL, PURPOSE_MID, 0, reps), sch)
-        eps = batch_multipliers(RADEMACHER, sch.count, seed, PURPOSE_MID, 0, reps)
+        eps = pass_multipliers(spec, RADEMACHER, sch.count, seed, PURPOSE_MID, 0, reps)
         quad = (np.einsum("klp,klp->kp", sums, sums).max(axis=1) / spec.n) ** (q / 2.0)
         factor = hoeffding_factor(q, 1.0, spec.p, spec.n)
         diff = batch_multiplier_max(sums, eps, spec.n) ** q - factor * quad
@@ -850,19 +850,19 @@ class TestTheorem1:
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
     def test_quadratic_term_holds_one_copy_of_the_sums(self, cpus, monkeypatch):
         # The sums are squared block by block where they are drawn, so the
-        # peak stays below one chunk's block sums (squaring whole chunks of
-        # them once peaked above twice their bytes).
+        # peak stays below the block sums of 2048 replications (squaring that
+        # many at once peaked above twice their bytes).
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
         spec = DgpSpec("iid_gaussian", n=32, p=100)
         tracemalloc.start()
         try:
             run_theorem1(spec, make_blocks(32, 2), 2.0, 2.0, 3.0,
-                         DEFAULT_CHUNK, zero_rho(), "lq", seed=1)
+                         MAX_BLOCK_REPS, zero_rho(), "lq", seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < DEFAULT_CHUNK * 16 * spec.p * 8
+        assert peak < MAX_BLOCK_REPS * 16 * spec.p * 8
 
     def test_subexp_mode_and_verdicts(self):
         spec = DgpSpec("var1", n=64, p=4, phi=0.5)
