@@ -526,6 +526,59 @@ class TestPipeline:
             assert left == [(0, failure.value), (1, failure.value), (2, failure.value)]
         assert set(ran) <= {0, 1, 2}
 
+    def test_a_failure_cancels_the_queued_block(self, monkeypatch):
+        # One worker, so two folds are entered and block 1 waits in the
+        # pool's queue behind block 0, which raises. A gate queued between
+        # them holds the worker until block 1 is cancelled (or for 10 s), so
+        # block 1 runs only if the failure does not cancel it.
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", self.SPEC.n * self.SPEC.p * 8)
+        patch_cpus(monkeypatch, {0})
+        pool = processes._draw_pool(1)
+        queued, later = threading.Event(), []
+        ran, left = [], []
+
+        def gate():
+            assert queued.wait(timeout=10)
+            deadline = time.monotonic() + 10
+            while not later[0].cancelled() and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+        class GatedPool:
+            """The draw pool, with the gate queued before the second block."""
+
+            submitted = 0
+
+            def submit(self, fn, *args):
+                self.submitted += 1
+                if self.submitted != 2:
+                    return pool.submit(fn, *args)
+                pool.submit(gate)
+                later.append(pool.submit(fn, *args))
+                queued.set()
+                return later[0]
+
+        monkeypatch.setattr(processes, "_draw_pool", lambda workers: GatedPool())
+
+        @contextlib.contextmanager
+        def fold(start, stop):
+            def block(means, sums):
+                ran.append(start)
+                if start == 0:
+                    assert queued.wait(timeout=10)
+                    raise RuntimeError("block 0 failed")
+
+            try:
+                yield block
+            except BaseException as error:
+                left.append((start, error))
+                raise
+            left.append((start, None))
+
+        with pytest.raises(RuntimeError, match="block 0 failed") as failure:
+            reduce_panels(self.SPEC, 64, 4, STREAM_PANEL, 6, fold, 2)
+        assert later[0].cancelled() and ran == [0]
+        assert left == [(0, failure.value), (1, failure.value)]
+
 
 class TestSupport:
     def test_rademacher_support(self):
