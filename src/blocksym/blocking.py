@@ -9,11 +9,11 @@ counterpart max_i |(1/n) sum_l eps_l S[l, i]|.
 
 Every estimator, the Gaussian comparison and the exact oracle compute these
 through the ``batch_*`` kernels, which act on stacks of panels along any
-leading axes; folds that run on draw-pool threads call the private core of
-``batch_multiplier_max``.
+leading axes; the blocks of a pass, drawn on draw-pool threads, call their
+private cores.
 
 Monte Carlo estimators read their panels only through ``stream_statistics``,
-the one caller of ``processes.reduce_panels``. Each call draws one pass of a
+the one function that schedules a pass. Each call draws one pass of a
 panel stream and reduces it to per-replication vectors: the largest absolute
 column mean and, when a block scheme is named, the block-multiplier maximum
 and the quadratic block term max_i (1/n) sum_l S[l, i]^2 of theorem1. A call
@@ -23,31 +23,39 @@ the Monte Carlo Gaussian model reads, and ``PowerSums``, ``Exceedances`` and
 the tail stream), which are folded in block by block, in block order, while
 the stream is drawn, so no (reps, p) means and no (p, p) Gram are kept; a
 read of a reduction that the pass did not fold raises an error naming it.
-The panels themselves never reach this module: ``reduce_panels`` hands each
-block's column means and block sums to the fold of ``stream_statistics`` on
-the thread that drew the block. The fold applies the block's multipliers,
-drawn on the calling thread from the block's one generator as the fold is
-entered, and keeps the block's means until the fold is left, so a pass
-holds the means and multipliers of at most ``draw_workers() + 1`` blocks.
-Nothing is cached: a run draws each stream once and hands its statistics to
-every check that reads them. Inside a ``recorded_passes()`` block each pass
-appends its request, its wall time and the wall time of its blocks, summed
-over the threads that ran them, to the block's list, in draw order.
+
+A pass keys its panels, copies and multipliers with one ``substream_keys``
+call each, at the first replications of its blocks (``processes``). The
+calling thread draws each block's multipliers and submits the block to a
+pool of ``draw_workers()`` threads; the pool thread draws its panels
+(``processes._draw_block``), writes its per-replication values and returns
+its means. With ``draw_workers() + 1`` blocks in flight the calling thread
+waits for the oldest and folds its means into the reductions, so they fold
+in block order on the calling thread, a pass holds the means and
+multipliers of only that many blocks, and the output is bit-identical for
+any worker count. Nothing is cached: a run draws each stream once and hands
+its statistics to every check that reads them. Inside ``recorded_passes()``
+each pass appends its request, its wall time and its blocks' wall time
+summed over the threads that ran them, in draw order.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import os
 import time
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextvars import ContextVar
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .processes import DgpSpec, _block_sums, reduce_panels
-from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream
+from .processes import DgpSpec, _block_reps, _block_sums, _draw_block
+from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream_keys
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
 
@@ -149,19 +157,24 @@ def _max_last(x: np.ndarray) -> np.ndarray:
 def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
                       start: int, stop: int) -> np.ndarray:
     """Multipliers of the block of replications start..stop-1, shape
-    (stop - start, count).
-
-    The block reads one generator, keyed by the substream (seed, multiplier
-    stream, purpose, start) of its first replication, row by row:
-    replication start + i is row i of numpy's int8 ``integers(0, 2)``
-    mapped to -1 and +1 (Rademacher) or of ``uniform(-sqrt(3), sqrt(3))``,
-    drawn with ``count`` columns. So a replication's multipliers depend on
+    (stop - start, count), as a pass draws them (see ``_multipliers``) from
+    the key of the substream (seed, multiplier stream, purpose, start) of
+    the block's first replication. So a replication's multipliers depend on
     the first replication of its block, not on how many the block holds.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
-    rng = substream(seed, STREAM_MULTIPLIER, purpose, start)
-    shape = (stop - start, count)
+    key = substream_keys(seed, STREAM_MULTIPLIER, purpose, range(start, start + 1))[0]
+    return _multipliers(mult, key, stop - start, count)
+
+
+def _multipliers(mult: MultiplierSpec, key: np.ndarray, rows: int, count: int) -> np.ndarray:
+    """``rows`` rows of ``count`` multipliers from the one generator of the
+    Philox key ``key``, row by row: row i is row i of numpy's int8
+    ``integers(0, 2)`` mapped to -1 and +1 (Rademacher) or of
+    ``uniform(-sqrt(3), sqrt(3))``, drawn with ``count`` columns."""
+    rng = np.random.Generator(np.random.Philox(key=key))
+    shape = (rows, count)
     if mult.kind == "uniform_sym":
         half = math.sqrt(3.0)
         return rng.uniform(-half, half, size=shape)
@@ -328,6 +341,20 @@ def recorded_passes():
         _records.reset(token)
 
 
+def draw_workers() -> int:
+    """Threads that draw blocks: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        return os.cpu_count() or 1
+
+
+@lru_cache(maxsize=1)
+def _draw_pool(workers: int) -> ThreadPoolExecutor:
+    """The draw pool, created on first use (and again if the count changes)."""
+    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
+
+
 def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                       scheme: Optional[BlockScheme] = None,
                       mult: Optional[MultiplierSpec] = None,
@@ -336,49 +363,79 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     """Statistics of replications 0..reps-1 of the panel stream ``purpose``,
     from one pass drawn on every call.
 
-    Replication r reads the panel stream (seed, panel stream, purpose), as
-    ``processes.reduce_panels`` keys it, and the multipliers of
-    ``batch_multipliers`` for the same purpose, drawn for the blocks of
-    ``reduce_panels``. With ``copies`` the statistics are taken on the panel
-    minus its independent copy from the copy stream. Each of ``reductions``
-    folds each block's column means into its result, in block order as the
-    blocks are drawn, so no (reps, p) means are kept; a reduction named
-    twice is folded once.
+    Replication r reads the panel and multiplier streams (seed, stream,
+    purpose) block by block, as the module docstring describes. With
+    ``copies`` the statistics are taken on the panel minus its independent
+    copy, the same replication of the copy stream. Each of ``reductions``
+    folds each block's column means into its result, in block order, so no
+    (reps, p) means are kept; a reduction named twice is folded once. If a
+    block or a reduction raises, the blocks not yet started are cancelled,
+    the started ones waited for, and the exception raised: no block runs
+    after this returns.
     """
     if (scheme is None) != (mult is None):
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
     if scheme is not None and scheme.n != spec.n:
         raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={spec.n}")
+    if scheme is not None and not (1 <= scheme.b <= spec.n and spec.n % scheme.b == 0):
+        raise BlockSchemeError(f"block length must divide n (n={spec.n}, b={scheme.b})")
     started = time.perf_counter()
     max_abs_mean = np.empty(reps)
     mult_max = None if scheme is None else np.empty(reps)
     quad = None if scheme is None else np.empty(reps)
     reduced = {part: part.empty(reps, spec.p) for part in reductions}
+    b = None if scheme is None else scheme.b
+    block = _block_reps(spec)
+    firsts = range(0, reps, block)
+    keys = substream_keys(seed, STREAM_PANEL, purpose, firsts)
+    copy_keys = substream_keys(seed, STREAM_COPY, purpose, firsts) if copies else None
+    mult_keys = None if mult is None else substream_keys(seed, STREAM_MULTIPLIER, purpose, firsts)
 
-    @contextlib.contextmanager
-    def fold(start, stop):
-        # The block's multipliers are drawn here, on the calling thread,
-        # because block folds may call no public function.
-        eps = (None if scheme is None
-               else batch_multipliers(mult, scheme.count, seed, purpose, start, stop))
-        kept = []
+    def draw(j, start, stop, eps):
+        # Runs on a draw-pool thread, so it calls only private functions.
+        began = time.perf_counter()
+        # The block's (n, L, p) panel buffer is held until its statistics
+        # are written: freeing it first raised full_suite's peak RSS by about
+        # 3 MB in 8 of 24 fresh-process runs (the cause was not verified).
+        panels, means, sums = _draw_block(spec, b, stop - start, block, keys[j],
+                                          None if copy_keys is None else copy_keys[j])
+        max_abs_mean[start:stop] = _max_last(np.abs(means))
+        if eps is not None:
+            mult_max[start:stop] = _multiplier_max(sums, eps, spec.n)
+            # Summed in one order per replication, whatever the block size.
+            quad[start:stop] = _max_last(np.einsum("klp,klp->kp", sums, sums)) / spec.n
+        del panels
+        return means, time.perf_counter() - began
 
-        def block(means, sums):
-            max_abs_mean[start:stop] = _max_last(np.abs(means))
-            if mult_max is not None:
-                mult_max[start:stop] = _multiplier_max(sums, eps, spec.n)
-                # Summed in one order per replication, whatever the block size.
-                quad[start:stop] = _max_last(np.einsum("klp,klp->kp", sums, sums)) / spec.n
-            if reduced:
-                kept.append(means)
+    workers = draw_workers()
+    pool = _draw_pool(workers)
+    # The (start, future) of each block in flight, oldest first.
+    pending = deque()
+    block_seconds = 0.0
 
-        yield block
+    def fold_oldest():
+        start, future = pending.popleft()
+        means, seconds = future.result()
         for part, out in reduced.items():
-            part.add(out, start, kept[0])
+            part.add(out, start, means)
+        return seconds
 
-    block_seconds = reduce_panels(spec, reps, seed, STREAM_PANEL, purpose, fold,
-                                  None if scheme is None else scheme.b,
-                                  STREAM_COPY if copies else None)
+    try:
+        for j, start in enumerate(firsts):
+            stop = min(start + block, reps)
+            # Drawn on the calling thread while the pool draws the blocks in flight.
+            eps = (None if mult is None
+                   else _multipliers(mult, mult_keys[j], stop - start, scheme.count))
+            pending.append((start, pool.submit(draw, j, start, stop, eps)))
+            if len(pending) > workers:
+                block_seconds += fold_oldest()
+        while pending:
+            block_seconds += fold_oldest()
+    except BaseException:
+        for _, future in pending:
+            future.cancel()
+        wait([future for _, future in pending])
+        raise
     for array in (max_abs_mean, mult_max, quad, *reduced.values()):
         if array is not None:
             array.setflags(write=False)

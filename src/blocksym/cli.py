@@ -41,12 +41,13 @@ from .blocking import (
     MultiplierSpec,
     PowerSums,
     StreamStatistics,
+    draw_workers,
     make_blocks,
     recorded_passes,
     stream_statistics,
 )
 from .gaussian import RhoEstimate, draw_rho_samples, estimate_gaussian_model, model_reduction
-from .processes import DgpSpec, _is_real, draw_workers, from_fields, marginal_spec
+from .processes import DgpSpec, _is_real, from_fields, marginal_spec
 from .psi import PsiSpec, psi_moment_norm
 from .quadrature import recorded_integrals
 from .remainders import (
@@ -316,6 +317,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     needs_subexp = ("theorem1" in checks and tail.get("mode") == "subexp") or mode == "optimal"
     if dgp is not None and needs_subexp and dgp.p <= math.e:
         problems.append(("dgp.p", "sub-exponential bounds need p > e (p >= 3)"))
+    elif dgp is not None and "theorem1" in checks and dgp.p < 2:
+        problems.append(("dgp.p", "theorem1's lq tail bound needs p >= 2"))
 
     if problems:
         raise ConfigError(problems)

@@ -11,64 +11,45 @@ p-dimensional process. Five generator kinds are shipped:
 - ``truncated_var1``: the var1 path clipped to [-U, U]
 
 Estimators need only per-replication functions of each panel's column
-means and within-block column sums. ``reduce_panels``, the one function here
-that draws panels, hands those to a fold its caller passes in, so it returns
-nothing: the caller's arrays hold what the fold wrote. Its one caller is
-``blocking.stream_statistics``, and every call of that draws one pass.
+means and within-block column sums, so they never see a panel:
+``_draw_block`` draws one block of replications and returns its column
+means and block sums, and ``blocking.stream_statistics``, the one function
+that schedules passes, draws a pass block by block on its thread pool.
 Replication r is a pure function of (spec, seed, stream, purpose, r), so
 identical inputs give bit-identical results. Every kind is mean zero by
 construction (innovations are centered before filtering, and clipping a
 stationary law that is symmetric about zero keeps its mean exactly zero).
 Cross-sectional dependence is a single equicorrelation coefficient c, so
 every long-run covariance is v ((1 - c) I + c 11^T): two numbers, never a
-p x p matrix. ``_equicorrelate`` applies its symmetric square root in place,
-to the Gaussian innovations here and to the comparison draws of ``gaussian``.
+p x p matrix. ``_equicorrelate`` applies its symmetric square root in
+place, to the Gaussian innovations here and to the comparison draws of
+``gaussian``.
 
-``reduce_panels`` draws a pass in blocks of replications, the only unit
-of a pass: block j holds replications [jL, min((j + 1) L, reps)), where L is
-``_BLOCK_BYTES`` of panel (at least one replication, at most
-``MAX_BLOCK_REPS``). It draws each block with the one filler per kind
-(``_fill``) and hands its column means and block sums to the caller's fold
-as soon as it is drawn, so it never holds more than a few blocks of panels,
-means or block sums. A block of k panels is held time-major, as an (n, k, p)
-array whose row t is time t of every panel, so the column means and the
-block sums are sums of contiguous rows, one row at a time (a one-column
-block is reduced as (k, n, 1), as numpy sums a column). The block is the
-unit of keying: one Philox generator, keyed by the substream (seed, stream,
-purpose, first) of the block's first replication, draws the whole block
-time-major. Block bounds depend only on n, p, ``MAX_BLOCK_REPS`` and
-``_BLOCK_BYTES``, and a block's first rows do not depend on how many
-replications the run asks for (its last block is drawn at full length, so
-the cap bounds that overdraw), so replication r stays a pure function of
-its coordinates; a block of one replication draws exactly what that
-replication's own substream gives. Changing ``_BLOCK_BYTES`` moves the
-draws.
-
-Blocks run, fold included, on a thread pool sized by the CPUs this process
-may run on (``draw_workers``); numpy's fills and ufunc loops release the
-GIL, so the blocks overlap. The calling thread enters each block's fold
-and hands the block to the pool, keeping at most ``draw_workers() + 1``
-folds entered, and leaves the folds in block order, so the pool stays busy
-while the calling thread prepares the next fold and finishes the last one.
-Each block keys its own generator, so the output is bit-identical for any
-worker count. Pool threads call only private functions.
+A pass is cut into blocks of replications (``_block_reps``): block j holds
+replications [jL, min((j + 1) L, reps)), where L is ``_BLOCK_BYTES`` of
+panel (at least one replication, at most ``MAX_BLOCK_REPS``). A block is
+drawn with the one filler per kind (``_fill``) and reduced at once, so a
+pass holds only a few blocks of panels. A block of k panels is held
+time-major, as an (n, k, p) array whose row t is time t of every panel, so
+the column means and the block sums are sums of contiguous rows (a
+one-column block is reduced as (k, n, 1), as numpy sums a column). One
+Philox generator, keyed by the substream (seed, stream, purpose, first) of
+the block's first replication, draws the whole block time-major. Block
+bounds depend only on n, p, ``MAX_BLOCK_REPS`` and ``_BLOCK_BYTES``, and a
+run's last block is drawn at full length (the cap bounds that overdraw), so
+a block's rows do not depend on how many replications the run asks for:
+replication r stays a pure function of its coordinates, and a block of one
+replication draws exactly what its own substream gives. Changing
+``_BLOCK_BYTES`` moves the draws.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
-import os
-import time
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import MISSING, dataclass, fields, replace
-from functools import lru_cache
-from typing import Callable, ContextManager, Optional
+from typing import Optional
 
 import numpy as np
-
-from .seeding import substream_keys
 
 KINDS = (
     "iid_gaussian",
@@ -91,9 +72,6 @@ _BLOCK_BYTES = 4 << 20
 
 # Replications whose linear-process innovations are drawn at once.
 _SLICE = 64
-
-# What a block of replications is folded by: (means, sums) -> None.
-BlockFold = Callable[[np.ndarray, Optional[np.ndarray]], None]
 
 
 class DgpValidationError(ValueError):
@@ -357,26 +335,27 @@ def _block_sums(x: np.ndarray, b: int, axis: int = -2) -> np.ndarray:
     return runs.sum(axis=axis + 1)
 
 
-def draw_workers() -> int:
-    """Threads that fill blocks: the CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity on this platform
-        return os.cpu_count() or 1
+def _block_reps(spec: DgpSpec) -> int:
+    """Replications per block of a pass of ``spec``: ``_BLOCK_BYTES`` of
+    panel, at least one replication and at most ``MAX_BLOCK_REPS``."""
+    return min(MAX_BLOCK_REPS, max(1, _BLOCK_BYTES // (spec.n * spec.p * 8)))
 
 
-@lru_cache(maxsize=1)
-def _draw_pool(workers: int) -> ThreadPoolExecutor:
-    """The draw pool, created on first use (and again if the count changes)."""
-    return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
+def _draw_block(spec: DgpSpec, b: Optional[int], wanted: int, full: int, key: np.ndarray,
+                copy_key: Optional[np.ndarray]):
+    """Draw the first ``wanted`` replications of a block of ``full`` from the
+    Philox key ``key`` of its first replication, minus their copies from
+    ``copy_key`` if given; returns the panel buffer, the (wanted, p) column
+    means and the (wanted, n/b, p) within-block column sums over blocks of
+    length ``b`` (None without ``b``), a view of the time-major sums.
 
-
-def _reduce_block(spec: DgpSpec, b: Optional[int], block_fold: BlockFold, wanted: int,
-                  full: int, key: np.ndarray, copy_key: Optional[np.ndarray]) -> float:
-    """Draw the first ``wanted`` replications of a block of ``full`` and hand
-    their column means and block sums to ``block_fold``; returns the block's
-    wall time. Runs on draw-pool threads, so it calls no public function."""
-    started = time.perf_counter()
+    Both sums run over the time-major rows one row at a time, as
+    ``blocking.batch_max_abs_mean`` and ``batch_block_sums`` sum (k, n, p)
+    panels when p > 1; numpy sums a contiguous column pairwise, so a
+    one-column block is copied to those kernels' (k, n, 1) layout. So each
+    replication is summed in one order in any block, bit for bit as the
+    kernels sum it. Runs on draw-pool threads: it calls no public function.
+    """
     n, p = spec.n, spec.p
     x = np.empty((n, full, p))
     _fill(spec, key, wanted, x)
@@ -387,8 +366,6 @@ def _reduce_block(spec: DgpSpec, b: Optional[int], block_fold: BlockFold, wanted
         x -= copy[:, :wanted]
         del copy
     if p == 1:
-        # numpy sums a contiguous column pairwise, not row by row, so one
-        # column is reduced in the kernels' layout.
         x = np.ascontiguousarray(x.transpose(1, 0, 2))
         means = x.mean(axis=1)
         sums = None if b is None else _block_sums(x, b)
@@ -396,95 +373,7 @@ def _reduce_block(spec: DgpSpec, b: Optional[int], block_fold: BlockFold, wanted
         means = x.sum(axis=0)
         means /= n
         sums = None if b is None else _block_sums(x, b, 0).transpose(1, 0, 2)
-    block_fold(means, sums)
-    return time.perf_counter() - started
-
-
-def reduce_panels(
-    spec: DgpSpec,
-    reps: int,
-    seed: int,
-    stream: int,
-    purpose: int,
-    fold: Callable[[int, int], ContextManager[BlockFold]],
-    b: Optional[int] = None,
-    copy_stream: Optional[int] = None,
-) -> float:
-    """Fold replications 0..reps-1 of one panel stream where they are drawn;
-    returns the wall time of the blocks, summed over the threads that ran
-    them.
-
-    Replication r is drawn from the substreams (seed, stream, purpose, .)
-    as the module docstring describes; with ``copy_stream`` each panel minus
-    its copy, the same replication of that stream, is folded instead. For
-    the block start..stop-1 the calling thread enters ``fold(start, stop)``,
-    a context manager that gives the block's fold, and hands the block to
-    the draw pool; the pool thread that draws it calls ``block_fold(means,
-    sums)``: ``means`` (k, p) its panels' column means and ``sums`` (k,
-    n/b, p) their within-block column sums over blocks of length ``b`` (None
-    without ``b``), a transposed view of the time-major (n/b, k, p) sums.
-
-    Once ``draw_workers() + 1`` folds are entered, the calling thread waits
-    for the oldest block and leaves its fold before it enters the next. So
-    folds are entered and left in block order on the calling thread, and a
-    fold is left only after its block is folded. A block fold calls no
-    public function and writes only its own block's part of the arrays its
-    caller owns. If a block or a fold raises, the blocks not yet started are
-    cancelled, the started ones are waited for, every entered fold is left
-    with the exception, and the exception is raised: no block runs after
-    this returns.
-
-    Both sums run over the block's time-major rows one row at a time, the
-    order in which ``blocking.batch_max_abs_mean`` and ``batch_block_sums``
-    sum (k, n, p) panels when p > 1. At p = 1 numpy sums a contiguous column
-    pairwise, so a one-column block is copied to the (k, n, 1) layout of
-    those kernels and reduced there. Either way each replication is summed
-    in the same order in any block, so what a fold sees is bit for bit the
-    kernels' and the same for any worker count.
-    """
-    n, p = spec.n, spec.p
-    if b is not None and not (1 <= b <= n and n % b == 0):
-        raise ValueError(f"block length must divide n (n={n}, b={b})")
-    block = min(MAX_BLOCK_REPS, max(1, _BLOCK_BYTES // (n * p * 8)))
-    firsts = range(0, reps, block)
-    keys = substream_keys(seed, stream, purpose, firsts)
-    copy_keys = (None if copy_stream is None
-                 else substream_keys(seed, copy_stream, purpose, firsts))
-    workers = draw_workers()
-    pool = _draw_pool(workers)
-    # The folds entered and not yet left, and their blocks, oldest first.
-    managers, futures = deque(), deque()
-    seconds = 0.0
-
-    def leave_oldest():
-        waited = futures[0].result()
-        futures.popleft()
-        managers.popleft().__exit__(None, None, None)
-        return waited
-
-    try:
-        for j, start in enumerate(firsts):
-            stop = min(start + block, reps)
-            manager = fold(start, stop)
-            block_fold = manager.__enter__()
-            managers.append(manager)
-            futures.append(pool.submit(_reduce_block, spec, b, block_fold, stop - start,
-                                       block, keys[j],
-                                       None if copy_keys is None else copy_keys[j]))
-            if len(managers) > workers:
-                seconds += leave_oldest()
-        while managers:
-            seconds += leave_oldest()
-        return seconds
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        wait(futures)
-        # Left oldest first, each with the exception, even if one raises.
-        with contextlib.ExitStack() as stack:
-            for manager in reversed(managers):
-                stack.push(manager)
-            raise
+    return x, means, sums
 
 
 def marginal_spec(spec: DgpSpec) -> DgpSpec:

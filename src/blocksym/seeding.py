@@ -8,11 +8,11 @@ so results never depend on call order, worker count, or scheduling.
 Every draw follows one keying rule: a block of replications reads one
 generator per stream, keyed by the substream of the block's first
 replication, since distinct keys already give streams of independent
-quality (Salmon et al., SC 2011). The blocks are those of
-``processes.reduce_panels``, and a block's panels, copies and multipliers
-(see ``blocking``) are keyed alike. The keys of a range of replications,
-such as the first replications of a pass's blocks, are mixed at once on
-uint64 arrays. Seeds and coordinates are taken modulo 2**64; the config
+quality (Salmon et al., SC 2011). The blocks are those of a pass of
+``blocking.stream_statistics``, and a block's panels, copies and
+multipliers are keyed alike. The keys of a range of replications, such as
+the first replications of a pass's blocks, are mixed at once on uint64
+arrays, one call per stream of a pass. Seeds and coordinates are taken modulo 2**64; the config
 checks keep seeds in [0, 2**64), so distinct seeds never alias.
 """
 

@@ -18,9 +18,10 @@ RADEMACHER = MultiplierSpec("rademacher")
 def block_bounds(spec, start, stop):
     """The (first, end) of each block that holds a replication in start..stop-1.
 
-    The bounds of ``processes.reduce_panels``: blocks of L replications from
-    replication 0, L being ``_BLOCK_BYTES`` of panel, at least one
-    replication and at most ``MAX_BLOCK_REPS``.
+    The bounds of a pass of ``blocking.stream_statistics``: blocks of L
+    replications from replication 0, L being ``processes._BLOCK_BYTES`` of
+    panel, at least one replication and at most ``MAX_BLOCK_REPS``, read at
+    call time as ``processes._block_reps`` reads them.
     """
     block = min(MAX_BLOCK_REPS, max(1, processes._BLOCK_BYTES // (spec.n * spec.p * 8)))
     return [(first, first + block) for first in range(start - start % block, stop, block)]
@@ -89,7 +90,7 @@ def block_panels(spec, rng, size):
 def draw_panels(spec, seed, stream, purpose, start, stop):
     """Panels of replications start..stop-1, shape (stop - start, n, p).
 
-    A reference for ``processes.reduce_panels`` built on numpy's own calls:
+    A reference for the panels of a pass built on numpy's own calls:
     each whole block, with the bounds of ``block_bounds``, is drawn from the
     substream (seed, stream, purpose, first) of its first replication, and
     the rows in start..stop-1 are kept.

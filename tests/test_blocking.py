@@ -30,7 +30,7 @@ from blocksym.blocking import (
 )
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
-from blocksym.processes import MAX_BLOCK_REPS, DgpSpec, marginal_spec, reduce_panels
+from blocksym.processes import MAX_BLOCK_REPS, DgpSpec, marginal_spec
 from blocksym.quadrature import REL_TOL
 from blocksym.seeding import (
     PURPOSE_DEFAULT,
@@ -39,6 +39,7 @@ from blocksym.seeding import (
     PURPOSE_TAIL,
     STREAM_COPY,
     STREAM_PANEL,
+    substream_keys,
 )
 from blocksym.verify import tail_levels, verify_prop2
 from conftest import block_bounds, draw_panels, pass_multipliers
@@ -315,16 +316,19 @@ class TestKernels:
 
 @pytest.fixture
 def panel_calls(monkeypatch):
-    """Counts reduce_panels calls by (spec, seed, stream, purpose, reps)."""
+    """Counts passes by (seed, purpose, reps), from the one call that keys a
+    pass's panel blocks, ``substream_keys(seed, STREAM_PANEL, purpose,
+    range(0, reps, L))``."""
     from blocksym import blocking
 
     calls = Counter()
 
-    def counting(spec, reps, seed, stream, purpose, *args, **kw):
-        calls[(spec, seed, stream, purpose, reps)] += 1
-        return reduce_panels(spec, reps, seed, stream, purpose, *args, **kw)
+    def counting(seed, stream, purpose, firsts):
+        if stream == STREAM_PANEL:
+            calls[(seed, purpose, firsts.stop)] += 1
+        return substream_keys(seed, stream, purpose, firsts)
 
-    monkeypatch.setattr(blocking, "reduce_panels", counting)
+    monkeypatch.setattr(blocking, "substream_keys", counting)
     return calls
 
 
@@ -390,7 +394,7 @@ class TestStreamStatistics:
         # than nothing and to no more than draw_workers threads busy for the
         # whole pass: block_seconds / (draw_workers * seconds) is the pool's
         # utilisation.
-        from blocksym import processes
+        from blocksym import blocking, processes
 
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 50 * self.SPEC.n * self.SPEC.p * 8)
         monkeypatch.setattr(os, "sched_getaffinity",
@@ -398,7 +402,7 @@ class TestStreamStatistics:
         with recorded_passes() as passes:
             stream_statistics(self.SPEC, 3 * MAX_BLOCK_REPS, 3, 2, self.SCHEME, self.MULT)
             stream_statistics(self.SPEC, 10, 3, 4, reductions=(MeanGram(1.0),))
-        assert processes.draw_workers() == cpus and len(passes) == 2
+        assert blocking.draw_workers() == cpus and len(passes) == 2
         for record in passes:
             assert 0 < record["block_seconds"] <= cpus * record["seconds"]
 
@@ -590,7 +594,7 @@ class TestReductions:
         U = 0.3
         parts = (Exceedances(tail_levels(U)), MaxBelow(U), PowerSums(2.0), PowerSums(3.0))
         stats = stream_statistics(self.SPEC, self.REPS, 5, PURPOSE_TAIL, reductions=parts)
-        assert dict(panel_calls) == {(self.SPEC, 5, STREAM_PANEL, PURPOSE_TAIL, self.REPS): 1}
+        assert dict(panel_calls) == {(5, PURPOSE_TAIL, self.REPS): 1}
         assert stats.mult_max is None and list(stats.reduced) == list(parts)
         panels = draw_panels(self.SPEC, 5, STREAM_PANEL, PURPOSE_TAIL, 0, self.REPS)
         means = panels.mean(axis=1)

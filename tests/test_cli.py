@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksym import processes, verify
+from blocksym import blocking, processes, verify
 from blocksym.seeding import PURPOSE_DEFAULT, PURPOSE_NORM, PURPOSE_TAIL
 from blocksym.cli import (
     EXIT_ERROR,
@@ -258,6 +258,11 @@ PROBES = {
                             "gaussian_model.method"),
     "model-reps-closed-form": (with_fields(gaussian_model={"reps": 5000}),
                                "gaussian_model.reps"),
+    # theorem1's lq tail bound needs p >= 2: a run drew four passes, then
+    # stopped with VacuousBoundError.
+    "theorem1-p1": ({"dgp": {"kind": "iid_gaussian", "n": 8, "p": 1}, "scheme": {"b": 2},
+                     "psi": {"kind": "power", "q": 2.0}, "truncation": FIXED, "reps": 1000,
+                     "seed": 3, "checks": ["theorem1"]}, "dgp.p"),
     # A run would stop at the model with LongRunCovError.
     "model-analytic-no-closed-form": (
         with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5},
@@ -267,7 +272,10 @@ PROBES = {
 
 @pytest.mark.parametrize("command", ["validate", "run"])
 @pytest.mark.parametrize("probe", sorted(PROBES))
-def test_rejected_config_names_field(tmp_path, capsys, command, probe):
+def test_rejected_config_names_field(tmp_path, capsys, monkeypatch, command, probe):
+    # A rejected config draws nothing: no pass keys its panels.
+    keyed = []
+    monkeypatch.setattr(blocking, "substream_keys", lambda *args: keyed.append(args))
     obj, path = PROBES[probe]
     config = tmp_path / "config.json"
     config.write_text(json.dumps(obj))
@@ -277,6 +285,7 @@ def test_rejected_config_names_field(tmp_path, capsys, command, probe):
     assert main(argv) == EXIT_ERROR
     lines = capsys.readouterr().err.splitlines()
     assert any(line.startswith(f"{path}: ") for line in lines), lines
+    assert keyed == []
 
 
 json_values = st.recursive(

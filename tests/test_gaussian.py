@@ -402,7 +402,7 @@ class TestEstimateRhos:
         def no_draw(*args, **kwargs):
             raise AssertionError("drew a pass")
 
-        monkeypatch.setattr(blocking, "reduce_panels", no_draw)
+        monkeypatch.setattr(blocking, "substream_keys", no_draw)
         spec = DgpSpec("iid_gaussian", n=16, p=3)
         for draw in (draw_rho_samples, estimate_rhos):
             with pytest.raises(ValueError, match="p=50 .* p=3"):

@@ -1,70 +1,70 @@
-import contextlib
 import math
 import os
 import sys
 import threading
 import time
 import tracemalloc
-from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksym import processes
-from blocksym.blocking import batch_block_sums, make_blocks
+from blocksym import blocking, processes
+from blocksym.blocking import (
+    BlockScheme,
+    BlockSchemeError,
+    MeanGram,
+    MultiplierSpec,
+    batch_block_sums,
+    batch_max_abs_mean,
+    batch_multiplier_max,
+    make_blocks,
+    stream_statistics,
+)
 from blocksym.processes import (
     KINDS,
     MAX_BLOCK_REPS,
     DgpSpec,
     DgpValidationError,
     LongRunCovError,
-    reduce_panels,
     theoretical_longrun_variance,
 )
 from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream, substream_keys
-from conftest import block_bounds, block_panels, draw_panels, equicorrelated
+from conftest import block_bounds, block_panels, draw_panels, equicorrelated, pass_multipliers
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
+RADEMACHER = MultiplierSpec("rademacher")
 
 
 def stack_panels(spec, reps, seed, stream=STREAM_PANEL):
-    """Replications 0..reps-1 as ``reduce_panels`` draws them: with b = 1
-    the block sums it folds are the panels."""
+    """Replications 0..reps-1 as a pass draws them: with b = 1 the block
+    sums of ``processes._draw_block`` are the panels."""
     return gather(spec, reps, seed, stream, 0, 1)[2]
 
 
+def first_key(seed, stream, purpose, first):
+    """The Philox key of the block whose first replication is ``first``."""
+    return substream_keys(seed, stream, purpose, range(first, first + 1))[0]
+
+
 def gather(spec, reps, seed, stream, purpose, b=None, copy_stream=None):
-    """What ``reduce_panels`` hands its fold, gathered into whole arrays.
+    """Replications 0..reps-1 drawn by ``processes._draw_block``, block by
+    block over the bounds of ``block_bounds``, gathered into whole arrays.
 
-    Returns the blocks (start, stop) in the order their folds were entered,
-    the (reps, p) column means and the (reps, n/b, p) block sums (None
-    without ``b``). Asserts that each block's fold is entered and left on
-    the calling thread.
+    Returns the blocks (start, stop), the (reps, p) column means and the
+    (reps, n/b, p) block sums (None without ``b``).
     """
-    caller = threading.current_thread()
-    blocks = []
-    means = np.full((reps, spec.p), np.nan)
-    sums = None if b is None else np.full((reps, spec.n // b, spec.p), np.nan)
-
-    @contextlib.contextmanager
-    def fold(start, stop):
-        assert threading.current_thread() is caller
-        blocks.append((start, stop))
-
-        def block(block_means, block_sums):
-            means[start:stop] = block_means
-            if sums is None:
-                assert block_sums is None
-            else:
-                sums[start:stop] = block_sums
-
-        yield block
-        assert threading.current_thread() is caller
-
-    reduce_panels(spec, reps, seed, stream, purpose, fold, b, copy_stream)
-    return blocks, means, sums
+    blocks, means, sums = [], [], []
+    for first, end in block_bounds(spec, 0, reps):
+        stop = min(end, reps)
+        copy_key = None if copy_stream is None else first_key(seed, copy_stream, purpose, first)
+        _, block_means, block_sums = processes._draw_block(
+            spec, b, stop - first, end - first, first_key(seed, stream, purpose, first), copy_key)
+        blocks.append((first, stop))
+        means.append(block_means)
+        sums.append(block_sums)
+    return blocks, np.concatenate(means), None if b is None else np.concatenate(sums)
 
 
 def chunked_panels(spec, reps, seed, chunk):
@@ -282,15 +282,19 @@ class TestReplicationBlocks:
 
     @pytest.mark.parametrize("spec", BLOCK_SPECS, ids=block_id)
     def test_worker_count_does_not_change_bytes(self, spec, monkeypatch):
-        # Two replications per block: thirteen blocks in the pass.
+        # Two replications per block: thirteen blocks in the pass, drawn on
+        # the pool at every worker count. With b = 1 the multiplier
+        # statistic and the quadratic term read every entry of the panels.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 2 * spec.n * spec.p * 8)
         threads = fill_threads(monkeypatch)
-        drawn = {}
+        gram, drawn = MeanGram(1.0), {}
         for cpus in ({0}, {0, 1}):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
-                                raising=False)
+            patch_cpus(monkeypatch, cpus)
             threads.clear()
-            drawn[len(cpus)] = self.draw(spec).tobytes()
+            stats = stream_statistics(spec, self.STOP, 3, 2, make_blocks(spec.n, 1), RADEMACHER,
+                                      reductions=(gram,))
+            drawn[len(cpus)] = [array.tobytes() for array in (
+                stats.max_abs_mean, stats.mult_max, stats.quad, stats.read(gram))]
             assert_on_pool_threads(threads)
         assert drawn[1] == drawn[2]
 
@@ -308,7 +312,7 @@ class TestReplicationBlocks:
     def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert processes.draw_workers() == 3
+        assert blocking.draw_workers() == 3
 
 
 REDUCE_SPECS = [
@@ -351,9 +355,9 @@ def assert_on_pool_threads(threads):
     assert all(name.startswith("blocksym-draw") for name in threads)
 
 
-class TestReducePanels:
-    """Blocks folded where they are drawn equal the reductions of the
-    reference panels."""
+class TestDrawBlock:
+    """Blocks drawn and reduced by ``processes._draw_block`` equal the
+    reductions of the reference panels."""
 
     REPS = MAX_BLOCK_REPS + 30
 
@@ -369,35 +373,13 @@ class TestReducePanels:
     @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])
     @pytest.mark.parametrize("spec", REDUCE_SPECS, ids=reduce_id)
     def test_matches_reduced_generate_panels(self, spec, copies, monkeypatch):
-        # Five replications per block, the last block short; at every worker
-        # count the blocks run on the draw pool.
+        # Five replications per block, the last block short.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 5 * spec.n * spec.p * 8)
         blocks, means, sums = self.expected(spec, 2, copies)
-        threads = fill_threads(monkeypatch)
-        for cpus in ({0}, {0, 1}):
-            patch_cpus(monkeypatch, cpus)
-            threads.clear()
-            got = gather(spec, self.REPS, 4, STREAM_PANEL, 6, 2,
-                         STREAM_COPY if copies else None)
-            # Bounds are not realigned at replication 2048.
-            assert got[0] == blocks and (2045, 2050) in blocks
-            assert np.array_equal(got[1], means) and np.array_equal(got[2], sums)
-            assert_on_pool_threads(threads)
-
-    def test_more_workers_than_cores_write_disjoint_spans(self, monkeypatch):
-        # One replication per block on eight workers, switching threads as
-        # often as the interpreter allows: a lost or misplaced write shows.
-        spec = REDUCE_SPECS[1]
-        monkeypatch.setattr(processes, "_BLOCK_BYTES", spec.n * spec.p * 8)
-        _, means, sums = self.expected(spec, 2, True)
-        patch_cpus(monkeypatch, set(range(8)))
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            _, got_means, got_sums = gather(spec, self.REPS, 4, STREAM_PANEL, 6, 2, STREAM_COPY)
-        finally:
-            sys.setswitchinterval(interval)
-        assert np.array_equal(got_means, means) and np.array_equal(got_sums, sums)
+        got = gather(spec, self.REPS, 4, STREAM_PANEL, 6, 2, STREAM_COPY if copies else None)
+        # Bounds are not realigned at replication 2048.
+        assert got[0] == blocks and (2045, 2050) in blocks
+        assert np.array_equal(got[1], means) and np.array_equal(got[2], sums)
 
     @pytest.mark.parametrize("b", [1, 8])
     def test_block_lengths_and_plain_means(self, b):
@@ -410,132 +392,168 @@ class TestReducePanels:
         assert none is None
 
     def test_block_length_must_divide_n(self):
-        with pytest.raises(ValueError, match="divide"):
-            gather(REDUCE_SPECS[0], 10, 4, STREAM_PANEL, 6, 3)
+        # A hand-built scheme skips the checks of make_blocks.
+        scheme = BlockScheme(n=8, b=3, count=2)
+        with pytest.raises(BlockSchemeError, match=r"divide n \(n=8, b=3\)"):
+            stream_statistics(REDUCE_SPECS[0], 10, 4, 6, scheme, RADEMACHER)
+
+
+class FoldLog:
+    """A reduction that logs each block it folds, as ("fold", start, rows),
+    and checks that it folds on ``caller``; with ``fails`` it raises as
+    it folds block 0."""
+
+    def __init__(self, events, caller, fails=False):
+        self.events, self.caller, self.fails = events, caller, fails
+
+    def empty(self, reps, p):
+        return np.zeros(1)
+
+    def add(self, out, start, means):
+        assert threading.current_thread() is self.caller
+        self.events.append(("fold", start, len(means)))
+        if self.fails and start == 0:
+            raise RuntimeError("block 0 failed")
+
+
+def logged_pool(monkeypatch, workers, events, on_submit=None):
+    """Make ``stream_statistics`` submit to a pool of ``workers`` threads
+    that logs each submission in ``events``, then calls ``on_submit`` with
+    the number of blocks submitted so far."""
+    pool = blocking._draw_pool(workers)
+
+    class LoggedPool:
+        def submit(self, fn, *args):
+            events.append("submit")
+            future = pool.submit(fn, *args)
+            if on_submit is not None:
+                on_submit(events.count("submit"))
+            return future
+
+    monkeypatch.setattr(blocking, "_draw_pool", lambda _: LoggedPool())
 
 
 class TestPipeline:
-    """The calling thread enters each block's fold, hands the block to the
-    draw pool and leaves the folds in block order, with at most
-    ``draw_workers() + 1`` entered at once."""
+    """``blocking.stream_statistics`` hands each block to the draw pool,
+    keeps at most ``draw_workers() + 1`` blocks in flight and folds their
+    means into the reductions on the calling thread, in block order."""
 
     SPEC = DgpSpec("var1", n=8, p=3, phi=0.5)
+    SCHEME = make_blocks(8, 2)
     REPS = 1010  # eleven blocks of 100, the last one short
 
     @pytest.mark.parametrize("cpus", [1, 2, 8])
-    def test_folds_enter_and_leave_in_block_order_on_the_caller(self, cpus, monkeypatch):
-        # A fold is left only once its block is folded, and never are more
-        # than cpus + 1 folds entered.
+    def test_blocks_in_flight_and_folded_in_order_on_the_caller(self, cpus, monkeypatch):
+        # Block j is submitted once block j - cpus - 1 is folded, so never
+        # are more than cpus + 1 blocks in flight, and the rest are folded
+        # in order once the last one is submitted.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 100 * self.SPEC.n * self.SPEC.p * 8)
         patch_cpus(monkeypatch, set(range(cpus)))
         threads = fill_threads(monkeypatch)
-        caller = threading.current_thread()
-        events, entered = [], []
-
-        @contextlib.contextmanager
-        def fold(start, stop):
-            assert threading.current_thread() is caller
-            events.append(("enter", start))
-            entered.append(start)
-            assert len(entered) <= cpus + 1
-            folded = []
-
-            def block(means, sums):
-                assert start in entered
-                folded.append(len(means))
-
-            yield block
-            assert threading.current_thread() is caller
-            assert folded == [stop - start]
-            entered.remove(start)
-            events.append(("leave", start))
-
-        reduce_panels(self.SPEC, self.REPS, 4, STREAM_PANEL, 6, fold, 2)
+        events = []
+        logged_pool(monkeypatch, cpus, events)
+        log = FoldLog(events, threading.current_thread())
+        stats = stream_statistics(self.SPEC, self.REPS, 4, 6, self.SCHEME, RADEMACHER,
+                                  reductions=(log,))
         starts = list(range(0, self.REPS, 100))
+        folds = [("fold", start, min(100, self.REPS - start)) for start in starts]
         want = []
-        for j, start in enumerate(starts):
-            want.append(("enter", start))
+        for j in range(len(starts)):
+            want.append("submit")
             if j >= cpus:
-                want.append(("leave", starts[j - cpus]))
-        want += [("leave", start) for start in starts[len(starts) - cpus:]]
-        assert events == want and not entered
+                want.append(folds[j - cpus])
+        want += folds[len(starts) - cpus:]
+        assert events == want and stats.reps == self.REPS
         assert_on_pool_threads(threads)
 
-    @pytest.mark.parametrize("where", ["block", "leave", "enter"])
-    def test_a_failure_cancels_the_blocks_and_leaves_every_fold(self, where, monkeypatch):
-        # One replication per block on two workers, so three folds may be
-        # entered. Block 0 raising once block 2 is entered, block 0's fold
-        # raising as it is left, or block 2's raising as it is entered: the
-        # error reaches the caller, every entered fold is left with it, no
-        # block runs once reduce_panels has returned, and no block past the
-        # window is ever entered.
+    def test_more_workers_than_cores_write_disjoint_spans(self, monkeypatch):
+        # One replication per block on eight workers, switching threads as
+        # often as the interpreter allows: a lost or misplaced write shows.
+        spec, reps = REDUCE_SPECS[1], 300
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", spec.n * spec.p * 8)
+        x = (draw_panels(spec, 4, STREAM_PANEL, 6, 0, reps)
+             - draw_panels(spec, 4, STREAM_COPY, 6, 0, reps))
+        eps = pass_multipliers(spec, RADEMACHER, self.SCHEME.count, 4, 6, 0, reps)
+        patch_cpus(monkeypatch, set(range(8)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stats = stream_statistics(spec, reps, 4, 6, self.SCHEME, RADEMACHER, copies=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(x))
+        assert np.array_equal(stats.mult_max,
+                              batch_multiplier_max(batch_block_sums(x, self.SCHEME), eps, 8))
+
+    @pytest.mark.parametrize("where", ["block", "add", "multipliers"])
+    def test_a_failure_reaches_the_caller_and_stops_the_blocks(self, where, monkeypatch):
+        # One replication per block on two workers, so three blocks may be
+        # in flight. Block 0's fill raising once block 2 is submitted, the
+        # reduction raising as it folds block 0, or block 2's multipliers
+        # raising on the calling thread: the error reaches the caller, no
+        # block runs once stream_statistics has returned, and no block past
+        # the window is ever submitted.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", self.SPEC.n * self.SPEC.p * 8)
         patch_cpus(monkeypatch, {0, 1})
         lock = threading.Lock()
-        third_entered, returned = threading.Event(), threading.Event()
-        state = {"active": 0, "late": 0}
-        ran, left = Counter(), []
-        reduce_block = processes._reduce_block
+        armed, running, returned = threading.Event(), threading.Event(), threading.Event()
+        state = {"active": 0, "late": 0, "fills": 0}
+        block0 = first_key(4, STREAM_PANEL, 6, 0)
+        fill, multipliers = processes._fill, blocking._multipliers
 
-        def tracked(*args):
+        def tracked(spec, key, wanted, out):
             with lock:
                 state["active"] += 1
                 state["late"] += returned.is_set()
+                state["fills"] += 1
             try:
-                return reduce_block(*args)
+                if np.array_equal(key, block0):
+                    if where == "block":
+                        assert armed.wait(timeout=30)
+                        raise RuntimeError("block 0 failed")
+                else:
+                    # Still running when the error reaches the caller.
+                    running.set()
+                    time.sleep(0.02)
+                fill(spec, key, wanted, out)
             finally:
                 with lock:
                     state["active"] -= 1
 
-        monkeypatch.setattr(processes, "_reduce_block", tracked)
+        def failing(mult, key, rows, count):
+            if armed.is_set():
+                assert running.wait(timeout=30)
+                raise RuntimeError("block 2's multipliers failed")
+            return multipliers(mult, key, rows, count)
 
-        @contextlib.contextmanager
-        def fold(start, stop):
-            if start == 2:
-                if where == "enter":
-                    raise RuntimeError("block 2 failed")
-                third_entered.set()
-
-            def block(means, sums):
-                with lock:
-                    ran[start] += 1
-                if where == "block" and start == 0:
-                    assert third_entered.wait(timeout=30)
-                    raise RuntimeError("block 0 failed")
-
-            try:
-                yield block
-                if where == "leave" and start == 0:
-                    raise RuntimeError("block 0 failed")
-            except BaseException as error:
-                left.append((start, error))
-                raise
-            left.append((start, None))
-
-        with pytest.raises(RuntimeError, match="failed") as failure:
-            reduce_panels(self.SPEC, 64, 4, STREAM_PANEL, 6, fold, 2)
+        monkeypatch.setattr(processes, "_fill", tracked)
+        if where == "multipliers":
+            monkeypatch.setattr(blocking, "_multipliers", failing)
+        # Armed once the caller has submitted every block it will submit.
+        events, submitted = [], 2 if where == "multipliers" else 3
+        logged_pool(monkeypatch, 2, events,
+                    lambda count: armed.set() if count == submitted else None)
+        log = FoldLog(events, threading.current_thread(), fails=where == "add")
+        with pytest.raises(RuntimeError, match="failed"):
+            stream_statistics(self.SPEC, 64, 4, 6, self.SCHEME, RADEMACHER, reductions=(log,))
         returned.set()
         with lock:
             assert state["active"] == 0
-            blocks_run = sum(ran.values())
+            fills = state["fills"]
         time.sleep(0.05)
-        assert state["late"] == 0 and sum(ran.values()) == blocks_run
-        if where == "enter":
-            assert left == [(0, failure.value), (1, failure.value)]
-        else:
-            assert left == [(0, failure.value), (1, failure.value), (2, failure.value)]
-        assert set(ran) <= {0, 1, 2}
+        assert state["late"] == 0 and state["fills"] == fills
+        assert events.count("submit") == submitted
 
     def test_a_failure_cancels_the_queued_block(self, monkeypatch):
-        # One worker, so two folds are entered and block 1 waits in the
-        # pool's queue behind block 0, which raises. A gate queued between
-        # them holds the worker until block 1 is cancelled (or for 10 s), so
-        # block 1 runs only if the failure does not cancel it.
+        # One worker, so two blocks are in flight and block 1 waits in the
+        # pool's queue behind block 0, whose fill raises. A gate queued
+        # between them holds the worker until block 1 is cancelled (or for
+        # 10 s), so block 1 runs only if the failure does not cancel it.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", self.SPEC.n * self.SPEC.p * 8)
         patch_cpus(monkeypatch, {0})
-        pool = processes._draw_pool(1)
+        pool = blocking._draw_pool(1)
         queued, later = threading.Event(), []
-        ran, left = [], []
+        filled = []
 
         def gate():
             assert queued.wait(timeout=10)
@@ -557,27 +575,18 @@ class TestPipeline:
                 queued.set()
                 return later[0]
 
-        monkeypatch.setattr(processes, "_draw_pool", lambda workers: GatedPool())
+        monkeypatch.setattr(blocking, "_draw_pool", lambda workers: GatedPool())
 
-        @contextlib.contextmanager
-        def fold(start, stop):
-            def block(means, sums):
-                ran.append(start)
-                if start == 0:
-                    assert queued.wait(timeout=10)
-                    raise RuntimeError("block 0 failed")
+        def failing(spec, key, wanted, out):
+            filled.append(key.tolist())
+            assert queued.wait(timeout=10)
+            raise RuntimeError("block 0 failed")
 
-            try:
-                yield block
-            except BaseException as error:
-                left.append((start, error))
-                raise
-            left.append((start, None))
-
-        with pytest.raises(RuntimeError, match="block 0 failed") as failure:
-            reduce_panels(self.SPEC, 64, 4, STREAM_PANEL, 6, fold, 2)
-        assert later[0].cancelled() and ran == [0]
-        assert left == [(0, failure.value), (1, failure.value)]
+        monkeypatch.setattr(processes, "_fill", failing)
+        with pytest.raises(RuntimeError, match="block 0 failed"):
+            stream_statistics(self.SPEC, 64, 4, 6, self.SCHEME, RADEMACHER)
+        assert later[0].cancelled()
+        assert filled == [first_key(4, STREAM_PANEL, 6, 0).tolist()]
 
 
 class TestSupport:

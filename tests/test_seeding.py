@@ -2,15 +2,23 @@
 reference, and of the panel and multiplier blocks against numpy's own
 generators under the substream of their first replication."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksym.blocking import MultiplierSpec, batch_multipliers
-from blocksym import processes
+from blocksym.blocking import MultiplierSpec, batch_multipliers, make_blocks, stream_statistics
+from blocksym import processes, seeding
 from blocksym.processes import DgpSpec
-from blocksym.seeding import STREAM_MULTIPLIER, STREAM_PANEL, substream, substream_keys
+from blocksym.seeding import (
+    PURPOSE_MID,
+    STREAM_MULTIPLIER,
+    STREAM_PANEL,
+    substream,
+    substream_keys,
+)
 
 MASK64 = (1 << 64) - 1
 
@@ -123,6 +131,28 @@ class TestBlockMultipliers:
     def test_empty_batch(self, mult, start):
         out = batch_multipliers(MultiplierSpec(mult), 3, 1, 0, start, start)
         assert out.shape == (0, 3)
+
+    def test_a_pass_keys_no_single_substream(self, monkeypatch):
+        # A pass keys its multiplier blocks with one substream_keys call, as
+        # it keys its panels, so it never makes the generator of a single
+        # substream, which would cost one keying per block.
+        calls = []
+        original = seeding.substream
+
+        def counting(*path):
+            calls.append(path)
+            return original(*path)
+
+        for name, module in list(sys.modules.items()):
+            if (name.split(".")[0] == "blocksym"
+                    and getattr(module, "substream", None) is original):
+                monkeypatch.setattr(module, "substream", counting)
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * 8 * 3 * 8)
+        spec = DgpSpec("var1", n=8, p=3, phi=0.5)
+        stats = stream_statistics(spec, 50, 1, PURPOSE_MID, make_blocks(8, 2),
+                                  MultiplierSpec("rademacher"))
+        assert seeding.substream is counting and stats.mult_max.shape == (50,)
+        assert calls == []
 
 
 class TestRawBitDraws:
