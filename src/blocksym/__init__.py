@@ -29,7 +29,6 @@ from .psi import (
     PsiSpec,
     psi_deriv,
     psi_eval,
-    psi_inverse,
     psi_moment_norm,
 )
 from .remainders import (

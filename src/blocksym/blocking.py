@@ -1,8 +1,8 @@
 """Block schemes, block sums, multiplier draws, and the max statistics.
 
 The sample {1..n} is partitioned into count = n/b contiguous blocks of equal
-length b; a ``BlockScheme`` holds only n, b and count, and the block sums
-apply the partition. Multipliers are drawn once per block and expanded to a
+length b; a ``BlockScheme`` holds only n and b, and the block sums apply
+the partition. Multipliers are drawn once per block and expanded to a
 piecewise-constant weight per time point. The two statistics of interest are
 the largest absolute column mean of a panel and its block-multiplier
 counterpart max_i |(1/n) sum_l eps_l S[l, i]|.
@@ -54,7 +54,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .processes import DgpSpec, _block_reps, _block_sums, _draw_block
+from .processes import DgpSpec, Spec, _block_reps, _block_sums, _draw_block
 from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream_keys
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
@@ -65,19 +65,26 @@ class BlockSchemeError(ValueError):
 
 
 @dataclass(frozen=True)
-class BlockScheme:
+class BlockScheme(Spec):
     """Equal-length contiguous partition of {0..n-1} into count blocks."""
 
     n: int
     b: int
-    count: int
 
-    def to_json_dict(self) -> dict:
-        return {"n": self.n, "b": self.b}
+    def __post_init__(self):
+        if not 1 <= self.b <= self.n:
+            raise BlockSchemeError(
+                f"block size must satisfy 1 <= b <= n, got b={self.b}, n={self.n}")
+        if self.n % self.b != 0:
+            raise BlockSchemeError(f"block size must divide n (n={self.n}, b={self.b})")
+
+    @property
+    def count(self) -> int:
+        return self.n // self.b
 
 
 @dataclass(frozen=True)
-class MultiplierSpec:
+class MultiplierSpec(Spec):
     """Bounded, zero-mean, unit-variance multiplier law.
 
     ``rademacher`` puts mass 1/2 on each of -1 and +1; ``uniform_sym`` is
@@ -94,17 +101,10 @@ class MultiplierSpec:
     def bound(self) -> float:
         return 1.0 if self.kind == "rademacher" else math.sqrt(3.0)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind}
-
 
 def make_blocks(n: int, b: int) -> BlockScheme:
     """Blocks of length b covering {0..n-1}; b must divide n exactly."""
-    if not 1 <= b <= n:
-        raise BlockSchemeError(f"block size must satisfy 1 <= b <= n, got b={b}, n={n}")
-    if n % b != 0:
-        raise BlockSchemeError(f"block size must divide n (n={n}, b={b})")
-    return BlockScheme(n=n, b=b, count=n // b)
+    return BlockScheme(n=n, b=b)
 
 
 def batch_block_sums(panels: np.ndarray, scheme: BlockScheme) -> np.ndarray:
@@ -377,8 +377,6 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
         raise ValueError("the multiplier statistic needs both a scheme and a multiplier law")
     if scheme is not None and scheme.n != spec.n:
         raise BlockSchemeError(f"scheme is for n={scheme.n} but panels have n={spec.n}")
-    if scheme is not None and not (1 <= scheme.b <= spec.n and spec.n % scheme.b == 0):
-        raise BlockSchemeError(f"block length must divide n (n={spec.n}, b={scheme.b})")
     started = time.perf_counter()
     max_abs_mean = np.empty(reps)
     mult_max = None if scheme is None else np.empty(reps)

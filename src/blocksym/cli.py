@@ -26,7 +26,7 @@ import math
 import re
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
 from typing import Optional
@@ -47,7 +47,7 @@ from .blocking import (
     stream_statistics,
 )
 from .gaussian import RhoEstimate, draw_rho_samples, estimate_gaussian_model, model_reduction
-from .processes import DgpSpec, _is_real, from_fields, marginal_spec
+from .processes import DgpSpec, Spec, _is_real, from_fields, marginal_spec
 from .psi import PsiSpec, psi_moment_norm
 from .quadrature import recorded_integrals
 from .remainders import (
@@ -88,56 +88,117 @@ class ConfigError(ValueError):
         super().__init__(f"invalid config: {lines}")
 
 
+def _is_positive(value) -> bool:
+    """Whether ``value`` is a number (not a boolean) above zero."""
+    return _is_real(value) and value > 0
+
+
+@dataclass(frozen=True)
+class TruncationSpec(Spec):
+    """The truncation level U of the chain checks: ``fixed`` at ``U``, or
+    ``optimal``, the U* of ``optimal_truncation`` at the rate ``phi``."""
+
+    mode: str = "fixed"
+    U: float = 1.0
+    phi: Optional[float] = None
+
+    def __post_init__(self):
+        if self.mode not in ("fixed", "optimal"):
+            raise ValueError(f"mode: expected fixed or optimal, got {self.mode!r}")
+        key = self.reads()[1]
+        if not _is_positive(getattr(self, key)):
+            raise ValueError(f"{key}: {self.mode} mode needs {key} > 0")
+
+    def reads(self) -> tuple:
+        return ("mode", "U" if self.mode == "fixed" else "phi")
+
+
+@dataclass(frozen=True)
+class TailSpec(Spec):
+    """theorem1's tail bound: ``lq``, from the tail pass's moment at q, or
+    ``subexp``, P(|mean_i| > x) <= a exp(-b n^gamma x^gamma) at rate phi
+    (gamma / 2 unless given), b fitted at amplitude a unless ``fit`` is false.
+    The echo leaves out a and fit at their defaults, so configs echo as written."""
+
+    mode: str = "lq"
+    gamma: float = 1.0
+    phi: Optional[float] = None
+    a: float = 2.0
+    b: Optional[float] = None
+    fit: bool = True
+
+    def __post_init__(self):
+        if self.mode not in ("lq", "subexp"):
+            raise ValueError(f"mode: expected lq or subexp, got {self.mode!r}")
+        for name in ("gamma", "a", "b"):
+            value = getattr(self, name)
+            if not (_is_positive(value) or (name == "b" and value is None)):
+                raise ValueError(f"{name}: expected a number > 0, got {value!r}")
+        if self.phi is None:
+            object.__setattr__(self, "phi", self.gamma / 2.0)
+        if not (_is_real(self.phi) and 0 < self.phi < self.gamma):
+            raise ValueError(f"phi: must lie strictly inside (0, gamma), "
+                             f"got phi={self.phi!r}, gamma={self.gamma}")
+        if not isinstance(self.fit, bool):
+            raise ValueError(f"fit: expected true or false, got {self.fit!r}")
+        if not self.fit and self.b is None:
+            raise ValueError("fit: fit false needs tail.b")
+
+    QUIET = ("a", "fit")
+
+    def reads(self) -> tuple:
+        subexp = ("gamma", "phi", "a", "fit") + (() if self.fit else ("b",))
+        return ("mode",) + (subexp if self.mode == "subexp" else ())
+
+
+@dataclass(frozen=True)
+class GaussianModelSpec(Spec):
+    """How the Gaussian model is estimated: ``analytic``, from the kind's closed
+    form, ``mc``, from the tail pass, or with no method analytic if it can."""
+
+    method: Optional[str] = None
+
+    def __post_init__(self):
+        if self.method not in (None, "analytic", "mc"):
+            raise ValueError(f"method: expected analytic or mc, got {self.method!r}")
+
+
 @dataclass
 class ExperimentConfig:
     dgp: DgpSpec
     scheme: BlockScheme
     multiplier: MultiplierSpec
     psi: PsiSpec
-    truncation: dict
+    truncation: TruncationSpec
     r: float
     reps: int
     rho_reps: int
     seed: int
     checks: list
-    gaussian_model: dict = field(default_factory=dict)
-    tail: dict = field(default_factory=lambda: {"mode": "lq"})
+    gaussian_model: GaussianModelSpec = GaussianModelSpec()
+    tail: TailSpec = TailSpec()
     output_dir: str = "out"
 
     def to_json_dict(self) -> dict:
-        """The config echo: each field, through its own ``to_json_dict`` if it
-        has one. The truncation is left out when no chosen check reads it, so
-        the echo parses again."""
-        echo = {}
-        for f in fields(self):
-            if f.name == "truncation" and not _reads_truncation(self.checks):
-                continue
-            value = getattr(self, f.name)
-            echo[f.name] = value.to_json_dict() if hasattr(value, "to_json_dict") else value
-        return echo
+        """The config echo: each field, a spec through its ``to_json_dict``. The
+        truncation is left out when no chosen check reads it, so it parses again."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        if not _chooses(self.checks, _CHAIN_CHECKS):
+            del echo["truncation"]
+        return {name: value.to_json_dict() if isinstance(value, Spec) else value
+                for name, value in echo.items()}
 
 
 _SECTIONS = ("dgp", "scheme", "multiplier", "psi", "truncation", "tail",
              "gaussian_model")
-# The keys of the root ("") and of each section that from_fields does not read.
-_KEYS = {
-    "": tuple(f.name for f in fields(ExperimentConfig)),
-    "scheme": ("b", "n"),
-    "truncation": ("mode", "U", "phi"),
-    "tail": ("mode", "gamma", "phi", "a", "b", "fit"),
-    "gaussian_model": ("method",),
-}
+# The root's keys; each section's are those its spec reads.
+_ROOT_KEYS = tuple(f.name for f in fields(ExperimentConfig))
 # Fields that were once read, each with what is read instead.
 _RETIRED = {
     "gaussian_model.reps": "no longer read; the mc model reads the tail pass of reps "
                            "replications",
 }
 _INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "scheme.n", "reps", "rho_reps", "seed")
-
-
-def _is_positive(value) -> bool:
-    """Whether ``value`` is a number (not a boolean) above zero."""
-    return _is_real(value) and value > 0
 
 
 def _shape_problems(node, path: str = "") -> list:
@@ -158,37 +219,15 @@ def _shape_problems(node, path: str = "") -> list:
     return [found for child, value in children for found in _shape_problems(value, child)]
 
 
-# The checks that estimate rho, and so read ``gaussian_model``.
-_RHO_CHECKS = ("prop1", "prop2", "theorem1", "rho-only")
+# The checks that read the truncation, and those that estimate rho and so
+# read the scheme, the multiplier and ``gaussian_model``.
+_CHAIN_CHECKS = ("prop1", "prop2", "theorem1")
+_RHO_CHECKS = (*_CHAIN_CHECKS, "rho-only")
 
 
-def _reads_truncation(checks: list) -> bool:
-    """Whether one of ``checks`` reads the truncation (prop1, prop2, theorem1)."""
-    return any(check in checks for check in ("prop1", "prop2", "theorem1"))
-
-
-def _unread_keys(obj: dict, checks: list) -> list:
-    """Keys that the chosen checks and modes never read, which the echo would
-    show as if they had been used, each with its field path."""
-    truncation, tail = (obj.get(section, {}) for section in ("truncation", "tail"))
-    mode = truncation.get("mode")
-    if not _reads_truncation(checks):
-        unread = {"truncation": ("without a prop1, prop2 or theorem1 check",
-                                 ("mode", "U", "phi"))}
-    else:
-        unread = {"truncation": (f"in {mode} mode", ("phi",) if mode == "fixed"
-                                 else ("U",) if mode == "optimal" else ())}
-    if "theorem1" not in checks:
-        unread["tail"] = ("without a theorem1 check", ("gamma", "phi", "a", "b", "fit"))
-    elif tail.get("mode") == "lq":
-        unread["tail"] = ("in lq mode", ("gamma", "phi", "a", "b", "fit"))
-    elif tail.get("fit", True) is True:
-        unread["tail"] = ("when fit is true", ("b",))
-    if not any(check in checks for check in _RHO_CHECKS):
-        unread["gaussian_model"] = ("without a check that estimates rho", ("method",))
-    return [(f"{section}.{key}", f"not read {reason}")
-            for section, (reason, keys) in unread.items()
-            for key in keys if key in obj.get(section, {})]
+def _chooses(checks: list, readers: tuple) -> bool:
+    """Whether one of ``readers`` is among ``checks``."""
+    return any(check in checks for check in readers)
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -197,51 +236,41 @@ def parse_config(obj: dict) -> ExperimentConfig:
     problems = _shape_problems(obj)
     if problems:
         raise ConfigError(problems)
-    for section, keys in _KEYS.items():
-        for key in (obj.get(section, {}) if section else obj):
-            if key not in keys:
-                path = f"{section}.{key}" if section else key
-                problems.append((path, _RETIRED.get(path, "unknown field")))
+    problems += [(key, "unknown field") for key in obj if key not in _ROOT_KEYS]
 
-    def grab(path, ctor, default=None, required=True):
+    def grab(path, ctor, default=MISSING):
         node = obj
         for part in path.split(".")[:-1]:
             node = node.get(part, {})
         leaf = path.split(".")[-1]
         if leaf not in node:
-            if required:
+            if default is MISSING:
                 problems.append((path, "missing"))
+                return None
             return default
         try:
             return ctor(node[leaf])
         except (TypeError, ValueError) as exc:
             # Spec errors name their field first: "<field>: <message>".
-            field, sep, message = str(exc).partition(": ")
+            message = str(exc)
+            field, sep, rest = message.partition(": ")
             if sep and re.fullmatch(r"\w+(\[\d+\])*", field):
-                problems.append((f"{path}.{field}", message))
-            else:
-                problems.append((path, str(exc)))
-            return default
+                path, message = f"{path}.{field}", rest
+            problems.append((path, _RETIRED.get(path, message)))
+            return None
 
     dgp = grab("dgp", partial(from_fields, DgpSpec))
     # make_blocks checks the partition; with no valid dgp only presence is checked.
     scheme = grab("scheme.b", partial(make_blocks, dgp.n) if dgp else int)
     # The config echo writes scheme.n, so it parses again when it equals dgp.n.
-    echoed_n = obj.get("scheme", {}).get("n")
-    if dgp is not None and echoed_n is not None and echoed_n != dgp.n:
-        problems.append(("scheme.n", f"must equal dgp.n ({dgp.n}), got {echoed_n}"))
-    mult = grab("multiplier", partial(from_fields, MultiplierSpec),
-                default=MultiplierSpec("rademacher"), required=False)
+    if dgp is not None and obj.get("scheme", {}).get("n", dgp.n) != dgp.n:
+        problems.append(("scheme.n", f"must equal dgp.n ({dgp.n}), got {obj['scheme']['n']}"))
+    mult = grab("multiplier", partial(from_fields, MultiplierSpec), MultiplierSpec("rademacher"))
     psi = grab("psi", partial(from_fields, PsiSpec))
-
-    truncation = obj.get("truncation", {"mode": "fixed", "U": 1.0})
-    mode = truncation.get("mode")
-    if mode not in ("fixed", "optimal"):
-        problems.append(("truncation.mode", f"expected fixed or optimal, got {mode!r}"))
-    else:
-        key = "U" if mode == "fixed" else "phi"
-        if not _is_positive(truncation.get(key)):
-            problems.append((f"truncation.{key}", f"{mode} mode needs {key} > 0"))
+    truncation = grab("truncation", partial(from_fields, TruncationSpec), TruncationSpec())
+    tail = grab("tail", partial(from_fields, TailSpec), TailSpec())
+    gaussian_model = grab("gaussian_model", partial(from_fields, GaussianModelSpec),
+                          GaussianModelSpec())
 
     r = obj.get("r", 2.0)
     if not (_is_real(r) and 1 < r <= sys.float_info.max):
@@ -249,7 +278,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
     else:
         r = float(r)
     reps = grab("reps", int)
-    rho_reps = grab("rho_reps", int, default=reps, required=False)
+    rho_reps = grab("rho_reps", int, reps)
     seed = grab("seed", int)
     if seed is not None and not 0 <= seed < 2**64:
         # Keys are mixed modulo 2**64, so a seed outside would draw another's panels.
@@ -268,45 +297,51 @@ def parse_config(obj: dict) -> ExperimentConfig:
                 problems.append((f"checks[{i}]", f"unknown check {c!r}; choose from {KNOWN_CHECKS}"))
             elif c in checks[:i]:
                 problems.append((f"checks[{i}]", f"{c!r} is listed twice; each check runs once"))
-    problems += _unread_keys(obj, checks)
 
-    gaussian_model = obj.get("gaussian_model", {})
-    if gaussian_model.get("method") not in (None, "analytic", "mc"):
-        problems.append(("gaussian_model.method", "expected analytic or mc"))
-    elif (gaussian_model.get("method") == "analytic" and dgp is not None
-          and not dgp.has_longrun_closed_form
-          and any(check in checks for check in _RHO_CHECKS)):
+    # One rule for every section: each given key is read by the section's
+    # kind or mode and by a chosen check. A section no chosen check reads may
+    # give only what such a run uses, as its echo writes it: blocks of length
+    # 1 and Rademacher signs (independence-reduction sums singleton blocks),
+    # the lq tail, and no truncation or model method. Without a valid checks
+    # list, each section is checked as if read.
+    sections = {"dgp": (dgp, (), None), "psi": (psi, (), None),
+                "scheme": (scheme, _RHO_CHECKS, make_blocks(dgp.n, 1) if dgp else None),
+                "multiplier": (mult, _RHO_CHECKS, MultiplierSpec("rademacher")),
+                "truncation": (truncation, _CHAIN_CHECKS, None),
+                "tail": (tail, ("theorem1",), TailSpec()),
+                "gaussian_model": (gaussian_model, _RHO_CHECKS, GaussianModelSpec())}
+    for section, (value, readers, unread) in sections.items():
+        given = obj.get(section, {})
+        if not isinstance(value, Spec):
+            continue
+        if not readers or not checks or _chooses(checks, readers):
+            why = f"this {section} reads only {', '.join(value.reads())}"
+            unread_keys = [key for key in given if key not in value.reads()]
+        else:
+            used = unread.to_json_dict() if unread else {}
+            why = (f"only {', '.join(readers)} read it, and none is chosen"
+                   + (f"; the run uses {used}" if used else ""))
+            unread_keys = [key for key in given if used.get(key, MISSING) != given[key]]
+        problems += [(f"{section}.{key}", f"not read: {why}") for key in unread_keys]
+
+    if (gaussian_model is not None and gaussian_model.method == "analytic"
+            and dgp is not None and not dgp.has_longrun_closed_form
+            and _chooses(checks, _RHO_CHECKS)):
         problems.append(("gaussian_model.method", f"{dgp.kind} has no closed form; use mc"))
-
-    tail = obj.get("tail", {"mode": "lq"})
-    if tail.get("mode") not in ("lq", "subexp"):
-        problems.append(("tail.mode", "expected lq or subexp"))
-    for key in ("gamma", "phi", "a", "b"):
-        if key in tail and not _is_positive(tail[key]):
-            problems.append((f"tail.{key}", f"expected a number > 0, got {tail[key]!r}"))
-    gamma, phi = tail.get("gamma", 1.0), tail.get("phi")
-    if _is_positive(gamma) and _is_positive(phi) and phi >= gamma:
-        problems.append(("tail.phi", f"must lie strictly inside (0, gamma), "
-                                     f"got phi={phi}, gamma={gamma}"))
-    fit = tail.get("fit", True)
-    if not isinstance(fit, bool):
-        problems.append(("tail.fit", f"expected true or false, got {fit!r}"))
-    elif not fit and not ("a" in tail and "b" in tail):
-        problems.append(("tail.fit", "fit false needs both tail.a and tail.b"))
 
     output_dir = obj.get("output_dir", "out")
     if not isinstance(output_dir, str):
         problems.append(("output_dir", f"expected a string, got {output_dir!r}"))
 
     # Cross-field invariants.
+    mode = truncation.mode if truncation else None
     if dgp is not None and "prop1" in checks:
         bound = dgp.support_bound
-        U = truncation.get("U") if mode == "fixed" else None
         if bound is None:
             problems.append(("checks", "prop1 requires a bounded generator kind"))
-        elif isinstance(U, (int, float)) and bound > U + 1e-12:
+        elif mode == "fixed" and bound > truncation.U + 1e-12:
             problems.append(("truncation.U", f"prop1 needs U at least the panel "
-                                             f"support bound {bound}, got {U}"))
+                                             f"support bound {bound}, got {truncation.U}"))
     if dgp is not None and "independence-reduction" in checks and not dgp.is_iid:
         problems.append(("checks", "independence-reduction requires an iid generator kind"))
     if psi is not None and psi.kind != "power":
@@ -314,7 +349,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
             problems.append(("psi.kind", "theorem1 needs a power gauge"))
         if mode == "optimal":
             problems.append(("psi.kind", "optimal truncation needs a power gauge"))
-    needs_subexp = ("theorem1" in checks and tail.get("mode") == "subexp") or mode == "optimal"
+    needs_subexp = ("theorem1" in checks and tail and tail.mode == "subexp") or mode == "optimal"
     if dgp is not None and needs_subexp and dgp.p <= math.e:
         problems.append(("dgp.p", "sub-exponential bounds need p > e (p >= 3)"))
     elif dgp is not None and "theorem1" in checks and dgp.p < 2:
@@ -323,10 +358,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if problems:
         raise ConfigError(problems)
     return ExperimentConfig(
-        dgp=dgp, scheme=scheme, multiplier=mult, psi=psi, truncation=truncation, r=r,
-        reps=reps, rho_reps=rho_reps, seed=seed, checks=checks,
-        gaussian_model=gaussian_model, tail=tail, output_dir=output_dir,
-    )
+        dgp=dgp, scheme=scheme, multiplier=mult, psi=psi, truncation=truncation, r=r, reps=reps,
+        rho_reps=rho_reps, seed=seed, checks=checks, gaussian_model=gaussian_model, tail=tail,
+        output_dir=output_dir)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -351,34 +385,29 @@ def _model_method(config: ExperimentConfig) -> Optional[str]:
     """How the run's Gaussian model is estimated: analytic when the kind has a
     closed form, unless the config names a method; None when no check
     estimates rho."""
-    if not any(check in config.checks for check in _RHO_CHECKS):
+    if not _chooses(config.checks, _RHO_CHECKS):
         return None
-    method = config.gaussian_model.get("method")
-    if method is None:
-        method = "analytic" if config.dgp.has_longrun_closed_form else "mc"
-    return method
+    return config.gaussian_model.method or (
+        "analytic" if config.dgp.has_longrun_closed_form else "mc")
 
 
 def _fit_tail_params(config: ExperimentConfig, run: _RunInputs) -> TailParams:
     tail = config.tail
-    gamma = float(tail.get("gamma", 1.0))
-    phi = float(tail.get("phi", gamma / 2.0))
-    if not tail.get("fit", True):
-        return TailParams(float(tail["a"]), float(tail["b"]), gamma, phi)
+    gamma, phi, a = float(tail.gamma), float(tail.phi), float(tail.a)
+    if not tail.fit:
+        return TailParams(a, float(tail.b), gamma, phi)
     levels = tail_levels(run.U)
     tails = mc_per_coordinate_tails(run.tail, levels)
-    return fit_subexp_envelope(levels, tails, config.dgp.n, gamma=gamma,
-                               amplitude=float(tail.get("a", 2.0)), phi=phi)
+    return fit_subexp_envelope(levels, tails, config.dgp.n, gamma=gamma, amplitude=a, phi=phi)
 
 
 def _resolve_truncation(config: ExperimentConfig, run: _RunInputs) -> dict:
     # Every check that needs a truncation also draws rho, and parse_config
     # admits optimal truncation only with a power gauge.
     trunc = config.truncation
-    if trunc["mode"] == "fixed":
-        return {"U": float(trunc["U"]), "mode": "fixed"}
-    q = config.psi.q
-    phi = float(trunc["phi"])
+    if trunc.mode == "fixed":
+        return {"U": float(trunc.U), "mode": "fixed"}
+    q, phi = config.psi.q, float(trunc.phi)
     norm = psi_moment_norm(config.psi, run.marginal, config.r)
     m_hat = (norm.value / 2.0**q) ** (1.0 / q)
     rho_sum = run.rho.rho + run.rho.rho_star
@@ -423,9 +452,9 @@ def _tail_reductions(config: ExperimentConfig, U: float) -> tuple:
     checks read at truncation level ``U``: the exceedance counts of the
     sub-exponential fit, prop2's split diagnostic and its lq moment at
     q = 2, and theorem1's lq moment at q."""
-    checks, tail_mode = config.checks, config.tail.get("mode", "lq")
+    checks, tail_mode = config.checks, config.tail.mode
     reductions = ()
-    if "theorem1" in checks and tail_mode == "subexp" and config.tail.get("fit", True):
+    if "theorem1" in checks and tail_mode == "subexp" and config.tail.fit:
         reductions += (Exceedances(tail_levels(U)),)
     if "prop2" in checks:
         reductions += (MaxBelow(U), PowerSums(2.0))
@@ -497,7 +526,7 @@ def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
 
 
 def _run_theorem1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    tail_mode = config.tail.get("mode", "lq")
+    tail_mode = config.tail.mode
     tparams = _fit_tail_params(config, run) if tail_mode == "subexp" else None
     report = theorem1_bound(
         config.dgp, config.scheme, config.multiplier, config.psi.q,
@@ -557,16 +586,15 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
             # model, so the marginal rows whose norm U reads come first, the
             # tail stream is drawn once for the model before rho and again,
             # over the same panels, for the reductions that read U.
-            trunc = {"U": None}
-            chain = _reads_truncation(config.checks)
-            optimal = chain and config.truncation["mode"] == "optimal"
+            chain = _chooses(config.checks, _CHAIN_CHECKS)
+            optimal = chain and config.truncation.mode == "optimal"
             method = _model_method(config)
             reductions = (model_reduction(config.dgp),) if method == "mc" else ()
             if optimal:
                 with _timed(meta, "marginal"):
                     run.marginal = _marginal_pass(config)
             elif chain:
-                trunc = _truncate(config, run, meta)
+                _truncate(config, run, meta)
                 reductions += _tail_reductions(config, run.U)
             _draw_tail(config, run, meta, reductions)
             if method is not None:
@@ -594,7 +622,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
                     continue
                 with _timed(meta, check):
                     reports[check] = report = runner(config, run)
-                if trunc.get("mode") == "optimal":
+                if optimal:
                     report.diagnostics["truncation"] = trunc
         except Exception as exc:  # noqa: BLE001 - abort with a partial report
             partial_error = f"{type(exc).__name__}: {exc}"
@@ -659,30 +687,26 @@ def _tail_bound_vs_U(tail: dict, p: int, n: int, U: float) -> float:
 
 def emit_plot_data(kind: str, report_paths: list, out_path) -> None:
     """Write tidy (series, x, y) CSV for one plot kind."""
-    reports = []
+    diagnostics = []
     for path in report_paths:
         with open(path) as fh:
-            reports.append(json.load(fh))
+            diagnostics.append(json.load(fh).get("diagnostics", {}))
+    grids = [found["cdf_grid"] for found in diagnostics if found.get("cdf_grid")]
+    inputs = [found["remainder_inputs"] for found in diagnostics
+              if found.get("remainder_inputs")]
 
     rows = []
     if kind == "cdf-overlay":
-        grid = next(
-            (rep["diagnostics"]["cdf_grid"] for rep in reports
-             if rep.get("diagnostics", {}).get("cdf_grid")), None,
-        )
-        if grid is None:
+        if not grids:
             raise ValueError("no report carries a cdf_grid (produced by rho-only runs)")
         for series in ("plain", "multiplier", "gaussian"):
-            for x, prob in zip(grid[series], grid["probs"]):
+            for x, prob in zip(grids[0][series], grids[0]["probs"]):
                 rows.append((series, x, prob))
     elif kind == "remainder-vs-U":
-        inputs = next(
-            (rep["diagnostics"]["remainder_inputs"] for rep in reports
-             if rep.get("diagnostics", {}).get("remainder_inputs")), None,
-        )
-        if inputs is None:
+        if not inputs:
             raise ValueError("no report carries remainder_inputs "
                              "(produced by prop2 and theorem1 runs)")
+        inputs = inputs[0]
         psi = from_fields(PsiSpec, inputs["psi"])
         center = inputs["U"]
         for U in np.geomspace(center / 4.0, center * 4.0, 50):
@@ -692,14 +716,11 @@ def emit_plot_data(kind: str, report_paths: list, out_path) -> None:
             rows.append(("R1", float(U), r1))
             rows.append(("R2", float(U), r2))
     elif kind == "bound-vs-p":
-        inputs = next(
-            (rep["diagnostics"]["remainder_inputs"] for rep in reports
-             if rep.get("diagnostics", {}).get("remainder_inputs", {})
-             .get("tail", {}).get("mode") == "subexp"), None,
-        )
-        if inputs is None:
+        inputs = [found for found in inputs if found["tail"]["mode"] == "subexp"]
+        if not inputs:
             raise ValueError("bound-vs-p needs a report with a sub-exponential tail "
                              "(theorem1 with tail mode subexp)")
+        inputs = inputs[0]
         tp = from_fields(TailParams, inputs["tail"]["params"])
         for p in (10, 100, 1000, 10**4, 10**5, 10**6):
             value = concentration_subexp(p, inputs["n"], inputs["U"], tp).value
@@ -757,16 +778,13 @@ def main(argv: Optional[list] = None) -> int:
             return EXIT_OK
         return run_experiment(config, output_dir=args.output_dir)
 
-    if args.command == "plot":
-        try:
-            emit_plot_data(args.kind, args.reports, args.out)
-        except (ValueError, OSError, KeyError) as exc:
-            print(f"plot failed: {exc}", file=sys.stderr)
-            return EXIT_ERROR
-        print(f"wrote {args.out}")
-        return EXIT_OK
-
-    return EXIT_ERROR
+    try:
+        emit_plot_data(args.kind, args.reports, args.out)
+    except (ValueError, OSError, KeyError) as exc:
+        print(f"plot failed: {exc}", file=sys.stderr)
+        return EXIT_ERROR
+    print(f"wrote {args.out}")
+    return EXIT_OK
 
 
 if __name__ == "__main__":

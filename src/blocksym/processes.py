@@ -51,13 +51,14 @@ from typing import Optional
 
 import numpy as np
 
-KINDS = (
-    "iid_gaussian",
-    "var1",
-    "linear_process",
-    "bounded_rademacher",
-    "truncated_var1",
-)
+# Each generator kind and the fields it reads beside kind, n, p and cross_corr.
+KINDS = {
+    "iid_gaussian": (),
+    "var1": ("phi",),
+    "linear_process": ("coeffs", "innovation"),
+    "bounded_rademacher": ("scale",),
+    "truncated_var1": ("phi", "truncation"),
+}
 
 _INNOVATIONS = ("gaussian", "rademacher")
 
@@ -100,19 +101,37 @@ def from_fields(cls, obj: dict):
     return cls(**obj)
 
 
+class Spec:
+    """A config section, a dataclass that ``from_fields`` builds. ``reads``
+    names the fields its kind or mode reads (every field unless narrowed);
+    the echo ``to_json_dict`` writes those that are not None, less those in
+    ``QUIET`` that hold their defaults."""
+
+    QUIET = ()
+
+    def reads(self) -> tuple:
+        return tuple(f.name for f in fields(self))
+
+    def to_json_dict(self) -> dict:
+        defaults = {f.name: f.default for f in fields(self)}
+        echo = {name: getattr(self, name) for name in self.reads()}
+        return {name: value for name, value in echo.items() if value is not None
+                and (name not in self.QUIET or value != defaults[name])}
+
+
 class LongRunCovError(ValueError):
     """No closed-form long-run variance exists for the requested kind."""
 
 
 @dataclass(frozen=True)
-class DgpSpec:
+class DgpSpec(Spec):
     """Full description of one panel-generating process.
 
-    Fields irrelevant to ``kind`` keep their defaults and are ignored:
-    ``phi`` drives var1/truncated_var1, ``coeffs`` and ``innovation`` drive
+    A kind reads the fields ``reads`` names and ignores the rest: ``phi``
+    drives var1/truncated_var1, ``coeffs`` and ``innovation`` drive
     linear_process, ``scale`` drives bounded_rademacher, ``truncation`` is
     the clip level of truncated_var1, and ``cross_corr`` equicorrelates the
-    innovation coordinates where that is meaningful.
+    innovation coordinates where that is meaningful (every kind checks it).
     """
 
     kind: str
@@ -131,10 +150,6 @@ class DgpSpec:
         except TypeError:
             raise DgpValidationError(
                 f"coeffs: expected a list of numbers, got {self.coeffs!r}") from None
-        self.validate()
-        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
-
-    def validate(self):
         if self.kind not in KINDS:
             raise DgpValidationError(f"kind: unknown generator kind {self.kind!r}")
         for name in ("n", "p"):
@@ -188,6 +203,7 @@ class DgpSpec:
                 )
         elif self.cross_corr != 0.0:
             raise DgpValidationError("cross_corr: meaningless for p=1, set 0")
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
 
     @property
     def support_bound(self) -> Optional[float]:
@@ -213,20 +229,10 @@ class DgpSpec:
             self.kind == "var1" and self.phi == 0.0
         )
 
-    def to_json_dict(self) -> dict:
-        out = {"kind": self.kind, "n": self.n, "p": self.p}
-        if self.kind in ("var1", "truncated_var1"):
-            out["phi"] = self.phi
-        if self.kind == "linear_process":
-            out["coeffs"] = list(self.coeffs)
-            out["innovation"] = self.innovation
-        if self.kind == "bounded_rademacher":
-            out["scale"] = self.scale
-        if self.kind == "truncated_var1":
-            out["truncation"] = self.truncation
-        if self.cross_corr != 0.0:
-            out["cross_corr"] = self.cross_corr
-        return out
+    QUIET = ("cross_corr",)
+
+    def reads(self) -> tuple:
+        return ("kind", "n", "p", *KINDS[self.kind], "cross_corr")
 
 
 # ---------------------------------------------------------------------------

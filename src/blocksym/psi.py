@@ -1,4 +1,4 @@
-"""Convex gauge functions: evaluation, derivative, inverse, moment norms.
+"""Convex gauge functions: evaluation, derivative, moment norms.
 
 Two parametric families are shipped: the power map x**q with q >= 1, and the
 centered exponential expm1(a * x**b) with a > 0 and b >= 1. Both vanish at
@@ -17,7 +17,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .blocking import StreamStatistics
-from .processes import _is_real, marginal_spec
+from .processes import Spec, _is_real, marginal_spec
 from .seeding import PURPOSE_NORM
 
 # The convexity check's grid size and its tolerance for rounding.
@@ -38,7 +38,7 @@ class MomentExplosionError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class PsiSpec:
+class PsiSpec(Spec):
     """Parametric gauge: ``power`` uses q; ``exponential`` uses (a, b)."""
 
     kind: str
@@ -65,23 +65,20 @@ class PsiSpec:
                     f"b: exponent must be >= 1 for convexity on [0, inf), got {self.b}"
                 )
 
-    def to_json_dict(self) -> dict:
-        if self.kind == "power":
-            return {"kind": "power", "q": self.q}
-        return {"kind": "exponential", "a": self.a, "b": self.b}
+    def reads(self) -> tuple:
+        return ("kind", "q") if self.kind == "power" else ("kind", "a", "b")
 
 
 @dataclass(frozen=True)
 class CustomPsi:
-    """User-supplied (eval, deriv, inverse) triple.
+    """User-supplied (eval, deriv) pair.
 
     Construction runs the convexity grid check on eval_fn; the derivative
-    and inverse are trusted as given.
+    is trusted as given.
     """
 
     eval_fn: Callable
     deriv_fn: Callable
-    inverse_fn: Callable
     name: str = "custom"
     grid_upper: float = 100.0
 
@@ -126,19 +123,6 @@ def psi_deriv(spec: PsiLike, u):
     else:
         with np.errstate(over="ignore"):
             out = spec.a * spec.b * u ** (spec.b - 1.0) * np.exp(spec.a * u**spec.b)
-    return float(out) if out.ndim == 0 else out
-
-
-def psi_inverse(spec: PsiLike, y):
-    """Unique x >= 0 with psi(x) = y, closed form for both shipped kinds."""
-    _require_nonneg(y, "y")
-    y = np.asarray(y, dtype=float)
-    if isinstance(spec, CustomPsi):
-        out = np.asarray(spec.inverse_fn(y), dtype=float)
-    elif spec.kind == "power":
-        out = y ** (1.0 / spec.q)
-    else:
-        out = (np.log1p(y) / spec.a) ** (1.0 / spec.b)
     return float(out) if out.ndim == 0 else out
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -187,15 +186,10 @@ def concentration_subexp(p: int, n: int, U: float, params: TailParams) -> Subexp
     return SubexpBound(value=min(1.0, dominant), second_term=second, warning=warning)
 
 
-def fit_subexp_envelope(
-    levels: np.ndarray,
-    tail_probs: np.ndarray,
-    n: int,
-    gamma: float = 1.0,
-    amplitude: float = 2.0,
-    phi: Optional[float] = None,
-) -> TailParams:
-    """Fit (a, b) so a exp(-b n^gamma x^gamma) majorizes the observed tails.
+def fit_subexp_envelope(levels: np.ndarray, tail_probs: np.ndarray, n: int, gamma: float,
+                        amplitude: float, phi: float) -> TailParams:
+    """Fit b so a exp(-b n^gamma x^gamma), a = ``amplitude``, majorizes the
+    observed tails; the constants keep ``gamma`` and ``phi``.
 
     ``tail_probs`` are per-coordinate exceedance probabilities (worst
     coordinate) at the given levels; b is the largest decay rate consistent
@@ -221,7 +215,7 @@ def fit_subexp_envelope(
         # No positive exceedance anywhere: any decay rate works; pick the one
         # that puts the envelope at 1e-12 on the smallest level.
         b = (math.log(amplitude) + 12 * math.log(10.0)) / (n**gamma * levels.min() ** gamma)
-    return TailParams(a=amplitude, b=b, gamma=gamma, phi=phi if phi is not None else gamma / 2.0)
+    return TailParams(a=amplitude, b=b, gamma=gamma, phi=phi)
 
 
 # ---------------------------------------------------------------------------

@@ -168,7 +168,8 @@ def test_criterion_5_concentration_domination():
     tail = tail_pass(spec, reps, 505, Exceedances(tuple(grid)), PowerSums(2.0))
     pbar_grid = mc_per_coordinate_tails(tail, grid)
     moment = mc_coordinate_mean_moment(tail, 2.0)["value"]
-    envelope = fit_subexp_envelope(grid, pbar_grid, spec.n, gamma=1.0, phi=0.5)
+    envelope = fit_subexp_envelope(grid, pbar_grid, spec.n, gamma=1.0, amplitude=2.0,
+                                   phi=0.5)
     ok = True
     rows = []
     for u, pbar in zip(grid, pbar_grid):
@@ -203,7 +204,8 @@ def test_criterion_6_moment_bound():
         levels = u_star * np.geomspace(0.25, 2.0, 8)
         tails = mc_per_coordinate_tails(tail_pass(spec, 10_000, 606, Exceedances(tuple(levels))),
                                         levels)
-        envelope = fit_subexp_envelope(levels, tails, spec.n, gamma=1.0, phi=phi)
+        envelope = fit_subexp_envelope(levels, tails, spec.n, gamma=1.0, amplitude=2.0,
+                                       phi=phi)
         report = run_theorem1(spec, scheme, q, r, u_star,
                               10_000, rho, "subexp", seed=606,
                               tail_params=envelope)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from blocksym.blocking import (
+    BlockScheme,
     BlockSchemeError,
     Exceedances,
     MaxBelow,
@@ -87,6 +88,14 @@ class TestMakeBlocks:
             make_blocks(4, 0)
         with pytest.raises(BlockSchemeError):
             make_blocks(4, 5)
+
+    def test_count_is_n_over_b(self):
+        # A scheme holds only n and b, so no count can disagree with them: a
+        # hand-built count of 3 for n = 8, b = 2 once reached the multiplier
+        # kernel on a draw-pool thread and failed there with a broadcast error.
+        assert BlockScheme(n=8, b=2).count == 4
+        with pytest.raises(TypeError):
+            BlockScheme(n=8, b=2, count=3)
 
 
 class TestBlockSums:

@@ -126,13 +126,22 @@ class TestConfigValidation:
         # model is estimated by Monte Carlo, from the tail pass of reps
         # replications; gaussian_model.reps is no longer read.
         dgp = {"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5}
-        assert parse_config(dict(BASE, dgp=dgp)).gaussian_model == {}
+        assert parse_config(dict(BASE, dgp=dgp)).gaussian_model.method is None
         for model in ({"reps": 5000}, {"method": "mc", "reps": 5000}):
             with pytest.raises(ConfigError) as err:
                 parse_config(dict(BASE, dgp=dgp, gaussian_model=model))
             assert err.value.problems == [
                 ("gaussian_model.reps", "no longer read; the mc model reads the tail pass of "
                                         "reps replications")]
+
+    def test_fields_the_kind_reads_parse(self):
+        # Every kind reads (and checks) cross_corr; subexp mode reads the
+        # amplitude a whether or not b is fitted.
+        assert parse_config(with_fields(**{"dgp.cross_corr": 0.0})).dgp.cross_corr == 0.0
+        tail = parse_config(with_fields(checks=["theorem1"], truncation=FIXED,
+                                        tail={"mode": "subexp", "a": 3.0, "fit": True})).tail
+        assert (tail.a, tail.gamma, tail.phi, tail.fit) == (3.0, 1.0, 0.5, True)
+        assert tail.to_json_dict() == {"mode": "subexp", "gamma": 1.0, "phi": 0.5, "a": 3.0}
 
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -267,6 +276,17 @@ PROBES = {
     "model-analytic-no-closed-form": (
         with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5},
                     gaussian_model={"method": "analytic"}), "gaussian_model.method"),
+    # Spec fields that the kind never reads, which the echo once dropped.
+    "dgp-phi-iid": (with_fields(**{"dgp.phi": 0.9}), "dgp.phi"),
+    "dgp-scale-truncated-var1": (
+        with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "scale": 5}),
+        "dgp.scale"),
+    "psi-a-power": (with_fields(**{"psi.a": 5}), "psi.a"),
+    # independence-reduction alone sums singleton blocks of Rademacher signs.
+    "independence-uniform-multiplier": (
+        with_fields(checks=["independence-reduction"], multiplier={"kind": "uniform_sym"},
+                    **{"scheme.b": 1}), "multiplier.kind"),
+    "independence-b4": (with_fields(checks=["independence-reduction"]), "scheme.b"),
 }
 
 
@@ -296,10 +316,11 @@ json_values = st.recursive(
 )
 FUZZ_PATHS = [
     "dgp", "dgp.kind", "dgp.n", "dgp.p", "dgp.phi", "dgp.coeffs", "dgp.cross_corr",
-    "scheme", "scheme.b", "scheme.n", "multiplier", "multiplier.kind", "psi", "psi.kind", "psi.q",
-    "truncation", "truncation.mode", "truncation.U", "truncation.phi", "r", "reps",
-    "rho_reps", "seed", "checks", "gaussian_model", "gaussian_model.method",
-    "gaussian_model.reps", "tail", "tail.mode", "tail.gamma", "debug", "output_dir",
+    "dgp.scale", "dgp.innovation", "scheme", "scheme.b", "scheme.n", "multiplier",
+    "multiplier.kind", "psi", "psi.kind", "psi.q", "psi.a", "truncation", "truncation.mode",
+    "truncation.U", "truncation.phi", "r", "reps", "rho_reps", "seed", "checks",
+    "gaussian_model", "gaussian_model.method", "gaussian_model.reps", "tail", "tail.mode",
+    "tail.gamma", "tail.fit", "tail.a", "tail.b", "debug", "output_dir",
 ]
 
 

@@ -392,10 +392,10 @@ class TestDrawBlock:
         assert none is None
 
     def test_block_length_must_divide_n(self):
-        # A hand-built scheme skips the checks of make_blocks.
-        scheme = BlockScheme(n=8, b=3, count=2)
+        # A hand-built scheme is checked as make_blocks checks it, so no pass
+        # sees a block length that does not divide n.
         with pytest.raises(BlockSchemeError, match=r"divide n \(n=8, b=3\)"):
-            stream_statistics(REDUCE_SPECS[0], 10, 4, 6, scheme, RADEMACHER)
+            stream_statistics(REDUCE_SPECS[0], 10, 4, 6, BlockScheme(n=8, b=3), RADEMACHER)
 
 
 class FoldLog:

@@ -15,7 +15,6 @@ from blocksym.psi import (
     check_convexity,
     psi_deriv,
     psi_eval,
-    psi_inverse,
     psi_moment_norm,
 )
 from blocksym.quadrature import integrate_to_tolerance
@@ -96,28 +95,6 @@ class TestDeriv:
         assert value == pytest.approx(psi_eval(spec, T), rel=1e-8)
 
 
-class TestInverse:
-    def test_power_closed_form(self):
-        assert psi_inverse(POWER2, 9.0) == pytest.approx(3.0)
-
-    def test_exponential_closed_form(self):
-        assert psi_inverse(EXP11, math.e - 1.0) == pytest.approx(1.0)
-
-    @pytest.mark.parametrize("spec", SHIPPED)
-    def test_round_trip_on_log_grid(self, spec):
-        # Keep the forward values finite for the exponential kinds.
-        xs = np.geomspace(1e-3, 1e3 if spec.kind == "power" else 30.0, 40)
-        with np.errstate(over="ignore"):
-            ys = psi_eval(spec, xs)
-        finite = np.isfinite(ys)
-        back = psi_inverse(spec, ys[finite])
-        assert np.allclose(back, xs[finite], rtol=1e-10)
-
-    def test_domain_error(self):
-        with pytest.raises(PsiDomainError):
-            psi_inverse(POWER2, -1.0)
-
-
 class TestConvexity:
     @pytest.mark.parametrize("spec", SHIPPED)
     def test_shipped_kinds_pass_on_grid(self, spec):
@@ -136,17 +113,14 @@ class TestConvexity:
         custom = CustomPsi(
             eval_fn=lambda x: np.asarray(x) ** 3,
             deriv_fn=lambda u: 3.0 * np.asarray(u) ** 2,
-            inverse_fn=lambda y: np.asarray(y) ** (1.0 / 3.0),
             grid_upper=10.0,
         )
         assert psi_eval(custom, 2.0) == 8.0
         assert psi_deriv(custom, 2.0) == 12.0
-        assert psi_inverse(custom, 8.0) == pytest.approx(2.0)
         with pytest.raises(PsiValidationError):
             CustomPsi(
                 eval_fn=lambda x: np.sqrt(np.asarray(x)),
                 deriv_fn=lambda u: u,
-                inverse_fn=lambda y: y,
                 grid_upper=10.0,
             )
 

@@ -302,15 +302,18 @@ class TestEnvelopeFit:
     def test_envelope_majorizes_grid(self):
         levels = np.array([0.5, 1.0, 1.5])
         tails = np.array([0.2, 0.05, 0.001])
-        params = fit_subexp_envelope(levels, tails, n=64, gamma=1.0)
+        params = fit_subexp_envelope(levels, tails, n=64, gamma=1.0, amplitude=2.0,
+                                     phi=0.5)
         env = params.a * np.exp(-params.b * 64.0 * levels)
         assert np.all(env >= tails - 1e-12)
         assert params.b > 0
 
     def test_all_zero_tails_still_positive_rate(self):
-        params = fit_subexp_envelope(np.array([1.0, 2.0]), np.zeros(2), n=64)
+        params = fit_subexp_envelope(np.array([1.0, 2.0]), np.zeros(2), n=64, gamma=1.0,
+                                     amplitude=2.0, phi=0.5)
         assert params.b > 0
 
     def test_amplitude_too_small(self):
         with pytest.raises(ValueError, match="amplitude"):
-            fit_subexp_envelope(np.array([0.5]), np.array([0.9]), n=64, amplitude=0.5)
+            fit_subexp_envelope(np.array([0.5]), np.array([0.9]), n=64, gamma=1.0,
+                                amplitude=0.5, phi=0.5)

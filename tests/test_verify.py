@@ -566,7 +566,8 @@ class TestTailAndMoments:
         tail = tail_pass(spec, reps, 99, Exceedances(tuple(grid)), PowerSums(2.0))
         pbars = mc_per_coordinate_tails(tail, grid)
         moment = mc_coordinate_mean_moment(tail, 2.0)["value"]
-        envelope = fit_subexp_envelope(grid, pbars, spec.n, gamma=1.0, phi=0.5)
+        envelope = fit_subexp_envelope(grid, pbars, spec.n, gamma=1.0, amplitude=2.0,
+                                       phi=0.5)
         for u, pbar in zip(grid, pbars):
             hat = float((stats >= u).mean())
             floor = hat - 3 * math.sqrt(hat * (1 - hat) / reps)
