@@ -289,18 +289,11 @@ class StreamStatistics(NamedTuple):
                              f"{list(self.reduced) or 'no reduction'}")
         return self.reduced[reduction]
 
-    def require(self, role: str, spec: DgpSpec, purpose: int,
-                scheme: Optional[BlockScheme] = None,
-                mult: Optional[MultiplierSpec] = None) -> None:
-        """Check that the pass is the stream ``purpose`` of ``spec``, without
-        copies, drawn with ``scheme`` and ``mult`` where those are given; a
-        ``ValueError`` names the request of the ``role`` pass and the one
-        it was read for."""
+    def require(self, role: str, spec: DgpSpec, purpose: int) -> None:
+        """Check that the pass is the stream ``purpose`` of ``spec``, drawn
+        without copies; a ``ValueError`` names the request of the ``role``
+        pass and the one it was read for."""
         want = {"spec": spec, "purpose": purpose, "copies": False}
-        if scheme is not None:
-            want["scheme"] = scheme
-        if mult is not None:
-            want["mult"] = mult
         have = {key: getattr(self, key) for key in want}
         if have != want:
             raise ValueError(f"the {role} pass was drawn for {_describe(have)}, "
@@ -309,16 +302,8 @@ class StreamStatistics(NamedTuple):
 
 def _describe(request: dict) -> str:
     """A pass request in words, for the messages of ``require``."""
-    words = [f"purpose {request['purpose']} of {request['spec'].to_json_dict()}"]
-    if "scheme" in request:
-        scheme = request["scheme"]
-        words.append("no block scheme" if scheme is None else f"block length {scheme.b}")
-    if "mult" in request:
-        mult = request["mult"]
-        words.append("no multipliers" if mult is None else f"{mult.kind} multipliers")
-    if request["copies"]:
-        words.append("differences with the copy stream")
-    return ", ".join(words)
+    words = f"purpose {request['purpose']} of {request['spec'].to_json_dict()}"
+    return words + (", differences with the copy stream" if request["copies"] else "")
 
 
 # The records of the innermost open ``recorded_passes()`` block; a context

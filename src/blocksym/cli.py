@@ -63,6 +63,8 @@ from .remainders import (
 from .seeding import PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL
 from .verify import (
     CSV_COLUMNS,
+    INDEPENDENCE_BLOCK,
+    INDEPENDENCE_MULTIPLIER,
     VerificationReport,
     mc_coordinate_mean_moment,
     mc_per_coordinate_tails,
@@ -300,13 +302,14 @@ def parse_config(obj: dict) -> ExperimentConfig:
 
     # One rule for every section: each given key is read by the section's
     # kind or mode and by a chosen check. A section no chosen check reads may
-    # give only what such a run uses, as its echo writes it: blocks of length
-    # 1 and Rademacher signs (independence-reduction sums singleton blocks),
-    # the lq tail, and no truncation or model method. Without a valid checks
-    # list, each section is checked as if read.
+    # give only what such a run uses, as its echo writes it: the block length
+    # and multiplier law of the independence reduction, the lq tail, and no
+    # truncation or model method. Without a valid checks list, each section
+    # is checked as if read.
     sections = {"dgp": (dgp, (), None), "psi": (psi, (), None),
-                "scheme": (scheme, _RHO_CHECKS, make_blocks(dgp.n, 1) if dgp else None),
-                "multiplier": (mult, _RHO_CHECKS, MultiplierSpec("rademacher")),
+                "scheme": (scheme, _RHO_CHECKS,
+                           make_blocks(dgp.n, INDEPENDENCE_BLOCK) if dgp else None),
+                "multiplier": (mult, _RHO_CHECKS, INDEPENDENCE_MULTIPLIER),
                 "truncation": (truncation, _CHAIN_CHECKS, None),
                 "tail": (tail, ("theorem1",), TailSpec()),
                 "gaussian_model": (gaussian_model, _RHO_CHECKS, GaussianModelSpec())}
@@ -508,15 +511,12 @@ def _draw_tail(config: ExperimentConfig, run: _RunInputs, meta: dict,
 
 
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    return verify_prop1(config.dgp, config.scheme, config.psi, run.U, run.rho, config.seed,
-                        mid=run.mid)
+    return verify_prop1(config.psi, run.U, run.rho, config.seed, mid=run.mid)
 
 
 def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    report = verify_prop2(
-        config.dgp, config.scheme, config.psi, run.U, config.r, run.rho, config.seed,
-        mid=run.mid, tail=run.tail, marginal=run.marginal,
-    )
+    report = verify_prop2(config.psi, run.U, config.r, run.rho, config.seed,
+                          mid=run.mid, tail=run.tail, marginal=run.marginal)
     moment = mc_coordinate_mean_moment(run.tail, 2.0)
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
         config, run, report.remainders["psi_norm"],
@@ -526,13 +526,10 @@ def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
 
 
 def _run_theorem1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    tail_mode = config.tail.mode
-    tparams = _fit_tail_params(config, run) if tail_mode == "subexp" else None
-    report = theorem1_bound(
-        config.dgp, config.scheme, config.multiplier, config.psi.q,
-        config.r, run.U, run.rho, tail_mode, config.seed,
-        mid=run.mid, marginal=run.marginal, tail=run.tail, tail_params=tparams,
-    )
+    tail = ({"tail_params": _fit_tail_params(config, run)} if config.tail.mode == "subexp"
+            else {"tail": run.tail})
+    report = theorem1_bound(config.psi.q, config.r, run.U, run.rho, config.seed,
+                            mid=run.mid, marginal=run.marginal, **tail)
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
         config, run, 2.0**config.psi.q * report.remainders["M_hat_q"],
         dict(report.diagnostics["tail"], U=run.U),

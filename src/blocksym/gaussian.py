@@ -225,8 +225,6 @@ def simulate_max_statistics(
     multipliers), so the two returned samples are paired but each has the
     exact marginal law.
     """
-    if scheme.n != spec.n:
-        raise ValueError(f"scheme n={scheme.n} does not match spec n={spec.n}")
     stats = stream_statistics(spec, reps, seed, PURPOSE_DEFAULT, scheme, mult)
     root_n = math.sqrt(spec.n)
     return root_n * stats.max_abs_mean, root_n * stats.mult_max

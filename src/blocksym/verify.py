@@ -19,10 +19,12 @@ its lhs, its quadratic block term and its Hoeffding step from that pass
 too. Every gauge value of a Monte Carlo sample goes through one kernel,
 which names the replication of an overflow. A pass without the statistics a
 verifier reads, or a mid pass with fewer than 1000 replications, is
-rejected with a ``ValueError`` naming what is missing. So is a pass drawn
-for another stream than the one it is read as: each pass carries its
-request, and the mid, tail and marginal passes must be the streams of the
-verifier's spec, the mid pass drawn with its block scheme.
+rejected with a ``ValueError`` naming what is missing. Each pass carries
+its request, and a verifier reads its spec, block scheme and multiplier law
+from the mid pass, so no argument restates them. A mid pass drawn for
+another purpose or with copies, or a tail pass or marginal rows of another
+spec or purpose than the mid pass, is rejected with a ``ValueError`` naming
+both requests.
 
 Where estimators need more of the column means they read a reduction that
 the pass folded while the stream was drawn. Every such reduction is of the
@@ -211,17 +213,15 @@ def _gauge_values(psi: PsiLike, gain: float, stats: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_mid(mid: StreamStatistics, spec: DgpSpec, scheme: BlockScheme,
-               mult: Optional[MultiplierSpec] = None) -> None:
+def _check_mid(mid: StreamStatistics) -> None:
     """Reject a mid pass without the multiplier statistic or 1000
-    replications, or one drawn for another stream, spec, block scheme or
-    (when given) multiplier law."""
+    replications, or one drawn for another purpose or with copies."""
     if mid.mult_max is None:
         raise ValueError("the mid pass has no multiplier statistic (mult_max); "
                          "draw it with a block scheme and a multiplier law")
     if mid.reps < 1000:
         raise ValueError(f"need reps >= 1000, got {mid.reps}")
-    mid.require("mid", spec, PURPOSE_MID, scheme, mult)
+    mid.require("mid", mid.spec, PURPOSE_MID)
 
 
 def tail_levels(U: float) -> tuple:
@@ -399,8 +399,6 @@ def require_support(spec: DgpSpec, U: float) -> None:
 
 
 def verify_prop1(
-    spec: DgpSpec,
-    scheme: BlockScheme,
     psi: PsiLike,
     U: float,
     rho: RhoEstimate,
@@ -409,12 +407,14 @@ def verify_prop1(
     mid: StreamStatistics,
 ) -> VerificationReport:
     """Bounded chain: lhs <= mid + R and mid <= lhs + 2R with estimated rhos,
-    from the statistics ``mid`` of the mid stream of ``spec`` under ``scheme``.
+    from the statistics ``mid`` of the mid stream, whose spec and block
+    scheme the report reads.
 
     The panel law must be supported inside [-U, U]^p (``require_support``).
     """
+    _check_mid(mid)
+    spec = mid.spec
     require_support(spec, U)
-    _check_mid(mid, spec, scheme)
     rho_sum = rho.rho + rho.rho_star
     rn = remainder_Rn(psi, spec.n, U, rho_sum)
     lhs, middle, rhs, margins = _chain(mid, psi, 1.0, rn)
@@ -422,14 +422,12 @@ def verify_prop1(
         check="prop1", lhs=lhs, mid=middle, rhs=rhs,
         remainders={"R_n": rn, "rho_sum": rho_sum},
         rho=rho, margins=margins,
-        params={"n": spec.n, "p": spec.p, "b": scheme.b, "U": U, "seed": seed,
+        params={"n": spec.n, "p": spec.p, "b": mid.scheme.b, "U": U, "seed": seed,
                 "reps": mid.reps, **_psi_params(psi)},
     )
 
 
 def verify_prop2(
-    spec: DgpSpec,
-    scheme: BlockScheme,
     psi: PsiLike,
     U: float,
     r: float,
@@ -447,9 +445,11 @@ def verify_prop2(
     Monte Carlo gauge moment norm (whose finiteness is the moment
     diagnostic) of the marginal rows ``marginal``. The exceedance count and
     the split diagnostic read the tail pass ``tail``, which must have folded
-    ``MaxBelow(U)``. Each pass must be the stream of ``spec`` it is read as.
+    ``MaxBelow(U)``. The spec and block scheme are those of ``mid``, and the
+    tail pass and the marginal rows must be streams of that spec.
     """
-    _check_mid(mid, spec, scheme)
+    _check_mid(mid)
+    spec = mid.spec
     tail.require("tail", spec, PURPOSE_TAIL)
     marginal.require("marginal", marginal_spec(spec), PURPOSE_NORM)
     below = tail.read(MaxBelow(U))
@@ -468,7 +468,7 @@ def verify_prop2(
         remainders={"R1": r1, "R2": r2, "total": total, "rho_sum": rho_sum,
                     "tail_prob_upper": tail_prob["upper"], "psi_norm": norm.value},
         rho=rho, margins=margins,
-        params={"n": spec.n, "p": spec.p, "b": scheme.b, "U": U, "r": r,
+        params={"n": spec.n, "p": spec.p, "b": mid.scheme.b, "U": U, "r": r,
                 "seed": seed, "reps": mid.reps, **_psi_params(psi)},
         diagnostics={
             "E_n1": asdict(e1),
@@ -478,6 +478,12 @@ def verify_prop2(
             "psi_norm_se": norm.se,
         },
     )
+
+
+# The independence reduction's block length and multiplier law: singleton
+# blocks of sign multipliers. ``cli.parse_config`` admits no other.
+INDEPENDENCE_BLOCK = 1
+INDEPENDENCE_MULTIPLIER = MultiplierSpec("rademacher")
 
 
 def verify_independence_reduction(
@@ -495,8 +501,9 @@ def verify_independence_reduction(
         )
     if reps < 1000:
         raise ValueError(f"need reps >= 1000, got {reps}")
-    stats = stream_statistics(spec, reps, seed, PURPOSE_LHS, make_blocks(spec.n, 1),
-                              MultiplierSpec("rademacher"), copies=True)
+    stats = stream_statistics(spec, reps, seed, PURPOSE_LHS,
+                              make_blocks(spec.n, INDEPENDENCE_BLOCK), INDEPENDENCE_MULTIPLIER,
+                              copies=True)
     mult_vals = _gauge_values(psi, 1.0, stats.mult_max)
     plain_vals = _gauge_values(psi, 1.0, stats.max_abs_mean)
     check = _inequality("two-sided-equality", mult_vals, plain_vals, 0.0, two_sided=True)
@@ -504,7 +511,7 @@ def verify_independence_reduction(
         check="independence-reduction", lhs=_estimate_from_values(mult_vals), mid=None,
         rhs=_estimate_from_values(plain_vals),
         remainders={"R_breve": 0.0}, rho=None, margins=[check],
-        params={"n": spec.n, "p": spec.p, "b": 1, "seed": seed, "reps": reps,
+        params={"n": spec.n, "p": spec.p, "b": stats.scheme.b, "seed": seed, "reps": reps,
                 **_psi_params(psi)},
         diagnostics={"paired_se": check.se},
     )
@@ -516,14 +523,10 @@ def hoeffding_factor(q: float, c: float, p: int, n: int) -> float:
 
 
 def theorem1_bound(
-    spec: DgpSpec,
-    scheme: BlockScheme,
-    mult: MultiplierSpec,
     q: float,
     r: float,
     U: float,
     rho: RhoEstimate,
-    tail_mode: str,
     seed: int,
     *,
     mid: StreamStatistics,
@@ -542,27 +545,24 @@ def theorem1_bound(
     The lhs, the quadratic block term and the Hoeffding step read ``mid``,
     the pass of the mid stream that prop1 and prop2 read too, and both
     margins take their se from the paired per-replication differences of
-    their sides. The moment norm reads the marginal rows ``marginal``; in lq
-    mode the tail bound reads ``PowerSums(q)`` of the tail pass ``tail``,
-    and in subexp mode it takes ``tail_params``. Each pass must be the
-    stream of ``spec`` it is read as, the mid pass drawn with ``scheme`` and
-    ``mult``.
+    their sides. The spec, block scheme and multiplier law, and so the
+    Hoeffding factor, are those of ``mid``. The moment norm reads the
+    marginal rows ``marginal``. The tail bound is lq when given the tail pass
+    ``tail``, whose ``PowerSums(q)`` it reads, and subexp when given
+    ``tail_params``; exactly one of them must be given. The tail pass and
+    the marginal rows must be streams of the spec of ``mid``.
     """
-    if tail_mode not in ("lq", "subexp"):
-        raise ValueError(f"unknown tail mode {tail_mode!r}")
-    if tail_mode == "subexp" and tail_params is None:
-        raise ValueError("subexp mode needs tail_params")
-    if tail_mode == "lq" and tail is None:
-        raise ValueError(f"lq mode needs a tail pass that folded {PowerSums(q)}")
-    if scheme.n != spec.n:
-        raise ValueError("scheme and spec disagree on n")
-    _check_mid(mid, spec, scheme, mult)
-    marginal.require("marginal", marginal_spec(spec), PURPOSE_NORM)
-    if tail_mode == "lq":
+    if (tail is None) == (tail_params is None):
+        raise ValueError(f"the tail bound reads a tail pass that folded {PowerSums(q)} (lq) "
+                         f"or tail_params (subexp); got {'neither' if tail is None else 'both'}")
+    _check_mid(mid)
+    spec = mid.spec
+    if tail is not None:
         tail.require("tail", spec, PURPOSE_TAIL)
+    marginal.require("marginal", marginal_spec(spec), PURPOSE_NORM)
     psi_q = PsiSpec("power", q=q)
     rho_sum = rho.rho + rho.rho_star
-    factor = hoeffding_factor(q, mult.bound, spec.p, spec.n)
+    factor = hoeffding_factor(q, mid.mult.bound, spec.p, spec.n)
 
     lhs_vals = _gauge_values(psi_q, 1.0, mid.max_abs_mean)
     mult_vals = _gauge_values(psi_q, 1.0, mid.mult_max)
@@ -572,7 +572,7 @@ def theorem1_bound(
     norm = psi_moment_norm(psi_q, marginal, r)
     m_hat_q = norm.value / 2.0**q  # estimate of max_t || max_i |x[t,i]| ||_qr ** q
     subexp_warning = False
-    if tail_mode == "lq":
+    if tail is not None:
         moment = mc_coordinate_mean_moment(tail, q)
         tail_bound = concentration_lq(spec.p, U, q, moment["value"])
         tail_info = {"mode": "lq", "q": q, "max_mean_moment": moment["value"],
@@ -599,7 +599,7 @@ def theorem1_bound(
                     "hoeffding_factor": factor, "quad_term": quad_est.mean,
                     "M_hat_q": m_hat_q, "tail_bound": tail_bound},
         rho=rho, margins=[main, hoeff],
-        params={"n": spec.n, "p": spec.p, "b": scheme.b, "q": q, "r": r,
+        params={"n": spec.n, "p": spec.p, "b": mid.scheme.b, "q": q, "r": r,
                 "U": U, "seed": seed, "reps": mid.reps},
         diagnostics={"tail": tail_info, "subexp_warning": subexp_warning,
                      "quad_term_se": quad_est.se, "psi_norm_se": norm.se},

@@ -130,23 +130,25 @@ def marginal_pass(spec, reps, seed):
 
 
 def run_prop1(spec, scheme, psi, U, reps, rho, seed):
-    """``verify_prop1`` on its own mid pass."""
-    return verify_prop1(spec, scheme, psi, U, rho, seed, mid=mid_pass(spec, scheme, reps, seed))
+    """``verify_prop1`` on its own mid pass of ``spec`` under ``scheme``."""
+    return verify_prop1(psi, U, rho, seed, mid=mid_pass(spec, scheme, reps, seed))
 
 
 def run_prop2(spec, scheme, psi, U, r, reps, rho, seed):
-    """``verify_prop2`` on its own mid, tail and marginal passes."""
-    return verify_prop2(spec, scheme, psi, U, r, rho, seed,
+    """``verify_prop2`` on its own mid, tail and marginal passes of ``spec``."""
+    return verify_prop2(psi, U, r, rho, seed,
                         mid=mid_pass(spec, scheme, reps, seed),
                         tail=tail_pass(spec, reps, seed, MaxBelow(U)),
                         marginal=marginal_pass(spec, reps, seed))
 
 
-def run_theorem1(spec, scheme, q, r, U, reps, rho, tail_mode, seed, tail_params=None):
-    """``theorem1_bound`` with sign multipliers on its own passes; in lq mode
-    the tail pass folds the power sums at q."""
-    tail = tail_pass(spec, reps, seed, PowerSums(q)) if tail_mode == "lq" else None
-    return theorem1_bound(spec, scheme, RADEMACHER, q, r, U, rho, tail_mode, seed,
-                          mid=mid_pass(spec, scheme, reps, seed),
-                          marginal=marginal_pass(spec, reps, seed),
-                          tail=tail, tail_params=tail_params)
+def run_theorem1(spec, scheme, q, r, U, reps, rho, seed, tail_params=None):
+    """``theorem1_bound`` with sign multipliers on its own passes of ``spec``:
+    subexp with ``tail_params``, else lq on a tail pass that folds the power
+    sums at q."""
+    if tail_params is None:
+        source = {"tail": tail_pass(spec, reps, seed, PowerSums(q))}
+    else:
+        source = {"tail_params": tail_params}
+    return theorem1_bound(q, r, U, rho, seed, mid=mid_pass(spec, scheme, reps, seed),
+                          marginal=marginal_pass(spec, reps, seed), **source)

@@ -207,7 +207,7 @@ def test_criterion_6_moment_bound():
         envelope = fit_subexp_envelope(levels, tails, spec.n, gamma=1.0, amplitude=2.0,
                                        phi=phi)
         report = run_theorem1(spec, scheme, q, r, u_star,
-                              10_000, rho, "subexp", seed=606,
+                              10_000, rho, seed=606,
                               tail_params=envelope)
         main = report.margins[0]
         used = report.remainders["R1_used"]

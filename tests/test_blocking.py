@@ -767,7 +767,7 @@ class TestRunPasses:
         del report["config"], report["diagnostics"]["remainder_inputs"]
         spec, reps, seed, U = config.dgp, config.reps, config.seed, 3.0
         alone = verify_prop2(
-            spec, config.scheme, config.psi, U, config.r, RhoEstimate(**report["rho"]), seed,
+            config.psi, U, config.r, RhoEstimate(**report["rho"]), seed,
             mid=stream_statistics(spec, reps, seed, PURPOSE_MID, config.scheme,
                                   config.multiplier),
             tail=stream_statistics(spec, reps, seed, PURPOSE_TAIL, reductions=(MaxBelow(U),)),

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib.util
 import json
@@ -65,6 +66,31 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             parse_config(obj)
         assert any(path == "scheme.b" for path, _ in err.value.problems)
+
+    def test_independence_fallback_is_the_verifier_request(self, monkeypatch):
+        # With independence-reduction the only check, validate accepts one
+        # block length and one multiplier law: those of the pass that the
+        # verifier draws, whose block length the report gives as b.
+        draw = verify.stream_statistics
+        drawn = []
+
+        def record(*args, **kwargs):
+            drawn.append(draw(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(verify, "stream_statistics", record)
+        accepted = []
+        for b in (1, 2, 4, 8, 16):
+            for kind in blocking.MULTIPLIER_KINDS:
+                obj = dict(BASE, checks=["independence-reduction"], scheme={"b": b},
+                           multiplier={"kind": kind})
+                with contextlib.suppress(ConfigError):
+                    accepted.append(parse_config(obj))
+        (config,) = accepted
+        report = verify.verify_independence_reduction(config.dgp, config.psi, config.reps,
+                                                      config.seed)
+        assert (config.scheme, config.multiplier) == (drawn[0].scheme, drawn[0].mult)
+        assert report.params["b"] == drawn[0].scheme.b
 
     def test_prop1_needs_bounded_kind(self):
         obj = dict(BASE, checks=["prop1"])

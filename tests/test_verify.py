@@ -26,7 +26,7 @@ from blocksym.processes import MAX_BLOCK_REPS, DgpSpec
 from blocksym.psi import PsiSpec, psi_deriv, psi_eval, psi_moment_norm
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
 from blocksym.seeding import (PURPOSE_DEFAULT, PURPOSE_LHS, PURPOSE_MID, PURPOSE_NORM,
-                              STREAM_PANEL)
+                              PURPOSE_TAIL, STREAM_PANEL)
 from blocksym.verify import (
     hoeffding_factor,
     EnumerationBudgetError,
@@ -135,7 +135,7 @@ class TestMcExpect:
         for build in (lambda: run_prop1(SIGNS_4x2, make_blocks(4, 2), POWER2,
                                         1.0, 999, zero_rho(), seed=0),
                       lambda: run_theorem1(SIGNS_4x2, make_blocks(4, 2), 2.0,
-                                           2.0, 1.0, 999, zero_rho(), "lq", seed=0)):
+                                           2.0, 1.0, 999, zero_rho(), seed=0)):
             with pytest.raises(ValueError, match="reps >= 1000"):
                 build()
 
@@ -218,7 +218,7 @@ def theorem1_ma1_gaps():
     """Distances in se of theorem1's quadratic term and Hoeffding-step lhs from
     their exact MA(1) sign-panel values at b = 2 and q = 2."""
     report = run_theorem1(MA1_SIGNS_4x2, make_blocks(4, 2), 2.0, 2.0, 1.5,
-                          20_000, zero_rho(), "lq", seed=12)
+                          20_000, zero_rho(), seed=12)
     hoeffding = report.margins[1]
     return {"quad": abs(report.remainders["quad_term"] - 313 / 128)
             / report.diagnostics["quad_term_se"],
@@ -406,6 +406,7 @@ class TestWrongStatistics:
     before numpy sees the arrays."""
 
     SPEC = DgpSpec("truncated_var1", n=16, p=3, phi=0.5, truncation=3.0)
+    OTHER = DgpSpec("truncated_var1", n=16, p=3, phi=0.4, truncation=3.0)
     SCHEME = make_blocks(16, 4)
 
     def passes(self, reps=1000, *reductions):
@@ -422,26 +423,23 @@ class TestWrongStatistics:
         streams = self.passes(1000, MaxBelow(3.0))
         plain = tail_pass(self.SPEC, 1000, 1)
         assert plain.mult_max is None
-        self.raises(lambda: verify_prop1(self.SPEC, self.SCHEME, POWER2, 3.0, zero_rho(), 1,
-                                         mid=plain), r"multiplier statistic \(mult_max\)")
-        self.raises(lambda: verify_prop2(self.SPEC, self.SCHEME, POWER2, 3.0, 2.0, zero_rho(),
-                                         1, **dict(streams, mid=plain)), "mult_max")
-        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
-                                           zero_rho(), "lq", 1, mid=plain,
+        self.raises(lambda: verify_prop1(POWER2, 3.0, zero_rho(), 1, mid=plain),
+                    r"multiplier statistic \(mult_max\)")
+        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1,
+                                         **dict(streams, mid=plain)), "mult_max")
+        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, mid=plain,
                                            marginal=streams["marginal"],
                                            tail=tail_pass(self.SPEC, 1000, 1, PowerSums(2.0))),
                     "mult_max")
 
     def test_tail_pass_without_its_reduction(self):
         streams = self.passes(1000, PowerSums(3.0))
-        self.raises(lambda: verify_prop2(self.SPEC, self.SCHEME, POWER2, 3.0, 2.0, zero_rho(),
-                                         1, **streams), re.escape("MaxBelow(U=3.0)"))
+        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1, **streams),
+                    re.escape("MaxBelow(U=3.0)"))
         theorem1 = dict(mid=streams["mid"], marginal=streams["marginal"])
-        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
-                                           zero_rho(), "lq", 1, tail=streams["tail"],
+        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, tail=streams["tail"],
                                            **theorem1), re.escape("PowerSums(order=2.0)"))
-        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
-                                           zero_rho(), "lq", 1, **theorem1),
+        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, **theorem1),
                     re.escape("PowerSums(order=2.0)"))
         self.raises(lambda: mc_per_coordinate_tails(streams["tail"], tail_levels(3.0)),
                     r"folded no Exceedances\(levels=\(0\.75")
@@ -450,12 +448,11 @@ class TestWrongStatistics:
 
     def test_fewer_than_1000_replications(self):
         streams = self.passes(999, MaxBelow(3.0), PowerSums(2.0))
-        self.raises(lambda: verify_prop1(self.SPEC, self.SCHEME, POWER2, 3.0, zero_rho(), 1,
-                                         mid=streams["mid"]), "need reps >= 1000, got 999")
-        self.raises(lambda: verify_prop2(self.SPEC, self.SCHEME, POWER2, 3.0, 2.0, zero_rho(),
-                                         1, **streams), "reps >= 1000.*got 999")
-        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
-                                           zero_rho(), "lq", 1, **streams),
+        self.raises(lambda: verify_prop1(POWER2, 3.0, zero_rho(), 1, mid=streams["mid"]),
+                    "need reps >= 1000, got 999")
+        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1, **streams),
+                    "reps >= 1000.*got 999")
+        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, **streams),
                     "reps >= 1000, got 999")
         self.raises(lambda: psi_moment_norm(POWER2, streams["marginal"], 2.0),
                     "reps >= 1000 for a stable norm estimate, got 999")
@@ -474,38 +471,57 @@ class TestWrongStatistics:
                               scheme=None, mult=None)
         assert psi_moment_norm(POWER2, forged, 2.0).value < 3.0
 
-    def test_pass_of_another_stream_spec_or_scheme(self):
+    @staticmethod
+    def request(spec, purpose, copies=False):
+        """A request as the messages of ``StreamStatistics.require`` name it."""
+        return (f"purpose {purpose} of {spec.to_json_dict()}"
+                + (", differences with the copy stream" if copies else ""))
+
+    def test_pass_of_another_stream_or_spec(self):
+        # Each mismatch names the request of the pass and the one it is read
+        # as: the mid pass is read as the mid stream without copies, and the
+        # tail pass and the marginal rows as streams of the mid pass's spec.
         streams = self.passes(1000, MaxBelow(3.0), PowerSums(2.0))
-        other = DgpSpec("truncated_var1", n=16, p=3, phi=0.4, truncation=3.0)
+        marginal = processes.marginal_spec
         wrong = {
-            "another spec": dict(mid=mid_pass(other, self.SCHEME, 1000, 1)),
-            "another scheme": dict(mid=mid_pass(self.SPEC, make_blocks(16, 2), 1000, 1)),
             "another stream": dict(mid=stream_statistics(self.SPEC, 1000, 1, PURPOSE_DEFAULT,
                                                          self.SCHEME, RADEMACHER)),
+            "copies": dict(mid=stream_statistics(self.SPEC, 1000, 1, PURPOSE_MID, self.SCHEME,
+                                                 RADEMACHER, copies=True)),
             "the tail as marginal rows": dict(marginal=streams["tail"]),
-            "the marginal rows of another spec": dict(marginal=marginal_pass(other, 1000, 1)),
+            "the marginal rows of another spec": dict(marginal=marginal_pass(self.OTHER, 1000, 1)),
             "the mid as tail": dict(tail=streams["mid"]),
+            "the tail of another spec": dict(tail=tail_pass(self.OTHER, 1000, 1, MaxBelow(3.0),
+                                                            PowerSums(2.0))),
         }
+        want = {"mid": self.request(self.SPEC, PURPOSE_MID),
+                "tail": self.request(self.SPEC, PURPOSE_TAIL),
+                "marginal": self.request(marginal(self.SPEC), PURPOSE_NORM)}
         for name, swap in wrong.items():
             role, stats = next(iter(swap.items()))
-            have = f"drawn for purpose {stats.purpose} of {stats.spec.to_json_dict()}"
+            message = (f"the {role} pass was drawn for "
+                       f"{self.request(stats.spec, stats.purpose, stats.copies)}, "
+                       f"but it is read as {want[role]}")
             passes = dict(streams, **swap)
-            calls = [lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
-                                            zero_rho(), "lq", 1, **passes),
-                     lambda: verify_prop2(self.SPEC, self.SCHEME, POWER2, 3.0, 2.0,
-                                          zero_rho(), 1, **passes)]
+            calls = [lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, **passes),
+                     lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1, **passes)]
             if role == "mid":
-                calls.append(lambda: verify_prop1(self.SPEC, self.SCHEME, POWER2, 3.0,
-                                                  zero_rho(), 1, mid=passes["mid"]))
+                calls.append(lambda: verify_prop1(POWER2, 3.0, zero_rho(), 1,
+                                                  mid=passes["mid"]))
             for call in calls:
-                with pytest.raises(ValueError, match=f"the {role} pass was drawn for") as caught:
+                with pytest.raises(ValueError) as caught:
                     call()
-                assert have in str(caught.value) and "but it is read as" in str(caught.value), name
-        uniform = mid_pass(self.SPEC, self.SCHEME, 1000, 1, MultiplierSpec("uniform_sym"))
-        self.raises(lambda: theorem1_bound(self.SPEC, self.SCHEME, RADEMACHER, 2.0, 2.0, 3.0,
-                                           zero_rho(), "lq", 1, **dict(streams, mid=uniform)),
-                    "block length 4, uniform_sym multipliers, but it is read as .*"
-                    "block length 4, rademacher multipliers")
+                assert str(caught.value) == message, name
+        # A mid pass of another spec reads the tail pass of SPEC as a stream
+        # of its own spec.
+        passes = dict(streams, mid=mid_pass(self.OTHER, self.SCHEME, 1000, 1))
+        message = (f"the tail pass was drawn for {want['tail']}, "
+                   f"but it is read as {self.request(self.OTHER, PURPOSE_TAIL)}")
+        for call in (lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, **passes),
+                     lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1, **passes)):
+            with pytest.raises(ValueError) as caught:
+                call()
+            assert str(caught.value) == message
 
 
 class TestTailAndMoments:
@@ -738,7 +754,7 @@ class TestTheorem1:
     def test_zero_law_trivial(self):
         sch = make_blocks(8, 2)
         report = run_theorem1(ZERO_LAW, sch, 2.0, 2.0, 1.0,
-                              2000, zero_rho(), "lq", seed=0)
+                              2000, zero_rho(), seed=0)
         assert report.lhs.mean == 0.0
         assert not report.violated
 
@@ -750,7 +766,7 @@ class TestTheorem1:
         spec = DgpSpec("iid_gaussian", n=32, p=2)
         sch = make_blocks(32, 4)
         report = run_theorem1(spec, sch, 2.0, 2.0, 1.0,
-                              2000, zero_rho(), "lq", seed=1)
+                              2000, zero_rho(), seed=1)
         assert report.remainders["hoeffding_factor"] == pytest.approx(
             hoeffding_factor(2.0, 1.0, 2, 32)
         )
@@ -761,7 +777,7 @@ class TestTheorem1:
         model = estimate_gaussian_model(spec)
         rho = estimate_rhos(spec, sch, RADEMACHER, model, 2000, seed=2)
         report = run_theorem1(spec, sch, 2.0, 2.0, 1.5,
-                              2000, rho, "lq", seed=3)
+                              2000, rho, seed=3)
         rem = report.remainders
         assert rem["R1_used"] == max(rem["R1_quadrature"], rem["R1_nscaled"])
 
@@ -769,7 +785,7 @@ class TestTheorem1:
         spec = DgpSpec("iid_gaussian", n=16, p=4)
         sch = make_blocks(16, 4)
         report = run_theorem1(spec, sch, 1.0, 2.0, 2.0,
-                              2000, zero_rho(), "lq", seed=6)
+                              2000, zero_rho(), seed=6)
         tail = report.diagnostics["tail"]
         rem = report.remainders
         assert tail["mode"] == "lq"
@@ -780,15 +796,30 @@ class TestTheorem1:
         assert report.rhs.mean == pytest.approx(rem["hoeffding_factor"] * rem["quad_term"])
         assert report.margins[0].remainder == 0.5 * (rem["R1_used"] + rem["R2"])
 
-    def test_unknown_tail_mode(self):
-        with pytest.raises(ValueError, match="tail mode"):
-            run_theorem1(ZERO_LAW, make_blocks(8, 2), 2.0, 2.0, 1.0,
-                         2000, zero_rho(), "bayes", seed=0)
+    def test_tail_pass_or_tail_params(self):
+        # The tail bound reads a tail pass (lq) or tail_params (subexp), so
+        # given both or neither, theorem1 raises before it reads either.
+        passes = dict(mid=mid_pass(ZERO_LAW, make_blocks(8, 2), 2000, 0),
+                      marginal=marginal_pass(ZERO_LAW, 2000, 0))
+        both = dict(tail=tail_pass(ZERO_LAW, 2000, 0, PowerSums(2.0)),
+                    tail_params=TailParams(a=2.0, b=0.1, gamma=1.0, phi=0.5))
+        for given, word in (({}, "neither"), (both, "both")):
+            with pytest.raises(ValueError, match=re.escape(
+                    "the tail bound reads a tail pass that folded PowerSums(order=2.0) (lq) "
+                    f"or tail_params (subexp); got {word}")):
+                theorem1_bound(2.0, 2.0, 1.0, zero_rho(), 0, **passes, **given)
 
-    def test_subexp_needs_tail_params(self):
-        with pytest.raises(ValueError, match="tail_params"):
-            run_theorem1(ZERO_LAW, make_blocks(8, 2), 2.0, 2.0, 1.0,
-                         2000, zero_rho(), "subexp", seed=0)
+    def test_hoeffding_factor_reads_the_mid_pass_law(self):
+        # Uniform multipliers on [-sqrt(3), sqrt(3)] are bounded by sqrt(3),
+        # and the factor takes that bound from the mid pass.
+        spec, sch = DgpSpec("iid_gaussian", n=16, p=3), make_blocks(16, 4)
+        uniform = mid_pass(spec, sch, 1000, 1, MultiplierSpec("uniform_sym"))
+        report = theorem1_bound(2.0, 2.0, 1.0, zero_rho(), 1, mid=uniform,
+                                marginal=marginal_pass(spec, 1000, 1),
+                                tail=tail_pass(spec, 1000, 1, PowerSums(2.0)))
+        assert report.remainders["hoeffding_factor"] == hoeffding_factor(2.0, math.sqrt(3.0),
+                                                                         3, 16)
+        assert report.params["b"] == 4
 
     @settings(max_examples=80, deadline=None)
     @given(c=st.integers(1, 40), count=st.integers(1, 16), p=st.integers(1, 5),
@@ -834,8 +865,7 @@ class TestTheorem1:
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 7 * spec.n * spec.p * 8)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus,
                             raising=False)
-        report = run_theorem1(spec, sch, q, 2.0, 1.0, reps, zero_rho(), "lq",
-                              seed=seed)
+        report = run_theorem1(spec, sch, q, 2.0, 1.0, reps, zero_rho(), seed=seed)
         sums = batch_block_sums(draw_panels(spec, seed, STREAM_PANEL, PURPOSE_MID, 0, reps), sch)
         eps = pass_multipliers(spec, RADEMACHER, sch.count, seed, PURPOSE_MID, 0, reps)
         quad = (np.einsum("klp,klp->kp", sums, sums).max(axis=1) / spec.n) ** (q / 2.0)
@@ -859,7 +889,7 @@ class TestTheorem1:
         tracemalloc.start()
         try:
             run_theorem1(spec, make_blocks(32, 2), 2.0, 2.0, 3.0,
-                         MAX_BLOCK_REPS, zero_rho(), "lq", seed=1)
+                         MAX_BLOCK_REPS, zero_rho(), seed=1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -872,7 +902,7 @@ class TestTheorem1:
         rho = estimate_rhos(spec, sch, RADEMACHER, model, 2000, seed=4)
         params = TailParams(a=2.0, b=0.1, gamma=1.0, phi=0.5)
         report = run_theorem1(spec, sch, 1.0, 2.0, 1.0,
-                              4000, rho, "subexp", seed=5, tail_params=params)
+                              4000, rho, seed=5, tail_params=params)
         names = {m.name: m.verdict for m in report.margins}
         assert names["moment-bound"] != "violated"
         assert names["hoeffding-step"] != "violated"
@@ -911,7 +941,7 @@ class TestOnePassChain:
     def test_moment_bound_paired_se(self):
         q = 2.0
         report = run_theorem1(self.SPEC, self.SCHEME, q, 2.0, 3.0, self.REPS,
-                              zero_rho(), "lq", seed=self.SEED)
+                              zero_rho(), seed=self.SEED)
         stats = self.mid_stream()
         rem = report.remainders
         lhs = stats.max_abs_mean**q
