@@ -27,7 +27,6 @@ from .processes import (
 from .psi import (
     CustomPsi,
     PsiSpec,
-    psi_deriv,
     psi_eval,
     psi_moment_norm,
 )

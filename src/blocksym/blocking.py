@@ -263,15 +263,16 @@ class StreamStatistics(NamedTuple):
     scheme was named, the block-multiplier maximum and the quadratic block
     term max_i (1/n) sum_l S[l, i]^2 (reps,) each, else None; the result of
     each reduction the pass folded, keyed by the reduction (see ``read``);
-    and the request the pass was drawn for: its spec, purpose, block scheme
-    and multiplier law (None without multipliers), and whether it took
-    differences with the copy stream (see ``require``)."""
+    and the request the pass was drawn for: its spec, seed, purpose, block
+    scheme and multiplier law (None without multipliers), and whether it
+    took differences with the copy stream (see ``require``)."""
 
     max_abs_mean: np.ndarray
     mult_max: Optional[np.ndarray]
     quad: Optional[np.ndarray]
     reduced: dict
     spec: DgpSpec
+    seed: int
     purpose: int
     scheme: Optional[BlockScheme]
     mult: Optional[MultiplierSpec]
@@ -289,11 +290,11 @@ class StreamStatistics(NamedTuple):
                              f"{list(self.reduced) or 'no reduction'}")
         return self.reduced[reduction]
 
-    def require(self, role: str, spec: DgpSpec, purpose: int) -> None:
-        """Check that the pass is the stream ``purpose`` of ``spec``, drawn
-        without copies; a ``ValueError`` names the request of the ``role``
-        pass and the one it was read for."""
-        want = {"spec": spec, "purpose": purpose, "copies": False}
+    def require(self, role: str, spec: DgpSpec, seed: int, purpose: int) -> None:
+        """Check that the pass is the stream ``purpose`` of ``spec`` at
+        ``seed``, drawn without copies; a ``ValueError`` names the request of
+        the ``role`` pass and the one it was read for."""
+        want = {"spec": spec, "seed": seed, "purpose": purpose, "copies": False}
         have = {key: getattr(self, key) for key in want}
         if have != want:
             raise ValueError(f"the {role} pass was drawn for {_describe(have)}, "
@@ -302,7 +303,8 @@ class StreamStatistics(NamedTuple):
 
 def _describe(request: dict) -> str:
     """A pass request in words, for the messages of ``require``."""
-    words = f"purpose {request['purpose']} of {request['spec'].to_json_dict()}"
+    words = (f"purpose {request['purpose']} of {request['spec'].to_json_dict()} "
+             f"at seed {request['seed']}")
     return words + (", differences with the copy stream" if request["copies"] else "")
 
 
@@ -429,5 +431,5 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
                         "reductions": [type(part).__name__ for part in reduced],
                         "seconds": time.perf_counter() - started,
                         "block_seconds": block_seconds})
-    return StreamStatistics(max_abs_mean, mult_max, quad, reduced, spec, purpose, scheme,
-                            mult, copies)
+    return StreamStatistics(max_abs_mean, mult_max, quad, reduced, spec, seed, purpose,
+                            scheme, mult, copies)

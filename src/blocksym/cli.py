@@ -11,8 +11,8 @@ One JSON config file fully determines a run. Subcommands:
 - ``plot <kind> <reports...>``: emit tidy plot-ready CSV (series, x, y).
 
 Report JSON is byte-deterministic for a fixed config and seed; timestamps,
-stage timings, the panel passes, each remainder integral's QUADPACK error
-estimate and environment notes go to a separate run_meta.json.
+stage timings, the panel passes, each margin's slack and environment notes
+go to a separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -49,7 +49,6 @@ from .blocking import (
 from .gaussian import RhoEstimate, draw_rho_samples, estimate_gaussian_model, model_reduction
 from .processes import DgpSpec, Spec, _is_real, from_fields, marginal_spec
 from .psi import PsiSpec, psi_moment_norm
-from .quadrature import recorded_integrals
 from .remainders import (
     TailParams,
     VacuousBoundError,
@@ -475,18 +474,13 @@ def _marginal_pass(config: ExperimentConfig) -> StreamStatistics:
 @contextlib.contextmanager
 def _timed(meta: dict, name: str):
     """Add the wall time of the block to ``meta["stages"][name]``, in
-    seconds, and record the integrals it evaluates, if any, under
-    ``meta["quadrature"][name]``. A stage run twice (the tail stream under
-    optimal truncation) reports the sum."""
+    seconds. A stage run twice (the tail stream under optimal truncation)
+    reports the sum."""
     started = time.perf_counter()
-    with recorded_integrals() as integrals:
-        try:
-            yield
-        finally:
-            meta["stages"][name] = (meta["stages"].get(name, 0.0)
-                                    + time.perf_counter() - started)
-            if integrals:
-                meta["quadrature"][name] = integrals
+    try:
+        yield
+    finally:
+        meta["stages"][name] = meta["stages"].get(name, 0.0) + time.perf_counter() - started
 
 
 def _truncate(config: ExperimentConfig, run: _RunInputs, meta: dict) -> dict:
@@ -511,11 +505,11 @@ def _draw_tail(config: ExperimentConfig, run: _RunInputs, meta: dict,
 
 
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    return verify_prop1(config.psi, run.U, run.rho, config.seed, mid=run.mid)
+    return verify_prop1(config.psi, run.U, run.rho, mid=run.mid)
 
 
 def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    report = verify_prop2(config.psi, run.U, config.r, run.rho, config.seed,
+    report = verify_prop2(config.psi, run.U, config.r, run.rho,
                           mid=run.mid, tail=run.tail, marginal=run.marginal)
     moment = mc_coordinate_mean_moment(run.tail, 2.0)
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
@@ -528,7 +522,7 @@ def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
 def _run_theorem1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
     tail = ({"tail_params": _fit_tail_params(config, run)} if config.tail.mode == "subexp"
             else {"tail": run.tail})
-    report = theorem1_bound(config.psi.q, config.r, run.U, run.rho, config.seed,
+    report = theorem1_bound(config.psi.q, config.r, run.U, run.rho,
                             mid=run.mid, marginal=run.marginal, **tail)
     report.diagnostics["remainder_inputs"] = _remainder_inputs(
         config, run, 2.0**config.psi.q * report.remainders["M_hat_q"],
@@ -572,7 +566,7 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     reports: dict[str, VerificationReport] = {}
     partial_error = None
     run = _RunInputs()
-    meta = {"stages": {}, "quadrature": {}}
+    meta = {"stages": {}}
 
     with recorded_passes() as passes:
         try:
@@ -707,7 +701,7 @@ def emit_plot_data(kind: str, report_paths: list, out_path) -> None:
         psi = from_fields(PsiSpec, inputs["psi"])
         center = inputs["U"]
         for U in np.geomspace(center / 4.0, center * 4.0, 50):
-            r1 = remainder_R1(psi, inputs["n"], float(U), inputs["rho_sum"])
+            r1 = remainder_R1(psi, float(U), inputs["rho_sum"])
             bound = _tail_bound_vs_U(inputs["tail"], inputs["p"], inputs["n"], float(U))
             r2 = remainder_R2(inputs["r"], bound, inputs["psi_norm"])
             rows.append(("R1", float(U), r1))

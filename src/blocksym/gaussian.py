@@ -140,7 +140,7 @@ def estimate_gaussian_model(
     if tail is None:
         raise ValueError(f"the mc model reads {model_reduction(spec)} of a tail pass; "
                          f"none was given")
-    tail.require("model", spec, PURPOSE_TAIL)
+    tail.require("model", spec, tail.seed, PURPOSE_TAIL)
     reps = tail.reps
     if reps < 1000:
         raise ValueError(f"mc covariance needs reps >= 1000, got {reps}")

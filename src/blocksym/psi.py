@@ -1,11 +1,12 @@
-"""Convex gauge functions: evaluation, derivative, moment norms.
+"""Convex gauge functions: evaluation, moment norms, the convexity check.
 
 Two parametric families are shipped: the power map x**q with q >= 1, and the
 centered exponential expm1(a * x**b) with a > 0 and b >= 1. Both vanish at
 zero and are non-decreasing and convex on [0, inf). Exponents b below one
 are rejected because the exponential family loses convexity near the origin
 there. User-supplied gauges enter through CustomPsi, whose convexity is
-checked on a grid at construction.
+checked on a grid at construction. No derivative is needed: every remainder
+integral of psi' has a closed form in psi (see ``remainders``).
 """
 
 from __future__ import annotations
@@ -71,14 +72,9 @@ class PsiSpec(Spec):
 
 @dataclass(frozen=True)
 class CustomPsi:
-    """User-supplied (eval, deriv) pair.
-
-    Construction runs the convexity grid check on eval_fn; the derivative
-    is trusted as given.
-    """
+    """User-supplied gauge; construction runs the convexity grid check on eval_fn."""
 
     eval_fn: Callable
-    deriv_fn: Callable
     name: str = "custom"
     grid_upper: float = 100.0
 
@@ -105,24 +101,6 @@ def psi_eval(spec: PsiLike, x):
     else:
         with np.errstate(over="ignore"):
             out = np.expm1(spec.a * x**spec.b)
-    return float(out) if out.ndim == 0 else out
-
-
-def psi_deriv(spec: PsiLike, u):
-    """Derivative of the gauge at u >= 0.
-
-    Powers of zero follow the 0**0 = 1 convention, so the q = 1 power map
-    has derivative 1 everywhere while q > 1 (and b > 1) vanish at zero.
-    """
-    _require_nonneg(u, "u")
-    u = np.asarray(u, dtype=float)
-    if isinstance(spec, CustomPsi):
-        out = np.asarray(spec.deriv_fn(u), dtype=float)
-    elif spec.kind == "power":
-        out = spec.q * u ** (spec.q - 1.0)
-    else:
-        with np.errstate(over="ignore"):
-            out = spec.a * spec.b * u ** (spec.b - 1.0) * np.exp(spec.a * u**spec.b)
     return float(out) if out.ndim == 0 else out
 
 
@@ -166,7 +144,7 @@ def psi_moment_norm(spec: PsiLike, marginal: StreamStatistics, r: float) -> Mome
     """
     if r <= 1:
         raise ValueError(f"Hoelder exponent r must be > 1, got {r}")
-    marginal.require("marginal", marginal_spec(marginal.spec), PURPOSE_NORM)
+    marginal.require("marginal", marginal_spec(marginal.spec), marginal.seed, PURPOSE_NORM)
     reps = marginal.reps
     if reps < 1000:
         raise ValueError(f"need reps >= 1000 for a stable norm estimate, got {reps}")

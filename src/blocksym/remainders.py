@@ -1,16 +1,18 @@
 """Remainder formulas, concentration bounds, and the optimal truncation point.
 
-The blocking remainders are integrals of the gauge derivative,
+The blocking remainders are defined as integrals of the gauge derivative,
 
     base remainder   rho_sum / sqrt(n) * int_0^{sqrt(n) U} psi'(v / sqrt(n)) dv
     split remainder  rho_sum / (2 sqrt(n)) * int_0^{sqrt(n) U} psi'(2 v / sqrt(n)) dv
 
-computed by adaptive quadrature; for power gauges the substitution
-u = v / sqrt(n) collapses them to rho_sum * U**q and 2**(q-2) * rho_sum * U**q.
-An n-scaled closed-form variant of the split remainder R1, carrying an extra
-n**(-q/2) factor, circulates for the power case; it disagrees with direct
-substitution. Every remainder is the quadrature value, except in theorem1's
-moment bound, which reports both R1 values and uses the larger,
+and the substitution u = v / sqrt(n) gives each in closed form at every n:
+every admitted gauge vanishes at zero and is convex, hence absolutely
+continuous, so int_0^U psi'(s u) du = psi(s U) / s, the base remainder is
+rho_sum * psi(U) and the split one rho_sum * psi(2 U) / 4; for power gauges
+rho_sum * U**q and 2**(q-2) * rho_sum * U**q. An n-scaled closed-form
+variant of the split remainder R1, carrying an extra n**(-q/2) factor,
+circulates for the power case; it disagrees with direct substitution.
+theorem1's moment bound reports both R1 values and uses the larger,
 R1_used = max(R1_quadrature, R1_nscaled). The truncation remainder is
 (1/2) * tail_prob**((r-1)/r) * psi_norm.
 
@@ -27,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psi import PsiLike, psi_deriv
-from .quadrature import integrate_to_tolerance
+from .psi import PsiLike, psi_eval
 
 
 class VacuousBoundError(ValueError):
@@ -54,39 +55,26 @@ class TailParams:
             )
 
 
-def gauge_derivative_integral(psi: PsiLike, n: int, U: float, inner_scale: float = 1.0) -> float:
-    """(1 / sqrt(n)) * int_0^{sqrt(n) U} psi'(inner_scale * v / sqrt(n)) dv."""
-    if U < 0:
-        raise ValueError(f"truncation level must be >= 0, got {U}")
-    if U == 0:
-        return 0.0
-    root_n = math.sqrt(n)
-    value = integrate_to_tolerance(
-        lambda v: psi_deriv(psi, inner_scale * v / root_n), 0.0, root_n * U
-    )
-    return value / root_n
-
-
-def remainder_Rn(psi: PsiLike, n: int, U: float, rho_sum: float) -> float:
-    """Blocking remainder of the bounded chain."""
+def remainder_Rn(psi: PsiLike, U: float, rho_sum: float) -> float:
+    """Blocking remainder of the bounded chain, rho_sum * psi(U)."""
     if U <= 0:
         raise ValueError(f"truncation level must be > 0, got {U}")
     if rho_sum < 0:
         raise ValueError(f"rho_sum must be >= 0, got {rho_sum}")
     if rho_sum == 0:
         return 0.0
-    return rho_sum * gauge_derivative_integral(psi, n, U, inner_scale=1.0)
+    return rho_sum * psi_eval(psi, U)
 
 
-def remainder_R1(psi: PsiLike, n: int, U: float, rho_sum: float) -> float:
-    """Blocking remainder of the truncated (unbounded) chain."""
+def remainder_R1(psi: PsiLike, U: float, rho_sum: float) -> float:
+    """Blocking remainder of the truncated (unbounded) chain, rho_sum * psi(2 U) / 4."""
     if U < 0:
         raise ValueError(f"truncation level must be >= 0, got {U}")
     if rho_sum < 0:
         raise ValueError(f"rho_sum must be >= 0, got {rho_sum}")
-    if rho_sum == 0 or U == 0:
+    if rho_sum == 0:
         return 0.0
-    return 0.5 * rho_sum * gauge_derivative_integral(psi, n, U, inner_scale=2.0)
+    return rho_sum * psi_eval(psi, 2.0 * U) / 4.0
 
 
 def remainder_R2(r: float, tail_prob: float, psi_norm: float) -> float:
@@ -101,8 +89,8 @@ def remainder_R2(r: float, tail_prob: float, psi_norm: float) -> float:
 
 
 # The n-scaled power-gauge R1 carries an extra n**(-q/2) factor beside the
-# exact substitution form. theorem1 reports it beside the quadrature R1 and
-# uses the larger, R1_used = max(R1_quadrature, R1_nscaled).
+# exact substitution form. theorem1 reports it beside the exact R1 and uses
+# the larger, R1_used = max(R1_quadrature, R1_nscaled).
 
 
 def power_R1_nscaled(q: float, n: int, U: float, rho_sum: float) -> float:

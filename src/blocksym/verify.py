@@ -17,14 +17,15 @@ chain is one pass of the mid stream: its lhs, mid and rhs are gauges of the
 plain and the multiplier statistic of the same panels, and theorem1 reads
 its lhs, its quadratic block term and its Hoeffding step from that pass
 too. Every gauge value of a Monte Carlo sample goes through one kernel,
-which names the replication of an overflow. A pass without the statistics a
-verifier reads, or a mid pass with fewer than 1000 replications, is
-rejected with a ``ValueError`` naming what is missing. Each pass carries
-its request, and a verifier reads its spec, block scheme and multiplier law
-from the mid pass, so no argument restates them. A mid pass drawn for
-another purpose or with copies, or a tail pass or marginal rows of another
-spec or purpose than the mid pass, is rejected with a ``ValueError`` naming
-both requests.
+which names the replication of an overflow, and every margin through
+another, which names the margin of a remainder that is not finite. A pass
+without the statistics a verifier reads, or a mid pass with fewer than 1000
+replications, is rejected with a ``ValueError`` naming what is missing. Each pass carries
+its request, and a verifier reads its spec, seed, block scheme and
+multiplier law from the mid pass, so no argument restates them. A mid pass
+drawn for another purpose or with copies, or a tail pass or marginal rows of
+another spec, seed or purpose than the mid pass, is rejected with a
+``ValueError`` naming both requests.
 
 Where estimators need more of the column means they read a reduction that
 the pass folded while the stream was drawn. Every such reduction is of the
@@ -90,7 +91,8 @@ class EnumerationBudgetError(ValueError):
 
 
 class NonFiniteGaugeError(RuntimeError):
-    """A gauge value overflowed; the message names the replication."""
+    """A gauge value or a remainder overflowed; the message names the
+    replication or the margin."""
 
 
 @dataclass(frozen=True)
@@ -140,7 +142,12 @@ def _inequality(
     two_sided: bool = False,
 ) -> InequalityCheck:
     """lhs <= rhs + remainder from the per-replication values of both sides
-    on the same panels; the margin and its se come from their differences."""
+    on the same panels; the margin and its se come from their differences.
+    A remainder that is not finite makes no margin: it raises
+    ``NonFiniteGaugeError`` naming the margin."""
+    if not math.isfinite(remainder):
+        raise NonFiniteGaugeError(f"the remainder of the {name} margin is {remainder!r}; "
+                                  f"the gauge overflows at this truncation level")
     left, right, diff = map(_estimate_from_values, (lhs, rhs, lhs - rhs))
     margin = diff.mean - remainder
     return InequalityCheck(
@@ -221,7 +228,7 @@ def _check_mid(mid: StreamStatistics) -> None:
                          "draw it with a block scheme and a multiplier law")
     if mid.reps < 1000:
         raise ValueError(f"need reps >= 1000, got {mid.reps}")
-    mid.require("mid", mid.spec, PURPOSE_MID)
+    mid.require("mid", mid.spec, mid.seed, PURPOSE_MID)
 
 
 def tail_levels(U: float) -> tuple:
@@ -402,12 +409,11 @@ def verify_prop1(
     psi: PsiLike,
     U: float,
     rho: RhoEstimate,
-    seed: int,
     *,
     mid: StreamStatistics,
 ) -> VerificationReport:
     """Bounded chain: lhs <= mid + R and mid <= lhs + 2R with estimated rhos,
-    from the statistics ``mid`` of the mid stream, whose spec and block
+    from the statistics ``mid`` of the mid stream, whose spec, seed and block
     scheme the report reads.
 
     The panel law must be supported inside [-U, U]^p (``require_support``).
@@ -416,13 +422,13 @@ def verify_prop1(
     spec = mid.spec
     require_support(spec, U)
     rho_sum = rho.rho + rho.rho_star
-    rn = remainder_Rn(psi, spec.n, U, rho_sum)
+    rn = remainder_Rn(psi, U, rho_sum)
     lhs, middle, rhs, margins = _chain(mid, psi, 1.0, rn)
     return VerificationReport(
         check="prop1", lhs=lhs, mid=middle, rhs=rhs,
         remainders={"R_n": rn, "rho_sum": rho_sum},
         rho=rho, margins=margins,
-        params={"n": spec.n, "p": spec.p, "b": mid.scheme.b, "U": U, "seed": seed,
+        params={"n": spec.n, "p": spec.p, "b": mid.scheme.b, "U": U, "seed": mid.seed,
                 "reps": mid.reps, **_psi_params(psi)},
     )
 
@@ -432,7 +438,6 @@ def verify_prop2(
     U: float,
     r: float,
     rho: RhoEstimate,
-    seed: int,
     *,
     mid: StreamStatistics,
     tail: StreamStatistics,
@@ -445,18 +450,19 @@ def verify_prop2(
     Monte Carlo gauge moment norm (whose finiteness is the moment
     diagnostic) of the marginal rows ``marginal``. The exceedance count and
     the split diagnostic read the tail pass ``tail``, which must have folded
-    ``MaxBelow(U)``. The spec and block scheme are those of ``mid``, and the
-    tail pass and the marginal rows must be streams of that spec.
+    ``MaxBelow(U)``. The spec, seed and block scheme are those of ``mid``, and
+    the tail pass and the marginal rows must be streams of that spec at that
+    seed.
     """
     _check_mid(mid)
     spec = mid.spec
-    tail.require("tail", spec, PURPOSE_TAIL)
-    marginal.require("marginal", marginal_spec(spec), PURPOSE_NORM)
+    tail.require("tail", spec, mid.seed, PURPOSE_TAIL)
+    marginal.require("marginal", marginal_spec(spec), mid.seed, PURPOSE_NORM)
     below = tail.read(MaxBelow(U))
     rho_sum = rho.rho + rho.rho_star
     norm = psi_moment_norm(psi, marginal, r)
     tail_prob = mc_tail_probability(tail, U)
-    r1 = remainder_R1(psi, spec.n, U, rho_sum)
+    r1 = remainder_R1(psi, U, rho_sum)
     r2 = remainder_R2(r, tail_prob["upper"], norm.value)
     total = r1 + r2
     lhs, middle, rhs, margins = _chain(mid, psi, 2.0, total)
@@ -469,7 +475,7 @@ def verify_prop2(
                     "tail_prob_upper": tail_prob["upper"], "psi_norm": norm.value},
         rho=rho, margins=margins,
         params={"n": spec.n, "p": spec.p, "b": mid.scheme.b, "U": U, "r": r,
-                "seed": seed, "reps": mid.reps, **_psi_params(psi)},
+                "seed": mid.seed, "reps": mid.reps, **_psi_params(psi)},
         diagnostics={
             "E_n1": asdict(e1),
             "E_n2": asdict(e2),
@@ -527,7 +533,6 @@ def theorem1_bound(
     r: float,
     U: float,
     rho: RhoEstimate,
-    seed: int,
     *,
     mid: StreamStatistics,
     marginal: StreamStatistics,
@@ -536,7 +541,8 @@ def theorem1_bound(
 ) -> VerificationReport:
     """Maximal moment bound with the exact Hoeffding factor.
 
-    The blocking remainder R1 is computed both by quadrature and in the
+    The blocking remainder R1 is computed both exactly, 2**(q-2) rho_sum U**q
+    (reported under its historical key ``R1_quadrature``), and in the
     n-scaled closed-form variant, and the bound uses the larger of the two.
     The conditional Hoeffding step is audited separately as a paired margin.
     The moment-bound margin compares the lhs with the Hoeffding factor times
@@ -545,12 +551,12 @@ def theorem1_bound(
     The lhs, the quadratic block term and the Hoeffding step read ``mid``,
     the pass of the mid stream that prop1 and prop2 read too, and both
     margins take their se from the paired per-replication differences of
-    their sides. The spec, block scheme and multiplier law, and so the
+    their sides. The spec, seed, block scheme and multiplier law, and so the
     Hoeffding factor, are those of ``mid``. The moment norm reads the
     marginal rows ``marginal``. The tail bound is lq when given the tail pass
     ``tail``, whose ``PowerSums(q)`` it reads, and subexp when given
     ``tail_params``; exactly one of them must be given. The tail pass and
-    the marginal rows must be streams of the spec of ``mid``.
+    the marginal rows must be streams of the spec of ``mid`` at its seed.
     """
     if (tail is None) == (tail_params is None):
         raise ValueError(f"the tail bound reads a tail pass that folded {PowerSums(q)} (lq) "
@@ -558,8 +564,8 @@ def theorem1_bound(
     _check_mid(mid)
     spec = mid.spec
     if tail is not None:
-        tail.require("tail", spec, PURPOSE_TAIL)
-    marginal.require("marginal", marginal_spec(spec), PURPOSE_NORM)
+        tail.require("tail", spec, mid.seed, PURPOSE_TAIL)
+    marginal.require("marginal", marginal_spec(spec), mid.seed, PURPOSE_NORM)
     psi_q = PsiSpec("power", q=q)
     rho_sum = rho.rho + rho.rho_star
     factor = hoeffding_factor(q, mid.mult.bound, spec.p, spec.n)
@@ -584,7 +590,7 @@ def theorem1_bound(
         tail_info = {"mode": "subexp", "second_term": sub.second_term,
                      "warning": sub.warning, "params": asdict(tail_params)}
     r2 = remainder_R2(r, tail_bound, 2.0**q * m_hat_q)
-    r1_quadrature = remainder_R1(psi_q, spec.n, U, rho_sum)
+    r1_quadrature = remainder_R1(psi_q, U, rho_sum)
     r1_nscaled = power_R1_nscaled(q, spec.n, U, rho_sum)
     r1_used = max(r1_quadrature, r1_nscaled)
 
@@ -600,7 +606,7 @@ def theorem1_bound(
                     "M_hat_q": m_hat_q, "tail_bound": tail_bound},
         rho=rho, margins=[main, hoeff],
         params={"n": spec.n, "p": spec.p, "b": mid.scheme.b, "q": q, "r": r,
-                "U": U, "seed": seed, "reps": mid.reps},
+                "U": U, "seed": mid.seed, "reps": mid.reps},
         diagnostics={"tail": tail_info, "subexp_warning": subexp_warning,
                      "quad_term_se": quad_est.se, "psi_norm_se": norm.se},
     )

@@ -131,12 +131,12 @@ def marginal_pass(spec, reps, seed):
 
 def run_prop1(spec, scheme, psi, U, reps, rho, seed):
     """``verify_prop1`` on its own mid pass of ``spec`` under ``scheme``."""
-    return verify_prop1(psi, U, rho, seed, mid=mid_pass(spec, scheme, reps, seed))
+    return verify_prop1(psi, U, rho, mid=mid_pass(spec, scheme, reps, seed))
 
 
 def run_prop2(spec, scheme, psi, U, r, reps, rho, seed):
     """``verify_prop2`` on its own mid, tail and marginal passes of ``spec``."""
-    return verify_prop2(psi, U, r, rho, seed,
+    return verify_prop2(psi, U, r, rho,
                         mid=mid_pass(spec, scheme, reps, seed),
                         tail=tail_pass(spec, reps, seed, MaxBelow(U)),
                         marginal=marginal_pass(spec, reps, seed))
@@ -150,5 +150,5 @@ def run_theorem1(spec, scheme, q, r, U, reps, rho, seed, tail_params=None):
         source = {"tail": tail_pass(spec, reps, seed, PowerSums(q))}
     else:
         source = {"tail_params": tail_params}
-    return theorem1_bound(q, r, U, rho, seed, mid=mid_pass(spec, scheme, reps, seed),
+    return theorem1_bound(q, r, U, rho, mid=mid_pass(spec, scheme, reps, seed),
                           marginal=marginal_pass(spec, reps, seed), **source)

@@ -32,7 +32,6 @@ from blocksym.blocking import (
 from blocksym.cli import load_config, run_experiment
 from blocksym.gaussian import RhoEstimate, simulate_max_statistics
 from blocksym.processes import MAX_BLOCK_REPS, DgpSpec, marginal_spec
-from blocksym.quadrature import REL_TOL
 from blocksym.seeding import (
     PURPOSE_DEFAULT,
     PURPOSE_MID,
@@ -767,7 +766,7 @@ class TestRunPasses:
         del report["config"], report["diagnostics"]["remainder_inputs"]
         spec, reps, seed, U = config.dgp, config.reps, config.seed, 3.0
         alone = verify_prop2(
-            config.psi, U, config.r, RhoEstimate(**report["rho"]), seed,
+            config.psi, U, config.r, RhoEstimate(**report["rho"]),
             mid=stream_statistics(spec, reps, seed, PURPOSE_MID, config.scheme,
                                   config.multiplier),
             tail=stream_statistics(spec, reps, seed, PURPOSE_TAIL, reductions=(MaxBelow(U),)),
@@ -785,23 +784,3 @@ class TestRunPasses:
                                        for record in meta["panel_streams"]["passes"])]
         assert all(value >= 0 for value in seconds)
         assert sum(stages.values()) <= meta["duration_seconds"]
-
-    def test_run_record_lists_each_remainder_integral(self, tmp_path):
-        # Each check's remainder is one integral of the gauge derivative over
-        # [0, sqrt(n) U]; run_meta.json keeps its value, QUADPACK's error
-        # estimate, within the relative tolerance, and its subinterval count.
-        config, meta = run_config(tmp_path, FULL_RUN)
-        integrals = meta["quadrature"]
-        assert set(integrals) == {"prop1", "prop2", "theorem1"}
-        for stage, records in integrals.items():
-            assert len(records) == 1, stage
-            record = records[0]
-            assert set(record) == {"lower", "upper", "value", "abserr", "subintervals"}
-            assert (record["lower"], record["upper"]) == (0.0, math.sqrt(config.dgp.n) * 3.0)
-            assert 0.0 <= record["abserr"] <= REL_TOL * abs(record["value"])
-            assert record["subintervals"] >= 1
-        prop1 = json.loads((tmp_path / "out" / "prop1.json").read_text())
-        remainders = prop1["remainders"]
-        assert remainders["R_n"] == pytest.approx(
-            remainders["rho_sum"] * integrals["prop1"][0]["value"] / math.sqrt(config.dgp.n),
-            rel=1e-15)

@@ -503,6 +503,25 @@ class TestRun:
         partial = json.loads((tmp_path / "p" / "partial.json").read_text())
         assert partial["partial"] is True
 
+    def test_non_finite_remainder_stops_the_run(self, tmp_path):
+        # R_n = rho_sum * expm1(U**2) overflows at U = 30, which validate
+        # cannot see. The run stops with an error naming the margin, where
+        # it once gave margins of -inf and wrote Infinity into prop1.json.
+        path, _ = write_config(
+            tmp_path,
+            dgp={"kind": "bounded_rademacher", "n": 16, "p": 3},
+            psi={"kind": "exponential", "a": 1.0, "b": 2.0},
+            truncation={"mode": "fixed", "U": 30.0},
+            checks=["prop1"],
+            seed=1,
+        )
+        out = tmp_path / "inf"
+        assert main(["run", str(path), "--output-dir", str(out)]) == EXIT_ERROR
+        partial = json.loads((out / "partial.json").read_text())
+        assert partial["error"].startswith(
+            "NonFiniteGaugeError: the remainder of the symmetrization margin is inf")
+        assert not (out / "prop1.json").exists()
+
     def test_optimal_truncation_recorded(self, tmp_path):
         path, _ = write_config(
             tmp_path,

@@ -13,11 +13,9 @@ from blocksym.psi import (
     PsiSpec,
     PsiValidationError,
     check_convexity,
-    psi_deriv,
     psi_eval,
     psi_moment_norm,
 )
-from blocksym.quadrature import integrate_to_tolerance
 from conftest import marginal_pass
 
 POWER2 = PsiSpec("power", q=2.0)
@@ -69,32 +67,6 @@ def test_non_finite_parameter_named(kwargs, field):
         PsiSpec(**kwargs)
 
 
-class TestDeriv:
-    def test_power_values(self):
-        assert psi_deriv(POWER2, 3.0) == 6.0
-
-    def test_power_one_at_zero(self):
-        # 0**0 = 1 convention keeps the q = 1 derivative constant.
-        assert psi_deriv(POWER1, 0.0) == 1.0
-
-    def test_vanishes_at_zero_above_one(self):
-        assert psi_deriv(POWER2, 0.0) == 0.0
-        assert psi_deriv(PsiSpec("exponential", a=1.0, b=2.0), 0.0) == 0.0
-
-    @pytest.mark.parametrize("spec", SHIPPED)
-    @pytest.mark.parametrize("u", [0.05, 0.7, 3.0, 12.0])
-    def test_against_central_difference(self, spec, u):
-        h = 1e-6 * max(1.0, u)
-        oracle = (psi_eval(spec, u + h) - psi_eval(spec, u - h)) / (2 * h)
-        assert psi_deriv(spec, u) == pytest.approx(oracle, rel=1e-6)
-
-    @pytest.mark.parametrize("spec", SHIPPED)
-    @pytest.mark.parametrize("T", [0.1, 1.0, 10.0])
-    def test_integral_of_derivative(self, spec, T):
-        value = integrate_to_tolerance(lambda v: psi_deriv(spec, v), 0.0, T)
-        assert value == pytest.approx(psi_eval(spec, T), rel=1e-8)
-
-
 class TestConvexity:
     @pytest.mark.parametrize("spec", SHIPPED)
     def test_shipped_kinds_pass_on_grid(self, spec):
@@ -110,19 +82,10 @@ class TestConvexity:
             check_convexity(lambda x: x + 1.0, upper=10.0)
 
     def test_custom_psi_validates(self):
-        custom = CustomPsi(
-            eval_fn=lambda x: np.asarray(x) ** 3,
-            deriv_fn=lambda u: 3.0 * np.asarray(u) ** 2,
-            grid_upper=10.0,
-        )
+        custom = CustomPsi(eval_fn=lambda x: np.asarray(x) ** 3, grid_upper=10.0)
         assert psi_eval(custom, 2.0) == 8.0
-        assert psi_deriv(custom, 2.0) == 12.0
         with pytest.raises(PsiValidationError):
-            CustomPsi(
-                eval_fn=lambda x: np.sqrt(np.asarray(x)),
-                deriv_fn=lambda u: u,
-                grid_upper=10.0,
-            )
+            CustomPsi(eval_fn=lambda x: np.sqrt(np.asarray(x)), grid_upper=10.0)
 
 
 @settings(max_examples=50, deadline=None)

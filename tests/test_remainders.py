@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from blocksym.psi import PsiSpec
-from blocksym.quadrature import QuadratureError, integrate_to_tolerance
+from blocksym.psi import CustomPsi, PsiSpec
 from blocksym.remainders import (
     SubexpBound,
     TailParams,
@@ -42,55 +42,35 @@ def power_R1_closed_form(q, U, rho_sum):
     return 2.0 ** (q - 2.0) * rho_sum * U**q
 
 
-class TestQuadratureModule:
-    def test_polynomial_exact(self):
-        assert integrate_to_tolerance(lambda v: 3 * v**2, 0.0, 2.0) == pytest.approx(8.0)
-
-    def test_empty_range(self):
-        assert integrate_to_tolerance(lambda v: v, 1.0, 1.0) == 0.0
-
-    def test_reversed_range_rejected(self):
-        with pytest.raises(ValueError):
-            integrate_to_tolerance(lambda v: v, 1.0, 0.0)
-
-    def test_nonconvergence_diagnosed(self):
-        rng = np.random.default_rng(0)
-        with pytest.raises(QuadratureError, match="did not converge"):
-            integrate_to_tolerance(lambda v: rng.standard_normal(), 0.0, 1.0)
-
-
 class TestBlockingRemainders:
     def test_base_linear_gauge(self):
-        # q=1: the integral is the range length, so the value is
-        # rho_sum * U for every n.
-        for n in (4, 64, 1024):
-            assert remainder_Rn(PsiSpec("power", q=1.0), n, 2.0, 0.1) == pytest.approx(0.2)
+        # q=1: the value is rho_sum * U.
+        assert remainder_Rn(PsiSpec("power", q=1.0), 2.0, 0.1) == pytest.approx(0.2)
 
     def test_base_square_gauge(self):
-        assert remainder_Rn(PsiSpec("power", q=2.0), 16, 2.0, 0.1) == pytest.approx(0.4)
+        assert remainder_Rn(PsiSpec("power", q=2.0), 2.0, 0.1) == pytest.approx(0.4)
 
     def test_zero_distance(self):
-        assert remainder_Rn(PsiSpec("power", q=2.0), 16, 1.0, 0.0) == 0.0
+        assert remainder_Rn(PsiSpec("power", q=2.0), 1.0, 0.0) == 0.0
 
     def test_split_linear_gauge(self):
-        assert remainder_R1(PsiSpec("power", q=1.0), 16, 2.0, 0.1) == pytest.approx(0.1)
+        assert remainder_R1(PsiSpec("power", q=1.0), 2.0, 0.1) == pytest.approx(0.1)
 
     def test_split_square_gauge(self):
-        assert remainder_R1(PsiSpec("power", q=2.0), 16, 2.0, 0.1) == pytest.approx(0.4)
+        assert remainder_R1(PsiSpec("power", q=2.0), 2.0, 0.1) == pytest.approx(0.4)
 
     def test_split_vanishes_at_zero_level(self):
-        assert remainder_R1(PsiSpec("power", q=2.0), 16, 0.0, 0.1) == 0.0
+        assert remainder_R1(PsiSpec("power", q=2.0), 0.0, 0.1) == 0.0
 
     @pytest.mark.parametrize("q", [1.0, 1.5, 2.0, 4.0])
     @pytest.mark.parametrize("U", [0.1, 1.0, 10.0])
-    @pytest.mark.parametrize("n", [16, 256])
-    def test_quadrature_matches_substitution_closed_forms(self, q, U, n):
+    def test_quadrature_matches_substitution_closed_forms(self, q, U):
         psi = PsiSpec("power", q=q)
         rho_sum = 0.37
-        assert remainder_Rn(psi, n, U, rho_sum) == pytest.approx(
+        assert remainder_Rn(psi, U, rho_sum) == pytest.approx(
             power_Rn_closed_form(q, U, rho_sum), rel=1e-9
         )
-        assert remainder_R1(psi, n, U, rho_sum) == pytest.approx(
+        assert remainder_R1(psi, U, rho_sum) == pytest.approx(
             power_R1_closed_form(q, U, rho_sum), rel=1e-9
         )
 
@@ -106,10 +86,50 @@ class TestBlockingRemainders:
     def test_exponential_gauge_integral(self):
         # psi = expm1(a v): the split integral has the antiderivative
         # (sqrt(n) / 2) (exp(2 a U) - 1), so R1 = (rho / 4) (exp(2 a U) - 1).
-        a, U, n, rho = 0.7, 1.3, 25, 0.4
+        a, U, rho = 0.7, 1.3, 0.4
         psi = PsiSpec("exponential", a=a, b=1.0)
         expected = 0.25 * rho * (math.exp(2 * a * U) - 1.0)
-        assert remainder_R1(psi, n, U, rho) == pytest.approx(expected, rel=1e-9)
+        assert remainder_R1(psi, U, rho) == pytest.approx(expected, rel=1e-9)
+
+
+# Each gauge with its derivative, written out here as the reference for the
+# integral definition of the remainders.
+def _power(q):
+    return PsiSpec("power", q=q), lambda u: q * u ** (q - 1.0)
+
+
+def _exponential(a, b):
+    return (PsiSpec("exponential", a=a, b=b),
+            lambda u: a * b * u ** (b - 1.0) * math.exp(a * u**b))
+
+
+GAUGES_WITH_DERIVATIVES = {
+    **{f"power-{q}": _power(q) for q in (1.0, 1.5, 2.0, 4.0)},
+    **{f"exponential-{a}-{b}": _exponential(a, b) for a, b in ((1.0, 1.0), (0.5, 2.0),
+                                                                 (2.0, 1.5))},
+    "custom-cube": (CustomPsi(eval_fn=lambda x: np.asarray(x) ** 3, grid_upper=10.0),
+                    lambda u: 3.0 * u**2),
+}
+
+
+@pytest.mark.parametrize("name", GAUGES_WITH_DERIVATIVES)
+@pytest.mark.parametrize("n", [16, 1024])
+@pytest.mark.parametrize("U", [0.1, 1.0, 1.7])
+def test_closed_forms_equal_the_integral_definitions(name, n, U):
+    # R_n = rho_sum / sqrt(n) int_0^{sqrt(n) U} psi'(v / sqrt(n)) dv and
+    # R1 = rho_sum / (2 sqrt(n)) int_0^{sqrt(n) U} psi'(2 v / sqrt(n)) dv, by
+    # adaptive quadrature of the analytic derivative, against the closed forms.
+    psi, deriv = GAUGES_WITH_DERIVATIVES[name]
+    rho_sum, root_n = 0.37, math.sqrt(n)
+
+    def integral(scale):
+        value, _ = integrate.quad(lambda v: deriv(scale * v / root_n), 0.0, root_n * U,
+                                  epsabs=0.0, epsrel=1e-12, limit=500)
+        return value / root_n
+
+    assert remainder_Rn(psi, U, rho_sum) == pytest.approx(rho_sum * integral(1.0), rel=1e-9)
+    assert remainder_R1(psi, U, rho_sum) == pytest.approx(rho_sum * integral(2.0) / 2.0,
+                                                          rel=1e-9)
 
 
 class TestTruncationRemainder:
@@ -262,11 +282,11 @@ class TestCombinedRemainder:
     @staticmethod
     def parts(psi, n, U, rho_sum, r, psi_norm, p, params):
         tail = concentration_subexp(p, n, U, params).value
-        return remainder_R1(psi, n, U, rho_sum), remainder_R2(r, tail, psi_norm)
+        return remainder_R1(psi, U, rho_sum), remainder_R2(r, tail, psi_norm)
 
     def test_all_zero(self):
         # No dependence, no exceedance and a zero gauge norm leave nothing.
-        r1 = remainder_R1(PsiSpec("power", q=2.0), 16, 1.0, 0.0)
+        r1 = remainder_R1(PsiSpec("power", q=2.0), 1.0, 0.0)
         r2 = remainder_R2(2.0, 0.0, 0.0)
         assert (r1, r2, r1 + r2) == (0.0, 0.0, 0.0)
 
@@ -283,7 +303,7 @@ class TestCombinedRemainder:
 
     def test_total_near_optimum_on_quadrature_objective(self):
         # Square gauge: the closed-form minimizer also beats the halved and
-        # doubled levels for the quadrature-based total.
+        # doubled levels for the total of the remainders R1 and R2.
         q, r, phi, rho_sum, p, n = 2.0, 2.0, 0.5, 0.1, 20, 128
         m = 1.7
         psi = PsiSpec("power", q=q)

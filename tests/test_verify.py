@@ -23,7 +23,7 @@ from blocksym.blocking import (
 )
 from blocksym.gaussian import RhoEstimate, estimate_gaussian_model, estimate_rhos
 from blocksym.processes import MAX_BLOCK_REPS, DgpSpec
-from blocksym.psi import PsiSpec, psi_deriv, psi_eval, psi_moment_norm
+from blocksym.psi import PsiSpec, psi_eval, psi_moment_norm
 from blocksym.remainders import TailParams, concentration_lq, remainder_R2
 from blocksym.seeding import (PURPOSE_DEFAULT, PURPOSE_LHS, PURPOSE_MID, PURPOSE_NORM,
                               PURPOSE_TAIL, STREAM_PANEL)
@@ -423,23 +423,23 @@ class TestWrongStatistics:
         streams = self.passes(1000, MaxBelow(3.0))
         plain = tail_pass(self.SPEC, 1000, 1)
         assert plain.mult_max is None
-        self.raises(lambda: verify_prop1(POWER2, 3.0, zero_rho(), 1, mid=plain),
+        self.raises(lambda: verify_prop1(POWER2, 3.0, zero_rho(), mid=plain),
                     r"multiplier statistic \(mult_max\)")
-        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1,
+        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(),
                                          **dict(streams, mid=plain)), "mult_max")
-        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, mid=plain,
+        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), mid=plain,
                                            marginal=streams["marginal"],
                                            tail=tail_pass(self.SPEC, 1000, 1, PowerSums(2.0))),
                     "mult_max")
 
     def test_tail_pass_without_its_reduction(self):
         streams = self.passes(1000, PowerSums(3.0))
-        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1, **streams),
+        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), **streams),
                     re.escape("MaxBelow(U=3.0)"))
         theorem1 = dict(mid=streams["mid"], marginal=streams["marginal"])
-        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, tail=streams["tail"],
+        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), tail=streams["tail"],
                                            **theorem1), re.escape("PowerSums(order=2.0)"))
-        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, **theorem1),
+        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), **theorem1),
                     re.escape("PowerSums(order=2.0)"))
         self.raises(lambda: mc_per_coordinate_tails(streams["tail"], tail_levels(3.0)),
                     r"folded no Exceedances\(levels=\(0\.75")
@@ -448,11 +448,11 @@ class TestWrongStatistics:
 
     def test_fewer_than_1000_replications(self):
         streams = self.passes(999, MaxBelow(3.0), PowerSums(2.0))
-        self.raises(lambda: verify_prop1(POWER2, 3.0, zero_rho(), 1, mid=streams["mid"]),
+        self.raises(lambda: verify_prop1(POWER2, 3.0, zero_rho(), mid=streams["mid"]),
                     "need reps >= 1000, got 999")
-        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1, **streams),
+        self.raises(lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), **streams),
                     "reps >= 1000.*got 999")
-        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, **streams),
+        self.raises(lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), **streams),
                     "reps >= 1000, got 999")
         self.raises(lambda: psi_moment_norm(POWER2, streams["marginal"], 2.0),
                     "reps >= 1000 for a stable norm estimate, got 999")
@@ -464,7 +464,8 @@ class TestWrongStatistics:
         mid = mid_pass(self.SPEC, self.SCHEME, 2000, 1)
         self.raises(lambda: psi_moment_norm(POWER2, mid, 2.0),
                     r"the marginal pass was drawn for purpose 2 of \{'kind': 'truncated_var1', "
-                    r"'n': 16.*read as purpose 5 of \{'kind': 'truncated_var1', 'n': 1,")
+                    r"'n': 16.* at seed 1, but it is read as purpose 5 of "
+                    r"\{'kind': 'truncated_var1', 'n': 1,")
         norm = psi_moment_norm(POWER2, marginal_pass(self.SPEC, 2000, 1), 2.0)
         assert norm.value == pytest.approx(13.9095, abs=1e-4)
         forged = mid._replace(spec=processes.marginal_spec(self.SPEC), purpose=PURPOSE_NORM,
@@ -472,9 +473,9 @@ class TestWrongStatistics:
         assert psi_moment_norm(POWER2, forged, 2.0).value < 3.0
 
     @staticmethod
-    def request(spec, purpose, copies=False):
+    def request(spec, purpose, seed=1, copies=False):
         """A request as the messages of ``StreamStatistics.require`` name it."""
-        return (f"purpose {purpose} of {spec.to_json_dict()}"
+        return (f"purpose {purpose} of {spec.to_json_dict()} at seed {seed}"
                 + (", differences with the copy stream" if copies else ""))
 
     def test_pass_of_another_stream_or_spec(self):
@@ -500,13 +501,13 @@ class TestWrongStatistics:
         for name, swap in wrong.items():
             role, stats = next(iter(swap.items()))
             message = (f"the {role} pass was drawn for "
-                       f"{self.request(stats.spec, stats.purpose, stats.copies)}, "
+                       f"{self.request(stats.spec, stats.purpose, stats.seed, stats.copies)}, "
                        f"but it is read as {want[role]}")
             passes = dict(streams, **swap)
-            calls = [lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, **passes),
-                     lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1, **passes)]
+            calls = [lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), **passes),
+                     lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), **passes)]
             if role == "mid":
-                calls.append(lambda: verify_prop1(POWER2, 3.0, zero_rho(), 1,
+                calls.append(lambda: verify_prop1(POWER2, 3.0, zero_rho(),
                                                   mid=passes["mid"]))
             for call in calls:
                 with pytest.raises(ValueError) as caught:
@@ -517,11 +518,40 @@ class TestWrongStatistics:
         passes = dict(streams, mid=mid_pass(self.OTHER, self.SCHEME, 1000, 1))
         message = (f"the tail pass was drawn for {want['tail']}, "
                    f"but it is read as {self.request(self.OTHER, PURPOSE_TAIL)}")
-        for call in (lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), 1, **passes),
-                     lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), 1, **passes)):
+        for call in (lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), **passes),
+                     lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), **passes)):
             with pytest.raises(ValueError) as caught:
                 call()
             assert str(caught.value) == message
+
+    def test_pass_of_another_seed(self):
+        # A tail pass or marginal rows drawn at another seed than the mid
+        # pass are rejected, each message naming both requests.
+        streams = self.passes(1000, MaxBelow(3.0), PowerSums(2.0))
+        wrong = {"tail": tail_pass(self.SPEC, 1000, 2, MaxBelow(3.0), PowerSums(2.0)),
+                 "marginal": marginal_pass(self.SPEC, 1000, 2)}
+        for role, stats in wrong.items():
+            message = (f"the {role} pass was drawn for "
+                       f"{self.request(stats.spec, stats.purpose, seed=2)}, "
+                       f"but it is read as {self.request(stats.spec, stats.purpose, seed=1)}")
+            passes = dict(streams, **{role: stats})
+            for call in (lambda: theorem1_bound(2.0, 2.0, 3.0, zero_rho(), **passes),
+                         lambda: verify_prop2(POWER2, 3.0, 2.0, zero_rho(), **passes)):
+                with pytest.raises(ValueError) as caught:
+                    call()
+                assert str(caught.value) == message, role
+
+    def test_reports_read_their_seed_from_the_mid_pass(self):
+        # Each verifier writes the seed of the passes it read, and takes no
+        # seed of its own: called with seed=999 on passes drawn at seed 1,
+        # a report once named seed 999.
+        streams = self.passes(1000, MaxBelow(3.0), PowerSums(2.0))
+        reports = [verify_prop1(POWER2, 3.0, zero_rho(), mid=streams["mid"]),
+                   verify_prop2(POWER2, 3.0, 2.0, zero_rho(), **streams),
+                   theorem1_bound(2.0, 2.0, 3.0, zero_rho(), **streams)]
+        assert [report.params["seed"] for report in reports] == [1, 1, 1]
+        with pytest.raises(TypeError):
+            verify_prop1(POWER2, 3.0, zero_rho(), seed=999, mid=streams["mid"])
 
 
 class TestTailAndMoments:
@@ -807,14 +837,14 @@ class TestTheorem1:
             with pytest.raises(ValueError, match=re.escape(
                     "the tail bound reads a tail pass that folded PowerSums(order=2.0) (lq) "
                     f"or tail_params (subexp); got {word}")):
-                theorem1_bound(2.0, 2.0, 1.0, zero_rho(), 0, **passes, **given)
+                theorem1_bound(2.0, 2.0, 1.0, zero_rho(), **passes, **given)
 
     def test_hoeffding_factor_reads_the_mid_pass_law(self):
         # Uniform multipliers on [-sqrt(3), sqrt(3)] are bounded by sqrt(3),
         # and the factor takes that bound from the mid pass.
         spec, sch = DgpSpec("iid_gaussian", n=16, p=3), make_blocks(16, 4)
         uniform = mid_pass(spec, sch, 1000, 1, MultiplierSpec("uniform_sym"))
-        report = theorem1_bound(2.0, 2.0, 1.0, zero_rho(), 1, mid=uniform,
+        report = theorem1_bound(2.0, 2.0, 1.0, zero_rho(), mid=uniform,
                                 marginal=marginal_pass(spec, 1000, 1),
                                 tail=tail_pass(spec, 1000, 1, PowerSums(2.0)))
         assert report.remainders["hoeffding_factor"] == hoeffding_factor(2.0, math.sqrt(3.0),
@@ -985,7 +1015,7 @@ def cdf_integral_check(spec, psi, U, reps, seed, grid_points=401):
     grid = np.linspace(0.0, U, grid_points)
     stats_sorted = np.sort(stats)
     exceed = 1.0 - np.searchsorted(stats_sorted, grid, side="right") / reps
-    integrand = np.asarray(psi_deriv(psi, grid)) * exceed
+    integrand = 2.0 * grid * exceed  # POWER2's derivative, 2u
     integral = float(np.trapezoid(integrand, grid))
     return {"direct": direct, "integral": integral,
             "relative_gap": abs(direct - integral) / max(abs(direct), 1e-300)}
