@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from blocksym.psi import CustomPsi, PsiSpec
+from blocksym.psi import CustomPsi, PsiSpec, psi_eval
 from blocksym.remainders import (
     SubexpBound,
     TailParams,
@@ -110,6 +110,18 @@ GAUGES_WITH_DERIVATIVES = {
     "custom-cube": (CustomPsi(eval_fn=lambda x: np.asarray(x) ** 3, grid_upper=10.0),
                     lambda u: 3.0 * u**2),
 }
+
+
+@pytest.mark.parametrize("name", GAUGES_WITH_DERIVATIVES)
+@pytest.mark.parametrize("u", [0.05, 0.7, 3.4])
+def test_reference_derivatives_match_the_gauges(name, u):
+    # Each reference derivative agrees with a central difference of psi_eval
+    # up to 3.4 = 2 U, the largest argument the integrands below reach, so
+    # the integral definitions integrate the slopes of the gauges themselves.
+    psi, deriv = GAUGES_WITH_DERIVATIVES[name]
+    h = 1e-6 * max(1.0, u)
+    oracle = (psi_eval(psi, u + h) - psi_eval(psi, u - h)) / (2 * h)
+    assert deriv(u) == pytest.approx(oracle, rel=1e-6)
 
 
 @pytest.mark.parametrize("name", GAUGES_WITH_DERIVATIVES)

@@ -670,7 +670,27 @@ class TestProp1:
         ]
 
 
+    def test_non_finite_remainder_names_the_margin(self):
+        # R_n = rho_sum * expm1(U**2) overflows at U = 30 while every side of
+        # the chain stays finite: the check raises instead of giving -inf.
+        rho = RhoEstimate(rho=0.05, rho_star=0.05, rho_direct=0.0, reps=1000, se=0.0)
+        with pytest.raises(NonFiniteGaugeError,
+                           match="remainder of the symmetrization margin is inf"):
+            run_prop1(SIGNS_4x2, make_blocks(4, 2), PsiSpec("exponential", a=1.0, b=2.0),
+                      30.0, 1000, rho, seed=4)
+
+
 class TestProp2:
+    def test_non_finite_remainder_names_the_margin(self):
+        # R1 = rho_sum * expm1((2 U)**2) / 4 overflows at U = 30, so the sum
+        # R1 + R2 does too, while the chain's sides and the moment norm of
+        # psi(2 max|x|) stay finite on sign panels.
+        rho = RhoEstimate(rho=0.05, rho_star=0.05, rho_direct=0.0, reps=1000, se=0.0)
+        with pytest.raises(NonFiniteGaugeError,
+                           match="remainder of the symmetrization margin is inf"):
+            run_prop2(SIGNS_4x2, make_blocks(4, 2), PsiSpec("exponential", a=1.0, b=2.0),
+                      30.0, 2.0, 1000, rho, seed=4)
+
     def test_split_and_moment_diagnostics_match_exact_chain(self):
         # MA(1) sign panel, b = 2, q = 2, U = 1.5, the support bound, so every
         # max is at most U: E_n1 = (1/2) E psi(2 max) is twice the exact lhs
