@@ -39,7 +39,6 @@ from .remainders import (
     remainder_R1,
     remainder_R2,
     remainder_Rn,
-    subexp_total_bound,
 )
 from .verify import (
     ExpectationEstimate,

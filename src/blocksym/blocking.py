@@ -26,10 +26,11 @@ read of a reduction that the pass did not fold raises an error naming it.
 
 A pass keys its panels, copies and multipliers with one ``substream_keys``
 call each, at the first replications of its blocks (``processes``). The
-calling thread draws each block's multipliers and submits the block to a
-pool of ``draw_workers()`` threads; the pool thread draws its panels
-(``processes._draw_block``), writes its per-replication values and returns
-its means. With ``draw_workers() + 1`` blocks in flight the calling thread
+calling thread builds each block's generators (``seeding.generator``; the
+pool threads call no public function), draws its multipliers and submits
+the block to a pool of ``draw_workers()`` threads; the pool thread draws
+its panels (``processes._draw_block``), writes its per-replication values
+and returns its means. With ``draw_workers() + 1`` blocks in flight the calling thread
 waits for the oldest and folds its means into the reductions, so they fold
 in block order on the calling thread, a pass holds the means and
 multipliers of only that many blocks, and the output is bit-identical for
@@ -55,7 +56,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 
 from .processes import DgpSpec, Spec, _block_reps, _block_sums, _draw_block
-from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, substream_keys
+from .seeding import STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL, generator, substream_keys
 
 MULTIPLIER_KINDS = ("rademacher", "uniform_sym")
 
@@ -154,26 +155,13 @@ def _max_last(x: np.ndarray) -> np.ndarray:
     return x.max(axis=-1)
 
 
-def batch_multipliers(mult: MultiplierSpec, count: int, seed: int, purpose: int,
-                      start: int, stop: int) -> np.ndarray:
-    """Multipliers of the block of replications start..stop-1, shape
-    (stop - start, count), as a pass draws them (see ``_multipliers``) from
-    the key of the substream (seed, multiplier stream, purpose, start) of
-    the block's first replication. So a replication's multipliers depend on
-    the first replication of its block, not on how many the block holds.
-    """
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
-    key = substream_keys(seed, STREAM_MULTIPLIER, purpose, range(start, start + 1))[0]
-    return _multipliers(mult, key, stop - start, count)
-
-
 def _multipliers(mult: MultiplierSpec, key: np.ndarray, rows: int, count: int) -> np.ndarray:
-    """``rows`` rows of ``count`` multipliers from the one generator of the
-    Philox key ``key``, row by row: row i is row i of numpy's int8
-    ``integers(0, 2)`` mapped to -1 and +1 (Rademacher) or of
-    ``uniform(-sqrt(3), sqrt(3))``, drawn with ``count`` columns."""
-    rng = np.random.Generator(np.random.Philox(key=key))
+    """``rows`` rows of ``count`` multipliers from ``seeding.generator(key)``,
+    row by row: row i is row i of numpy's int8 ``integers(0, 2)`` mapped to
+    -1 and +1 (Rademacher) or of ``uniform(-sqrt(3), sqrt(3))``, drawn with
+    ``count`` columns. So a replication's multipliers depend on the first
+    replication of its block, not on how many the block holds."""
+    rng = generator(key)
     shape = (rows, count)
     if mult.kind == "uniform_sym":
         half = math.sqrt(3.0)
@@ -376,14 +364,13 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     copy_keys = substream_keys(seed, STREAM_COPY, purpose, firsts) if copies else None
     mult_keys = None if mult is None else substream_keys(seed, STREAM_MULTIPLIER, purpose, firsts)
 
-    def draw(j, start, stop, eps):
+    def draw(start, stop, rng, copy_rng, eps):
         # Runs on a draw-pool thread, so it calls only private functions.
         began = time.perf_counter()
         # The block's (n, L, p) panel buffer is held until its statistics
         # are written: freeing it first raised full_suite's peak RSS by about
         # 3 MB in 8 of 24 fresh-process runs (the cause was not verified).
-        panels, means, sums = _draw_block(spec, b, stop - start, block, keys[j],
-                                          None if copy_keys is None else copy_keys[j])
+        panels, means, sums = _draw_block(spec, b, stop - start, block, rng, copy_rng)
         max_abs_mean[start:stop] = _max_last(np.abs(means))
         if eps is not None:
             mult_max[start:stop] = _multiplier_max(sums, eps, spec.n)
@@ -408,10 +395,13 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     try:
         for j, start in enumerate(firsts):
             stop = min(start + block, reps)
-            # Drawn on the calling thread while the pool draws the blocks in flight.
+            # Built and drawn on the calling thread while the pool draws the
+            # blocks in flight.
+            rng = generator(keys[j])
+            copy_rng = None if copy_keys is None else generator(copy_keys[j])
             eps = (None if mult is None
                    else _multipliers(mult, mult_keys[j], stop - start, scheme.count))
-            pending.append((start, pool.submit(draw, j, start, stop, eps)))
+            pending.append((start, pool.submit(draw, start, stop, rng, copy_rng, eps)))
             if len(pending) > workers:
                 block_seconds += fold_oldest()
         while pending:

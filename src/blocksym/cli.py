@@ -182,8 +182,9 @@ class ExperimentConfig:
 
     def to_json_dict(self) -> dict:
         """The config echo: each field, a spec through its ``to_json_dict``. The
-        truncation is left out when no chosen check reads it, so it parses again."""
-        echo = {f.name: getattr(self, f.name) for f in fields(self)}
+        truncation is left out when no chosen check reads it, so it parses again,
+        and ``output_dir`` always, so reports do not depend on where they go."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
         if not _chooses(self.checks, _CHAIN_CHECKS):
             del echo["truncation"]
         return {name: value.to_json_dict() if isinstance(value, Spec) else value

@@ -33,10 +33,13 @@ pass holds only a few blocks of panels. A block of k panels is held
 time-major, as an (n, k, p) array whose row t is time t of every panel, so
 the column means and the block sums are sums of contiguous rows (a
 one-column block is reduced as (k, n, 1), as numpy sums a column). One
-Philox generator, keyed by the substream (seed, stream, purpose, first) of
-the block's first replication, draws the whole block time-major. Block
-bounds depend only on n, p, ``MAX_BLOCK_REPS`` and ``_BLOCK_BYTES``, and a
-run's last block is drawn at full length (the cap bounds that overdraw), so
+generator, ``seeding.generator`` of the key of the substream (seed, stream,
+purpose, first) of the block's first replication, draws the whole block
+time-major: an SFC64 stream from a 256-bit state hashed from the key by
+``SeedSequence``, of which a block reads about 0.5M words, so blocks'
+streams do not overlap in practice. Block bounds depend only on n, p,
+``MAX_BLOCK_REPS`` and ``_BLOCK_BYTES``, and a run's last block is drawn
+at full length (the cap bounds that overdraw), so
 a block's rows do not depend on how many replications the run asks for:
 replication r stays a pure function of its coordinates, and a block of one
 replication draws exactly what its own substream gives. Changing
@@ -283,17 +286,17 @@ def _innovate(rng: np.random.Generator, spec: DgpSpec, out: np.ndarray) -> None:
         _equicorrelate(out, *_eigenvariances(1.0, spec.cross_corr, spec.p))
 
 
-def _fill(spec: DgpSpec, key: np.ndarray, wanted: int, out: np.ndarray) -> None:
+def _fill(spec: DgpSpec, rng: np.random.Generator, wanted: int, out: np.ndarray) -> None:
     """Fill the first ``wanted`` replications of ``out``, one block of panels
     stored time-major: ``out`` is (n, full, p) in C order, and out[t, r] is
     row t of replication r.
 
-    The one filler of every kind. ``key`` is the Philox key of the block's
-    first replication and ``full`` is the block's length, which a run's last
-    block may exceed ``wanted`` by; the columns past ``wanted`` may be left
-    as they were. The block reads the one generator of ``key``, time-major,
-    and every draw goes through ``_innovate``: iid kinds fill the whole
-    buffer with one call; var1 kinds draw the initial states of all ``full``
+    The one filler of every kind. ``rng`` is ``seeding.generator`` of the
+    key of the block's first replication, built by the caller, and ``full``
+    is the block's length, which a run's last block may exceed ``wanted``
+    by; the columns past ``wanted`` may be left as they were. The block
+    reads ``rng`` alone, time-major, and every draw goes through
+    ``_innovate``: iid kinds fill the whole buffer with one call; var1 kinds draw the initial states of all ``full``
     replications and then the whole innovation buffer, run the recursion in
     place row by row and clip after it; linear processes draw their longer
     innovations a slice of ``_SLICE`` replications at a time as (rows,
@@ -304,7 +307,6 @@ def _fill(spec: DgpSpec, key: np.ndarray, wanted: int, out: np.ndarray) -> None:
     """
     n, p = spec.n, spec.p
     full = out.shape[1]
-    rng = np.random.Generator(np.random.Philox(key=key))
     if spec.kind in ("iid_gaussian", "bounded_rademacher"):
         _innovate(rng, spec, out)
     elif spec.kind == "linear_process":
@@ -347,13 +349,14 @@ def _block_reps(spec: DgpSpec) -> int:
     return min(MAX_BLOCK_REPS, max(1, _BLOCK_BYTES // (spec.n * spec.p * 8)))
 
 
-def _draw_block(spec: DgpSpec, b: Optional[int], wanted: int, full: int, key: np.ndarray,
-                copy_key: Optional[np.ndarray]):
-    """Draw the first ``wanted`` replications of a block of ``full`` from the
-    Philox key ``key`` of its first replication, minus their copies from
-    ``copy_key`` if given; returns the panel buffer, the (wanted, p) column
-    means and the (wanted, n/b, p) within-block column sums over blocks of
-    length ``b`` (None without ``b``), a view of the time-major sums.
+def _draw_block(spec: DgpSpec, b: Optional[int], wanted: int, full: int,
+                rng: np.random.Generator, copy_rng: Optional[np.random.Generator]):
+    """Draw the first ``wanted`` replications of a block of ``full`` from
+    ``rng``, ``seeding.generator`` of the key of its first replication,
+    minus their copies from ``copy_rng`` if given; returns the panel buffer,
+    the (wanted, p) column means and the (wanted, n/b, p) within-block
+    column sums over blocks of length ``b`` (None without ``b``), a view of
+    the time-major sums.
 
     Both sums run over the time-major rows one row at a time, as
     ``blocking.batch_max_abs_mean`` and ``batch_block_sums`` sum (k, n, p)
@@ -364,11 +367,11 @@ def _draw_block(spec: DgpSpec, b: Optional[int], wanted: int, full: int, key: np
     """
     n, p = spec.n, spec.p
     x = np.empty((n, full, p))
-    _fill(spec, key, wanted, x)
+    _fill(spec, rng, wanted, x)
     x = x[:, :wanted]
-    if copy_key is not None:
+    if copy_rng is not None:
         copy = np.empty((n, full, p))
-        _fill(spec, copy_key, wanted, copy)
+        _fill(spec, copy_rng, wanted, copy)
         x -= copy[:, :wanted]
         del copy
     if p == 1:

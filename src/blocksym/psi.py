@@ -75,7 +75,6 @@ class CustomPsi:
     """User-supplied gauge; construction runs the convexity grid check on eval_fn."""
 
     eval_fn: Callable
-    name: str = "custom"
     grid_upper: float = 100.0
 
     def __post_init__(self):

@@ -240,23 +240,3 @@ def optimal_truncation(
 ) -> float:
     """Truncation point minimizing the power/sub-exponential upper bound."""
     return optimal_truncation_forms(q, r, phi, rho_sum, p, n, M_n)[0]
-
-
-def subexp_total_bound(
-    q: float, r: float, phi: float, rho_sum: float, p: int, n: int, M_n: float, U: float
-) -> float:
-    """Power/sub-exponential combined upper bound as a function of U.
-
-    2**(q-1) * rho_sum * U**q
-        + 2**(q-1) * (ln p / (n**phi ln ln p))**((r-1)/r) * M_n**q / U**(phi (r-1)/r)
-
-    This is the objective the optimal truncation point minimizes exactly.
-    """
-    if U <= 0:
-        raise ValueError(f"truncation level must be > 0, got {U}")
-    if p <= math.e:
-        raise VacuousBoundError(f"need p > e, got {p}")
-    log_p = math.log(p)
-    s = phi * (r - 1.0) / r
-    tail_factor = (log_p / (n**phi * math.log(log_p))) ** ((r - 1.0) / r)
-    return 2.0 ** (q - 1.0) * (rho_sum * U**q + tail_factor * M_n**q / U**s)

@@ -1,19 +1,26 @@
 """Deterministic random substreams shared by every Monte Carlo driver.
 
 A master seed plus a path of integer coordinates (stream tag, purpose,
-replication index, ...) is mixed by a fixed 64-bit hash into the key of
-numpy's counter-based ``Philox`` generator. The mapping is a pure function,
-so results never depend on call order, worker count, or scheduling.
+replication index, ...) is mixed by a fixed 64-bit hash (SplitMix64) into a
+128-bit key. ``generator`` is the one constructor of every draw: it hashes
+a key through numpy's ``SeedSequence`` into the 256-bit state of an
+``SFC64`` generator. The mapping is a pure function, so results never
+depend on call order, worker count, or scheduling.
 
 Every draw follows one keying rule: a block of replications reads one
 generator per stream, keyed by the substream of the block's first
-replication, since distinct keys already give streams of independent
-quality (Salmon et al., SC 2011). The blocks are those of a pass of
+replication. The blocks are those of a pass of
 ``blocking.stream_statistics``, and a block's panels, copies and
-multipliers are keyed alike. The keys of a range of replications, such as
-the first replications of a pass's blocks, are mixed at once on uint64
-arrays, one call per stream of a pass. Seeds and coordinates are taken modulo 2**64; the config
-checks keep seeds in [0, 2**64), so distinct seeds never alias.
+multipliers are keyed alike. Distinct keys give independently hashed
+256-bit states, and a block's generator reads about 0.5M 64-bit words
+(``processes._BLOCK_BYTES`` of panel, plus a var1 kind's initial states, at
+most as many again, or a linear process's lags), far below the 2**64 words
+that SFC64's counter guarantees before any state repeats, so the chance
+that two streams overlap is negligible. The keys of a range of replications, such as the
+first replications of a pass's blocks, are mixed at once on uint64 arrays,
+one call per stream of a pass. Seeds and coordinates are taken modulo
+2**64; the config checks keep seeds in [0, 2**64), so distinct seeds never
+alias.
 """
 
 from __future__ import annotations
@@ -59,7 +66,7 @@ def _word(value: int) -> np.uint64:
 
 
 def _key_words(master_seed: int, *path) -> np.ndarray:
-    """Philox key of ``path`` under ``master_seed``, shape (..., 2).
+    """Key of ``path`` under ``master_seed``, shape (..., 2).
 
     A path coordinate may be a uint64 array, which gives one key per entry.
     """
@@ -70,20 +77,25 @@ def _key_words(master_seed: int, *path) -> np.ndarray:
         return np.stack([word, _mix(word ^ _SECOND_WORD)], axis=-1)
 
 
+def generator(key: np.ndarray) -> np.random.Generator:
+    """The generator of ``key``, a uint64 array of two words: numpy's
+    ``SFC64`` seeded through ``SeedSequence(key)``. Every draw reads one."""
+    return np.random.Generator(np.random.SFC64(key))
+
+
 def substream(master_seed: int, *path: int) -> np.random.Generator:
     """Generator for the substream at ``path`` under ``master_seed``.
 
     Identical arguments always produce an identically-seeded generator.
-    Distinct paths produce streams with independent-quality output (Philox
-    keys differ by at least one mixed word).
+    Distinct paths give distinct keys (they differ by at least one mixed
+    word), hence independently hashed generator states.
     """
-    key = _key_words(master_seed, *(_word(c) for c in path))
-    return np.random.Generator(np.random.Philox(key=key))
+    return generator(_key_words(master_seed, *(_word(c) for c in path)))
 
 
 def substream_keys(master_seed: int, stream: int, purpose: int,
                    replications: range) -> np.ndarray:
-    """Philox keys of ``replications``, shape (len(replications), 2).
+    """Keys of ``replications``, shape (len(replications), 2).
 
     Row j is the key of substream(master_seed, stream, purpose,
     replications[j]).

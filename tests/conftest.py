@@ -6,10 +6,17 @@ import math
 import numpy as np
 
 from blocksym import blocking, processes
-from blocksym.blocking import MaxBelow, MultiplierSpec, PowerSums, batch_multipliers
+from blocksym.blocking import MaxBelow, MultiplierSpec, PowerSums
 from blocksym.gaussian import estimate_gaussian_model, model_reduction
 from blocksym.processes import MAX_BLOCK_REPS, marginal_spec
-from blocksym.seeding import PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL, substream
+from blocksym.seeding import (
+    PURPOSE_MID,
+    PURPOSE_NORM,
+    PURPOSE_TAIL,
+    STREAM_MULTIPLIER,
+    substream,
+    substream_keys,
+)
 from blocksym.verify import theorem1_bound, verify_prop1, verify_prop2
 
 RADEMACHER = MultiplierSpec("rademacher")
@@ -25,6 +32,28 @@ def block_bounds(spec, start, stop):
     """
     block = min(MAX_BLOCK_REPS, max(1, processes._BLOCK_BYTES // (spec.n * spec.p * 8)))
     return [(first, first + block) for first in range(start - start % block, stop, block)]
+
+
+def batch_multipliers(mult, count, seed, purpose, start, stop):
+    """Multipliers of the block of replications start..stop-1, shape
+    (stop - start, count), as a pass draws them (``blocking._multipliers``)
+    from the key of the substream (seed, multiplier stream, purpose, start)
+    of the block's first replication."""
+    key = substream_keys(seed, STREAM_MULTIPLIER, purpose, range(start, start + 1))[0]
+    return blocking._multipliers(mult, key, stop - start, count)
+
+
+def subexp_total_bound(q, r, phi, rho_sum, p, n, M_n, U):
+    """Power/sub-exponential combined upper bound as a function of U,
+
+    2**(q-1) * rho_sum * U**q
+        + 2**(q-1) * (ln p / (n**phi ln ln p))**((r-1)/r) * M_n**q / U**(phi (r-1)/r),
+
+    the objective that ``remainders.optimal_truncation`` minimizes exactly."""
+    log_p = math.log(p)
+    s = phi * (r - 1.0) / r
+    tail_factor = (log_p / (n**phi * math.log(log_p))) ** ((r - 1.0) / r)
+    return 2.0 ** (q - 1.0) * (rho_sum * U**q + tail_factor * M_n**q / U**s)
 
 
 def pass_multipliers(spec, mult, count, seed, purpose, start, stop):

@@ -35,7 +35,6 @@ from blocksym.remainders import (
     power_R1_nscaled,
     remainder_R1,
     remainder_Rn,
-    subexp_total_bound,
 )
 from blocksym.verify import (
     exact_enumeration,
@@ -43,7 +42,15 @@ from blocksym.verify import (
     mc_per_coordinate_tails,
     verify_independence_reduction,
 )
-from conftest import draw_panels, marginal_pass, mc_model, run_prop1, run_theorem1, tail_pass
+from conftest import (
+    draw_panels,
+    marginal_pass,
+    mc_model,
+    run_prop1,
+    run_theorem1,
+    subexp_total_bound,
+    tail_pass,
+)
 
 RADEMACHER = MultiplierSpec("rademacher")
 

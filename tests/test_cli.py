@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import json
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -376,7 +377,9 @@ class TestRun:
         echo = json.loads((tmp_path / "out" / "rho-only.json").read_text())["config"]
         assert echo["scheme"] == {"n": 16, "b": 4}
         assert echo["truncation"] == FIXED
-        assert parse_config(echo) == config
+        # output_dir is not echoed, so the echo parses to its default.
+        assert "output_dir" not in echo
+        assert parse_config(echo) == replace(config, output_dir="out")
 
     def test_echo_without_truncation_check_parses_again(self, tmp_path):
         # No chosen check reads a truncation, so the echo leaves the default out.
@@ -386,7 +389,7 @@ class TestRun:
         assert main(["run", str(path)]) == EXIT_OK
         echo = json.loads((tmp_path / "out" / "rho-only.json").read_text())["config"]
         assert "truncation" not in echo
-        assert parse_config(echo) == config
+        assert parse_config(echo) == replace(config, output_dir="out")
 
     def test_rho_only_writes_reports(self, tmp_path):
         path, _ = write_config(tmp_path, output_dir=str(tmp_path / "out"))
@@ -422,6 +425,22 @@ class TestRun:
                      "summary.csv"):
             assert (tmp_path / "w1" / name).read_bytes() == \
                 (tmp_path / "w2" / name).read_bytes()
+
+    def test_reports_do_not_depend_on_the_output_dir(self, tmp_path):
+        # One config written to three directories, two named in the config
+        # and one on the command line, writes the same reports.
+        checks = ["rho-only", "prop2", "theorem1", "independence-reduction"]
+        outs = [tmp_path / "a", tmp_path / "b" / "nested", tmp_path / "c"]
+        for out in outs[:2]:
+            path, _ = write_config(tmp_path, checks=checks, truncation=FIXED,
+                                   output_dir=str(out))
+            assert main(["run", str(path)]) == EXIT_OK
+        assert main(["run", str(path), "--output-dir", str(outs[2])]) == EXIT_OK
+        names = sorted(f.name for f in outs[0].iterdir() if f.name != "run_meta.json")
+        assert names == sorted([f"{check}.json" for check in checks] + ["summary.csv"])
+        for out in outs[1:]:
+            for name in names:
+                assert (out / name).read_bytes() == (outs[0] / name).read_bytes(), name
 
     def test_prop1_runs_on_dependent_sign_panels(self, tmp_path):
         dgp = {"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1.0, 0.5],

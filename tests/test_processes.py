@@ -30,7 +30,7 @@ from blocksym.processes import (
     LongRunCovError,
     theoretical_longrun_variance,
 )
-from blocksym.seeding import STREAM_COPY, STREAM_PANEL, substream, substream_keys
+from blocksym.seeding import STREAM_COPY, STREAM_PANEL, generator, substream, substream_keys
 from conftest import block_bounds, block_panels, draw_panels, equicorrelated, pass_multipliers
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
@@ -44,8 +44,20 @@ def stack_panels(spec, reps, seed, stream=STREAM_PANEL):
 
 
 def first_key(seed, stream, purpose, first):
-    """The Philox key of the block whose first replication is ``first``."""
+    """The key of the block whose first replication is ``first``, which
+    ``seeding.generator`` turns into the block's generator: numpy's SFC64
+    seeded through ``SeedSequence``."""
     return substream_keys(seed, stream, purpose, range(first, first + 1))[0]
+
+
+def first_state(seed, stream, purpose, first):
+    """The state of the generator of that block before it draws."""
+    return fresh_state(generator(first_key(seed, stream, purpose, first)))
+
+
+def fresh_state(rng):
+    """The 256-bit state of an SFC64 generator, as a list of words."""
+    return rng.bit_generator.state["state"]["state"].tolist()
 
 
 def gather(spec, reps, seed, stream, purpose, b=None, copy_stream=None):
@@ -58,9 +70,11 @@ def gather(spec, reps, seed, stream, purpose, b=None, copy_stream=None):
     blocks, means, sums = [], [], []
     for first, end in block_bounds(spec, 0, reps):
         stop = min(end, reps)
-        copy_key = None if copy_stream is None else first_key(seed, copy_stream, purpose, first)
+        copy_rng = (None if copy_stream is None
+                    else generator(first_key(seed, copy_stream, purpose, first)))
         _, block_means, block_sums = processes._draw_block(
-            spec, b, stop - first, end - first, first_key(seed, stream, purpose, first), copy_key)
+            spec, b, stop - first, end - first, generator(first_key(seed, stream, purpose, first)),
+            copy_rng)
         blocks.append((first, stop))
         means.append(block_means)
         sums.append(block_sums)
@@ -177,7 +191,7 @@ class TestDeterminism:
         try:
             panels = np.empty((spec.n, reps, spec.p))
             key = substream_keys(1, STREAM_PANEL, 0, range(1))[0]
-            processes._fill(spec, key, reps, panels)
+            processes._fill(spec, generator(key), reps, panels)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -305,7 +319,7 @@ class TestReplicationBlocks:
                        innovation="rademacher")
         panels = np.empty((spec.n, 150, spec.p))
         key = substream_keys(8, STREAM_PANEL, 1, range(10, 11))[0]
-        processes._fill(spec, key, 140, panels)
+        processes._fill(spec, generator(key), 140, panels)
         reference = block_panels(spec, substream(8, STREAM_PANEL, 1, 10), 150)
         assert np.array_equal(panels[:, :140].transpose(1, 0, 2), reference[:140])
 
@@ -466,6 +480,21 @@ class TestPipeline:
         assert events == want and stats.reps == self.REPS
         assert_on_pool_threads(threads)
 
+    def test_generators_are_built_on_the_calling_thread(self, monkeypatch):
+        # Pool threads call no public function, so the caller builds each
+        # block's panel, copy and multiplier generators and hands them over.
+        monkeypatch.setattr(processes, "_BLOCK_BYTES", 100 * self.SPEC.n * self.SPEC.p * 8)
+        patch_cpus(monkeypatch, {0, 1})
+        threads, build = [], blocking.generator
+
+        def spy(key):
+            threads.append(threading.current_thread().name)
+            return build(key)
+
+        monkeypatch.setattr(blocking, "generator", spy)
+        stream_statistics(self.SPEC, self.REPS, 4, 6, self.SCHEME, RADEMACHER, copies=True)
+        assert threads == [threading.current_thread().name] * 33
+
     def test_more_workers_than_cores_write_disjoint_spans(self, monkeypatch):
         # One replication per block on eight workers, switching threads as
         # often as the interpreter allows: a lost or misplaced write shows.
@@ -498,16 +527,16 @@ class TestPipeline:
         lock = threading.Lock()
         armed, running, returned = threading.Event(), threading.Event(), threading.Event()
         state = {"active": 0, "late": 0, "fills": 0}
-        block0 = first_key(4, STREAM_PANEL, 6, 0)
+        block0 = first_state(4, STREAM_PANEL, 6, 0)
         fill, multipliers = processes._fill, blocking._multipliers
 
-        def tracked(spec, key, wanted, out):
+        def tracked(spec, rng, wanted, out):
             with lock:
                 state["active"] += 1
                 state["late"] += returned.is_set()
                 state["fills"] += 1
             try:
-                if np.array_equal(key, block0):
+                if fresh_state(rng) == block0:
                     if where == "block":
                         assert armed.wait(timeout=30)
                         raise RuntimeError("block 0 failed")
@@ -515,7 +544,7 @@ class TestPipeline:
                     # Still running when the error reaches the caller.
                     running.set()
                     time.sleep(0.02)
-                fill(spec, key, wanted, out)
+                fill(spec, rng, wanted, out)
             finally:
                 with lock:
                     state["active"] -= 1
@@ -577,8 +606,8 @@ class TestPipeline:
 
         monkeypatch.setattr(blocking, "_draw_pool", lambda workers: GatedPool())
 
-        def failing(spec, key, wanted, out):
-            filled.append(key.tolist())
+        def failing(spec, rng, wanted, out):
+            filled.append(fresh_state(rng))
             assert queued.wait(timeout=10)
             raise RuntimeError("block 0 failed")
 
@@ -586,7 +615,7 @@ class TestPipeline:
         with pytest.raises(RuntimeError, match="block 0 failed"):
             stream_statistics(self.SPEC, 64, 4, 6, self.SCHEME, RADEMACHER)
         assert later[0].cancelled()
-        assert filled == [first_key(4, STREAM_PANEL, 6, 0).tolist()]
+        assert filled == [first_state(4, STREAM_PANEL, 6, 0)]
 
 
 class TestSupport:
@@ -641,8 +670,8 @@ class TestMoments:
         # replications, under the 4 se that flags.
         fill = processes._fill
 
-        def shifted(spec, key, wanted, out):
-            fill(spec, key, wanted, out)
+        def shifted(spec, rng, wanted, out):
+            fill(spec, rng, wanted, out)
             out += 0.1
 
         monkeypatch.setattr(processes, "_fill", shifted)

@@ -21,8 +21,8 @@ from blocksym.remainders import (
     remainder_R1,
     remainder_R2,
     remainder_Rn,
-    subexp_total_bound,
 )
+from conftest import subexp_total_bound
 
 E = math.e
 

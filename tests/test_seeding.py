@@ -1,15 +1,18 @@
 """Golden parity of the array keys against a pure-Python SplitMix64
-reference, and of the panel and multiplier blocks against numpy's own
-generators under the substream of their first replication."""
+reference, of the one generator constructor against numpy's SFC64 seeded
+through SeedSequence, and of the panel and multiplier blocks against the
+generators of the substream of their first replication."""
 
+import ast
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blocksym.blocking import MultiplierSpec, batch_multipliers, make_blocks, stream_statistics
+from blocksym.blocking import MultiplierSpec, make_blocks, stream_statistics
 from blocksym import processes, seeding
 from blocksym.processes import DgpSpec
 from blocksym.seeding import (
@@ -19,6 +22,7 @@ from blocksym.seeding import (
     substream,
     substream_keys,
 )
+from conftest import batch_multipliers
 
 MASK64 = (1 << 64) - 1
 
@@ -52,7 +56,7 @@ def filled(spec, seed, stream, purpose, start, stop, full=None):
     of ``full``, shape (stop - start, n, p)."""
     out = np.empty((spec.n, full or stop - start, spec.p))
     key = substream_keys(seed, stream, purpose, range(start, start + 1))[0]
-    processes._fill(spec, key, stop - start, out)
+    processes._fill(spec, seeding.generator(key), stop - start, out)
     return out[:, : stop - start].transpose(1, 0, 2)
 
 
@@ -69,9 +73,20 @@ class TestKeys:
 
     @settings(max_examples=20, deadline=None)
     @given(seed=seeds, path=st.lists(st.integers(-(2**65), 2**65), max_size=4))
-    def test_substream_key_matches_python_splitmix(self, seed, path):
-        state = substream(seed, *path).bit_generator.state["state"]
-        assert state["key"].tolist() == list(key_words_reference(seed, *path))
+    def test_substream_reads_the_generator_of_its_python_splitmix_key(self, seed, path):
+        key = np.array(key_words_reference(seed, *path), dtype=np.uint64)
+        assert np.array_equal(substream(seed, *path).integers(0, 2**63, size=8),
+                              seeding.generator(key).integers(0, 2**63, size=8))
+
+    @settings(max_examples=20, deadline=None)
+    @given(words=st.tuples(st.integers(0, MASK64), st.integers(0, MASK64)))
+    def test_generator_is_sfc64_seeded_through_seed_sequence(self, words):
+        key = np.array(words, dtype=np.uint64)
+        rng = seeding.generator(key)
+        expected = np.random.Generator(np.random.SFC64(np.random.SeedSequence(key)))
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        assert np.array_equal(rng.integers(0, 2**63, size=8), expected.integers(0, 2**63, size=8))
+        assert np.array_equal(rng.standard_normal(8), expected.standard_normal(8))
 
     @pytest.mark.parametrize("replications", [range(0, 2048, 204), range(4096, 4097),
                                               range(2**40, 2**40 + 50, 7), range(3, 3)])
@@ -87,6 +102,35 @@ class TestKeys:
                               substream_keys(2**64 - 1, 1, 0, range(3)))
         assert np.array_equal(substream_keys(2**64 + 5, 1, 0, range(3)),
                               substream_keys(5, 1, 0, range(3)))
+
+
+CONSTRUCTORS = ("Generator", "Philox", "SFC64", "PCG64", "PCG64DXSM", "MT19937",
+                "SeedSequence", "RandomState", "default_rng")
+
+
+def generator_calls(path):
+    """The numpy.random functions that a module's code calls, by name:
+    np.random.<name>(...), or a bare constructor imported by name."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Attribute) and ast.unparse(func.value) in ("np.random",
+                                                                            "numpy.random"):
+            found.append(func.attr)
+        elif isinstance(func, ast.Name) and func.id in CONSTRUCTORS:
+            found.append(func.id)
+    return sorted(found)
+
+
+def test_only_seeding_builds_a_generator():
+    # Every draw reads seeding.generator; no other module of the package
+    # makes a bit generator or reads numpy's global one.
+    package = Path(seeding.__file__).parent
+    calls = {path.name: generator_calls(path) for path in sorted(package.glob("*.py"))}
+    assert {name: found for name, found in calls.items() if found} == {
+        "seeding.py": ["Generator", "SFC64"]}
 
 
 def block_rows(mult, count, seed, purpose, first, rows):

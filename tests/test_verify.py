@@ -459,15 +459,15 @@ class TestWrongStatistics:
 
     def test_mid_pass_read_as_marginal_rows(self):
         # The mid pass (n = 16, b = 4, 2000 replications, seed 1) has what
-        # the moment norm reads, and read as the marginal rows it gave 2.59
-        # where the marginal rows give 13.91. Its request names it.
+        # the moment norm reads, and read as the marginal rows it gave 2.38
+        # where the marginal rows give 14.42. Its request names it.
         mid = mid_pass(self.SPEC, self.SCHEME, 2000, 1)
         self.raises(lambda: psi_moment_norm(POWER2, mid, 2.0),
                     r"the marginal pass was drawn for purpose 2 of \{'kind': 'truncated_var1', "
                     r"'n': 16.* at seed 1, but it is read as purpose 5 of "
                     r"\{'kind': 'truncated_var1', 'n': 1,")
         norm = psi_moment_norm(POWER2, marginal_pass(self.SPEC, 2000, 1), 2.0)
-        assert norm.value == pytest.approx(13.9095, abs=1e-4)
+        assert norm.value == pytest.approx(14.4198, abs=1e-4)
         forged = mid._replace(spec=processes.marginal_spec(self.SPEC), purpose=PURPOSE_NORM,
                               scheme=None, mult=None)
         assert psi_moment_norm(POWER2, forged, 2.0).value < 3.0
