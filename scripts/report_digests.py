@@ -4,11 +4,12 @@ Usage: python scripts/report_digests.py [--check BENCH_<n>.json]
 
 Runs scripts/full_suite.json, scripts/independence.json,
 scripts/high_dim.json (p = 1000 >> n = 32) and scripts/high_dim_1e4.json
-(the same shape at p = 10^4, about 40 s and 600 MB) from a temporary working
-directory, so each writes under its own ``output_dir`` there, and prints one
-line per report: ``<config> <file> <sha256>``. ``run_meta.json``
-records timings and versions, so it is left out; every other report is a
-pure function of its config. Exits with the worst exit code of the runs.
+(the same shape at p = 10^4, about 11 s and 260 MB on a 2-core box) from a
+temporary working directory, so each writes under its own ``output_dir``
+there, and prints one line per report: ``<config> <file> <sha256>``.
+``run_meta.json`` records timings and versions, so it is left out; every
+other report is a pure function of its config. Exits with the worst exit
+code of the runs.
 
 With ``--check`` the printed digests are compared with the ``digests`` of
 that trajectory file, keyed ``"<config> <file>"``. Each report whose digest

@@ -17,12 +17,12 @@ the one function that schedules a pass. Each call draws one pass of a
 panel stream and reduces it to per-replication vectors: the largest absolute
 column mean and, when a block scheme is named, the block-multiplier maximum
 and the quadratic block term max_i (1/n) sum_l S[l, i]^2 of theorem1. A call
-may also name a tuple of reductions of the column means (``MeanGram``, which
-the Monte Carlo Gaussian model reads, and ``PowerSums``, ``Exceedances`` and
-``MaxBelow``, which the remainders read; a run folds them all in one pass of
-the tail stream), which are folded in block by block, in block order, while
-the stream is drawn, so no (reps, p) means and no (p, p) Gram are kept; a
-read of a reduction that the pass did not fold raises an error naming it.
+may also name a tuple of reductions of the column means (``PowerSums``,
+``Exceedances`` and ``MaxBelow``, which the remainders read; a run folds
+them all in one pass of the tail stream), which are folded in block by
+block, in block order, while the stream is drawn, so no (reps, p) means are
+kept; a read of a reduction that the pass did not fold raises an error
+naming it.
 
 A pass keys its panels, copies and multipliers with one ``substream_keys``
 call each, at the first replications of its blocks (``processes``). The
@@ -172,23 +172,6 @@ def _multipliers(mult: MultiplierSpec, key: np.ndarray, rows: int, count: int) -
 
 
 @dataclass(frozen=True)
-class MeanGram:
-    """The trace and total 1^T G 1 of the Gram G = sum_r (scale m_r)^T
-    (scale m_r) of the column means, shape (2,); G is never built."""
-
-    scale: float
-
-    def empty(self, reps: int, p: int) -> np.ndarray:
-        return np.zeros(2)
-
-    def add(self, out: np.ndarray, start: int, means: np.ndarray) -> None:
-        # einsum, not BLAS: BLAS threads left spinning slow the next draws.
-        sums = np.einsum("ij->i", means)
-        squares = (np.einsum("ij,ij->", means, means), np.einsum("i,i->", sums, sums))
-        out += np.multiply(self.scale**2, squares)
-
-
-@dataclass(frozen=True)
 class PowerSums:
     """Per-coordinate sums of |m|**q and |m|**(2q) at q = ``order``, shape (2, p)."""
 
@@ -242,7 +225,7 @@ class MaxBelow:
 # A reduction of a stream's column means: ``empty(reps, p)`` gives its result
 # array and ``add(out, start, means)`` folds in the (c, p) means of the
 # block of replications from ``start``, on the calling thread.
-MeanReduction = Union[MeanGram, PowerSums, Exceedances, MaxBelow]
+MeanReduction = Union[PowerSums, Exceedances, MaxBelow]
 
 
 class StreamStatistics(NamedTuple):

@@ -2,8 +2,9 @@
 
 One JSON config file fully determines a run. Subcommands:
 
-- ``run <config>``: draw each of the run's panel passes once (tail, rho,
-  mid, marginal; the tail pass also yields the Monte Carlo Gaussian model),
+- ``run <config>``: draw each of the run's panel passes once (tail, mid,
+  marginal; the tail pass, drawn with multipliers, also yields the rho
+  samples, and the Gaussian model is a closed form that draws nothing),
   execute the requested checks in dependency order, write one JSON report
   per check plus a CSV summary; exit 0 iff nothing was violated.
 - ``validate <config>``: parse and validate, listing every error with its
@@ -46,7 +47,7 @@ from .blocking import (
     recorded_passes,
     stream_statistics,
 )
-from .gaussian import RhoEstimate, draw_rho_samples, estimate_gaussian_model, model_reduction
+from .gaussian import RhoEstimate, estimate_gaussian_model, pass_rho_samples
 from .processes import DgpSpec, Spec, _is_real, from_fields, marginal_spec
 from .psi import PsiSpec, psi_moment_norm
 from .remainders import (
@@ -152,55 +153,42 @@ class TailSpec(Spec):
         return ("mode",) + (subexp if self.mode == "subexp" else ())
 
 
-@dataclass(frozen=True)
-class GaussianModelSpec(Spec):
-    """How the Gaussian model is estimated: ``analytic``, from the kind's closed
-    form, ``mc``, from the tail pass, or with no method analytic if it can."""
-
-    method: Optional[str] = None
-
-    def __post_init__(self):
-        if self.method not in (None, "analytic", "mc"):
-            raise ValueError(f"method: expected analytic or mc, got {self.method!r}")
-
-
 @dataclass
 class ExperimentConfig:
     dgp: DgpSpec
     scheme: BlockScheme
     multiplier: MultiplierSpec
-    psi: PsiSpec
+    psi: Optional[PsiSpec]
     truncation: TruncationSpec
     r: float
     reps: int
-    rho_reps: int
     seed: int
     checks: list
-    gaussian_model: GaussianModelSpec = GaussianModelSpec()
     tail: TailSpec = TailSpec()
     output_dir: str = "out"
 
     def to_json_dict(self) -> dict:
         """The config echo: each field, a spec through its ``to_json_dict``. The
-        truncation is left out when no chosen check reads it, so it parses again,
-        and ``output_dir`` always, so reports do not depend on where they go."""
-        echo = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "output_dir"}
+        gauge and the truncation are left out when no chosen check reads them
+        (the gauge is then None), so the echo parses again, and ``output_dir``
+        always, so reports do not depend on where they go."""
+        echo = {f.name: getattr(self, f.name) for f in fields(self)
+                if f.name != "output_dir" and getattr(self, f.name) is not None}
         if not _chooses(self.checks, _CHAIN_CHECKS):
             del echo["truncation"]
         return {name: value.to_json_dict() if isinstance(value, Spec) else value
                 for name, value in echo.items()}
 
 
-_SECTIONS = ("dgp", "scheme", "multiplier", "psi", "truncation", "tail",
-             "gaussian_model")
+_SECTIONS = ("dgp", "scheme", "multiplier", "psi", "truncation", "tail")
 # The root's keys; each section's are those its spec reads.
 _ROOT_KEYS = tuple(f.name for f in fields(ExperimentConfig))
-# Fields that were once read, each with what is read instead.
+# Root fields that were once read, each with what is read instead.
 _RETIRED = {
-    "gaussian_model.reps": "no longer read; the mc model reads the tail pass of reps "
-                           "replications",
+    "gaussian_model": "no longer read; the Gaussian model is the closed form of every kind",
+    "rho_reps": "no longer read; rho reads the tail pass of reps replications",
 }
-_INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "scheme.n", "reps", "rho_reps", "seed")
+_INTEGER_FIELDS = ("dgp.n", "dgp.p", "scheme.b", "scheme.n", "reps", "seed")
 
 
 def _shape_problems(node, path: str = "") -> list:
@@ -221,10 +209,20 @@ def _shape_problems(node, path: str = "") -> list:
     return [found for child, value in children for found in _shape_problems(value, child)]
 
 
-# The checks that read the truncation, and those that estimate rho and so
-# read the scheme, the multiplier and ``gaussian_model``.
+def _unread_root(key: str, node) -> list:
+    """The problems of a root key that no config field reads: a retired
+    section names each key it gives (``gaussian_model.method``), anything
+    else is named itself."""
+    if key in _RETIRED and isinstance(node, dict) and node:
+        return [(f"{key}.{sub}", _RETIRED[key]) for sub in node]
+    return [(key, _RETIRED.get(key, "unknown field"))]
+
+
+# The checks that read the truncation, those that estimate rho and so read
+# the scheme and the multiplier, and those that read the gauge.
 _CHAIN_CHECKS = ("prop1", "prop2", "theorem1")
 _RHO_CHECKS = (*_CHAIN_CHECKS, "rho-only")
+_PSI_CHECKS = (*_CHAIN_CHECKS, "independence-reduction")
 
 
 def _chooses(checks: list, readers: tuple) -> bool:
@@ -238,7 +236,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     problems = _shape_problems(obj)
     if problems:
         raise ConfigError(problems)
-    problems += [(key, "unknown field") for key in obj if key not in _ROOT_KEYS]
+    problems += [found for key, node in obj.items() if key not in _ROOT_KEYS
+                 for found in _unread_root(key, node)]
 
     def grab(path, ctor, default=MISSING):
         node = obj
@@ -258,7 +257,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
             field, sep, rest = message.partition(": ")
             if sep and re.fullmatch(r"\w+(\[\d+\])*", field):
                 path, message = f"{path}.{field}", rest
-            problems.append((path, _RETIRED.get(path, message)))
+            problems.append((path, message))
             return None
 
     dgp = grab("dgp", partial(from_fields, DgpSpec))
@@ -268,11 +267,9 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if dgp is not None and obj.get("scheme", {}).get("n", dgp.n) != dgp.n:
         problems.append(("scheme.n", f"must equal dgp.n ({dgp.n}), got {obj['scheme']['n']}"))
     mult = grab("multiplier", partial(from_fields, MultiplierSpec), MultiplierSpec("rademacher"))
-    psi = grab("psi", partial(from_fields, PsiSpec))
+    psi = grab("psi", partial(from_fields, PsiSpec), None)
     truncation = grab("truncation", partial(from_fields, TruncationSpec), TruncationSpec())
     tail = grab("tail", partial(from_fields, TailSpec), TailSpec())
-    gaussian_model = grab("gaussian_model", partial(from_fields, GaussianModelSpec),
-                          GaussianModelSpec())
 
     r = obj.get("r", 2.0)
     if not (_is_real(r) and 1 < r <= sys.float_info.max):
@@ -280,14 +277,12 @@ def parse_config(obj: dict) -> ExperimentConfig:
     else:
         r = float(r)
     reps = grab("reps", int)
-    rho_reps = grab("rho_reps", int, reps)
     seed = grab("seed", int)
     if seed is not None and not 0 <= seed < 2**64:
         # Keys are mixed modulo 2**64, so a seed outside would draw another's panels.
         problems.append(("seed", f"expected an integer in [0, 2**64), got {seed}"))
-    for name, value in (("reps", reps), ("rho_reps", rho_reps)):
-        if value is not None and value < 1000:
-            problems.append((name, f"need at least 1000, got {value}"))
+    if reps is not None and reps < 1000:
+        problems.append(("reps", f"need at least 1000, got {reps}"))
 
     checks = obj.get("checks")
     if not isinstance(checks, list) or not checks:
@@ -299,20 +294,21 @@ def parse_config(obj: dict) -> ExperimentConfig:
                 problems.append((f"checks[{i}]", f"unknown check {c!r}; choose from {KNOWN_CHECKS}"))
             elif c in checks[:i]:
                 problems.append((f"checks[{i}]", f"{c!r} is listed twice; each check runs once"))
+    if "psi" not in obj and (not checks or _chooses(checks, _PSI_CHECKS)):
+        problems.append(("psi", "missing"))
 
     # One rule for every section: each given key is read by the section's
     # kind or mode and by a chosen check. A section no chosen check reads may
     # give only what such a run uses, as its echo writes it: the block length
     # and multiplier law of the independence reduction, the lq tail, and no
-    # truncation or model method. Without a valid checks list, each section
-    # is checked as if read.
-    sections = {"dgp": (dgp, (), None), "psi": (psi, (), None),
+    # gauge or truncation. Without a valid checks list, each section is
+    # checked as if read.
+    sections = {"dgp": (dgp, (), None), "psi": (psi, _PSI_CHECKS, None),
                 "scheme": (scheme, _RHO_CHECKS,
                            make_blocks(dgp.n, INDEPENDENCE_BLOCK) if dgp else None),
                 "multiplier": (mult, _RHO_CHECKS, INDEPENDENCE_MULTIPLIER),
                 "truncation": (truncation, _CHAIN_CHECKS, None),
-                "tail": (tail, ("theorem1",), TailSpec()),
-                "gaussian_model": (gaussian_model, _RHO_CHECKS, GaussianModelSpec())}
+                "tail": (tail, ("theorem1",), TailSpec())}
     for section, (value, readers, unread) in sections.items():
         given = obj.get(section, {})
         if not isinstance(value, Spec):
@@ -326,11 +322,6 @@ def parse_config(obj: dict) -> ExperimentConfig:
                    + (f"; the run uses {used}" if used else ""))
             unread_keys = [key for key in given if used.get(key, MISSING) != given[key]]
         problems += [(f"{section}.{key}", f"not read: {why}") for key in unread_keys]
-
-    if (gaussian_model is not None and gaussian_model.method == "analytic"
-            and dgp is not None and not dgp.has_longrun_closed_form
-            and _chooses(checks, _RHO_CHECKS)):
-        problems.append(("gaussian_model.method", f"{dgp.kind} has no closed form; use mc"))
 
     output_dir = obj.get("output_dir", "out")
     if not isinstance(output_dir, str):
@@ -362,8 +353,7 @@ def parse_config(obj: dict) -> ExperimentConfig:
         raise ConfigError(problems)
     return ExperimentConfig(
         dgp=dgp, scheme=scheme, multiplier=mult, psi=psi, truncation=truncation, r=r, reps=reps,
-        rho_reps=rho_reps, seed=seed, checks=checks, gaussian_model=gaussian_model, tail=tail,
-        output_dir=output_dir)
+        seed=seed, checks=checks, tail=tail, output_dir=output_dir)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -382,16 +372,6 @@ def load_config(path) -> ExperimentConfig:
 
 def _dump_json(obj, path: Path) -> None:
     path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
-
-
-def _model_method(config: ExperimentConfig) -> Optional[str]:
-    """How the run's Gaussian model is estimated: analytic when the kind has a
-    closed form, unless the config names a method; None when no check
-    estimates rho."""
-    if not _chooses(config.checks, _RHO_CHECKS):
-        return None
-    return config.gaussian_model.method or (
-        "analytic" if config.dgp.has_longrun_closed_form else "mc")
 
 
 def _fit_tail_params(config: ExperimentConfig, run: _RunInputs) -> TailParams:
@@ -435,7 +415,6 @@ class _RunInputs:
 
     rho: Optional[RhoEstimate] = None
     rho_samples: Optional[dict] = None
-    model_source: Optional[str] = None
     U: Optional[float] = None
     mid: Optional[StreamStatistics] = None
     tail: Optional[StreamStatistics] = None
@@ -496,13 +475,15 @@ def _truncate(config: ExperimentConfig, run: _RunInputs, meta: dict) -> dict:
 
 
 def _draw_tail(config: ExperimentConfig, run: _RunInputs, meta: dict,
-               reductions: tuple) -> None:
+               reductions: tuple, multipliers: bool = False) -> None:
     """Draw the tail stream as the ``tail`` stage, folding ``reductions``,
-    unless there are none."""
-    if reductions:
+    with the config's block scheme and multiplier law if ``multipliers``;
+    nothing when the pass would fold nothing and have no multipliers."""
+    if reductions or multipliers:
+        law = (config.scheme, config.multiplier) if multipliers else (None, None)
         with _timed(meta, "tail"):
             run.tail = stream_statistics(config.dgp, config.reps, config.seed, PURPOSE_TAIL,
-                                         reductions=reductions)
+                                         *law, reductions=reductions)
 
 
 def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
@@ -541,9 +522,8 @@ def _run_rho_only(config: ExperimentConfig, run: _RunInputs) -> VerificationRepo
         check="rho-only", lhs=None, mid=None, rhs=None,
         remainders={}, rho=run.rho, margins=[],
         params={"n": config.dgp.n, "p": config.dgp.p, "b": config.scheme.b,
-                "seed": config.seed, "reps": config.rho_reps},
-        diagnostics={"cdf_grid": _quantile_grid(run.rho_samples),
-                     "model_source": run.model_source},
+                "seed": config.seed, "reps": config.reps},
+        diagnostics={"cdf_grid": _quantile_grid(run.rho_samples)},
     )
 
 
@@ -571,33 +551,29 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
 
     with recorded_passes() as passes:
         try:
-            # Each pass drawn once, in the order tail, rho, mid, marginal. A
-            # fixed U is known before the tail pass, so that pass folds the
-            # MC model's Gram and every reduction that reads U. Optimal
-            # truncation is the exception: its U reads rho, which reads the
-            # model, so the marginal rows whose norm U reads come first, the
-            # tail stream is drawn once for the model before rho and again,
-            # over the same panels, for the reductions that read U.
+            # Each pass drawn once, in the order tail, mid, marginal. The
+            # tail pass, drawn with the config's block scheme and multiplier
+            # law, gives the plain and multiplier samples of rho; a fixed U
+            # is known before it, so it also folds every reduction that reads
+            # U. Optimal truncation is the exception: its U reads rho, so the
+            # marginal rows whose norm U reads come first, and the tail stream
+            # is drawn once for rho and again, over the same panels, for the
+            # reductions that read U.
             chain = _chooses(config.checks, _CHAIN_CHECKS)
             optimal = chain and config.truncation.mode == "optimal"
-            method = _model_method(config)
-            reductions = (model_reduction(config.dgp),) if method == "mc" else ()
+            reductions = ()
             if optimal:
                 with _timed(meta, "marginal"):
                     run.marginal = _marginal_pass(config)
             elif chain:
                 _truncate(config, run, meta)
-                reductions += _tail_reductions(config, run.U)
-            _draw_tail(config, run, meta, reductions)
-            if method is not None:
+                reductions = _tail_reductions(config, run.U)
+            if _chooses(config.checks, _RHO_CHECKS):
+                _draw_tail(config, run, meta, reductions, multipliers=True)
                 with _timed(meta, "rho"):
-                    model = estimate_gaussian_model(config.dgp, method, tail=run.tail)
-                    samples = draw_rho_samples(config.dgp, config.scheme,
-                                               config.multiplier, model,
-                                               config.rho_reps, config.seed)
+                    samples = pass_rho_samples(run.tail, estimate_gaussian_model(config.dgp))
                     run.rho = RhoEstimate.from_samples(*samples)
                 run.rho_samples = samples._asdict()
-                run.model_source = model.source
             if optimal:
                 trunc = _truncate(config, run, meta)
                 _draw_tail(config, run, meta, _tail_reductions(config, run.U))

@@ -3,29 +3,29 @@
 The comparison process is the centered Gaussian vector whose covariance
 matches that of sqrt(n) times the panel column means. That covariance is
 equicorrelated, so a ``GaussianModel`` holds it as two eigenvalues and no
-p x p matrix is built, factored or multiplied. Where the long-run
-covariance has no closed form, the model is read from the ``MeanGram`` that
-a pass of the tail stream folded, so the model draws nothing of its own; it
-is never fitted to the panels whose distances it enters, which would bias
-those distances down. The distances of
+p x p matrix is built, factored or multiplied. Every generator kind has
+them in closed form (``processes.longrun_covariance``; for the clipped
+autoregression through the Hermite expansion of the bivariate normal), so
+the model draws nothing and is fitted to no panels. The distances of
 interest are sup-norm gaps between empirical CDFs of max-abs statistics:
 the plain statistic versus the Gaussian max, the block-multiplier statistic
-versus the Gaussian max, and the two simulated statistics directly.
+versus the Gaussian max, and the two simulated statistics directly. A run
+takes the plain and multiplier samples from the pass of the tail stream
+that it draws with multipliers (``pass_rho_samples``); ``draw_rho_samples``
+draws a pass of its own.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
-from .blocking import (BlockScheme, MeanGram, MultiplierSpec, StreamStatistics, _max_last,
-                       stream_statistics)
-from .processes import (DgpSpec, _eigenvariances, _equicorrelate, _is_real,
-                        theoretical_longrun_variance)
-from .seeding import PURPOSE_DEFAULT, PURPOSE_TAIL, STREAM_GAUSSIAN, substream
+from .blocking import BlockScheme, MultiplierSpec, StreamStatistics, _max_last, stream_statistics
+from .processes import DgpSpec, _equicorrelate, _is_real, longrun_covariance
+from .seeding import PURPOSE_DEFAULT, STREAM_GAUSSIAN, substream
 
 # Pooled points whose CDF gap ``kolmogorov_distance`` evaluates at once.
 _KS_SLICE = 8192
@@ -40,15 +40,14 @@ class GaussianModel:
     """The comparison law N(0, cov) in dimension ``p``, cov equicorrelated.
 
     ``parallel`` is the eigenvalue of cov along the all-ones vector and
-    ``perp`` across it: v (1 + (p - 1) c) and v (1 - c) for v ((1 - c) I +
-    c 11^T). Both finite and >= 0 is all it takes for cov to be PSD; at
-    p = 1 only ``parallel`` counts.
+    ``perp`` across it: v + (p - 1) v_c and v - v_c for v I + v_c (11^T -
+    I). Both finite and >= 0 is all it takes for cov to be PSD; at p = 1
+    only ``parallel`` counts.
     """
 
     p: int
     parallel: float
     perp: float
-    source: str = "analytic"
 
     def __post_init__(self):
         if isinstance(self.p, bool) or not isinstance(self.p, (int, np.integer)) or self.p < 1:
@@ -109,46 +108,15 @@ def rho_uncertainty(reps: int) -> float:
     return 2.0 * math.sqrt(math.log(2.0 / 0.05) / (2.0 * reps))
 
 
-def model_reduction(spec: DgpSpec) -> MeanGram:
-    """The reduction of the tail pass that the MC model reads: the Gram of
-    sqrt(n) times the column means."""
-    return MeanGram(math.sqrt(spec.n))
+def estimate_gaussian_model(spec: DgpSpec) -> GaussianModel:
+    """The comparison covariance in closed form; draws nothing.
 
-
-def estimate_gaussian_model(
-    spec: DgpSpec,
-    method: str = "analytic",
-    tail: Optional[StreamStatistics] = None,
-) -> GaussianModel:
-    """Comparison covariance, analytically or by Monte Carlo; draws nothing.
-
-    The analytic route takes v ((1 - c) I + c 11^T), v the closed-form
-    long-run variance and c = ``cross_corr``. The MC route reads
-    ``model_reduction(spec)`` from ``tail``, a pass of the tail stream of
-    ``spec`` of at least 1000 replications: the Gram G of sqrt(n) times its
-    column means, as its trace T and total 1^T G 1. It takes the eigenvalues
-    of the equicorrelated projection of G / reps, total / (p reps) and
-    (p T - total) / (p (p - 1) reps), clipped at 0. Both are linear in G, so
-    unbiased; the mean is not recentered because every generator kind is
-    mean zero by construction.
+    With v the variance of sqrt(n) times one column mean and v_c the
+    covariance of two (``processes.longrun_covariance``), the eigenvalues
+    are v + (p - 1) v_c along the all-ones vector and v - v_c across it.
     """
-    if method == "analytic":
-        variances = _eigenvariances(theoretical_longrun_variance(spec), spec.cross_corr, spec.p)
-        return GaussianModel(spec.p, *variances, source="analytic")
-    if method != "mc":
-        raise ValueError(f"unknown model method {method!r}")
-    if tail is None:
-        raise ValueError(f"the mc model reads {model_reduction(spec)} of a tail pass; "
-                         f"none was given")
-    tail.require("model", spec, tail.seed, PURPOSE_TAIL)
-    reps = tail.reps
-    if reps < 1000:
-        raise ValueError(f"mc covariance needs reps >= 1000, got {reps}")
-    trace, total = tail.read(model_reduction(spec))
-    p = spec.p
-    parallel = float(total) / (p * reps)
-    perp = parallel if p == 1 else max(0.0, float(p * trace - total) / (p * (p - 1) * reps))
-    return GaussianModel(p, parallel, perp, source=f"mc({reps})")
+    v, cross = longrun_covariance(spec)
+    return GaussianModel(spec.p, v + (spec.p - 1) * cross, v - cross)
 
 
 def sample_gaussian_max(model: GaussianModel, draws: int, seed: int) -> np.ndarray:
@@ -211,6 +179,16 @@ def kolmogorov_distance(a: np.ndarray, b: np.ndarray) -> float:
     return gap
 
 
+def pass_maxima(stats: StreamStatistics) -> tuple[np.ndarray, np.ndarray]:
+    """The plain and block-multiplier max statistics of a pass drawn with
+    multipliers, on the sqrt(n) scale of the comparison process."""
+    if stats.mult_max is None:
+        raise ValueError("the rho samples read the multiplier statistic (mult_max); "
+                         "draw the pass with a block scheme and a multiplier law")
+    root_n = math.sqrt(stats.spec.n)
+    return root_n * stats.max_abs_mean, root_n * stats.mult_max
+
+
 def simulate_max_statistics(
     spec: DgpSpec,
     scheme: BlockScheme,
@@ -225,9 +203,7 @@ def simulate_max_statistics(
     multipliers), so the two returned samples are paired but each has the
     exact marginal law.
     """
-    stats = stream_statistics(spec, reps, seed, PURPOSE_DEFAULT, scheme, mult)
-    root_n = math.sqrt(spec.n)
-    return root_n * stats.max_abs_mean, root_n * stats.mult_max
+    return pass_maxima(stream_statistics(spec, reps, seed, PURPOSE_DEFAULT, scheme, mult))
 
 
 class RhoSamples(NamedTuple):
@@ -237,6 +213,11 @@ class RhoSamples(NamedTuple):
     plain: np.ndarray
     multiplier: np.ndarray
     gaussian: np.ndarray
+
+
+def _check_dimension(model: GaussianModel, spec: DgpSpec) -> None:
+    if model.p != spec.p:
+        raise ValueError(f"the Gaussian model has p={model.p} but the panels have p={spec.p}")
 
 
 def draw_rho_samples(
@@ -249,10 +230,18 @@ def draw_rho_samples(
 ) -> RhoSamples:
     """The three samples whose Kolmogorov distances ``estimate_rhos`` reports;
     the model must be of the panels' dimension."""
-    if model.p != spec.p:
-        raise ValueError(f"the Gaussian model has p={model.p} but the panels have p={spec.p}")
+    _check_dimension(model, spec)
     plain, starred = simulate_max_statistics(spec, scheme, mult, reps, seed)
     return RhoSamples(plain, starred, sample_gaussian_max(model, reps, seed))
+
+
+def pass_rho_samples(stats: StreamStatistics, model: GaussianModel) -> RhoSamples:
+    """The three rho samples of a pass drawn with multipliers, as
+    ``draw_rho_samples`` gives them for the pass it draws: its maxima
+    (``pass_maxima``) and as many Gaussian maxima at its seed."""
+    _check_dimension(model, stats.spec)
+    plain, starred = pass_maxima(stats)
+    return RhoSamples(plain, starred, sample_gaussian_max(model, stats.reps, stats.seed))
 
 
 def estimate_rhos(

@@ -19,11 +19,11 @@ Replication r is a pure function of (spec, seed, stream, purpose, r), so
 identical inputs give bit-identical results. Every kind is mean zero by
 construction (innovations are centered before filtering, and clipping a
 stationary law that is symmetric about zero keeps its mean exactly zero).
-Cross-sectional dependence is a single equicorrelation coefficient c, so
-every long-run covariance is v ((1 - c) I + c 11^T): two numbers, never a
-p x p matrix. ``_equicorrelate`` applies its symmetric square root in
-place, to the Gaussian innovations here and to the comparison draws of
-``gaussian``.
+Cross-sectional dependence is one equicorrelation c of the innovations, so
+every long-run covariance is v I + v_c (11^T - I): two closed-form numbers
+(``longrun_covariance``), never a p x p matrix. ``_equicorrelate`` applies
+its symmetric square root in place, to the Gaussian innovations here and to
+the comparison draws of ``gaussian``.
 
 A pass is cut into blocks of replications (``_block_reps``): block j holds
 replications [jL, min((j + 1) L, reps)), where L is ``_BLOCK_BYTES`` of
@@ -77,6 +77,13 @@ _BLOCK_BYTES = 4 << 20
 # Replications whose linear-process innovations are drawn at once.
 _SLICE = 64
 
+# The largest |phi| and |cross_corr| of the clipped autoregression: its
+# closed-form covariance sums about 20,000 Hermite terms at 0.999, and the
+# count grows without bound near 1. The series stops once the bound on the
+# terms left out falls below ``_SERIES_TOLERANCE`` gamma(1).
+MAX_CLIPPED_RHO = 0.999
+_SERIES_TOLERANCE = 1e-17
+
 
 class DgpValidationError(ValueError):
     """Invalid generator specification; the message names the field."""
@@ -120,10 +127,6 @@ class Spec:
         echo = {name: getattr(self, name) for name in self.reads()}
         return {name: value for name, value in echo.items() if value is not None
                 and (name not in self.QUIET or value != defaults[name])}
-
-
-class LongRunCovError(ValueError):
-    """No closed-form long-run variance exists for the requested kind."""
 
 
 @dataclass(frozen=True)
@@ -193,10 +196,16 @@ class DgpSpec(Spec):
                 raise DgpValidationError(
                     "cross_corr: bounded_rademacher coordinates are independent by construction"
                 )
-        if self.kind == "truncated_var1" and self.truncation <= 0:
-            raise DgpValidationError(
-                f"truncation: clip level must be > 0, got {self.truncation}"
-            )
+        if self.kind == "truncated_var1":
+            if self.truncation <= 0:
+                raise DgpValidationError(
+                    f"truncation: clip level must be > 0, got {self.truncation}"
+                )
+            for name in ("phi", "cross_corr"):
+                if abs(getattr(self, name)) > MAX_CLIPPED_RHO:
+                    raise DgpValidationError(f"{name}: the clipped autoregression's closed "
+                                             f"form needs |{name}| <= {MAX_CLIPPED_RHO}, "
+                                             f"got {getattr(self, name)}")
         if self.p > 1:
             low = -1.0 / (self.p - 1)
             if not (low < self.cross_corr < 1.0):
@@ -222,11 +231,6 @@ class DgpSpec(Spec):
         return None
 
     @property
-    def has_longrun_closed_form(self) -> bool:
-        """Whether ``theoretical_longrun_variance`` has a closed form for the kind."""
-        return self.kind != "truncated_var1"
-
-    @property
     def is_iid(self) -> bool:
         return self.kind in ("iid_gaussian", "bounded_rademacher") or (
             self.kind == "var1" and self.phi == 0.0
@@ -241,11 +245,6 @@ class DgpSpec(Spec):
 # ---------------------------------------------------------------------------
 # Drawing machinery
 # ---------------------------------------------------------------------------
-
-
-def _eigenvariances(v: float, c: float, p: int) -> tuple[float, float]:
-    """The eigenvalues of v ((1 - c) I + c 11^T) along 1 and across it."""
-    return v * (1.0 + (p - 1) * c), v * (1.0 - c)
 
 
 def _equicorrelate(x: np.ndarray, parallel: float, perp: float) -> None:
@@ -283,7 +282,8 @@ def _innovate(rng: np.random.Generator, spec: DgpSpec, out: np.ndarray) -> None:
         out -= scale
     else:
         rng.standard_normal(out=out)
-        _equicorrelate(out, *_eigenvariances(1.0, spec.cross_corr, spec.p))
+        # The eigenvalues of (1 - c) I + c 11^T along 1 and across it.
+        _equicorrelate(out, 1.0 + (spec.p - 1) * spec.cross_corr, 1.0 - spec.cross_corr)
 
 
 def _fill(spec: DgpSpec, rng: np.random.Generator, wanted: int, out: np.ndarray) -> None:
@@ -390,30 +390,76 @@ def marginal_spec(spec: DgpSpec) -> DgpSpec:
     return replace(spec, n=1)
 
 
-def theoretical_longrun_variance(spec: DgpSpec) -> float:
-    """Closed-form variance v of sqrt(n) times one panel column mean; the
-    long-run covariance is v ((1 - c) I + c 11^T), c = ``cross_corr``.
+def _clipped_correlations(tau: float, rho: np.ndarray) -> tuple[float, np.ndarray]:
+    """gamma(1) and gamma at each of ``rho`` (|rho| <= ``MAX_CLIPPED_RHO``),
+    for gamma(rho) = E[f(Z) f(Z')], f = clip(., -tau, tau) and Z, Z'
+    standard normals of correlation rho.
 
-    Accumulates all lag autocovariances with the finite-n triangular
-    weights (1 - |h|/n). Supported for the linear-filter kinds; the clipped
-    autoregression has no closed form.
+    Mehler's expansion of the bivariate normal (Kibble 1945) gives gamma(rho)
+    = sum_k c_k^2 k! rho^k over the Hermite coefficients c_k of f; by parts,
+    c_1 = 2 Phi(tau) - 1, c_k = 0 for even k, and c_k^2 k! = 4 phi(tau)^2
+    h_{k-2}(tau)^2 / (k (k - 1)) for odd k >= 3, h_j = He_j / sqrt(j!).
+    phi(tau) h_j(tau) is built by its three-term recurrence, so nothing
+    overflows. The odd-k weights sum to gamma(1) - c_1^2, so the terms left
+    out are at most max |rho|^k times that sum: the series stops once that
+    bound is below ``_SERIES_TOLERANCE`` gamma(1).
     """
-    if not spec.has_longrun_closed_form:
-        raise LongRunCovError("no closed form; use MC covariance estimation")
-    n = spec.n
+    inside = math.erf(tau / math.sqrt(2.0))  # 2 Phi(tau) - 1
+    density = math.exp(-0.5 * tau * tau) / math.sqrt(2.0 * math.pi)
+    at_one = inside - 2.0 * tau * density + tau * tau * math.erfc(tau / math.sqrt(2.0))
+    rest = at_one - inside * inside
+    largest = float(np.abs(rho).max(initial=0.0))
+    terms = 0
+    if largest > 0.0 and rest > _SERIES_TOLERANCE * at_one:
+        order = math.log(_SERIES_TOLERANCE * at_one / rest) / math.log(largest)
+        terms = max(0, math.ceil((order - 3.0) / 2.0))
+    scaled = [density, tau * density]  # phi(tau) h_j(tau), j = 0, 1, ...
+    for j in range(1, 2 * terms - 1):
+        scaled.append((tau * scaled[j] - math.sqrt(j) * scaled[j - 1]) / math.sqrt(j + 1))
+    out = inside * inside * rho
+    power, square = rho**3, rho * rho
+    for k in range(3, 2 * terms + 2, 2):
+        out += 4.0 * scaled[k - 2] ** 2 / (k * (k - 1)) * power
+        power *= square
+    return at_one, out
+
+
+def longrun_covariance(spec: DgpSpec) -> tuple[float, float]:
+    """The closed-form variance v of sqrt(n) times one panel column mean and
+    the covariance v_c of two of them: the long-run covariance is v I + v_c
+    (11^T - I).
+
+    Sums the lag autocovariances with the finite-n weights (1 - |h|/n); the
+    linear-filter kinds have v_c = c v, c = ``cross_corr``. The var1 path
+    has variance sigma^2 = 1 / (1 - phi^2) and lag-h correlations phi^h
+    within a column and c phi^h across, so v = sigma^2 [gamma(1) + 2 sum_h
+    (1 - h/n) gamma(phi^h)] and v_c = sigma^2 [gamma(c) + 2 sum_h (1 - h/n)
+    gamma(c phi^h)], with gamma(rho) = rho, or, clipped at tau = truncation /
+    sigma, gamma of ``_clipped_correlations``.
+    """
+    n, c = spec.n, spec.cross_corr
+    if spec.kind in ("var1", "truncated_var1"):
+        sigma2 = 1.0 / (1.0 - spec.phi**2)
+        lags = spec.phi ** np.arange(1, n)
+        weights = 2.0 * (1.0 - np.arange(1, n) / n)
+        rho = np.concatenate(([c], lags, c * lags))
+        at_one, gamma = (1.0, rho) if spec.kind == "var1" else _clipped_correlations(
+            spec.truncation / math.sqrt(sigma2), rho)
+        return (sigma2 * (at_one + float(weights @ gamma[1:n])),
+                sigma2 * float(gamma[0] + weights @ gamma[n:]))
     if spec.kind == "iid_gaussian":
-        return 1.0
-    if spec.kind == "bounded_rademacher":
-        return spec.scale**2
-    if spec.kind == "var1":
-        h = np.arange(1, n)
-        weight = 1.0 + 2.0 * np.sum((1.0 - h / n) * spec.phi**h)
-        return float(weight / (1.0 - spec.phi**2))
-    if spec.kind == "linear_process":
+        v = 1.0
+    elif spec.kind == "bounded_rademacher":
+        v = spec.scale**2
+    else:
         a = np.asarray(spec.coeffs)
-        weight = float(np.dot(a, a))
+        v = float(np.dot(a, a))
         for h in range(1, min(len(a) - 1, n - 1) + 1):
-            ch = float(np.dot(a[:-h], a[h:]))
-            weight += 2.0 * (1.0 - h / n) * ch
-        return weight
-    raise LongRunCovError(f"unsupported kind {spec.kind!r}")
+            v += 2.0 * (1.0 - h / n) * float(np.dot(a[:-h], a[h:]))
+    return v, c * v
+
+
+def theoretical_longrun_variance(spec: DgpSpec) -> float:
+    """Closed-form variance v of sqrt(n) times one panel column mean, for
+    every kind (``longrun_covariance``)."""
+    return longrun_covariance(spec)[0]

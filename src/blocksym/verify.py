@@ -33,9 +33,9 @@ plain means of the tail stream: the sub-exponential fit reads per-coordinate
 tails (``Exceedances`` at ``tail_levels(U)``), the split diagnostic the
 largest mean below U (``MaxBelow``) and the coordinate moments their power
 sums (``PowerSums`` at order q); the exceedance count reads the tail
-stream's maxima. No (reps, p) means are kept. The tail stream stays apart
-from the mid stream: the remainders built from it are treated as constants,
-so they share no panel with the sides they bound.
+stream's maxima. No (reps, p) means are kept. The tail stream, which also
+gives rho, stays apart from the mid stream: the remainders built from it
+are treated as constants, so they share no panel with the sides they bound.
 
 Both sides of every inequality are read from the same panels, so each margin
 and its standard error come from the per-replication differences of its

@@ -7,7 +7,6 @@ import numpy as np
 
 from blocksym import blocking, processes
 from blocksym.blocking import MaxBelow, MultiplierSpec, PowerSums
-from blocksym.gaussian import estimate_gaussian_model, model_reduction
 from blocksym.processes import MAX_BLOCK_REPS, marginal_spec
 from blocksym.seeding import (
     PURPOSE_MID,
@@ -141,16 +140,12 @@ def mid_pass(spec, scheme, reps, seed, mult=RADEMACHER):
     return blocking.stream_statistics(spec, reps, seed, PURPOSE_MID, scheme, mult)
 
 
-def tail_pass(spec, reps, seed, *reductions):
-    """The tail stream's pass, folding ``reductions``."""
-    return blocking.stream_statistics(spec, reps, seed, PURPOSE_TAIL, reductions=reductions)
-
-
-def mc_model(spec, reps, seed):
-    """The Monte Carlo Gaussian model, read from a tail pass that folds only
-    the model's Gram."""
-    return estimate_gaussian_model(spec, "mc", tail=tail_pass(spec, reps, seed,
-                                                              model_reduction(spec)))
+def tail_pass(spec, reps, seed, *reductions, scheme=None, mult=RADEMACHER):
+    """The tail stream's pass, folding ``reductions``; with ``scheme``, drawn
+    with the multiplier statistic of ``scheme`` and ``mult``, as a run draws
+    it for rho."""
+    return blocking.stream_statistics(spec, reps, seed, PURPOSE_TAIL, scheme,
+                                      None if scheme is None else mult, reductions=reductions)
 
 
 def marginal_pass(spec, reps, seed):

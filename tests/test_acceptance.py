@@ -45,7 +45,6 @@ from blocksym.verify import (
 from conftest import (
     draw_panels,
     marginal_pass,
-    mc_model,
     run_prop1,
     run_theorem1,
     subexp_total_bound,
@@ -106,7 +105,7 @@ def test_criterion_2_bounded_chain_dependent():
     spec = DgpSpec("truncated_var1", n=128, p=20, phi=0.5, truncation=3.0)
     scheme = make_blocks(128, 8)
     psi = PsiSpec("power", q=2.0)
-    model = mc_model(spec, 10_000, seed=202)
+    model = estimate_gaussian_model(spec)
     rho = estimate_rhos(spec, scheme, RADEMACHER, model, 10_000, seed=202)
     report = run_prop1(spec, scheme, psi, 3.0, 10_000, rho, seed=202)
     elapsed = time.monotonic() - started
@@ -311,7 +310,6 @@ def test_criterion_9_determinism_across_workers(tmp_path, monkeypatch):
         "truncation": {"mode": "fixed", "U": 2.0},
         "r": 2.0,
         "reps": 2000,
-        "rho_reps": 2000,
         "seed": 909,
         "checks": ["rho-only", "prop2"],
     })

@@ -17,7 +17,6 @@ from blocksym.blocking import (
     BlockSchemeError,
     Exceedances,
     MaxBelow,
-    MeanGram,
     MultiplierSpec,
     PowerSums,
     _max_last,
@@ -355,11 +354,11 @@ class TestStreamStatistics:
         assert first.reps == 50 and first.reduced == {}
 
     def test_read_names_a_reduction_the_pass_did_not_fold(self, panel_calls):
-        gram = MeanGram(1.0)
-        stats = stream_statistics(self.SPEC, 50, 3, 2, reductions=(gram, gram))
-        assert list(stats.reduced) == [gram]  # named twice, folded once
-        assert stats.read(gram).shape == (2,) and not stats.read(gram).flags.writeable
-        for missing in (MeanGram(2.0), MaxBelow(0.5), PowerSums(2.0)):
+        sums = PowerSums(2.0)
+        stats = stream_statistics(self.SPEC, 50, 3, 2, reductions=(sums, sums))
+        assert list(stats.reduced) == [sums]  # named twice, folded once
+        assert stats.read(sums).shape == (2, 3) and not stats.read(sums).flags.writeable
+        for missing in (PowerSums(3.0), MaxBelow(0.5), Exceedances((0.5,))):
             with pytest.raises(ValueError, match=re.escape(repr(missing))):
                 stats.read(missing)
         with pytest.raises(ValueError, match=r"MaxBelow\(U=0\.5\).*no reduction"):
@@ -404,7 +403,7 @@ class TestStreamStatistics:
                             lambda pid: set(range(cpus)), raising=False)
         with recorded_passes() as passes:
             stream_statistics(self.SPEC, 3 * MAX_BLOCK_REPS, 3, 2, self.SCHEME, self.MULT)
-            stream_statistics(self.SPEC, 10, 3, 4, reductions=(MeanGram(1.0),))
+            stream_statistics(self.SPEC, 10, 3, 4, reductions=(PowerSums(2.0),))
         assert blocking.draw_workers() == cpus and len(passes) == 2
         for record in passes:
             assert 0 < record["block_seconds"] <= cpus * record["seconds"]
@@ -423,14 +422,14 @@ class TestStreamStatistics:
     def test_copies_are_the_kernels_on_differences(self, reps, seed, purpose, b):
         scheme = make_blocks(8, b)
         stats = stream_statistics(self.SPEC, reps, seed, purpose, scheme, self.MULT,
-                                  copies=True, reductions=(MeanGram(1.0),))
+                                  copies=True, reductions=(PowerSums(2.0),))
         panels, copies = (draw_panels(self.SPEC, seed, stream, purpose, 0, reps)
                           for stream in (STREAM_PANEL, STREAM_COPY))
         diff = panels - copies
         eps = pass_multipliers(self.SPEC, self.MULT, scheme.count, seed, purpose, 0, reps)
         means = diff.mean(axis=1)
-        assert np.array_equal(stats.read(MeanGram(1.0)),
-                              reference_reduction(MeanGram(1.0), means, self.SPEC))
+        assert np.array_equal(stats.read(PowerSums(2.0)),
+                              reference_reduction(PowerSums(2.0), means, self.SPEC))
         assert np.array_equal(stats.max_abs_mean, batch_max_abs_mean(diff))
         assert np.array_equal(stats.mult_max,
                               batch_multiplier_max(batch_block_sums(diff, scheme), eps, 8))
@@ -454,7 +453,7 @@ class TestStreamStatistics:
 
     def test_tail_reductions_hold_no_means_buffer(self, monkeypatch):
         # One replication per block (n = 8, p = 65536 is 4 MiB of panel) on
-        # two workers: the Gram and power sums fold each block's own means,
+        # two workers: the power sums fold each block's own means,
         # so the pass peaks at a few blocks, not at the 64 x p means of the
         # pass (32 MiB) nor at a buffer of them.
         from blocksym import processes
@@ -466,7 +465,7 @@ class TestStreamStatistics:
         tracemalloc.start()
         try:
             stats = stream_statistics(spec, reps, 3, PURPOSE_TAIL,
-                                      reductions=(MeanGram(1.0), PowerSums(2.0)))
+                                      reductions=(PowerSums(2.0), PowerSums(3.0)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,13 +505,6 @@ def reference_reduction(reduction, means, spec=None):
     bounds = block_bounds(spec, 0, len(means)) if spec else [(0, len(means))]
     blocks = [means[first:end] for first, end in bounds]
     absmeans, p = np.abs(means), means.shape[1]
-    if isinstance(reduction, MeanGram):
-        acc = np.zeros(2)
-        for block in blocks:
-            sums = np.einsum("ij->i", block)
-            squares = (np.einsum("ij,ij->", block, block), np.einsum("i,i->", sums, sums))
-            acc += np.multiply(reduction.scale**2, squares)
-        return acc
     if isinstance(reduction, PowerSums):
         acc, acc2 = np.zeros(p), np.zeros(p)
         for block in blocks:
@@ -525,7 +517,7 @@ def reference_reduction(reduction, means, spec=None):
     return np.where(absmeans <= reduction.U, absmeans, 0.0).max(axis=1)
 
 
-REDUCTIONS = [MeanGram(math.sqrt(8)), PowerSums(3.0),
+REDUCTIONS = [PowerSums(3.0),
               Exceedances(tuple(0.3 * np.geomspace(0.25, 2.0, 8))), MaxBelow(0.3)]
 
 
@@ -575,15 +567,6 @@ class TestReductions:
                 stats.max_abs_mean, stats.mult_max, stats.quad,
                 *(stats.read(reduction) for reduction in REDUCTIONS))]
         assert drawn[1] == drawn[2] == drawn[8]
-
-    def test_mean_gram_sums_are_trace_and_total(self):
-        # The two sums are the trace and 1^T G 1 of the (p, p) Gram G of the
-        # scaled column means of the whole pass.
-        gram = MeanGram(math.sqrt(8))
-        stats = stream_statistics(self.SPEC, self.REPS, 5, 3, reductions=(gram,))
-        scaled = gram.scale * draw_panels(self.SPEC, 5, STREAM_PANEL, 3, 0, self.REPS).mean(axis=1)
-        full = scaled.T @ scaled
-        assert stats.read(gram) == pytest.approx([np.trace(full), full.sum()], rel=1e-12)
 
     @pytest.mark.parametrize("cpus", [{0}, {0, 1}], ids=["1cpu", "2cpu"])
     def test_tail_reductions_fold_in_one_pass(self, cpus, panel_calls, monkeypatch):
@@ -647,7 +630,6 @@ FULL_RUN = {
     "truncation": {"mode": "fixed", "U": 3.0},
     "r": 2.0,
     "reps": 1000,
-    "rho_reps": 1000,
     "seed": 5,
     "checks": ["rho-only", "prop1", "prop2", "theorem1"],
     "tail": {"mode": "subexp", "gamma": 1.0, "phi": 0.5},
@@ -674,38 +656,65 @@ class TestRunPasses:
                              ids=["full", "lq-q3"])
     def test_one_pass_per_stream(self, tmp_path, panel_calls, obj):
         config, meta = run_config(tmp_path, obj)
-        assert len(panel_calls) == 4
+        assert len(panel_calls) == 3
         assert set(panel_calls.values()) == {1}
         streams = meta["panel_streams"]
-        assert set(streams) == {"drawn", "passes"} and streams["drawn"] == 4
+        assert set(streams) == {"drawn", "passes"} and streams["drawn"] == 3
         passes = streams["passes"]
         assert all(record.pop("seconds") >= 0 for record in passes)
         assert all(record.pop("block_seconds") > 0 for record in passes)
-        # In draw order: tail, rho, mid, marginal. The tail pass folds the
-        # Gram the Monte Carlo model reads beside the chain's reductions.
-        assert [record["purpose"] for record in passes] == \
-            [PURPOSE_TAIL, PURPOSE_DEFAULT, PURPOSE_MID, PURPOSE_NORM]
+        # In draw order: tail, mid, marginal. The tail pass, drawn with the
+        # multipliers that rho reads, folds every reduction of the chain.
         reps, n, p = config.reps, config.dgp.n, config.dgp.p
-        tail_reads = (["MeanGram", "Exceedances", "MaxBelow", "PowerSums"] if obj is FULL_RUN
-                      else ["MeanGram", "MaxBelow", "PowerSums", "PowerSums"])
-        assert passes[0] == {"purpose": PURPOSE_TAIL, "reps": reps, "n": n, "p": p,
-                             "multipliers": False, "copies": False, "reductions": tail_reads}
-        assert passes[2:] == [
+        tail_reads = (["Exceedances", "MaxBelow", "PowerSums"] if obj is FULL_RUN
+                      else ["MaxBelow", "PowerSums", "PowerSums"])
+        assert passes == [
+            {"purpose": PURPOSE_TAIL, "reps": reps, "n": n, "p": p, "multipliers": True,
+             "copies": False, "reductions": tail_reads},
             {"purpose": PURPOSE_MID, "reps": reps, "n": n, "p": p, "multipliers": True,
              "copies": False, "reductions": []},
             {"purpose": PURPOSE_NORM, "reps": reps, "n": 1, "p": p, "multipliers": False,
              "copies": False, "reductions": []},
         ]
         report = json.loads((tmp_path / "out" / "prop2.json").read_text())
-        assert report["config"]["gaussian_model"] == {}
+        assert "gaussian_model" not in report["config"] and "rho_reps" not in report["config"]
         if "rho-only" in config.checks:
             rho_only = json.loads((tmp_path / "out" / "rho-only.json").read_text())
-            assert rho_only["diagnostics"]["model_source"] == f"mc({reps})"
+            assert rho_only["params"]["reps"] == rho_only["rho"]["reps"] == reps
+            assert set(rho_only["diagnostics"]) == {"cdf_grid"}
+
+    def test_rho_reads_the_tail_pass(self, tmp_path, monkeypatch):
+        # rho's plain and multiplier samples are the tail pass's maxima on
+        # the sqrt(n) scale, and its Gaussian sample is the closed-form
+        # model's at the run's seed: the rho-only report's quantile grid is
+        # that of these three samples.
+        from blocksym import cli
+        from blocksym.cli import _quantile_grid
+        from blocksym.gaussian import estimate_gaussian_model, sample_gaussian_max
+
+        drawn = []
+
+        def keeping(*args, **kwargs):
+            drawn.append(stream_statistics(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(cli, "stream_statistics", keeping)
+        config, _ = run_config(tmp_path, FULL_RUN)
+        (tail,) = [stats for stats in drawn if stats.purpose == PURPOSE_TAIL]
+        assert (tail.scheme, tail.mult) == (config.scheme, config.multiplier)
+        root_n = math.sqrt(config.dgp.n)
+        samples = {"plain": root_n * tail.max_abs_mean, "multiplier": root_n * tail.mult_max,
+                   "gaussian": sample_gaussian_max(estimate_gaussian_model(config.dgp),
+                                                   config.reps, config.seed)}
+        report = json.loads((tmp_path / "out" / "rho-only.json").read_text())
+        assert report["diagnostics"]["cdf_grid"] == json.loads(json.dumps(
+            _quantile_grid(samples)))
+        assert report["rho"] == json.loads(json.dumps(
+            RhoEstimate.from_samples(*samples.values()).to_json_dict()))
 
     def test_optimal_truncation_draws_the_tail_stream_twice(self, tmp_path, monkeypatch):
-        # U reads rho, which reads the model: the tail stream is drawn for
-        # the model's Gram before rho and again, over the same panels, for
-        # the reductions that read U.
+        # U reads rho: the tail stream is drawn with multipliers for rho and
+        # again, over the same panels, for the reductions that read U.
         from blocksym import cli
 
         drawn = []
@@ -719,28 +728,35 @@ class TestRunPasses:
                    truncation={"mode": "optimal", "phi": 0.5})
         config, meta = run_config(tmp_path, obj)
         passes = meta["panel_streams"]["passes"]
-        assert meta["panel_streams"]["drawn"] == 5
-        assert [(record["purpose"], record["reductions"]) for record in passes] == [
-            (PURPOSE_NORM, []), (PURPOSE_TAIL, ["MeanGram"]), (PURPOSE_DEFAULT, []),
-            (PURPOSE_TAIL, ["Exceedances", "MaxBelow", "PowerSums"]), (PURPOSE_MID, [])]
+        assert meta["panel_streams"]["drawn"] == 4
+        assert [(record["purpose"], record["multipliers"], record["reductions"])
+                for record in passes] == [
+            (PURPOSE_NORM, False, []), (PURPOSE_TAIL, True, []),
+            (PURPOSE_TAIL, False, ["Exceedances", "MaxBelow", "PowerSums"]),
+            (PURPOSE_MID, True, [])]
         tails = [stats for stats in drawn if stats.purpose == PURPOSE_TAIL]
         assert len(tails) == 2
         assert np.array_equal(tails[0].max_abs_mean, tails[1].max_abs_mean)
         assert set(meta["stages"]) == {"marginal", "tail", "rho", "truncation", "mid",
                                        *obj["checks"]}
 
-    def test_rho_only_reads_a_tail_pass_of_the_gram_alone(self, tmp_path):
-        # Without a chain check the Monte Carlo model still reads a tail
-        # pass of reps replications, which folds its Gram alone.
-        obj = {key: value for key, value in FULL_RUN.items() if key not in ("truncation", "tail")}
-        config, meta = run_config(tmp_path, dict(obj, checks=["rho-only"], rho_reps=2000))
+    def test_rho_only_draws_one_tail_pass(self, tmp_path):
+        # Without a chain check a run draws the tail stream once, with
+        # multipliers and no reduction, and reads rho from its reps
+        # replications; the echo leaves out the gauge and the truncation,
+        # which no chosen check reads.
+        obj = {key: value for key, value in FULL_RUN.items()
+               if key not in ("psi", "truncation", "tail")}
+        config, meta = run_config(tmp_path, dict(obj, checks=["rho-only"], reps=2000))
         passes = meta["panel_streams"]["passes"]
-        assert meta["panel_streams"]["drawn"] == 2
-        assert [(record["purpose"], record["reps"], record["reductions"])
-                for record in passes] == [(PURPOSE_TAIL, 1000, ["MeanGram"]),
-                                          (PURPOSE_DEFAULT, 2000, [])]
+        assert meta["panel_streams"]["drawn"] == 1
+        assert [(record["purpose"], record["reps"], record["multipliers"],
+                 record["reductions"]) for record in passes] == [(PURPOSE_TAIL, 2000, True, [])]
         report = json.loads((tmp_path / "out" / "rho-only.json").read_text())
-        assert report["diagnostics"]["model_source"] == "mc(1000)"
+        assert report["params"]["reps"] == report["rho"]["reps"] == 2000
+        assert set(report["config"]) == {"dgp", "scheme", "multiplier", "r", "reps", "seed",
+                                         "checks", "tail"}
+        assert config.psi is None
 
     def test_checks_read_the_one_mid_pass(self, tmp_path):
         # theorem1's lhs and Hoeffding step read the mid pass that prop1

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksym import blocking, processes, verify
-from blocksym.seeding import PURPOSE_DEFAULT, PURPOSE_NORM, PURPOSE_TAIL
+from blocksym.seeding import PURPOSE_NORM, PURPOSE_TAIL
 from blocksym.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -25,24 +25,25 @@ from blocksym.cli import (
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
+# A rho-only config, which reads no gauge.
 BASE = {
     "dgp": {"kind": "iid_gaussian", "n": 16, "p": 3},
     "scheme": {"b": 4},
     "multiplier": {"kind": "rademacher"},
-    "psi": {"kind": "power", "q": 2.0},
     "r": 2.0,
     "reps": 1000,
-    "rho_reps": 1000,
     "seed": 11,
     "checks": ["rho-only"],
 }
+# The gauge of the checks that read one, which ``with_fields`` adds for them.
+PSI = {"kind": "power", "q": 2.0}
+PSI_CHECKS = ("prop1", "prop2", "theorem1", "independence-reduction")
 # The truncation of the checks that read one (prop1, prop2, theorem1).
 FIXED = {"mode": "fixed", "U": 2.0}
 
 
 def write_config(tmp_path, **overrides):
-    obj = json.loads(json.dumps(BASE))
-    obj.update(overrides)
+    obj = with_fields(**overrides)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(obj))
     return path, obj
@@ -83,7 +84,7 @@ class TestConfigValidation:
         accepted = []
         for b in (1, 2, 4, 8, 16):
             for kind in blocking.MULTIPLIER_KINDS:
-                obj = dict(BASE, checks=["independence-reduction"], scheme={"b": b},
+                obj = with_fields(checks=["independence-reduction"], scheme={"b": b},
                            multiplier={"kind": kind})
                 with contextlib.suppress(ConfigError):
                     accepted.append(parse_config(obj))
@@ -94,7 +95,7 @@ class TestConfigValidation:
         assert report.params["b"] == drawn[0].scheme.b
 
     def test_prop1_needs_bounded_kind(self):
-        obj = dict(BASE, checks=["prop1"])
+        obj = with_fields(checks=["prop1"])
         with pytest.raises(ConfigError) as err:
             parse_config(obj)
         assert any("bounded" in msg for _, msg in err.value.problems)
@@ -107,16 +108,15 @@ class TestConfigValidation:
         assert {"scheme.b", "r", "checks[0]"} <= paths
 
     def test_theorem1_needs_power_gauge(self):
-        obj = dict(BASE, psi={"kind": "exponential", "a": 1.0, "b": 1.0},
+        obj = with_fields(psi={"kind": "exponential", "a": 1.0, "b": 1.0},
                    checks=["theorem1"])
         with pytest.raises(ConfigError) as err:
             parse_config(obj)
         assert any(path == "psi.kind" for path, _ in err.value.problems)
 
     def test_subexp_needs_p_above_e(self):
-        obj = dict(BASE)
+        obj = with_fields(checks=["theorem1"])
         obj["dgp"] = {"kind": "iid_gaussian", "n": 16, "p": 2}
-        obj["checks"] = ["theorem1"]
         obj["tail"] = {"mode": "subexp"}
         with pytest.raises(ConfigError) as err:
             parse_config(obj)
@@ -134,10 +134,10 @@ class TestConfigValidation:
         # Gaussian innovations leave it unbounded.
         dgp = {"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1.0, -0.5],
                "innovation": "rademacher"}
-        cfg = parse_config(dict(BASE, dgp=dgp, checks=["prop1"], truncation=FIXED))
+        cfg = parse_config(with_fields(dgp=dgp, checks=["prop1"], truncation=FIXED))
         assert cfg.dgp.support_bound == 1.5
         with pytest.raises(ConfigError) as err:
-            parse_config(dict(BASE, dgp=dict(dgp, innovation="gaussian"), checks=["prop1"],
+            parse_config(with_fields(dgp=dict(dgp, innovation="gaussian"), checks=["prop1"],
                               truncation=FIXED))
         assert any("bounded" in msg for _, msg in err.value.problems)
 
@@ -148,18 +148,46 @@ class TestConfigValidation:
         assert main(["validate", str(path)]) == EXIT_OK
         assert capsys.readouterr().err == ""
 
-    def test_model_reps_points_to_reps(self):
-        # The clipped autoregression has no closed-form covariance, so its
-        # model is estimated by Monte Carlo, from the tail pass of reps
-        # replications; gaussian_model.reps is no longer read.
+    @pytest.mark.parametrize("model", [{}, {"method": "mc"}, {"method": "analytic"},
+                                       {"reps": 5000}, {"method": "mc", "reps": 5000}])
+    def test_gaussian_model_is_retired(self, model):
+        # Every kind's model is a closed form, so no config names a method;
+        # a retired section names each key it gives.
         dgp = {"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5}
-        assert parse_config(dict(BASE, dgp=dgp)).gaussian_model.method is None
-        for model in ({"reps": 5000}, {"method": "mc", "reps": 5000}):
+        with pytest.raises(ConfigError) as err:
+            parse_config(with_fields(dgp=dgp, gaussian_model=model))
+        message = "no longer read; the Gaussian model is the closed form of every kind"
+        want = [(f"gaussian_model.{key}", message) for key in model]
+        assert err.value.problems == (want or [("gaussian_model", message)])
+
+    def test_rho_reps_is_retired(self):
+        # rho reads the tail pass, of reps replications.
+        for value in (1000, 2000, 1.5):
             with pytest.raises(ConfigError) as err:
-                parse_config(dict(BASE, dgp=dgp, gaussian_model=model))
+                parse_config(with_fields(rho_reps=value))
             assert err.value.problems == [
-                ("gaussian_model.reps", "no longer read; the mc model reads the tail pass of "
-                                        "reps replications")]
+                ("rho_reps", "no longer read; rho reads the tail pass of reps replications")]
+
+    def test_rho_only_reads_no_gauge(self, tmp_path, capsys):
+        # The repro of a gauge that a rho-only run never reads: two configs
+        # that differ only in psi.q once validated alike. The gauge is now
+        # optional there, and each key it gives is named.
+        for q in (2.0, 3.0):
+            path, _ = write_config(tmp_path, psi={"kind": "power", "q": q})
+            assert main(["validate", str(path)]) == EXIT_ERROR
+            err = capsys.readouterr().err.splitlines()
+            assert err == [f"psi.{key}: not read: only prop1, prop2, theorem1, "
+                           f"independence-reduction read it, and none is chosen"
+                           for key in ("kind", "q")]
+        config = parse_config(BASE)
+        assert config.psi is None and "psi" not in config.to_json_dict()
+        # Every check that reads the gauge needs it.
+        for check in PSI_CHECKS:
+            obj = with_fields(checks=[check], truncation=FIXED)
+            del obj["psi"]
+            with pytest.raises(ConfigError) as err:
+                parse_config(obj)
+            assert ("psi", "missing") in err.value.problems
 
     def test_fields_the_kind_reads_parse(self):
         # Every kind reads (and checks) cross_corr; subexp mode reads the
@@ -183,8 +211,15 @@ def truncated(**fields):
 
 
 def with_fields(**fields):
-    """BASE with dotted-path fields replaced, e.g. with_fields(**{"dgp.n": 1})."""
+    """BASE with dotted-path fields replaced, e.g. with_fields(**{"dgp.n": 1}).
+    A config whose checks read the gauge, or that sets a gauge field, starts
+    from the gauge ``PSI``."""
     obj = json.loads(json.dumps(BASE))
+    checks = fields.get("checks", obj["checks"])
+    if (any(path.startswith("psi.") for path in fields)
+            or isinstance(checks, list) and any(c in PSI_CHECKS for c in checks
+                                                if isinstance(c, str))):
+        obj["psi"] = dict(PSI)
     for path, value in fields.items():
         *parents, leaf = path.split(".")
         node = obj
@@ -207,7 +242,7 @@ PROBES = {
     "dgp-not-object": (with_fields(dgp=[16, 3]), "dgp"),
     "psi-not-object": (with_fields(psi="power"), "psi"),
     "multiplier-not-object": (with_fields(multiplier="rademacher"), "multiplier"),
-    "gaussian-model-not-object": (with_fields(gaussian_model="mc"), "gaussian_model"),
+    "gaussian-model-retired": (with_fields(gaussian_model="mc"), "gaussian_model"),
     "r-nan": (with_fields(r=NAN), "r"),
     # A string or boolean r once passed through float() into the run.
     "r-string-nan": (with_fields(r="nan"), "r"),
@@ -223,12 +258,20 @@ PROBES = {
                                    "scale": NAN}), "dgp.scale"),
     "U-nan": (truncated(**{"truncation.U": NAN}), "truncation.U"),
     "q-infinite": (with_fields(**{"psi.q": float("inf")}), "psi.q"),
-    "model-reps-mc": (with_fields(gaussian_model={"method": "mc", "reps": 10_000}),
-                      "gaussian_model.reps"),
-    "model-reps-small": (with_fields(gaussian_model={"method": "mc", "reps": 10}),
-                         "gaussian_model.reps"),
-    "mc-model-reps-small": (with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3,
-                                             "phi": 0.5}, reps=999), "reps"),
+    "model-method-retired": (with_fields(gaussian_model={"method": "mc", "reps": 10_000}),
+                             "gaussian_model.method"),
+    "model-reps-retired": (with_fields(gaussian_model={"method": "mc", "reps": 10}),
+                           "gaussian_model.reps"),
+    "rho-reps-retired": (with_fields(rho_reps=1000), "rho_reps"),
+    "reps-small": (with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3,
+                                    "phi": 0.5}, reps=999), "reps"),
+    # The clipped autoregression's closed form sums a series that grows
+    # without bound as |phi| or |cross_corr| nears 1.
+    "truncated-phi-near-one": (with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3,
+                                                "phi": 0.9995}), "dgp.phi"),
+    "truncated-cross-corr-near-one": (
+        with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5,
+                         "cross_corr": 0.9999}), "dgp.cross_corr"),
     # A check listed twice would run once but be echoed twice.
     "check-repeated": (with_fields(dgp={"kind": "bounded_rademacher", "n": 16, "p": 3},
                                    checks=["prop1", "prop1"], truncation=FIXED), "checks[1]"),
@@ -268,7 +311,7 @@ PROBES = {
     "scheme-bb-unknown": (with_fields(**{"scheme.bb": 4}), "scheme.bb"),
     "truncation-u-unknown": (truncated(**{"truncation.u": 2.0}), "truncation.u"),
     "tail-gama-unknown": (with_fields(tail={"mode": "lq", "gama": 1.0}), "tail.gama"),
-    "gaussian-model-x-unknown": (with_fields(**{"gaussian_model.x": 1}), "gaussian_model.x"),
+    "gaussian-model-x-retired": (with_fields(**{"gaussian_model.x": 1}), "gaussian_model.x"),
     "optimal-truncation-exponential-gauge": (
         with_fields(psi={"kind": "exponential", "a": 1.0, "b": 1.0},
                     truncation={"mode": "optimal", "phi": 0.5}, checks=["prop2"]), "psi.kind"),
@@ -282,27 +325,20 @@ PROBES = {
        for key, value in [("gamma", 1.0), ("phi", 0.5), ("a", 2.0), ("b", 1.0), ("fit", True)]},
     "tail-b-fit-true": (with_fields(checks=["theorem1"], tail={"mode": "subexp", "b": 1.0}),
                         "tail.b"),
-    "model-reps-analytic": (with_fields(gaussian_model={"method": "analytic", "reps": 5000}),
-                            "gaussian_model.reps"),
     # Keys of sections that no chosen check reads.
     "tail-gamma-no-theorem1": (with_fields(tail={"mode": "subexp", "gamma": 2.0}), "tail.gamma"),
     **{f"truncation-{key}-no-check": (with_fields(truncation=dict(FIXED, phi=0.5)),
                                       f"truncation.{key}")
        for key in ("mode", "U", "phi")},
-    "model-method-no-rho": (with_fields(checks=["independence-reduction"],
-                                        gaussian_model={"method": "mc"}),
-                            "gaussian_model.method"),
-    "model-reps-closed-form": (with_fields(gaussian_model={"reps": 5000}),
-                               "gaussian_model.reps"),
+    "psi-no-reader": (with_fields(psi=dict(PSI)), "psi.q"),
+    "psi-missing": ({key: value for key, value in with_fields(checks=["prop2"],
+                                                              truncation=FIXED).items()
+                     if key != "psi"}, "psi"),
     # theorem1's lq tail bound needs p >= 2: a run drew four passes, then
     # stopped with VacuousBoundError.
     "theorem1-p1": ({"dgp": {"kind": "iid_gaussian", "n": 8, "p": 1}, "scheme": {"b": 2},
                      "psi": {"kind": "power", "q": 2.0}, "truncation": FIXED, "reps": 1000,
                      "seed": 3, "checks": ["theorem1"]}, "dgp.p"),
-    # A run would stop at the model with LongRunCovError.
-    "model-analytic-no-closed-form": (
-        with_fields(dgp={"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5},
-                    gaussian_model={"method": "analytic"}), "gaussian_model.method"),
     # Spec fields that the kind never reads, which the echo once dropped.
     "dgp-phi-iid": (with_fields(**{"dgp.phi": 0.9}), "dgp.phi"),
     "dgp-scale-truncated-var1": (
@@ -346,7 +382,7 @@ FUZZ_PATHS = [
     "dgp.scale", "dgp.innovation", "scheme", "scheme.b", "scheme.n", "multiplier",
     "multiplier.kind", "psi", "psi.kind", "psi.q", "psi.a", "truncation", "truncation.mode",
     "truncation.U", "truncation.phi", "r", "reps", "rho_reps", "seed", "checks",
-    "gaussian_model", "gaussian_model.method", "gaussian_model.reps", "tail", "tail.mode",
+    "gaussian_model", "gaussian_model.method", "tail", "tail.mode",
     "tail.gamma", "tail.fit", "tail.a", "tail.b", "debug", "output_dir",
 ]
 
@@ -369,7 +405,6 @@ class TestRun:
         path, _ = write_config(
             tmp_path, dgp={"kind": "var1", "n": 16, "p": 3, "phi": 0.5},
             checks=["rho-only", "theorem1"], truncation=FIXED,
-            gaussian_model={"method": "mc"},
             tail={"mode": "subexp", "gamma": 1.0, "phi": 0.5, "a": 2.0},
             output_dir=str(tmp_path / "out"))
         config = load_config(path)
@@ -490,7 +525,6 @@ class TestRun:
             truncation={"mode": "fixed", "U": 3.0},
             checks=["prop1"],
             reps=2000,
-            rho_reps=2000,
         )
         assert main(["run", str(path), "--output-dir", str(tmp_path / "v")]) \
             == EXIT_VIOLATED
@@ -557,8 +591,8 @@ class TestRun:
     def test_optimal_truncation_below_support_stops_before_its_passes(self, tmp_path):
         # U* reads rho and the marginal norm, so validate cannot see that it
         # lies below the support bound 3.0; the run stops once U* resolves,
-        # after the marginal, model-tail and rho passes and before the
-        # second tail pass and the mid pass.
+        # after the marginal pass and the tail pass that rho reads, and
+        # before the second tail pass and the mid pass.
         path, _ = write_config(
             tmp_path,
             dgp={"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "truncation": 3.0},
@@ -571,9 +605,9 @@ class TestRun:
         assert partial["error"].startswith(
             "ValueError: panel support bound 3.0 exceeds truncation level")
         passes = json.loads((out / "run_meta.json").read_text())["panel_streams"]
-        assert passes["drawn"] == 3
-        assert ([p["purpose"] for p in passes["passes"]]
-                == [PURPOSE_NORM, PURPOSE_TAIL, PURPOSE_DEFAULT])
+        assert passes["drawn"] == 2
+        assert ([(p["purpose"], p["multipliers"]) for p in passes["passes"]]
+                == [(PURPOSE_NORM, False), (PURPOSE_TAIL, True)])
 
 
 class TestPlots:

@@ -1,5 +1,4 @@
 import math
-import re
 import tracemalloc
 
 import numpy as np
@@ -16,16 +15,17 @@ from blocksym.gaussian import (
     RhoEstimate,
     draw_rho_samples,
     estimate_gaussian_model,
+    pass_maxima,
+    pass_rho_samples,
     estimate_rhos,
-    model_reduction,
     kolmogorov_distance,
     rho_uncertainty,
     sample_gaussian_max,
     simulate_max_statistics,
 )
-from blocksym.processes import DgpSpec, theoretical_longrun_variance
-from blocksym.seeding import PURPOSE_MID, PURPOSE_TAIL, STREAM_GAUSSIAN, STREAM_PANEL, substream
-from conftest import draw_panels, mc_model, mid_pass, tail_pass
+from blocksym.processes import DgpSpec, longrun_covariance, theoretical_longrun_variance
+from blocksym.seeding import STREAM_GAUSSIAN, substream
+from conftest import tail_pass
 
 
 def dkw_two_sample_bound(reps: int, alpha: float = 0.05) -> float:
@@ -296,7 +296,7 @@ class TestSampleGaussianMax:
 class TestEstimateGaussianModel:
     def test_analytic_identity(self):
         model = estimate_gaussian_model(DgpSpec("iid_gaussian", n=8, p=2))
-        assert model == GaussianModel(2, 1.0, 1.0, source="analytic")
+        assert model == GaussianModel(2, 1.0, 1.0)
 
     def test_analytic_equicorrelated(self):
         spec = DgpSpec("linear_process", n=8, p=4, coeffs=(1.0, 0.5), cross_corr=-0.2)
@@ -306,78 +306,29 @@ class TestEstimateGaussianModel:
         assert (model.perp, model.parallel) == pytest.approx(
             (eigenvalues[-1], eigenvalues[0]), rel=1e-12)
 
-    def test_mc_consistent_on_iid(self):
-        spec = DgpSpec("iid_gaussian", n=8, p=2)
-        model = mc_model(spec, 40_000, seed=2)
-        # At p = 2 both eigenvalues are means of a chi-square(1) variable,
-        # (s1 + s2)^2 / 2 and (s1 - s2)^2 / 2, of variance 2.
-        se = math.sqrt(2.0 / 40_000)
-        assert abs(model.parallel - 1.0) < 4 * se and abs(model.perp - 1.0) < 4 * se
+    @pytest.mark.parametrize("cross_corr", [0.0, 0.3, -0.2])
+    def test_clipped_model_reads_the_cross_covariance(self, cross_corr):
+        # Clipping bends the cross-coordinate correlation, so the clipped
+        # autoregression's eigenvalues come from its own v_c, not from
+        # cross_corr times v; at cross_corr 0 the coordinates are
+        # independent and the two eigenvalues are v.
+        spec = DgpSpec("truncated_var1", n=32, p=5, phi=0.8, truncation=1.0,
+                       cross_corr=cross_corr)
+        v, cross = longrun_covariance(spec)
+        model = estimate_gaussian_model(spec)
+        assert (model.parallel, model.perp) == (v + 4 * cross, v - cross)
+        if cross_corr == 0.0:
+            assert cross == 0.0 and model.parallel == model.perp == v
+        else:
+            assert 0 < cross / (cross_corr * v) < 1
 
-    def test_mc_matches_analytic_var1(self):
-        spec = DgpSpec("var1", n=32, p=1, phi=0.5)
-        analytic = estimate_gaussian_model(spec).parallel
-        mc = mc_model(spec, 40_000, seed=3)
-        assert mc.perp == mc.parallel
-        # Var of the squared statistic is about 2 * analytic^2.
-        se = math.sqrt(2.0) * analytic / math.sqrt(40_000)
-        assert abs(mc.parallel - analytic) < 4 * se
+    def test_model_draws_nothing(self, monkeypatch):
+        from blocksym import blocking
 
-    def test_mc_recovers_brute_force_gram(self):
-        # The clipped autoregression has no closed form. Its MC eigenvalues
-        # against those read from the (p, p) Gram of independent panels,
-        # each within 4 se of the difference of two such estimates.
-        spec = DgpSpec("truncated_var1", n=16, p=5, phi=0.5, truncation=1.5, cross_corr=0.3)
-        reps, p = 20_000, spec.p
-        model = mc_model(spec, reps, seed=4)
-        scaled = math.sqrt(spec.n) * draw_panels(spec, 40, STREAM_PANEL, PURPOSE_TAIL,
-                                                 0, reps).mean(axis=1)
-        gram = scaled.T @ scaled
-        parallel = gram.sum() / (p * reps)
-        perp = (p * np.trace(gram) - gram.sum()) / (p * (p - 1) * reps)
-        # Per replication the two estimates average these terms.
-        along = scaled.sum(axis=1) ** 2 / p
-        across = (p * (scaled**2).sum(axis=1) - scaled.sum(axis=1) ** 2) / (p * (p - 1))
-        for got, want, terms in ((model.parallel, parallel, along),
-                                 (model.perp, perp, across)):
-            se = math.sqrt(2.0) * terms.std(ddof=1) / math.sqrt(reps)
-            assert abs(got - want) < 4 * se
-        assert model.parallel > 2 * model.perp  # the correlation shows
-
-    def test_mc_clips_tiny_negative_perp(self):
-        # Sums of perfectly correlated means may round p T - total below 0.
-        spec = DgpSpec("iid_gaussian", n=8, p=2)
-        tail = tail_pass(spec, 1000, 0, model_reduction(spec))
-        tail = tail._replace(reduced={model_reduction(spec): np.array([1000.0, 2000.0 + 1e-9])})
-        model = estimate_gaussian_model(spec, "mc", tail=tail)
-        assert (model.parallel, model.perp) == (pytest.approx(1.0), 0.0)
-
-    def test_mc_reads_the_tail_pass_of_its_spec(self):
-        # A mid pass, or a tail pass of another spec, is named with the
-        # request the model reads it as.
-        spec = DgpSpec("truncated_var1", n=16, p=3, phi=0.5)
-        other = DgpSpec("truncated_var1", n=16, p=3, phi=0.4)
-        with pytest.raises(ValueError, match=f"model pass was drawn for purpose {PURPOSE_MID} "
-                                             f".* read as purpose {PURPOSE_TAIL} "):
-            estimate_gaussian_model(spec, "mc", tail=mid_pass(spec, make_blocks(16, 4), 1000, 0))
-        with pytest.raises(ValueError, match=r"'phi': 0\.4.* read as .*'phi': 0\.5"):
-            estimate_gaussian_model(spec, "mc",
-                                    tail=tail_pass(other, 1000, 0, model_reduction(other)))
-
-    def test_mc_needs_the_gram_of_its_tail_pass(self):
-        spec = DgpSpec("truncated_var1", n=16, p=3, phi=0.5)
-        with pytest.raises(ValueError, match="tail pass; none was given"):
-            estimate_gaussian_model(spec, "mc")
-        with pytest.raises(ValueError, match=re.escape(f"folded no {model_reduction(spec)}")):
-            estimate_gaussian_model(spec, "mc", tail=tail_pass(spec, 1000, 0))
-        with pytest.raises(ValueError, match="reps >= 1000"):
-            estimate_gaussian_model(spec, "mc", tail=tail_pass(spec, 999, 0,
-                                                              model_reduction(spec)))
-
-    def test_unsupported_analytic_kind_points_to_mc(self):
-        spec = DgpSpec("truncated_var1", n=8, p=1, phi=0.5)
-        with pytest.raises(Exception, match="MC covariance"):
-            estimate_gaussian_model(spec, method="analytic")
+        monkeypatch.setattr(blocking, "stream_statistics", None)
+        monkeypatch.setattr(gaussian, "stream_statistics", None)
+        spec = DgpSpec("truncated_var1", n=128, p=20, phi=0.5, truncation=3.0)
+        assert estimate_gaussian_model(spec).p == 20
 
 
 class TestEstimateRhos:
@@ -480,3 +431,28 @@ def test_simulate_statistics_paired_shapes():
     )
     assert plain.shape == starred.shape == (500,)
     assert np.all(plain >= 0) and np.all(starred >= 0)
+
+
+class TestPassRhoSamples:
+    SPEC = DgpSpec("truncated_var1", n=16, p=3, phi=0.5, truncation=1.5)
+    SCHEME = make_blocks(16, 4)
+
+    def test_samples_of_a_tail_pass(self):
+        # A run's rho samples: the tail pass's maxima on the sqrt(n) scale
+        # and as many Gaussian maxima at the pass's seed.
+        model = estimate_gaussian_model(self.SPEC)
+        tail = tail_pass(self.SPEC, 1500, 4, scheme=self.SCHEME)
+        samples = pass_rho_samples(tail, model)
+        assert np.array_equal(samples.plain, 4.0 * tail.max_abs_mean)
+        assert np.array_equal(samples.multiplier, 4.0 * tail.mult_max)
+        assert np.array_equal(samples.gaussian, sample_gaussian_max(model, 1500, 4))
+        assert all(np.array_equal(a, b) for a, b in zip(pass_maxima(tail), samples[:2]))
+
+    def test_pass_without_multipliers_is_named(self):
+        with pytest.raises(ValueError, match=r"multiplier statistic \(mult_max\)"):
+            pass_maxima(tail_pass(self.SPEC, 100, 4))
+
+    def test_model_of_another_dimension_is_rejected(self):
+        other = estimate_gaussian_model(DgpSpec("iid_gaussian", n=16, p=4))
+        with pytest.raises(ValueError, match="p=4 but the panels have p=3"):
+            pass_rho_samples(tail_pass(self.SPEC, 100, 4, scheme=self.SCHEME), other)

@@ -8,14 +8,15 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from scipy import integrate
 from hypothesis import strategies as st
 
 from blocksym import blocking, processes
 from blocksym.blocking import (
     BlockScheme,
     BlockSchemeError,
-    MeanGram,
     MultiplierSpec,
+    PowerSums,
     batch_block_sums,
     batch_max_abs_mean,
     batch_multiplier_max,
@@ -27,10 +28,11 @@ from blocksym.processes import (
     MAX_BLOCK_REPS,
     DgpSpec,
     DgpValidationError,
-    LongRunCovError,
+    longrun_covariance,
     theoretical_longrun_variance,
 )
-from blocksym.seeding import STREAM_COPY, STREAM_PANEL, generator, substream, substream_keys
+from blocksym.seeding import (PURPOSE_TAIL, STREAM_COPY, STREAM_PANEL, generator, substream,
+                              substream_keys)
 from conftest import block_bounds, block_panels, draw_panels, equicorrelated, pass_multipliers
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
@@ -301,14 +303,14 @@ class TestReplicationBlocks:
         # statistic and the quadratic term read every entry of the panels.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", 2 * spec.n * spec.p * 8)
         threads = fill_threads(monkeypatch)
-        gram, drawn = MeanGram(1.0), {}
+        sums, drawn = PowerSums(2.0), {}
         for cpus in ({0}, {0, 1}):
             patch_cpus(monkeypatch, cpus)
             threads.clear()
             stats = stream_statistics(spec, self.STOP, 3, 2, make_blocks(spec.n, 1), RADEMACHER,
-                                      reductions=(gram,))
+                                      reductions=(sums,))
             drawn[len(cpus)] = [array.tobytes() for array in (
-                stats.max_abs_mean, stats.mult_max, stats.quad, stats.read(gram))]
+                stats.max_abs_mean, stats.mult_max, stats.quad, stats.read(sums))]
             assert_on_pool_threads(threads)
         assert drawn[1] == drawn[2]
 
@@ -752,10 +754,15 @@ class TestLongRunCov:
         brute = sum(gamma(s - t) for s in range(n) for t in range(n)) / n
         assert theoretical_longrun_variance(spec) == pytest.approx(brute, rel=1e-12)
 
-    def test_truncated_has_no_closed_form(self):
-        spec = DgpSpec("truncated_var1", n=16, p=1, phi=0.5)
-        with pytest.raises(LongRunCovError, match="MC covariance"):
-            theoretical_longrun_variance(spec)
+    @pytest.mark.parametrize("kind", ["iid_gaussian", "var1", "linear_process",
+                                      "bounded_rademacher"])
+    def test_linear_kinds_cross_covariance_is_c_v(self, kind):
+        extra = {"var1": {"phi": 0.5}, "linear_process": {"coeffs": (1.0, 0.5)}}.get(kind, {})
+        c = 0.0 if kind == "bounded_rademacher" else 0.3
+        spec = DgpSpec(kind, n=16, p=3, cross_corr=c, **extra)
+        v, cross = longrun_covariance(spec)
+        assert v == theoretical_longrun_variance(spec)
+        assert cross == pytest.approx(c * v, rel=1e-14)
 
     def test_matches_mc_covariance(self):
         # Covariance of sqrt(n) * column means over replications against
@@ -772,6 +779,110 @@ class TestLongRunCov:
         assert np.all(np.abs(mc - cov) < 4 * se)
 
 
+
+
+def clipped_product_moment(rho, tau):
+    """E[f(Z) f(Z')] for f = clip(., -tau, tau) and standard normals of
+    correlation rho, by ``scipy.integrate.dblquad``: Z = x and Z' = rho x +
+    sqrt(1 - rho^2) y for independent x and y on [-12, 12]^2, split where
+    f(x) and f(Z') bend, so each piece is smooth (signed pieces, whose
+    y-limits may cross, still add up to the whole square)."""
+    s, edge = math.sqrt(1.0 - rho * rho), 12.0
+
+    def integrand(y, x):
+        z = rho * x + s * y
+        return (min(tau, max(-tau, x)) * min(tau, max(-tau, z))
+                * math.exp(-0.5 * (x * x + y * y)) / (2.0 * math.pi))
+
+    low, high = (lambda x: (-tau - rho * x) / s), (lambda x: (tau - rho * x) / s)
+    return sum(integrate.dblquad(integrand, xa, xb, ya, yb, epsabs=1e-12, epsrel=1e-12)[0]
+               for xa, xb in ((-edge, -tau), (-tau, tau), (tau, edge))
+               for ya, yb in ((lambda x: -edge, low), (low, high), (high, lambda x: edge)))
+
+
+def mean_gram_eigenvalues(spec, reps, seed):
+    """The Monte Carlo covariance model, kept here as a reference: per
+    replication, sqrt(n) times the column means S of ``processes._draw_block``
+    (drawn as a tail pass draws them) gives (1^T S)^2 / p and (p |S|^2 -
+    (1^T S)^2) / (p (p - 1)), unbiased for the eigenvalues along the
+    all-ones vector and across it. Returns the two arrays of terms."""
+    block, p = processes._block_reps(spec), spec.p
+    along, across = [], []
+    for first in range(0, reps, block):
+        rng = generator(first_key(seed, STREAM_PANEL, PURPOSE_TAIL, first))
+        _, means, _ = processes._draw_block(spec, None, min(block, reps - first), block,
+                                            rng, None)
+        scaled = math.sqrt(spec.n) * means
+        total = scaled.sum(axis=1)
+        along.append(total**2 / p)
+        across.append((p * (scaled**2).sum(axis=1) - total**2) / (p * (p - 1)))
+    return np.concatenate(along), np.concatenate(across)
+
+
+class TestClippedLongRunCov:
+    """The closed form of the clipped autoregression against three references."""
+
+    @pytest.mark.parametrize("tau", [0.5, 1.3, 3.0])
+    @pytest.mark.parametrize("rho", [-0.5, 0.3, 0.9])
+    def test_series_matches_dblquad(self, rho, tau):
+        _, gamma = processes._clipped_correlations(tau, np.array([rho]))
+        assert abs(gamma[0] - clipped_product_moment(rho, tau)) < 1e-8
+
+    @pytest.mark.parametrize("tau", [0.5, 1.3, 3.0])
+    def test_second_moment_matches_dblquad(self, tau):
+        # gamma(1) = E[f(Z)^2], the one-dimensional integral.
+        at_one, _ = processes._clipped_correlations(tau, np.array([0.5]))
+        want = integrate.quad(lambda z: min(tau, abs(z)) ** 2 * math.exp(-0.5 * z * z)
+                              / math.sqrt(2.0 * math.pi), -12.0, 12.0, points=[-tau, tau],
+                              epsabs=1e-13)[0]
+        assert abs(at_one - want) < 1e-10
+
+    @pytest.mark.parametrize("phi", [0.5, -0.7, 0.0])
+    @pytest.mark.parametrize("cross_corr", [0.0, 0.3])
+    def test_no_clipping_is_var1(self, phi, cross_corr):
+        # At 40 sigma the clip never bites, so the clipped autoregression's
+        # covariance is var1's: v and c v.
+        sigma = 1.0 / math.sqrt(1.0 - phi * phi)
+        clipped = DgpSpec("truncated_var1", n=64, p=3, phi=phi, truncation=40.0 * sigma,
+                          cross_corr=cross_corr)
+        v = theoretical_longrun_variance(DgpSpec("var1", n=64, p=3, phi=phi,
+                                                 cross_corr=cross_corr))
+        got_v, got_cross = longrun_covariance(clipped)
+        assert got_v == pytest.approx(v, rel=1e-12)
+        assert got_cross == pytest.approx(cross_corr * v, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("spec", [
+        DgpSpec("truncated_var1", n=128, p=4, phi=0.5, truncation=3.0),
+        DgpSpec("truncated_var1", n=32, p=5, phi=0.8, truncation=1.0, cross_corr=0.3),
+    ], ids=["c0", "c0.3"])
+    def test_matches_the_monte_carlo_gram(self, spec):
+        # 100k replications; each eigenvalue's mean of iid per-replication
+        # terms is gated at 5 of its standard errors (two-sided normal
+        # tail 5.7e-7), so the test fails by chance about once in a
+        # million runs and no seed is chosen to pass it.
+        v, cross = longrun_covariance(spec)
+        for terms, want in zip(mean_gram_eigenvalues(spec, 100_000, 30),
+                               (v + (spec.p - 1) * cross, v - cross)):
+            se = terms.std(ddof=1) / math.sqrt(len(terms))
+            assert abs(terms.mean() - want) < 5.0 * se, (terms.mean(), want, se)
+
+    def test_clipping_shrinks_the_variance(self):
+        # |clip(x)| <= |x| pathwise, and the clip loses correlation.
+        spec = DgpSpec("truncated_var1", n=32, p=3, phi=0.8, truncation=1.0, cross_corr=0.3)
+        v, cross = longrun_covariance(spec)
+        var1 = theoretical_longrun_variance(DgpSpec("var1", n=32, p=3, phi=0.8))
+        assert 0 < v < var1 and 0 < cross < 0.3 * v
+
+    def test_series_length_is_bounded_at_the_largest_correlation(self):
+        # At |phi| = |cross_corr| = 0.999 the series runs about 20,000
+        # terms and finishes; beyond it the spec is rejected.
+        spec = DgpSpec("truncated_var1", n=16, p=3, phi=0.999, truncation=1.0,
+                       cross_corr=0.999)
+        v, cross = longrun_covariance(spec)
+        assert 0 < cross < v
+        for field in ("phi", "cross_corr"):
+            with pytest.raises(DgpValidationError, match=f"^{field}: .*0.999"):
+                DgpSpec("truncated_var1", n=16, p=3, **{field: 0.9995})
 @settings(max_examples=20, deadline=None)
 @given(
     n=st.integers(min_value=1, max_value=16),
