@@ -20,10 +20,7 @@ from .gaussian import (
     kolmogorov_distance,
     sample_gaussian_max,
 )
-from .processes import (
-    DgpSpec,
-    theoretical_longrun_variance,
-)
+from .processes import DgpSpec
 from .psi import (
     CustomPsi,
     PsiSpec,

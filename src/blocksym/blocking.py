@@ -16,13 +16,11 @@ Monte Carlo estimators read their panels only through ``stream_statistics``,
 the one function that schedules a pass. Each call draws one pass of a
 panel stream and reduces it to per-replication vectors: the largest absolute
 column mean and, when a block scheme is named, the block-multiplier maximum
-and the quadratic block term max_i (1/n) sum_l S[l, i]^2 of theorem1. A call
-may also name a tuple of reductions of the column means (``PowerSums``,
-``Exceedances`` and ``MaxBelow``, which the remainders read; a run folds
-them all in one pass of the tail stream), which are folded in block by
-block, in block order, while the stream is drawn, so no (reps, p) means are
-kept; a read of a reduction that the pass did not fold raises an error
-naming it.
+and the quadratic block term max_i (1/n) sum_l S[l, i]^2 of theorem1. It
+also folds each reduction of the column means it names (``PowerSums``,
+``Exceedances``, ``MaxBelow``) block by block, in block order, so no (reps,
+p) means are kept; a read of a reduction the pass did not fold raises an
+error naming it.
 
 A pass keys its panels, copies and multipliers with one ``substream_keys``
 call each, at the first replications of its blocks (``processes``). The
@@ -30,14 +28,12 @@ calling thread builds each block's generators (``seeding.generator``; the
 pool threads call no public function), draws its multipliers and submits
 the block to a pool of ``draw_workers()`` threads; the pool thread draws
 its panels (``processes._draw_block``), writes its per-replication values
-and returns its means. With ``draw_workers() + 1`` blocks in flight the calling thread
-waits for the oldest and folds its means into the reductions, so they fold
-in block order on the calling thread, a pass holds the means and
-multipliers of only that many blocks, and the output is bit-identical for
-any worker count. Nothing is cached: a run draws each stream once and hands
-its statistics to every check that reads them. Inside ``recorded_passes()``
-each pass appends its request, its wall time and its blocks' wall time
-summed over the threads that ran them, in draw order.
+and returns its means. With ``draw_workers() + 1`` blocks in flight the
+calling thread waits for the oldest and folds its means, so reductions fold
+in block order, a pass holds only that many blocks, and the output is
+bit-identical for any worker count. Nothing is cached. Inside
+``recorded_passes()`` each pass appends its request (``pass_record``), its
+wall time and its blocks' wall time summed over the threads, in draw order.
 """
 
 from __future__ import annotations
@@ -261,11 +257,12 @@ class StreamStatistics(NamedTuple):
                              f"{list(self.reduced) or 'no reduction'}")
         return self.reduced[reduction]
 
-    def require(self, role: str, spec: DgpSpec, seed: int, purpose: int) -> None:
+    def require(self, role: str, spec: DgpSpec, seed: int, purpose: int,
+                copies: bool = False) -> None:
         """Check that the pass is the stream ``purpose`` of ``spec`` at
-        ``seed``, drawn without copies; a ``ValueError`` names the request of
-        the ``role`` pass and the one it was read for."""
-        want = {"spec": spec, "seed": seed, "purpose": purpose, "copies": False}
+        ``seed``, drawn with ``copies`` or without; a ``ValueError`` names the
+        request of the ``role`` pass and the one it was read for."""
+        want = {"spec": spec, "seed": seed, "purpose": purpose, "copies": copies}
         have = {key: getattr(self, key) for key in want}
         if have != want:
             raise ValueError(f"the {role} pass was drawn for {_describe(have)}, "
@@ -311,6 +308,16 @@ def draw_workers() -> int:
 def _draw_pool(workers: int) -> ThreadPoolExecutor:
     """The draw pool, created on first use (and again if the count changes)."""
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
+
+
+def pass_record(spec: DgpSpec, reps: int, seed: int, purpose: int,
+                scheme: Optional[BlockScheme] = None, mult: Optional[MultiplierSpec] = None,
+                copies: bool = False, reductions: tuple = ()) -> dict:
+    """The request of the pass that ``stream_statistics`` draws for the same
+    arguments, as ``run_meta.json`` gives it (reductions by class name)."""
+    return {"purpose": purpose, "reps": reps, "n": spec.n, "p": spec.p,
+            "multipliers": mult is not None, "copies": copies,
+            "reductions": [type(part).__name__ for part in dict.fromkeys(reductions)]}
 
 
 def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
@@ -399,10 +406,8 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
             array.setflags(write=False)
     records = _records.get()
     if records is not None:
-        records.append({"purpose": purpose, "reps": reps, "n": spec.n, "p": spec.p,
-                        "multipliers": mult is not None, "copies": copies,
-                        "reductions": [type(part).__name__ for part in reduced],
-                        "seconds": time.perf_counter() - started,
-                        "block_seconds": block_seconds})
+        record = pass_record(spec, reps, seed, purpose, scheme, mult, copies, reductions)
+        records.append(dict(record, seconds=time.perf_counter() - started,
+                            block_seconds=block_seconds))
     return StreamStatistics(max_abs_mean, mult_max, quad, reduced, spec, seed, purpose,
                             scheme, mult, copies)

@@ -2,18 +2,17 @@
 
 One JSON config file fully determines a run. Subcommands:
 
-- ``run <config>``: draw each of the run's panel passes once (tail, mid,
-  marginal; the tail pass, drawn with multipliers, also yields the rho
-  samples, and the Gaussian model is a closed form that draws nothing),
-  execute the requested checks in dependency order, write one JSON report
-  per check plus a CSV summary; exit 0 iff nothing was violated.
+- ``run <config>``: draw the run's plan (``_plan``), each (stream, purpose)
+  once, run the requested checks, write one JSON report per check plus a
+  CSV summary; exit 0 iff nothing was violated. One table, ``_CHECKS``,
+  declares what each check reads; it drives validation, echo and plan.
 - ``validate <config>``: parse and validate, listing every error with its
   field path.
 - ``plot <kind> <reports...>``: emit tidy plot-ready CSV (series, x, y).
 
 Report JSON is byte-deterministic for a fixed config and seed; timestamps,
-stage timings, the panel passes, each margin's slack and environment notes
-go to a separate run_meta.json.
+stage timings, the plan, the passes drawn, each margin's slack and
+environment notes go to a separate run_meta.json.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import time
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 import scipy
@@ -44,6 +43,7 @@ from .blocking import (
     StreamStatistics,
     draw_workers,
     make_blocks,
+    pass_record,
     recorded_passes,
     stream_statistics,
 )
@@ -60,18 +60,18 @@ from .remainders import (
     remainder_R1,
     remainder_R2,
 )
-from .seeding import PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL
+from .seeding import PURPOSE_LHS, PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL
 from .verify import (
     CSV_COLUMNS,
     INDEPENDENCE_BLOCK,
     INDEPENDENCE_MULTIPLIER,
     VerificationReport,
+    independence_report,
     mc_coordinate_mean_moment,
     mc_per_coordinate_tails,
     require_support,
     tail_levels,
     theorem1_bound,
-    verify_independence_reduction,
     verify_prop1,
     verify_prop2,
 )
@@ -174,7 +174,7 @@ class ExperimentConfig:
         always, so reports do not depend on where they go."""
         echo = {f.name: getattr(self, f.name) for f in fields(self)
                 if f.name != "output_dir" and getattr(self, f.name) is not None}
-        if not _chooses(self.checks, _CHAIN_CHECKS):
+        if not _readers("truncation", self.checks):
             del echo["truncation"]
         return {name: value.to_json_dict() if isinstance(value, Spec) else value
                 for name, value in echo.items()}
@@ -218,16 +218,11 @@ def _unread_root(key: str, node) -> list:
     return [(key, _RETIRED.get(key, "unknown field"))]
 
 
-# The checks that read the truncation, those that estimate rho and so read
-# the scheme and the multiplier, and those that read the gauge.
-_CHAIN_CHECKS = ("prop1", "prop2", "theorem1")
-_RHO_CHECKS = (*_CHAIN_CHECKS, "rho-only")
-_PSI_CHECKS = (*_CHAIN_CHECKS, "independence-reduction")
-
-
-def _chooses(checks: list, readers: tuple) -> bool:
-    """Whether one of ``readers`` is among ``checks``."""
-    return any(check in checks for check in readers)
+def _readers(section: str, checks: Optional[list] = None) -> tuple:
+    """The checks that read the config section ``section`` (``_CHECKS``),
+    in report order; only those among ``checks`` if it is given."""
+    return tuple(name for name, check in _CHECKS.items()
+                 if section in check.sections and (checks is None or name in checks))
 
 
 def parse_config(obj: dict) -> ExperimentConfig:
@@ -260,6 +255,17 @@ def parse_config(obj: dict) -> ExperimentConfig:
             problems.append((path, message))
             return None
 
+    checks = obj.get("checks")
+    if not isinstance(checks, list) or not checks:
+        problems.append(("checks", "need a nonempty list"))
+        checks = []
+    else:
+        for i, c in enumerate(checks):
+            if c not in KNOWN_CHECKS:
+                problems.append((f"checks[{i}]", f"unknown check {c!r}; choose from {KNOWN_CHECKS}"))
+            elif c in checks[:i]:
+                problems.append((f"checks[{i}]", f"{c!r} is listed twice; each check runs once"))
+
     dgp = grab("dgp", partial(from_fields, DgpSpec))
     # make_blocks checks the partition; with no valid dgp only presence is checked.
     scheme = grab("scheme.b", partial(make_blocks, dgp.n) if dgp else int)
@@ -267,7 +273,8 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if dgp is not None and obj.get("scheme", {}).get("n", dgp.n) != dgp.n:
         problems.append(("scheme.n", f"must equal dgp.n ({dgp.n}), got {obj['scheme']['n']}"))
     mult = grab("multiplier", partial(from_fields, MultiplierSpec), MultiplierSpec("rademacher"))
-    psi = grab("psi", partial(from_fields, PsiSpec), None)
+    psi = grab("psi", partial(from_fields, PsiSpec),
+               None if checks and not _readers("psi", checks) else MISSING)
     truncation = grab("truncation", partial(from_fields, TruncationSpec), TruncationSpec())
     tail = grab("tail", partial(from_fields, TailSpec), TailSpec())
 
@@ -284,36 +291,21 @@ def parse_config(obj: dict) -> ExperimentConfig:
     if reps is not None and reps < 1000:
         problems.append(("reps", f"need at least 1000, got {reps}"))
 
-    checks = obj.get("checks")
-    if not isinstance(checks, list) or not checks:
-        problems.append(("checks", "need a nonempty list"))
-        checks = []
-    else:
-        for i, c in enumerate(checks):
-            if c not in KNOWN_CHECKS:
-                problems.append((f"checks[{i}]", f"unknown check {c!r}; choose from {KNOWN_CHECKS}"))
-            elif c in checks[:i]:
-                problems.append((f"checks[{i}]", f"{c!r} is listed twice; each check runs once"))
-    if "psi" not in obj and (not checks or _chooses(checks, _PSI_CHECKS)):
-        problems.append(("psi", "missing"))
-
     # One rule for every section: each given key is read by the section's
     # kind or mode and by a chosen check. A section no chosen check reads may
     # give only what such a run uses, as its echo writes it: the block length
     # and multiplier law of the independence reduction, the lq tail, and no
     # gauge or truncation. Without a valid checks list, each section is
     # checked as if read.
-    sections = {"dgp": (dgp, (), None), "psi": (psi, _PSI_CHECKS, None),
-                "scheme": (scheme, _RHO_CHECKS,
-                           make_blocks(dgp.n, INDEPENDENCE_BLOCK) if dgp else None),
-                "multiplier": (mult, _RHO_CHECKS, INDEPENDENCE_MULTIPLIER),
-                "truncation": (truncation, _CHAIN_CHECKS, None),
-                "tail": (tail, ("theorem1",), TailSpec())}
-    for section, (value, readers, unread) in sections.items():
-        given = obj.get(section, {})
+    sections = {"dgp": (dgp, None), "psi": (psi, None),
+                "scheme": (scheme, make_blocks(dgp.n, INDEPENDENCE_BLOCK) if dgp else None),
+                "multiplier": (mult, INDEPENDENCE_MULTIPLIER),
+                "truncation": (truncation, None), "tail": (tail, TailSpec())}
+    for section, (value, unread) in sections.items():
+        given, readers = obj.get(section, {}), _readers(section)
         if not isinstance(value, Spec):
             continue
-        if not readers or not checks or _chooses(checks, readers):
+        if not readers or not checks or _readers(section, checks):
             why = f"this {section} reads only {', '.join(value.reads())}"
             unread_keys = [key for key in given if key not in value.reads()]
         else:
@@ -384,22 +376,6 @@ def _fit_tail_params(config: ExperimentConfig, run: _RunInputs) -> TailParams:
     return fit_subexp_envelope(levels, tails, config.dgp.n, gamma=gamma, amplitude=a, phi=phi)
 
 
-def _resolve_truncation(config: ExperimentConfig, run: _RunInputs) -> dict:
-    # Every check that needs a truncation also draws rho, and parse_config
-    # admits optimal truncation only with a power gauge.
-    trunc = config.truncation
-    if trunc.mode == "fixed":
-        return {"U": float(trunc.U), "mode": "fixed"}
-    q, phi = config.psi.q, float(trunc.phi)
-    norm = psi_moment_norm(config.psi, run.marginal, config.r)
-    m_hat = (norm.value / 2.0**q) ** (1.0 / q)
-    rho_sum = run.rho.rho + run.rho.rho_star
-    u_star = optimal_truncation(q, config.r, phi, rho_sum, config.dgp.p,
-                                config.dgp.n, m_hat)
-    return {"U": u_star, "mode": "optimal", "phi": phi, "M_hat": m_hat,
-            "rho_sum": rho_sum}
-
-
 def _quantile_grid(samples: dict, points: int = 257) -> dict:
     probs = np.linspace(0.0, 1.0, points)
     grid = {"probs": probs.tolist()}
@@ -411,14 +387,15 @@ def _quantile_grid(samples: dict, points: int = 257) -> dict:
 @dataclass
 class _RunInputs:
     """What the checks of one run share: the distances, the truncation and
-    the statistics of the mid, tail and marginal passes, each drawn once."""
+    each pass's statistics, under the name of its stage (``_PASSES``)."""
 
     rho: Optional[RhoEstimate] = None
     rho_samples: Optional[dict] = None
     U: Optional[float] = None
-    mid: Optional[StreamStatistics] = None
     tail: Optional[StreamStatistics] = None
+    mid: Optional[StreamStatistics] = None
     marginal: Optional[StreamStatistics] = None
+    lhs: Optional[StreamStatistics] = None
 
 
 def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float,
@@ -427,28 +404,6 @@ def _remainder_inputs(config: ExperimentConfig, run: _RunInputs, psi_norm: float
     return {"psi": config.psi.to_json_dict(), "n": config.dgp.n, "p": config.dgp.p,
             "rho_sum": run.rho.rho + run.rho.rho_star, "r": config.r,
             "psi_norm": psi_norm, "tail": tail, "U": run.U}
-
-
-def _tail_reductions(config: ExperimentConfig, U: float) -> tuple:
-    """Every reduction of the tail stream's column means that the chain
-    checks read at truncation level ``U``: the exceedance counts of the
-    sub-exponential fit, prop2's split diagnostic and its lq moment at
-    q = 2, and theorem1's lq moment at q."""
-    checks, tail_mode = config.checks, config.tail.mode
-    reductions = ()
-    if "theorem1" in checks and tail_mode == "subexp" and config.tail.fit:
-        reductions += (Exceedances(tail_levels(U)),)
-    if "prop2" in checks:
-        reductions += (MaxBelow(U), PowerSums(2.0))
-    if "theorem1" in checks and tail_mode == "lq":
-        reductions += (PowerSums(float(config.psi.q)),)
-    return reductions
-
-
-def _marginal_pass(config: ExperimentConfig) -> StreamStatistics:
-    """The marginal rows whose gauge moment norm prop2, theorem1 and
-    optimal truncation read: one-row panels, whose means are the rows."""
-    return stream_statistics(marginal_spec(config.dgp), config.reps, config.seed, PURPOSE_NORM)
 
 
 @contextlib.contextmanager
@@ -464,30 +419,26 @@ def _timed(meta: dict, name: str):
 
 
 def _truncate(config: ExperimentConfig, run: _RunInputs, meta: dict) -> dict:
-    """Resolve the truncation as the ``truncation`` stage and set ``run.U``;
-    with prop1, check U against the panel support before any pass reads it."""
+    """Resolve U as the ``truncation`` stage: fixed, or the optimal U*, which
+    reads the marginal rows, rho and a power gauge (parse_config admits no
+    other). With prop1, check U against the support before a pass reads it."""
+    trunc = config.truncation
     with _timed(meta, "truncation"):
-        trunc = _resolve_truncation(config, run)
-    run.U = trunc["U"]
+        if trunc.mode == "fixed":
+            resolved = {"U": float(trunc.U), "mode": "fixed"}
+        else:
+            q, phi = config.psi.q, float(trunc.phi)
+            norm = psi_moment_norm(config.psi, run.marginal, config.r)
+            m_hat = (norm.value / 2.0**q) ** (1.0 / q)
+            rho_sum = run.rho.rho + run.rho.rho_star
+            u_star = optimal_truncation(q, config.r, phi, rho_sum, config.dgp.p,
+                                        config.dgp.n, m_hat)
+            resolved = {"U": u_star, "mode": "optimal", "phi": phi, "M_hat": m_hat,
+                        "rho_sum": rho_sum}
+    run.U = resolved["U"]
     if "prop1" in config.checks:
         require_support(config.dgp, run.U)
-    return trunc
-
-
-def _draw_tail(config: ExperimentConfig, run: _RunInputs, meta: dict,
-               reductions: tuple, multipliers: bool = False) -> None:
-    """Draw the tail stream as the ``tail`` stage, folding ``reductions``,
-    with the config's block scheme and multiplier law if ``multipliers``;
-    nothing when the pass would fold nothing and have no multipliers."""
-    if reductions or multipliers:
-        law = (config.scheme, config.multiplier) if multipliers else (None, None)
-        with _timed(meta, "tail"):
-            run.tail = stream_statistics(config.dgp, config.reps, config.seed, PURPOSE_TAIL,
-                                         *law, reductions=reductions)
-
-
-def _run_prop1(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    return verify_prop1(config.psi, run.U, run.rho, mid=run.mid)
+    return resolved
 
 
 def _run_prop2(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
@@ -513,10 +464,6 @@ def _run_theorem1(config: ExperimentConfig, run: _RunInputs) -> VerificationRepo
     return report
 
 
-def _run_independence(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
-    return verify_independence_reduction(config.dgp, config.psi, config.reps, config.seed)
-
-
 def _run_rho_only(config: ExperimentConfig, run: _RunInputs) -> VerificationReport:
     return VerificationReport(
         check="rho-only", lhs=None, mid=None, rhs=None,
@@ -527,15 +474,83 @@ def _run_rho_only(config: ExperimentConfig, run: _RunInputs) -> VerificationRepo
     )
 
 
-# Check name -> runner, in the order checks run and reports are written.
-_CHECK_RUNNERS = {
-    "prop1": _run_prop1,
-    "prop2": _run_prop2,
-    "theorem1": _run_theorem1,
-    "independence-reduction": _run_independence,
-    "rho-only": _run_rho_only,
+class _Check(NamedTuple):
+    """A check: its runner, the config sections and passes (by purpose) it
+    reads (rho, if the tail pass), and its tail reductions at (config, U)."""
+
+    run: Callable
+    sections: tuple
+    passes: tuple
+    reductions: Callable = lambda config, U: ()
+
+
+_CHAIN = ("psi", "scheme", "multiplier", "truncation")
+_CHAIN_PASSES = (PURPOSE_TAIL, PURPOSE_MID, PURPOSE_NORM)
+# Every check, in the order checks run and reports are written. theorem1's
+# tail bound reads its lq moment at q or its sub-exponential fit's counts.
+_CHECKS = {
+    "prop1": _Check(lambda config, run: verify_prop1(config.psi, run.U, run.rho, mid=run.mid),
+                    _CHAIN, (PURPOSE_TAIL, PURPOSE_MID)),
+    "prop2": _Check(_run_prop2, _CHAIN, _CHAIN_PASSES,
+                    lambda config, U: (MaxBelow(U), PowerSums(2.0))),
+    "theorem1": _Check(_run_theorem1, (*_CHAIN, "tail"), _CHAIN_PASSES, lambda config, U: (
+        (PowerSums(float(config.psi.q)),) if config.tail.mode == "lq"
+        else (Exceedances(tail_levels(U)),) if config.tail.fit else ())),
+    "independence-reduction": _Check(lambda config, run: independence_report(
+        config.psi, lhs=run.lhs), ("psi",), (PURPOSE_LHS,)),
+    "rho-only": _Check(_run_rho_only, ("scheme", "multiplier"), (PURPOSE_TAIL,)),
 }
-KNOWN_CHECKS = tuple(_CHECK_RUNNERS)
+KNOWN_CHECKS = tuple(_CHECKS)
+
+# Every pass a check may read, by purpose, in draw order: its stage, which
+# names the ``_RunInputs`` field it fills, and its request beside the config's
+# spec, reps and seed.
+_PASSES = {
+    PURPOSE_TAIL: ("tail", lambda config: {"scheme": config.scheme, "mult": config.multiplier}),
+    PURPOSE_MID: ("mid", lambda config: {"scheme": config.scheme, "mult": config.multiplier}),
+    PURPOSE_NORM: ("marginal", lambda config: {"spec": marginal_spec(config.dgp)}),
+    PURPOSE_LHS: ("lhs", lambda config: {"scheme": make_blocks(config.dgp.n, INDEPENDENCE_BLOCK),
+                                         "mult": INDEPENDENCE_MULTIPLIER, "copies": True}),
+}
+
+
+class _Pass(NamedTuple):
+    """A pass of a run's plan: its purpose, whether it keeps the multipliers
+    of its request, and whether it folds the checks' tail reductions. Its
+    ``request`` gives its ``stream_statistics`` arguments at U; which
+    reductions it folds does not depend on U, so a plan is named at U = nan."""
+
+    purpose: int
+    multipliers: bool = True
+    folds: bool = False
+
+    def request(self, config: ExperimentConfig, U: float) -> dict:
+        request = {"spec": config.dgp, "reps": config.reps, "seed": config.seed,
+                   "purpose": self.purpose, **_PASSES[self.purpose][1](config)}
+        if not self.multipliers:
+            request.update(scheme=None, mult=None)
+        if self.folds:
+            request["reductions"] = tuple(part for name, check in _CHECKS.items()
+                                          if name in config.checks
+                                          for part in check.reductions(config, U))
+        return request
+
+
+def _plan(config: ExperimentConfig, optimal: bool) -> list:
+    """The passes of a run in draw order: those its checks read, each
+    (stream, purpose) once, in ``_PASSES`` order; the tail pass gives rho and
+    folds the reductions. The one ordering rule is ``optimal`` U's, which
+    reads the marginal rows and rho: marginal, the tail pass for rho, then,
+    once U resolves, the tail stream again without multipliers for the
+    reductions that read U, if any."""
+    reads = [purpose for purpose in _PASSES if any(
+        purpose in check.passes for name, check in _CHECKS.items() if name in config.checks)]
+    if not optimal:
+        return [_Pass(purpose, folds=purpose == PURPOSE_TAIL) for purpose in reads]
+    refold = _Pass(PURPOSE_TAIL, multipliers=False, folds=True)
+    refolds = [refold] if refold.request(config, math.nan)["reductions"] else []
+    return [_Pass(PURPOSE_NORM), _Pass(PURPOSE_TAIL), *refolds,
+            *(_Pass(purpose) for purpose in reads if purpose not in (PURPOSE_NORM, PURPOSE_TAIL))]
 
 
 def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -> int:
@@ -548,50 +563,33 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     partial_error = None
     run = _RunInputs()
     meta = {"stages": {}}
+    truncated = bool(_readers("truncation", config.checks))
+    optimal = truncated and config.truncation.mode == "optimal"
 
     with recorded_passes() as passes:
         try:
-            # Each pass drawn once, in the order tail, mid, marginal. The
-            # tail pass, drawn with the config's block scheme and multiplier
-            # law, gives the plain and multiplier samples of rho; a fixed U
-            # is known before it, so it also folds every reduction that reads
-            # U. Optimal truncation is the exception: its U reads rho, so the
-            # marginal rows whose norm U reads come first, and the tail stream
-            # is drawn once for rho and again, over the same panels, for the
-            # reductions that read U.
-            chain = _chooses(config.checks, _CHAIN_CHECKS)
-            optimal = chain and config.truncation.mode == "optimal"
-            reductions = ()
-            if optimal:
-                with _timed(meta, "marginal"):
-                    run.marginal = _marginal_pass(config)
-            elif chain:
+            # A fixed U is known before any pass; an optimal one once rho is.
+            if truncated and not optimal:
                 _truncate(config, run, meta)
-                reductions = _tail_reductions(config, run.U)
-            if _chooses(config.checks, _RHO_CHECKS):
-                _draw_tail(config, run, meta, reductions, multipliers=True)
-                with _timed(meta, "rho"):
-                    samples = pass_rho_samples(run.tail, estimate_gaussian_model(config.dgp))
-                    run.rho = RhoEstimate.from_samples(*samples)
-                run.rho_samples = samples._asdict()
-            if optimal:
-                trunc = _truncate(config, run, meta)
-                _draw_tail(config, run, meta, _tail_reductions(config, run.U))
-            if chain:
-                with _timed(meta, "mid"):
-                    run.mid = stream_statistics(config.dgp, config.reps, config.seed,
-                                                PURPOSE_MID, config.scheme, config.multiplier)
-                if not optimal and ("prop2" in config.checks or "theorem1" in config.checks):
-                    with _timed(meta, "marginal"):
-                        run.marginal = _marginal_pass(config)
-
-            for check, runner in _CHECK_RUNNERS.items():
-                if check not in config.checks:
-                    continue
-                with _timed(meta, check):
-                    reports[check] = report = runner(config, run)
-                if optimal:
-                    report.diagnostics["truncation"] = trunc
+            plan = _plan(config, optimal)
+            meta["plan"] = [pass_record(**step.request(config, math.nan)) for step in plan]
+            for step in plan:
+                stage = _PASSES[step.purpose][0]
+                with _timed(meta, stage):
+                    setattr(run, stage, stream_statistics(**step.request(config, run.U)))
+                if step.purpose == PURPOSE_TAIL and step.multipliers:
+                    with _timed(meta, "rho"):
+                        samples = pass_rho_samples(run.tail, estimate_gaussian_model(config.dgp))
+                        run.rho = RhoEstimate.from_samples(*samples)
+                    run.rho_samples = samples._asdict()
+                    if optimal:
+                        trunc = _truncate(config, run, meta)
+            for name, check in _CHECKS.items():
+                if name in config.checks:
+                    with _timed(meta, name):
+                        reports[name] = report = check.run(config, run)
+                    if optimal:
+                        report.diagnostics["truncation"] = trunc
         except Exception as exc:  # noqa: BLE001 - abort with a partial report
             partial_error = f"{type(exc).__name__}: {exc}"
 
@@ -602,7 +600,8 @@ def run_experiment(config: ExperimentConfig, output_dir: Optional[str] = None) -
     if partial_error is not None:
         _dump_json(
             {"schema_version": 1, "partial": True, "error": partial_error,
-             "completed_checks": sorted(reports), "config": config.to_json_dict()},
+             "completed_checks": sorted(reports), "config": config.to_json_dict(),
+             "passes": {"planned": meta.get("plan", []), "drawn": len(passes)}},
             out / "partial.json",
         )
 

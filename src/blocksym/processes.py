@@ -457,9 +457,3 @@ def longrun_covariance(spec: DgpSpec) -> tuple[float, float]:
         for h in range(1, min(len(a) - 1, n - 1) + 1):
             v += 2.0 * (1.0 - h / n) * float(np.dot(a[:-h], a[h:]))
     return v, c * v
-
-
-def theoretical_longrun_variance(spec: DgpSpec) -> float:
-    """Closed-form variance v of sqrt(n) times one panel column mean, for
-    every kind (``longrun_covariance``)."""
-    return longrun_covariance(spec)[0]

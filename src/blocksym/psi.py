@@ -95,11 +95,10 @@ def psi_eval(spec: PsiLike, x):
     x = np.asarray(x, dtype=float)
     if isinstance(spec, CustomPsi):
         out = np.asarray(spec.eval_fn(x), dtype=float)
-    elif spec.kind == "power":
-        out = x**spec.q
     else:
+        # An overflow is inf, which the gauge and margin kernels name.
         with np.errstate(over="ignore"):
-            out = np.expm1(spec.a * x**spec.b)
+            out = x**spec.q if spec.kind == "power" else np.expm1(spec.a * x**spec.b)
     return float(out) if out.ndim == 0 else out
 
 

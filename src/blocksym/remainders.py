@@ -88,13 +88,18 @@ def remainder_R2(r: float, tail_prob: float, psi_norm: float) -> float:
     return 0.5 * tail_prob ** ((r - 1.0) / r) * psi_norm
 
 
-# The n-scaled power-gauge R1 carries an extra n**(-q/2) factor beside the
-# exact substitution form. theorem1 reports it beside the exact R1 and uses
-# the larger, R1_used = max(R1_quadrature, R1_nscaled).
-
-
 def power_R1_nscaled(q: float, n: int, U: float, rho_sum: float) -> float:
-    return 2.0**q * U**q * n ** (-q / 2.0) * rho_sum
+    """The n-scaled power-gauge R1, 2**q U**q n**(-q/2) rho_sum, which theorem1
+    reports beside the exact R1, using the larger; inf where U**q overflows."""
+    return 0.0 if rho_sum == 0 else 2.0**q * _power(U, q) * n ** (-q / 2.0) * rho_sum
+
+
+def _power(x: float, q: float) -> float:
+    """x**q, inf where it overflows the float range."""
+    try:
+        return x**q
+    except OverflowError:
+        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -126,13 +131,14 @@ def concentration_general(p: int, pbar: float) -> float:
 
 
 def concentration_lq(p: int, U: float, q: float, max_mean_moment: float) -> float:
-    """Moment bound via Markov: identical to the general bound at
-    pbar = max_mean_moment / U**q."""
+    """Moment bound via Markov: the general bound at pbar = max_mean_moment
+    / U**q clamped at one, before dividing, so U**q may underflow to 0."""
     if U <= 0:
         raise ValueError(f"truncation level must be > 0, got {U}")
     if max_mean_moment < 0:
         raise ValueError(f"moment must be >= 0, got {max_mean_moment}")
-    pbar = min(1.0, max_mean_moment / U**q)
+    power = _power(U, q)
+    pbar = 1.0 if max_mean_moment >= power else max_mean_moment / power
     return concentration_general(p, pbar)
 
 

@@ -9,33 +9,31 @@ Hoeffding-factor bound on the quadratic block term plus remainders.
 
 Every Monte Carlo estimator reads a fresh panel per replication (fresh
 multipliers and fresh independent copies where a check needs them), and all
-expectations are unconditional. The chain verifiers and the tail
-estimators draw nothing themselves: they take the statistics of the passes
-they read (``blocking.stream_statistics``) from their caller, which draws
-each stream once; only the independence reduction draws its own pass. A
-chain is one pass of the mid stream: its lhs, mid and rhs are gauges of the
-plain and the multiplier statistic of the same panels, and theorem1 reads
-its lhs, its quadratic block term and its Hoeffding step from that pass
-too. Every gauge value of a Monte Carlo sample goes through one kernel,
-which names the replication of an overflow, and every margin through
-another, which names the margin of a remainder that is not finite. A pass
-without the statistics a verifier reads, or a mid pass with fewer than 1000
-replications, is rejected with a ``ValueError`` naming what is missing. Each pass carries
-its request, and a verifier reads its spec, seed, block scheme and
-multiplier law from the mid pass, so no argument restates them. A mid pass
-drawn for another purpose or with copies, or a tail pass or marginal rows of
-another spec, seed or purpose than the mid pass, is rejected with a
-``ValueError`` naming both requests.
+expectations are unconditional. Verifiers and estimators draw nothing: they
+read the passes (``blocking.stream_statistics``) their caller drew, each
+stream once; ``verify_independence_reduction`` alone draws its pass, the lhs
+stream with copies, for ``independence_report``. A chain is one pass of the
+mid stream: its lhs, mid and rhs are gauges of the plain and the multiplier
+statistic of the same panels, and theorem1 reads its lhs, its quadratic
+block term and its Hoeffding step from that pass too. Every gauge value of
+a sample goes through one kernel, which names the replication of an
+overflow, and every margin through another, which names the margin of a
+remainder that is not finite. A verifier reads its spec, seed, block scheme
+and multiplier law from the request the mid pass carries, so no argument
+restates them. A pass without the statistics a verifier reads, or with
+fewer than 1000 replications, is rejected with a ``ValueError`` naming what
+is missing; a mid pass of another purpose or with copies, a tail pass or
+marginal rows of another spec, seed or purpose, or an lhs pass without
+copies, with one naming both requests.
 
-Where estimators need more of the column means they read a reduction that
-the pass folded while the stream was drawn. Every such reduction is of the
-plain means of the tail stream: the sub-exponential fit reads per-coordinate
-tails (``Exceedances`` at ``tail_levels(U)``), the split diagnostic the
-largest mean below U (``MaxBelow``) and the coordinate moments their power
-sums (``PowerSums`` at order q); the exceedance count reads the tail
-stream's maxima. No (reps, p) means are kept. The tail stream, which also
-gives rho, stays apart from the mid stream: the remainders built from it
-are treated as constants, so they share no panel with the sides they bound.
+Where estimators need more of the column means they read a reduction of
+the tail stream's plain means, folded while it was drawn: the
+sub-exponential fit reads per-coordinate tails (``Exceedances`` at
+``tail_levels(U)``), the split diagnostic the largest mean below U
+(``MaxBelow``) and the coordinate moments their power sums (``PowerSums``
+at order q). The tail stream, which also gives rho, stays apart from the
+mid stream: the remainders built from it are treated as constants, so they
+share no panel with the sides they bound.
 
 Both sides of every inequality are read from the same panels, so each margin
 and its standard error come from the per-replication differences of its
@@ -220,15 +218,15 @@ def _gauge_values(psi: PsiLike, gain: float, stats: np.ndarray) -> np.ndarray:
     return values
 
 
-def _check_mid(mid: StreamStatistics) -> None:
-    """Reject a mid pass without the multiplier statistic or 1000
-    replications, or one drawn for another purpose or with copies."""
-    if mid.mult_max is None:
-        raise ValueError("the mid pass has no multiplier statistic (mult_max); "
+def _check_pass(stats: StreamStatistics, role: str, purpose: int, copies: bool = False) -> None:
+    """Reject a ``role`` pass without the multiplier statistic or 1000
+    replications, or one drawn for another purpose or not with ``copies``."""
+    if stats.mult_max is None:
+        raise ValueError(f"the {role} pass has no multiplier statistic (mult_max); "
                          "draw it with a block scheme and a multiplier law")
-    if mid.reps < 1000:
-        raise ValueError(f"need reps >= 1000, got {mid.reps}")
-    mid.require("mid", mid.spec, mid.seed, PURPOSE_MID)
+    if stats.reps < 1000:
+        raise ValueError(f"need reps >= 1000, got {stats.reps}")
+    stats.require(role, stats.spec, stats.seed, purpose, copies)
 
 
 def tail_levels(U: float) -> tuple:
@@ -418,7 +416,7 @@ def verify_prop1(
 
     The panel law must be supported inside [-U, U]^p (``require_support``).
     """
-    _check_mid(mid)
+    _check_pass(mid, "mid", PURPOSE_MID)
     spec = mid.spec
     require_support(spec, U)
     rho_sum = rho.rho + rho.rho_star
@@ -454,7 +452,7 @@ def verify_prop2(
     the tail pass and the marginal rows must be streams of that spec at that
     seed.
     """
-    _check_mid(mid)
+    _check_pass(mid, "mid", PURPOSE_MID)
     spec = mid.spec
     tail.require("tail", spec, mid.seed, PURPOSE_TAIL)
     marginal.require("marginal", marginal_spec(spec), mid.seed, PURPOSE_NORM)
@@ -492,33 +490,34 @@ INDEPENDENCE_BLOCK = 1
 INDEPENDENCE_MULTIPLIER = MultiplierSpec("rademacher")
 
 
-def verify_independence_reduction(
-    spec: DgpSpec, psi: PsiLike, reps: int, seed: int
-) -> VerificationReport:
-    """Singleton blocks, sign multipliers, independent-copy differences.
+def verify_independence_reduction(spec: DgpSpec, psi: PsiLike, reps: int,
+                                  seed: int) -> VerificationReport:
+    """``independence_report`` on the pass of ``spec`` it reads, drawn here."""
+    return independence_report(psi, lhs=stream_statistics(
+        spec, reps, seed, PURPOSE_LHS, make_blocks(spec.n, INDEPENDENCE_BLOCK),
+        INDEPENDENCE_MULTIPLIER, copies=True))
 
-    Under independence the multiplied and plain difference statistics have
-    the same law, so the paired two-sided margin should sit within noise of
-    zero and the reduction carries no remainder.
+
+def independence_report(psi: PsiLike, *, lhs: StreamStatistics) -> VerificationReport:
+    """Singleton blocks, sign multipliers, independent-copy differences: the
+    pass ``lhs`` of the lhs stream, whose spec, seed, block scheme and reps
+    the report reads. Under independence the multiplied and plain difference
+    statistics have the same law, so the paired two-sided margin should sit
+    within noise of zero and the reduction carries no remainder.
     """
-    if not spec.is_iid:
+    if not lhs.spec.is_iid:
         raise ValueError(
-            f"independence reduction requires an iid generator kind, got {spec.kind!r}"
-        )
-    if reps < 1000:
-        raise ValueError(f"need reps >= 1000, got {reps}")
-    stats = stream_statistics(spec, reps, seed, PURPOSE_LHS,
-                              make_blocks(spec.n, INDEPENDENCE_BLOCK), INDEPENDENCE_MULTIPLIER,
-                              copies=True)
-    mult_vals = _gauge_values(psi, 1.0, stats.mult_max)
-    plain_vals = _gauge_values(psi, 1.0, stats.max_abs_mean)
+            f"independence reduction requires an iid generator kind, got {lhs.spec.kind!r}")
+    _check_pass(lhs, "lhs", PURPOSE_LHS, copies=True)
+    mult_vals = _gauge_values(psi, 1.0, lhs.mult_max)
+    plain_vals = _gauge_values(psi, 1.0, lhs.max_abs_mean)
     check = _inequality("two-sided-equality", mult_vals, plain_vals, 0.0, two_sided=True)
     return VerificationReport(
         check="independence-reduction", lhs=_estimate_from_values(mult_vals), mid=None,
         rhs=_estimate_from_values(plain_vals),
         remainders={"R_breve": 0.0}, rho=None, margins=[check],
-        params={"n": spec.n, "p": spec.p, "b": stats.scheme.b, "seed": seed, "reps": reps,
-                **_psi_params(psi)},
+        params={"n": lhs.spec.n, "p": lhs.spec.p, "b": lhs.scheme.b, "seed": lhs.seed,
+                "reps": lhs.reps, **_psi_params(psi)},
         diagnostics={"paired_se": check.se},
     )
 
@@ -561,7 +560,7 @@ def theorem1_bound(
     if (tail is None) == (tail_params is None):
         raise ValueError(f"the tail bound reads a tail pass that folded {PowerSums(q)} (lq) "
                          f"or tail_params (subexp); got {'neither' if tail is None else 'both'}")
-    _check_mid(mid)
+    _check_pass(mid, "mid", PURPOSE_MID)
     spec = mid.spec
     if tail is not None:
         tail.require("tail", spec, mid.seed, PURPOSE_TAIL)

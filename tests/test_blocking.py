@@ -32,6 +32,7 @@ from blocksym.gaussian import RhoEstimate, simulate_max_statistics
 from blocksym.processes import MAX_BLOCK_REPS, DgpSpec, marginal_spec
 from blocksym.seeding import (
     PURPOSE_DEFAULT,
+    PURPOSE_LHS,
     PURPOSE_MID,
     PURPOSE_NORM,
     PURPOSE_TAIL,
@@ -39,7 +40,7 @@ from blocksym.seeding import (
     STREAM_PANEL,
     substream_keys,
 )
-from blocksym.verify import tail_levels, verify_prop2
+from blocksym.verify import tail_levels, verify_independence_reduction, verify_prop2
 from conftest import batch_multipliers, block_bounds, draw_panels, pass_multipliers
 
 RADEMACHER = MultiplierSpec("rademacher")
@@ -664,9 +665,10 @@ class TestRunPasses:
         assert all(record.pop("seconds") >= 0 for record in passes)
         assert all(record.pop("block_seconds") > 0 for record in passes)
         # In draw order: tail, mid, marginal. The tail pass, drawn with the
-        # multipliers that rho reads, folds every reduction of the chain.
+        # multipliers that rho reads, folds every reduction of the chain, in
+        # report order: prop2's, then theorem1's.
         reps, n, p = config.reps, config.dgp.n, config.dgp.p
-        tail_reads = (["Exceedances", "MaxBelow", "PowerSums"] if obj is FULL_RUN
+        tail_reads = (["MaxBelow", "PowerSums", "Exceedances"] if obj is FULL_RUN
                       else ["MaxBelow", "PowerSums", "PowerSums"])
         assert passes == [
             {"purpose": PURPOSE_TAIL, "reps": reps, "n": n, "p": p, "multipliers": True,
@@ -732,7 +734,7 @@ class TestRunPasses:
         assert [(record["purpose"], record["multipliers"], record["reductions"])
                 for record in passes] == [
             (PURPOSE_NORM, False, []), (PURPOSE_TAIL, True, []),
-            (PURPOSE_TAIL, False, ["Exceedances", "MaxBelow", "PowerSums"]),
+            (PURPOSE_TAIL, False, ["MaxBelow", "PowerSums", "Exceedances"]),
             (PURPOSE_MID, True, [])]
         tails = [stats for stats in drawn if stats.purpose == PURPOSE_TAIL]
         assert len(tails) == 2
@@ -757,6 +759,23 @@ class TestRunPasses:
         assert set(report["config"]) == {"dgp", "scheme", "multiplier", "r", "reps", "seed",
                                          "checks", "tail"}
         assert config.psi is None
+
+    def test_independence_reads_the_planned_lhs_pass(self, tmp_path, panel_calls):
+        # The run draws the lhs pass of its plan once, with copies, and its
+        # report is the one verify_independence_reduction makes from the
+        # pass it draws itself.
+        obj = {"dgp": {"kind": "iid_gaussian", "n": 16, "p": 3}, "scheme": {"b": 1},
+               "psi": {"kind": "power", "q": 2.0}, "reps": 1000, "seed": 5,
+               "checks": ["independence-reduction"]}
+        config, meta = run_config(tmp_path, obj)
+        assert dict(panel_calls) == {(5, PURPOSE_LHS, 1000): 1}
+        assert [(record["purpose"], record["multipliers"], record["copies"])
+                for record in meta["plan"]] == [(PURPOSE_LHS, True, True)]
+        assert set(meta["stages"]) == {"lhs", "independence-reduction"}
+        report = json.loads((tmp_path / "out" / "independence-reduction.json").read_text())
+        del report["config"]
+        alone = verify_independence_reduction(config.dgp, config.psi, config.reps, config.seed)
+        assert json.loads(json.dumps(alone.to_json_dict())) == report
 
     def test_checks_read_the_one_mid_pass(self, tmp_path):
         # theorem1's lhs and Hoeffding step read the mid pass that prop1

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blocksym import blocking, processes, verify
-from blocksym.seeding import PURPOSE_NORM, PURPOSE_TAIL
+from blocksym.seeding import PURPOSE_MID, PURPOSE_NORM, PURPOSE_TAIL
 from blocksym.cli import (
     EXIT_ERROR,
     EXIT_OK,
@@ -426,6 +426,31 @@ class TestRun:
         assert "truncation" not in echo
         assert parse_config(echo) == replace(config, output_dir="out")
 
+    OPTIMAL = {"truncation": {"mode": "optimal", "phi": 0.5},
+               "checks": ["rho-only", "prop2", "theorem1"]}
+    RHO_ONLY = {"checks": ["rho-only"], "psi": None, "truncation": None, "tail": None}
+
+    @pytest.mark.parametrize("name, change, passes", [
+        ("full_suite", {}, 3), ("independence", {}, 1), ("high_dim", {}, 3),
+        ("high_dim_1e4", {}, 3), ("full_suite", OPTIMAL, 4), ("full_suite", RHO_ONLY, 1),
+    ], ids=["full_suite", "independence", "high_dim", "high_dim_1e4", "optimal", "rho-only"])
+    def test_plan_lists_the_passes_drawn(self, tmp_path, name, change, passes):
+        # run_meta.json's plan, made before the first draw, is each pass
+        # drawn without its timings. The plan does not depend on reps, so
+        # each bundled config runs at the least reps that validate admits.
+        obj = json.loads((SCRIPTS / f"{name}.json").read_text())
+        obj.update(change, reps=1000, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({key: value for key, value in obj.items()
+                                    if value is not None}))
+        assert main(["run", str(path)]) == EXIT_OK
+        meta = json.loads((tmp_path / "out" / "run_meta.json").read_text())
+        drawn = [{key: value for key, value in record.items()
+                  if key not in ("seconds", "block_seconds")}
+                 for record in meta["panel_streams"]["passes"]]
+        assert meta["plan"] == drawn
+        assert meta["panel_streams"]["drawn"] == len(drawn) == passes
+
     def test_rho_only_writes_reports(self, tmp_path):
         path, _ = write_config(tmp_path, output_dir=str(tmp_path / "out"))
         code = main(["run", str(path)])
@@ -575,6 +600,30 @@ class TestRun:
             "NonFiniteGaugeError: the remainder of the symmetrization margin is inf")
         assert not (out / "prop1.json").exists()
 
+    @pytest.mark.parametrize("q, U, tail, error", [
+        (2.0, 1e-200, "lq", None), (4.0, 1e-100, "lq", None), (2.0, 1e-200, "subexp", None),
+        (2.0, 1e300, "lq", "moment-bound"), (2.0, 1e300, "subexp", "moment-bound"),
+    ], ids=["lq-1e-200", "lq-q4-1e-100", "subexp-1e-200", "lq-1e300", "subexp-1e300"])
+    def test_truncation_at_the_ends_of_the_float_range(self, tmp_path, q, U, tail, error):
+        # U**q underflows to 0 or overflows, which validate cannot see.
+        # Markov's pbar clamps to 1 without dividing by an underflowed
+        # power, and an overflowed R1_nscaled is inf, so the run ends at a
+        # verdict or names the margin, where it once raised a bare
+        # ZeroDivisionError or OverflowError.
+        path, _ = write_config(tmp_path, psi={"kind": "power", "q": q}, checks=["theorem1"],
+                               truncation={"mode": "fixed", "U": U}, tail={"mode": tail})
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--output-dir", str(out)])
+        if error is None:
+            assert code == EXIT_OK and not (out / "partial.json").exists()
+            report = json.loads((out / "theorem1.json").read_text())
+            assert report["params"]["U"] == U
+        else:
+            assert code == EXIT_ERROR
+            partial = json.loads((out / "partial.json").read_text())
+            assert partial["error"].startswith(
+                f"NonFiniteGaugeError: the remainder of the {error} margin is inf")
+
     def test_optimal_truncation_recorded(self, tmp_path):
         path, _ = write_config(
             tmp_path,
@@ -608,6 +657,11 @@ class TestRun:
         assert passes["drawn"] == 2
         assert ([(p["purpose"], p["multipliers"]) for p in passes["passes"]]
                 == [(PURPOSE_NORM, False), (PURPOSE_TAIL, True)])
+        # partial.json lists the 4 passes planned and counts the 2 drawn.
+        assert partial["passes"]["drawn"] == 2
+        assert ([(p["purpose"], p["multipliers"]) for p in partial["passes"]["planned"]]
+                == [(PURPOSE_NORM, False), (PURPOSE_TAIL, True), (PURPOSE_TAIL, False),
+                    (PURPOSE_MID, True)])
 
 
 class TestPlots:

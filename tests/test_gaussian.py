@@ -23,7 +23,7 @@ from blocksym.gaussian import (
     sample_gaussian_max,
     simulate_max_statistics,
 )
-from blocksym.processes import DgpSpec, longrun_covariance, theoretical_longrun_variance
+from blocksym.processes import DgpSpec, longrun_covariance
 from blocksym.seeding import STREAM_GAUSSIAN, substream
 from conftest import tail_pass
 
@@ -283,7 +283,7 @@ class TestSampleGaussianMax:
     def test_uncorrelated_analytic_model_scales_its_normals(self, spec):
         # With cross_corr 0 the draws are sqrt(v) times the normals of the
         # Gaussian substream, bit for bit.
-        v = theoretical_longrun_variance(spec)
+        v = longrun_covariance(spec)[0]
         g = substream(9, STREAM_GAUSSIAN).standard_normal((500, spec.p))
         assert np.array_equal(sample_gaussian_max(estimate_gaussian_model(spec), 500, seed=9),
                               np.abs(math.sqrt(v) * g).max(axis=1))
@@ -300,7 +300,7 @@ class TestEstimateGaussianModel:
 
     def test_analytic_equicorrelated(self):
         spec = DgpSpec("linear_process", n=8, p=4, coeffs=(1.0, 0.5), cross_corr=-0.2)
-        v = theoretical_longrun_variance(spec)
+        v = longrun_covariance(spec)[0]
         model = estimate_gaussian_model(spec)
         eigenvalues = np.linalg.eigvalsh(equicorrelated_cov(4, v, -0.2))
         assert (model.perp, model.parallel) == pytest.approx(

@@ -29,7 +29,6 @@ from blocksym.processes import (
     DgpSpec,
     DgpValidationError,
     longrun_covariance,
-    theoretical_longrun_variance,
 )
 from blocksym.seeding import (PURPOSE_TAIL, STREAM_COPY, STREAM_PANEL, generator, substream,
                               substream_keys)
@@ -717,16 +716,16 @@ class TestMoments:
 class TestLongRunCov:
     def test_iid_identity(self):
         spec = DgpSpec("iid_gaussian", n=16, p=3)
-        assert theoretical_longrun_variance(spec) == 1.0
+        assert longrun_covariance(spec)[0] == 1.0
 
     def test_iid_equicorrelated(self):
         # cross_corr sets the correlation, not the variance.
         spec = DgpSpec("iid_gaussian", n=16, p=3, cross_corr=0.4)
-        assert theoretical_longrun_variance(spec) == 1.0
+        assert longrun_covariance(spec)[0] == 1.0
 
     def test_rademacher_scale_squared(self):
         spec = DgpSpec("bounded_rademacher", n=16, p=3, scale=1.5)
-        assert theoretical_longrun_variance(spec) == 2.25
+        assert longrun_covariance(spec)[0] == 2.25
 
     def test_var1_against_double_sum(self):
         # Brute-force O(n^2) double summation of autocovariances.
@@ -735,11 +734,11 @@ class TestLongRunCov:
         brute = sum(
             0.5 ** abs(s - t) * gamma0 for s in range(64) for t in range(64)
         ) / 64.0
-        assert theoretical_longrun_variance(spec) == pytest.approx(brute, rel=1e-12)
+        assert longrun_covariance(spec)[0] == pytest.approx(brute, rel=1e-12)
 
     def test_linear_trivial_filter_reduces_to_iid(self):
         spec = DgpSpec("linear_process", n=16, p=2, coeffs=(1.0,))
-        assert theoretical_longrun_variance(spec) == 1.0
+        assert longrun_covariance(spec)[0] == 1.0
 
     def test_linear_against_double_sum(self):
         coeffs = (1.0, 0.7, -0.3)
@@ -752,7 +751,7 @@ class TestLongRunCov:
             return float(np.dot(a[: len(a) - h], a[h:])) if h < len(a) else 0.0
 
         brute = sum(gamma(s - t) for s in range(n) for t in range(n)) / n
-        assert theoretical_longrun_variance(spec) == pytest.approx(brute, rel=1e-12)
+        assert longrun_covariance(spec)[0] == pytest.approx(brute, rel=1e-12)
 
     @pytest.mark.parametrize("kind", ["iid_gaussian", "var1", "linear_process",
                                       "bounded_rademacher"])
@@ -761,7 +760,6 @@ class TestLongRunCov:
         c = 0.0 if kind == "bounded_rademacher" else 0.3
         spec = DgpSpec(kind, n=16, p=3, cross_corr=c, **extra)
         v, cross = longrun_covariance(spec)
-        assert v == theoretical_longrun_variance(spec)
         assert cross == pytest.approx(c * v, rel=1e-14)
 
     def test_matches_mc_covariance(self):
@@ -773,7 +771,7 @@ class TestLongRunCov:
         panels = stack_panels(spec, reps, 17)
         stats = panels.mean(axis=1) * math.sqrt(spec.n)
         mc = stats.T @ stats / reps
-        v, c = theoretical_longrun_variance(spec), spec.cross_corr
+        v, c = longrun_covariance(spec)[0], spec.cross_corr
         cov = v * ((1.0 - c) * np.eye(spec.p) + c * np.ones((spec.p, spec.p)))
         se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / reps)
         assert np.all(np.abs(mc - cov) < 4 * se)
@@ -845,8 +843,7 @@ class TestClippedLongRunCov:
         sigma = 1.0 / math.sqrt(1.0 - phi * phi)
         clipped = DgpSpec("truncated_var1", n=64, p=3, phi=phi, truncation=40.0 * sigma,
                           cross_corr=cross_corr)
-        v = theoretical_longrun_variance(DgpSpec("var1", n=64, p=3, phi=phi,
-                                                 cross_corr=cross_corr))
+        v = longrun_covariance(DgpSpec("var1", n=64, p=3, phi=phi, cross_corr=cross_corr))[0]
         got_v, got_cross = longrun_covariance(clipped)
         assert got_v == pytest.approx(v, rel=1e-12)
         assert got_cross == pytest.approx(cross_corr * v, rel=1e-12, abs=1e-15)
@@ -870,7 +867,7 @@ class TestClippedLongRunCov:
         # |clip(x)| <= |x| pathwise, and the clip loses correlation.
         spec = DgpSpec("truncated_var1", n=32, p=3, phi=0.8, truncation=1.0, cross_corr=0.3)
         v, cross = longrun_covariance(spec)
-        var1 = theoretical_longrun_variance(DgpSpec("var1", n=32, p=3, phi=0.8))
+        var1 = longrun_covariance(DgpSpec("var1", n=32, p=3, phi=0.8))[0]
         assert 0 < v < var1 and 0 < cross < 0.3 * v
 
     def test_series_length_is_bounded_at_the_largest_correlation(self):

@@ -83,6 +83,15 @@ class TestBlockingRemainders:
             power_R1_closed_form(q, U, rho_sum) * 4.0 * n ** (-q / 2)
         )
 
+    def test_nscaled_overflow_is_inf(self):
+        # U**q past the float range makes R1_nscaled inf, which theorem1's
+        # margin names, where it once raised OverflowError; in range it is
+        # the product bit for bit.
+        assert power_R1_nscaled(2.0, 16, 1e300, 0.1) == math.inf
+        assert power_R1_nscaled(2.0, 16, 1e300, 0.0) == 0.0
+        q, n, U, rho_sum = 3.0, 64, 1.7, 0.2
+        assert power_R1_nscaled(q, n, U, rho_sum) == 2.0**q * U**q * n ** (-q / 2.0) * rho_sum
+
     def test_exponential_gauge_integral(self):
         # psi = expm1(a v): the split integral has the antiderivative
         # (sqrt(n) / 2) (exp(2 a U) - 1), so R1 = (rho / 4) (exp(2 a U) - 1).
@@ -194,6 +203,27 @@ class TestConcentrationLq:
         a = concentration_lq(40, 1.0, 2.0, 0.001)
         b = concentration_lq(40, 2.0, 2.0, 0.001)
         assert b < a < 1.0
+
+    @pytest.mark.parametrize("U, q", [(1e-200, 2.0), (1e-100, 4.0), (1e-300, 1.5)])
+    def test_underflowed_power_clamps_pbar_to_one(self, U, q):
+        # U**q underflows to 0: Markov's pbar clamps to 1 before any
+        # division, where it once raised ZeroDivisionError.
+        assert U**q == 0.0
+        assert concentration_lq(40, U, q, 0.03) == concentration_general(40, 1.0)
+
+    def test_overflowed_power_gives_pbar_zero(self):
+        # U**q overflows the float range, so pbar = moment / U**q is 0.
+        with pytest.raises(OverflowError):
+            1e300**2.0
+        assert concentration_lq(40, 1e300, 2.0, 0.03) == concentration_general(40, 0.0) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(U=st.floats(1e-3, 1e3), q=st.floats(1.0, 8.0), moment=st.floats(0.0, 10.0))
+    def test_in_range_values_are_bit_identical(self, U, q, moment):
+        # Where U**q is a normal float, the clamp before the division gives
+        # min(1, moment / U**q), bit for bit.
+        assert concentration_lq(40, U, q, moment) == concentration_general(
+            40, min(1.0, moment / U**q))
 
 
 class TestConcentrationSubexp:

@@ -37,6 +37,7 @@ from blocksym.verify import (
     mc_per_coordinate_tails,
     mc_tail_probability,
     tail_levels,
+    independence_report,
     theorem1_bound,
     verdict_for,
     verify_independence_reduction,
@@ -771,6 +772,23 @@ class TestProp2:
 
 
 class TestIndependenceReduction:
+    def test_report_reads_only_the_lhs_pass_with_copies(self):
+        # The report reads the lhs stream drawn with multipliers and copies:
+        # a pass without copies, of another purpose, or without multipliers
+        # is rejected with an error naming it, and the pass it reads gives
+        # the report of verify_independence_reduction, which draws it.
+        spec, scheme = DgpSpec("iid_gaussian", n=8, p=2), make_blocks(8, 1)
+        drawn = stream_statistics(spec, 1000, 4, PURPOSE_LHS, scheme, RADEMACHER, copies=True)
+        assert (independence_report(POWER2, lhs=drawn)
+                == verify_independence_reduction(spec, POWER2, 1000, 4))
+        for purpose, copies in [(PURPOSE_LHS, False), (PURPOSE_MID, True)]:
+            stats = stream_statistics(spec, 1000, 4, purpose, scheme, RADEMACHER, copies=copies)
+            with pytest.raises(ValueError, match="the lhs pass was drawn for"):
+                independence_report(POWER2, lhs=stats)
+        plain = stream_statistics(spec, 1000, 4, PURPOSE_LHS, copies=True)
+        with pytest.raises(ValueError, match="the lhs pass has no multiplier statistic"):
+            independence_report(POWER2, lhs=plain)
+
     def test_iid_gaussian_two_sided(self):
         spec = DgpSpec("iid_gaussian", n=16, p=3)
         report = verify_independence_reduction(spec, POWER2, 20_000, seed=7)
