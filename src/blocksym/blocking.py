@@ -26,14 +26,16 @@ A pass keys its panels, copies and multipliers with one ``substream_keys``
 call each, at the first replications of its blocks (``processes``). The
 calling thread builds each block's generators (``seeding.generator``; the
 pool threads call no public function), draws its multipliers and submits
-the block to a pool of ``draw_workers()`` threads; the pool thread draws
-its panels (``processes._draw_block``), writes its per-replication values
+the block to a pool of ``draw_workers()`` threads; the pool thread streams
+its panels, a chunk of time rows at a time, into their column means and
+block sums (``processes._draw_block``), writes its per-replication values
 and returns its means. With ``draw_workers() + 1`` blocks in flight the
 calling thread waits for the oldest and folds its means, so reductions fold
-in block order, a pass holds only that many blocks, and the output is
-bit-identical for any worker count. Nothing is cached. Inside
-``recorded_passes()`` each pass appends its request (``pass_record``), its
-wall time and its blocks' wall time summed over the threads, in draw order.
+in block order, a pass holds only that many blocks' chunks and sums (never
+a block of panels), and the output is bit-identical for any worker count.
+Nothing is cached. Inside ``recorded_passes()`` each pass appends its
+request (``pass_record``), its wall time and its blocks' wall time summed
+over the threads, in draw order.
 """
 
 from __future__ import annotations
@@ -357,16 +359,12 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     def draw(start, stop, rng, copy_rng, eps):
         # Runs on a draw-pool thread, so it calls only private functions.
         began = time.perf_counter()
-        # The block's (n, L, p) panel buffer is held until its statistics
-        # are written: freeing it first raised full_suite's peak RSS by about
-        # 3 MB in 8 of 24 fresh-process runs (the cause was not verified).
-        panels, means, sums = _draw_block(spec, b, stop - start, block, rng, copy_rng)
+        means, sums = _draw_block(spec, b, stop - start, block, rng, copy_rng)
         max_abs_mean[start:stop] = _max_last(np.abs(means))
         if eps is not None:
             mult_max[start:stop] = _multiplier_max(sums, eps, spec.n)
             # Summed in one order per replication, whatever the block size.
             quad[start:stop] = _max_last(np.einsum("klp,klp->kp", sums, sums)) / spec.n
-        del panels
         return means, time.perf_counter() - began
 
     workers = draw_workers()

@@ -12,38 +12,38 @@ p-dimensional process. Five generator kinds are shipped:
 
 Estimators need only per-replication functions of each panel's column
 means and within-block column sums, so they never see a panel:
-``_draw_block`` draws one block of replications and returns its column
-means and block sums, and ``blocking.stream_statistics``, the one function
-that schedules passes, draws a pass block by block on its thread pool.
-Replication r is a pure function of (spec, seed, stream, purpose, r), so
-identical inputs give bit-identical results. Every kind is mean zero by
-construction (innovations are centered before filtering, and clipping a
-stationary law that is symmetric about zero keeps its mean exactly zero).
-Cross-sectional dependence is one equicorrelation c of the innovations, so
-every long-run covariance is v I + v_c (11^T - I): two closed-form numbers
+``_draw_block`` draws one block of replications and folds it into its
+column means and block sums as it is drawn, and
+``blocking.stream_statistics``, the one function that schedules passes,
+draws a pass block by block on its thread pool. Replication r is a pure
+function of (spec, seed, stream, purpose, r), so identical inputs give
+bit-identical results. Every kind is mean zero by construction (innovations
+are centered before filtering, and clipping a stationary law that is
+symmetric about zero keeps its mean exactly zero). Cross-sectional
+dependence is one equicorrelation c of the innovations, so every long-run
+covariance is v I + v_c (11^T - I): two closed-form numbers
 (``longrun_covariance``), never a p x p matrix. ``_equicorrelate`` applies
 its symmetric square root in place, to the Gaussian innovations here and to
 the comparison draws of ``gaussian``.
 
 A pass is cut into blocks of replications (``_block_reps``): block j holds
 replications [jL, min((j + 1) L, reps)), where L is ``_BLOCK_BYTES`` of
-panel (at least one replication, at most ``MAX_BLOCK_REPS``). A block is
-drawn with the one filler per kind (``_fill``) and reduced at once, so a
-pass holds only a few blocks of panels. A block of k panels is held
-time-major, as an (n, k, p) array whose row t is time t of every panel, so
-the column means and the block sums are sums of contiguous rows (a
-one-column block is reduced as (k, n, 1), as numpy sums a column). One
+panel (at least one replication, at most ``MAX_BLOCK_REPS``). One
 generator, ``seeding.generator`` of the key of the substream (seed, stream,
 purpose, first) of the block's first replication, draws the whole block
-time-major: an SFC64 stream from a 256-bit state hashed from the key by
-``SeedSequence``, of which a block reads about 0.5M words, so blocks'
-streams do not overlap in practice. Block bounds depend only on n, p,
-``MAX_BLOCK_REPS`` and ``_BLOCK_BYTES``, and a run's last block is drawn
-at full length (the cap bounds that overdraw), so
-a block's rows do not depend on how many replications the run asks for:
-replication r stays a pure function of its coordinates, and a block of one
-replication draws exactly what its own substream gives. Changing
-``_BLOCK_BYTES`` moves the draws.
+time-major (a linear process a slice of replications at a time): an SFC64
+stream from a 256-bit state hashed from the key by ``SeedSequence``, of
+which a block reads about 0.5M words, so blocks' streams do not overlap in
+practice. The draws stream from the chunk source ``_chunks`` about
+``_CHUNK_BYTES`` of time rows at a time, and each chunk is folded into the
+sums before the next is drawn, so no block of panels is held whole (but a
+one-column block, gathered as numpy sums a contiguous column pairwise). The
+chunk size moves no draw. Block bounds depend only on n, p,
+``MAX_BLOCK_REPS`` and ``_BLOCK_BYTES``, and a run's last block is drawn at
+full length (the cap bounds that overdraw), so a block's rows do not depend
+on how many replications the run asks for: replication r stays a pure
+function of its coordinates, and a block of one replication draws exactly
+what its own substream gives. Changing ``_BLOCK_BYTES`` moves the draws.
 """
 
 from __future__ import annotations
@@ -70,9 +70,13 @@ _INNOVATIONS = ("gaussian", "rademacher")
 MAX_BLOCK_REPS = 2048
 
 # Panel bytes per block of replications (at least one replication): the
-# unit that is drawn, reduced and handed to the draw pool at once, and that
-# one generator draws, so changing it moves the draws.
+# unit that one generator draws and that is handed to the draw pool, so it
+# sets the keys and changing it moves the draws. No block is held whole.
 _BLOCK_BYTES = 4 << 20
+
+# Bytes of time rows per chunk that a block streams through its reductions
+# (``_chunk_shape``): the unit of memory, which moves no draw.
+_CHUNK_BYTES = 1 << 20
 
 # Replications whose linear-process innovations are drawn at once.
 _SLICE = 64
@@ -272,66 +276,113 @@ def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
 
 def _innovate(rng: np.random.Generator, spec: DgpSpec, out: np.ndarray) -> None:
     """Fill ``out`` with iid innovations of the kind, in the generator's
-    order: signs of magnitude ``scale`` (bounded_rademacher) or 1
-    (Rademacher innovations), numpy's int8 integers on {0, 1} mapped to -1
-    and +1, else standard normals equicorrelated along the last axis."""
-    if spec.kind == "bounded_rademacher" or (
-            spec.kind == "linear_process" and spec.innovation == "rademacher"):
-        scale = spec.scale if spec.kind == "bounded_rademacher" else 1.0
-        np.multiply(rng.integers(0, 2, size=out.shape, dtype=np.int8), 2.0 * scale, out=out)
-        out -= scale
+    order: Rademacher innovations (``_signs``) or standard normals
+    equicorrelated along the last axis."""
+    if spec.kind == "linear_process" and spec.innovation == "rademacher":
+        _signs(rng.integers(0, 2, size=out.shape, dtype=np.int8), 1.0, out)
     else:
         rng.standard_normal(out=out)
         # The eigenvalues of (1 - c) I + c 11^T along 1 and across it.
         _equicorrelate(out, 1.0 + (spec.p - 1) * spec.cross_corr, 1.0 - spec.cross_corr)
 
 
-def _fill(spec: DgpSpec, rng: np.random.Generator, wanted: int, out: np.ndarray) -> None:
-    """Fill the first ``wanted`` replications of ``out``, one block of panels
-    stored time-major: ``out`` is (n, full, p) in C order, and out[t, r] is
-    row t of replication r.
+def _signs(bits: np.ndarray, scale: float, out: np.ndarray) -> None:
+    """Map numpy's int8 integers on {0, 1} in ``bits`` to -``scale`` and
+    +``scale`` in ``out``."""
+    np.multiply(bits, 2.0 * scale, out=out)
+    out -= scale
 
-    The one filler of every kind. ``rng`` is ``seeding.generator`` of the
-    key of the block's first replication, built by the caller, and ``full``
+
+def _chunks(spec: DgpSpec, rng: np.random.Generator, wanted: int, full: int,
+            out: np.ndarray):
+    """The chunk source: draw the first ``wanted`` replications of a block
+    of ``full`` from ``rng`` into ``out``, a chunk at a time, and return the
+    iterator of the chunks.
+
+    ``out`` is a (rows, width, p) buffer of ``_chunk_shape``, and each chunk
+    is (t, lo, x) with x = out[:r, :k]: time rows t, ..., t + r - 1 of
+    replications lo, ..., lo + k - 1. ``rng`` is ``seeding.generator`` of
+    the key of the block's first replication, built by the caller; ``full``
     is the block's length, which a run's last block may exceed ``wanted``
-    by; the columns past ``wanted`` may be left as they were. The block
-    reads ``rng`` alone, time-major, and every draw goes through
-    ``_innovate``: iid kinds fill the whole buffer with one call; var1 kinds draw the initial states of all ``full``
-    replications and then the whole innovation buffer, run the recursion in
-    place row by row and clip after it; linear processes draw their longer
-    innovations a slice of ``_SLICE`` replications at a time as (rows,
-    slice, p), each slice at its full width within ``full``. So no
-    replication depends on how many are wanted. Fills run on draw-pool
-    threads, so this path calls no public function: the tracer keeps one
-    span stack.
+    by. The block reads ``rng`` alone, in the order a whole block drawn at
+    once reads it, so no replication depends on how many are wanted or on
+    the chunk size: a kind without lags yields whole time rows of every
+    replication (``_time_rows``), and a linear process every time row of a
+    slice of replications (``_filtered_slices``). A source allocates its
+    scratch, and draws var1 initial states and sign bytes, when it is made,
+    so sums the caller allocates after it lie above that scratch in the
+    heap: allocated the other way round, glibc's heap kept about 4 MB more
+    of high_dim's peak RSS. Each chunk must be consumed before the next is
+    asked for. Runs on draw-pool threads, so it calls no public function:
+    the tracer keeps one span stack.
     """
-    n, p = spec.n, spec.p
-    full = out.shape[1]
-    if spec.kind in ("iid_gaussian", "bounded_rademacher"):
-        _innovate(rng, spec, out)
-    elif spec.kind == "linear_process":
-        # The lags make the innovations longer than the panels, so they are
-        # drawn and filtered a slice of replications at a time.
-        rows = n + len(spec.coeffs) - 1
-        buffer = np.empty(rows * min(_SLICE, full) * p)
-        out.fill(0.0)
+    if spec.kind == "linear_process":
+        return _filtered_slices(spec, rng, wanted, full, out)
+    return _time_rows(spec, rng, wanted, full, out)
+
+
+def _time_rows(spec: DgpSpec, rng: np.random.Generator, wanted: int, full: int,
+               out: np.ndarray):
+    """The chunk source of the kinds without lags, len(``out``) time rows at
+    a time. Each chunk draws its rows of all ``full`` replications with one
+    call: standard normals (var1 kinds after the initial states of all
+    ``full``, drawn at once), or rows of the block's one int8 ``integers``
+    call for sign panels, since numpy buffers the bytes within a call. var1
+    kinds run the recursion in place on whole rows, carry the unclipped
+    last row to the next chunk and clip after it."""
+    n = spec.n
+    bits = state = None
+    if spec.kind == "bounded_rademacher":
+        bits = rng.integers(0, 2, size=(n, full, spec.p), dtype=np.int8)
+    elif spec.kind != "iid_gaussian":
+        state = np.empty((full, spec.p))
+        _innovate(rng, spec, state)
+        # x[t] = e[t] + phi x[t - 1] from the stationary state before t = 0;
+        # ``state`` holds x[t - 1] at the start of each chunk and is reused
+        # for phi x[t - 1].
+        state /= math.sqrt(1.0 - spec.phi * spec.phi)
+        state = state[:wanted]
+
+    def chunks():
+        for t in range(0, n, len(out)):
+            x = out[: min(len(out), n - t)]
+            if bits is None:
+                _innovate(rng, spec, x)
+            else:
+                _signs(bits[t : t + len(x)], spec.scale, x)
+            x = x[:, :wanted]
+            if state is not None:
+                for i in range(len(x)):
+                    np.multiply(state if i == 0 else x[i - 1], spec.phi, out=state)
+                    x[i] += state
+                state[...] = x[-1]
+                if spec.kind == "truncated_var1":
+                    np.clip(x, -spec.truncation, spec.truncation, out=x)
+            yield t, 0, x
+
+    return chunks()
+
+
+def _filtered_slices(spec: DgpSpec, rng: np.random.Generator, wanted: int, full: int,
+                     out: np.ndarray):
+    """The chunk source of linear processes: the lags make the innovations
+    longer than the panels, so they are drawn as (rows, slice, p), a slice
+    of ``_SLICE`` replications at a time, each at its full width within
+    ``full``, and every time row of the slice is yielded at once."""
+    rows = spec.n + len(spec.coeffs) - 1
+    innovations = np.empty(rows * out.shape[1] * spec.p)
+
+    def chunks():
         for lo in range(0, wanted, _SLICE):
-            hi = min(lo + _SLICE, full)
-            e = buffer[: rows * (hi - lo) * p].reshape(rows, hi - lo, p)
+            k = min(_SLICE, full - lo)
+            e = innovations[: rows * k * spec.p].reshape(rows, k, spec.p)
             _innovate(rng, spec, e)
-            _linear_filter(e.transpose(1, 0, 2), spec, out[:, lo:hi].transpose(1, 0, 2))
-    else:
-        start = np.empty((full, p))
-        _innovate(rng, spec, start)
-        _innovate(rng, spec, out)
-        # x[t] = e[t] + phi x[t - 1] from the stationary state before t = 0,
-        # in place on whole rows; ``start`` is reused for phi x[t - 1].
-        start /= math.sqrt(1.0 - spec.phi * spec.phi)
-        for t in range(n):
-            np.multiply(start if t == 0 else out[t - 1], spec.phi, out=start)
-            out[t] += start
-        if spec.kind == "truncated_var1":
-            np.clip(out, -spec.truncation, spec.truncation, out=out)
+            x = out[:, :k]
+            x.fill(0.0)
+            _linear_filter(e.transpose(1, 0, 2), spec, x.transpose(1, 0, 2))
+            yield 0, lo, x[:, : min(k, wanted - lo)]
+
+    return chunks()
 
 
 def _block_sums(x: np.ndarray, b: int, axis: int = -2) -> np.ndarray:
@@ -349,40 +400,79 @@ def _block_reps(spec: DgpSpec) -> int:
     return min(MAX_BLOCK_REPS, max(1, _BLOCK_BYTES // (spec.n * spec.p * 8)))
 
 
+def _chunk_shape(spec: DgpSpec, b: Optional[int], full: int) -> tuple[int, int]:
+    """The (time rows, replications) of a chunk of a block of ``full``: a
+    linear process's slice, (n, ``_SLICE`` at most), else about
+    ``_CHUNK_BYTES`` of whole time rows, a multiple of the block length
+    ``b`` (of 1 without one), at least one run of it and at most n."""
+    if spec.kind == "linear_process":
+        return spec.n, min(_SLICE, full)
+    step = b or 1
+    fit = _CHUNK_BYTES // (full * spec.p * 8)
+    return min(spec.n, max(step, fit - fit % step)), full
+
+
 def _draw_block(spec: DgpSpec, b: Optional[int], wanted: int, full: int,
                 rng: np.random.Generator, copy_rng: Optional[np.random.Generator]):
     """Draw the first ``wanted`` replications of a block of ``full`` from
     ``rng``, ``seeding.generator`` of the key of its first replication,
-    minus their copies from ``copy_rng`` if given; returns the panel buffer,
-    the (wanted, p) column means and the (wanted, n/b, p) within-block
-    column sums over blocks of length ``b`` (None without ``b``), a view of
-    the time-major sums.
+    minus their copies from ``copy_rng`` if given, and fold them as they
+    come; returns the (wanted, p) column means and the (wanted, n/b, p)
+    within-block column sums over blocks of length ``b`` (None without
+    ``b``), a view of the time-major sums.
 
-    Both sums run over the time-major rows one row at a time, as
+    The panels stream from the chunk source ``_chunks``, their copies in
+    lockstep, a ``_chunk_shape`` at a time; no panel of the block is held
+    whole. Both sums run over the time-major rows one row at a time, as
     ``blocking.batch_max_abs_mean`` and ``batch_block_sums`` sum (k, n, p)
-    panels when p > 1; numpy sums a contiguous column pairwise, so a
-    one-column block is copied to those kernels' (k, n, 1) layout. So each
-    replication is summed in one order in any block, bit for bit as the
-    kernels sum it. Runs on draw-pool threads: it calls no public function.
+    panels when p > 1: a chunk holds whole runs of b rows, and when a block
+    takes several chunks, the buffer row before each takes the running
+    column totals, so summing it with the chunk adds the chunk's rows to
+    them in that order. numpy sums a contiguous column pairwise, so a
+    one-column block is gathered into those kernels' (k, n, 1) layout and
+    reduced there. So each replication is summed in one order in any block
+    and any chunk, bit for bit as the kernels sum it. Runs on draw-pool
+    threads: it calls no public function.
     """
     n, p = spec.n, spec.p
-    x = np.empty((n, full, p))
-    _fill(spec, rng, wanted, x)
-    x = x[:, :wanted]
-    if copy_rng is not None:
-        copy = np.empty((n, full, p))
-        _fill(spec, copy_rng, wanted, copy)
-        x -= copy[:, :wanted]
-        del copy
+    rows, width = _chunk_shape(spec, b, full)
+    # With several chunks, row 0 takes the running column totals.
+    spare = int(rows < n)
+    buffer = np.empty((spare + rows, width, p))
+    chunks = _chunks(spec, rng, wanted, full, buffer[spare:])
+    copies = (None if copy_rng is None
+              else _chunks(spec, copy_rng, wanted, full, np.empty((rows, width, p))))
+    # Made after the sources and their scratch (``_chunks``).
     if p == 1:
-        x = np.ascontiguousarray(x.transpose(1, 0, 2))
-        means = x.mean(axis=1)
-        sums = None if b is None else _block_sums(x, b)
+        column = np.empty((wanted, n, 1))
     else:
-        means = x.sum(axis=0)
-        means /= n
-        sums = None if b is None else _block_sums(x, b, 0).transpose(1, 0, 2)
-    return x, means, sums
+        totals = np.empty((wanted, p))
+        # A block in one chunk keeps that chunk's block sums, uncopied.
+        whole = rows == n and width >= wanted
+        sums = None if b is None or whole else np.empty((n // b, wanted, p))
+    for t, lo, x in chunks:
+        if copies is not None:
+            x -= next(copies)[2]
+        r, k = x.shape[:2]
+        stop = t + r
+        if p == 1:
+            column[lo : lo + k, t:stop] = x.transpose(1, 0, 2)
+            continue
+        if t == 0:
+            np.sum(x, axis=0, out=totals[lo : lo + k])
+        else:
+            buffer[0, :k] = totals[lo : lo + k]
+            np.sum(buffer[: 1 + r, :k], axis=0, out=totals[lo : lo + k])
+        if b is None:
+            continue
+        if whole:
+            sums = _block_sums(x, b, 0)
+        else:
+            sums[t // b : stop // b, lo : lo + k] = _block_sums(x, b, 0)
+    if p == 1:
+        return column.mean(axis=1), None if b is None else _block_sums(column, b)
+    totals /= n
+    return totals, None if b is None else sums.transpose(1, 0, 2)
 
 
 def marginal_spec(spec: DgpSpec) -> DgpSpec:

@@ -25,6 +25,7 @@ dominant term is ln(p) / (n**phi U**phi ln ln p). All bounds clamp at one.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,15 +166,18 @@ def concentration_subexp(p: int, n: int, U: float, params: TailParams) -> Subexp
         raise ValueError(f"truncation level must be > 0, got {U}")
     log_p = math.log(p)
     log_log_p = math.log(log_p)
-    lam = n**params.phi * U**params.phi * log_log_p
+    # Powers of U that overflow are inf, so a huge U bounds nothing away
+    # rather than raising; the remainders at it name their margin.
+    U_phi, U_gamma = _power(U, params.phi), _power(U, params.gamma)
+    lam = n**params.phi * U_phi * log_log_p
     dominant = log_p / lam
     # Second proof term a (ln p)^{n^phi U^phi} / (lam exp(b n^gamma U^gamma)),
     # evaluated in log space to dodge overflow.
     log_second = (
         math.log(params.a)
-        + (n**params.phi * U**params.phi) * log_log_p
+        + (n**params.phi * U_phi) * log_log_p
         - math.log(lam)
-        - params.b * n**params.gamma * U**params.gamma
+        - params.b * n**params.gamma * U_gamma
     )
     second = math.exp(log_second) if log_second < 700 else math.inf
     warning = second > 0.01 * dominant
@@ -204,11 +208,14 @@ def fit_subexp_envelope(levels: np.ndarray, tail_probs: np.ndarray, n: int, gamm
             raise ValueError(
                 f"amplitude {amplitude} too small: observed tail {prob} at level {u}"
             )
-        b = min(b, (math.log(amplitude) - math.log(prob)) / (n**gamma * u**gamma))
+        b = min(b, (math.log(amplitude) - math.log(prob)) / (n**gamma * _power(float(u), gamma)))
     if not math.isfinite(b):
         # No positive exceedance anywhere: any decay rate works; pick the one
-        # that puts the envelope at 1e-12 on the smallest level.
-        b = (math.log(amplitude) + 12 * math.log(10.0)) / (n**gamma * levels.min() ** gamma)
+        # that puts the envelope at 1e-12 on the smallest level, or, where
+        # that rate underflows, the smallest normal float.
+        b = (math.log(amplitude) + 12 * math.log(10.0)) / (
+            n**gamma * _power(float(levels.min()), gamma))
+        b = max(b, sys.float_info.min)
     return TailParams(a=amplitude, b=b, gamma=gamma, phi=phi)
 
 

@@ -115,6 +115,18 @@ def block_panels(spec, rng, size):
     return x.transpose(1, 0, 2)
 
 
+def fill_block(spec, rng, wanted, full):
+    """The first ``wanted`` panels of a block of ``full`` drawn from ``rng``,
+    time-major, shape (n, wanted, p): the chunks of the chunk source
+    ``processes._chunks`` (of the default shape without a block length),
+    gathered whole."""
+    out = np.empty((spec.n, wanted, spec.p))
+    chunk = np.empty((*processes._chunk_shape(spec, None, full), spec.p))
+    for t, lo, x in processes._chunks(spec, rng, wanted, full, chunk):
+        out[t : t + len(x), lo : lo + x.shape[1]] = x
+    return out
+
+
 def draw_panels(spec, seed, stream, purpose, start, stop):
     """Panels of replications start..stop-1, shape (stop - start, n, p).
 

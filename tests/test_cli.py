@@ -603,15 +603,21 @@ class TestRun:
     @pytest.mark.parametrize("q, U, tail, error", [
         (2.0, 1e-200, "lq", None), (4.0, 1e-100, "lq", None), (2.0, 1e-200, "subexp", None),
         (2.0, 1e300, "lq", "moment-bound"), (2.0, 1e300, "subexp", "moment-bound"),
-    ], ids=["lq-1e-200", "lq-q4-1e-100", "subexp-1e-200", "lq-1e300", "subexp-1e300"])
+        (2.0, 1e300, {"mode": "subexp", "gamma": 2.0}, "moment-bound"),
+        (2.0, 1e300, {"mode": "subexp", "gamma": 2.0, "fit": False, "b": 1.0}, "moment-bound"),
+    ], ids=["lq-1e-200", "lq-q4-1e-100", "subexp-1e-200", "lq-1e300", "subexp-1e300",
+            "subexp-gamma2-fit-1e300", "subexp-gamma2-b1-1e300"])
     def test_truncation_at_the_ends_of_the_float_range(self, tmp_path, q, U, tail, error):
         # U**q underflows to 0 or overflows, which validate cannot see.
         # Markov's pbar clamps to 1 without dividing by an underflowed
-        # power, and an overflowed R1_nscaled is inf, so the run ends at a
-        # verdict or names the margin, where it once raised a bare
-        # ZeroDivisionError or OverflowError.
+        # power, an overflowed R1_nscaled is inf, and so are the overflowed
+        # powers U**gamma of the sub-exponential bound and of its fitted
+        # envelope (whose rate stays positive), so the run ends at a verdict
+        # or names the margin, where it once raised a bare ZeroDivisionError,
+        # OverflowError or ValueError on the tail constants.
+        tail = tail if isinstance(tail, dict) else {"mode": tail}
         path, _ = write_config(tmp_path, psi={"kind": "power", "q": q}, checks=["theorem1"],
-                               truncation={"mode": "fixed", "U": U}, tail={"mode": tail})
+                               truncation={"mode": "fixed", "U": U}, tail=tail)
         out = tmp_path / "out"
         code = main(["run", str(path), "--output-dir", str(out)])
         if error is None:

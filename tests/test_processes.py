@@ -32,7 +32,8 @@ from blocksym.processes import (
 )
 from blocksym.seeding import (PURPOSE_TAIL, STREAM_COPY, STREAM_PANEL, generator, substream,
                               substream_keys)
-from conftest import block_bounds, block_panels, draw_panels, equicorrelated, pass_multipliers
+from conftest import (block_bounds, block_panels, draw_panels, equicorrelated, fill_block,
+                      pass_multipliers)
 
 VAR1 = DgpSpec("var1", n=64, p=4, phi=0.5)
 RADEMACHER = MultiplierSpec("rademacher")
@@ -73,7 +74,7 @@ def gather(spec, reps, seed, stream, purpose, b=None, copy_stream=None):
         stop = min(end, reps)
         copy_rng = (None if copy_stream is None
                     else generator(first_key(seed, copy_stream, purpose, first)))
-        _, block_means, block_sums = processes._draw_block(
+        block_means, block_sums = processes._draw_block(
             spec, b, stop - first, end - first, generator(first_key(seed, stream, purpose, first)),
             copy_rng)
         blocks.append((first, stop))
@@ -171,33 +172,35 @@ class TestDeterminism:
                               chunked_panels(spec, 300, 5, chunk=7))
 
     @pytest.mark.parametrize("spec, reps, bound", [
-        *[(DgpSpec(kind, n=64, p=8, phi=0.5), 256, 2.5) for kind in KINDS],
+        *[(DgpSpec(kind, n=64, p=8, phi=0.5), 256,
+           0.8 if kind == "linear_process" else 0.4) for kind in KINDS],
         (DgpSpec("linear_process", n=64, p=8, coeffs=(1.0, 0.5),
-                 innovation="rademacher"), 256, 2.5),
-        (DgpSpec("iid_gaussian", n=16, p=4, cross_corr=0.3), 2048, 1.5),
-        (DgpSpec("var1", n=32, p=3, phi=0.5, cross_corr=0.2), 2048, 1.5),
-        (DgpSpec("truncated_var1", n=16, p=4, phi=0.5, cross_corr=0.3), 2048, 1.5),
+                 innovation="rademacher"), 256, 0.8),
+        (DgpSpec("iid_gaussian", n=16, p=4, cross_corr=0.3), 2048, 0.4),
+        (DgpSpec("var1", n=32, p=3, phi=0.5, cross_corr=0.2), 2048, 0.4),
+        (DgpSpec("truncated_var1", n=16, p=4, phi=0.5, cross_corr=0.3), 2048, 0.4),
     ], ids=[*KINDS, "linear_process-rademacher", "iid_gaussian-correlated",
             "var1-correlated", "truncated_var1-correlated"])
-    def test_autoregression_chunk_peak_memory(self, spec, reps, bound):
-        # The filler, given all ``reps`` as one time-major block: Gaussian
-        # kinds fill the preallocated block in place (equicorrelating it in
-        # place beside one mean per vector; linear processes draw and filter
-        # their longer innovations a slice of replications at a time in one
-        # reused buffer), the recurrence runs in place on whole rows beside
-        # one row and the clip in place, sign panels hold their int8 draws
-        # beside the block, and Rademacher innovations are drawn and
-        # filtered in slices like Gaussian ones.
+    def test_autoregression_chunk_peak_memory(self, spec, reps, bound, monkeypatch):
+        # The chunk source, given all ``reps`` as one time-major block and
+        # an eighth of its time rows per chunk, never holds the block: one
+        # reused chunk (1.0 to 1.9 chunks measured, the equicorrelation's
+        # mean per vector and var1's carried row beside it), sign panels
+        # beside the block's int8 draws (an eighth of its bytes), and linear
+        # processes a slice of replications: its innovations, its filtered
+        # rows and one filter term (about 0.76 of the block here).
+        block = spec.n * reps * spec.p * 8
+        monkeypatch.setattr(processes, "_CHUNK_BYTES", block // 8)
+        key = substream_keys(1, STREAM_PANEL, 0, range(1))[0]
         tracemalloc.start()
         try:
-            panels = np.empty((spec.n, reps, spec.p))
-            key = substream_keys(1, STREAM_PANEL, 0, range(1))[0]
-            processes._fill(spec, generator(key), reps, panels)
+            out = np.empty((*processes._chunk_shape(spec, None, reps), spec.p))
+            for _ in processes._chunks(spec, generator(key), reps, reps, out):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert panels.shape == (spec.n, reps, spec.p)
-        assert peak <= bound * panels.nbytes
+        assert peak <= bound * block
 
 
 def reference_panel(spec, rng):
@@ -315,14 +318,13 @@ class TestReplicationBlocks:
 
     def test_rademacher_innovation_slices_match_block_reference(self):
         # 140 of a block of 150 replications from an offset cross two slice
-        # boundaries of the filler; the slices past 140 are not drawn.
+        # boundaries of the chunk source; the slices past 140 are not drawn.
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
-        panels = np.empty((spec.n, 150, spec.p))
         key = substream_keys(8, STREAM_PANEL, 1, range(10, 11))[0]
-        processes._fill(spec, generator(key), 140, panels)
+        panels = fill_block(spec, generator(key), 140, 150)
         reference = block_panels(spec, substream(8, STREAM_PANEL, 1, 10), 150)
-        assert np.array_equal(panels[:, :140].transpose(1, 0, 2), reference[:140])
+        assert np.array_equal(panels.transpose(1, 0, 2), reference[:140])
 
     def test_worker_count_falls_back_to_cpu_count(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -352,15 +354,16 @@ def patch_cpus(monkeypatch, cpus):
 
 
 def fill_threads(monkeypatch):
-    """The names of the threads that call ``_fill`` from now on."""
+    """The names of the threads that call the chunk source ``_chunks`` from
+    now on."""
     threads = set()
-    fill = processes._fill
+    chunks = processes._chunks
 
     def spy(*args):
         threads.add(threading.current_thread().name)
-        fill(*args)
+        return chunks(*args)
 
-    monkeypatch.setattr(processes, "_fill", spy)
+    monkeypatch.setattr(processes, "_chunks", spy)
     return threads
 
 
@@ -411,6 +414,84 @@ class TestDrawBlock:
         # sees a block length that does not divide n.
         with pytest.raises(BlockSchemeError, match=r"divide n \(n=8, b=3\)"):
             stream_statistics(REDUCE_SPECS[0], 10, 4, 6, BlockScheme(n=8, b=3), RADEMACHER)
+
+
+CHUNK_SPECS = [
+    DgpSpec(kind, n=16, p=p, phi=0.5, coeffs=(1.0, 0.5, -0.25), truncation=1.5,
+            innovation=innovation, scale=0.5,
+            cross_corr=0.3 if p > 1 and kind != "bounded_rademacher" and innovation == "gaussian"
+            else 0.0)
+    for kind, innovation in [*((kind, "gaussian") for kind in KINDS),
+                             ("linear_process", "rademacher")]
+    for p in (1, 3)
+]
+# Chunk budgets in time rows of a block: one run of b rows (none fits), six
+# rows (chunks of 6, 6 and 4 unless b = n), the whole block. A linear
+# process streams a slice of replications at a time, whatever the budget.
+CHUNK_BUDGETS = {"one-run": 0, "six-rows": 6, "whole-block": 10**6}
+CHUNK_CASES = [
+    pytest.param(spec, budget, id=f"{block_id(spec)}-p{spec.p}-{budget}")
+    for spec in CHUNK_SPECS
+    for budget in (["whole-block"] if spec.kind == "linear_process" else CHUNK_BUDGETS)
+]
+
+
+class TestChunkedBlocks:
+    """A block streamed through its reductions a chunk at a time gives the
+    column means and block sums of the kernels on its whole panels, bit for
+    bit, for any chunk size."""
+
+    # 66 of a block of 70 replications: the last block of a run, whose
+    # linear-process slices of 64 straddle the replications wanted.
+    WANTED, FULL = 66, 70
+
+    @pytest.mark.parametrize("b", [None, 1, 2, 16], ids=["no-b", "b1", "b2", "bn"])
+    @pytest.mark.parametrize("copies", [False, True], ids=["panels", "copies"])
+    @pytest.mark.parametrize("spec, budget", CHUNK_CASES)
+    def test_matches_the_kernels_on_whole_panels(self, spec, budget, copies, b, monkeypatch):
+        row = self.FULL * spec.p * 8
+        monkeypatch.setattr(processes, "_CHUNK_BYTES", CHUNK_BUDGETS[budget] * row + 7)
+        shape = processes._chunk_shape(spec, b, self.FULL)
+        if spec.kind == "linear_process":
+            assert shape == (16, 64)
+        else:
+            assert shape == ({"one-run": b or 1, "six-rows": 6 if b != 16 else 16,
+                              "whole-block": 16}[budget], self.FULL)
+
+        def block(stream):
+            return generator(first_key(5, stream, 2, 0))
+
+        # Whole panels from numpy's own calls, in the kernels' (k, n, p) layout.
+        x = block_panels(spec, block(STREAM_PANEL), self.FULL)[: self.WANTED]
+        copy_rng = None
+        if copies:
+            x = x - block_panels(spec, block(STREAM_COPY), self.FULL)[: self.WANTED]
+            copy_rng = block(STREAM_COPY)
+        x = np.ascontiguousarray(x)
+        means, sums = processes._draw_block(spec, b, self.WANTED, self.FULL,
+                                            block(STREAM_PANEL), copy_rng)
+        assert np.array_equal(means, x.mean(axis=-2))
+        if b is None:
+            assert sums is None
+        else:
+            assert np.array_equal(sums, batch_block_sums(x, make_blocks(spec.n, b)))
+
+    def test_full_suite_block_holds_no_panel(self):
+        # One block of the full_suite mid pass (n = 128, p = 20, b = 8, 204
+        # replications, a 4.0 MiB panel) streams 32-row chunks of 1.0 MiB:
+        # with its block sums (0.5 MiB) it peaks at about 1.7 MiB, where
+        # drawing the panel whole peaked at 4.5 MiB.
+        spec = DgpSpec("truncated_var1", n=128, p=20, phi=0.5, truncation=3.0)
+        full = processes._block_reps(spec)
+        assert full == 204
+        rng = generator(first_key(20260808, STREAM_PANEL, 1, 0))
+        tracemalloc.start()
+        try:
+            drawn = processes._draw_block(spec, 8, full, full, rng, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drawn is not None and peak < 2 << 20, peak
 
 
 class FoldLog:
@@ -529,9 +610,11 @@ class TestPipeline:
         armed, running, returned = threading.Event(), threading.Event(), threading.Event()
         state = {"active": 0, "late": 0, "fills": 0}
         block0 = first_state(4, STREAM_PANEL, 6, 0)
-        fill, multipliers = processes._fill, blocking._multipliers
+        chunks, multipliers = processes._chunks, blocking._multipliers
 
-        def tracked(spec, rng, wanted, out):
+        def tracked(spec, rng, *args):
+            # A chunk source: its body runs as the block asks for the
+            # first chunk, before any draw.
             with lock:
                 state["active"] += 1
                 state["late"] += returned.is_set()
@@ -545,7 +628,7 @@ class TestPipeline:
                     # Still running when the error reaches the caller.
                     running.set()
                     time.sleep(0.02)
-                fill(spec, rng, wanted, out)
+                yield from chunks(spec, rng, *args)
             finally:
                 with lock:
                     state["active"] -= 1
@@ -556,7 +639,7 @@ class TestPipeline:
                 raise RuntimeError("block 2's multipliers failed")
             return multipliers(mult, key, rows, count)
 
-        monkeypatch.setattr(processes, "_fill", tracked)
+        monkeypatch.setattr(processes, "_chunks", tracked)
         if where == "multipliers":
             monkeypatch.setattr(blocking, "_multipliers", failing)
         # Armed once the caller has submitted every block it will submit.
@@ -607,12 +690,12 @@ class TestPipeline:
 
         monkeypatch.setattr(blocking, "_draw_pool", lambda workers: GatedPool())
 
-        def failing(spec, rng, wanted, out):
+        def failing(spec, rng, *args):
             filled.append(fresh_state(rng))
             assert queued.wait(timeout=10)
             raise RuntimeError("block 0 failed")
 
-        monkeypatch.setattr(processes, "_fill", failing)
+        monkeypatch.setattr(processes, "_chunks", failing)
         with pytest.raises(RuntimeError, match="block 0 failed"):
             stream_statistics(self.SPEC, 64, 4, 6, self.SCHEME, RADEMACHER)
         assert later[0].cancelled()
@@ -669,13 +752,14 @@ class TestMoments:
         # chain gates barely see such a shift, because E psi(max |mean|)
         # moves by second order in it: 3.5 se on the exact MA(1) lhs at 20k
         # replications, under the 4 se that flags.
-        fill = processes._fill
+        chunks = processes._chunks
 
-        def shifted(spec, rng, wanted, out):
-            fill(spec, rng, wanted, out)
-            out += 0.1
+        def shifted(*args):
+            for t, lo, x in chunks(*args):
+                x += 0.1
+                yield t, lo, x
 
-        monkeypatch.setattr(processes, "_fill", shifted)
+        monkeypatch.setattr(processes, "_chunks", shifted)
         assert not any(centered(spec) for spec in MEAN_ZERO_SPECS)
 
     def test_var1_phi_zero_matches_iid_lag1(self):
@@ -808,8 +892,7 @@ def mean_gram_eigenvalues(spec, reps, seed):
     along, across = [], []
     for first in range(0, reps, block):
         rng = generator(first_key(seed, STREAM_PANEL, PURPOSE_TAIL, first))
-        _, means, _ = processes._draw_block(spec, None, min(block, reps - first), block,
-                                            rng, None)
+        means, _ = processes._draw_block(spec, None, min(block, reps - first), block, rng, None)
         scaled = math.sqrt(spec.n) * means
         total = scaled.sum(axis=1)
         along.append(total**2 / p)

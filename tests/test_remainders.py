@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -262,6 +263,14 @@ class TestConcentrationSubexp:
         with pytest.raises(VacuousBoundError):
             concentration_subexp(2, 100, 1.0, params)
 
+    def test_overflowed_powers_are_inf(self):
+        # U**gamma overflows at U = 1e300 and gamma = 2: the decay term is
+        # inf, so the dropped term is 0, where it once raised OverflowError.
+        with pytest.raises(OverflowError):
+            1e300**2.0
+        out = concentration_subexp(40, 16, 1e300, TailParams(a=1.0, b=1.0, gamma=2.0, phi=0.5))
+        assert out.second_term == 0.0 and 0.0 < out.value < 1e-140 and not out.warning
+
     def test_tail_params_validation(self):
         with pytest.raises(ValueError):
             TailParams(a=1.0, b=1.0, gamma=1.0, phi=1.0)
@@ -374,6 +383,23 @@ class TestEnvelopeFit:
         params = fit_subexp_envelope(np.array([1.0, 2.0]), np.zeros(2), n=64, gamma=1.0,
                                      amplitude=2.0, phi=0.5)
         assert params.b > 0
+
+    def test_underflowed_rate_stays_positive(self):
+        # At levels near 1e300 and gamma = 2 the fallback rate's denominator
+        # overflows; the rate is then the smallest normal float, so the
+        # constants stay valid, where TailParams once rejected b = 0.
+        params = fit_subexp_envelope(np.array([1e300, 2e300]), np.zeros(2), n=16, gamma=2.0,
+                                     amplitude=2.0, phi=0.5)
+        assert params.b == sys.float_info.min
+
+    @settings(max_examples=100, deadline=None)
+    @given(level=st.floats(1e-3, 1e3), gamma=st.floats(0.6, 3.0), prob=st.floats(0.0, 0.5))
+    def test_in_range_rates_are_bit_identical(self, level, gamma, prob):
+        # Where the powers are normal floats, the rate is the formula's.
+        params = fit_subexp_envelope(np.array([level]), np.array([prob]), n=64, gamma=gamma,
+                                     amplitude=2.0, phi=0.5)
+        top = math.log(2.0) - math.log(prob) if prob > 0 else math.log(2.0) + 12 * math.log(10.0)
+        assert params.b == top / (64**gamma * np.float64(level) ** gamma)
 
     def test_amplitude_too_small(self):
         with pytest.raises(ValueError, match="amplitude"):

@@ -22,7 +22,7 @@ from blocksym.seeding import (
     substream,
     substream_keys,
 )
-from conftest import batch_multipliers
+from conftest import batch_multipliers, fill_block
 
 MASK64 = (1 << 64) - 1
 
@@ -52,12 +52,11 @@ HALF = np.sqrt(3.0)
 
 
 def filled(spec, seed, stream, purpose, start, stop, full=None):
-    """Replications start..stop-1 from the filler, as one time-major block
+    """Replications start..stop-1 from the chunk source, as one time-major block
     of ``full``, shape (stop - start, n, p)."""
-    out = np.empty((spec.n, full or stop - start, spec.p))
     key = substream_keys(seed, stream, purpose, range(start, start + 1))[0]
-    processes._fill(spec, seeding.generator(key), stop - start, out)
-    return out[:, : stop - start].transpose(1, 0, 2)
+    out = fill_block(spec, seeding.generator(key), stop - start, full or stop - start)
+    return out.transpose(1, 0, 2)
 
 
 class TestKeys:
