@@ -31,14 +31,14 @@ replications [jL, min((j + 1) L, reps)), where L is ``_BLOCK_BYTES`` of
 panel (at least one replication, at most ``MAX_BLOCK_REPS``). One
 generator, ``seeding.generator`` of the key of the substream (seed, stream,
 purpose, first) of the block's first replication, draws the whole block
-time-major (a linear process a slice of replications at a time): an SFC64
-stream from a 256-bit state hashed from the key by ``SeedSequence``, of
-which a block reads about 0.5M words, so blocks' streams do not overlap in
-practice. The draws stream from the chunk source ``_chunks`` about
-``_CHUNK_BYTES`` of time rows at a time, and each chunk is folded into the
-sums before the next is drawn, so no block of panels is held whole (but a
-one-column block, gathered as numpy sums a contiguous column pairwise). The
-chunk size moves no draw. Block bounds depend only on n, p,
+time-major: an SFC64 stream from a 256-bit state hashed from the key by
+``SeedSequence``, of which a block reads about 0.5M words, so blocks'
+streams do not overlap in practice. The draws of every kind stream from the
+one chunk source ``_chunks`` about ``_CHUNK_BYTES`` of time rows of every
+replication at a time, and each chunk is folded into the sums before the
+next is drawn, so no block of panels is held whole (but a one-column block,
+gathered as numpy sums a contiguous column pairwise). The chunk size moves
+no draw. Block bounds depend only on n, p,
 ``MAX_BLOCK_REPS`` and ``_BLOCK_BYTES``, and a run's last block is drawn at
 full length (the cap bounds that overdraw), so a block's rows do not depend
 on how many replications the run asks for: replication r stays a pure
@@ -77,9 +77,6 @@ _BLOCK_BYTES = 4 << 20
 # Bytes of time rows per chunk that a block streams through its reductions
 # (``_chunk_shape``): the unit of memory, which moves no draw.
 _CHUNK_BYTES = 1 << 20
-
-# Replications whose linear-process innovations are drawn at once.
-_SLICE = 64
 
 # The largest |phi| and |cross_corr| of the clipped autoregression: its
 # closed-form covariance sums about 20,000 Hermite terms at 0.999, and the
@@ -193,9 +190,17 @@ class DgpSpec(Spec):
                 raise DgpValidationError(
                     "cross_corr: rademacher innovations must be cross-sectionally independent"
                 )
+            # (sum |a_j|)**2 bounds the long-run variance and every entry's square.
+            bound = sum(abs(a) for a in self.coeffs)
+            if not math.isfinite(bound * bound):
+                raise DgpValidationError(f"coeffs: the long-run variance bound (sum of "
+                                         f"|coeffs|)**2 overflows, got {list(self.coeffs)}")
         if self.kind == "bounded_rademacher":
             if self.scale <= 0:
                 raise DgpValidationError(f"scale: must be > 0, got {self.scale}")
+            if not math.isfinite(self.scale * self.scale):
+                raise DgpValidationError(
+                    f"scale: the variance scale**2 overflows, got {self.scale}")
             if self.cross_corr != 0.0:
                 raise DgpValidationError(
                     "cross_corr: bounded_rademacher coordinates are independent by construction"
@@ -266,24 +271,21 @@ def _equicorrelate(x: np.ndarray, parallel: float, perp: float) -> None:
 
 
 def _linear_filter(e: np.ndarray, spec: DgpSpec, out: np.ndarray) -> np.ndarray:
-    """Add the filtered innovations ``e`` (..., rows, p) into ``out`` (..., n, p)."""
-    offset = len(spec.coeffs) - 1
+    """Add the filtered innovations ``e`` (..., lags + rows, p) into ``out``
+    (..., rows, p): row t of ``out`` takes sum_j a_j e[lags + t - j]."""
+    offset, rows = len(spec.coeffs) - 1, out.shape[-2]
     for j, a in enumerate(spec.coeffs):
         if a != 0.0:
-            out += a * e[..., offset - j : offset - j + spec.n, :]
+            out += a * e[..., offset - j : offset - j + rows, :]
     return out
 
 
 def _innovate(rng: np.random.Generator, spec: DgpSpec, out: np.ndarray) -> None:
-    """Fill ``out`` with iid innovations of the kind, in the generator's
-    order: Rademacher innovations (``_signs``) or standard normals
+    """Fill ``out`` with standard normals, in the generator's order,
     equicorrelated along the last axis."""
-    if spec.kind == "linear_process" and spec.innovation == "rademacher":
-        _signs(rng.integers(0, 2, size=out.shape, dtype=np.int8), 1.0, out)
-    else:
-        rng.standard_normal(out=out)
-        # The eigenvalues of (1 - c) I + c 11^T along 1 and across it.
-        _equicorrelate(out, 1.0 + (spec.p - 1) * spec.cross_corr, 1.0 - spec.cross_corr)
+    rng.standard_normal(out=out)
+    # The eigenvalues of (1 - c) I + c 11^T along 1 and across it.
+    _equicorrelate(out, 1.0 + (spec.p - 1) * spec.cross_corr, 1.0 - spec.cross_corr)
 
 
 def _signs(bits: np.ndarray, scale: float, out: np.ndarray) -> None:
@@ -296,46 +298,56 @@ def _signs(bits: np.ndarray, scale: float, out: np.ndarray) -> None:
 def _chunks(spec: DgpSpec, rng: np.random.Generator, wanted: int, full: int,
             out: np.ndarray):
     """The chunk source: draw the first ``wanted`` replications of a block
-    of ``full`` from ``rng`` into ``out``, a chunk at a time, and return the
-    iterator of the chunks.
+    of ``full`` from ``rng`` into ``out``, len(``out``) time rows at a time,
+    and return the iterator of the chunks.
 
-    ``out`` is a (rows, width, p) buffer of ``_chunk_shape``, and each chunk
-    is (t, lo, x) with x = out[:r, :k]: time rows t, ..., t + r - 1 of
-    replications lo, ..., lo + k - 1. ``rng`` is ``seeding.generator`` of
-    the key of the block's first replication, built by the caller; ``full``
-    is the block's length, which a run's last block may exceed ``wanted``
-    by. The block reads ``rng`` alone, in the order a whole block drawn at
-    once reads it, so no replication depends on how many are wanted or on
-    the chunk size: a kind without lags yields whole time rows of every
-    replication (``_time_rows``), and a linear process every time row of a
-    slice of replications (``_filtered_slices``). A source allocates its
-    scratch, and draws var1 initial states and sign bytes, when it is made,
-    so sums the caller allocates after it lie above that scratch in the
-    heap: allocated the other way round, glibc's heap kept about 4 MB more
-    of high_dim's peak RSS. Each chunk must be consumed before the next is
-    asked for. Runs on draw-pool threads, so it calls no public function:
-    the tracer keeps one span stack.
+    ``out`` is a (rows, full, p) buffer of ``_chunk_shape``, and each chunk
+    is (t, x) with x = out[:r, :wanted]: time rows t, ..., t + r - 1 of
+    every replication wanted. ``rng`` is ``seeding.generator`` of the key of
+    the block's first replication, built by the caller; ``full`` is the
+    block's length, which a run's last block may exceed ``wanted`` by. The
+    block reads ``rng`` alone, time-major, in the order a whole block drawn
+    at once reads it, so no replication depends on how many are wanted or on
+    the chunk size. Each chunk draws the innovations of its rows of all
+    ``full`` replications with one ``standard_normal`` call, after the
+    initial states of var1 kinds or the ``lags`` pre-sample rows of a
+    linear process, which the source draws for all ``full`` at once. Sign
+    innovations are rows of the block's one int8 ``integers`` call of shape
+    (n + lags, full, p), since numpy buffers the bytes within a call. var1
+    kinds run the recursion in place on whole rows, carry the unclipped last
+    row to the next chunk and clip after it; a linear process filters a
+    window of its last ``lags`` innovation rows and the chunk's, and carries
+    that window to the next chunk.
+
+    A source allocates its scratch, and draws var1 initial states, sign
+    bytes and pre-sample rows, when it is made, so sums the caller allocates
+    after it lie above that scratch in the heap: allocated the other way
+    round, glibc's heap kept about 4 MB more of high_dim's peak RSS. Each
+    chunk must be consumed before the next is asked for. Runs on draw-pool
+    threads, so it calls no public function: the tracer keeps one span
+    stack.
     """
-    if spec.kind == "linear_process":
-        return _filtered_slices(spec, rng, wanted, full, out)
-    return _time_rows(spec, rng, wanted, full, out)
+    n, p = spec.n, spec.p
+    linear = spec.kind == "linear_process"
+    lags = len(spec.coeffs) - 1 if linear else 0
+    bits = state = window = None
+    if spec.kind == "bounded_rademacher" or (linear and spec.innovation == "rademacher"):
+        bits = rng.integers(0, 2, size=(n + lags, full, p), dtype=np.int8)
+    scale = spec.scale if spec.kind == "bounded_rademacher" else 1.0
 
+    def innovations(t, e):
+        """Innovation rows t, ... of the block (pre-sample rows first) into ``e``."""
+        if bits is None:
+            _innovate(rng, spec, e)
+        else:
+            _signs(bits[t : t + len(e)], scale, e)
 
-def _time_rows(spec: DgpSpec, rng: np.random.Generator, wanted: int, full: int,
-               out: np.ndarray):
-    """The chunk source of the kinds without lags, len(``out``) time rows at
-    a time. Each chunk draws its rows of all ``full`` replications with one
-    call: standard normals (var1 kinds after the initial states of all
-    ``full``, drawn at once), or rows of the block's one int8 ``integers``
-    call for sign panels, since numpy buffers the bytes within a call. var1
-    kinds run the recursion in place on whole rows, carry the unclipped
-    last row to the next chunk and clip after it."""
-    n = spec.n
-    bits = state = None
-    if spec.kind == "bounded_rademacher":
-        bits = rng.integers(0, 2, size=(n, full, spec.p), dtype=np.int8)
-    elif spec.kind != "iid_gaussian":
-        state = np.empty((full, spec.p))
+    if linear:
+        # Rows 0 .. lags - 1 hold the innovations before the chunk's rows.
+        window = np.empty((lags + len(out), full, p))
+        innovations(0, window[:lags])
+    elif spec.kind in ("var1", "truncated_var1"):
+        state = np.empty((full, p))
         _innovate(rng, spec, state)
         # x[t] = e[t] + phi x[t - 1] from the stationary state before t = 0;
         # ``state`` holds x[t - 1] at the start of each chunk and is reused
@@ -346,10 +358,14 @@ def _time_rows(spec: DgpSpec, rng: np.random.Generator, wanted: int, full: int,
     def chunks():
         for t in range(0, n, len(out)):
             x = out[: min(len(out), n - t)]
-            if bits is None:
-                _innovate(rng, spec, x)
+            if window is None:
+                innovations(t, x)
             else:
-                _signs(bits[t : t + len(x)], spec.scale, x)
+                e = window[: lags + len(x)]
+                innovations(lags + t, e[lags:])
+                x.fill(0.0)
+                _linear_filter(e.transpose(1, 0, 2), spec, x.transpose(1, 0, 2))
+                window[:lags] = e[len(x):]
             x = x[:, :wanted]
             if state is not None:
                 for i in range(len(x)):
@@ -358,29 +374,7 @@ def _time_rows(spec: DgpSpec, rng: np.random.Generator, wanted: int, full: int,
                 state[...] = x[-1]
                 if spec.kind == "truncated_var1":
                     np.clip(x, -spec.truncation, spec.truncation, out=x)
-            yield t, 0, x
-
-    return chunks()
-
-
-def _filtered_slices(spec: DgpSpec, rng: np.random.Generator, wanted: int, full: int,
-                     out: np.ndarray):
-    """The chunk source of linear processes: the lags make the innovations
-    longer than the panels, so they are drawn as (rows, slice, p), a slice
-    of ``_SLICE`` replications at a time, each at its full width within
-    ``full``, and every time row of the slice is yielded at once."""
-    rows = spec.n + len(spec.coeffs) - 1
-    innovations = np.empty(rows * out.shape[1] * spec.p)
-
-    def chunks():
-        for lo in range(0, wanted, _SLICE):
-            k = min(_SLICE, full - lo)
-            e = innovations[: rows * k * spec.p].reshape(rows, k, spec.p)
-            _innovate(rng, spec, e)
-            x = out[:, :k]
-            x.fill(0.0)
-            _linear_filter(e.transpose(1, 0, 2), spec, x.transpose(1, 0, 2))
-            yield 0, lo, x[:, : min(k, wanted - lo)]
+            yield t, x
 
     return chunks()
 
@@ -400,16 +394,13 @@ def _block_reps(spec: DgpSpec) -> int:
     return min(MAX_BLOCK_REPS, max(1, _BLOCK_BYTES // (spec.n * spec.p * 8)))
 
 
-def _chunk_shape(spec: DgpSpec, b: Optional[int], full: int) -> tuple[int, int]:
-    """The (time rows, replications) of a chunk of a block of ``full``: a
-    linear process's slice, (n, ``_SLICE`` at most), else about
+def _chunk_shape(spec: DgpSpec, b: Optional[int], full: int) -> tuple[int, int, int]:
+    """The (rows, full, p) of a chunk of a block of ``full``: about
     ``_CHUNK_BYTES`` of whole time rows, a multiple of the block length
     ``b`` (of 1 without one), at least one run of it and at most n."""
-    if spec.kind == "linear_process":
-        return spec.n, min(_SLICE, full)
     step = b or 1
     fit = _CHUNK_BYTES // (full * spec.p * 8)
-    return min(spec.n, max(step, fit - fit % step)), full
+    return min(spec.n, max(step, fit - fit % step)), full, spec.p
 
 
 def _draw_block(spec: DgpSpec, b: Optional[int], wanted: int, full: int,
@@ -422,53 +413,50 @@ def _draw_block(spec: DgpSpec, b: Optional[int], wanted: int, full: int,
     ``b``), a view of the time-major sums.
 
     The panels stream from the chunk source ``_chunks``, their copies in
-    lockstep, a ``_chunk_shape`` at a time; no panel of the block is held
-    whole. Both sums run over the time-major rows one row at a time, as
-    ``blocking.batch_max_abs_mean`` and ``batch_block_sums`` sum (k, n, p)
-    panels when p > 1: a chunk holds whole runs of b rows, and when a block
-    takes several chunks, the buffer row before each takes the running
-    column totals, so summing it with the chunk adds the chunk's rows to
-    them in that order. numpy sums a contiguous column pairwise, so a
-    one-column block is gathered into those kernels' (k, n, 1) layout and
-    reduced there. So each replication is summed in one order in any block
-    and any chunk, bit for bit as the kernels sum it. Runs on draw-pool
-    threads: it calls no public function.
+    lockstep, a ``_chunk_shape`` of time rows at a time; no panel of the
+    block is held whole, whatever its kind. Both sums run over the
+    time-major rows one row at a time, as ``blocking.batch_max_abs_mean``
+    and ``batch_block_sums`` sum (k, n, p) panels when p > 1: a chunk holds
+    whole runs of b rows, and when a block takes several chunks, the buffer
+    row before each takes the running column totals, so summing it with the
+    chunk adds the chunk's rows to them in that order. numpy sums a
+    contiguous column pairwise, so a one-column block is gathered into those
+    kernels' (k, n, 1) layout and reduced there. So each replication is
+    summed in one order in any block and any chunk, bit for bit as the
+    kernels sum it. Runs on draw-pool threads: it calls no public function.
     """
     n, p = spec.n, spec.p
-    rows, width = _chunk_shape(spec, b, full)
+    shape = _chunk_shape(spec, b, full)
     # With several chunks, row 0 takes the running column totals.
-    spare = int(rows < n)
-    buffer = np.empty((spare + rows, width, p))
+    spare = int(shape[0] < n)
+    buffer = np.empty((spare + shape[0], full, p))
     chunks = _chunks(spec, rng, wanted, full, buffer[spare:])
-    copies = (None if copy_rng is None
-              else _chunks(spec, copy_rng, wanted, full, np.empty((rows, width, p))))
+    copies = None if copy_rng is None else _chunks(spec, copy_rng, wanted, full, np.empty(shape))
     # Made after the sources and their scratch (``_chunks``).
     if p == 1:
         column = np.empty((wanted, n, 1))
     else:
         totals = np.empty((wanted, p))
         # A block in one chunk keeps that chunk's block sums, uncopied.
-        whole = rows == n and width >= wanted
-        sums = None if b is None or whole else np.empty((n // b, wanted, p))
-    for t, lo, x in chunks:
+        sums = None if b is None or not spare else np.empty((n // b, wanted, p))
+    for t, x in chunks:
         if copies is not None:
-            x -= next(copies)[2]
-        r, k = x.shape[:2]
-        stop = t + r
+            x -= next(copies)[1]
+        stop = t + len(x)
         if p == 1:
-            column[lo : lo + k, t:stop] = x.transpose(1, 0, 2)
+            column[:, t:stop] = x.transpose(1, 0, 2)
             continue
         if t == 0:
-            np.sum(x, axis=0, out=totals[lo : lo + k])
+            np.sum(x, axis=0, out=totals)
         else:
-            buffer[0, :k] = totals[lo : lo + k]
-            np.sum(buffer[: 1 + r, :k], axis=0, out=totals[lo : lo + k])
+            buffer[0, :wanted] = totals
+            np.sum(buffer[: 1 + len(x), :wanted], axis=0, out=totals)
         if b is None:
             continue
-        if whole:
-            sums = _block_sums(x, b, 0)
+        if spare:
+            sums[t // b : stop // b] = _block_sums(x, b, 0)
         else:
-            sums[t // b : stop // b, lo : lo + k] = _block_sums(x, b, 0)
+            sums = _block_sums(x, b, 0)
     if p == 1:
         return column.mean(axis=1), None if b is None else _block_sums(column, b)
     totals /= n
@@ -496,7 +484,10 @@ def _clipped_correlations(tau: float, rho: np.ndarray) -> tuple[float, np.ndarra
     """
     inside = math.erf(tau / math.sqrt(2.0))  # 2 Phi(tau) - 1
     density = math.exp(-0.5 * tau * tau) / math.sqrt(2.0 * math.pi)
-    at_one = inside - 2.0 * tau * density + tau * tau * math.erfc(tau / math.sqrt(2.0))
+    tail = math.erfc(tau / math.sqrt(2.0))
+    # Where the tail underflows, so has the density: the clip never binds in
+    # double precision, and tau's terms, which may overflow to inf * 0, are 0.
+    at_one = inside if tail == 0.0 else inside - 2.0 * tau * density + tau * tau * tail
     rest = at_one - inside * inside
     largest = float(np.abs(rho).max(initial=0.0))
     terms = 0

@@ -14,7 +14,8 @@ replication. The blocks are those of a pass of
 multipliers are keyed alike. Distinct keys give independently hashed
 256-bit states, and a block's generator reads about 0.5M 64-bit words
 (``processes._BLOCK_BYTES`` of panel, plus a var1 kind's initial states, at
-most as many again, or a linear process's lags), far below the 2**64 words
+most as many again, or a linear process's pre-sample innovation rows),
+far below the 2**64 words
 that SFC64's counter guarantees before any state repeats, so the chance
 that two streams overlap is negligible. The keys of a range of replications, such as the
 first replications of a pass's blocks, are mixed at once on uint64 arrays,

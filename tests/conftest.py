@@ -81,11 +81,10 @@ def block_panels(spec, rng, size):
 
     The block's draws are read time-major, row t of every panel before row
     t + 1: iid kinds as one (n, size, p) array; a linear process's longer
-    innovations as (rows, slice, p), a slice of ``processes._SLICE`` panels
-    at a time; for var1 kinds all initial states and then all innovations.
-    Signs are numpy's int8 integers on {0, 1} mapped to -1 and +1 (times
-    ``scale`` for bounded_rademacher); normals are equicorrelated by
-    ``cross_corr``.
+    innovations as one (n + lags, size, p) array; for var1 kinds all initial
+    states and then all innovations. Signs are numpy's int8 integers on
+    {0, 1} mapped to -1 and +1 (times ``scale`` for bounded_rademacher);
+    normals are equicorrelated by ``cross_corr``.
     """
     n, p, lags = spec.n, spec.p, len(spec.coeffs) - 1
 
@@ -99,11 +98,9 @@ def block_panels(spec, rng, size):
     if spec.kind in ("iid_gaussian", "bounded_rademacher"):
         return draw(n, size, p).transpose(1, 0, 2)
     if spec.kind == "linear_process":
-        slices = []
-        for lo in range(0, size, processes._SLICE):
-            e = draw(n + lags, min(processes._SLICE, size - lo), p)
-            slices.append(sum(a * e[lags - j : lags - j + n] for j, a in enumerate(spec.coeffs)))
-        return np.concatenate(slices, axis=1).transpose(1, 0, 2)
+        e = draw(n + lags, size, p)
+        x = sum(a * e[lags - j : lags - j + n] for j, a in enumerate(spec.coeffs))
+        return x.transpose(1, 0, 2)
     prev = draw(size, p) / math.sqrt(1.0 - spec.phi**2)
     e = draw(n, size, p)
     x = np.empty_like(e)
@@ -121,9 +118,9 @@ def fill_block(spec, rng, wanted, full):
     ``processes._chunks`` (of the default shape without a block length),
     gathered whole."""
     out = np.empty((spec.n, wanted, spec.p))
-    chunk = np.empty((*processes._chunk_shape(spec, None, full), spec.p))
-    for t, lo, x in processes._chunks(spec, rng, wanted, full, chunk):
-        out[t : t + len(x), lo : lo + x.shape[1]] = x
+    chunk = np.empty(processes._chunk_shape(spec, None, full))
+    for t, x in processes._chunks(spec, rng, wanted, full, chunk):
+        out[t : t + len(x)] = x
     return out
 
 

@@ -630,6 +630,27 @@ class TestRun:
             assert partial["error"].startswith(
                 f"NonFiniteGaugeError: the remainder of the {error} margin is inf")
 
+    @pytest.mark.parametrize("dgp, field", [
+        ({"kind": "bounded_rademacher", "n": 16, "p": 3, "scale": 1e200}, "dgp.scale"),
+        ({"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "truncation": 1e200}, None),
+        ({"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1e200]}, "dgp.coeffs"),
+    ], ids=["scale-1e200", "truncation-1e200", "coeffs-1e200"])
+    def test_dgp_at_the_ends_of_the_float_range(self, tmp_path, capsys, dgp, field):
+        # A variance scale**2 or (sum |coeffs|)**2 that overflows is named by
+        # validate; a clip past the float range never binds, so the run ends
+        # at a verdict. Each once passed validate and then stopped the run on
+        # a bare OverflowError, or on a nan variance from inf * 0.
+        path, _ = write_config(tmp_path, dgp=dgp)
+        out = tmp_path / "out"
+        code = main(["run", str(path), "--output-dir", str(out)])
+        if field is None:
+            assert code == EXIT_OK and not (out / "partial.json").exists()
+            assert (out / "rho-only.json").exists()
+        else:
+            assert code == EXIT_ERROR and not out.exists()
+            assert f"{field}: the " in capsys.readouterr().err
+            assert main(["validate", str(path)]) == EXIT_ERROR
+
     def test_optimal_truncation_recorded(self, tmp_path):
         path, _ = write_config(
             tmp_path,

@@ -4,6 +4,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,6 +127,8 @@ class TestValidation:
         (dict(kind="var1", n=4, p=1, phi="0.5"), "phi"),
         (dict(kind="linear_process", n=4, p=1, coeffs=5), "coeffs"),
         (dict(kind="linear_process", n=4, p=1, coeffs=(1.0, "0.5")), r"coeffs\[1\]"),
+        # Each square is finite, but the variance bound (sum |coeffs|)**2 is not.
+        (dict(kind="linear_process", n=4, p=1, coeffs=(1e154, 1e154)), "coeffs"),
     ])
     def test_non_finite_or_non_integer_field_named(self, kwargs, field):
         with pytest.raises(DgpValidationError, match=f"^{field}: "):
@@ -173,28 +176,29 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("spec, reps, bound", [
         *[(DgpSpec(kind, n=64, p=8, phi=0.5), 256,
-           0.8 if kind == "linear_process" else 0.4) for kind in KINDS],
+           0.6 if kind == "linear_process" else 0.4) for kind in KINDS],
         (DgpSpec("linear_process", n=64, p=8, coeffs=(1.0, 0.5),
-                 innovation="rademacher"), 256, 0.8),
+                 innovation="rademacher"), 256, 0.6),
         (DgpSpec("iid_gaussian", n=16, p=4, cross_corr=0.3), 2048, 0.4),
         (DgpSpec("var1", n=32, p=3, phi=0.5, cross_corr=0.2), 2048, 0.4),
         (DgpSpec("truncated_var1", n=16, p=4, phi=0.5, cross_corr=0.3), 2048, 0.4),
     ], ids=[*KINDS, "linear_process-rademacher", "iid_gaussian-correlated",
             "var1-correlated", "truncated_var1-correlated"])
-    def test_autoregression_chunk_peak_memory(self, spec, reps, bound, monkeypatch):
+    def test_chunk_source_peak_memory(self, spec, reps, bound, monkeypatch):
         # The chunk source, given all ``reps`` as one time-major block and
-        # an eighth of its time rows per chunk, never holds the block: one
-        # reused chunk (1.0 to 1.9 chunks measured, the equicorrelation's
-        # mean per vector and var1's carried row beside it), sign panels
-        # beside the block's int8 draws (an eighth of its bytes), and linear
-        # processes a slice of replications: its innovations, its filtered
-        # rows and one filter term (about 0.76 of the block here).
+        # an eighth of its time rows per chunk, never holds the block,
+        # whatever its kind: one reused chunk (1.0 to 1.9 chunks measured,
+        # the equicorrelation's mean per vector and var1's carried row
+        # beside it), sign panels beside the block's int8 draws (an eighth
+        # of its bytes), and linear processes beside their window of
+        # innovation rows and one filter term (about 0.40 of the block with
+        # Gaussian innovations and 0.52 with signs).
         block = spec.n * reps * spec.p * 8
         monkeypatch.setattr(processes, "_CHUNK_BYTES", block // 8)
         key = substream_keys(1, STREAM_PANEL, 0, range(1))[0]
         tracemalloc.start()
         try:
-            out = np.empty((*processes._chunk_shape(spec, None, reps), spec.p))
+            out = np.empty(processes._chunk_shape(spec, None, reps))
             for _ in processes._chunks(spec, generator(key), reps, reps, out):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
@@ -316,9 +320,10 @@ class TestReplicationBlocks:
             assert_on_pool_threads(threads)
         assert drawn[1] == drawn[2]
 
-    def test_rademacher_innovation_slices_match_block_reference(self):
-        # 140 of a block of 150 replications from an offset cross two slice
-        # boundaries of the chunk source; the slices past 140 are not drawn.
+    def test_rademacher_innovations_read_the_whole_block_time_major(self):
+        # 140 of a block of 150 replications from an offset: the block's one
+        # int8 call covers the innovations of all 150, time-major, so the
+        # replications wanted read the bytes of the whole block's reference.
         spec = DgpSpec("linear_process", n=5, p=2, coeffs=(1.0, -0.5),
                        innovation="rademacher")
         key = substream_keys(8, STREAM_PANEL, 1, range(10, 11))[0]
@@ -425,14 +430,14 @@ CHUNK_SPECS = [
                              ("linear_process", "rademacher")]
     for p in (1, 3)
 ]
-# Chunk budgets in time rows of a block: one run of b rows (none fits), six
-# rows (chunks of 6, 6 and 4 unless b = n), the whole block. A linear
-# process streams a slice of replications at a time, whatever the budget.
+# Chunk budgets in time rows of a block: one run of b rows (none fits, and
+# a run of one row is shorter than a linear process's two lags), six rows
+# (chunks of 6, 6 and 4 unless b = n), the whole block.
 CHUNK_BUDGETS = {"one-run": 0, "six-rows": 6, "whole-block": 10**6}
 CHUNK_CASES = [
     pytest.param(spec, budget, id=f"{block_id(spec)}-p{spec.p}-{budget}")
     for spec in CHUNK_SPECS
-    for budget in (["whole-block"] if spec.kind == "linear_process" else CHUNK_BUDGETS)
+    for budget in CHUNK_BUDGETS
 ]
 
 
@@ -441,8 +446,8 @@ class TestChunkedBlocks:
     column means and block sums of the kernels on its whole panels, bit for
     bit, for any chunk size."""
 
-    # 66 of a block of 70 replications: the last block of a run, whose
-    # linear-process slices of 64 straddle the replications wanted.
+    # 66 of a block of 70 replications: the last block of a run, drawn at
+    # full length.
     WANTED, FULL = 66, 70
 
     @pytest.mark.parametrize("b", [None, 1, 2, 16], ids=["no-b", "b1", "b2", "bn"])
@@ -452,11 +457,8 @@ class TestChunkedBlocks:
         row = self.FULL * spec.p * 8
         monkeypatch.setattr(processes, "_CHUNK_BYTES", CHUNK_BUDGETS[budget] * row + 7)
         shape = processes._chunk_shape(spec, b, self.FULL)
-        if spec.kind == "linear_process":
-            assert shape == (16, 64)
-        else:
-            assert shape == ({"one-run": b or 1, "six-rows": 6 if b != 16 else 16,
-                              "whole-block": 16}[budget], self.FULL)
+        assert shape == ({"one-run": b or 1, "six-rows": 6 if b != 16 else 16,
+                          "whole-block": 16}[budget], self.FULL, spec.p)
 
         def block(stream):
             return generator(first_key(5, stream, 2, 0))
@@ -492,6 +494,25 @@ class TestChunkedBlocks:
         finally:
             tracemalloc.stop()
         assert drawn is not None and peak < 2 << 20, peak
+
+    def test_linear_process_block_holds_no_panel(self):
+        # One block of 16 replications at n = 32, p = 1000 (a 3.9 MiB
+        # panel) with two lags streams 8-row chunks of 1.0 MiB: its window
+        # of 10 innovation rows, one filter term and its block sums beside
+        # the chunk peak at about 4 MiB, where drawing the block as one
+        # slice of replications held its innovations, its filtered panel
+        # and a filter term whole, 12.1 MiB.
+        spec = DgpSpec("linear_process", n=32, p=1000, coeffs=(1.0, 0.5, 0.25))
+        full = processes._block_reps(spec)
+        assert full == 16
+        rng = generator(first_key(20260808, STREAM_PANEL, 1, 0))
+        tracemalloc.start()
+        try:
+            drawn = processes._draw_block(spec, 8, full, full, rng, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert drawn is not None and peak < 6 << 20, peak
 
 
 class FoldLog:
@@ -755,9 +776,9 @@ class TestMoments:
         chunks = processes._chunks
 
         def shifted(*args):
-            for t, lo, x in chunks(*args):
+            for t, x in chunks(*args):
                 x += 0.1
-                yield t, lo, x
+                yield t, x
 
         monkeypatch.setattr(processes, "_chunks", shifted)
         assert not any(centered(spec) for spec in MEAN_ZERO_SPECS)
@@ -930,6 +951,14 @@ class TestClippedLongRunCov:
         got_v, got_cross = longrun_covariance(clipped)
         assert got_v == pytest.approx(v, rel=1e-12)
         assert got_cross == pytest.approx(cross_corr * v, rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("truncation", [1e200, sys.float_info.max])
+    def test_a_clip_past_the_float_range_is_var1(self, truncation):
+        # tau * tau overflows and the tail underflows, so tau's terms would
+        # be inf * 0; the clip never binds, and the covariance is var1's.
+        spec = DgpSpec("truncated_var1", n=16, p=3, phi=0.5, truncation=truncation,
+                       cross_corr=0.3)
+        assert longrun_covariance(spec) == longrun_covariance(replace(spec, kind="var1"))
 
     @pytest.mark.parametrize("spec", [
         DgpSpec("truncated_var1", n=128, p=4, phi=0.5, truncation=3.0),
