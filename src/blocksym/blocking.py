@@ -25,8 +25,8 @@ error naming it.
 A pass keys its panels, copies and multipliers with one ``substream_keys``
 call each, at the first replications of its blocks (``processes``). The
 calling thread builds each block's generators (``seeding.generator``; the
-pool threads call no public function), draws its multipliers and submits
-the block to a pool of ``draw_workers()`` threads; the pool thread streams
+pool threads call no public function) and submits the block to a pool of
+``draw_workers()`` threads; the pool thread draws its multipliers, streams
 its panels, a chunk of time rows at a time, into their column means and
 block sums (``processes._draw_block``), writes its per-replication values
 and returns its means. With ``draw_workers() + 1`` blocks in flight the
@@ -35,7 +35,8 @@ in block order, a pass holds only that many blocks' chunks and sums (never
 a block of panels), and the output is bit-identical for any worker count.
 Nothing is cached. Inside ``recorded_passes()`` each pass appends its
 request (``pass_record``), its wall time and its blocks' wall time summed
-over the threads, in draw order.
+over the threads, in draw order. The Kolmogorov distances of ``gaussian``
+run on the same pool, through ``_pool_map``.
 """
 
 from __future__ import annotations
@@ -153,13 +154,15 @@ def _max_last(x: np.ndarray) -> np.ndarray:
     return x.max(axis=-1)
 
 
-def _multipliers(mult: MultiplierSpec, key: np.ndarray, rows: int, count: int) -> np.ndarray:
-    """``rows`` rows of ``count`` multipliers from ``seeding.generator(key)``,
-    row by row: row i is row i of numpy's int8 ``integers(0, 2)`` mapped to
-    -1 and +1 (Rademacher) or of ``uniform(-sqrt(3), sqrt(3))``, drawn with
+def _multipliers(mult: MultiplierSpec, rng: np.random.Generator, rows: int,
+                 count: int) -> np.ndarray:
+    """``rows`` rows of ``count`` multipliers from ``rng``, the
+    ``seeding.generator`` of the key of a block's first replication, row by
+    row: row i is row i of numpy's int8 ``integers(0, 2)`` mapped to -1 and
+    +1 (Rademacher) or of ``uniform(-sqrt(3), sqrt(3))``, drawn with
     ``count`` columns. So a replication's multipliers depend on the first
-    replication of its block, not on how many the block holds."""
-    rng = generator(key)
+    replication of its block, not on how many the block holds. Runs on
+    draw-pool threads, so the caller builds ``rng``."""
     shape = (rows, count)
     if mult.kind == "uniform_sym":
         half = math.sqrt(3.0)
@@ -312,6 +315,16 @@ def _draw_pool(workers: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=workers, thread_name_prefix="blocksym-draw")
 
 
+def _pool_map(fn, calls) -> list:
+    """``[fn(*args) for args in calls]``, each call a task on the draw pool,
+    so ``fn`` may call only private functions. Every task has ended when this
+    returns or raises."""
+    pool = _draw_pool(draw_workers())
+    futures = [pool.submit(fn, *args) for args in calls]
+    wait(futures)
+    return [future.result() for future in futures]
+
+
 def pass_record(spec: DgpSpec, reps: int, seed: int, purpose: int,
                 scheme: Optional[BlockScheme] = None, mult: Optional[MultiplierSpec] = None,
                 copies: bool = False, reductions: tuple = ()) -> dict:
@@ -356,9 +369,10 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     copy_keys = substream_keys(seed, STREAM_COPY, purpose, firsts) if copies else None
     mult_keys = None if mult is None else substream_keys(seed, STREAM_MULTIPLIER, purpose, firsts)
 
-    def draw(start, stop, rng, copy_rng, eps):
+    def draw(start, stop, rng, copy_rng, mult_rng):
         # Runs on a draw-pool thread, so it calls only private functions.
         began = time.perf_counter()
+        eps = None if mult is None else _multipliers(mult, mult_rng, stop - start, scheme.count)
         means, sums = _draw_block(spec, b, stop - start, block, rng, copy_rng)
         max_abs_mean[start:stop] = _max_last(np.abs(means))
         if eps is not None:
@@ -383,13 +397,12 @@ def stream_statistics(spec: DgpSpec, reps: int, seed: int, purpose: int,
     try:
         for j, start in enumerate(firsts):
             stop = min(start + block, reps)
-            # Built and drawn on the calling thread while the pool draws the
-            # blocks in flight.
+            # Built on the calling thread while the pool draws the blocks in
+            # flight.
             rng = generator(keys[j])
             copy_rng = None if copy_keys is None else generator(copy_keys[j])
-            eps = (None if mult is None
-                   else _multipliers(mult, mult_keys[j], stop - start, scheme.count))
-            pending.append((start, pool.submit(draw, start, stop, rng, copy_rng, eps)))
+            mult_rng = None if mult_keys is None else generator(mult_keys[j])
+            pending.append((start, pool.submit(draw, start, stop, rng, copy_rng, mult_rng)))
             if len(pending) > workers:
                 block_seconds += fold_oldest()
         while pending:

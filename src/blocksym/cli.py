@@ -48,7 +48,7 @@ from .blocking import (
     stream_statistics,
 )
 from .gaussian import RhoEstimate, estimate_gaussian_model, pass_rho_samples
-from .processes import DgpSpec, Spec, _is_real, from_fields, marginal_spec
+from .processes import DgpSpec, Spec, _is_finite, _is_real, from_fields, marginal_spec
 from .psi import PsiSpec, psi_moment_norm
 from .remainders import (
     TailParams,
@@ -91,8 +91,8 @@ class ConfigError(ValueError):
 
 
 def _is_positive(value) -> bool:
-    """Whether ``value`` is a number (not a boolean) above zero."""
-    return _is_real(value) and value > 0
+    """Whether ``value`` is a finite number (not a boolean) above zero."""
+    return _is_real(value) and _is_finite(value) and value > 0
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,7 @@ class TruncationSpec(Spec):
             raise ValueError(f"mode: expected fixed or optimal, got {self.mode!r}")
         key = self.reads()[1]
         if not _is_positive(getattr(self, key)):
-            raise ValueError(f"{key}: {self.mode} mode needs {key} > 0")
+            raise ValueError(f"{key}: {self.mode} mode needs a finite {key} > 0")
 
     def reads(self) -> tuple:
         return ("mode", "U" if self.mode == "fixed" else "phi")
@@ -135,7 +135,7 @@ class TailSpec(Spec):
         for name in ("gamma", "a", "b"):
             value = getattr(self, name)
             if not (_is_positive(value) or (name == "b" and value is None)):
-                raise ValueError(f"{name}: expected a number > 0, got {value!r}")
+                raise ValueError(f"{name}: expected a finite number > 0, got {value!r}")
         if self.phi is None:
             object.__setattr__(self, "phi", self.gamma / 2.0)
         if not (_is_real(self.phi) and 0 < self.phi < self.gamma):

@@ -96,6 +96,15 @@ def _is_real(value) -> bool:
             and not isinstance(value, bool))
 
 
+def _is_finite(value) -> bool:
+    """Whether the real number ``value`` is finite as a float; an integer
+    past the float range, on which ``math.isfinite`` raises, is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def from_fields(cls, obj: dict):
     """The dataclass ``cls`` built from the JSON object ``obj``.
 
@@ -169,7 +178,7 @@ class DgpSpec(Spec):
         for name, value in numbers:
             if not _is_real(value):
                 raise DgpValidationError(f"{name}: expected a number, got {value!r}")
-            if not math.isfinite(value):
+            if not _is_finite(value):
                 raise DgpValidationError(f"{name}: expected a finite number, got {value!r}")
         if self.n < 1:
             raise DgpValidationError(f"n: sample size must be >= 1, got {self.n}")
@@ -482,12 +491,21 @@ def _clipped_correlations(tau: float, rho: np.ndarray) -> tuple[float, np.ndarra
     out are at most max |rho|^k times that sum: the series stops once that
     bound is below ``_SERIES_TOLERANCE`` gamma(1).
     """
+    from scipy.special import gammainc
+
     inside = math.erf(tau / math.sqrt(2.0))  # 2 Phi(tau) - 1
     density = math.exp(-0.5 * tau * tau) / math.sqrt(2.0 * math.pi)
     tail = math.erfc(tau / math.sqrt(2.0))
-    # Where the tail underflows, so has the density: the clip never binds in
-    # double precision, and tau's terms, which may overflow to inf * 0, are 0.
-    at_one = inside if tail == 0.0 else inside - 2.0 * tau * density + tau * tau * tail
+    # gamma(1) = E[Z^2; |Z| < tau] + tau^2 P(|Z| >= tau). The first term is
+    # erf(tau / sqrt 2) - 2 tau phi(tau), unless that difference loses more
+    # than a bit to cancellation (small tau): then it is taken as P(chi^2_3
+    # <= tau^2), which cancels nothing. Where the tail underflows, the clip
+    # never binds in double precision, and tau^2 tail, which may overflow to
+    # inf * 0, is left out.
+    bulk = inside - 2.0 * (tau * density)
+    if bulk < 0.5 * inside:
+        bulk = gammainc(1.5, 0.5 * tau * tau)
+    at_one = bulk + (tau * tau * tail if tail else 0.0)
     rest = at_one - inside * inside
     largest = float(np.abs(rho).max(initial=0.0))
     terms = 0

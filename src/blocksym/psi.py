@@ -18,7 +18,7 @@ from typing import Callable, Union
 import numpy as np
 
 from .blocking import StreamStatistics
-from .processes import Spec, _is_real, marginal_spec
+from .processes import Spec, _is_finite, _is_real, marginal_spec
 from .seeding import PURPOSE_NORM
 
 # The convexity check's grid size and its tolerance for rounding.
@@ -54,7 +54,7 @@ class PsiSpec(Spec):
             value = getattr(self, name)
             if not _is_real(value):
                 raise PsiValidationError(f"{name}: expected a number, got {value!r}")
-            if not math.isfinite(value):
+            if not _is_finite(value):
                 raise PsiValidationError(f"{name}: expected a finite number, got {value!r}")
         if self.kind == "power" and self.q < 1:
             raise PsiValidationError(f"q: power exponent must be >= 1, got {self.q}")

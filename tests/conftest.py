@@ -13,6 +13,7 @@ from blocksym.seeding import (
     PURPOSE_NORM,
     PURPOSE_TAIL,
     STREAM_MULTIPLIER,
+    generator,
     substream,
     substream_keys,
 )
@@ -39,7 +40,7 @@ def batch_multipliers(mult, count, seed, purpose, start, stop):
     from the key of the substream (seed, multiplier stream, purpose, start)
     of the block's first replication."""
     key = substream_keys(seed, STREAM_MULTIPLIER, purpose, range(start, start + 1))[0]
-    return blocking._multipliers(mult, key, stop - start, count)
+    return blocking._multipliers(mult, generator(key), stop - start, count)
 
 
 def subexp_total_bound(q, r, phi, rho_sum, p, n, M_n, U):

@@ -249,6 +249,14 @@ PROBES = {
     "r-string": (with_fields(r="2.5"), "r"),
     "r-boolean": (with_fields(r=True), "r"),
     "r-huge-integer": (with_fields(r=10**400), "r"),
+    # An integer past the float range, on which math.isfinite raises, in
+    # each section that reads a number.
+    "dgp-phi-huge-integer": (with_fields(**{"dgp.kind": "var1", "dgp.phi": 10**400}),
+                             "dgp.phi"),
+    "dgp-coeff-huge-integer": (with_fields(dgp={"kind": "linear_process", "n": 16, "p": 3,
+                                                "coeffs": [1.0, -10**400]}), "dgp.coeffs[1]"),
+    "psi-q-huge-integer": (with_fields(**{"psi.q": 10**400}), "psi.q"),
+    "U-huge-integer": (truncated(**{"truncation.U": 10**400}), "truncation.U"),
     # Keys are mixed modulo 2**64, so these would draw the panels of 2**64 - 1 and 5.
     "seed-negative": (with_fields(seed=-1), "seed"),
     "seed-above-64-bits": (with_fields(seed=2**64 + 5), "seed"),
@@ -292,6 +300,8 @@ PROBES = {
        for name, tail, path in [
            ("gamma-string", {"gamma": "x"}, "tail.gamma"),
            ("gamma-zero", {"gamma": 0}, "tail.gamma"),
+           ("gamma-huge-integer", {"gamma": 10**400}, "tail.gamma"),
+           ("a-huge-integer", {"a": 10**400}, "tail.a"),
            ("a-negative", {"a": -1}, "tail.a"),
            ("phi-above-gamma", {"gamma": 1, "phi": 2}, "tail.phi"),
            ("fit-false-without-b", {"fit": False, "a": 2.0}, "tail.fit"),
@@ -633,13 +643,16 @@ class TestRun:
     @pytest.mark.parametrize("dgp, field", [
         ({"kind": "bounded_rademacher", "n": 16, "p": 3, "scale": 1e200}, "dgp.scale"),
         ({"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "truncation": 1e200}, None),
+        ({"kind": "truncated_var1", "n": 16, "p": 3, "phi": 0.5, "truncation": 1e-200}, None),
         ({"kind": "linear_process", "n": 16, "p": 3, "coeffs": [1e200]}, "dgp.coeffs"),
-    ], ids=["scale-1e200", "truncation-1e200", "coeffs-1e200"])
+    ], ids=["scale-1e200", "truncation-1e200", "truncation-1e-200", "coeffs-1e200"])
     def test_dgp_at_the_ends_of_the_float_range(self, tmp_path, capsys, dgp, field):
         # A variance scale**2 or (sum |coeffs|)**2 that overflows is named by
-        # validate; a clip past the float range never binds, so the run ends
+        # validate; a clip past the float range never binds, and one far
+        # below it leaves a variance that underflows to 0, so both runs end
         # at a verdict. Each once passed validate and then stopped the run on
-        # a bare OverflowError, or on a nan variance from inf * 0.
+        # a bare OverflowError, on a nan variance from inf * 0, or on a
+        # negative variance that cancellation left.
         path, _ = write_config(tmp_path, dgp=dgp)
         out = tmp_path / "out"
         code = main(["run", str(path), "--output-dir", str(out)])

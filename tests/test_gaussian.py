@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 import tracemalloc
 
 import numpy as np
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import ks_2samp
 
-from blocksym import gaussian
+from blocksym import gaussian, processes
 from blocksym.blocking import MultiplierSpec, make_blocks
 from blocksym.gaussian import (
     CovarianceError,
@@ -60,6 +62,16 @@ def pooled_gap(a, b):
     pooled = np.concatenate([a, b])
     return float(np.abs(np.searchsorted(a, pooled, side="right") / a.size
                         - np.searchsorted(b, pooled, side="right") / b.size).max())
+
+
+def both_sides_gap(a, b):
+    """The sup gap evaluated at and just below every pooled point."""
+    a, b = np.sort(a), np.sort(b)
+    pooled = np.concatenate([a, b])
+    return float(max(
+        np.abs(np.searchsorted(a, pooled, side=side) / a.size
+               - np.searchsorted(b, pooled, side=side) / b.size).max()
+        for side in ("left", "right")))
 
 
 def ks_oracle(a, b):
@@ -115,13 +127,7 @@ class TestKolmogorovDistance:
             statistic = ks_2samp(a, b, method="asymp").statistic
         assert d == pytest.approx(statistic, abs=1e-12)
         # The gaps just below the pooled points add nothing, bit for bit.
-        pooled = np.concatenate([a, b])
-        both_sides = max(
-            np.abs(np.searchsorted(a, pooled, side=side) / a.size
-                   - np.searchsorted(b, pooled, side=side) / b.size).max()
-            for side in ("left", "right")
-        )
-        assert d == both_sides
+        assert d == both_sides_gap(a, b)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -137,19 +143,25 @@ class TestKolmogorovDistance:
         for f in (lambda x: x**2, lambda x: np.expm1(x / 5.0), lambda x: 3.0 * x + 1):
             assert kolmogorov_distance(f(np.asarray(a)), f(np.asarray(b))) == pytest.approx(d)
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
-        a=st.lists(st.integers(0, 6) | st.floats(0.0, 6.0), min_size=1, max_size=40),
-        b=st.lists(st.integers(0, 6) | st.floats(0.0, 6.0), min_size=1, max_size=40),
+        # Mostly a few half-integers, so ties within and across the samples
+        # are common and tie runs cross slice ends.
+        a=st.lists(st.integers(0, 6).map(lambda k: k / 2) | st.floats(0.0, 3.0),
+                   min_size=1, max_size=40),
+        b=st.lists(st.integers(0, 6).map(lambda k: k / 2) | st.floats(0.0, 3.0),
+                   min_size=1, max_size=40),
         step=st.integers(1, 7),
     )
     def test_slices_match_pooled_gaps(self, a, b, step):
-        # The gaps are evaluated a slice of points at a time; any slice
-        # length gives the gap over the whole pool, bit for bit.
+        # One search of b per slice of a's points, read at and just below
+        # them: any slice length gives the gap over the whole pool, and the
+        # gaps on both sides of every pooled point, bit for bit.
         a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(gaussian, "_KS_SLICE", step)
-            assert kolmogorov_distance(a, b) == pooled_gap(a, b)
+            d = kolmogorov_distance(a, b)
+        assert d == pooled_gap(a, b) == both_sides_gap(a, b)
 
     @settings(max_examples=80, deadline=None)
     @given(points=st.lists(st.integers(0, 5), min_size=1, max_size=40), data=st.data())
@@ -160,6 +172,16 @@ class TestKolmogorovDistance:
         hi = data.draw(st.integers(lo + 1, points.size))
         assert np.array_equal(gaussian._run_ends(points, lo, hi),
                               np.searchsorted(points, points[lo:hi], side="right"))
+
+    @settings(max_examples=80, deadline=None)
+    @given(points=st.lists(st.integers(0, 5), min_size=1, max_size=40), data=st.data())
+    def test_run_starts_are_left_searches(self, points, data):
+        # Any slice, tie runs crossing either of its ends included.
+        points = np.sort(np.asarray(points, dtype=float))
+        lo = data.draw(st.integers(0, points.size - 1))
+        hi = data.draw(st.integers(lo + 1, points.size))
+        assert np.array_equal(gaussian._run_starts(points, lo, hi),
+                              np.searchsorted(points, points[lo:hi], side="left"))
 
     @pytest.mark.parametrize("case", ["lattice", "unequal", "sign-kind"])
     def test_matches_scipy_and_pooled_searches(self, case, monkeypatch):
@@ -193,21 +215,50 @@ class TestKolmogorovDistance:
         assert peak < a.nbytes / 2
 
     def test_from_samples_sorts_each_sample_once(self, monkeypatch):
-        sorted_sizes = []
-        sort = np.sort
+        # The pool's tasks: one in-place sort of a copy of each sample, then
+        # the three distances.
+        tasks = []
+        pool_map = gaussian._pool_map
 
-        def counting(x, *args, **kw):
-            sorted_sizes.append(len(x))
-            return sort(x, *args, **kw)
+        def logged(fn, calls):
+            tasks.append((fn, [[len(x) for x in args] for args in calls]))
+            return pool_map(fn, calls)
 
         rng = substream(316, 99)
         samples = [np.abs(rng.standard_normal(m)) for m in (300, 301, 302)]
-        monkeypatch.setattr(np, "sort", counting)
+        copies = [x.copy() for x in samples]
+        monkeypatch.setattr(gaussian, "_pool_map", logged)
         est = RhoEstimate.from_samples(*samples)
-        assert sorted(sorted_sizes) == [300, 301, 302]
+        assert tasks == [(np.ndarray.sort, [[300], [301], [302]]),
+                         (gaussian._sorted_distance, [[300, 302], [301, 302], [300, 301]])]
+        assert all(np.array_equal(x, y) for x, y in zip(samples, copies))
+        # A sorted sample is neither copied nor sorted again.
+        tasks.clear()
+        kolmogorov_distance(np.sort(samples[0]), samples[1])
+        assert tasks[0] == (np.ndarray.sort, [[301]])
         plain, starred, gauss = samples
         assert (est.rho, est.rho_star, est.rho_direct) == (
             pooled_gap(plain, gauss), pooled_gap(starred, gauss), pooled_gap(plain, starred))
+
+    def test_distances_run_on_the_draw_pool(self, monkeypatch):
+        # The distances are tasks on the pool; the calling thread only
+        # waits for them.
+        threads, distance = [], gaussian._sorted_distance
+
+        def spy(*args):
+            threads.append(threading.current_thread().name)
+            return distance(*args)
+
+        monkeypatch.setattr(gaussian, "_sorted_distance", spy)
+        rng = substream(318, 99)
+        RhoEstimate.from_samples(*(np.abs(rng.standard_normal(500)) for _ in range(3)))
+        kolmogorov_distance([1.0, 2.0], [2.0, 3.0])
+        assert len(threads) == 3 + 1
+        assert all(name.startswith("blocksym-draw") for name in threads)
+
+    def test_a_failing_distance_reaches_the_caller(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            RhoEstimate.from_samples([1.0, 2.0], [-1.0, 2.0], [1.0, 3.0])
 
     def test_null_calibration(self):
         # Same-law pairs exceed the 1% two-sample bound in about 1% of
@@ -237,8 +288,9 @@ class TestGaussianModel:
         (dict(p=2, parallel="1.0", perp=1.0), "parallel"),
         (dict(p=0, parallel=1.0, perp=1.0), "p"),
         (dict(p=2.0, parallel=1.0, perp=1.0), "p"),
+        (dict(p=2, parallel=10**400, perp=1.0), "parallel"),
     ], ids=["parallel-negative", "perp-negative", "parallel-nan", "perp-inf",
-            "parallel-string", "p-zero", "p-float"])
+            "parallel-string", "p-zero", "p-float", "parallel-past-the-float-range"])
     def test_range_check_names_the_field(self, kwargs, field):
         with pytest.raises(CovarianceError, match=f"^{field}: "):
             GaussianModel(**kwargs)
@@ -291,6 +343,30 @@ class TestSampleGaussianMax:
     def test_draw_count_validation(self):
         with pytest.raises(ValueError):
             sample_gaussian_max(GaussianModel(1, 1.0, 1.0), 0, seed=0)
+
+    @pytest.mark.parametrize("rows", [1, 5, 23, 64])
+    @pytest.mark.parametrize("p, c", [(3, 0.0), (7, 0.4), (40, -0.02)])
+    def test_chunks_match_one_whole_draw(self, p, c, rows, monkeypatch):
+        # Chunks of ``rows`` rows, the last one short unless they divide 23:
+        # the maxima of one (23, p) draw of the Gaussian substream,
+        # equicorrelated whole, bit for bit.
+        model = GaussianModel(p, 1.3 * (1.0 + (p - 1) * c), 1.3 * (1.0 - c))
+        z = substream(11, STREAM_GAUSSIAN).standard_normal((23, p))
+        processes._equicorrelate(z, model.parallel, model.perp)
+        monkeypatch.setattr(gaussian, "_CHUNK_BYTES", rows * p * 8)
+        assert np.array_equal(sample_gaussian_max(model, 23, seed=11), np.abs(z).max(axis=1))
+
+    def test_holds_one_chunk_of_draws(self):
+        # 2000 draws at p = 1000 are 16 MB whole; the sample holds one
+        # ``_CHUNK_BYTES`` chunk (1 MiB) and its 2000 maxima.
+        model = GaussianModel(1000, 1.5, 0.9)
+        tracemalloc.start()
+        try:
+            sample_gaussian_max(model, 2000, seed=12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * processes._CHUNK_BYTES
 
 
 class TestEstimateGaussianModel:
@@ -422,6 +498,26 @@ class TestEstimateRhos:
         assert rho.to_json_dict() == {
             "rho": 0.1, "rho_star": 0.2, "rho_direct": 0.25, "reps": 100, "se": 0.1,
         }
+
+
+def test_rho_samples_and_distances_do_not_depend_on_the_worker_count(monkeypatch):
+    # Ten blocks of the pass and slices of 1000 points, on one worker and
+    # on sixteen: the same samples and the same distances, bit for bit.
+    spec = DgpSpec("iid_gaussian", n=16, p=2)
+    model = estimate_gaussian_model(spec)
+    monkeypatch.setattr(gaussian, "_KS_SLICE", 1000)
+    results = []
+    for cpus in (1, 16):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(range(cpus)),
+                            raising=False)
+        samples = draw_rho_samples(spec, make_blocks(16, 4), RADEMACHER, model, 20_000, seed=5)
+        results.append((samples, RhoEstimate.from_samples(*samples)))
+    (one, estimate), (sixteen, again) = results
+    assert all(np.array_equal(x, y) for x, y in zip(one, sixteen))
+    assert estimate == again
+    plain, starred, gauss = one
+    assert (estimate.rho, estimate.rho_star, estimate.rho_direct) == (
+        pooled_gap(plain, gauss), pooled_gap(starred, gauss), pooled_gap(plain, starred))
 
 
 def test_simulate_statistics_paired_shapes():

@@ -6,6 +6,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -31,8 +32,8 @@ from blocksym.processes import (
     DgpValidationError,
     longrun_covariance,
 )
-from blocksym.seeding import (PURPOSE_TAIL, STREAM_COPY, STREAM_PANEL, generator, substream,
-                              substream_keys)
+from blocksym.seeding import (PURPOSE_TAIL, STREAM_COPY, STREAM_MULTIPLIER, STREAM_PANEL,
+                              generator, substream, substream_keys)
 from conftest import (block_bounds, block_panels, draw_panels, equicorrelated, fill_block,
                       pass_multipliers)
 
@@ -129,6 +130,9 @@ class TestValidation:
         (dict(kind="linear_process", n=4, p=1, coeffs=(1.0, "0.5")), r"coeffs\[1\]"),
         # Each square is finite, but the variance bound (sum |coeffs|)**2 is not.
         (dict(kind="linear_process", n=4, p=1, coeffs=(1e154, 1e154)), "coeffs"),
+        # Integers past the float range, on which math.isfinite raises.
+        (dict(kind="var1", n=4, p=1, phi=10**400), "phi"),
+        (dict(kind="linear_process", n=4, p=1, coeffs=(1.0, -10**400)), r"coeffs\[1\]"),
     ])
     def test_non_finite_or_non_integer_field_named(self, kwargs, field):
         with pytest.raises(DgpValidationError, match=f"^{field}: "):
@@ -620,17 +624,18 @@ class TestPipeline:
     @pytest.mark.parametrize("where", ["block", "add", "multipliers"])
     def test_a_failure_reaches_the_caller_and_stops_the_blocks(self, where, monkeypatch):
         # One replication per block on two workers, so three blocks may be
-        # in flight. Block 0's fill raising once block 2 is submitted, the
-        # reduction raising as it folds block 0, or block 2's multipliers
-        # raising on the calling thread: the error reaches the caller, no
-        # block runs once stream_statistics has returned, and no block past
-        # the window is ever submitted.
+        # in flight. Block 0's fill or its multipliers, both drawn on a pool
+        # thread, raising once block 2 is submitted and block 1 runs, or the
+        # reduction raising as it folds block 0: the error reaches the
+        # caller, no block runs once stream_statistics has returned, and no
+        # block past the window is ever submitted.
         monkeypatch.setattr(processes, "_BLOCK_BYTES", self.SPEC.n * self.SPEC.p * 8)
         patch_cpus(monkeypatch, {0, 1})
         lock = threading.Lock()
         armed, running, returned = threading.Event(), threading.Event(), threading.Event()
         state = {"active": 0, "late": 0, "fills": 0}
         block0 = first_state(4, STREAM_PANEL, 6, 0)
+        eps0 = first_state(4, STREAM_MULTIPLIER, 6, 0)
         chunks, multipliers = processes._chunks, blocking._multipliers
 
         def tracked(spec, rng, *args):
@@ -654,19 +659,19 @@ class TestPipeline:
                 with lock:
                     state["active"] -= 1
 
-        def failing(mult, key, rows, count):
-            if armed.is_set():
-                assert running.wait(timeout=30)
-                raise RuntimeError("block 2's multipliers failed")
-            return multipliers(mult, key, rows, count)
+        def failing(mult, rng, rows, count):
+            assert threading.current_thread().name.startswith("blocksym-draw")
+            if fresh_state(rng) == eps0:
+                assert armed.wait(timeout=30) and running.wait(timeout=30)
+                raise RuntimeError("block 0's multipliers failed")
+            return multipliers(mult, rng, rows, count)
 
         monkeypatch.setattr(processes, "_chunks", tracked)
         if where == "multipliers":
             monkeypatch.setattr(blocking, "_multipliers", failing)
         # Armed once the caller has submitted every block it will submit.
-        events, submitted = [], 2 if where == "multipliers" else 3
-        logged_pool(monkeypatch, 2, events,
-                    lambda count: armed.set() if count == submitted else None)
+        events = []
+        logged_pool(monkeypatch, 2, events, lambda count: armed.set() if count == 3 else None)
         log = FoldLog(events, threading.current_thread(), fails=where == "add")
         with pytest.raises(RuntimeError, match="failed"):
             stream_statistics(self.SPEC, 64, 4, 6, self.SCHEME, RADEMACHER, reductions=(log,))
@@ -676,7 +681,7 @@ class TestPipeline:
             fills = state["fills"]
         time.sleep(0.05)
         assert state["late"] == 0 and state["fills"] == fills
-        assert events.count("submit") == submitted
+        assert events.count("submit") == 3
 
     def test_a_failure_cancels_the_queued_block(self, monkeypatch):
         # One worker, so two blocks are in flight and block 1 waits in the
@@ -938,6 +943,19 @@ class TestClippedLongRunCov:
                               / math.sqrt(2.0 * math.pi), -12.0, 12.0, points=[-tau, tau],
                               epsabs=1e-13)[0]
         assert abs(at_one - want) < 1e-10
+
+    @pytest.mark.parametrize("tau", [1e-200, 1e-10, 1e-3, 0.5, 1.39, 1.41, 2.6, 6.0])
+    def test_second_moment_matches_mpmath(self, tau):
+        # gamma(1) = P(chi^2_3 <= tau^2) + tau^2 P(|Z| > tau) to 40 digits,
+        # on both sides of tau = 1.4, where the closed form stops taking
+        # erf(tau / sqrt 2) - 2 tau phi(tau): at 1e-10 that difference
+        # cancelled 11 of 16 digits, and at 1e-200 it went negative.
+        mp.mp.dps = 40
+        t = mp.mpf(tau)
+        want = float(mp.gammainc(1.5, 0, t * t / 2, regularized=True)
+                     + t * t * mp.erfc(t / mp.sqrt(2)))  # 0 at 1e-200
+        at_one, _ = processes._clipped_correlations(tau, np.array([0.5]))
+        assert abs(at_one - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("phi", [0.5, -0.7, 0.0])
     @pytest.mark.parametrize("cross_corr", [0.0, 0.3])

@@ -61,6 +61,8 @@ class TestEval:
     (dict(kind="power", q=math.nan), "q"),
     (dict(kind="exponential", a=math.nan), "a"),
     (dict(kind="exponential", a=1.0, b=math.inf), "b"),
+    # An integer past the float range, on which math.isfinite raises.
+    (dict(kind="power", q=10**400), "q"),
 ])
 def test_non_finite_parameter_named(kwargs, field):
     with pytest.raises(PsiValidationError, match=f"^{field}: "):
